@@ -23,6 +23,8 @@
 //! writeset path). A restarted node re-runs it against its empty database
 //! and then recovers all data by replaying the sequencer's history.
 
+use sirep_common::journal::Event;
+use sirep_common::{json_lint, ReplicaId};
 use sirep_core::cluster::Transport;
 use sirep_core::{
     audit_scraped_journals, perfetto_trace_json, shift_events, Cluster, ClusterConfig,
@@ -693,9 +695,46 @@ fn split_telemetry(flags: &Flags) -> Result<Vec<String>, String> {
     }
 }
 
+/// What one scraped ring could show the audit. `first_seq` is also how many
+/// older events the ring had dropped (`seq` is dense from 0): a clean audit
+/// vouches for `events`, not for those.
+struct Coverage {
+    replica: ReplicaId,
+    first_seq: u64,
+    events: usize,
+}
+
+impl Coverage {
+    fn of(union: &[(ReplicaId, Vec<Event>)]) -> Vec<Coverage> {
+        union
+            .iter()
+            .map(|(replica, events)| Coverage {
+                replica: *replica,
+                first_seq: events.first().map_or(0, |e| e.seq),
+                events: events.len(),
+            })
+            .collect()
+    }
+
+    /// `(events audited, events not seen)` over all journals.
+    fn totals(all: &[Coverage]) -> (usize, u64) {
+        (all.iter().map(|c| c.events).sum(), all.iter().map(|c| c.first_seq).sum())
+    }
+
+    fn print(all: &[Coverage]) {
+        for c in all {
+            println!(
+                "journal {}: first seq {}, {} events, {} dropped by the ring",
+                c.replica, c.first_seq, c.events, c.first_seq
+            );
+        }
+    }
+}
+
 /// Scrape journals from every node and audit the union. Restart journals
-/// (same replica id twice) are separate entries and are checked per-journal;
-/// the cross-journal verdict-agreement check still spans all of them.
+/// (same replica id twice) are separate entries and are audited as separate
+/// streams; verdict agreement and first-committer-wins still span all of
+/// them.
 fn cmd_audit(args: &[String]) -> i32 {
     let flags = match Flags::parse(args, &[]) {
         Ok(f) => f,
@@ -712,10 +751,15 @@ fn cmd_audit(args: &[String]) -> i32 {
             Err(e) => return fail(&format!("scraping {addr}: {e}")),
         }
     }
-    let events: usize = union.iter().map(|(_, ev)| ev.len()).sum();
+    let coverage = Coverage::of(&union);
+    Coverage::print(&coverage);
+    let (events, unseen) = Coverage::totals(&coverage);
     let violations = audit_scraped_journals(&union);
     if violations.is_empty() {
-        println!("audit clean: {} journals, {events} events", union.len());
+        println!(
+            "audit clean over {events} events in {} journals; prefix of {unseen} events not seen",
+            union.len()
+        );
         0
     } else {
         for v in &violations {
@@ -787,7 +831,8 @@ fn cmd_report(args: &[String]) -> i32 {
 
     let trace = perfetto_trace_json(&union);
     let prom = sirep_core::prometheus_text(&merged);
-    let json = report_json(&addrs, &merged, &offsets, &scraped_violations, &seq_stats, &union);
+    let coverage = Coverage::of(&union);
+    let json = report_json(&addrs, &merged, &offsets, &scraped_violations, &seq_stats, &coverage);
     for (name, text) in [("report.json", &json), ("trace.json", &trace)] {
         if let Err(e) = json_lint(text) {
             return fail(&format!("internal: {name} does not parse: {e}"));
@@ -802,10 +847,11 @@ fn cmd_report(args: &[String]) -> i32 {
         }
     }
 
-    let events: usize = union.iter().map(|(_, ev)| ev.len()).sum();
+    Coverage::print(&coverage);
+    let (events, unseen) = Coverage::totals(&coverage);
     println!(
-        "report ok: {} nodes merged, {} journals ({events} events), \
-         {} online + {} scraped-audit violations -> {out_dir}",
+        "report ok: {} nodes merged, {} journals ({events} events audited; prefix of {unseen} \
+         events not seen), {} online + {} scraped-audit violations -> {out_dir}",
         addrs.len(),
         union.len(),
         merged.violations.len(),
@@ -820,7 +866,7 @@ fn report_json(
     offsets: &[(String, i64)],
     scraped: &[sirep_core::AuditViolation],
     seq: &Option<sirep_gcs::SeqStats>,
-    union: &[(sirep_common::ReplicaId, Vec<sirep_common::journal::Event>)],
+    coverage: &[Coverage],
 ) -> String {
     let mut out = String::from("{\"report\":\"cluster\"");
     out.push_str(&format!(",\"nodes\":{}", addrs.len()));
@@ -858,8 +904,21 @@ fn report_json(
     }
     out.push('}');
 
-    let journal_events: usize = union.iter().map(|(_, ev)| ev.len()).sum();
-    out.push_str(&format!(",\"journals\":{},\"journal_events\":{journal_events}", union.len()));
+    out.push_str(",\"journals\":[");
+    for (i, c) in coverage.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "{{\"replica\":{},\"first_seq\":{},\"events\":{},\"dropped\":{}}}",
+            c.replica.raw(),
+            c.first_seq,
+            c.events,
+            c.first_seq
+        ));
+    }
+    let (seen, unseen) = Coverage::totals(coverage);
+    out.push_str(&format!("],\"journal_events\":{seen},\"journal_events_unseen\":{unseen}"));
 
     out.push_str(",\"online_violations\":[");
     for (i, v) in merged.violations.iter().enumerate() {
@@ -910,7 +969,8 @@ fn report_json(
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON emit/validate helpers (dependency-free)
+// Minimal JSON emit helper (dependency-free; `sirep_common::json_lint` is
+// the matching validator)
 // ---------------------------------------------------------------------------
 
 fn json_string(s: &str) -> String {
@@ -929,177 +989,4 @@ fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Recursive-descent JSON well-formedness check, so `report.json`,
-/// `trace.json` and the bench output are guaranteed to parse before they are
-/// written (check.sh asserts on this role's exit code, not on a JSON parser
-/// it would have to ship).
-fn json_lint(text: &str) -> Result<(), String> {
-    struct P<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-    impl P<'_> {
-        fn ws(&mut self) {
-            while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
-                self.i += 1;
-            }
-        }
-        fn peek(&self) -> Option<u8> {
-            self.b.get(self.i).copied()
-        }
-        fn eat(&mut self, c: u8) -> Result<(), String> {
-            if self.peek() == Some(c) {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(format!("expected {:?} at byte {}", c as char, self.i))
-            }
-        }
-        fn value(&mut self, depth: usize) -> Result<(), String> {
-            if depth > 128 {
-                return Err("nesting too deep".into());
-            }
-            self.ws();
-            match self.peek() {
-                Some(b'{') => {
-                    self.i += 1;
-                    self.ws();
-                    if self.peek() == Some(b'}') {
-                        self.i += 1;
-                        return Ok(());
-                    }
-                    loop {
-                        self.ws();
-                        self.string()?;
-                        self.ws();
-                        self.eat(b':')?;
-                        self.value(depth + 1)?;
-                        self.ws();
-                        match self.peek() {
-                            Some(b',') => self.i += 1,
-                            Some(b'}') => {
-                                self.i += 1;
-                                return Ok(());
-                            }
-                            _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
-                        }
-                    }
-                }
-                Some(b'[') => {
-                    self.i += 1;
-                    self.ws();
-                    if self.peek() == Some(b']') {
-                        self.i += 1;
-                        return Ok(());
-                    }
-                    loop {
-                        self.value(depth + 1)?;
-                        self.ws();
-                        match self.peek() {
-                            Some(b',') => self.i += 1,
-                            Some(b']') => {
-                                self.i += 1;
-                                return Ok(());
-                            }
-                            _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
-                        }
-                    }
-                }
-                Some(b'"') => self.string(),
-                Some(b't') => self.lit("true"),
-                Some(b'f') => self.lit("false"),
-                Some(b'n') => self.lit("null"),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                _ => Err(format!("unexpected byte {} in value position", self.i)),
-            }
-        }
-        fn lit(&mut self, word: &str) -> Result<(), String> {
-            if self.b[self.i..].starts_with(word.as_bytes()) {
-                self.i += word.len();
-                Ok(())
-            } else {
-                Err(format!("bad literal at byte {}", self.i))
-            }
-        }
-        fn string(&mut self) -> Result<(), String> {
-            self.eat(b'"')?;
-            while let Some(c) = self.peek() {
-                self.i += 1;
-                match c {
-                    b'"' => return Ok(()),
-                    b'\\' => {
-                        let esc = self.peek().ok_or("truncated escape")?;
-                        self.i += 1;
-                        match esc {
-                            b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't' => {}
-                            b'u' => {
-                                for _ in 0..4 {
-                                    let h = self.peek().ok_or("truncated \\u escape")?;
-                                    if !h.is_ascii_hexdigit() {
-                                        return Err(format!("bad \\u escape at byte {}", self.i));
-                                    }
-                                    self.i += 1;
-                                }
-                            }
-                            _ => return Err(format!("bad escape at byte {}", self.i)),
-                        }
-                    }
-                    c if c < 0x20 => {
-                        return Err(format!("raw control byte in string at {}", self.i))
-                    }
-                    _ => {}
-                }
-            }
-            Err("unterminated string".into())
-        }
-        fn number(&mut self) -> Result<(), String> {
-            let start = self.i;
-            if self.peek() == Some(b'-') {
-                self.i += 1;
-            }
-            let mut digits = 0;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.i += 1;
-                digits += 1;
-            }
-            if digits == 0 {
-                return Err(format!("bad number at byte {start}"));
-            }
-            if self.peek() == Some(b'.') {
-                self.i += 1;
-                let mut frac = 0;
-                while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                    self.i += 1;
-                    frac += 1;
-                }
-                if frac == 0 {
-                    return Err(format!("bad fraction at byte {start}"));
-                }
-            }
-            if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-                self.i += 1;
-                if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                    self.i += 1;
-                }
-                let mut exp = 0;
-                while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                    self.i += 1;
-                    exp += 1;
-                }
-                if exp == 0 {
-                    return Err(format!("bad exponent at byte {start}"));
-                }
-            }
-            Ok(())
-        }
-    }
-    let mut p = P { b: text.as_bytes(), i: 0 };
-    p.value(0)?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing bytes after value at byte {}", p.i));
-    }
-    Ok(())
 }

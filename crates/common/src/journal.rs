@@ -10,10 +10,11 @@
 //!
 //! The ring is deliberately lossy: once `capacity` events are held, the
 //! oldest is dropped and [`Journal::dropped`] counts it.  Recording is one
-//! short mutex hold with no allocation ([`Event`] is `Copy`), cheap enough
-//! for the hot commit path; consumers take a point-in-time [`snapshot`]
-//! (oldest first) and render it — see the Perfetto exporter in
-//! `sirep_core::export` — or feed it to the online auditor.
+//! short mutex hold with no allocation (the one non-`Copy` payload, a
+//! verdict's key digest, is a shared `Arc`), cheap enough for the hot commit
+//! path; consumers take a point-in-time [`snapshot`] (oldest first) and
+//! render it — see the Perfetto exporter in `sirep_core::export` — or fold
+//! the 1-copy-SI checker of `sirep_core::audit` over it.
 //!
 //! Like the rest of the observability layer, the whole module is gated on
 //! the default-on `trace` feature: with `--no-default-features` the journal
@@ -26,6 +27,7 @@ use crate::ids::{GlobalTid, ReplicaId, XactId};
 use parking_lot::Mutex;
 #[cfg(feature = "trace")]
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// What a seeded fault injector did to one delivery copy.  Recorded in
@@ -89,11 +91,16 @@ impl CrashPoint {
 
 /// A typed protocol event. Variants follow one writeset through the SRCA-Rep
 /// pipeline, plus the protocol-state events (holes, pruning, membership)
-/// that the paper's §4 adjustments revolve around.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// that the paper's §4 adjustments revolve around. The stream is
+/// self-describing: everything the 1-copy-SI checker (`sirep_core::audit`)
+/// needs is in the payloads, so the same checker runs online, over scraped
+/// journals and over model traces.
+#[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
-    /// A local transaction began (after any hole wait — adjustment 3).
-    TxBegin { xact: XactId },
+    /// A local transaction began. `gated` says the begin waited out every
+    /// commit-order hole first (adjustment 3: true under SRCA-Rep, false
+    /// under SRCA-Opt, which forgoes the wait by design).
+    TxBegin { xact: XactId, gated: bool },
     /// Commit requested: the certification watermark (`ws_list.last_tid`)
     /// was captured under the state lock.
     CertCapture { xact: XactId, cert: GlobalTid },
@@ -101,9 +108,12 @@ pub enum EventKind {
     Multicast { xact: XactId },
     /// The writeset came back in total order.
     TotalOrderDeliver { xact: XactId, cert: GlobalTid },
-    /// Certification outcome: `tid` is the dense global commit id assigned
-    /// on a pass, `None` on a validation abort.
-    ValidationVerdict { xact: XactId, tid: Option<GlobalTid>, passed: bool },
+    /// Certification outcome against watermark `cert`: `tid` is the dense
+    /// global commit id assigned on a pass, `None` on a validation abort.
+    /// `keys` is the writeset's key digest — the sorted 64-bit hashes of its
+    /// tuple ids, empty on an abort — which is what lets first-committer-wins
+    /// be re-checked from the journal alone.
+    ValidationVerdict { xact: XactId, cert: GlobalTid, tid: Option<GlobalTid>, keys: Arc<[u64]> },
     /// A commit-order hole opened: `tid` committed ahead of a smaller
     /// validated-but-uncommitted tid.
     HoleOpened { tid: GlobalTid },
@@ -135,8 +145,14 @@ pub enum EventKind {
     CrashPointFired { point: CrashPoint },
     /// A read-only transaction ran entirely against the local snapshot
     /// (`snapshot` = the begin-time commit watermark): no multicast, no
-    /// certification, no sequencer round-trip.
-    LocalReadOnly { xact: XactId, snapshot: GlobalTid },
+    /// certification, no sequencer round-trip. `gated` as in
+    /// [`EventKind::TxBegin`].
+    LocalReadOnly { xact: XactId, snapshot: GlobalTid, gated: bool },
+    /// This replica (re)joined from a recovery state transfer; its stream
+    /// restarts here with certification at `last_validated` and the commit
+    /// frontier at `max_committed` (transferred entries may still be
+    /// pending below it).
+    ReplicaReset { last_validated: GlobalTid, max_committed: GlobalTid },
 }
 
 impl EventKind {
@@ -162,13 +178,14 @@ impl EventKind {
             EventKind::PartitionHealed { .. } => "partition_healed",
             EventKind::CrashPointFired { .. } => "crash_point_fired",
             EventKind::LocalReadOnly { .. } => "local_read_only",
+            EventKind::ReplicaReset { .. } => "replica_reset",
         }
     }
 
     /// The transaction this event concerns, when it concerns one.
     pub fn xact(&self) -> Option<XactId> {
         match *self {
-            EventKind::TxBegin { xact }
+            EventKind::TxBegin { xact, .. }
             | EventKind::CertCapture { xact, .. }
             | EventKind::Multicast { xact }
             | EventKind::TotalOrderDeliver { xact, .. }
@@ -186,13 +203,14 @@ impl EventKind {
             | EventKind::FaultInjected { .. }
             | EventKind::PartitionStarted { .. }
             | EventKind::PartitionHealed { .. }
-            | EventKind::CrashPointFired { .. } => None,
+            | EventKind::CrashPointFired { .. }
+            | EventKind::ReplicaReset { .. } => None,
         }
     }
 }
 
 /// One journal record: what happened, where, and when.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Per-replica sequence number, dense from 0 (gaps only via `dropped`).
     pub seq: u64,
@@ -259,9 +277,10 @@ impl Wire for CrashPoint {
 impl Wire for EventKind {
     fn encode(&self, out: &mut Vec<u8>) {
         match *self {
-            EventKind::TxBegin { xact } => {
+            EventKind::TxBegin { xact, gated } => {
                 0u8.encode(out);
                 xact.encode(out);
+                gated.encode(out);
             }
             EventKind::CertCapture { xact, cert } => {
                 1u8.encode(out);
@@ -277,11 +296,16 @@ impl Wire for EventKind {
                 xact.encode(out);
                 cert.encode(out);
             }
-            EventKind::ValidationVerdict { xact, tid, passed } => {
+            EventKind::ValidationVerdict { xact, cert, tid, ref keys } => {
                 4u8.encode(out);
                 xact.encode(out);
+                cert.encode(out);
                 tid.encode(out);
-                passed.encode(out);
+                // Same layout as `Vec<u64>`, which is what decode reads.
+                (keys.len() as u32).encode(out);
+                for k in keys.iter() {
+                    k.encode(out);
+                }
             }
             EventKind::HoleOpened { tid } => {
                 5u8.encode(out);
@@ -341,17 +365,23 @@ impl Wire for EventKind {
                 17u8.encode(out);
                 point.encode(out);
             }
-            EventKind::LocalReadOnly { xact, snapshot } => {
+            EventKind::LocalReadOnly { xact, snapshot, gated } => {
                 18u8.encode(out);
                 xact.encode(out);
                 snapshot.encode(out);
+                gated.encode(out);
+            }
+            EventKind::ReplicaReset { last_validated, max_committed } => {
+                19u8.encode(out);
+                last_validated.encode(out);
+                max_committed.encode(out);
             }
         }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(match u8::decode(r)? {
-            0 => EventKind::TxBegin { xact: XactId::decode(r)? },
+            0 => EventKind::TxBegin { xact: XactId::decode(r)?, gated: bool::decode(r)? },
             1 => EventKind::CertCapture { xact: XactId::decode(r)?, cert: GlobalTid::decode(r)? },
             2 => EventKind::Multicast { xact: XactId::decode(r)? },
             3 => EventKind::TotalOrderDeliver {
@@ -360,8 +390,9 @@ impl Wire for EventKind {
             },
             4 => EventKind::ValidationVerdict {
                 xact: XactId::decode(r)?,
+                cert: GlobalTid::decode(r)?,
                 tid: Option::<GlobalTid>::decode(r)?,
-                passed: bool::decode(r)?,
+                keys: Vec::<u64>::decode(r)?.into(),
             },
             5 => EventKind::HoleOpened { tid: GlobalTid::decode(r)? },
             6 => EventKind::HoleClosed { tid: GlobalTid::decode(r)? },
@@ -386,6 +417,11 @@ impl Wire for EventKind {
             18 => EventKind::LocalReadOnly {
                 xact: XactId::decode(r)?,
                 snapshot: GlobalTid::decode(r)?,
+                gated: bool::decode(r)?,
+            },
+            19 => EventKind::ReplicaReset {
+                last_validated: GlobalTid::decode(r)?,
+                max_committed: GlobalTid::decode(r)?,
             },
             _ => return Err(WireError::Corrupt("event kind tag")),
         })
@@ -456,10 +492,13 @@ impl Journal {
         }
     }
 
-    /// Append an event stamped now.
+    /// Append an event stamped now. The clock is read under the ring lock,
+    /// so `at_ns` is non-decreasing in `seq` even when recorders race (the
+    /// read-only path records outside the node lock) — the Perfetto exporter
+    /// turns a decreasing pair into a negative-length span.
     pub fn record(&self, kind: EventKind) {
-        let at_ns = self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         let mut ring = self.inner.lock();
+        let at_ns = self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         let seq = ring.next_seq;
         ring.next_seq += 1;
         if ring.buf.len() == ring.cap {
@@ -471,7 +510,7 @@ impl Journal {
 
     /// Point-in-time copy of the retained events, oldest first.
     pub fn snapshot(&self) -> Vec<Event> {
-        self.inner.lock().buf.iter().copied().collect()
+        self.inner.lock().buf.iter().cloned().collect()
     }
 
     /// Events currently retained.
@@ -560,7 +599,7 @@ mod tests {
     fn events_are_sequenced_and_stamped() {
         let j = Journal::new(r(3));
         let a = XactId::new(r(3), 1);
-        j.record(EventKind::TxBegin { xact: a });
+        j.record(EventKind::TxBegin { xact: a, gated: true });
         j.record(EventKind::CertCapture { xact: a, cert: GlobalTid::ZERO });
         j.record(EventKind::Commit { xact: a, tid: GlobalTid::new(1) });
         let snap = j.snapshot();
@@ -578,7 +617,7 @@ mod tests {
     fn ring_drops_oldest_when_full() {
         let j = Journal::with_epoch(r(0), Instant::now(), 4);
         for seq in 0..10 {
-            j.record(EventKind::TxBegin { xact: XactId::new(r(0), seq) });
+            j.record(EventKind::TxBegin { xact: XactId::new(r(0), seq), gated: true });
         }
         assert_eq!(j.len(), 4);
         assert_eq!(j.dropped(), 6);
@@ -586,6 +625,34 @@ mod tests {
         // The survivors are the newest four, sequence numbers intact.
         assert_eq!(snap.first().unwrap().seq, 6);
         assert_eq!(snap.last().unwrap().seq, 9);
+    }
+
+    /// Racing recorders (the read-only path records outside the node lock)
+    /// must not store timestamps that decrease in `seq`: the clock is read
+    /// under the ring lock.
+    #[test]
+    fn racing_recorders_keep_timestamps_monotone_in_seq() {
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 20_000;
+        let j = Journal::with_epoch(r(0), Instant::now(), (THREADS * PER_THREAD) as usize);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (j, start) = (&j, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        j.record(EventKind::Multicast { xact: XactId::new(r(t), i) });
+                    }
+                });
+            }
+        });
+        let snap = j.snapshot();
+        assert_eq!(snap.len() as u64, THREADS * PER_THREAD);
+        for w in snap.windows(2) {
+            assert_eq!(w[1].seq, w[0].seq + 1);
+            assert!(w[0].at_ns <= w[1].at_ns, "at_ns went backwards at seq {}", w[1].seq);
+        }
     }
 
     #[test]
@@ -648,12 +715,17 @@ mod tests {
         let x = XactId::new(r(2), 9);
         let t = GlobalTid::new(41);
         vec![
-            EventKind::TxBegin { xact: x },
+            EventKind::TxBegin { xact: x, gated: true },
             EventKind::CertCapture { xact: x, cert: t },
             EventKind::Multicast { xact: x },
             EventKind::TotalOrderDeliver { xact: x, cert: t },
-            EventKind::ValidationVerdict { xact: x, tid: Some(t), passed: true },
-            EventKind::ValidationVerdict { xact: x, tid: None, passed: false },
+            EventKind::ValidationVerdict {
+                xact: x,
+                cert: GlobalTid::new(40),
+                tid: Some(t),
+                keys: Arc::from([3u64, 7, u64::MAX]),
+            },
+            EventKind::ValidationVerdict { xact: x, cert: t, tid: None, keys: Arc::from([]) },
             EventKind::HoleOpened { tid: t },
             EventKind::HoleClosed { tid: t },
             EventKind::WsListPruned { watermark: t, removed: 3 },
@@ -667,7 +739,8 @@ mod tests {
             EventKind::PartitionStarted { isolated: 1 },
             EventKind::PartitionHealed { flushed: 8 },
             EventKind::CrashPointFired { point: CrashPoint::AfterDeliverBeforeCommit },
-            EventKind::LocalReadOnly { xact: x, snapshot: t },
+            EventKind::LocalReadOnly { xact: x, snapshot: t, gated: false },
+            EventKind::ReplicaReset { last_validated: t, max_committed: GlobalTid::new(39) },
         ]
     }
 
@@ -683,14 +756,14 @@ mod tests {
                 seq: 1,
                 at_ns: 2,
                 replica: r(0),
-                kind: EventKind::TxBegin { xact: XactId::new(r(0), 0) },
+                kind: EventKind::TxBegin { xact: XactId::new(r(0), 0), gated: false },
             },
         ]);
     }
 
     #[test]
     fn wire_corrupt_tags_rejected() {
-        assert_eq!(EventKind::from_wire(&[19]), Err(WireError::Corrupt("event kind tag")));
+        assert_eq!(EventKind::from_wire(&[20]), Err(WireError::Corrupt("event kind tag")));
         assert_eq!(FaultKind::from_wire(&[3]), Err(WireError::Corrupt("fault kind tag")));
         assert_eq!(CrashPoint::from_wire(&[4]), Err(WireError::Corrupt("crash point tag")));
     }
@@ -698,7 +771,7 @@ mod tests {
     #[test]
     fn wire_truncation_rejected() {
         for kind in all_kinds() {
-            let bytes = Event { seq: 1, at_ns: 2, replica: r(1), kind }.to_wire();
+            let bytes = Event { seq: 1, at_ns: 2, replica: r(1), kind: kind.clone() }.to_wire();
             for cut in 0..bytes.len() {
                 assert!(Event::from_wire(&bytes[..cut]).is_err(), "{kind:?} cut at {cut}");
             }

@@ -23,6 +23,8 @@
 //!   protocol's queue depths (feature-gated like [`trace`]).
 //! - [`wire`]: the dependency-free length-prefixed binary codec everything
 //!   crossing a process boundary encodes through.
+//! - [`json`]: the one JSON well-formedness checker the hand-rolled
+//!   renderers and their tests share.
 
 pub mod clock;
 pub mod error;
@@ -30,6 +32,7 @@ pub mod gauges;
 pub mod histogram;
 pub mod ids;
 pub mod journal;
+pub mod json;
 pub mod metrics;
 pub mod stats;
 pub mod sync;
@@ -43,6 +46,7 @@ pub use gauges::{Gauge, GaugeReading, GaugeSnapshot, ProtocolGauges};
 pub use histogram::Histogram;
 pub use ids::{ClientId, GlobalTid, MemberId, ReplicaId, SessionId, TxnId, XactId};
 pub use journal::{CrashPoint, Event, EventKind, FaultKind, Journal, DEFAULT_JOURNAL_CAPACITY};
+pub use json::json_lint;
 pub use metrics::{Metrics, Rates};
 pub use stats::{ConfidenceInterval, OnlineStats};
 pub use sync::Semaphore;

@@ -317,9 +317,7 @@ impl Cluster {
         };
         let registry: MemberRegistry = Arc::new(Mutex::new(HashMap::new()));
         let epoch = Instant::now();
-        // Hole synchronization is only promised under SRCA-Rep — SRCA-Opt
-        // deliberately forgoes it, so the auditor must not flag it there.
-        let auditor = Arc::new(Auditor::new(config.audit, config.mode == ReplicationMode::SrcaRep));
+        let auditor = Arc::new(Auditor::new(config.audit));
         let crash_plan = Arc::new(CrashPlan::new());
         let mut member_of = HashMap::new();
         let mut nodes = Vec::with_capacity(config.replicas);
@@ -664,7 +662,7 @@ impl Cluster {
         self.auditor.violations()
     }
 
-    /// True while the auditor has recorded no violation (lock-free).
+    /// True while the auditor has recorded no violation.
     pub fn audit_is_clean(&self) -> bool {
         self.auditor.is_clean()
     }

@@ -60,7 +60,7 @@ pub fn perfetto_trace_json(journals: &[(ReplicaId, Vec<Event>)]) -> String {
                 &mut out,
             );
             match e.kind {
-                EventKind::TxBegin { xact } => tx_open.push(((pid, xact), ts)),
+                EventKind::TxBegin { xact, .. } => tx_open.push(((pid, xact), ts)),
                 EventKind::Commit { xact, .. } | EventKind::Abort { xact } => {
                     if let Some(start) = take(&mut tx_open, (pid, xact)) {
                         let dur = (ts - start).max(0.0);
@@ -97,7 +97,7 @@ pub fn perfetto_trace_json(journals: &[(ReplicaId, Vec<Event>)]) -> String {
 /// The `args` object body (without braces) for one event.
 fn event_args(kind: &EventKind) -> String {
     match *kind {
-        EventKind::TxBegin { xact } => format!("\"xact\":\"{xact}\""),
+        EventKind::TxBegin { xact, gated } => format!("\"xact\":\"{xact}\",\"gated\":{gated}"),
         EventKind::CertCapture { xact, cert } => {
             format!("\"xact\":\"{xact}\",\"cert\":{}", cert.raw())
         }
@@ -105,10 +105,14 @@ fn event_args(kind: &EventKind) -> String {
         EventKind::TotalOrderDeliver { xact, cert } => {
             format!("\"xact\":\"{xact}\",\"cert\":{}", cert.raw())
         }
-        EventKind::ValidationVerdict { xact, tid, passed } => match tid {
-            Some(t) => format!("\"xact\":\"{xact}\",\"tid\":{},\"passed\":{passed}", t.raw()),
-            None => format!("\"xact\":\"{xact}\",\"tid\":null,\"passed\":{passed}"),
-        },
+        EventKind::ValidationVerdict { xact, cert, tid, ref keys } => {
+            let tid = tid.map_or_else(|| "null".to_string(), |t| t.raw().to_string());
+            format!(
+                "\"xact\":\"{xact}\",\"cert\":{},\"tid\":{tid},\"keys\":{}",
+                cert.raw(),
+                keys.len()
+            )
+        }
         EventKind::HoleOpened { tid } | EventKind::HoleClosed { tid } => {
             format!("\"tid\":{}", tid.raw())
         }
@@ -130,9 +134,14 @@ fn event_args(kind: &EventKind) -> String {
         EventKind::PartitionStarted { isolated } => format!("\"isolated\":{isolated}"),
         EventKind::PartitionHealed { flushed } => format!("\"flushed\":{flushed}"),
         EventKind::CrashPointFired { point } => format!("\"point\":\"{}\"", point.name()),
-        EventKind::LocalReadOnly { xact, snapshot } => {
-            format!("\"xact\":\"{xact}\",\"snapshot\":{}", snapshot.raw())
+        EventKind::LocalReadOnly { xact, snapshot, gated } => {
+            format!("\"xact\":\"{xact}\",\"snapshot\":{},\"gated\":{gated}", snapshot.raw())
         }
+        EventKind::ReplicaReset { last_validated, max_committed } => format!(
+            "\"last_validated\":{},\"max_committed\":{}",
+            last_validated.raw(),
+            max_committed.raw()
+        ),
     }
 }
 
@@ -259,6 +268,18 @@ pub fn prometheus_text(report: &ClusterReport) -> String {
     out
 }
 
+/// Shift every event's timestamp by a signed nanosecond offset (saturating
+/// at both ends). The `report` role measures each node's clock offset
+/// against the sequencer via the time-probe handshake and shifts its
+/// journal onto the sequencer's timeline before rendering the merged
+/// Perfetto trace — without this, spans from different processes interleave
+/// nonsensically.
+pub fn shift_events(events: &mut [Event], offset_ns: i64) {
+    for e in events.iter_mut() {
+        e.at_ns = e.at_ns.saturating_add_signed(offset_ns);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,7 +295,7 @@ mod tests {
         let epoch = Instant::now();
         let j = Journal::with_epoch(r(0), epoch, 64);
         let x = XactId::new(r(0), 1);
-        j.record(EventKind::TxBegin { xact: x });
+        j.record(EventKind::TxBegin { xact: x, gated: true });
         j.record(EventKind::CertCapture { xact: x, cert: GlobalTid::ZERO });
         j.record(EventKind::Multicast { xact: x });
         j.record(EventKind::Commit { xact: x, tid: GlobalTid::new(1) });
@@ -296,5 +317,25 @@ mod tests {
         j.record(EventKind::ApplyStart { xact: XactId::new(r(1), 7), tid: GlobalTid::new(3) });
         let doc = perfetto_trace_json(&[(r(0), j.snapshot())]);
         assert!(!doc.contains("\"ph\":\"X\""));
+    }
+
+    #[test]
+    fn shift_events_is_signed_and_saturating() {
+        let ev = |seq: u64, members| Event {
+            seq,
+            at_ns: seq * 1000,
+            replica: r(0),
+            kind: EventKind::ViewChange { members },
+        };
+        let mut events = vec![ev(0, 1), ev(5, 2)];
+        shift_events(&mut events, 100);
+        assert_eq!(events[0].at_ns, 100);
+        assert_eq!(events[1].at_ns, 5100);
+        shift_events(&mut events, -200);
+        assert_eq!(events[0].at_ns, 0, "saturates at zero");
+        assert_eq!(events[1].at_ns, 4900);
+        shift_events(&mut events, i64::MAX);
+        shift_events(&mut events, i64::MAX);
+        assert_eq!(events[1].at_ns, u64::MAX, "saturates at the top");
     }
 }

@@ -16,8 +16,7 @@
 //! | [`centralized`] | §6 | the single-database baseline of the figures |
 //! | [`tablelock`] | §6.3 | the reimplemented table-level-locking protocol of [20] |
 //! | [`recorder`] | — | execution recording feeding the 1-copy-SI checker |
-//! | [`audit`] | Thm 1/§4.3.3 | online auditor for the protocol's correctness invariants |
-//! | [`offline`] | Thm 1/§4.3.3 | post-hoc auditor over journals scraped from other processes |
+//! | [`audit`] | Thm 1/§4.3.3 | the 1-copy-SI checker over the journal's event stream: online, over scraped journals, over model traces |
 //! | [`export`] | — | Perfetto trace and Prometheus text renderers |
 //!
 //! ## Quick start
@@ -48,18 +47,19 @@ pub mod holes;
 pub mod model;
 pub mod msg;
 pub mod node;
-pub mod offline;
 pub mod recorder;
 pub mod session;
 pub mod srca;
 pub mod tablelock;
 pub mod validation;
 
-pub use audit::{AuditKind, AuditViolation, Auditor};
+pub use audit::{
+    audit_scraped_journals, key_digest, AuditKind, AuditViolation, Auditor, Checker, VIOLATION_CAP,
+};
 pub use centralized::Centralized;
 pub use chaos::{CrashPlan, PausePoint};
 pub use cluster::{Cluster, ClusterConfig, ClusterConfigBuilder, ClusterReport, Transport};
-pub use export::{perfetto_trace_json, prometheus_text};
+pub use export::{perfetto_trace_json, prometheus_text, shift_events};
 pub use holes::HoleTracker;
 pub use model::{
     check_one_copy_si, is_conflict_serializable, is_si_schedule, si_equivalent, Op,
@@ -67,7 +67,6 @@ pub use model::{
 };
 pub use msg::{Outcome, ReplMsg, WsMsg, XactId};
 pub use node::{InDoubt, NodeStatus, ReplicaNode, ReplicationMode};
-pub use offline::{audit_scraped_journals, shift_events, OFFLINE_VIOLATION_CAP};
 pub use session::{Connection, Session, System, TxnTemplate};
 pub use validation::{CertEntry, WsList};
 

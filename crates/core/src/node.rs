@@ -45,7 +45,7 @@
 //! Database work (reads, writes, writeset application, the commit log
 //! force) happens outside all of them.
 
-use crate::audit::Auditor;
+use crate::audit::{key_digest, Auditor};
 use crate::chaos::{CrashPlan, PausePoint};
 use crate::holes::HoleTracker;
 use crate::msg::{Outcome, ReplMsg, WsMsg, XactId};
@@ -507,8 +507,10 @@ pub struct ReplicaNode {
     /// Queue-depth gauges, refreshed at mutation sites under the state
     /// lock (no-op without `trace`).
     pub gauges: ProtocolGauges,
-    /// Cluster-wide 1-copy-SI auditor; hooks are invoked under the state
-    /// lock (the auditor's own lock is a strict leaf).
+    /// Cluster-wide 1-copy-SI auditor. Every protocol transition is
+    /// reported through `auditor.report(&journal, ..)` — one call that
+    /// checks the event and appends it to the journal ring — under the
+    /// state lock (the auditor's own lock is a strict leaf).
     auditor: Arc<Auditor>,
     /// Armed crash-points shared across the cluster (chaos harness).
     crash_plan: Arc<CrashPlan>,
@@ -555,16 +557,11 @@ impl ReplicaNode {
         auditor: Arc<Auditor>,
         crash_plan: Arc<CrashPlan>,
     ) -> Arc<ReplicaNode> {
-        if let Some(b) = &bootstrap {
-            // Rebase the auditor's view of this replica on the transferred
-            // state before any thread can report events for it.
-            auditor.on_replica_reset(
-                id,
-                b.wslist.last_tid(),
-                b.max_committed,
-                b.queue_entries.iter().map(|(tid, ..)| *tid),
-            );
-        }
+        // A recovered replica's stream restarts from the transferred state.
+        let reset = bootstrap.as_ref().map(|b| EventKind::ReplicaReset {
+            last_validated: b.wslist.last_tid(),
+            max_committed: b.max_committed,
+        });
         let (state, apply) = match bootstrap {
             None => (
                 NodeState {
@@ -619,7 +616,7 @@ impl ReplicaNode {
                 )
             }
         };
-        Arc::new(ReplicaNode {
+        let node = Arc::new(ReplicaNode {
             id,
             db,
             gcs,
@@ -644,7 +641,14 @@ impl ReplicaNode {
             gauges: ProtocolGauges::new(),
             auditor,
             crash_plan,
-        })
+        });
+        if let Some(reset) = reset {
+            // First event of the new incarnation, before the caller starts
+            // any thread that could report for it.
+            let _st = node.state.lock();
+            node.auditor.report(&node.journal, reset);
+        }
+        node
     }
 
     /// If `point` is armed for this replica, crash-stop here: record the
@@ -656,7 +660,7 @@ impl ReplicaNode {
             return false;
         }
         // sirep-lint: allow(journal-gauge-under-lock): crash-stop record — mark_crashed below takes the state lock itself, so holding it here would self-deadlock; nothing races a replica that is about to die
-        self.journal.record(EventKind::CrashPointFired { point });
+        self.auditor.report(&self.journal, EventKind::CrashPointFired { point });
         self.gcs.crash_self();
         self.mark_crashed();
         true
@@ -849,14 +853,13 @@ impl ReplicaNode {
                     }
                     trace.mark(Stage::BeginWait);
                 }
-                self.auditor.on_local_begin(self.id);
                 let txn = self.db.begin()?;
                 st.holes.local_started();
                 // Captured atomically with the begin: the watermark this
                 // transaction's snapshot reflects (no holes exist here, so
                 // every tid ≤ snapshot is committed locally).
                 let snapshot = st.holes.max_committed();
-                self.journal.record(EventKind::TxBegin { xact });
+                self.auditor.report(&self.journal, EventKind::TxBegin { xact, gated: true });
                 self.recorder.on_begin(xact);
                 drop(st);
                 Ok(ActiveTxn {
@@ -881,7 +884,7 @@ impl ReplicaNode {
                 let txn = self.db.begin()?;
                 st.holes.local_started();
                 let snapshot = st.holes.max_committed();
-                self.journal.record(EventKind::TxBegin { xact });
+                self.auditor.report(&self.journal, EventKind::TxBegin { xact, gated: false });
                 drop(st);
                 self.recorder.on_begin(xact);
                 Ok(ActiveTxn {
@@ -912,9 +915,9 @@ impl ReplicaNode {
             self.recorder.on_local_committed(xact, &txn, &ws);
             txn.commit()?;
             self.recorder.on_commit(xact);
-            // sirep-lint: allow(journal-gauge-under-lock): read-only commits touch no protocol state — the event is ordered by this session thread alone, and the auditor hook re-checks the begin-time snapshot against its own watermark
-            self.journal.record(EventKind::LocalReadOnly { xact, snapshot });
-            self.auditor.on_local_readonly(self.id, xact, snapshot);
+            let gated = self.mode == ReplicationMode::SrcaRep;
+            // sirep-lint: allow(journal-gauge-under-lock): read-only commits touch no protocol state — the event is ordered by this session thread alone, and the checker re-checks the begin-time snapshot against its own frontier, which only grows
+            self.auditor.report(&self.journal, EventKind::LocalReadOnly { xact, snapshot, gated });
             Metrics::inc(&self.metrics.commits_readonly);
             trace.mark(Stage::Commit);
             self.stages.absorb(&trace.finish());
@@ -939,14 +942,14 @@ impl ReplicaNode {
                 // Journal the abort verdict at the decision point, under the
                 // lock, so it cannot interleave after a later transaction's
                 // events; only the database-side rollback runs outside.
-                self.journal.record(EventKind::Abort { xact });
+                self.auditor.report(&self.journal, EventKind::Abort { xact });
                 drop(st);
                 txn.abort(AbortReason::ValidationFailure);
                 Metrics::inc(&self.metrics.aborts_validation);
                 return Err(DbError::Aborted(AbortReason::ValidationFailure));
             }
             let cert = st.wslist.last_tid();
-            self.journal.record(EventKind::CertCapture { xact, cert });
+            self.auditor.report(&self.journal, EventKind::CertCapture { xact, cert });
             st.pending_local.insert(xact, PendingLocal { txn, responder: reply_tx, guard, trace });
             // Multicast while still holding the state lock, so that cert
             // capture order equals total-order sequence order. The ws_list
@@ -969,7 +972,7 @@ impl ReplicaNode {
                 // by the shutdown path.
                 return Err(DbError::Aborted(AbortReason::ReplicaCrashed));
             }
-            self.journal.record(EventKind::Multicast { xact });
+            self.auditor.report(&self.journal, EventKind::Multicast { xact });
         }
         if self.crash_point(CrashPoint::AfterMulticastBeforeLocalCommit) {
             // §5.4 case 3: the writeset is on the wire (survivors will
@@ -1114,7 +1117,7 @@ impl ReplicaNode {
                     }
                     st.view = view;
                     let members = st.view.len() as u64;
-                    self.journal.record(EventKind::ViewChange { members });
+                    self.auditor.report(&self.journal, EventKind::ViewChange { members });
                     self.cond.notify_all();
                 }
                 Err(GcsError::Timeout) => self.maybe_send_progress(),
@@ -1137,10 +1140,7 @@ impl ReplicaNode {
         let mut st = self.state.lock();
         let view = st.view.clone();
         if let Some((watermark, removed)) = st.wslist.advance_progress(from, lastvalidated, &view) {
-            self.auditor.on_prune(self.id, watermark);
-            if removed > 0 {
-                self.journal.record(EventKind::WsListPruned { watermark, removed });
-            }
+            self.auditor.report(&self.journal, EventKind::WsListPruned { watermark, removed });
             self.refresh_gauges(&st);
         }
     }
@@ -1170,27 +1170,27 @@ impl ReplicaNode {
             // in the fork or the copied queue). Skip idempotently.
             return;
         }
-        self.journal.record(EventKind::TotalOrderDeliver { xact: m.xact, cert: m.cert });
-        self.auditor.on_deliver(self.id, m.xact, m.cert);
+        self.auditor
+            .report(&self.journal, EventKind::TotalOrderDeliver { xact: m.xact, cert: m.cert });
         {
             let view = st.view.clone();
             if let Some((watermark, removed)) = st.wslist.advance_progress(m.origin, m.cert, &view)
             {
-                self.auditor.on_prune(self.id, watermark);
-                if removed > 0 {
-                    self.journal.record(EventKind::WsListPruned { watermark, removed });
-                }
+                self.auditor.report(&self.journal, EventKind::WsListPruned { watermark, removed });
             }
         }
         if st.wslist.passes(m.cert, &m.ws) {
             let tid = st.wslist.append(m.xact, Arc::clone(&m.ws));
             st.holes.on_validated(tid);
-            self.journal.record(EventKind::ValidationVerdict {
-                xact: m.xact,
-                tid: Some(tid),
-                passed: true,
-            });
-            self.auditor.on_verdict(self.id, m.xact, m.cert, Some(tid), &m.ws);
+            self.auditor.report(
+                &self.journal,
+                EventKind::ValidationVerdict {
+                    xact: m.xact,
+                    cert: m.cert,
+                    tid: Some(tid),
+                    keys: key_digest(&m.ws),
+                },
+            );
             // A local entry with a waiting session commits on the session
             // thread (adjustment 2); mark it running so no applier picks it.
             let local_job = if m.origin == self.id {
@@ -1226,18 +1226,21 @@ impl ReplicaNode {
         } else {
             st.outcomes.record(m.xact, Outcome::Aborted);
             Metrics::inc(&self.metrics.ws_discarded);
-            self.journal.record(EventKind::ValidationVerdict {
-                xact: m.xact,
-                tid: None,
-                passed: false,
-            });
-            self.auditor.on_verdict(self.id, m.xact, m.cert, None, &m.ws);
+            self.auditor.report(
+                &self.journal,
+                EventKind::ValidationVerdict {
+                    xact: m.xact,
+                    cert: m.cert,
+                    tid: None,
+                    keys: Arc::default(),
+                },
+            );
             self.refresh_gauges(&st);
             if m.origin == self.id {
                 if let Some(p) = st.pending_local.remove(&m.xact) {
                     // Abort verdict is journaled under the lock (ordered with
                     // the ValidationVerdict above); rollback runs outside.
-                    self.journal.record(EventKind::Abort { xact: m.xact });
+                    self.auditor.report(&self.journal, EventKind::Abort { xact: m.xact });
                     drop(st);
                     p.txn.abort(AbortReason::ValidationFailure);
                     Metrics::inc(&self.metrics.aborts_validation);
@@ -1326,14 +1329,16 @@ impl ReplicaNode {
             // transferred during recovery from before our crash — is applied
             // like any remote writeset.
             for item in &batch {
+                let start = EventKind::ApplyStart { xact: item.xact, tid: item.tid };
                 // sirep-lint: allow(journal-gauge-under-lock): apply runs outside the state lock by design (the paper's adjustment 2 — appliers work in parallel); Apply* events are ordered per-tid by the queue's running flag, not by the lock
-                self.journal.record(EventKind::ApplyStart { xact: item.xact, tid: item.tid });
+                self.auditor.report(&self.journal, start);
             }
             let Some(handle) = self.apply_batch(&batch) else { return }; // database crashed
             for item in &mut batch {
                 item.trace.mark(Stage::Apply);
+                let done = EventKind::ApplyDone { xact: item.xact, tid: item.tid };
                 // sirep-lint: allow(journal-gauge-under-lock): same as ApplyStart above — apply is deliberately lock-free; finalize_batch re-enters the lock for the commit records
-                self.journal.record(EventKind::ApplyDone { xact: item.xact, tid: item.tid });
+                self.auditor.report(&self.journal, done);
             }
             self.finalize_batch(batch, handle);
         }
@@ -1417,16 +1422,7 @@ impl ReplicaNode {
             // The commit stage includes the hole-rule wait above — that
             // delay is part of perceived commit latency.
             item.trace.mark(Stage::Commit);
-            let had_holes = st.holes.holes_exist();
-            st.holes.on_committed(item.tid);
-            let has_holes = st.holes.holes_exist();
-            if !had_holes && has_holes {
-                self.journal.record(EventKind::HoleOpened { tid: item.tid });
-            } else if had_holes && !has_holes {
-                self.journal.record(EventKind::HoleClosed { tid: item.tid });
-            }
-            self.journal.record(EventKind::Commit { xact: item.xact, tid: item.tid });
-            self.auditor.on_commit(self.id, item.xact, item.tid);
+            self.note_committed(&mut st, item.xact, item.tid);
         }
         {
             // O(|ws| + released edges) per entry: unblocks successors,
@@ -1445,6 +1441,20 @@ impl ReplicaNode {
         }
         self.cond.notify_all();
         self.apply_cond.notify_all();
+    }
+
+    /// Protocol bookkeeping for one database commit, under the state lock:
+    /// advance the hole tracker and report the commit, preceded by the
+    /// hole-set transition (empty ↔ nonempty) it caused, if any.
+    fn note_committed(&self, st: &mut NodeState, xact: XactId, tid: GlobalTid) {
+        let had_holes = st.holes.holes_exist();
+        st.holes.on_committed(tid);
+        match (had_holes, st.holes.holes_exist()) {
+            (false, true) => self.auditor.report(&self.journal, EventKind::HoleOpened { tid }),
+            (true, false) => self.auditor.report(&self.journal, EventKind::HoleClosed { tid }),
+            _ => {}
+        }
+        self.auditor.report(&self.journal, EventKind::Commit { xact, tid });
     }
 
     /// Commit a validated *local* transaction on its session thread
@@ -1473,16 +1483,7 @@ impl ReplicaNode {
         debug_assert!(res.is_ok(), "validated transaction failed to commit: {res:?}");
         self.recorder.on_commit(xact);
         trace.mark(Stage::Commit);
-        let had_holes = st.holes.holes_exist();
-        st.holes.on_committed(tid);
-        let has_holes = st.holes.holes_exist();
-        if !had_holes && has_holes {
-            self.journal.record(EventKind::HoleOpened { tid });
-        } else if had_holes && !has_holes {
-            self.journal.record(EventKind::HoleClosed { tid });
-        }
-        self.journal.record(EventKind::Commit { xact, tid });
-        self.auditor.on_commit(self.id, xact, tid);
+        self.note_committed(&mut st, xact, tid);
         {
             // O(|ws| + released edges): unblocks successors, which the
             // apply_cond notify below wakes the appliers for.

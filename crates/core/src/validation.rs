@@ -62,6 +62,9 @@ pub struct WsList {
     last_tid: GlobalTid,
     /// Latest `lastvalidated` advertised by each replica (for pruning).
     progress: HashMap<ReplicaId, GlobalTid>,
+    /// The group-wide minimum of `progress` as last computed: every entry
+    /// at or below it has been pruned.
+    watermark: GlobalTid,
     /// Tuple id → tid of the newest live entry that wrote it. Invariants
     /// (checked by the differential property test and `debug_validate`):
     /// the domain is exactly the tuple ids written by live entries, and the
@@ -132,9 +135,11 @@ impl WsList {
     /// message can be certified against. `alive` lists replicas still in
     /// the view (crashed replicas must not hold the watermark back).
     ///
-    /// Returns the group-wide watermark and how many entries this call
-    /// pruned, or `None` while some live replica has yet to report (the
-    /// journal and the prune-watermark audit consume this).
+    /// Returns the new group-wide watermark and how many entries this call
+    /// pruned whenever the watermark *moved* — every move is journaled, so
+    /// the audit sees a regression (which prunes nothing) as well as an
+    /// advance — and `None` when it stayed put or some live replica has yet
+    /// to report.
     ///
     /// Cost: O(|alive| + pruned work) — each pruned entry pays O(|ws|) to
     /// drop its index keys, and a key is dropped only when the pruned entry
@@ -154,6 +159,10 @@ impl WsList {
             return None;
         }
         let watermark = self.progress.values().copied().min().unwrap_or(GlobalTid::ZERO);
+        if watermark == self.watermark {
+            return None;
+        }
+        self.watermark = watermark;
         let mut removed = 0u64;
         while self.entries.front().is_some_and(|e| e.tid <= watermark) {
             let e = self.entries.pop_front().expect("front checked above");

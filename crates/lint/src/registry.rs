@@ -9,9 +9,9 @@
 //!   `encode` and `7 => ..` in `decode` talk about the same byte; a
 //!   skipped or duplicated tag silently corrupts every peer.
 //! - **journal-consumer-registry**: every `EventKind` variant must be
-//!   consumed by each declared consumer (the offline auditor, the
+//!   consumed by each declared consumer (the 1-copy-SI checker, the
 //!   Perfetto exporter) or sit on that consumer's justified ignore-list.
-//!   A new event that the auditor silently ignores is an invariant with
+//!   A new event that the checker silently ignores is an invariant with
 //!   no referee.
 //! - **chaos-point-registry**: every `CrashPoint`/`PausePoint` variant
 //!   must have a hook site (`crash_point(CrashPoint::X)` /

@@ -180,7 +180,7 @@ fn workspace_lint_toml_loads() {
     assert!(cfg.checker.lock_coverage.is_some());
     assert!(cfg.registry.wire_tags.is_some());
     let jc = cfg.registry.journal_consumers.as_ref().expect("journal consumers configured");
-    assert_eq!(jc.consumers.len(), 2, "offline auditor + perfetto exporter");
+    assert_eq!(jc.consumers.len(), 2, "1-copy-SI checker + perfetto exporter");
     let cp = cfg.registry.chaos_points.as_ref().expect("chaos points configured");
     assert_eq!(cp.enums.len(), 2, "CrashPoint + PausePoint");
 }

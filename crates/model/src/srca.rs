@@ -17,6 +17,7 @@
 use crate::{Prop, ProtocolModel, TraceEvent, Violation};
 use sirep_common::{EventKind, GlobalTid, ReplicaId, XactId};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Replica index (dense, `0..scenario.replicas`).
 pub type Rep = u8;
@@ -416,6 +417,13 @@ impl SrcaModel {
         self.scenario.txns[t as usize].origin
     }
 
+    /// The model is of SRCA-Rep, so every begin claims to be hole-gated —
+    /// also under `DropHoleGate`, which is a *fault* in that protocol, not
+    /// an honest SRCA-Opt run: the journal says "gated" and the begin is not.
+    fn tx_begin(&self, t: Txn) -> EventKind {
+        EventKind::TxBegin { xact: self.xact(t), gated: true }
+    }
+
     /// The §4.3.3 commit rule, mirroring `HoleTracker::may_commit`.
     fn may_commit(&self, s: &State, r: Rep, tid: Tid) -> bool {
         if self.has(Mutation::DropHoleGate) {
@@ -487,10 +495,7 @@ impl SrcaModel {
         } else {
             tx.snapshot = snap;
             tx.phase = Phase::Active;
-            (
-                viols,
-                vec![TraceEvent { replica: r, kind: EventKind::TxBegin { xact: self.xact(t) } }],
-            )
+            (viols, vec![TraceEvent { replica: r, kind: self.tx_begin(t) }])
         }
     }
 
@@ -662,10 +667,7 @@ impl ProtocolModel for SrcaModel {
                 let tx = &mut s.txns[t as usize];
                 tx.snapshot = snap;
                 tx.phase = Phase::Active;
-                events.push(TraceEvent {
-                    replica: r,
-                    kind: EventKind::TxBegin { xact: self.xact(t) },
-                });
+                events.push(TraceEvent { replica: r, kind: self.tx_begin(t) });
             }
             Label::Submit(t) => {
                 let r = self.origin(t);
@@ -727,6 +729,7 @@ impl ProtocolModel for SrcaModel {
                     kind: EventKind::LocalReadOnly {
                         xact: self.xact(t),
                         snapshot: GlobalTid::new(tx.snapshot),
+                        gated: true,
                     },
                 });
             }
@@ -776,15 +779,15 @@ impl ProtocolModel for SrcaModel {
                                 rep.wslist.retain(|&(tid, _)| tid > wm);
                                 let removed = (before - rep.wslist.len()) as u64;
                                 rep.watermark = wm;
-                                if removed > 0 {
-                                    events.push(TraceEvent {
-                                        replica: r,
-                                        kind: EventKind::WsListPruned {
-                                            watermark: GlobalTid::new(wm),
-                                            removed,
-                                        },
-                                    });
-                                }
+                                // Every watermark move is journaled, as in
+                                // the real node.
+                                events.push(TraceEvent {
+                                    replica: r,
+                                    kind: EventKind::WsListPruned {
+                                        watermark: GlobalTid::new(wm),
+                                        removed,
+                                    },
+                                });
                             }
                         }
                         let passed = self.has(Mutation::SkipCertification)
@@ -820,8 +823,15 @@ impl ProtocolModel for SrcaModel {
                             replica: r,
                             kind: EventKind::ValidationVerdict {
                                 xact: self.xact(t),
+                                cert: GlobalTid::new(cert),
                                 tid: passed.then(|| GlobalTid::new(tid)),
-                                passed,
+                                // The abstract key index stands in for its
+                                // hash: any injective map is a digest.
+                                keys: if passed {
+                                    (0..8u64).filter(|&k| ws & (1 << k) != 0).collect()
+                                } else {
+                                    Arc::default()
+                                },
                             },
                         });
                         if passed {
@@ -984,6 +994,13 @@ impl ProtocolModel for SrcaModel {
                 rep.max_committed = d.max_committed;
                 rep.watermark = d.watermark;
                 rep.adverts = d.adverts;
+                events.push(TraceEvent {
+                    replica: r,
+                    kind: EventKind::ReplicaReset {
+                        last_validated: GlobalTid::new(rep.next_tid - 1),
+                        max_committed: GlobalTid::new(rep.max_committed),
+                    },
+                });
                 s.log.push(LogEntry::Join { rep: r });
                 s.verdicts.push(None);
             }

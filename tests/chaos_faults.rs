@@ -126,7 +126,9 @@ fn crash_point_mid_apply_recovers() {
     s.execute("UPDATE kv SET v = v + 1 WHERE k = 0").unwrap();
     s.commit().unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
-    while Instant::now() < deadline && !c.armed_crash_points().is_empty() {
+    // The point disarms when it fires; the replica is down a moment later.
+    while Instant::now() < deadline && (!c.armed_crash_points().is_empty() || c.node(2).is_alive())
+    {
         std::thread::sleep(Duration::from_millis(2));
     }
     assert!(c.armed_crash_points().is_empty(), "the crash-point never fired");
@@ -167,7 +169,9 @@ fn crash_mid_batch_group_commit_recovers() {
         }
     });
     let deadline = Instant::now() + Duration::from_secs(10);
-    while Instant::now() < deadline && !c.armed_crash_points().is_empty() {
+    // The point disarms when it fires; the replica is down a moment later.
+    while Instant::now() < deadline && (!c.armed_crash_points().is_empty() || c.node(2).is_alive())
+    {
         std::thread::sleep(Duration::from_millis(2));
     }
     assert!(c.armed_crash_points().is_empty(), "the crash-point never fired");

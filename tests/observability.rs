@@ -208,7 +208,7 @@ fn journal_stub_has_same_api() {
     use si_rep::common::{EventKind, Journal, ReplicaId, XactId};
     let j = Journal::with_epoch(ReplicaId::new(0), std::time::Instant::now(), 4);
     for seq in 0..6 {
-        j.record(EventKind::TxBegin { xact: XactId::new(ReplicaId::new(0), seq) });
+        j.record(EventKind::TxBegin { xact: XactId::new(ReplicaId::new(0), seq), gated: true });
     }
     let events = j.snapshot();
     if cfg!(feature = "trace") {
@@ -221,9 +221,9 @@ fn journal_stub_has_same_api() {
     }
 }
 
-/// The Perfetto/Chrome-trace export is well-formed JSON (checked with a
-/// small validating parser, since the workspace has no JSON dependency) and
-/// contains a process per replica.
+/// The Perfetto/Chrome-trace export is well-formed JSON (checked with the
+/// workspace's one validator, `sirep_common::json_lint` — there is no JSON
+/// dependency) and contains a process per replica.
 #[test]
 fn perfetto_export_is_valid_json() {
     let c = cluster(2);
@@ -236,7 +236,7 @@ fn perfetto_export_is_valid_json() {
     assert!(c.quiesce(Q), "cluster failed to drain");
 
     let doc = c.perfetto_json();
-    json_check::validate(&doc).unwrap_or_else(|e| panic!("invalid JSON at byte {e}: {doc}"));
+    si_rep::common::json_lint(&doc).unwrap_or_else(|e| panic!("invalid JSON ({e}): {doc}"));
     assert!(doc.contains("\"traceEvents\""));
     assert!(doc.contains("\"replica R0\"") && doc.contains("\"replica R1\""));
     if cfg!(feature = "trace") {
@@ -327,148 +327,6 @@ fn gauges_track_queue_depths() {
     // The cluster rollup maxes high-water marks over replicas.
     let max_hw = report.per_node.iter().map(|n| n.gauges.tocommit_depth.high_water).max().unwrap();
     assert_eq!(report.gauges.tocommit_depth.high_water, max_hw);
-}
-
-/// Minimal validating JSON parser used by the Perfetto test. Returns the
-/// byte offset of the first error.
-mod json_check {
-    pub fn validate(s: &str) -> Result<(), usize> {
-        let b = s.as_bytes();
-        let mut i = 0;
-        value(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if i == b.len() {
-            Ok(())
-        } else {
-            Err(i)
-        }
-    }
-
-    fn skip_ws(b: &[u8], i: &mut usize) {
-        while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-            *i += 1;
-        }
-    }
-
-    fn value(b: &[u8], i: &mut usize) -> Result<(), usize> {
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b'{') => {
-                *i += 1;
-                skip_ws(b, i);
-                if b.get(*i) == Some(&b'}') {
-                    *i += 1;
-                    return Ok(());
-                }
-                loop {
-                    skip_ws(b, i);
-                    string(b, i)?;
-                    skip_ws(b, i);
-                    expect(b, i, b':')?;
-                    value(b, i)?;
-                    skip_ws(b, i);
-                    match b.get(*i) {
-                        Some(b',') => *i += 1,
-                        Some(b'}') => {
-                            *i += 1;
-                            return Ok(());
-                        }
-                        _ => return Err(*i),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *i += 1;
-                skip_ws(b, i);
-                if b.get(*i) == Some(&b']') {
-                    *i += 1;
-                    return Ok(());
-                }
-                loop {
-                    value(b, i)?;
-                    skip_ws(b, i);
-                    match b.get(*i) {
-                        Some(b',') => *i += 1,
-                        Some(b']') => {
-                            *i += 1;
-                            return Ok(());
-                        }
-                        _ => return Err(*i),
-                    }
-                }
-            }
-            Some(b'"') => string(b, i),
-            Some(b't') => literal(b, i, b"true"),
-            Some(b'f') => literal(b, i, b"false"),
-            Some(b'n') => literal(b, i, b"null"),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, i),
-            _ => Err(*i),
-        }
-    }
-
-    fn string(b: &[u8], i: &mut usize) -> Result<(), usize> {
-        expect(b, i, b'"')?;
-        while let Some(&c) = b.get(*i) {
-            match c {
-                b'"' => {
-                    *i += 1;
-                    return Ok(());
-                }
-                b'\\' => *i += 2,
-                _ if c < 0x20 => return Err(*i),
-                _ => *i += 1,
-            }
-        }
-        Err(*i)
-    }
-
-    fn number(b: &[u8], i: &mut usize) -> Result<(), usize> {
-        let start = *i;
-        if b.get(*i) == Some(&b'-') {
-            *i += 1;
-        }
-        while b.get(*i).is_some_and(u8::is_ascii_digit) {
-            *i += 1;
-        }
-        if b.get(*i) == Some(&b'.') {
-            *i += 1;
-            while b.get(*i).is_some_and(u8::is_ascii_digit) {
-                *i += 1;
-            }
-        }
-        if matches!(b.get(*i), Some(b'e' | b'E')) {
-            *i += 1;
-            if matches!(b.get(*i), Some(b'+' | b'-')) {
-                *i += 1;
-            }
-            while b.get(*i).is_some_and(u8::is_ascii_digit) {
-                *i += 1;
-            }
-        }
-        if *i > start && b[*i - 1].is_ascii_digit() {
-            Ok(())
-        } else {
-            Err(start)
-        }
-    }
-
-    fn literal(b: &[u8], i: &mut usize, lit: &[u8]) -> Result<(), usize> {
-        if b[*i..].starts_with(lit) {
-            *i += lit.len();
-            Ok(())
-        } else {
-            Err(*i)
-        }
-    }
-
-    fn expect(b: &[u8], i: &mut usize, c: u8) -> Result<(), usize> {
-        if b.get(*i) == Some(&c) {
-            *i += 1;
-            Ok(())
-        } else {
-            Err(*i)
-        }
-    }
 }
 
 /// Stage offsets recorded by a trace are monotone in lifecycle order: a
