@@ -62,7 +62,6 @@ fn main() {
             fifo_delay_ms: delay_ms / 3.0,
             detection_delay_ms: 1000.0,
             scale,
-            ..GroupConfig::instant()
         };
         let cluster = Cluster::new(
             ClusterConfig::builder()

@@ -51,7 +51,6 @@ use crate::holes::HoleTracker;
 use crate::msg::{Outcome, ReplMsg, WsMsg, XactId};
 use crate::recorder::Recorder;
 use crate::validation::WsList;
-use crossbeam::channel::{bounded, Sender};
 use parking_lot::{Condvar, Mutex};
 use sirep_common::{
     AbortReason, CrashPoint, DbError, EventKind, GaugeSnapshot, GlobalTid, Journal, Metrics,
@@ -61,6 +60,7 @@ use sirep_gcs::{Cast, Delivery, GcsError, Member};
 use sirep_storage::{Database, TupleId, TxnHandle, WriteSet};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -256,7 +256,7 @@ impl TocommitQueue {
 /// the §4.2 hidden deadlock).
 struct PendingLocal {
     txn: TxnHandle,
-    responder: Sender<Result<LocalCommitJob, DbError>>,
+    responder: SyncSender<Result<LocalCommitJob, DbError>>,
     /// Keeps the transaction in the hole tracker's set B until it no
     /// longer holds database locks.
     guard: LocalGuard,
@@ -930,7 +930,7 @@ impl ReplicaNode {
             txn.abort(AbortReason::ReplicaCrashed);
             return Err(DbError::Aborted(AbortReason::ReplicaCrashed));
         }
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = sync_channel(1);
         let ws = Arc::new(ws);
         {
             let mut st = self.state.lock();
@@ -1056,26 +1056,16 @@ impl ReplicaNode {
                 Ok(Delivery::TotalOrder { msg, sequenced_at, .. }) => {
                     self.handle_total(msg, sequenced_at);
                 }
-                Ok(Delivery::TotalBatch { sequenced_at, entries }) => {
-                    // A sequencer batch frame: entries carry ascending
-                    // per-message sequence numbers and are processed one by
-                    // one in that order, so certification verdicts are
-                    // bit-identical to unbatched delivery.
-                    for e in entries {
-                        if !self.is_alive() {
-                            return;
-                        }
-                        self.handle_total(e.msg, sequenced_at);
-                    }
-                }
                 Ok(Delivery::Fifo { msg: ReplMsg::Progress { from, lastvalidated }, .. }) => {
                     self.handle_progress(from, lastvalidated);
                 }
                 Ok(Delivery::Fifo { msg: ReplMsg::Marker { token }, .. }) => {
                     self.handle_marker(token);
                 }
-                Ok(Delivery::Fifo { msg: ReplMsg::WriteSet(_), .. }) => {
-                    debug_assert!(false, "writesets travel in total order only");
+                Ok(
+                    Delivery::Fifo { msg: ReplMsg::WriteSet(_), .. } | Delivery::TotalBatch { .. },
+                ) => {
+                    debug_assert!(false, "writesets travel as single total-order deliveries only");
                 }
                 Ok(Delivery::ViewChange(v)) => {
                     // Translate member ids to logical replica ids
@@ -1126,8 +1116,7 @@ impl ReplicaNode {
         }
     }
 
-    /// Dispatch one totally-ordered message — called for singleton
-    /// deliveries and for each entry of a batch frame alike.
+    /// Dispatch one totally-ordered message.
     fn handle_total(self: &Arc<Self>, msg: ReplMsg, sequenced_at: Instant) {
         match msg {
             ReplMsg::WriteSet(m) => self.handle_writeset(&m, sequenced_at),

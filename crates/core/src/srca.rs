@@ -25,13 +25,13 @@ use crate::holes::HoleTracker;
 use crate::msg::XactId;
 use crate::session::{Connection, System};
 use crate::validation::WsList;
-use crossbeam::channel::{bounded, Sender};
 use parking_lot::{Condvar, Mutex};
 use sirep_common::{AbortReason, DbError, GlobalTid, Metrics, ReplicaId};
 use sirep_sql::ExecResult;
 use sirep_storage::{CostModel, Database, TxnHandle, WriteSet};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -75,7 +75,7 @@ struct QEntry {
 
 struct PendingLocal {
     txn: TxnHandle,
-    responder: Sender<Result<(), DbError>>,
+    responder: SyncSender<Result<(), DbError>>,
     /// Keeps the transaction counted as "running local" at its replica
     /// until it no longer holds database locks (see HoleTracker's set B).
     _guard: Option<LocalGuard>,
@@ -349,7 +349,7 @@ impl Connection for SrcaConn {
             Metrics::inc(&self.shared.metrics.commits_readonly);
             return Ok(());
         }
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = sync_channel(1);
         {
             // "obtain wsmutex" — validation is atomic (step I.3.c-e).
             let mut st = self.shared.state.lock();
@@ -495,7 +495,7 @@ fn finalize(
     xact: XactId,
     txn: TxnHandle,
     local: bool,
-    responder: Option<Sender<Result<(), DbError>>>,
+    responder: Option<SyncSender<Result<(), DbError>>>,
 ) {
     sh.dbs[k].cost_model().commit();
     let result = {

@@ -156,19 +156,7 @@ impl TlNode {
             | Delivery::Fifo { msg: TlMsg::Request { .. }, .. } => {
                 debug_assert!(false, "message on wrong service level");
             }
-            Delivery::ViewChange(_) => {}
-            Delivery::TotalBatch { sequenced_at, entries } => {
-                // The baseline runs on the sim transport, which may batch:
-                // unfold and process entries in order (identical semantics).
-                for e in entries {
-                    self.on_delivery(Delivery::TotalOrder {
-                        seq: e.seq,
-                        sender: e.sender,
-                        sequenced_at,
-                        msg: e.msg,
-                    });
-                }
-            }
+            Delivery::ViewChange(_) | Delivery::TotalBatch { .. } => {}
         }
     }
 

@@ -380,88 +380,6 @@ mod differential {
         Arc::new(w)
     }
 
-    // A replica fed sequencer *batch frames* must behave bit-identically
-    // to one fed the same messages as singleton deliveries: batching is a
-    // wire-level coalescing optimization and must be semantically
-    // invisible. The stream is re-partitioned into random batch sizes and
-    // replayed; verdicts, tid assignments, prune watermarks, and each
-    // accepted writeset's conflicting-predecessor set (the tids an applier
-    // would block on) must all match the unbatched replica.
-    proptest! {
-        #[test]
-        fn batched_differential(
-            stream in proptest::collection::vec(msg(), 1..120),
-            cuts in proptest::collection::vec(1usize..8, 1..40),
-        ) {
-            let alive: Vec<ReplicaId> = (0..3).map(ReplicaId::new).collect();
-            let mut flat = WsList::new();    // singleton deliveries
-            let mut batched = WsList::new(); // batch frames
-            // Partition the stream into batches of the generated sizes
-            // (cycled); a batch boundary must never change anything.
-            let mut frames: Vec<&[Msg]> = Vec::new();
-            {
-                let mut rest = stream.as_slice();
-                let mut i = 0;
-                while !rest.is_empty() {
-                    let take = cuts[i % cuts.len()].min(rest.len());
-                    let (head, tail) = rest.split_at(take);
-                    frames.push(head);
-                    rest = tail;
-                    i += 1;
-                }
-            }
-            let mut seq = 0u64;
-            let process = |l: &mut WsList, m: &Msg, seq: u64| -> (Option<bool>, Option<GlobalTid>, Vec<GlobalTid>) {
-                match m {
-                    Msg::WriteSet { keys, cert_lag } => {
-                        let ws = build_ws(keys);
-                        let cert = GlobalTid::new(l.last_tid().raw().saturating_sub(*cert_lag));
-                        let verdict = l.passes(cert, &ws);
-                        if verdict {
-                            // The tids this writeset certified against and
-                            // overlaps — what its applier would block on.
-                            let blockers: Vec<GlobalTid> = l
-                                .entries_after(cert)
-                                .filter(|e| e.ws.intersects(&ws))
-                                .map(|e| e.tid)
-                                .collect();
-                            let xact = XactId { origin: ReplicaId::new(0), seq };
-                            let tid = l.append(xact, ws);
-                            (Some(verdict), Some(tid), blockers)
-                        } else {
-                            (Some(verdict), None, Vec::new())
-                        }
-                    }
-                    Msg::Progress { from, lag } => {
-                        let lv = GlobalTid::new(l.last_tid().raw().saturating_sub(*lag));
-                        let _ = l.advance_progress(ReplicaId::new(*from), lv, &alive);
-                        (None, None, Vec::new())
-                    }
-                }
-            };
-            let mut flat_results = Vec::new();
-            for m in &stream {
-                seq += 1;
-                flat_results.push(process(&mut flat, m, seq));
-            }
-            seq = 0;
-            let mut batched_results = Vec::new();
-            for frame in &frames {
-                // One "frame" arrives as a unit, exactly like
-                // Delivery::TotalBatch: entries processed in order.
-                for m in *frame {
-                    seq += 1;
-                    batched_results.push(process(&mut batched, m, seq));
-                }
-            }
-            prop_assert_eq!(&flat_results, &batched_results,
-                "batch framing changed verdicts, tids, or blocker sets");
-            prop_assert_eq!(flat.len(), batched.len());
-            prop_assert_eq!(flat.last_tid(), batched.last_tid());
-            prop_assert_eq!(flat.index_len(), batched.index_len());
-        }
-    }
-
     proptest! {
         #[test]
         fn indexed_replica_matches_scan_replica(stream in proptest::collection::vec(msg(), 1..120)) {

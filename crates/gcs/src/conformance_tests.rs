@@ -51,22 +51,8 @@ fn sim() -> Backend {
     Backend { group: Arc::new(SimGroup::new(GroupConfig::instant())), _seq: None }
 }
 
-/// The sim tier with receiver-side writeset batching disabled — pins the
-/// pre-batching delivery shape (`TotalOrder` only) against the same contract.
-fn sim_unbatched() -> Backend {
-    Backend { group: Arc::new(SimGroup::new(GroupConfig::instant().unbatched())), _seq: None }
-}
-
 fn tcp() -> Backend {
     let seq = Sequencer::spawn("127.0.0.1:0").expect("bind sequencer");
-    let group = TcpGroup::<u64>::new(seq.addr().to_string(), 0);
-    Backend { group: Arc::new(group), _seq: Some(seq) }
-}
-
-/// The TCP tier with sequencer-side batching disabled (batch_max = 1): every
-/// total-order message rides its own `DownFrame::Total`.
-fn tcp_unbatched() -> Backend {
-    let seq = Sequencer::spawn_with_batching("127.0.0.1:0", 1).expect("bind sequencer");
     let group = TcpGroup::<u64>::new(seq.addr().to_string(), 0);
     Backend { group: Arc::new(group), _seq: Some(seq) }
 }
@@ -99,9 +85,6 @@ fn collect_total(m: &dyn Member<u64>, n: usize) -> Vec<(u64, MemberId, u64)> {
         );
         match m.recv_timeout(STEP) {
             Ok(Delivery::TotalOrder { seq, sender, msg, .. }) => out.push((seq, sender, msg)),
-            Ok(Delivery::TotalBatch { entries, .. }) => {
-                out.extend(entries.into_iter().map(|e| (e.seq, e.sender, e.msg)));
-            }
             Ok(_) | Err(GcsError::Timeout) => {}
             Err(e) => panic!("recv failed while collecting: {e}"),
         }
@@ -132,22 +115,6 @@ fn collect_fifo(m: &dyn Member<u64>, n: usize) -> Vec<(MemberId, u64)> {
 /// no longer contains `gone`, plus a short quiet-period drain afterwards to
 /// catch contract-violating stragglers.
 fn collect_until_member_gone(m: &dyn Member<u64>, gone: MemberId) -> Vec<Delivery<u64>> {
-    // Flatten batches into the individual deliveries they stand for, so the
-    // per-delivery assertions downstream see one shape regardless of backend
-    // batching configuration.
-    fn flatten(d: Delivery<u64>, out: &mut Vec<Delivery<u64>>) {
-        match d {
-            Delivery::TotalBatch { sequenced_at, entries } => {
-                out.extend(entries.into_iter().map(|e| Delivery::TotalOrder {
-                    seq: e.seq,
-                    sender: e.sender,
-                    sequenced_at,
-                    msg: e.msg,
-                }));
-            }
-            other => out.push(other),
-        }
-    }
     let deadline = Instant::now() + TIMEOUT;
     let mut out = Vec::new();
     loop {
@@ -155,7 +122,7 @@ fn collect_until_member_gone(m: &dyn Member<u64>, gone: MemberId) -> Vec<Deliver
         match m.recv_timeout(STEP) {
             Ok(d) => {
                 let done = matches!(&d, Delivery::ViewChange(v) if !v.contains(gone));
-                flatten(d, &mut out);
+                out.push(d);
                 if done {
                     break;
                 }
@@ -167,7 +134,7 @@ fn collect_until_member_gone(m: &dyn Member<u64>, gone: MemberId) -> Vec<Deliver
     let quiet_until = Instant::now() + Duration::from_millis(300);
     while Instant::now() < quiet_until {
         if let Ok(d) = m.recv_timeout(STEP) {
-            flatten(d, &mut out);
+            out.push(d);
         }
     }
     out
@@ -385,14 +352,11 @@ macro_rules! conformance {
     };
 }
 
-/// Instantiate every conformance test for every backend, with batching both
-/// on (the default) and off — the contract must be indistinguishable.
+/// Instantiate every conformance test for every backend.
 macro_rules! all_backends {
     ($($test:ident),* $(,)?) => {
         conformance!(sim: $($test),*);
-        conformance!(sim_unbatched: $($test),*);
         conformance!(tcp: $($test),*);
-        conformance!(tcp_unbatched: $($test),*);
     };
 }
 
@@ -487,18 +451,14 @@ mod tcp_only {
         let ta = a.transport();
         assert_eq!(ta.frames_out, 3, "sender frames_out: {ta:?}");
         assert!(ta.bytes_out > 0 && ta.bytes_in > 0, "byte counters never moved: {ta:?}");
-        // The reader saw the totals plus at least one view frame. The
-        // sequencer may coalesce adjacent totals into one TotalBatch wire
-        // frame, so the floor is 2 frames, not 4.
-        assert!(ta.frames_in >= 2, "reader frames_in: {ta:?}");
+        // The reader saw the totals plus at least one view frame.
+        assert!(ta.frames_in >= 4, "reader frames_in: {ta:?}");
         assert_eq!(ta.decode_failures, 0);
         assert_eq!(ta.pending_sends.current, 0, "sends all sequenced: {ta:?}");
         assert!(ta.pending_sends.high_water >= 1);
         let tc = c.transport();
         assert_eq!(tc.frames_out, 0, "c never multicast: {tc:?}");
-        // Same batching caveat: a's 3 multicasts may arrive at c as one
-        // TotalBatch frame on top of c's join view.
-        assert!(tc.frames_in >= 2, "c delivered a's multicasts: {tc:?}");
+        assert!(tc.frames_in >= 4, "c delivered a's multicasts: {tc:?}");
 
         // The group rollup covers both endpoints and counts churn.
         let tg = b.group.transport();

@@ -34,8 +34,7 @@
 //! heals, preserving the single total order end to end.
 
 use crate::fault::{FaultConfig, FaultRecord, FaultState, NETWORK_REPLICA};
-use crate::traits::{BatchEntry, Delivery, GcsError, View, HELD_SEND_SEQ};
-use crossbeam::channel::{self, Receiver, Sender};
+use crate::traits::{Delivery, GcsError, View, HELD_SEND_SEQ};
 use parking_lot::Mutex;
 use sirep_common::journal::FaultKind;
 use sirep_common::{
@@ -44,12 +43,9 @@ use sirep_common::{
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Default receiver-side coalescing cap for the sim backend (mirrors the
-/// TCP sequencer's writer-side cap).
-pub const DEFAULT_SIM_BATCH: usize = 32;
 
 /// SimGroup configuration.
 #[derive(Debug, Clone)]
@@ -64,12 +60,6 @@ pub struct GroupConfig {
     /// view ("reconfiguration [...] can take up to a couple of seconds").
     pub detection_delay_ms: f64,
     pub scale: TimeScale,
-    /// Writeset batching: a receiver that finds several already-visible
-    /// total-order deliveries queued coalesces up to this many into one
-    /// [`Delivery::TotalBatch`]. `1` disables batching. Sequencing, fault
-    /// decisions and per-entry seqs are unaffected — batching only groups
-    /// what delivery-loop iteration order already fixed.
-    pub batch_max: usize,
 }
 
 impl GroupConfig {
@@ -80,7 +70,6 @@ impl GroupConfig {
             fifo_delay_ms: 0.0,
             detection_delay_ms: 0.0,
             scale: TimeScale::REAL_TIME,
-            batch_max: DEFAULT_SIM_BATCH,
         }
     }
 
@@ -92,15 +81,7 @@ impl GroupConfig {
             fifo_delay_ms: 1.0,
             detection_delay_ms: 1000.0,
             scale,
-            batch_max: DEFAULT_SIM_BATCH,
         }
-    }
-
-    /// This config with delivery batching disabled — the differential and
-    /// conformance suites use it to compare against the unbatched stream.
-    pub fn unbatched(mut self) -> GroupConfig {
-        self.batch_max = 1;
-        self
     }
 }
 
@@ -455,7 +436,7 @@ impl<M: Clone + Send + 'static> SimGroup<M> {
     /// Join the group: returns the new member's endpoint. All members
     /// (including the new one) receive the new view.
     pub fn join(&self) -> SimMember<M> {
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = mpsc::channel();
         let mut st = self.inner.state.lock();
         let id = MemberId::new(st.next_member);
         st.next_member += 1;
@@ -471,13 +452,7 @@ impl<M: Clone + Send + 'static> SimGroup<M> {
             None,
         );
         drop(st);
-        SimMember {
-            id,
-            group: Arc::clone(&self.inner),
-            rx,
-            last_seq: AtomicU64::new(u64::MAX),
-            stash: Mutex::new(None),
-        }
+        SimMember { id, group: Arc::clone(&self.inner), rx, last_seq: AtomicU64::new(u64::MAX) }
     }
 
     /// Crash a member: it is removed from the group and every survivor
@@ -678,10 +653,6 @@ pub struct SimMember<M> {
     /// enqueues happen under the group lock, so this channel sees strictly
     /// increasing seqs except for injected duplicate copies.
     last_seq: AtomicU64,
-    /// One delivery pulled off the queue during batch coalescing that could
-    /// not join the batch (not total-order, or not yet visible). Drained
-    /// ahead of the channel by the next receive, preserving stream order.
-    stash: Mutex<Option<Timed<M>>>,
 }
 
 impl<M: Clone + Send + 'static> SimMember<M> {
@@ -720,92 +691,28 @@ impl<M: Clone + Send + 'static> SimMember<M> {
         Some(t.delivery)
     }
 
-    /// The stashed delivery left behind by a previous coalescing pass, if
-    /// any — it precedes everything still on the channel.
-    fn take_stashed(&self) -> Option<Timed<M>> {
-        self.stash.lock().take()
-    }
-
-    /// Greedily coalesce already-visible queued total-order deliveries
-    /// behind `first` into one [`Delivery::TotalBatch`], up to the config
-    /// cap. Dedup and gauge accounting per entry are identical to
-    /// [`SimMember::admit`]; the first delivery that cannot join the batch
-    /// (view/FIFO, or latency not yet elapsed — coalescing never waits) is
-    /// stashed for the next receive. With `batch_max <= 1` this is the
-    /// identity function.
-    fn coalesce(&self, first: Delivery<M>) -> Delivery<M> {
-        let batch_max = self.group.config.batch_max;
-        if batch_max <= 1 {
-            return first;
-        }
-        let (seq0, sender0, sequenced_at, msg0) = match first {
-            Delivery::TotalOrder { seq, sender, sequenced_at, msg } => {
-                (seq, sender, sequenced_at, msg)
-            }
-            other => return other,
-        };
-        let mut entries = vec![BatchEntry { seq: seq0, sender: sender0, msg: msg0 }];
-        while entries.len() < batch_max {
-            let Ok(t) = self.rx.try_recv() else { break };
-            let Timed { visible_at, delivery } = t;
-            match delivery {
-                Delivery::TotalOrder { seq, sender, msg, .. } if visible_at <= Instant::now() => {
-                    self.group.in_flight.sub(1);
-                    let last = self.last_seq.load(Ordering::Relaxed);
-                    if last != u64::MAX && seq <= last {
-                        continue; // injected duplicate copy
-                    }
-                    self.last_seq.store(seq, Ordering::Relaxed);
-                    entries.push(BatchEntry { seq, sender, msg });
-                }
-                delivery => {
-                    *self.stash.lock() = Some(Timed { visible_at, delivery });
-                    break;
-                }
-            }
-        }
-        if entries.len() == 1 {
-            let e = entries.pop().expect("len checked above");
-            Delivery::TotalOrder { seq: e.seq, sender: e.sender, sequenced_at, msg: e.msg }
-        } else {
-            Delivery::TotalBatch { sequenced_at, entries }
-        }
-    }
-
     /// Blocking receive; sleeps until the delivery's simulated arrival time.
     pub fn recv(&self) -> Result<Delivery<M>, GcsError> {
         loop {
-            let t = match self.take_stashed() {
-                Some(t) => t,
-                None => match self.rx.recv() {
-                    Ok(t) => t,
-                    Err(_) => return Err(GcsError::Disconnected),
-                },
-            };
+            let t = self.rx.recv().map_err(|_| GcsError::Disconnected)?;
             if let Some(d) = self.admit(t) {
-                return Ok(self.coalesce(d));
+                return Ok(d);
             }
         }
     }
 
-    /// Receive with a wall-clock timeout.
+    /// Receive with a wall-clock timeout; the simulated latency is honoured,
+    /// so the call may overrun the deadline by at most the remaining sim delay.
     pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<Delivery<M>, GcsError> {
         let deadline = Instant::now() + timeout;
         loop {
-            let t = match self.take_stashed() {
-                Some(t) => t,
-                None => match self.rx.recv_deadline(deadline) {
-                    Ok(t) => t,
-                    Err(channel::RecvTimeoutError::Timeout) => return Err(GcsError::Timeout),
-                    Err(channel::RecvTimeoutError::Disconnected) => {
-                        return Err(GcsError::Disconnected)
-                    }
-                },
-            };
-            // Honour the simulated latency but never past the caller's
-            // deadline by more than the remaining sim delay.
+            let left = deadline.saturating_duration_since(Instant::now());
+            let t = self.rx.recv_timeout(left).map_err(|e| match e {
+                RecvTimeoutError::Timeout => GcsError::Timeout,
+                RecvTimeoutError::Disconnected => GcsError::Disconnected,
+            })?;
             if let Some(d) = self.admit(t) {
-                return Ok(self.coalesce(d));
+                return Ok(d);
             }
         }
     }
@@ -814,12 +721,8 @@ impl<M: Clone + Send + 'static> SimMember<M> {
     /// "arrived" (its simulated latency elapsed).
     pub fn try_recv(&self) -> Option<Delivery<M>> {
         loop {
-            let t = match self.take_stashed() {
-                Some(t) => t,
-                None => self.rx.try_recv().ok()?,
-            };
-            if let Some(d) = self.admit(t) {
-                return Some(self.coalesce(d));
+            if let Some(d) = self.admit(self.rx.try_recv().ok()?) {
+                return Some(d);
             }
         }
     }

@@ -16,12 +16,9 @@ fn drain_views<M: Clone + Send + 'static>(m: &SimMember<M>) {
 fn collect_total<M: Clone + Send + 'static>(m: &SimMember<M>, n: usize) -> Vec<(u64, M)> {
     let mut out = Vec::with_capacity(n);
     while out.len() < n {
-        match m.recv_timeout(Duration::from_secs(5)).expect("timed out") {
-            Delivery::TotalOrder { seq, msg, .. } => out.push((seq, msg)),
-            Delivery::TotalBatch { entries, .. } => {
-                out.extend(entries.into_iter().map(|e| (e.seq, e.msg)));
-            }
-            Delivery::Fifo { .. } | Delivery::ViewChange(_) => {}
+        let d = m.recv_timeout(Duration::from_secs(5)).expect("timed out");
+        if let Delivery::TotalOrder { seq, msg, .. } = d {
+            out.push((seq, msg));
         }
     }
     out
@@ -143,68 +140,15 @@ fn uniform_delivery_messages_precede_crash_view() {
                 assert!(!saw_view, "message delivered after crash view");
                 msgs.push(msg);
             }
-            Delivery::TotalBatch { entries, .. } => {
-                assert!(!saw_view, "message delivered after crash view");
-                msgs.extend(entries.into_iter().map(|e| e.msg));
-            }
             Delivery::ViewChange(v) => {
                 assert!(!v.contains(b.id()));
                 saw_view = true;
             }
-            other @ Delivery::Fifo { .. } => panic!("{other:?}"),
+            other => panic!("{other:?}"),
         }
     }
     assert_eq!(msgs, vec![1, 2]);
     assert!(saw_view);
-}
-
-#[test]
-fn lagging_receiver_coalesces_batches_without_changing_the_stream() {
-    // Batching on (the default): a receiver that lets deliveries queue up
-    // gets them coalesced into `TotalBatch` frames whose entries flatten to
-    // exactly the stream an unbatched member would observe.
-    let group: SimGroup<u64> = SimGroup::new(GroupConfig::instant());
-    let a = group.join();
-    drain_views(&a);
-    for i in 0..40 {
-        a.multicast_total(i).unwrap();
-    }
-    let mut flat = Vec::new();
-    let mut batches = 0usize;
-    while flat.len() < 40 {
-        match a.recv_timeout(Duration::from_secs(5)).unwrap() {
-            Delivery::TotalOrder { seq, msg, .. } => flat.push((seq, msg)),
-            Delivery::TotalBatch { entries, .. } => {
-                batches += 1;
-                assert!(entries.len() > 1, "a 1-entry batch must collapse to TotalOrder");
-                assert!(
-                    entries.windows(2).all(|w| w[0].seq < w[1].seq),
-                    "batch entries must be seq-ascending"
-                );
-                flat.extend(entries.into_iter().map(|e| (e.seq, e.msg)));
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
-    }
-    assert!(batches >= 1, "a 40-deep backlog must coalesce at least once");
-    let want: Vec<(u64, u64)> = (0..40).map(|i| (i, i)).collect();
-    assert_eq!(flat, want);
-
-    // Batching off: the same traffic arrives strictly as single deliveries.
-    let group: SimGroup<u64> = SimGroup::new(GroupConfig::instant().unbatched());
-    let b = group.join();
-    drain_views(&b);
-    for i in 0..40 {
-        b.multicast_total(i).unwrap();
-    }
-    let mut seqs = Vec::new();
-    while seqs.len() < 40 {
-        match b.recv_timeout(Duration::from_secs(5)).unwrap() {
-            Delivery::TotalOrder { seq, .. } => seqs.push(seq),
-            other => panic!("unbatched group must never batch: {other:?}"),
-        }
-    }
-    assert_eq!(seqs, (0..40).collect::<Vec<_>>());
 }
 
 #[test]
@@ -342,12 +286,8 @@ mod properties {
                     continue;
                 }
                 while let Some(d) = m.try_recv() {
-                    match d {
-                        Delivery::TotalOrder { msg, .. } => streams[i].push(msg),
-                        Delivery::TotalBatch { entries, .. } => {
-                            streams[i].extend(entries.into_iter().map(|e| e.msg));
-                        }
-                        Delivery::Fifo { .. } | Delivery::ViewChange(_) => {}
+                    if let Delivery::TotalOrder { msg, .. } = d {
+                        streams[i].push(msg);
                     }
                 }
             }

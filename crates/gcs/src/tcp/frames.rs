@@ -102,7 +102,7 @@ impl Wire for UpFrame {
 /// Sequencer → member.
 ///
 /// `Total`/`Fifo`/`View` form the sequenced delivery stream; the sequencer
-/// retains the full stream and replays it from the beginning to every
+/// retains the full stream and sends it from the beginning to every
 /// joiner, which is how a restarted replica recovers (deterministic replay
 /// instead of state transfer).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,20 +120,14 @@ pub enum DownFrame {
     /// shut down and the view change is sequenced.
     Evicted,
     /// Admin reply to [`UpFrame::Stats`]: the sequencer's observability
-    /// counters — total-order log length, next sequence number, view id,
-    /// and per-member `(member, send_queue_depth)` pairs (frames queued for
-    /// that member's writer thread, i.e. the fan-out backlog broken down by
-    /// destination), sorted by member id.
+    /// counters — sequenced-log length, next sequence number, view id, and
+    /// per-member `(member, backlog)` pairs (log frames that member's
+    /// writer has not yet taken: log length minus the member's cursor),
+    /// sorted by member id.
     Stats { log_len: u64, next_seq: u64, view_id: u64, members: Vec<(u64, u64)> },
     /// Admin reply to [`UpFrame::TimeProbe`]: nanoseconds on the
     /// sequencer's monotonic clock since it started serving.
     Time { now_ns: u64 },
-    /// A coalesced run of sequenced total-order multicasts: the sequencer's
-    /// writer thread batches messages that queued up behind one socket
-    /// write. Per-entry `(seq, sender, payload)` triples are preserved in
-    /// sequence order, so delivery is bit-identical to receiving the same
-    /// run as individual [`DownFrame::Total`] frames.
-    Batch { entries: Vec<(u64, u64, Bytes)> },
 }
 
 impl Wire for DownFrame {
@@ -172,10 +166,6 @@ impl Wire for DownFrame {
                 out.push(6);
                 now_ns.encode(out);
             }
-            DownFrame::Batch { entries } => {
-                out.push(7);
-                entries.encode(out);
-            }
         }
     }
 
@@ -197,7 +187,6 @@ impl Wire for DownFrame {
                 members: Vec::decode(r)?,
             }),
             6 => Ok(DownFrame::Time { now_ns: u64::decode(r)? }),
-            7 => Ok(DownFrame::Batch { entries: Vec::decode(r)? }),
             _ => Err(WireError::Corrupt("downframe tag")),
         }
     }
@@ -241,20 +230,14 @@ mod tests {
             members: vec![(0, 3), (1 << 32, 0)],
         });
         round_trip(&DownFrame::Time { now_ns: 1_234_567_890 });
-        round_trip(&DownFrame::Batch { entries: Vec::new() });
-        round_trip(&DownFrame::Batch {
-            entries: vec![
-                (3, 0, Bytes(vec![1, 2])),
-                (4, 2, Bytes(Vec::new())),
-                (5, 1, Bytes(vec![0xaa; 48])),
-            ],
-        });
     }
 
     #[test]
     fn corrupt_tags_rejected() {
         assert_eq!(UpFrame::from_wire(&[9]), Err(WireError::Corrupt("upframe tag")));
         assert_eq!(DownFrame::from_wire(&[9]), Err(WireError::Corrupt("downframe tag")));
+        // Tag 7 was the batch frame; no peer may send it any more.
+        assert_eq!(DownFrame::from_wire(&[7]), Err(WireError::Corrupt("downframe tag")));
     }
 
     #[test]
@@ -276,21 +259,6 @@ mod tests {
         #[test]
         fn prop_truncations_rejected(payload in proptest::collection::vec(any::<u8>(), 0..64)) {
             let frame = DownFrame::Total { seq: 1, sender: 2, payload: Bytes(payload) };
-            let bytes = frame.to_wire();
-            for cut in 0..bytes.len() {
-                prop_assert!(DownFrame::from_wire(&bytes[..cut]).is_err());
-            }
-        }
-
-        #[test]
-        fn prop_batch_truncations_rejected(payloads in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..16), 1..5)) {
-            let entries = payloads
-                .into_iter()
-                .enumerate()
-                .map(|(i, p)| (i as u64 + 1, (i % 3) as u64, Bytes(p)))
-                .collect::<Vec<_>>();
-            let frame = DownFrame::Batch { entries };
             let bytes = frame.to_wire();
             for cut in 0..bytes.len() {
                 prop_assert!(DownFrame::from_wire(&bytes[..cut]).is_err());

@@ -33,18 +33,18 @@
 pub mod frames;
 pub mod seq;
 
-use crate::traits::{BatchEntry, Cast, Delivery, GcsError, Group, Member, View, HELD_SEND_SEQ};
-use crossbeam::channel::{self, Receiver};
+use crate::traits::{Cast, Delivery, GcsError, Group, Member, View, HELD_SEND_SEQ};
 use frames::{Bytes, DownFrame, UpFrame};
 use parking_lot::Mutex;
 pub use seq::Sequencer;
 use sirep_common::wire::{read_frame, read_frame_counted, write_frame, write_frame_counted, Wire};
 use sirep_common::{Gauge, GaugeReading, MemberId, TransportSnapshot};
 use std::collections::BTreeMap;
-use std::io;
+use std::io::{self, BufReader};
 use std::marker::PhantomData;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -303,7 +303,7 @@ impl<M: Wire + Clone + Send + 'static> TcpMember<M> {
             view: Mutex::new(View { id: 0, members: Vec::new() }),
             replicas: Mutex::new(BTreeMap::new()),
         });
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = mpsc::channel();
         let reader_shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name(format!("sirep-tcp-member-{member}"))
@@ -324,11 +324,10 @@ impl<M: Wire + Clone + Send + 'static> TcpMember<M> {
 
 /// Decode the sequencer's frame stream into deliveries. Runs until the
 /// socket closes (eviction, sequencer shutdown, or local leave).
-fn reader_loop<M: Wire>(
-    mut stream: TcpStream,
-    shared: &TcpShared,
-    tx: &channel::Sender<Delivery<M>>,
-) {
+fn reader_loop<M: Wire>(stream: TcpStream, shared: &TcpShared, tx: &Sender<Delivery<M>>) {
+    // The sequencer writes runs of frames per syscall; read them the same
+    // way instead of two `read`s per frame.
+    let mut stream = BufReader::new(stream);
     // Duplicate suppression: replay-safe because the sequencer's stream is
     // strictly increasing per connection.
     let mut last_seq: Option<u64> = None;
@@ -355,46 +354,6 @@ fn reader_loop<M: Wire>(
                     sender: MemberId::new(sender),
                     sequenced_at: Instant::now(),
                     msg,
-                }
-            }
-            DownFrame::Batch { entries } => {
-                // Per-entry processing identical to the Total arm: dedup by
-                // sequence number, close own-send pending windows, decode.
-                let mut batch = Vec::with_capacity(entries.len());
-                let mut bad_decode = false;
-                for (seq, sender, payload) in entries {
-                    if last_seq.is_some_and(|last| seq <= last) {
-                        continue;
-                    }
-                    last_seq = Some(seq);
-                    if sender == shared.id.raw() {
-                        shared.pending_sends.sub(1);
-                    }
-                    let Ok(msg) = M::from_wire(&payload.0) else {
-                        bad_decode = true;
-                        break;
-                    };
-                    batch.push(BatchEntry { seq, sender: MemberId::new(sender), msg });
-                }
-                if bad_decode {
-                    shared.decode_failures.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                match batch.len() {
-                    0 => continue,
-                    // A fully-deduped-to-one batch delivers exactly like
-                    // the unbatched stream would.
-                    1 => {
-                        // sirep-lint: allow(no-unwrap-on-protocol-paths): len checked == 1
-                        let e = batch.pop().expect("len checked above");
-                        Delivery::TotalOrder {
-                            seq: e.seq,
-                            sender: e.sender,
-                            sequenced_at: Instant::now(),
-                            msg: e.msg,
-                        }
-                    }
-                    _ => Delivery::TotalBatch { sequenced_at: Instant::now(), entries: batch },
                 }
             }
             DownFrame::Fifo { sender, payload } => {
@@ -459,8 +418,8 @@ impl<M: Wire + Clone + Send + 'static> Member<M> for TcpMember<M> {
                 self.shared.in_flight.sub(1);
                 Ok(d)
             }
-            Err(channel::RecvTimeoutError::Timeout) => Err(GcsError::Timeout),
-            Err(channel::RecvTimeoutError::Disconnected) => Err(GcsError::Disconnected),
+            Err(RecvTimeoutError::Timeout) => Err(GcsError::Timeout),
+            Err(RecvTimeoutError::Disconnected) => Err(GcsError::Disconnected),
         }
     }
 
@@ -571,14 +530,15 @@ impl<M: Wire + Clone + Send + 'static> Cast<M> for TcpCast<M> {
 /// connection by [`query_seq_stats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SeqStats {
-    /// Frames retained in the sequenced replay log.
+    /// Frames in the sequenced log (never truncated).
     pub log_len: u64,
     /// Next total-order sequence number to assign.
     pub next_seq: u64,
     /// Current view id.
     pub view_id: u64,
-    /// `(member, send_queue_depth)` pairs sorted by member id — the
-    /// fan-out backlog broken down by destination.
+    /// `(member, backlog)` pairs sorted by member id: log frames the
+    /// member's writer has not yet taken (`log_len` minus its cursor) —
+    /// the fan-out backlog broken down by destination.
     pub members: Vec<(u64, u64)>,
 }
 

@@ -1,43 +1,45 @@
 //! The sequencer service: a single process that imposes the group's total
 //! order over TCP.
 //!
-//! One mutex-protected state mirrors the sim backend's design, and the
-//! guarantees follow the same way:
+//! The sequenced stream is one append-only log of length-prefixed
+//! [`DownFrame`]s under one mutex, and a member is a socket plus a cursor
+//! into that log. Sequencing a frame is "append it, wake the writers"; each
+//! member's writer thread takes the frames past its cursor (a bounded
+//! chunk) under the lock and puts them on the socket with one write,
+//! outside it. There is no other queue. The guarantees follow:
 //!
-//! - **Total order**: every `Total` frame is assigned its sequence number
-//!   and appended to every live member's outbound queue under the lock, so
-//!   all members see one consistent stream (payloads, FIFOs and view
-//!   frames interleaved identically).
-//! - **Uniform reliable delivery**: a frame the sequencer sequenced is in
-//!   every survivor's queue *before* any later eviction's view frame; a
-//!   frame still in flight from a member that gets evicted is discarded at
-//!   the reader ("before the crash view, or not at all"). Outbound sockets
-//!   are drained by per-member writer threads, so a slow or dead peer never
-//!   blocks sequencing — it gets evicted instead.
-//! - **View synchrony**: view frames are sequenced into the same stream,
-//!   so all members deliver them at the same position.
+//! - **Total order**: there is one log, appended to under the lock, and
+//!   every member is sent it from index 0 in index order (payloads, FIFOs
+//!   and view frames interleaved identically).
+//! - **Uniform reliable delivery**: a sequenced frame sits in the log
+//!   *before* any later eviction's view frame, so every survivor's cursor
+//!   passes it first; a frame still in flight from a member that gets
+//!   evicted is discarded at the reader ("before the crash view, or not at
+//!   all"). A slow or dead peer never blocks sequencing — its cursor falls
+//!   behind ([`DownFrame::Stats`] reports by how much) and a failed write
+//!   evicts it.
+//! - **View synchrony**: view frames are entries of the same log.
 //!
-//! The sequencer retains the complete sequenced stream and replays it to
-//! every joiner from the beginning. A restarted replica therefore recovers
-//! by deterministic replay rather than state transfer; its join bumps the
+//! A joiner starts at cursor 0: a restarted replica recovers by
+//! deterministic replay rather than state transfer. Its join bumps the
 //! replica's **incarnation** (returned in `Welcome`), which the middleware
 //! folds into fresh transaction ids so replayed-and-deduped outcomes can
-//! never collide with new ones. The log is unbounded — acceptable for the
-//! smoke tier this backend serves; a production tier would checkpoint.
+//! never collide with new ones. The log is never truncated — acceptable for
+//! the smoke tier this backend serves; truncating below `min(next)` needs a
+//! checkpoint for later joiners (ROADMAP item 4).
 //!
 //! Failure detection is TCP-level: a member connection reaching EOF or an
 //! unwritable outbound socket evicts the member and sequences the view
 //! change. There is no failure *suspicion* — exactly the crash-stop model
 //! the paper assumes.
 
-use super::frames::{Bytes, DownFrame, UpFrame};
-use crossbeam::channel::{self, Receiver, Sender};
-use parking_lot::Mutex;
+use super::frames::{DownFrame, UpFrame};
+use parking_lot::{Condvar, Mutex};
 use sirep_common::wire::{read_frame, write_frame, Wire};
 use std::collections::BTreeMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
@@ -47,34 +49,19 @@ use std::time::Instant;
 /// ids must therefore fit in 32 bits on this transport.
 pub const MEMBER_INCARNATION_SHIFT: u32 = 32;
 
-/// Default cap on how many sequenced totals one socket write may coalesce
-/// into a [`DownFrame::Batch`]. Batching only engages when a writer falls
-/// behind sequencing, so the cap bounds frame size without adding latency.
-pub const DEFAULT_SEQ_BATCH: usize = 32;
-
-/// One item on a member's outbound queue.
-enum Outbound {
-    /// A pre-encoded frame written as-is (welcome, replay, views, FIFOs).
-    Raw(Arc<[u8]>),
-    /// A sequenced total-order message, eligible for writer-side
-    /// coalescing. `encoded` is the shared single-frame encoding (the same
-    /// allocation the log retains), used when the total goes out alone.
-    Total { seq: u64, sender: u64, payload: Arc<Bytes>, encoded: Arc<[u8]> },
-}
+/// A writer takes frames past its cursor until the chunk reaches this many
+/// bytes (at least one frame), so one socket write carries a run of frames
+/// and the copy under the sequencer lock stays short.
+const WRITE_CHUNK: usize = 64 << 10;
 
 /// One connected member as the sequencer sees it.
 struct MemberConn {
     replica: u64,
-    /// Outbound queue drained by this member's writer thread. Unbounded so
-    /// enqueueing under the state lock never blocks on a slow socket.
-    tx: Sender<Outbound>,
-    /// Frames enqueued but not yet written — this member's share of the
-    /// fan-out backlog, reported by [`UpFrame::Stats`]. Incremented at
-    /// enqueue (under the state lock), decremented by the writer thread.
-    queue_depth: Arc<AtomicU64>,
     /// The member's socket, kept for shutdown at eviction (wakes both the
     /// member's reader and our writer).
     stream: TcpStream,
+    /// Index of the first log frame this member's writer has not taken.
+    next: usize,
 }
 
 struct SeqState {
@@ -82,12 +69,12 @@ struct SeqState {
     view_id: u64,
     /// Join count per replica id — the incarnation handed to each joiner.
     joins: BTreeMap<u64, u64>,
-    /// Live members, keyed by member id (sorted ⇒ deterministic fan-out
-    /// and view ordering).
+    /// Live members, keyed by member id (sorted ⇒ deterministic view
+    /// ordering).
     members: BTreeMap<u64, MemberConn>,
-    /// The full sequenced stream (encoded `DownFrame`s, including view
-    /// frames), replayed to every joiner.
-    log: Vec<Arc<[u8]>>,
+    /// The full sequenced stream: each entry is one `DownFrame` (view frames
+    /// included) in the length-prefixed form that goes on the wire.
+    log: Vec<Box<[u8]>>,
 }
 
 impl SeqState {
@@ -98,41 +85,17 @@ impl SeqState {
         }
     }
 
-    /// Append a frame to the log and every live member's outbound queue.
-    /// Must run under the state lock — that is what makes the stream total.
+    /// Append a frame to the log. Must run under the state lock — that is
+    /// what makes the stream total; the caller wakes the writers
+    /// ([`SeqInner::appended`]) once it has released it.
     fn sequence(&mut self, frame: &DownFrame) {
-        let encoded: Arc<[u8]> = frame.to_wire().into();
-        self.log.push(Arc::clone(&encoded));
-        for conn in self.members.values() {
-            // A full/dead peer is detected by its writer thread; ignoring
-            // the send error here is fine because the queue outlives the
-            // member only until eviction.
-            if conn.tx.send(Outbound::Raw(Arc::clone(&encoded))).is_ok() {
-                conn.queue_depth.fetch_add(1, Ordering::Relaxed);
-            }
+        let mut framed = vec![0u8; 4];
+        frame.encode(&mut framed);
+        let len = (framed.len() - 4) as u32;
+        for (dst, src) in framed.iter_mut().zip(len.to_le_bytes()) {
+            *dst = src;
         }
-    }
-
-    /// Sequence a total-order payload: the log keeps the single-frame
-    /// encoding (so joiner replay is byte-identical to the unbatched
-    /// stream), while members receive a structured item their writer
-    /// thread may coalesce into a [`DownFrame::Batch`].
-    fn sequence_total(&mut self, seq: u64, sender: u64, payload: Bytes) {
-        let payload = Arc::new(payload);
-        let encoded: Arc<[u8]> =
-            DownFrame::Total { seq, sender, payload: (*payload).clone() }.to_wire().into();
-        self.log.push(Arc::clone(&encoded));
-        for conn in self.members.values() {
-            let item = Outbound::Total {
-                seq,
-                sender,
-                payload: Arc::clone(&payload),
-                encoded: Arc::clone(&encoded),
-            };
-            if conn.tx.send(item).is_ok() {
-                conn.queue_depth.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.log.push(framed.into_boxed_slice());
     }
 
     /// Remove members and sequence one view frame covering all of them.
@@ -143,12 +106,8 @@ impl SeqState {
     /// whole group while the kernel tears down a dead peer's socket.
     #[must_use]
     fn evict(&mut self, ids: &[u64]) -> Vec<TcpStream> {
-        let mut evicted = Vec::new();
-        for id in ids {
-            if let Some(conn) = self.members.remove(id) {
-                evicted.push(conn.stream);
-            }
-        }
+        let evicted: Vec<TcpStream> =
+            ids.iter().filter_map(|id| self.members.remove(id)).map(|c| c.stream).collect();
         if !evicted.is_empty() {
             self.view_id += 1;
             let frame = self.view_frame();
@@ -158,10 +117,13 @@ impl SeqState {
     }
 }
 
-/// Evict `ids` under the state lock, then shut their sockets down with
-/// the lock released (wakes each evicted member's reader and our writer).
+/// Evict `ids` under the state lock, then — with the lock released — wake
+/// the writers (the evicted ones exit, the rest send the view) and shut the
+/// evicted sockets down (wakes each evicted member's reader and a writer
+/// blocked on its socket).
 fn evict_and_shutdown(inner: &SeqInner, ids: &[u64]) {
     let evicted = inner.state.lock().evict(ids);
+    inner.appended.notify_all();
     for stream in evicted {
         let _ = stream.shutdown(Shutdown::Both);
     }
@@ -169,14 +131,14 @@ fn evict_and_shutdown(inner: &SeqInner, ids: &[u64]) {
 
 struct SeqInner {
     state: Mutex<SeqState>,
+    /// Signalled after every log append and every eviction; writers wait on
+    /// it (under `state`) for their cursor to fall behind the log.
+    appended: Condvar,
     shutdown: AtomicBool,
     /// When the service started — the zero point of the monotonic clock
     /// reported by [`UpFrame::TimeProbe`], against which every node process
     /// aligns its trace timestamps.
     epoch: Instant,
-    /// Per-socket-write coalescing cap; `1` disables batching (every total
-    /// goes out as an individual [`DownFrame::Total`]).
-    batch_max: usize,
 }
 
 /// The sequencer service handle. Dropping it shuts the service down.
@@ -188,15 +150,8 @@ pub struct Sequencer {
 
 impl Sequencer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and start
-    /// serving, with writeset batching at the default coalescing cap.
+    /// serving.
     pub fn spawn(addr: &str) -> io::Result<Sequencer> {
-        Sequencer::spawn_with_batching(addr, DEFAULT_SEQ_BATCH)
-    }
-
-    /// Like [`Sequencer::spawn`] with an explicit coalescing cap.
-    /// `batch_max <= 1` disables batching entirely — the differential and
-    /// conformance suites use that to compare against the unbatched stream.
-    pub fn spawn_with_batching(addr: &str, batch_max: usize) -> io::Result<Sequencer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let inner = Arc::new(SeqInner {
@@ -207,9 +162,9 @@ impl Sequencer {
                 members: BTreeMap::new(),
                 log: Vec::new(),
             }),
+            appended: Condvar::new(),
             shutdown: AtomicBool::new(false),
             epoch: Instant::now(),
-            batch_max: batch_max.max(1),
         });
         let accept_inner = Arc::clone(&inner);
         let accept_listener = listener.try_clone()?;
@@ -274,11 +229,14 @@ fn serve_conn(stream: TcpStream, inner: &Arc<SeqInner>) {
     // Which member this connection speaks for, once joined.
     let mut member: Option<u64> = None;
     while let Ok(frame) = read_frame::<_, UpFrame>(&mut read) {
-        match (frame, member) {
-            (UpFrame::Join { replica }, None) => match handle_join(&read, inner, replica) {
-                Ok(id) => member = Some(id),
-                Err(_) => break,
-            },
+        let reply = match (frame, member) {
+            (UpFrame::Join { replica }, None) => {
+                match handle_join(&read, inner, replica, spawn_writer) {
+                    Ok(id) => member = Some(id),
+                    Err(_) => break,
+                }
+                continue;
+            }
             (UpFrame::Total { payload }, Some(id)) => {
                 let mut st = inner.state.lock();
                 // An evicted member's in-flight frames are dropped: the
@@ -286,58 +244,49 @@ fn serve_conn(stream: TcpStream, inner: &Arc<SeqInner>) {
                 if st.members.contains_key(&id) {
                     let seq = st.next_seq;
                     st.next_seq += 1;
-                    st.sequence_total(seq, id, payload);
+                    st.sequence(&DownFrame::Total { seq, sender: id, payload });
                 }
+                drop(st);
+                inner.appended.notify_all();
+                continue;
             }
             (UpFrame::Fifo { payload }, Some(id)) => {
                 let mut st = inner.state.lock();
                 if st.members.contains_key(&id) {
                     st.sequence(&DownFrame::Fifo { sender: id, payload });
                 }
+                drop(st);
+                inner.appended.notify_all();
+                continue;
             }
-            (UpFrame::Leave, Some(id)) => {
-                evict_and_shutdown(inner, &[id]);
-                break;
-            }
+            (UpFrame::Leave, Some(_)) => break,
             (UpFrame::Evict { member }, None) => {
                 evict_and_shutdown(inner, &[member]);
-                if write_frame(&mut (&read), &DownFrame::Evicted).is_err() {
-                    break;
-                }
+                DownFrame::Evicted
             }
-            (UpFrame::Query, None) => {
-                let frame = inner.state.lock().view_frame();
-                if write_frame(&mut (&read), &frame).is_err() {
-                    break;
-                }
-            }
+            (UpFrame::Query, None) => inner.state.lock().view_frame(),
             (UpFrame::Stats, None) => {
-                let frame = {
-                    let st = inner.state.lock();
-                    DownFrame::Stats {
-                        log_len: st.log.len() as u64,
-                        next_seq: st.next_seq,
-                        view_id: st.view_id,
-                        members: st
-                            .members
-                            .iter()
-                            .map(|(&id, c)| (id, c.queue_depth.load(Ordering::Relaxed)))
-                            .collect(),
-                    }
-                };
-                if write_frame(&mut (&read), &frame).is_err() {
-                    break;
+                let st = inner.state.lock();
+                DownFrame::Stats {
+                    log_len: st.log.len() as u64,
+                    next_seq: st.next_seq,
+                    view_id: st.view_id,
+                    members: st
+                        .members
+                        .iter()
+                        .map(|(&id, c)| (id, (st.log.len() - c.next) as u64))
+                        .collect(),
                 }
             }
-            (UpFrame::TimeProbe, None) => {
-                let now_ns = inner.epoch.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                if write_frame(&mut (&read), &DownFrame::Time { now_ns }).is_err() {
-                    break;
-                }
-            }
+            (UpFrame::TimeProbe, None) => DownFrame::Time {
+                now_ns: inner.epoch.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
+            },
             // Protocol violations (Join twice, payload before Join, admin
             // frames on a member connection) end the connection.
             _ => break,
+        };
+        if write_frame(&mut (&read), &reply).is_err() {
+            break;
         }
     }
     if let Some(id) = member {
@@ -345,122 +294,129 @@ fn serve_conn(stream: TcpStream, inner: &Arc<SeqInner>) {
     }
 }
 
-/// Admit a joiner: assign its member id and incarnation, sequence the view
-/// that includes it, replay the full log to it, and start its writer.
-fn handle_join(stream: &TcpStream, inner: &Arc<SeqInner>, replica: u64) -> io::Result<u64> {
+/// Admit a joiner: assign its member id and incarnation, register its
+/// cursor at the start of the log and sequence the view that includes it
+/// (O(1) under the lock — the history reaches the joiner through its
+/// writer like everything else), reply `Welcome`, and start the writer via
+/// `start_writer`. From registration on the member is in every view, so
+/// any later failure evicts it again.
+fn handle_join(
+    stream: &TcpStream,
+    inner: &Arc<SeqInner>,
+    replica: u64,
+    start_writer: impl FnOnce(TcpStream, Arc<SeqInner>, u64) -> io::Result<()>,
+) -> io::Result<u64> {
     if replica >= (1 << MEMBER_INCARNATION_SHIFT) {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "replica id exceeds 32 bits"));
     }
+    let conn = MemberConn { replica, stream: stream.try_clone()?, next: 0 };
     let write = stream.try_clone()?;
-    let (tx, rx) = channel::unbounded::<Outbound>();
-    let queue_depth = Arc::new(AtomicU64::new(0));
-    let id;
-    {
+    let (id, incarnation) = {
         let mut st = inner.state.lock();
-        let count = st.joins.get(&replica).copied().unwrap_or(0);
-        st.joins.insert(replica, count + 1);
-        id = (count << MEMBER_INCARNATION_SHIFT) | replica;
-        // Handshake reply first, then the full replay: the log already
-        // ends with the view frame that admits this member, because we
-        // register + sequence under the same lock hold.
-        let welcome = DownFrame::Welcome { member: id, incarnation: count };
-        let _ = tx.send(Outbound::Raw(welcome.to_wire().into()));
-        queue_depth.fetch_add(1, Ordering::Relaxed);
-        st.members.insert(
-            id,
-            MemberConn {
-                replica,
-                tx: tx.clone(),
-                queue_depth: Arc::clone(&queue_depth),
-                stream: stream.try_clone()?,
-            },
-        );
+        let joins = st.joins.entry(replica).or_insert(0);
+        let incarnation = *joins;
+        *joins += 1;
+        let id = (incarnation << MEMBER_INCARNATION_SHIFT) | replica;
+        st.members.insert(id, conn);
         st.view_id += 1;
         let frame = st.view_frame();
-        // `sequence` fans out to every live member including the joiner —
-        // but the joiner must first see the history, so replay everything
-        // *before* this view into its queue, then sequence. Replay is
-        // per-frame (`Raw`) even when batching is on: the log retains the
-        // single-frame encodings.
-        for encoded in &st.log {
-            let _ = tx.send(Outbound::Raw(Arc::clone(encoded)));
-        }
-        queue_depth.fetch_add(st.log.len() as u64, Ordering::Relaxed);
         st.sequence(&frame);
+        (id, incarnation)
+    };
+    inner.appended.notify_all();
+    // The handshake reply goes out before the writer exists, so it precedes
+    // every log frame on the socket.
+    let started = write_frame(&mut (&write), &DownFrame::Welcome { member: id, incarnation })
+        .and_then(|()| start_writer(write, Arc::clone(inner), id));
+    if let Err(e) = started {
+        evict_and_shutdown(inner, &[id]);
+        return Err(e);
     }
-    let writer_inner = Arc::clone(inner);
-    thread::Builder::new()
-        .name("sirep-seq-writer".into())
-        .spawn(move || writer_loop(write, &rx, &writer_inner, id, &queue_depth))?;
     Ok(id)
 }
 
-/// Drain one member's outbound queue onto its socket, coalescing runs of
-/// queued totals into [`DownFrame::Batch`] frames up to the configured cap.
-/// A write failure means the peer is gone: evict it so the group agrees.
-fn writer_loop(
-    mut stream: TcpStream,
-    rx: &Receiver<Outbound>,
-    inner: &Arc<SeqInner>,
-    id: u64,
-    queue_depth: &AtomicU64,
-) {
-    let batch_max = inner.batch_max;
-    // An item pulled off the queue that could not join the current batch;
-    // written on the next iteration, before blocking on the channel again.
-    let mut carry: Option<Outbound> = None;
+fn spawn_writer(stream: TcpStream, inner: Arc<SeqInner>, id: u64) -> io::Result<()> {
+    thread::Builder::new()
+        .name("sirep-seq-writer".into())
+        .spawn(move || writer_loop(stream, &inner, id))
+        .map(drop)
+}
+
+/// Send member `id` the log from its cursor on: wait until the cursor is
+/// behind the log, copy a chunk of frames out and advance the cursor — all
+/// under the lock — then put the chunk on the socket with one write, lock
+/// released. Returns once the member is evicted; a write failure means the
+/// peer is gone: evict it so the group agrees.
+fn writer_loop(mut stream: TcpStream, inner: &SeqInner, id: u64) {
+    let mut chunk = Vec::new();
     loop {
-        let first = match carry.take() {
-            Some(item) => item,
-            None => match rx.recv() {
-                Ok(item) => item,
-                Err(_) => return,
-            },
-        };
-        let mut drained = 1u64;
-        let written = match first {
-            Outbound::Raw(frame) => write_one(&mut stream, &frame),
-            Outbound::Total { seq, sender, payload, encoded } => {
-                // Coalesce totals that queued up behind this write; stop at
-                // the first non-total item so stream order is preserved.
-                let mut entries = vec![(seq, sender, (*payload).clone())];
-                let mut solo = Some(encoded);
-                while entries.len() < batch_max {
-                    match rx.try_recv() {
-                        Ok(Outbound::Total { seq, sender, payload, .. }) => {
-                            entries.push((seq, sender, (*payload).clone()));
-                            solo = None;
-                            drained += 1;
-                        }
-                        Ok(other) => {
-                            carry = Some(other);
-                            break;
-                        }
-                        Err(_) => break,
-                    }
-                }
-                match solo {
-                    // A lone total goes out byte-identical to the
-                    // unbatched stream.
-                    Some(encoded) => write_one(&mut stream, &encoded),
-                    None => write_one(&mut stream, &DownFrame::Batch { entries }.to_wire()),
-                }
+        let mut st = inner.state.lock();
+        let next = loop {
+            let Some(conn) = st.members.get(&id) else { return };
+            if conn.next < st.log.len() {
+                break conn.next;
             }
+            inner.appended.wait(&mut st);
         };
-        // Dequeued either way; saturate in case an enqueue/decrement pair
-        // ever races a restart of the counter.
-        let _ = queue_depth.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-            Some(v.saturating_sub(drained))
-        });
-        if !written {
+        chunk.clear();
+        let mut end = next;
+        for frame in st.log.iter().skip(next) {
+            chunk.extend_from_slice(frame);
+            end += 1;
+            if chunk.len() >= WRITE_CHUNK {
+                break;
+            }
+        }
+        if let Some(conn) = st.members.get_mut(&id) {
+            conn.next = end;
+        }
+        drop(st);
+        if stream.write_all(&chunk).is_err() {
             evict_and_shutdown(inner, &[id]);
             return;
         }
     }
 }
 
-fn write_one(stream: &mut TcpStream, frame: &[u8]) -> bool {
-    use std::io::Write;
-    let len = (frame.len() as u32).to_le_bytes();
-    stream.write_all(&len).is_ok() && stream.write_all(frame).is_ok() && stream.flush().is_ok()
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Delivery, Member, TcpGroup};
+    use std::time::Duration;
+
+    fn next_view(m: &impl Member<u64>) -> Vec<u64> {
+        match m.recv_timeout(Duration::from_secs(5)).expect("view change") {
+            Delivery::ViewChange(v) => v.members.iter().map(|m| m.raw()).collect(),
+            other => panic!("unexpected delivery: {other:?}"),
+        }
+    }
+
+    /// A join that fails after its cursor was registered (here: the writer
+    /// cannot be started) must not leave a ghost member in the views — the
+    /// joiner is evicted and the survivors see it go.
+    #[test]
+    fn join_failing_after_registration_is_evicted() {
+        let seq = Sequencer::spawn("127.0.0.1:0").expect("bind sequencer");
+        let group: TcpGroup<u64> = TcpGroup::new(seq.addr().to_string(), 0);
+        let survivor = group.join_as(0).expect("join");
+        assert_eq!(next_view(&survivor), vec![0]);
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut joiner = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server_side, _) = listener.accept().expect("accept");
+        let failed = handle_join(&server_side, &seq.inner, 7, |_, _, _| {
+            Err(io::Error::other("cannot start a writer"))
+        });
+        assert!(failed.is_err());
+
+        assert_eq!(next_view(&survivor), vec![0, 7], "the joiner was registered");
+        assert_eq!(next_view(&survivor), vec![0], "and evicted again when its writer failed");
+        let st = seq.inner.state.lock();
+        assert_eq!(st.members.keys().copied().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(st.view_id, 3);
+        drop(st);
+        // The joiner got its Welcome and then a closed socket — no frames.
+        assert!(matches!(read_frame(&mut joiner), Ok(DownFrame::Welcome { member: 7, .. })));
+        assert!(read_frame::<_, DownFrame>(&mut joiner).is_err());
+    }
 }

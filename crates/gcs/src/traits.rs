@@ -60,8 +60,7 @@ impl View {
     }
 }
 
-/// One message inside a [`Delivery::TotalBatch`]: the same `(seq, sender,
-/// msg)` triple a standalone [`Delivery::TotalOrder`] would carry.
+/// One message inside a [`Delivery::TotalBatch`].
 #[derive(Debug, Clone)]
 pub struct BatchEntry<M> {
     pub seq: u64,
@@ -78,13 +77,7 @@ pub enum Delivery<M> {
     /// sequenced (sim) or read off the wire (TCP), so receivers can
     /// attribute multicast latency without a cross-process clock.
     TotalOrder { seq: u64, sender: MemberId, sequenced_at: Instant, msg: M },
-    /// A coalesced run of consecutive total-order multicasts, delivered as
-    /// one unit. Entries are in sequence order (strictly ascending `seq`),
-    /// and processing them one by one is — by contract — indistinguishable
-    /// from receiving the same run as individual
-    /// [`TotalOrder`](Delivery::TotalOrder) deliveries. Backends emit this
-    /// only when batching is enabled; a batch is never split across a view
-    /// change.
+    /// No backend constructs this; declared only because `benchmark/` names it.
     TotalBatch { sequenced_at: Instant, entries: Vec<BatchEntry<M>> },
     /// FIFO multicast: per-sender order only (still globally consistent in
     /// both backends, as in Spread's agreed-order service levels).

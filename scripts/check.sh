@@ -107,6 +107,15 @@ if (( LINT_ELAPSED > 20 )); then
     exit 1
 fi
 
+echo "==> results/LOC.json is current (regenerate: scripts/loc.sh --against <parent checkout>)"
+# The commit line names whatever HEAD was when each side was counted; the
+# counts are what must match this tree.
+if ! diff <(sed -n '/^"after":/,$p' results/LOC.json | sed '/"commit":/d; $d; s/^"after": //') \
+          <(scripts/loc.sh | sed '/"commit":/d'); then
+    echo "FAIL: results/LOC.json's \"after\" block is not what scripts/loc.sh counts in this tree."
+    exit 1
+fi
+
 echo "==> cargo build (trace feature disabled — the no-op observability path)"
 cargo build --offline -p si-rep --no-default-features
 
@@ -115,7 +124,7 @@ if [[ "$QUICK" == "1" ]]; then
     cargo test --offline --workspace --lib -q
     echo "==> sirep-lint rule fixtures"
     cargo test --offline -p sirep-lint --test fixtures_test -q
-    echo "==> certification differential property tests (indexed vs scan oracle; batched vs single-frame delivery)"
+    echo "==> certification differential property tests (indexed vs scan oracle)"
     cargo test --offline -p sirep-core --lib validation::differential -q
     echo "==> sirep-model (exhaustive protocol exploration, quick scopes)"
     cargo run --offline -q --release -p sirep-model -- --quick --emit results

@@ -49,14 +49,9 @@ fn scripted_run(seed: u64) -> ScriptedRun {
         .map(|m| {
             let mut out = Vec::with_capacity(300);
             while out.len() < 300 {
-                match m.recv_timeout(Duration::from_secs(10)).expect("delivery lost") {
-                    Delivery::TotalOrder { seq, msg, .. } => out.push((seq, msg)),
-                    // Batching coalesces already-sequenced frames; the
-                    // per-entry (seq, payload) stream must be unchanged.
-                    Delivery::TotalBatch { entries, .. } => {
-                        out.extend(entries.into_iter().map(|e| (e.seq, e.msg)));
-                    }
-                    Delivery::Fifo { .. } | Delivery::ViewChange(_) => {}
+                let d = m.recv_timeout(Duration::from_secs(10)).expect("delivery lost");
+                if let Delivery::TotalOrder { seq, msg, .. } = d {
+                    out.push((seq, msg));
                 }
             }
             out
@@ -91,10 +86,7 @@ fn same_seed_reproduces_identical_fault_schedule() {
 // --- crash-points ---------------------------------------------------------
 
 fn cluster(n: usize) -> Arc<Cluster> {
-    cluster_with(n, GroupConfig::instant())
-}
-
-fn cluster_with(n: usize, gcs: GroupConfig) -> Arc<Cluster> {
+    let gcs = GroupConfig::instant();
     let c = Arc::new(Cluster::new(ClusterConfig::builder().replicas(n).gcs(gcs).build()));
     c.execute_ddl("CREATE TABLE kv (k INT, v INT, PRIMARY KEY (k))").unwrap();
     let mut s = c.session(0);
@@ -144,10 +136,9 @@ fn crash_point_mid_apply_recovers() {
 
 /// Crash a remote replica while its applier is draining a group-commit
 /// batch. A burst of concurrent, non-conflicting commits queues several
-/// ready writesets at replica 2 (`GroupConfig::instant()` batches delivery
-/// and the applier drains every ready entry into one engine transaction);
-/// the crash-point fires after the batch is picked up but before the
-/// engine commit. Recovery must restore every batched apply exactly once —
+/// ready writesets at replica 2 (the applier drains every ready entry into
+/// one engine transaction); the crash-point fires after the batch is picked
+/// up but before the engine commit. Recovery must restore every batched apply exactly once —
 /// no lost entry, no double-applied entry, auditor clean.
 #[test]
 fn crash_mid_batch_group_commit_recovers() {
@@ -200,11 +191,7 @@ fn sweep_seeds() -> u64 {
 /// committed, and the final SUM must equal the acked count at every
 /// replica.
 fn sweep_one_seed(seed: u64) {
-    sweep_one_seed_on(seed, GroupConfig::instant());
-}
-
-fn sweep_one_seed_on(seed: u64, gcs: GroupConfig) {
-    let c = cluster_with(3, gcs);
+    let c = cluster(3);
     let mut fc = FaultConfig::chaos(seed);
     // Planned partitions only heal on multicast traffic; a fully blocked
     // client generates none, so the cluster harness uses explicit monkey
@@ -323,12 +310,4 @@ fn seed_sweep_holds_one_copy_si_and_loses_no_acked_write() {
     for i in 0..sweep_seeds() {
         sweep_one_seed(0xC0FFEE + i * 7919);
     }
-}
-
-/// Control run with delivery batching disabled: the same invariants must
-/// hold on the single-frame stream, pinning any future sweep failure to
-/// (or away from) the batching layer.
-#[test]
-fn seed_sweep_unbatched_control() {
-    sweep_one_seed_on(0x0BA7_C0FF, GroupConfig::instant().unbatched());
 }

@@ -1,0 +1,273 @@
+//! The TCP tier's sequencer from tier-1: the sequenced log is the only queue
+//! and a member is a cursor into it (DESIGN.md §14). Three properties of
+//! that structure, over real loopback sockets:
+//!
+//! - a member that joins under load is sent the log from index 0 and ends
+//!   up with exactly the stream the older members have;
+//! - a member that stops reading falls behind *alone*: its cursor lag is
+//!   what `query_seq_stats` reports, and nobody else waits for it;
+//! - evicting a member ends its writer thread and drops what it still had
+//!   in flight.
+
+use si_rep::common::wire::{read_frame, write_frame};
+use si_rep::gcs::tcp::frames::{DownFrame, UpFrame};
+use si_rep::gcs::{
+    query_seq_stats, Delivery, Group, Member, SeqStats, Sequencer, TcpGroup, TcpMember,
+};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
+use std::thread;
+use std::time::{Duration, Instant};
+
+const TIMEOUT: Duration = Duration::from_secs(20);
+const STEP: Duration = Duration::from_millis(20);
+
+/// The tests share one process, hence one thread table; the eviction test
+/// counts sequencer writer threads in it, so sequencers run one at a time.
+static ONE_SEQUENCER: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    ONE_SEQUENCER.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+fn poll_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + TIMEOUT;
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        thread::sleep(STEP);
+    }
+}
+
+/// One entry of a member's delivery stream, comparable across members.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Entry {
+    Total { seq: u64, sender: u64, msg: u64 },
+    View(Vec<u64>),
+}
+
+/// Receive until the stream holds `totals` total-order deliveries and
+/// `views` view changes.
+fn collect(m: &TcpMember<u64>, totals: usize, views: usize) -> Vec<Entry> {
+    let deadline = Instant::now() + TIMEOUT;
+    let mut out = Vec::new();
+    let (mut t, mut v) = (0, 0);
+    while t < totals || v < views {
+        assert!(Instant::now() < deadline, "stream ended early: {t}/{totals} totals, {v} views");
+        match m.recv_timeout(STEP) {
+            Ok(Delivery::TotalOrder { seq, sender, msg, .. }) => {
+                t += 1;
+                out.push(Entry::Total { seq, sender: sender.raw(), msg });
+            }
+            Ok(Delivery::ViewChange(view)) => {
+                v += 1;
+                out.push(Entry::View(view.members.iter().map(|m| m.raw()).collect()));
+            }
+            Ok(other) => panic!("unexpected delivery: {other:?}"),
+            Err(_) => {}
+        }
+    }
+    out
+}
+
+#[test]
+fn joiner_under_load_receives_the_same_stream_from_seq_zero() {
+    let _one = serial();
+    let seq = Sequencer::spawn("127.0.0.1:0").expect("bind sequencer");
+    let group: TcpGroup<u64> = TcpGroup::new(seq.addr().to_string(), 0);
+    let a = group.join_as(0).expect("join");
+    let b = group.join_as(1).expect("join");
+    let stop = AtomicBool::new(false);
+    let late = thread::scope(|scope| {
+        for m in [&a, &b] {
+            let (cast, stop) = (m.handle(), &stop);
+            scope.spawn(move || {
+                let mut k = cast.id().raw() << 32;
+                while !stop.load(Ordering::Relaxed) {
+                    cast.multicast_total(k).expect("multicast");
+                    k += 1;
+                    thread::yield_now();
+                }
+            });
+        }
+        // Join in the middle of the traffic, then let it run on.
+        poll_until("traffic flows", || seq.sequenced() >= 300);
+        let late = group.join_as(2).expect("join under load");
+        let at_join = seq.sequenced();
+        poll_until("traffic continued past the join", || seq.sequenced() >= at_join + 300);
+        stop.store(true, Ordering::Relaxed);
+        late
+    });
+    // Both senders have returned, so everything they sent is on its way to
+    // the sequencer; wait for it to be sequenced.
+    let sent = Group::transport(&group).frames_out;
+    poll_until("every multicast is sequenced", || seq.sequenced() == sent);
+    let totals = sent as usize;
+
+    let streams: Vec<Vec<Entry>> = [&a, &b, &late].map(|m| collect(m, totals, 3)).into();
+    // Gap-free and duplicate-free from sequence number 0 ...
+    let seqs: Vec<u64> = streams[2]
+        .iter()
+        .filter_map(|e| match e {
+            Entry::Total { seq, .. } => Some(*seq),
+            Entry::View(_) => None,
+        })
+        .collect();
+    assert_eq!(seqs, (0..sent).collect::<Vec<_>>());
+    // ... and entry for entry what the members that were there all along got,
+    // view changes at the same positions included.
+    assert_eq!(streams[2], streams[0], "the joiner's stream differs from a's");
+    assert_eq!(streams[1], streams[0], "b's stream differs from a's");
+    assert_eq!(streams[0].len(), totals + 3);
+    let joined_at = streams[0].iter().position(|e| matches!(e, Entry::View(v) if v.len() == 3));
+    assert!(joined_at.is_some_and(|p| p > 300), "the join did not happen under load");
+}
+
+fn backlog_of(stats: &SeqStats, member: u64) -> u64 {
+    stats.members.iter().find(|&&(m, _)| m == member).expect("member in stats").1
+}
+
+#[test]
+fn stalled_member_falls_behind_alone_and_stats_report_its_cursor_lag() {
+    let _one = serial();
+    let seq = Sequencer::spawn("127.0.0.1:0").expect("bind sequencer");
+    let addr = seq.addr().to_string();
+    let group: TcpGroup<String> = TcpGroup::new(addr.clone(), 0);
+    let a = group.join_as(0).expect("join");
+    let b = group.join_as(1).expect("join");
+    // The member that stops reading speaks the frame protocol by hand: a
+    // `TcpMember`'s reader thread would keep draining the socket.
+    let mut stalled = TcpStream::connect(&addr).expect("connect");
+    write_frame(&mut stalled, &UpFrame::Join { replica: 2 }).expect("join frame");
+    let Ok(DownFrame::Welcome { member: stalled_id, .. }) = read_frame(&mut stalled) else {
+        panic!("no Welcome");
+    };
+
+    // Multicast until the stalled member's socket buffers are full and its
+    // writer is stuck in `write`: the cursor stops while the log keeps
+    // growing.
+    let drain = |m: &TcpMember<String>, n: usize| {
+        let deadline = Instant::now() + TIMEOUT;
+        let mut got = 0;
+        while got < n {
+            assert!(Instant::now() < deadline, "a reading member stopped receiving");
+            if let Ok(Delivery::TotalOrder { .. }) = m.recv_timeout(STEP) {
+                got += 1;
+            }
+        }
+    };
+    let cast = a.handle();
+    let payload = "x".repeat(64 << 10);
+    let mut rounds = 0;
+    let mut last_cursor = None;
+    let stats = loop {
+        rounds += 1;
+        assert!(rounds <= 64, "256 MiB sent and the stalled member's writer never blocked");
+        for _ in 0..64 {
+            cast.multicast_total(payload.clone()).expect("multicast");
+        }
+        // "The other members keep receiving": all of it, every round.
+        drain(&a, 64);
+        drain(&b, 64);
+        let stats = query_seq_stats(&addr).expect("stats");
+        let cursor = stats.log_len - backlog_of(&stats, stalled_id);
+        if backlog_of(&stats, stalled_id) > 64 && last_cursor == Some(cursor) {
+            break stats;
+        }
+        last_cursor = Some(cursor);
+    };
+    assert_eq!(stats.log_len, stats.next_seq + 3, "the log is the totals plus three join views");
+    assert_eq!(backlog_of(&stats, a.id().raw()), 0, "a is caught up: {stats:?}");
+    assert_eq!(backlog_of(&stats, b.id().raw()), 0, "b is caught up: {stats:?}");
+    let lag = backlog_of(&stats, stalled_id);
+    assert_eq!(stats.backlog(), lag, "the whole backlog is the stalled member's");
+
+    // The member resumes: it is sent the log from where its cursor stood —
+    // which is everything, in order, from index 0 — and the lag drains to 0.
+    let mut next_seq = 0;
+    for delivered in 0..stats.log_len {
+        match read_frame::<_, DownFrame>(&mut stalled).expect("log frame") {
+            DownFrame::Total { seq, .. } => {
+                assert_eq!(seq, next_seq, "gap or duplicate at log frame {delivered}");
+                next_seq += 1;
+            }
+            DownFrame::View { .. } => {}
+            other => panic!("unexpected frame: {other:?}"),
+        }
+        if delivered % 256 == 0 {
+            // backlog = log_len − cursor, and the cursor is never behind
+            // what the member has been handed.
+            let s = query_seq_stats(&addr).expect("stats");
+            assert!(backlog_of(&s, stalled_id) <= s.log_len - delivered, "{s:?} at {delivered}");
+        }
+    }
+    assert_eq!(next_seq, stats.next_seq);
+    let s = query_seq_stats(&addr).expect("stats");
+    assert_eq!((s.log_len, s.backlog()), (stats.log_len, 0), "delivered everything: {s:?}");
+}
+
+/// Live threads of this process named like the sequencer's member writers
+/// (`comm` keeps the first 15 bytes of "sirep-seq-writer").
+fn writer_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.trim_end() == "sirep-seq-write")
+        .count()
+}
+
+#[test]
+fn evicted_members_writer_exits_and_its_frames_in_flight_are_dropped() {
+    let _one = serial();
+    assert_eq!(writer_threads(), 0, "a previous sequencer left writer threads behind");
+    let seq = Sequencer::spawn("127.0.0.1:0").expect("bind sequencer");
+    let group: TcpGroup<u64> = TcpGroup::new(seq.addr().to_string(), 0);
+    let a = group.join_as(0).expect("join");
+    let b = group.join_as(1).expect("join");
+    poll_until("both writers run", || writer_threads() == 2);
+
+    // b multicasts without pause; it is evicted in mid-stream, so some of
+    // its frames are on the socket, unread, when the sequencer drops it.
+    let stop = AtomicBool::new(false);
+    let cast = b.handle();
+    let stream = thread::scope(|scope| {
+        let stop = &stop;
+        scope.spawn(move || {
+            let mut k = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                // Fails once b has noticed its eviction; keep trying.
+                let _ = cast.multicast_total(k);
+                k += 1;
+            }
+        });
+        poll_until("b's traffic flows", || seq.sequenced() >= 200);
+        group.crash(b.id());
+        let evicted_at = seq.sequenced();
+        // Everything b still sends now is in flight to a sequencer that no
+        // longer knows it.
+        thread::sleep(Duration::from_millis(100));
+        stop.store(true, Ordering::Relaxed);
+        assert_eq!(seq.sequenced(), evicted_at, "a frame of the evicted member was sequenced");
+        collect(&a, evicted_at as usize, 3)
+    });
+    // a got a gap-free prefix of b's messages, then the view without b, and
+    // nothing after it.
+    let msgs: Vec<u64> = stream
+        .iter()
+        .filter_map(|e| match e {
+            Entry::Total { sender, msg, .. } => {
+                assert_eq!(*sender, b.id().raw(), "only b multicast");
+                Some(*msg)
+            }
+            Entry::View(_) => None,
+        })
+        .collect();
+    assert_eq!(msgs, (0..msgs.len() as u64).collect::<Vec<_>>());
+    assert_eq!(stream.last(), Some(&Entry::View(vec![a.id().raw()])), "crash view comes last");
+    assert!(a.recv_timeout(Duration::from_millis(200)).is_err(), "delivery after the crash view");
+    poll_until("b's endpoint notices the eviction", || b.handle().multicast_total(0).is_err());
+
+    poll_until("b's writer thread exits", || writer_threads() == 1);
+    drop(seq);
+    poll_until("shutdown ends the last writer", || writer_threads() == 0);
+}
