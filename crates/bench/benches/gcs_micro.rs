@@ -9,7 +9,7 @@
 
 use sirep_bench as bench;
 use sirep_common::OnlineStats;
-use sirep_gcs::{Delivery, GroupConfig, SimGroup};
+use sirep_gcs::{Cast, Delivery, GroupConfig, Member, SimGroup};
 use std::time::Instant;
 
 fn main() {
@@ -21,15 +21,16 @@ fn main() {
     println!("{:>12} {:>14} {:>14} {:>12}", "rate msg/s", "mean ms", "p99-ish ms", "delivered");
     for &rate in &bench::thin(&[100.0, 200.0, 400.0, 800.0]) {
         let group: SimGroup<u64> = SimGroup::new(cfg.clone());
-        let members: Vec<_> = (0..5).map(|_| group.join()).collect();
+        let mut members: Vec<_> = (0..5).map(|_| group.join()).collect();
         for m in &members {
             while let Some(Delivery::ViewChange(_)) = m.try_recv() {}
         }
         let n = if bench::quick() { 200 } else { 1000 };
         let sender = members[0].handle();
         let gap_ms = 1000.0 / rate;
-        // Receive concurrently at a non-sender member, recording arrivals.
-        let receiver = members.into_iter().nth(1).expect("5 members");
+        // Receive concurrently at a non-sender member, recording arrivals;
+        // the other members stay joined (a dropped endpoint leaves the group).
+        let receiver = members.swap_remove(1);
         let rx_thread = std::thread::spawn(move || {
             let mut arrivals = Vec::with_capacity(n);
             while arrivals.len() < n {

@@ -27,7 +27,7 @@ use crate::msg::XactId;
 use crate::session::{Connection, System, TxnTemplate};
 use parking_lot::{Condvar, Mutex};
 use sirep_common::{AbortReason, DbError, Metrics, ReplicaId};
-use sirep_gcs::{Delivery, GroupConfig, SimGroup, SimHandle, SimMember};
+use sirep_gcs::{Cast, Delivery, GroupConfig, Member, SimGroup, SimHandle, SimMember};
 use sirep_sql::ExecResult;
 use sirep_storage::{CostModel, Database, WriteSet};
 use std::collections::{HashMap, VecDeque};

@@ -532,6 +532,37 @@ mod tcp_only {
         }
     }
 
+    /// `Group::crash` and `Group::view` used to read the reply with no
+    /// timeout, so a sequencer that accepts and never answers blocked them
+    /// for ever (while `query_seq_stats` on the same socket gave up).
+    #[test]
+    fn admin_calls_give_up_on_a_silent_sequencer() {
+        use crate::tcp::ADMIN_TIMEOUT;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let group = TcpGroup::<u64>::new(listener.local_addr().expect("addr").to_string(), 0);
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        thread::scope(|scope| {
+            // Accept both admin connections and hold them open, silently.
+            scope.spawn(move || {
+                let conns: Vec<_> = (0..2).map(|_| listener.accept()).collect();
+                let _ = held.recv();
+                drop(conns);
+            });
+            fn timed(call: impl FnOnce()) -> Duration {
+                let start = Instant::now();
+                call();
+                start.elapsed()
+            }
+            let view = scope.spawn(|| timed(|| assert!(group.view().members.is_empty())));
+            let crash = scope.spawn(|| timed(|| group.crash(MemberId::new(0))));
+            for (what, call) in [("view", view), ("crash", crash)] {
+                let took = call.join().expect("admin call panicked");
+                assert!(took < ADMIN_TIMEOUT + Duration::from_secs(3), "{what} took {took:?}");
+            }
+            drop(release);
+        });
+    }
+
     /// The clock-probe leg: the sequencer's monotonic clock is readable
     /// and monotonic across probes.
     #[test]

@@ -10,15 +10,18 @@
 //!   arrives later via a simulated retransmission.  A uniform reliable
 //!   multicast never silently loses a message to a live member — drops
 //!   manifest as extra latency, exactly as Spread's retransmission does.
-//! - **Duplicate**: a second copy of a total-order message is enqueued
-//!   back-to-back; the receive path dedups by sequence number.
+//! - **Duplicate**: a decision of the schedule only. A member is a cursor
+//!   into the group's log and passes each entry once, so there is no second
+//!   copy to deliver; the decision is still drawn, `note`d and folded into
+//!   the fingerprint.
 //! - **ExtraDelay**: the copy is delayed beyond the configured latency.
 //! - **Partitions** (driven by [`FaultConfig::partition_prob`] or
 //!   explicitly via `Group::partition`): isolated members stop receiving —
-//!   deliveries are *held*, not dropped — and their own multicasts are held
-//!   unsequenced at the sequencer.  Healing flushes held copies in the
-//!   original order and then sequences the held sends, so one total order
-//!   is preserved; the minority simply observes it late.
+//!   their cursors are *bounded* at the log index where the partition
+//!   began, nothing is dropped — and their own multicasts are held
+//!   unsequenced.  Healing lifts the bound and then sequences the held
+//!   sends, so one total order is preserved; the minority simply observes
+//!   it late.
 //!
 //! **Determinism pillar**: every per-copy decision is a pure function of
 //! `(seed, message_index, member)` — *not* a sequential RNG draw — so the
@@ -115,7 +118,8 @@ pub enum FaultRecord {
     /// A partition isolating `isolated` started at message index `msg`.
     PartitionStart { msg: u64, isolated: Vec<u64> },
     /// The partition healed at message index `msg`, releasing `flushed`
-    /// held delivery copies.
+    /// deliveries: the entries appended since it began, once per isolated
+    /// member.
     PartitionHeal { msg: u64, flushed: u64 },
 }
 
@@ -263,8 +267,8 @@ impl FaultState {
         self.push_record(FaultRecord::PartitionStart { msg, isolated });
     }
 
-    /// Clear partition state; the group flushes held copies and reports how
-    /// many via `flushed`.
+    /// Clear partition state; the group reports via `flushed` how many
+    /// deliveries the bounded cursors were kept from.
     pub fn end_partition(&mut self, flushed: u64) {
         self.isolated.clear();
         self.plan_heal_at = None;

@@ -27,7 +27,7 @@
 //!   contract (DESIGN.md §14).
 //!
 //! ```
-//! use sirep_gcs::{SimGroup, GroupConfig, Delivery};
+//! use sirep_gcs::{Cast, Delivery, GroupConfig, Member, SimGroup};
 //!
 //! let group: SimGroup<String> = SimGroup::new(GroupConfig::instant());
 //! let a = group.join();
@@ -36,7 +36,7 @@
 //! while let Some(Delivery::ViewChange(_)) = a.try_recv() {}
 //! while let Some(Delivery::ViewChange(_)) = b.try_recv() {}
 //!
-//! a.multicast_total("hello".to_owned()).unwrap();
+//! a.handle().multicast_total("hello".to_owned()).unwrap();
 //! match b.recv().unwrap() {
 //!     Delivery::TotalOrder { msg, .. } => assert_eq!(msg, "hello"),
 //!     other => panic!("unexpected: {other:?}"),
@@ -47,11 +47,13 @@
 
 pub mod fault;
 pub mod group;
+pub mod seqlog;
 pub mod tcp;
 pub mod traits;
 
 pub use fault::{FaultConfig, FaultDecision, FaultRecord, NETWORK_REPLICA};
 pub use group::{GroupConfig, SimGroup, SimHandle, SimMember};
+pub use seqlog::SeqLog;
 pub use tcp::{probe_seq_time, query_seq_stats, SeqStats, Sequencer, TcpCast, TcpGroup, TcpMember};
 pub use traits::{Cast, Delivery, GcsError, Group, Member, View, HELD_SEND_SEQ};
 

@@ -1,0 +1,273 @@
+//! The sequencer, as a data structure: one log of frames, one cursor per
+//! member, and nothing else — no thread, no clock, no socket. Both backends
+//! are shells over it: [`crate::SimGroup`] adds simulated latency and the
+//! seeded fault plan, [`crate::Sequencer`] adds sockets and writer threads.
+//! Each shell keeps one `SeqLog` behind one lock and calls every `&mut`
+//! method under it.
+//!
+//! **The delivery contract** (what SRCA-Rep §5.2/§5.4 assumes of the GCS,
+//! and what `conformance_tests.rs` checks on both backends) follows from
+//! that shape — *one log, appended under one lock, every cursor reads it in
+//! index order*:
+//!
+//! - **Total order.** Total-order frames, FIFO frames and view changes are
+//!   entries of the same log. A cursor only moves forward, so every member
+//!   consumes a contiguous slice of one stream: same frames, same order,
+//!   same interleaving. [`SeqLog::total`] numbers frames densely from 0.
+//! - **Uniform reliable delivery.** A frame is appended *before* any later
+//!   eviction's view entry, so every survivor's cursor passes it first; a
+//!   frame from a sender that is no longer a member is refused and leaves
+//!   the log untouched. That is §5.4's dichotomy: a crashed replica's
+//!   writeset reaches every survivor *before the crash view, or not at all*.
+//! - **View synchrony.** [`SeqLog::admit`] and [`SeqLog::evict`] change the
+//!   member table and append the view that says so in one step; the view
+//!   sits at one log index, hence at the same position in every stream.
+//!
+//! A slow member is a cursor that lags ([`SeqLog::backlog`]); it never
+//! delays an append. [`SeqLog::trim`] drops what every cursor has passed;
+//! indices stay absolute, so trimming is invisible to the cursors.
+
+use std::collections::{vec_deque, BTreeMap, VecDeque};
+
+struct Cursor<C> {
+    conn: C,
+    /// Absolute index of the first frame this member has not consumed.
+    next: u64,
+}
+
+/// The sequenced log of opaque frames `F` plus the member table
+/// `id → (C, cursor)`; `C` is whatever the shell keeps per member.
+pub struct SeqLog<F, C> {
+    next_seq: u64,
+    view_id: u64,
+    /// Sorted by id, so views and iteration order are deterministic.
+    members: BTreeMap<u64, Cursor<C>>,
+    /// Absolute index of `frames[0]`; everything below it was trimmed.
+    base: u64,
+    frames: VecDeque<F>,
+}
+
+impl<F, C> Default for SeqLog<F, C> {
+    fn default() -> Self {
+        SeqLog {
+            next_seq: 0,
+            view_id: 0,
+            members: BTreeMap::new(),
+            base: 0,
+            frames: VecDeque::new(),
+        }
+    }
+}
+
+impl<F, C> SeqLog<F, C> {
+    /// The next total-order sequence number [`SeqLog::total`] will assign.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Id of the latest view (0 before the first join).
+    pub fn view_id(&self) -> u64 {
+        self.view_id
+    }
+
+    /// The absolute index the next appended frame gets: the log's length,
+    /// trimmed frames included.
+    pub fn end(&self) -> u64 {
+        self.base + self.frames.len() as u64
+    }
+
+    /// Frames currently held (`end()` minus what [`SeqLog::trim`] dropped).
+    pub fn retained(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// The current members in id order.
+    pub fn members(&self) -> impl Iterator<Item = (u64, &C)> {
+        self.members.iter().map(|(&id, c)| (id, &c.conn))
+    }
+
+    pub fn contains(&self, id: u64) -> bool {
+        self.members.contains_key(&id)
+    }
+
+    fn push_view(&mut self, view: impl FnOnce(&Self) -> F) {
+        self.view_id += 1;
+        let frame = view(self);
+        self.frames.push_back(frame);
+    }
+
+    /// Register `id` with its cursor at `from` (clamped to what the log
+    /// still holds: 0 replays all of it, [`SeqLog::end`] starts at the
+    /// joiner's own view) and append the view that includes it. `view`
+    /// renders a view frame from the log's new `view_id` and `members`.
+    pub fn admit(&mut self, id: u64, conn: C, from: u64, view: impl FnOnce(&Self) -> F) {
+        let next = from.clamp(self.base, self.end());
+        self.members.insert(id, Cursor { conn, next });
+        self.push_view(view);
+    }
+
+    /// Remove `ids` and append one view covering all of them; ids that are
+    /// not members are skipped, and if none is, nothing is appended.
+    /// Returns what the shell kept for each evicted member.
+    pub fn evict(&mut self, ids: &[u64], view: impl FnOnce(&Self) -> F) -> Vec<C> {
+        let gone: Vec<C> =
+            ids.iter().filter_map(|id| self.members.remove(id)).map(|c| c.conn).collect();
+        if !gone.is_empty() {
+            self.push_view(view);
+        }
+        gone
+    }
+
+    /// Append `sender`'s total-order frame, built from the sequence number
+    /// it is assigned. `None`: `sender` is not a member, nothing happened.
+    pub fn total(&mut self, sender: u64, frame: impl FnOnce(u64) -> F) -> Option<u64> {
+        if !self.contains(sender) {
+            return None;
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.frames.push_back(frame(seq));
+        Some(seq)
+    }
+
+    /// Append `sender`'s FIFO frame; `false` (and no append) for a
+    /// non-member.
+    pub fn fifo(&mut self, sender: u64, frame: F) -> bool {
+        let member = self.contains(sender);
+        if member {
+            self.frames.push_back(frame);
+        }
+        member
+    }
+
+    /// `id`'s cursor and the frames from it to the log's end, in order;
+    /// `None` once `id` is not a member.
+    pub fn pending(&self, id: u64) -> Option<(u64, vec_deque::Iter<'_, F>)> {
+        let next = self.members.get(&id)?.next;
+        Some((next, self.frames.range((next - self.base) as usize..)))
+    }
+
+    /// Move `id`'s cursor `n` frames forward (never past the end).
+    pub fn advance(&mut self, id: u64, n: u64) {
+        let end = self.end();
+        if let Some(c) = self.members.get_mut(&id) {
+            c.next = (c.next + n).min(end);
+        }
+    }
+
+    /// `(member, frames it has not consumed)` in id order.
+    pub fn backlog(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let end = self.end();
+        self.members.iter().map(move |(&id, c)| (id, end - c.next))
+    }
+
+    /// Drop every frame below the slowest cursor.
+    pub fn trim(&mut self) {
+        let keep_from = self.members.values().map(|c| c.next).min().unwrap_or(self.end());
+        self.frames.drain(..(keep_from - self.base) as usize);
+        self.base = keep_from;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    type Log = SeqLog<String, &'static str>;
+
+    fn view(log: &Log) -> String {
+        let ids: Vec<String> = log.members().map(|(id, _)| id.to_string()).collect();
+        format!("view{}[{}]", log.view_id(), ids.join(","))
+    }
+
+    fn total(log: &mut Log, sender: u64) -> Option<u64> {
+        log.total(sender, |seq| format!("t{seq}/{sender}"))
+    }
+
+    fn pending(log: &Log, id: u64) -> Vec<String> {
+        log.pending(id).expect("member").1.cloned().collect()
+    }
+
+    #[test]
+    fn seqs_are_dense_and_frames_land_in_call_order() {
+        let mut log = Log::default();
+        log.admit(1, "a", 0, view);
+        log.admit(2, "b", 0, view);
+        assert_eq!(total(&mut log, 2), Some(0));
+        assert!(log.fifo(1, "f/1".into()));
+        assert_eq!(total(&mut log, 1), Some(1));
+        assert_eq!(log.next_seq(), 2);
+        let all = ["view1[1]", "view2[1,2]", "t0/2", "f/1", "t1/1"];
+        assert_eq!(pending(&log, 1), all);
+        assert_eq!(pending(&log, 2), all);
+    }
+
+    #[test]
+    fn frames_from_unknown_or_evicted_senders_are_refused() {
+        let mut log = Log::default();
+        log.admit(1, "a", 0, view);
+        log.admit(2, "b", 0, view);
+        assert_eq!(log.evict(&[2], view), vec!["b"]);
+        let before = (log.end(), log.next_seq(), log.view_id());
+        for stranger in [2, 9] {
+            assert_eq!(total(&mut log, stranger), None);
+            assert!(!log.fifo(stranger, "f".into()));
+        }
+        assert_eq!((log.end(), log.next_seq(), log.view_id()), before, "log changed");
+        assert!(log.pending(2).is_none(), "an evicted member has no cursor");
+    }
+
+    #[test]
+    fn evict_appends_one_view_for_all_ids_and_none_for_nobody() {
+        let mut log = Log::default();
+        for (id, conn) in [(1, "a"), (2, "b"), (3, "c")] {
+            log.admit(id, conn, 0, view);
+        }
+        let end = log.end();
+        assert_eq!(log.evict(&[3, 7, 2], view), vec!["c", "b"]);
+        assert_eq!(log.end(), end + 1);
+        assert_eq!(pending(&log, 1).last().expect("view"), "view4[1]");
+        assert!(log.evict(&[7, 2], view).is_empty());
+        assert!(log.evict(&[], view).is_empty());
+        assert_eq!((log.end(), log.view_id()), (end + 1, 4), "evicting nobody appended");
+    }
+
+    #[test]
+    fn joiner_from_zero_replays_the_log_and_from_end_starts_at_its_view() {
+        let mut log = Log::default();
+        log.admit(1, "a", 0, view);
+        total(&mut log, 1);
+        log.admit(2, "replay", 0, view);
+        assert_eq!(pending(&log, 2), ["view1[1]", "t0/1", "view2[1,2]"]);
+        log.admit(3, "fresh", log.end(), view);
+        assert_eq!(pending(&log, 3), ["view3[1,2,3]"]);
+    }
+
+    #[test]
+    fn trim_stops_at_the_slowest_cursor_and_indices_stay_absolute() {
+        let mut log = Log::default();
+        log.admit(1, "fast", 0, view);
+        log.admit(2, "slow", 0, view);
+        for _ in 0..8 {
+            total(&mut log, 1);
+        }
+        log.advance(1, 10);
+        log.advance(2, 3);
+        log.trim();
+        assert_eq!((log.end(), log.retained()), (10, 7));
+        assert_eq!(log.pending(2).expect("member").0, 3);
+        assert_eq!(pending(&log, 2).first().expect("frame"), "t1/1", "index 3 is still index 3");
+        assert_eq!(log.backlog().collect::<Vec<_>>(), [(1, 0), (2, 7)]);
+        // A cursor cannot run past the end, and a joiner cannot be handed
+        // what was trimmed.
+        log.advance(1, 99);
+        assert_eq!(log.pending(1).expect("member").0, 10);
+        log.admit(3, "late", 0, view);
+        assert_eq!(log.pending(3).expect("member").0, 3);
+        // The slow member leaves: nothing holds the log back any more.
+        let _ = log.evict(&[2, 3], view);
+        log.advance(1, 99);
+        log.trim();
+        assert_eq!((log.end(), log.retained()), (12, 0));
+    }
+}

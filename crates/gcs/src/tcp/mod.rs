@@ -48,10 +48,10 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-/// Read timeout for one-shot admin scrapes ([`query_seq_stats`],
-/// [`probe_seq_time`]): a hung or half-dead sequencer turns into an `Err`,
-/// never a stuck report role.
-const ADMIN_TIMEOUT: Duration = Duration::from_secs(5);
+/// Read timeout for every one-shot admin request (`Group::crash`,
+/// `Group::view`, [`query_seq_stats`], [`probe_seq_time`]): a hung or
+/// half-dead sequencer turns into an `Err`, never a stuck caller.
+pub(crate) const ADMIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Group-level telemetry shared by a [`TcpGroup`] and every endpoint it
 /// created.
@@ -133,13 +133,6 @@ impl<M: Wire + Clone + Send + 'static> TcpGroup<M> {
         self.telemetry.live.lock().push(Arc::downgrade(&member.shared));
         Ok(member)
     }
-
-    fn admin(&self, req: &UpFrame) -> io::Result<DownFrame> {
-        let mut stream = TcpStream::connect(&self.addr)?;
-        stream.set_nodelay(true)?;
-        write_frame(&mut stream, req)?;
-        read_frame(&mut stream)
-    }
 }
 
 fn io_gcs(e: io::Error) -> GcsError {
@@ -155,11 +148,11 @@ impl<M: Wire + Clone + Send + 'static> Group<M> for TcpGroup<M> {
     fn crash(&self, id: MemberId) {
         // Best-effort admin request; the reply is read so the eviction's
         // view change is sequenced before this returns.
-        let _ = self.admin(&UpFrame::Evict { member: id.raw() });
+        let _ = admin_scrape(&self.addr, &UpFrame::Evict { member: id.raw() });
     }
 
     fn view(&self) -> View {
-        match self.admin(&UpFrame::Query) {
+        match admin_scrape(&self.addr, &UpFrame::Query) {
             Ok(DownFrame::View { id, members }) => {
                 View { id, members: members.into_iter().map(|(m, _)| MemberId::new(m)).collect() }
             }
@@ -523,7 +516,8 @@ impl<M: Wire + Clone + Send + 'static> Cast<M> for TcpCast<M> {
 }
 
 // ======================================================================
-// Sequencer admin scrapes (report/audit roles, telemetry service).
+// One-shot sequencer admin requests (`Group::crash`/`view`, the
+// report/audit roles, the telemetry service).
 // ======================================================================
 
 /// Sequencer-side observability counters, scraped over a one-shot admin

@@ -1,32 +1,23 @@
 //! The sequencer service: a single process that imposes the group's total
 //! order over TCP.
 //!
-//! The sequenced stream is one append-only log of length-prefixed
-//! [`DownFrame`]s under one mutex, and a member is a socket plus a cursor
-//! into that log. Sequencing a frame is "append it, wake the writers"; each
-//! member's writer thread takes the frames past its cursor (a bounded
-//! chunk) under the lock and puts them on the socket with one write,
-//! outside it. There is no other queue. The guarantees follow:
-//!
-//! - **Total order**: there is one log, appended to under the lock, and
-//!   every member is sent it from index 0 in index order (payloads, FIFOs
-//!   and view frames interleaved identically).
-//! - **Uniform reliable delivery**: a sequenced frame sits in the log
-//!   *before* any later eviction's view frame, so every survivor's cursor
-//!   passes it first; a frame still in flight from a member that gets
-//!   evicted is discarded at the reader ("before the crash view, or not at
-//!   all"). A slow or dead peer never blocks sequencing — its cursor falls
-//!   behind ([`DownFrame::Stats`] reports by how much) and a failed write
-//!   evicts it.
-//! - **View synchrony**: view frames are entries of the same log.
+//! This file is the I/O shell — sockets, threads and one condvar — over
+//! the [`SeqLog`] core, which owns the sequenced stream, the member cursors
+//! and the delivery contract (see `seqlog.rs`). Here a frame is one
+//! length-prefixed [`DownFrame`] and a member is a socket plus its cursor.
+//! Sequencing is "append, wake the writers"; each member's writer thread
+//! takes the frames past its cursor (a bounded chunk) under the lock and
+//! puts them on the socket with one write, outside it. A slow or dead peer
+//! never blocks sequencing — its cursor falls behind ([`DownFrame::Stats`]
+//! reports by how much) and a failed write evicts it.
 //!
 //! A joiner starts at cursor 0: a restarted replica recovers by
 //! deterministic replay rather than state transfer. Its join bumps the
 //! replica's **incarnation** (returned in `Welcome`), which the middleware
 //! folds into fresh transaction ids so replayed-and-deduped outcomes can
-//! never collide with new ones. The log is never truncated — acceptable for
-//! the smoke tier this backend serves; truncating below `min(next)` needs a
-//! checkpoint for later joiners (ROADMAP item 4).
+//! never collide with new ones. Nothing calls [`SeqLog::trim`] here yet —
+//! acceptable for the smoke tier this backend serves; trimming needs a
+//! checkpoint for later joiners (ROADMAP item 2).
 //!
 //! Failure detection is TCP-level: a member connection reaching EOF or an
 //! unwritable outbound socket evicts the member and sequences the view
@@ -34,6 +25,7 @@
 //! the paper assumes.
 
 use super::frames::{DownFrame, UpFrame};
+use crate::seqlog::SeqLog;
 use parking_lot::{Condvar, Mutex};
 use sirep_common::wire::{read_frame, write_frame, Wire};
 use std::collections::BTreeMap;
@@ -54,78 +46,56 @@ pub const MEMBER_INCARNATION_SHIFT: u32 = 32;
 /// and the copy under the sequencer lock stays short.
 const WRITE_CHUNK: usize = 64 << 10;
 
-/// One connected member as the sequencer sees it.
+/// What the sequencer keeps per member besides its cursor.
 struct MemberConn {
     replica: u64,
     /// The member's socket, kept for shutdown at eviction (wakes both the
     /// member's reader and our writer).
     stream: TcpStream,
-    /// Index of the first log frame this member's writer has not taken.
-    next: usize,
 }
+
+/// The sequenced stream in the length-prefixed form that goes on the wire.
+type Log = SeqLog<Box<[u8]>, MemberConn>;
 
 struct SeqState {
-    next_seq: u64,
-    view_id: u64,
+    log: Log,
     /// Join count per replica id — the incarnation handed to each joiner.
     joins: BTreeMap<u64, u64>,
-    /// Live members, keyed by member id (sorted ⇒ deterministic view
-    /// ordering).
-    members: BTreeMap<u64, MemberConn>,
-    /// The full sequenced stream: each entry is one `DownFrame` (view frames
-    /// included) in the length-prefixed form that goes on the wire.
-    log: Vec<Box<[u8]>>,
 }
 
-impl SeqState {
-    fn view_frame(&self) -> DownFrame {
-        DownFrame::View {
-            id: self.view_id,
-            members: self.members.iter().map(|(&id, c)| (id, c.replica)).collect(),
-        }
+/// `frame` as it goes on the wire: a little-endian `u32` length, then the
+/// encoding.
+fn framed(frame: &DownFrame) -> Box<[u8]> {
+    let mut framed = vec![0u8; 4];
+    frame.encode(&mut framed);
+    let len = (framed.len() - 4) as u32;
+    for (dst, src) in framed.iter_mut().zip(len.to_le_bytes()) {
+        *dst = src;
     }
+    framed.into_boxed_slice()
+}
 
-    /// Append a frame to the log. Must run under the state lock — that is
-    /// what makes the stream total; the caller wakes the writers
-    /// ([`SeqInner::appended`]) once it has released it.
-    fn sequence(&mut self, frame: &DownFrame) {
-        let mut framed = vec![0u8; 4];
-        frame.encode(&mut framed);
-        let len = (framed.len() - 4) as u32;
-        for (dst, src) in framed.iter_mut().zip(len.to_le_bytes()) {
-            *dst = src;
-        }
-        self.log.push(framed.into_boxed_slice());
+fn view_frame(log: &Log) -> DownFrame {
+    DownFrame::View {
+        id: log.view_id(),
+        members: log.members().map(|(id, c)| (id, c.replica)).collect(),
     }
+}
 
-    /// Remove members and sequence one view frame covering all of them.
-    ///
-    /// Returns the evicted members' sockets for the caller to shut down
-    /// *after* releasing the state lock: `shutdown` is a syscall, and
-    /// running it under the sequencer lock stalls sequencing for the
-    /// whole group while the kernel tears down a dead peer's socket.
-    #[must_use]
-    fn evict(&mut self, ids: &[u64]) -> Vec<TcpStream> {
-        let evicted: Vec<TcpStream> =
-            ids.iter().filter_map(|id| self.members.remove(id)).map(|c| c.stream).collect();
-        if !evicted.is_empty() {
-            self.view_id += 1;
-            let frame = self.view_frame();
-            self.sequence(&frame);
-        }
-        evicted
-    }
+fn framed_view(log: &Log) -> Box<[u8]> {
+    framed(&view_frame(log))
 }
 
 /// Evict `ids` under the state lock, then — with the lock released — wake
 /// the writers (the evicted ones exit, the rest send the view) and shut the
 /// evicted sockets down (wakes each evicted member's reader and a writer
-/// blocked on its socket).
+/// blocked on its socket). The shutdown is a syscall: under the lock it
+/// would stall sequencing while the kernel tears down a dead peer's socket.
 fn evict_and_shutdown(inner: &SeqInner, ids: &[u64]) {
-    let evicted = inner.state.lock().evict(ids);
+    let evicted = inner.state.lock().log.evict(ids, framed_view);
     inner.appended.notify_all();
-    for stream in evicted {
-        let _ = stream.shutdown(Shutdown::Both);
+    for conn in evicted {
+        let _ = conn.stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -155,13 +125,7 @@ impl Sequencer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let inner = Arc::new(SeqInner {
-            state: Mutex::new(SeqState {
-                next_seq: 0,
-                view_id: 0,
-                joins: BTreeMap::new(),
-                members: BTreeMap::new(),
-                log: Vec::new(),
-            }),
+            state: Mutex::new(SeqState { log: SeqLog::default(), joins: BTreeMap::new() }),
             appended: Condvar::new(),
             shutdown: AtomicBool::new(false),
             epoch: Instant::now(),
@@ -181,13 +145,13 @@ impl Sequencer {
 
     /// Total-order sequence numbers assigned so far.
     pub fn sequenced(&self) -> u64 {
-        self.inner.state.lock().next_seq
+        self.inner.state.lock().log.next_seq()
     }
 
     /// Stop accepting, evict every member, and wake all service threads.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        let ids: Vec<u64> = self.inner.state.lock().members.keys().copied().collect();
+        let ids: Vec<u64> = self.inner.state.lock().log.members().map(|(id, _)| id).collect();
         evict_and_shutdown(&self.inner, &ids);
         // Unblock the accept loop.
         let _ = TcpStream::connect(self.addr);
@@ -237,25 +201,20 @@ fn serve_conn(stream: TcpStream, inner: &Arc<SeqInner>) {
                 }
                 continue;
             }
+            // The log refuses an evicted member's in-flight frames: the
+            // uniform-delivery contract's "not at all" arm.
             (UpFrame::Total { payload }, Some(id)) => {
-                let mut st = inner.state.lock();
-                // An evicted member's in-flight frames are dropped: the
-                // uniform-delivery contract's "not at all" arm.
-                if st.members.contains_key(&id) {
-                    let seq = st.next_seq;
-                    st.next_seq += 1;
-                    st.sequence(&DownFrame::Total { seq, sender: id, payload });
-                }
-                drop(st);
+                let _ = inner
+                    .state
+                    .lock()
+                    .log
+                    .total(id, |seq| framed(&DownFrame::Total { seq, sender: id, payload }));
                 inner.appended.notify_all();
                 continue;
             }
             (UpFrame::Fifo { payload }, Some(id)) => {
-                let mut st = inner.state.lock();
-                if st.members.contains_key(&id) {
-                    st.sequence(&DownFrame::Fifo { sender: id, payload });
-                }
-                drop(st);
+                let frame = framed(&DownFrame::Fifo { sender: id, payload });
+                let _ = inner.state.lock().log.fifo(id, frame);
                 inner.appended.notify_all();
                 continue;
             }
@@ -264,18 +223,14 @@ fn serve_conn(stream: TcpStream, inner: &Arc<SeqInner>) {
                 evict_and_shutdown(inner, &[member]);
                 DownFrame::Evicted
             }
-            (UpFrame::Query, None) => inner.state.lock().view_frame(),
+            (UpFrame::Query, None) => view_frame(&inner.state.lock().log),
             (UpFrame::Stats, None) => {
                 let st = inner.state.lock();
                 DownFrame::Stats {
-                    log_len: st.log.len() as u64,
-                    next_seq: st.next_seq,
-                    view_id: st.view_id,
-                    members: st
-                        .members
-                        .iter()
-                        .map(|(&id, c)| (id, (st.log.len() - c.next) as u64))
-                        .collect(),
+                    log_len: st.log.end(),
+                    next_seq: st.log.next_seq(),
+                    view_id: st.log.view_id(),
+                    members: st.log.backlog().collect(),
                 }
             }
             (UpFrame::TimeProbe, None) => DownFrame::Time {
@@ -309,7 +264,7 @@ fn handle_join(
     if replica >= (1 << MEMBER_INCARNATION_SHIFT) {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "replica id exceeds 32 bits"));
     }
-    let conn = MemberConn { replica, stream: stream.try_clone()?, next: 0 };
+    let conn = MemberConn { replica, stream: stream.try_clone()? };
     let write = stream.try_clone()?;
     let (id, incarnation) = {
         let mut st = inner.state.lock();
@@ -317,10 +272,7 @@ fn handle_join(
         let incarnation = *joins;
         *joins += 1;
         let id = (incarnation << MEMBER_INCARNATION_SHIFT) | replica;
-        st.members.insert(id, conn);
-        st.view_id += 1;
-        let frame = st.view_frame();
-        st.sequence(&frame);
+        st.log.admit(id, conn, 0, framed_view);
         (id, incarnation)
     };
     inner.appended.notify_all();
@@ -350,26 +302,24 @@ fn spawn_writer(stream: TcpStream, inner: Arc<SeqInner>, id: u64) -> io::Result<
 fn writer_loop(mut stream: TcpStream, inner: &SeqInner, id: u64) {
     let mut chunk = Vec::new();
     loop {
-        let mut st = inner.state.lock();
-        let next = loop {
-            let Some(conn) = st.members.get(&id) else { return };
-            if conn.next < st.log.len() {
-                break conn.next;
-            }
-            inner.appended.wait(&mut st);
-        };
         chunk.clear();
-        let mut end = next;
-        for frame in st.log.iter().skip(next) {
-            chunk.extend_from_slice(frame);
-            end += 1;
-            if chunk.len() >= WRITE_CHUNK {
+        let mut taken = 0;
+        let mut st = inner.state.lock();
+        loop {
+            let Some((_, frames)) = st.log.pending(id) else { return };
+            for frame in frames {
+                chunk.extend_from_slice(frame);
+                taken += 1;
+                if chunk.len() >= WRITE_CHUNK {
+                    break;
+                }
+            }
+            if taken > 0 {
                 break;
             }
+            inner.appended.wait(&mut st);
         }
-        if let Some(conn) = st.members.get_mut(&id) {
-            conn.next = end;
-        }
+        st.log.advance(id, taken);
         drop(st);
         if stream.write_all(&chunk).is_err() {
             evict_and_shutdown(inner, &[id]);
@@ -412,8 +362,8 @@ mod tests {
         assert_eq!(next_view(&survivor), vec![0, 7], "the joiner was registered");
         assert_eq!(next_view(&survivor), vec![0], "and evicted again when its writer failed");
         let st = seq.inner.state.lock();
-        assert_eq!(st.members.keys().copied().collect::<Vec<_>>(), vec![0]);
-        assert_eq!(st.view_id, 3);
+        assert_eq!(st.log.members().map(|(id, _)| id).collect::<Vec<_>>(), vec![0]);
+        assert_eq!(st.log.view_id(), 3);
         drop(st);
         // The joiner got its Welcome and then a closed socket — no frames.
         assert!(matches!(read_frame(&mut joiner), Ok(DownFrame::Welcome { member: 7, .. })));

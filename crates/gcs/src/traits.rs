@@ -13,20 +13,11 @@
 //!   a sequencer service providing the same delivery contract
 //!   (length-prefixed frames, no shared memory).
 //!
-//! The **contract** every backend must provide (documented in detail in
-//! `group.rs`, verified for both backends by the transport conformance
-//! suite in `conformance_tests.rs`):
-//!
-//! - **Total order**: all members deliver all total-order multicasts in one
-//!   consistent stream (same messages, same order, interleaved view changes
-//!   at the same positions).
-//! - **Uniform reliable delivery**: a multicast sequenced before a crash is
-//!   delivered to every survivor ahead of the view change announcing the
-//!   crash; a multicast that did not reach the sequencer before the crash
-//!   is delivered nowhere ("before the crash view, or not at all" — §5.4's
-//!   in-doubt resolution depends on exactly this dichotomy).
-//! - **View synchrony**: all members deliver the same view changes at the
-//!   same position in the stream.
+//! The **contract** every backend provides — total order, uniform reliable
+//! delivery ("before the crash view, or not at all", which §5.4's in-doubt
+//! resolution depends on) and view synchrony — is stated once, in
+//! `seqlog.rs`, as properties of the one sequencer core both backends are
+//! shells over; `conformance_tests.rs` checks it on both.
 //!
 //! What is *not* part of the contract: the sequence number returned by
 //! [`Cast::multicast_total`]. The sim backend sequences synchronously and

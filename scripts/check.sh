@@ -126,12 +126,14 @@ if [[ "$QUICK" == "1" ]]; then
     cargo test --offline -p sirep-lint --test fixtures_test -q
     echo "==> certification differential property tests (indexed vs scan oracle)"
     cargo test --offline -p sirep-core --lib validation::differential -q
+    echo "==> sequencer core property test (tests/seqlog.rs: every stream a contiguous slice of one log)"
+    cargo test --offline --test seqlog -q
     echo "==> sirep-model (exhaustive protocol exploration, quick scopes)"
     cargo run --offline -q --release -p sirep-model -- --quick --emit results
     echo "==> chaos harness (2 pinned seeds)"
     SIREP_CHAOS_SEEDS=2 cargo test --offline --test chaos_faults -q
 else
-    echo "==> cargo test (workspace)"
+    echo "==> cargo test (workspace; seqlog unit tests + tests/seqlog.rs cover the one sequencer core)"
     cargo test --offline --workspace -q
     echo "==> sirep-model (exhaustive protocol exploration, all scopes + mutant self-check)"
     cargo run --offline -q --release -p sirep-model -- --full --self-check --emit results

@@ -14,7 +14,9 @@
 use si_rep::common::{CrashPoint, DbError};
 use si_rep::core::{Cluster, ClusterConfig, Connection};
 use si_rep::driver::{Driver, DriverConfig};
-use si_rep::gcs::{Delivery, FaultConfig, FaultRecord, GroupConfig, SimGroup, SimMember};
+use si_rep::gcs::{
+    Cast, Delivery, FaultConfig, FaultRecord, Group, GroupConfig, Member, SimGroup, SimMember,
+};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,13 +25,26 @@ const Q: Duration = Duration::from_secs(20);
 
 // --- determinism: same seed ⇒ identical fault schedule -------------------
 
-/// One scripted, single-threaded run: 4 members, 300 round-robin
-/// multicasts under the full chaos mix, an explicit heal, then a full
-/// drain. Returns the fault fingerprint, the retained schedule, and the
-/// per-member delivery streams.
+/// One scripted run: 4 members, 300 round-robin multicasts from one thread
+/// under the full chaos mix, an explicit heal, and a full drain. Returns
+/// the fault fingerprint, the retained schedule, and the per-member
+/// delivery streams. With `drain_during_sends` every member is drained by
+/// its own thread from the first send on, so how far each receiver has got
+/// when a partition heals differs from run to run.
 type ScriptedRun = ((u64, u64), Vec<FaultRecord>, Vec<Vec<(u64, u64)>>);
 
-fn scripted_run(seed: u64) -> ScriptedRun {
+fn drain_totals(m: &SimMember<u64>) -> Vec<(u64, u64)> {
+    let mut out = Vec::with_capacity(300);
+    while out.len() < 300 {
+        let d = m.recv_timeout(Duration::from_secs(10)).expect("delivery lost");
+        if let Delivery::TotalOrder { seq, msg, .. } = d {
+            out.push((seq, msg));
+        }
+    }
+    out
+}
+
+fn scripted_run(seed: u64, drain_during_sends: bool) -> ScriptedRun {
     let group: SimGroup<u64> = SimGroup::new(GroupConfig::instant());
     let members: Vec<SimMember<u64>> = (0..4).map(|_| group.join()).collect();
     for m in &members {
@@ -38,32 +53,50 @@ fn scripted_run(seed: u64) -> ScriptedRun {
         }
     }
     group.install_faults(FaultConfig::chaos(seed));
-    for i in 0..300u64 {
-        // A planned partition may be isolating this sender; its multicast
-        // is then held and re-sequenced at heal — still never lost.
-        members[(i % 4) as usize].multicast_total(i).unwrap();
-    }
-    group.heal(); // flush whatever partition is still active
-    let streams: Vec<Vec<(u64, u64)>> = members
-        .iter()
-        .map(|m| {
-            let mut out = Vec::with_capacity(300);
-            while out.len() < 300 {
-                let d = m.recv_timeout(Duration::from_secs(10)).expect("delivery lost");
-                if let Delivery::TotalOrder { seq, msg, .. } = d {
-                    out.push((seq, msg));
-                }
-            }
-            out
+    let send_all = || {
+        for i in 0..300u64 {
+            // A planned partition may be isolating this sender; its multicast
+            // is then held and re-sequenced at heal — still never lost.
+            members[(i % 4) as usize].handle().multicast_total(i).unwrap();
+        }
+        group.heal(); // release whatever partition is still active
+    };
+    let streams: Vec<Vec<(u64, u64)>> = if drain_during_sends {
+        std::thread::scope(|scope| {
+            let drains: Vec<_> =
+                members.iter().map(|m| scope.spawn(move || drain_totals(m))).collect();
+            send_all();
+            drains.into_iter().map(|d| d.join().expect("receiver panicked")).collect()
         })
-        .collect();
+    } else {
+        send_all();
+        members.iter().map(drain_totals).collect()
+    };
     (group.fault_fingerprint().expect("plan installed"), group.fault_log(), streams)
+}
+
+/// What a partition's heal releases is counted in log indices, not in
+/// copies a receiver had not picked up yet: the schedule stays a pure
+/// function of seed and script while receivers race the sender.
+#[test]
+fn same_seed_fingerprints_identically_while_receivers_drain() {
+    let (fp1, log1, streams1) = scripted_run(0xFA57, true);
+    let (fp2, log2, streams2) = scripted_run(0xFA57, true);
+    assert_eq!(fp1, fp2, "same seed must fingerprint identically");
+    assert_eq!(log1, log2, "same seed must produce the identical schedule");
+    assert!(
+        log1.iter()
+            .any(|r| matches!(r, FaultRecord::PartitionHeal { flushed, .. } if *flushed > 0)),
+        "the script must heal a partition that held something back"
+    );
+    assert_eq!(streams1, streams2);
+    assert_eq!(scripted_run(0xFA57, false).0, fp1, "and identically to the drained-after run");
 }
 
 #[test]
 fn same_seed_reproduces_identical_fault_schedule() {
-    let (fp1, log1, streams1) = scripted_run(0xFA57);
-    let (fp2, log2, streams2) = scripted_run(0xFA57);
+    let (fp1, log1, streams1) = scripted_run(0xFA57, false);
+    let (fp2, log2, streams2) = scripted_run(0xFA57, false);
     assert_eq!(fp1, fp2, "same seed must fingerprint identically");
     assert_eq!(log1, log2, "same seed must produce the identical schedule");
     assert!(fp1.0 > 0, "the chaos mix must actually inject faults");
@@ -79,7 +112,7 @@ fn same_seed_reproduces_identical_fault_schedule() {
     // And the runs agree with each other end to end.
     assert_eq!(streams1, streams2);
     // A different seed yields a different schedule.
-    let (fp3, _, _) = scripted_run(0xFA58);
+    let (fp3, _, _) = scripted_run(0xFA58, false);
     assert_ne!(fp1, fp3, "different seeds should not collide");
 }
 
