@@ -79,10 +79,36 @@ id_type!(
     "S"
 );
 id_type!(
-    /// A member endpoint inside the group communication system.
+    /// A member endpoint inside the group communication system. The id *is*
+    /// the member's identity `(replica, incarnation)`: the sequencer core
+    /// (`SeqLog::admit`) mints it from the logical replica the joiner names
+    /// and the number of times that replica joined before, so every view is
+    /// self-describing — which incarnation of which replica it adds or
+    /// drops is read off the ids, never counted or looked up.
     MemberId,
     "M"
 );
+
+impl MemberId {
+    /// Replica ids occupy the bits below this, the join count the rest.
+    pub const INCARNATION_SHIFT: u32 = 32;
+
+    /// The id of `replica`'s `incarnation`-th re-join (0 = first join).
+    /// `replica` must fit below [`MemberId::INCARNATION_SHIFT`].
+    pub const fn of(replica: u64, incarnation: u64) -> MemberId {
+        MemberId((incarnation << Self::INCARNATION_SHIFT) | replica)
+    }
+
+    /// The logical replica this member is an incarnation of.
+    pub const fn replica(self) -> ReplicaId {
+        ReplicaId(self.0 & ((1 << Self::INCARNATION_SHIFT) - 1))
+    }
+
+    /// How many times that replica had joined the group before this member.
+    pub const fn incarnation(self) -> u64 {
+        self.0 >> Self::INCARNATION_SHIFT
+    }
+}
 
 impl GlobalTid {
     /// The sentinel "no transaction validated yet" value; `T.cert` starts
@@ -180,6 +206,16 @@ mod tests {
         assert_eq!(ClientId::new(1).to_string(), "C1");
         assert_eq!(SessionId::new(2).to_string(), "S2");
         assert_eq!(MemberId::new(4).to_string(), "M4");
+    }
+
+    #[test]
+    fn member_id_is_replica_and_incarnation() {
+        let first = MemberId::of(7, 0);
+        assert_eq!((first.raw(), first.replica(), first.incarnation()), (7, ReplicaId::new(7), 0));
+        let third = MemberId::of(7, 2);
+        assert_eq!(third.raw(), (2 << MemberId::INCARNATION_SHIFT) | 7);
+        assert_eq!((third.replica(), third.incarnation()), (ReplicaId::new(7), 2));
+        assert_ne!(first, third);
     }
 
     #[test]

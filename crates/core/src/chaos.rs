@@ -71,9 +71,10 @@ impl CrashPlan {
         self.armed.lock().insert(point, replica);
     }
 
-    /// Disarm `point` (no-op if it was not armed or already fired).
-    pub fn disarm(&self, point: CrashPoint) {
-        self.armed.lock().remove(&point);
+    /// Disarm `point`. `false`: it was not armed any more — it has fired
+    /// (the replica is crashing or down) or never was.
+    pub fn disarm(&self, point: CrashPoint) -> bool {
+        self.armed.lock().remove(&point).is_some()
     }
 
     /// Currently armed points.
@@ -166,7 +167,8 @@ mod tests {
     fn disarm_prevents_firing() {
         let plan = CrashPlan::new();
         plan.arm(CrashPoint::MidStateTransfer, ReplicaId::new(2));
-        plan.disarm(CrashPoint::MidStateTransfer);
+        assert!(plan.disarm(CrashPoint::MidStateTransfer), "it was still armed");
         assert!(!plan.fire(CrashPoint::MidStateTransfer, ReplicaId::new(2)));
+        assert!(!plan.disarm(CrashPoint::MidStateTransfer), "nothing left to disarm");
     }
 }

@@ -4,7 +4,7 @@ use crate::audit::{AuditViolation, Auditor};
 use crate::chaos::{CrashPlan, PausePoint};
 use crate::model::{ReplicatedExecution, TxSpec};
 use crate::msg::{ReplMsg, XactId};
-use crate::node::{MemberRegistry, NodeStatus, ReplicaNode, ReplicationMode};
+use crate::node::{NodeStatus, ReplicaNode, ReplicationMode};
 use crate::session::Session;
 use parking_lot::{Mutex, RwLock};
 use sirep_common::{
@@ -13,7 +13,7 @@ use sirep_common::{
 };
 use sirep_gcs::{FaultConfig, Group, GroupConfig, SimGroup, TcpGroup, NETWORK_REPLICA};
 use sirep_storage::{CostModel, Database};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -280,13 +280,6 @@ pub struct Cluster {
     group: Arc<dyn Group<ReplMsg>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     config: ClusterConfig,
-    /// GCS member id → logical replica id (recovered replicas re-join
-    /// under fresh member ids).
-    registry: MemberRegistry,
-    /// Logical replica id → current GCS member id.
-    member_of: Mutex<HashMap<usize, MemberId>>,
-    /// Times each replica id has re-joined after a crash.
-    rejoins: Mutex<HashMap<usize, u64>>,
     /// Shared journal epoch so every replica's events land on one timeline.
     epoch: Instant,
     /// The cluster-wide online 1-copy-SI auditor.
@@ -315,38 +308,29 @@ impl Cluster {
                 Arc::new(TcpGroup::new(sequencer.clone(), config.first_replica))
             }
         };
-        let registry: MemberRegistry = Arc::new(Mutex::new(HashMap::new()));
         let epoch = Instant::now();
         let auditor = Arc::new(Auditor::new(config.audit));
         let crash_plan = Arc::new(CrashPlan::new());
-        let mut member_of = HashMap::new();
         let mut nodes = Vec::with_capacity(config.replicas);
         let mut threads = Vec::new();
         for k in 0..config.replicas {
             let member = group
-                .join()
+                .join_as(config.first_replica + k as u64)
                 .map_err(|e| DbError::Internal(format!("transport join failed: {e}")))?;
-            let rid = ReplicaId::new(config.first_replica + k as u64);
-            registry.lock().insert(member.id().raw(), rid);
-            member_of.insert(k, member.id());
+            let rid = member.id().replica();
             let db = Database::new(config.cost.clone());
             if config.track_history {
                 db.set_track_reads(true);
             }
+            // The member id carries the replica's join count, so a restarted
+            // TCP process (and a sim replica after `recover`) mints
+            // transaction ids that cannot collide with its previous life.
             let node = ReplicaNode::new(
-                rid,
                 db,
                 member.handle(),
                 config.mode,
                 config.outcome_cap,
                 config.track_history,
-                Arc::clone(&registry),
-                // A TCP member's incarnation is its join count at the
-                // sequencer, so a restarted process mints transaction ids
-                // that cannot collide with its replayed, outcome-log-deduped
-                // previous life. The sim transport always reports 0 here and
-                // tracks rejoins in `recover` instead.
-                member.incarnation(),
                 None,
                 Journal::with_epoch(rid, epoch, DEFAULT_JOURNAL_CAPACITY),
                 Arc::clone(&auditor),
@@ -367,9 +351,6 @@ impl Cluster {
             group,
             threads: Mutex::new(threads),
             config,
-            registry,
-            member_of: Mutex::new(member_of),
-            rejoins: Mutex::new(HashMap::new()),
             epoch,
             auditor,
             crash_plan,
@@ -453,10 +434,10 @@ impl Cluster {
     /// buffered, until [`Cluster::heal_partition`]. Installs a quiet fault
     /// plan if none is present.
     pub fn partition(&self, replicas: &[usize]) {
-        let member_of = self.member_of.lock();
+        let nodes = self.nodes.read();
         let members: Vec<MemberId> =
-            replicas.iter().filter_map(|k| member_of.get(k).copied()).collect();
-        drop(member_of);
+            replicas.iter().filter_map(|&k| nodes.get(k)).map(|n| n.member()).collect();
+        drop(nodes);
         self.group.partition(&members);
     }
 
@@ -478,9 +459,10 @@ impl Cluster {
         self.crash_plan.arm(point, ReplicaId::new(self.config.first_replica + k as u64));
     }
 
-    /// Disarm a crash-point that has not fired yet.
-    pub fn disarm_crash_point(&self, point: CrashPoint) {
-        self.crash_plan.disarm(point);
+    /// Disarm a crash-point. `false`: it was not armed any more, i.e. it
+    /// has fired and its replica is going (or already) down.
+    pub fn disarm_crash_point(&self, point: CrashPoint) -> bool {
+        self.crash_plan.disarm(point)
     }
 
     /// Crash-points still armed (not yet fired or disarmed).
@@ -509,25 +491,20 @@ impl Cluster {
     /// connection errors and fail over.
     pub fn crash(&self, k: usize) {
         // Crash the group member first so the survivors' uniform-delivery
-        // cut is taken before local cleanup rejects anything. A missing
-        // membership entry means the member is already gone from the group;
-        // the local mark_crashed below is still required (and `node(k)`
-        // still bounds-checks `k`). The copy is hoisted into its own
-        // statement so the member_of guard is released before the group
-        // and node-state locks are taken (edition-2021 `if let` keeps
-        // scrutinee temporaries alive for the whole block).
-        let member = self.member_of.lock().get(&k).copied();
-        if let Some(member) = member {
-            self.group.crash(member);
-        }
-        self.node(k).mark_crashed();
+        // cut is taken before local cleanup rejects anything. (A member
+        // already gone from the group is ignored there; the local
+        // mark_crashed is still required.)
+        let node = self.node(k);
+        self.group.crash(node.member());
+        node.mark_crashed();
     }
 
     /// **Online recovery** (the paper's §8 future work): bring a crashed
     /// replica back without halting transaction processing.
     ///
-    /// Protocol: the recovering replica first re-joins the group under a
-    /// fresh member id (its deliveries buffer from that point on); a donor
+    /// Protocol: the recovering replica first re-joins the group as the next
+    /// incarnation of its replica id (its deliveries buffer from that point
+    /// on); a donor
     /// replica is then briefly latched to produce a consistent state
     /// transfer — a fork of its committed database plus the validation
     /// state (`ws_list`, queue, outcome log). Buffered deliveries already
@@ -549,11 +526,9 @@ impl Cluster {
         //    here on.
         let member = self
             .group
-            .join()
+            .join_as(self.config.first_replica + k as u64)
             .map_err(|e| DbError::Internal(format!("transport re-join failed: {e}")))?;
-        let rid = ReplicaId::new(self.config.first_replica + k as u64);
-        self.registry.lock().insert(member.id().raw(), rid);
-        self.member_of.lock().insert(k, member.id());
+        let rid = member.id().replica();
         // 2+3. Pick a donor, barrier on a marker, pull the state transfer.
         //    A donor can die at any point in this window (including via the
         //    armed `mid_state_transfer` crash-point, which kills it right
@@ -602,21 +577,12 @@ impl Cluster {
             db.set_track_reads(true);
         }
         // 4. Construct the node and let it drain the buffer + live stream.
-        let incarnation = {
-            let mut rejoins = self.rejoins.lock();
-            let e = rejoins.entry(k).or_insert(0);
-            *e += 1;
-            *e
-        };
         let node = ReplicaNode::new(
-            rid,
             db,
             member.handle(),
             self.config.mode,
             self.config.outcome_cap,
             self.config.track_history,
-            Arc::clone(&self.registry),
-            incarnation,
             Some(bootstrap),
             Journal::with_epoch(rid, self.epoch, DEFAULT_JOURNAL_CAPACITY),
             Arc::clone(&self.auditor),
@@ -746,18 +712,9 @@ impl Cluster {
     /// Shut the whole cluster down and join all threads.
     pub fn shutdown(&self) {
         let nodes = self.nodes.read().clone();
-        for (k, n) in nodes.iter().enumerate() {
-            if n.is_alive() {
-                // No membership entry means the group member is already
-                // gone (concurrent crash); still fail the node's clients.
-                // Copy hoisted so the member_of guard drops before the
-                // group lock is taken (edition-2021 if-let temporaries).
-                let member = self.member_of.lock().get(&k).copied();
-                if let Some(member) = member {
-                    self.group.crash(member);
-                }
-                n.mark_crashed();
-            }
+        for n in nodes.iter().filter(|n| n.is_alive()) {
+            self.group.crash(n.member());
+            n.mark_crashed();
         }
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.threads.lock());
         for h in handles {

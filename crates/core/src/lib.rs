@@ -66,7 +66,7 @@ pub use model::{
     ReplicatedExecution, Schedule, TxSpec, Violation,
 };
 pub use msg::{Outcome, ReplMsg, WsMsg, XactId};
-pub use node::{InDoubt, NodeStatus, ReplicaNode, ReplicationMode};
+pub use node::{InDoubt, NodeStatus, ReplicaNode, ReplicationMode, INQUIRE_DEADLINE};
 pub use session::{Connection, Session, System, TxnTemplate};
 pub use validation::{CertEntry, WsList};
 

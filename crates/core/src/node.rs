@@ -53,12 +53,13 @@ use crate::recorder::Recorder;
 use crate::validation::WsList;
 use parking_lot::{Condvar, Mutex};
 use sirep_common::{
-    AbortReason, CrashPoint, DbError, EventKind, GaugeSnapshot, GlobalTid, Journal, Metrics,
-    ProtocolGauges, ReplicaId, Stage, StageSnapshot, StageStats, TransportSnapshot, TxTrace,
+    AbortReason, CrashPoint, DbError, EventKind, GaugeSnapshot, GlobalTid, Journal, MemberId,
+    Metrics, ProtocolGauges, ReplicaId, Stage, StageSnapshot, StageStats, TransportSnapshot,
+    TxTrace,
 };
-use sirep_gcs::{Cast, Delivery, GcsError, Member};
+use sirep_gcs::{Cast, Delivery, GcsError, Member, View};
 use sirep_storage::{Database, TupleId, TxnHandle, WriteSet};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
@@ -76,6 +77,15 @@ pub enum ReplicationMode {
 
 /// How long waiters poll for shutdown while blocked on the node condvar.
 const WAIT_TICK: Duration = Duration::from_millis(25);
+
+/// How long a begin waits for a still-replaying replica to reach its own
+/// join view before the client is told to go elsewhere.
+const JOIN_DEADLINE: Duration = Duration::from_secs(60);
+
+/// How long [`ReplicaNode::inquire`] waits before answering
+/// [`InDoubt::Unknown`] — well past the failure detector's "couple of
+/// seconds" (§5.2), after which the driver asks another survivor.
+pub const INQUIRE_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Most tocommit entries one applier claims per group commit. Bounds the
 /// size of the shared engine transaction (and the latency of the single
@@ -411,6 +421,10 @@ pub enum InDoubt {
     /// The origin replica crashed and its writeset never arrived — by
     /// uniform delivery the transaction did not commit anywhere.
     NeverReceived,
+    /// This replica could say neither within [`INQUIRE_DEADLINE`] (no
+    /// writeset yet and the origin's incarnation not seen to depart, or a
+    /// committed writeset not yet applied here): ask another survivor.
+    Unknown,
 }
 
 impl sirep_common::wire::Wire for InDoubt {
@@ -421,6 +435,7 @@ impl sirep_common::wire::Wire for InDoubt {
                 outcome.encode(out);
             }
             InDoubt::NeverReceived => out.push(1),
+            InDoubt::Unknown => out.push(2),
         }
     }
     fn decode(
@@ -429,6 +444,7 @@ impl sirep_common::wire::Wire for InDoubt {
         Ok(match u8::decode(r)? {
             0 => InDoubt::Known(Outcome::decode(r)?),
             1 => InDoubt::NeverReceived,
+            2 => InDoubt::Unknown,
             _ => return Err(sirep_common::wire::WireError::Corrupt("in-doubt tag")),
         })
     }
@@ -442,17 +458,32 @@ struct NodeState {
     holes: HoleTracker,
     pending_local: HashMap<XactId, PendingLocal>,
     outcomes: OutcomeLog,
-    /// Live replicas as of the last view change processed by the delivery
-    /// thread (so in-doubt inquiries see exactly the §5.4 guarantee).
+    /// The last view the delivery thread processed (so in-doubt inquiries
+    /// see exactly the §5.4 guarantee); its member ids are the live
+    /// `(replica, incarnation)`s.
+    membership: View,
+    /// The replicas of `membership`, sorted — what pruning iterates.
     view: Vec<ReplicaId>,
-    /// Current incarnation of each replica id (bumps when a previously
-    /// departed replica re-joins).
-    incarnations: HashMap<ReplicaId, u64>,
-    /// (replica, incarnation) pairs whose departure this node has
-    /// processed. By uniform delivery, every writeset that incarnation
-    /// multicast is already in `outcomes` — so an in-doubt transaction of a
-    /// departed incarnation with no outcome was never received, full stop.
-    departed: std::collections::HashSet<(ReplicaId, u64)>,
+    /// Incarnations whose departure this node has processed: in one view,
+    /// not in the next. By uniform delivery, every writeset a departed
+    /// incarnation multicast is already in `outcomes` — so its in-doubt
+    /// transaction with no outcome was never received, full stop.
+    departed: HashSet<MemberId>,
+}
+
+impl NodeState {
+    /// Has `origin` left the group, as far as the views processed here say?
+    /// Either its departure was witnessed, or the view holds a later
+    /// incarnation of its replica and not `origin` itself (ids are minted
+    /// in join order, so `origin`'s whole membership lies before that view).
+    fn has_departed(&self, origin: MemberId) -> bool {
+        let live = &self.membership;
+        self.departed.contains(&origin)
+            || (!live.contains(origin)
+                && live.members.iter().any(|m| {
+                    m.replica() == origin.replica() && m.incarnation() > origin.incarnation()
+                }))
+    }
 }
 
 /// Applier-side state: the tocommit queue, guarded by its own lock
@@ -468,14 +499,9 @@ struct ApplyState {
 /// another node lock.
 struct TelemState {
     /// Recovery markers processed (see [`ReplMsg::Marker`]).
-    markers_seen: std::collections::HashSet<u64>,
+    markers_seen: HashSet<u64>,
     last_progress_sent: GlobalTid,
 }
-
-/// Maps GCS member ids to replica ids. Identity at cluster creation; a
-/// recovered replica re-joins the group under a fresh member id that is
-/// bound back to its logical replica id here.
-pub(crate) type MemberRegistry = Arc<Mutex<HashMap<u64, ReplicaId>>>;
 
 /// One middleware/database replica pair.
 pub struct ReplicaNode {
@@ -490,13 +516,15 @@ pub struct ReplicaNode {
     telem: Mutex<TelemState>,
     telem_cond: Condvar,
     shutdown: AtomicBool,
+    /// Set once the delivery thread has installed a view naming this node's
+    /// own member id. On a transport that replays history to joiners that
+    /// is where the node has caught up with everything sequenced before
+    /// its join; a transaction begun earlier would certify against a
+    /// `lastvalidated` below the group's prune watermark.
+    joined: AtomicBool,
+    /// Starts at this member's incarnation base, so every `XactId` assigned
+    /// here names the incarnation it was created under.
     next_xact: AtomicU64,
-    /// This node's own incarnation (times its replica id has re-joined);
-    /// encoded in the top bits of every XactId it assigns (via next_xact's
-    /// starting value), kept for introspection.
-    #[allow(dead_code)]
-    incarnation: u64,
-    registry: MemberRegistry,
     pub metrics: Arc<Metrics>,
     /// Per-stage latency histograms fed by transaction traces (no-op when
     /// the `trace` feature is disabled).
@@ -524,9 +552,8 @@ pub(crate) struct Bootstrap {
     /// Highest tid whose effects are contained in the transferred database
     /// state (modulo the copied queue entries, which are still pending).
     pub max_committed: GlobalTid,
-    pub view: Vec<ReplicaId>,
-    incarnations: HashMap<ReplicaId, u64>,
-    departed: std::collections::HashSet<(ReplicaId, u64)>,
+    membership: View,
+    departed: HashSet<MemberId>,
 }
 
 /// An active local transaction bound to a session.
@@ -542,22 +569,22 @@ pub struct ActiveTxn {
 }
 
 impl ReplicaNode {
+    /// A node for the group member `gcs` multicasts as: that member id is
+    /// the node's replica id and incarnation.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        id: ReplicaId,
         db: Database,
         gcs: Box<dyn Cast<ReplMsg>>,
         mode: ReplicationMode,
         outcome_cap: usize,
         record_history: bool,
-        registry: MemberRegistry,
-        incarnation: u64,
         bootstrap: Option<Bootstrap>,
         journal: Journal,
         auditor: Arc<Auditor>,
         crash_plan: Arc<CrashPlan>,
     ) -> Arc<ReplicaNode> {
         // A recovered replica's stream restarts from the transferred state.
+        let recovered = bootstrap.is_some();
         let reset = bootstrap.as_ref().map(|b| EventKind::ReplicaReset {
             last_validated: b.wslist.last_tid(),
             max_committed: b.max_committed,
@@ -576,9 +603,9 @@ impl ReplicaNode {
                     // `departed` with (replica, 0) entries that later turn
                     // in-doubt inquiries into false `NeverReceived` answers —
                     // a committed transaction reported to its client as lost.
+                    membership: View { id: 0, members: Vec::new() },
                     view: Vec::new(),
-                    incarnations: HashMap::new(),
-                    departed: std::collections::HashSet::new(),
+                    departed: HashSet::new(),
                 },
                 ApplyState { queue: TocommitQueue::new() },
             ),
@@ -608,16 +635,17 @@ impl ReplicaNode {
                         holes,
                         pending_local: HashMap::new(),
                         outcomes: b.outcomes,
-                        view: b.view,
-                        incarnations: b.incarnations,
+                        view: replicas_of(&b.membership),
+                        membership: b.membership,
                         departed: b.departed,
                     },
                     ApplyState { queue },
                 )
             }
         };
+        let member = gcs.id();
         let node = Arc::new(ReplicaNode {
-            id,
+            id: member.replica(),
             db,
             gcs,
             mode,
@@ -626,14 +654,14 @@ impl ReplicaNode {
             apply: Mutex::new(apply),
             apply_cond: Condvar::new(),
             telem: Mutex::new(TelemState {
-                markers_seen: std::collections::HashSet::new(),
+                markers_seen: HashSet::new(),
                 last_progress_sent: GlobalTid::ZERO,
             }),
             telem_cond: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            next_xact: AtomicU64::new(XactId::seq_base(incarnation) + 1),
-            incarnation,
-            registry,
+            // A donor's state already reflects the recovering node's join.
+            joined: AtomicBool::new(recovered),
+            next_xact: AtomicU64::new(XactId::seq_base(member.incarnation()) + 1),
             metrics: Arc::new(Metrics::new()),
             stages: Arc::new(StageStats::new()),
             recorder: Arc::new(Recorder::new(record_history)),
@@ -706,6 +734,11 @@ impl ReplicaNode {
 
     pub fn id(&self) -> ReplicaId {
         self.id
+    }
+
+    /// The group member this node multicasts as: `id` plus its incarnation.
+    pub fn member(&self) -> MemberId {
+        self.gcs.id()
     }
 
     pub fn database(&self) -> &Database {
@@ -811,8 +844,7 @@ impl ReplicaNode {
             queue_entries,
             outcomes: st.outcomes.clone(),
             max_committed: st.holes.max_committed(),
-            view: st.view.clone(),
-            incarnations: st.incarnations.clone(),
+            membership: st.membership.clone(),
             departed: st.departed.clone(),
         };
         (db, boot)
@@ -822,11 +854,27 @@ impl ReplicaNode {
     // Client-side protocol (steps I.1, I.2)
     // ---------------------------------------------------------------------
 
+    /// Wait (bounded) for `joined`; `false` sends the client elsewhere.
+    fn await_own_join(&self) -> bool {
+        if self.joined.load(Ordering::Acquire) {
+            return true;
+        }
+        let deadline = Instant::now() + JOIN_DEADLINE;
+        let mut st = self.state.lock();
+        while !self.joined.load(Ordering::Acquire) {
+            if !self.is_alive() || Instant::now() >= deadline {
+                return false;
+            }
+            self.cond.wait_for(&mut st, WAIT_TICK);
+        }
+        true
+    }
+
     /// Start a local transaction (step I.1.a): under SRCA-Rep the begin
     /// waits until the commit order has no holes, and is atomic with
     /// commits (both run under the node state lock).
     pub fn begin_local(self: &Arc<Self>) -> Result<ActiveTxn, DbError> {
-        if !self.is_alive() {
+        if !self.is_alive() || !self.await_own_join() {
             return Err(DbError::Aborted(AbortReason::ReplicaCrashed));
         }
         let xact = XactId { origin: self.id, seq: self.next_xact.fetch_add(1, Ordering::Relaxed) };
@@ -968,8 +1016,13 @@ impl ReplicaNode {
                 ws: Arc::clone(&ws),
             }));
             if self.gcs.multicast_total(msg).is_err() {
-                // We crashed concurrently; the pending entry is cleaned up
-                // by the shutdown path.
+                // We crashed concurrently. The shutdown path may have swept
+                // `pending_local` before this entry went in: take it back.
+                let swept_late = st.pending_local.remove(&xact);
+                drop(st);
+                if let Some(p) = swept_late {
+                    p.txn.abort(AbortReason::ReplicaCrashed);
+                }
                 return Err(DbError::Aborted(AbortReason::ReplicaCrashed));
             }
             self.auditor.report(&self.journal, EventKind::Multicast { xact });
@@ -1000,8 +1053,10 @@ impl ReplicaNode {
     /// Resolve an in-doubt transaction for a failed-over client (§5.4 case
     /// 3): blocks until the outcome is known or the origin's crash has been
     /// processed — uniform delivery guarantees no writeset can arrive after
-    /// that.
+    /// that — and for at most [`INQUIRE_DEADLINE`].
     pub fn inquire(&self, xact: XactId) -> Result<InDoubt, DbError> {
+        let origin = MemberId::of(xact.origin.raw(), xact.incarnation());
+        let deadline = Instant::now() + INQUIRE_DEADLINE;
         let mut st = self.state.lock();
         loop {
             if let Some(o) = st.outcomes.get(xact) {
@@ -1019,24 +1074,23 @@ impl ReplicaNode {
                 if visible {
                     return Ok(InDoubt::Known(o));
                 }
-            } else if st.departed.contains(&(xact.origin, xact.incarnation()))
-                || (!st.view.contains(&xact.origin)
-                    && st.incarnations.get(&xact.origin).copied() == Some(xact.incarnation()))
-            {
+            } else if st.has_departed(origin) {
                 // The transaction's origin *incarnation* has departed:
                 // uniform delivery put any writeset it multicast in front of
                 // the view change we already processed, so no outcome means
                 // no writeset — even if the replica id has since re-joined
-                // (recovery). The fallback arm requires a *recorded*
-                // incarnation: before this node has processed a view
-                // containing the origin, absence from the view means "not
-                // seen yet", not "departed". (Guarded on the outcome being
-                // absent: a known-but-not-yet-visible outcome must wait
-                // below, never degrade to NeverReceived.)
+                // (recovery). Absence from the view alone proves nothing:
+                // before this node has processed a view containing the
+                // origin it means "not seen yet", not "departed". (Guarded
+                // on the outcome being absent: a known-but-not-yet-visible
+                // outcome must wait below, never degrade to NeverReceived.)
                 return Ok(InDoubt::NeverReceived);
             }
             if !self.is_alive() {
                 return Err(DbError::Aborted(AbortReason::ReplicaCrashed));
+            }
+            if Instant::now() >= deadline {
+                return Ok(InDoubt::Unknown);
             }
             self.cond.wait_for(&mut st, WAIT_TICK);
         }
@@ -1067,53 +1121,33 @@ impl ReplicaNode {
                 ) => {
                     debug_assert!(false, "writesets travel as single total-order deliveries only");
                 }
-                Ok(Delivery::ViewChange(v)) => {
-                    // Translate member ids to logical replica ids
-                    // (recovered replicas re-join under fresh member ids).
-                    let reg = self.registry.lock();
-                    let mut view: Vec<ReplicaId> = v
-                        .members
-                        .iter()
-                        .map(|m| {
-                            // Registry first (the sim tier's cluster-side
-                            // mapping), then the transport's own view
-                            // metadata (the TCP tier carries the replica id
-                            // in view frames), then the raw member id.
-                            reg.get(&m.raw())
-                                .copied()
-                                .or_else(|| member.replica_of(*m).map(ReplicaId::new))
-                                .unwrap_or(ReplicaId::new(m.raw()))
-                        })
-                        .collect();
-                    drop(reg);
-                    view.sort();
-                    view.dedup();
-                    let mut st = self.state.lock();
-                    // Departure/rejoin bookkeeping for in-doubt resolution.
-                    for r in st.view.clone() {
-                        if !view.contains(&r) {
-                            let inc = st.incarnations.get(&r).copied().unwrap_or(0);
-                            st.departed.insert((r, inc));
-                        }
-                    }
-                    for r in &view {
-                        let cur = st.incarnations.get(r).copied().unwrap_or(0);
-                        if st.departed.contains(&(*r, cur)) {
-                            // A previously departed replica re-joined: bump.
-                            st.incarnations.insert(*r, cur + 1);
-                        } else {
-                            st.incarnations.entry(*r).or_insert(0);
-                        }
-                    }
-                    st.view = view;
-                    let members = st.view.len() as u64;
-                    self.auditor.report(&self.journal, EventKind::ViewChange { members });
-                    self.cond.notify_all();
-                }
+                Ok(Delivery::ViewChange(v)) => self.handle_view(v),
                 Err(GcsError::Timeout) => self.maybe_send_progress(),
                 Err(_) => return, // disconnected: we crashed
             }
         }
+    }
+
+    /// Install a view: whoever the previous view named and this one does
+    /// not has departed. Views are self-describing (a member id is its
+    /// `(replica, incarnation)`), so this reads two views and nothing else.
+    fn handle_view(&self, v: View) {
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        if v.id <= st.membership.id {
+            // A recovered replica's stream starts at its own join view; the
+            // donor's transferred state already reflects this one.
+            return;
+        }
+        st.departed.extend(st.membership.members.iter().filter(|m| !v.contains(**m)));
+        if v.contains(self.gcs.id()) {
+            self.joined.store(true, Ordering::Release);
+        }
+        st.view = replicas_of(&v);
+        st.membership = v;
+        let members = st.view.len() as u64;
+        self.auditor.report(&self.journal, EventKind::ViewChange { members });
+        self.cond.notify_all();
     }
 
     /// Dispatch one totally-ordered message.
@@ -1515,6 +1549,14 @@ impl ReplicaNode {
         self.apply_cond.notify_all();
         self.telem_cond.notify_all();
     }
+}
+
+/// The logical replicas a view's members are incarnations of, sorted.
+fn replicas_of(view: &View) -> Vec<ReplicaId> {
+    let mut replicas: Vec<ReplicaId> = view.members.iter().map(|m| m.replica()).collect();
+    replicas.sort();
+    replicas.dedup();
+    replicas
 }
 
 /// Remote-begin recording note: the begin of a remote transaction at this

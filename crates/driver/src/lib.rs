@@ -350,9 +350,9 @@ impl Connection for DriverConnection<'_> {
 impl DriverConnection<'_> {
     /// Resolve an in-doubt transaction by id, with bounded retry.
     ///
-    /// Each round asks the currently pinned replica; if that replica also
-    /// crashes mid-inquiry the driver backs off exponentially and fails
-    /// over. Once `inquiry_attempts` rounds are exhausted (every replica
+    /// Each round asks the currently pinned replica; if that replica cannot
+    /// answer within its bound ([`InDoubt::Unknown`]) or also crashes
+    /// mid-inquiry, the driver backs off exponentially and fails over. Once `inquiry_attempts` rounds are exhausted (every replica
     /// down, or crashing faster than we can ask), the outcome is
     /// unknowable from here and the *terminal* [`DbError::Unavailable`] is
     /// surfaced — the transaction may or may not have committed. The old
@@ -372,10 +372,11 @@ impl DriverConnection<'_> {
                     // transaction is simply lost, safe to retry.
                     return Err(DbError::Aborted(AbortReason::ReplicaCrashed));
                 }
-                Err(_) => {
-                    // The replica we asked also crashed. Back off, then
-                    // fail over if anyone is reachable; if not, retry the
-                    // discovery next round — a recovery may be in flight.
+                Ok(InDoubt::Unknown) | Err(_) => {
+                    // The replica we asked could not say within its bound,
+                    // or crashed too. Back off, then fail over if anyone is
+                    // reachable; if not, retry the discovery next round —
+                    // a recovery may be in flight.
                     if round + 1 == attempts {
                         break;
                     }

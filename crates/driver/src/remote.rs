@@ -144,46 +144,10 @@ pub enum ClientResp {
     },
     /// Commit / rollback / set-autocommit acknowledged.
     Done,
-    Resolved(InDoubtWire),
+    Resolved(InDoubt),
     Status(RemoteStatus),
     Pong,
     Err(DbError),
-}
-
-/// [`InDoubt`] as it crosses the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InDoubtWire {
-    Committed,
-    Aborted,
-    NeverReceived,
-}
-
-impl From<InDoubt> for InDoubtWire {
-    fn from(d: InDoubt) -> InDoubtWire {
-        match d {
-            InDoubt::Known(Outcome::Committed) => InDoubtWire::Committed,
-            InDoubt::Known(Outcome::Aborted) => InDoubtWire::Aborted,
-            InDoubt::NeverReceived => InDoubtWire::NeverReceived,
-        }
-    }
-}
-
-impl Wire for InDoubtWire {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            InDoubtWire::Committed => 0,
-            InDoubtWire::Aborted => 1,
-            InDoubtWire::NeverReceived => 2,
-        });
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode(r)? {
-            0 => InDoubtWire::Committed,
-            1 => InDoubtWire::Aborted,
-            2 => InDoubtWire::NeverReceived,
-            _ => return Err(WireError::Corrupt("in-doubt wire tag")),
-        })
-    }
 }
 
 impl Wire for ClientResp {
@@ -214,7 +178,7 @@ impl Wire for ClientResp {
         Ok(match u8::decode(r)? {
             0 => ClientResp::Exec { result: ExecResult::decode(r)?, xact: Option::decode(r)? },
             1 => ClientResp::Done,
-            2 => ClientResp::Resolved(InDoubtWire::decode(r)?),
+            2 => ClientResp::Resolved(InDoubt::decode(r)?),
             3 => ClientResp::Status(RemoteStatus::decode(r)?),
             4 => ClientResp::Pong,
             5 => ClientResp::Err(DbError::decode(r)?),
@@ -323,7 +287,7 @@ fn handle_req(session: &mut Session, cluster: &Arc<Cluster>, req: ClientReq) -> 
             Err(e) => ClientResp::Err(e),
         },
         ClientReq::Inquire { xact } => match session.node().inquire(xact) {
-            Ok(d) => ClientResp::Resolved(d.into()),
+            Ok(d) => ClientResp::Resolved(d),
             Err(e) => ClientResp::Err(e),
         },
         ClientReq::Status => {
@@ -524,7 +488,7 @@ impl RemoteConn<'_> {
     }
 
     /// Ask the connected node what happened to `xact`.
-    pub fn inquire(&mut self, xact: XactId) -> Result<InDoubtWire, DbError> {
+    pub fn inquire(&mut self, xact: XactId) -> Result<InDoubt, DbError> {
         match self.request(&ClientReq::Inquire { xact }) {
             Ok(ClientResp::Resolved(d)) => Ok(d),
             Ok(other) => Err(protocol_err("inquire", &other)),
@@ -542,15 +506,16 @@ impl RemoteConn<'_> {
                 backoff = (backoff * 2).min(BACKOFF_CAP);
             }
             match self.request(&ClientReq::Inquire { xact }) {
-                Ok(ClientResp::Resolved(InDoubtWire::Committed)) => return Ok(()),
-                Ok(ClientResp::Resolved(InDoubtWire::Aborted)) => {
+                Ok(ClientResp::Resolved(InDoubt::Known(Outcome::Committed))) => return Ok(()),
+                Ok(ClientResp::Resolved(InDoubt::Known(Outcome::Aborted))) => {
                     return Err(DbError::Aborted(AbortReason::ValidationFailure));
                 }
-                Ok(ClientResp::Resolved(InDoubtWire::NeverReceived)) => {
+                Ok(ClientResp::Resolved(InDoubt::NeverReceived)) => {
                     return Err(DbError::Aborted(AbortReason::ReplicaCrashed));
                 }
-                // Node can't answer yet (e.g. still recovering) or died
-                // under us — hop to the next one and ask again.
+                // Node can't answer (`InDoubt::Unknown` within its bound,
+                // e.g. still recovering) or died under us — hop to the next
+                // one and ask again.
                 Ok(_) | Err(_) => {
                     let _ = self.reconnect(self.addr_idx + 1);
                 }
@@ -669,9 +634,16 @@ mod tests {
         round_trip(&ClientResp::Exec { result: ExecResult::Affected(7), xact: None });
         round_trip(&ClientResp::Exec { result: ExecResult::Created, xact: None });
         round_trip(&ClientResp::Done);
-        round_trip(&ClientResp::Resolved(InDoubtWire::Committed));
-        round_trip(&ClientResp::Resolved(InDoubtWire::Aborted));
-        round_trip(&ClientResp::Resolved(InDoubtWire::NeverReceived));
+        for answer in [
+            InDoubt::Known(Outcome::Committed),
+            InDoubt::Known(Outcome::Aborted),
+            InDoubt::NeverReceived,
+            InDoubt::Unknown,
+        ] {
+            round_trip(&ClientResp::Resolved(answer));
+        }
+        // The in-doubt answer has one wire form; a tag past it is corrupt.
+        assert_eq!(ClientResp::from_wire(&[2, 3]), Err(WireError::Corrupt("in-doubt tag")));
         round_trip(&ClientResp::Status(RemoteStatus {
             replica: 2,
             alive: true,

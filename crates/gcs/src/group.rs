@@ -29,6 +29,7 @@ use sirep_common::journal::FaultKind;
 use sirep_common::{
     precise_sleep, Event, GaugeReading, Journal, MemberId, TimeScale, DEFAULT_JOURNAL_CAPACITY,
 };
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -107,7 +108,6 @@ enum Order {
 
 pub(crate) struct GroupState<M> {
     pub(crate) log: Log<M>,
-    next_member: u64,
     /// High-water of [`GroupState::backlog`], taken at every append.
     in_flight_hw: u64,
     /// Installed fault plan (None = faithful network).
@@ -144,14 +144,12 @@ impl<M> GroupState<M> {
         }
     }
 
-    fn admit(&mut self) -> MemberId {
-        let id = MemberId::new(self.next_member);
-        self.next_member += 1;
+    fn admit(&mut self, replica: u64) -> Result<MemberId, GcsError> {
         // No state transfer through the group: a joiner starts at its own
         // view and the cluster layer brings it up to date.
-        self.log.admit(id.raw(), (), self.log.end(), view_entry(Instant::now()));
+        let id = self.log.admit(replica, (), self.log.end(), view_entry(Instant::now()));
         self.note_append();
-        id
+        id.map(MemberId::new).ok_or_else(|| GcsError::Io("replica id exceeds 32 bits".into()))
     }
 
     /// Declare `id` crashed: survivors get the view change after the
@@ -302,6 +300,8 @@ pub(crate) struct GroupInner<M> {
     /// Signalled after every append and every heal; receivers wait on it
     /// (under `state`) for their cursor to fall behind their bound.
     appended: Condvar,
+    /// The replica id [`SimGroup::join`] hands out next.
+    next_replica: AtomicU64,
     config: GroupConfig,
 }
 
@@ -338,13 +338,13 @@ impl<M: Clone + Send + 'static> SimGroup<M> {
             inner: Arc::new(GroupInner {
                 state: Mutex::new(GroupState {
                     log: SeqLog::default(),
-                    next_member: 0,
                     in_flight_hw: 0,
                     faults: None,
                     partition_at: 0,
                     pending_sends: Vec::new(),
                 }),
                 appended: Condvar::new(),
+                next_replica: AtomicU64::new(0),
                 config,
             }),
         }
@@ -352,9 +352,15 @@ impl<M: Clone + Send + 'static> SimGroup<M> {
 
     /// [`Group::join`] with the concrete endpoint type.
     pub fn join(&self) -> SimMember<M> {
-        let id = self.inner.state.lock().admit();
+        let fresh = self.inner.next_replica.fetch_add(1, Ordering::Relaxed);
+        self.join_as(fresh).expect("fresh replica ids count up from 0")
+    }
+
+    /// [`Group::join_as`] with the concrete endpoint type.
+    pub fn join_as(&self, replica: u64) -> Result<SimMember<M>, GcsError> {
+        let id = self.inner.state.lock().admit(replica)?;
         self.inner.appended.notify_all();
-        SimMember { id, group: Arc::clone(&self.inner) }
+        Ok(SimMember { id, group: Arc::clone(&self.inner) })
     }
 
     pub fn config(&self) -> &GroupConfig {
@@ -369,6 +375,10 @@ impl<M: Clone + Send + 'static> SimGroup<M> {
 }
 
 impl<M: Clone + Send + 'static> Group<M> for SimGroup<M> {
+    fn join_as(&self, replica: u64) -> Result<Box<dyn Member<M>>, GcsError> {
+        Ok(Box::new(SimGroup::join_as(self, replica)?))
+    }
+
     fn join(&self) -> Result<Box<dyn Member<M>>, GcsError> {
         Ok(Box::new(SimGroup::join(self)))
     }

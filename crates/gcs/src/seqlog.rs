@@ -22,11 +22,17 @@
 //! - **View synchrony.** [`SeqLog::admit`] and [`SeqLog::evict`] change the
 //!   member table and append the view that says so in one step; the view
 //!   sits at one log index, hence at the same position in every stream.
+//! - **Self-describing views.** [`SeqLog::admit`] is the only place a member
+//!   id is minted: `(joins of that replica so far, replica)` packed as
+//!   [`MemberId::of`]. An id is never reused, so a view names exactly which
+//!   incarnation of which replica it adds or drops — what §5.4's in-doubt
+//!   answer "never received" needs — and nobody downstream counts or maps.
 //!
 //! A slow member is a cursor that lags ([`SeqLog::backlog`]); it never
 //! delays an append. [`SeqLog::trim`] drops what every cursor has passed;
 //! indices stay absolute, so trimming is invisible to the cursors.
 
+use sirep_common::MemberId;
 use std::collections::{vec_deque, BTreeMap, VecDeque};
 
 struct Cursor<C> {
@@ -42,6 +48,9 @@ pub struct SeqLog<F, C> {
     view_id: u64,
     /// Sorted by id, so views and iteration order are deterministic.
     members: BTreeMap<u64, Cursor<C>>,
+    /// Times each replica has been admitted — the next joiner's
+    /// incarnation. Only ever grows: eviction and trimming leave it alone.
+    joins: BTreeMap<u64, u64>,
     /// Absolute index of `frames[0]`; everything below it was trimmed.
     base: u64,
     frames: VecDeque<F>,
@@ -53,6 +62,7 @@ impl<F, C> Default for SeqLog<F, C> {
             next_seq: 0,
             view_id: 0,
             members: BTreeMap::new(),
+            joins: BTreeMap::new(),
             base: 0,
             frames: VecDeque::new(),
         }
@@ -96,14 +106,29 @@ impl<F, C> SeqLog<F, C> {
         self.frames.push_back(frame);
     }
 
-    /// Register `id` with its cursor at `from` (clamped to what the log
-    /// still holds: 0 replays all of it, [`SeqLog::end`] starts at the
-    /// joiner's own view) and append the view that includes it. `view`
-    /// renders a view frame from the log's new `view_id` and `members`.
-    pub fn admit(&mut self, id: u64, conn: C, from: u64, view: impl FnOnce(&Self) -> F) {
+    /// Admit a fresh incarnation of `replica`: mint its member id, register
+    /// its cursor at `from` (clamped to what the log still holds: 0 replays
+    /// all of it, [`SeqLog::end`] starts at the joiner's own view) and
+    /// append the view that includes it. `view` renders a view frame from
+    /// the log's new `view_id` and `members`. `None`: `replica` does not
+    /// fit in an id ([`MemberId::INCARNATION_SHIFT`]), nothing happened.
+    pub fn admit(
+        &mut self,
+        replica: u64,
+        conn: C,
+        from: u64,
+        view: impl FnOnce(&Self) -> F,
+    ) -> Option<u64> {
+        if replica >> MemberId::INCARNATION_SHIFT != 0 {
+            return None;
+        }
+        let joins = self.joins.entry(replica).or_insert(0);
+        let id = MemberId::of(replica, *joins).raw();
+        *joins += 1;
         let next = from.clamp(self.base, self.end());
         self.members.insert(id, Cursor { conn, next });
         self.push_view(view);
+        Some(id)
     }
 
     /// Remove `ids` and append one view covering all of them; ids that are
@@ -241,6 +266,23 @@ mod tests {
         assert_eq!(pending(&log, 2), ["view1[1]", "t0/1", "view2[1,2]"]);
         log.admit(3, "fresh", log.end(), view);
         assert_eq!(pending(&log, 3), ["view3[1,2,3]"]);
+    }
+
+    #[test]
+    fn a_readmitted_replica_gets_its_next_incarnation_never_an_old_id() {
+        let mut log = Log::default();
+        let first = log.admit(7, "a", 0, view).expect("fits");
+        assert_eq!(first, 7);
+        let _ = log.evict(&[first], view);
+        log.trim();
+        let second = log.admit(7, "b", 0, view).expect("fits");
+        let third = log.admit(7, "c", 0, view).expect("fits");
+        let ids = [second, third].map(MemberId::new);
+        assert_eq!(ids.map(|m| (m.replica().raw(), m.incarnation())), [(7, 1), (7, 2)]);
+        assert_eq!(pending(&log, third).last().expect("view"), &format!("view4[{second},{third}]"));
+        let before = (log.end(), log.view_id());
+        assert_eq!(log.admit(1 << MemberId::INCARNATION_SHIFT, "wide", 0, view), None);
+        assert_eq!((log.end(), log.view_id()), before, "a refused join changed the log");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! The sequencer is payload-agnostic: application messages cross it as
 //! opaque byte strings ([`Bytes`]), already `Wire`-encoded by the sending
-//! member, so one sequencer binary serves any `M: Wire`. Member ids and
-//! replica ids travel as raw `u64`s.
+//! member, so one sequencer binary serves any `M: Wire`. Member ids travel
+//! as raw `u64`s; each one is its `(replica, incarnation)` (`MemberId`).
 
 use sirep_common::wire::{Wire, WireError, WireReader};
 
@@ -107,15 +107,16 @@ impl Wire for UpFrame {
 /// instead of state transfer).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DownFrame {
-    /// Join handshake reply: the assigned member id and the replica's join
-    /// count (= the transaction-id incarnation the member must adopt).
-    Welcome { member: u64, incarnation: u64 },
+    /// Join handshake reply: the member id minted for this join — the
+    /// replica named in `Join` plus its incarnation, which the member folds
+    /// into the transaction ids it assigns.
+    Welcome { member: u64 },
     /// A sequenced total-order multicast.
     Total { seq: u64, sender: u64, payload: Bytes },
     /// A FIFO multicast.
     Fifo { sender: u64, payload: Bytes },
-    /// A membership view: `(member, replica)` pairs, sorted by member id.
-    View { id: u64, members: Vec<(u64, u64)> },
+    /// A membership view: member ids, sorted.
+    View { id: u64, members: Vec<u64> },
     /// Admin reply to [`UpFrame::Evict`], sent once the member's socket is
     /// shut down and the view change is sequenced.
     Evicted,
@@ -133,10 +134,9 @@ pub enum DownFrame {
 impl Wire for DownFrame {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            DownFrame::Welcome { member, incarnation } => {
+            DownFrame::Welcome { member } => {
                 out.push(0);
                 member.encode(out);
-                incarnation.encode(out);
             }
             DownFrame::Total { seq, sender, payload } => {
                 out.push(1);
@@ -171,7 +171,7 @@ impl Wire for DownFrame {
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match u8::decode(r)? {
-            0 => Ok(DownFrame::Welcome { member: u64::decode(r)?, incarnation: u64::decode(r)? }),
+            0 => Ok(DownFrame::Welcome { member: u64::decode(r)? }),
             1 => Ok(DownFrame::Total {
                 seq: u64::decode(r)?,
                 sender: u64::decode(r)?,
@@ -218,10 +218,10 @@ mod tests {
 
     #[test]
     fn all_down_frame_variants_round_trip() {
-        round_trip(&DownFrame::Welcome { member: 5, incarnation: 1 });
+        round_trip(&DownFrame::Welcome { member: (1 << 32) | 5 });
         round_trip(&DownFrame::Total { seq: 9, sender: 2, payload: Bytes(vec![0xff; 64]) });
         round_trip(&DownFrame::Fifo { sender: 0, payload: Bytes(vec![7]) });
-        round_trip(&DownFrame::View { id: 4, members: vec![(0, 0), (1, 1), (1 << 32, 0)] });
+        round_trip(&DownFrame::View { id: 4, members: vec![0, 1, 1 << 32] });
         round_trip(&DownFrame::Evicted);
         round_trip(&DownFrame::Stats {
             log_len: 100,

@@ -39,7 +39,6 @@ use parking_lot::Mutex;
 pub use seq::Sequencer;
 use sirep_common::wire::{read_frame, read_frame_counted, write_frame, write_frame_counted, Wire};
 use sirep_common::{Gauge, GaugeReading, MemberId, TransportSnapshot};
-use std::collections::BTreeMap;
 use std::io::{self, BufReader};
 use std::marker::PhantomData;
 use std::net::{Shutdown, TcpStream};
@@ -122,12 +121,11 @@ impl<M: Wire + Clone + Send + 'static> TcpGroup<M> {
         }
     }
 
-    /// Join as a specific logical replica. The sequencer assigns the member
-    /// id and the replica's incarnation (join count).
+    /// [`Group::join_as`] with the concrete endpoint type.
     pub fn join_as(&self, replica: u64) -> Result<TcpMember<M>, GcsError> {
         let member =
             TcpMember::connect(&self.addr, replica, Arc::clone(&self.telemetry)).map_err(io_gcs)?;
-        if member.incarnation() > 0 {
+        if member.id().incarnation() > 0 {
             self.telemetry.reconnects.fetch_add(1, Ordering::Relaxed);
         }
         self.telemetry.live.lock().push(Arc::downgrade(&member.shared));
@@ -140,9 +138,12 @@ fn io_gcs(e: io::Error) -> GcsError {
 }
 
 impl<M: Wire + Clone + Send + 'static> Group<M> for TcpGroup<M> {
+    fn join_as(&self, replica: u64) -> Result<Box<dyn Member<M>>, GcsError> {
+        Ok(Box::new(TcpGroup::join_as(self, replica)?))
+    }
+
     fn join(&self) -> Result<Box<dyn Member<M>>, GcsError> {
-        let replica = self.next_replica.fetch_add(1, Ordering::SeqCst);
-        Ok(Box::new(self.join_as(replica)?))
+        Group::join_as(self, self.next_replica.fetch_add(1, Ordering::SeqCst))
     }
 
     fn crash(&self, id: MemberId) {
@@ -154,7 +155,7 @@ impl<M: Wire + Clone + Send + 'static> Group<M> for TcpGroup<M> {
     fn view(&self) -> View {
         match admin_scrape(&self.addr, &UpFrame::Query) {
             Ok(DownFrame::View { id, members }) => {
-                View { id, members: members.into_iter().map(|(m, _)| MemberId::new(m)).collect() }
+                View { id, members: members.into_iter().map(MemberId::new).collect() }
             }
             _ => View { id: 0, members: Vec::new() },
         }
@@ -209,10 +210,6 @@ struct TcpShared {
     telemetry: Arc<GroupTelemetry>,
     /// Latest view delivered.
     view: Mutex<View>,
-    /// Cumulative member → replica map learned from view frames (members
-    /// from *earlier* views stay resolvable, which delivery translation
-    /// needs when a writeset and the view that removed its sender race).
-    replicas: Mutex<BTreeMap<u64, u64>>,
 }
 
 impl TcpShared {
@@ -260,7 +257,6 @@ impl Drop for TcpShared {
 /// A member endpoint over TCP. Created via [`TcpGroup::join_as`] /
 /// `Group::join`.
 pub struct TcpMember<M> {
-    incarnation: u64,
     rx: Receiver<Delivery<M>>,
     shared: Arc<TcpShared>,
 }
@@ -274,7 +270,7 @@ impl<M: Wire + Clone + Send + 'static> TcpMember<M> {
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         write_frame(&mut stream, &UpFrame::Join { replica })?;
-        let DownFrame::Welcome { member, incarnation } = read_frame(&mut stream)? else {
+        let DownFrame::Welcome { member } = read_frame(&mut stream)? else {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "sequencer did not start with Welcome",
@@ -294,24 +290,18 @@ impl<M: Wire + Clone + Send + 'static> TcpMember<M> {
             decode_failures: AtomicU64::new(0),
             telemetry,
             view: Mutex::new(View { id: 0, members: Vec::new() }),
-            replicas: Mutex::new(BTreeMap::new()),
         });
         let (tx, rx) = mpsc::channel();
         let reader_shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name(format!("sirep-tcp-member-{member}"))
             .spawn(move || reader_loop(stream, &reader_shared, &tx))?;
-        Ok(TcpMember { incarnation, rx, shared })
+        Ok(TcpMember { rx, shared })
     }
 
     /// The member id the sequencer assigned.
     pub fn id(&self) -> MemberId {
         self.shared.id
-    }
-
-    /// This replica's join count at the sequencer.
-    pub fn incarnation(&self) -> u64 {
-        self.incarnation
     }
 }
 
@@ -357,14 +347,7 @@ fn reader_loop<M: Wire>(stream: TcpStream, shared: &TcpShared, tx: &Sender<Deliv
                 Delivery::Fifo { sender: MemberId::new(sender), msg }
             }
             DownFrame::View { id, members } => {
-                let view =
-                    View { id, members: members.iter().map(|&(m, _)| MemberId::new(m)).collect() };
-                {
-                    let mut replicas = shared.replicas.lock();
-                    for &(m, r) in &members {
-                        replicas.insert(m, r);
-                    }
-                }
+                let view = View { id, members: members.into_iter().map(MemberId::new).collect() };
                 *shared.view.lock() = view.clone();
                 Delivery::ViewChange(view)
             }
@@ -385,10 +368,6 @@ fn reader_loop<M: Wire>(stream: TcpStream, shared: &TcpShared, tx: &Sender<Deliv
 impl<M: Wire + Clone + Send + 'static> Member<M> for TcpMember<M> {
     fn id(&self) -> MemberId {
         self.shared.id
-    }
-
-    fn incarnation(&self) -> u64 {
-        self.incarnation
     }
 
     fn handle(&self) -> Box<dyn Cast<M>> {
@@ -428,10 +407,6 @@ impl<M: Wire + Clone + Send + 'static> Member<M> for TcpMember<M> {
 
     fn in_flight(&self) -> GaugeReading {
         self.shared.in_flight.read()
-    }
-
-    fn replica_of(&self, m: MemberId) -> Option<u64> {
-        self.shared.replicas.lock().get(&m.raw()).copied()
     }
 
     fn leave(&self) {

@@ -12,8 +12,8 @@
 //! reports by how much) and a failed write evicts it.
 //!
 //! A joiner starts at cursor 0: a restarted replica recovers by
-//! deterministic replay rather than state transfer. Its join bumps the
-//! replica's **incarnation** (returned in `Welcome`), which the middleware
+//! deterministic replay rather than state transfer. The member id `Welcome`
+//! returns carries the replica's next **incarnation**, which the middleware
 //! folds into fresh transaction ids so replayed-and-deduped outcomes can
 //! never collide with new ones. Nothing calls [`SeqLog::trim`] here yet —
 //! acceptable for the smoke tier this backend serves; trimming needs a
@@ -28,7 +28,6 @@ use super::frames::{DownFrame, UpFrame};
 use crate::seqlog::SeqLog;
 use parking_lot::{Condvar, Mutex};
 use sirep_common::wire::{read_frame, write_frame, Wire};
-use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,32 +35,15 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
-/// Member ids pack `(join_count << 32) | replica`, so a replica's id is
-/// distinct across restarts while its low bits stay recognizable. Replica
-/// ids must therefore fit in 32 bits on this transport.
-pub const MEMBER_INCARNATION_SHIFT: u32 = 32;
-
 /// A writer takes frames past its cursor until the chunk reaches this many
 /// bytes (at least one frame), so one socket write carries a run of frames
 /// and the copy under the sequencer lock stays short.
 const WRITE_CHUNK: usize = 64 << 10;
 
-/// What the sequencer keeps per member besides its cursor.
-struct MemberConn {
-    replica: u64,
-    /// The member's socket, kept for shutdown at eviction (wakes both the
-    /// member's reader and our writer).
-    stream: TcpStream,
-}
-
-/// The sequenced stream in the length-prefixed form that goes on the wire.
-type Log = SeqLog<Box<[u8]>, MemberConn>;
-
-struct SeqState {
-    log: Log,
-    /// Join count per replica id — the incarnation handed to each joiner.
-    joins: BTreeMap<u64, u64>,
-}
+/// The sequenced stream in the length-prefixed form that goes on the wire;
+/// per member the log keeps its socket, for shutdown at eviction (wakes
+/// both the member's reader and our writer).
+type Log = SeqLog<Box<[u8]>, TcpStream>;
 
 /// `frame` as it goes on the wire: a little-endian `u32` length, then the
 /// encoding.
@@ -76,10 +58,7 @@ fn framed(frame: &DownFrame) -> Box<[u8]> {
 }
 
 fn view_frame(log: &Log) -> DownFrame {
-    DownFrame::View {
-        id: log.view_id(),
-        members: log.members().map(|(id, c)| (id, c.replica)).collect(),
-    }
+    DownFrame::View { id: log.view_id(), members: log.members().map(|(id, _)| id).collect() }
 }
 
 fn framed_view(log: &Log) -> Box<[u8]> {
@@ -92,15 +71,15 @@ fn framed_view(log: &Log) -> Box<[u8]> {
 /// blocked on its socket). The shutdown is a syscall: under the lock it
 /// would stall sequencing while the kernel tears down a dead peer's socket.
 fn evict_and_shutdown(inner: &SeqInner, ids: &[u64]) {
-    let evicted = inner.state.lock().log.evict(ids, framed_view);
+    let evicted = inner.state.lock().evict(ids, framed_view);
     inner.appended.notify_all();
-    for conn in evicted {
-        let _ = conn.stream.shutdown(Shutdown::Both);
+    for stream in evicted {
+        let _ = stream.shutdown(Shutdown::Both);
     }
 }
 
 struct SeqInner {
-    state: Mutex<SeqState>,
+    state: Mutex<Log>,
     /// Signalled after every log append and every eviction; writers wait on
     /// it (under `state`) for their cursor to fall behind the log.
     appended: Condvar,
@@ -125,7 +104,7 @@ impl Sequencer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let inner = Arc::new(SeqInner {
-            state: Mutex::new(SeqState { log: SeqLog::default(), joins: BTreeMap::new() }),
+            state: Mutex::new(SeqLog::default()),
             appended: Condvar::new(),
             shutdown: AtomicBool::new(false),
             epoch: Instant::now(),
@@ -145,13 +124,13 @@ impl Sequencer {
 
     /// Total-order sequence numbers assigned so far.
     pub fn sequenced(&self) -> u64 {
-        self.inner.state.lock().log.next_seq()
+        self.inner.state.lock().next_seq()
     }
 
     /// Stop accepting, evict every member, and wake all service threads.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        let ids: Vec<u64> = self.inner.state.lock().log.members().map(|(id, _)| id).collect();
+        let ids: Vec<u64> = self.inner.state.lock().members().map(|(id, _)| id).collect();
         evict_and_shutdown(&self.inner, &ids);
         // Unblock the accept loop.
         let _ = TcpStream::connect(self.addr);
@@ -207,14 +186,13 @@ fn serve_conn(stream: TcpStream, inner: &Arc<SeqInner>) {
                 let _ = inner
                     .state
                     .lock()
-                    .log
                     .total(id, |seq| framed(&DownFrame::Total { seq, sender: id, payload }));
                 inner.appended.notify_all();
                 continue;
             }
             (UpFrame::Fifo { payload }, Some(id)) => {
                 let frame = framed(&DownFrame::Fifo { sender: id, payload });
-                let _ = inner.state.lock().log.fifo(id, frame);
+                let _ = inner.state.lock().fifo(id, frame);
                 inner.appended.notify_all();
                 continue;
             }
@@ -223,14 +201,14 @@ fn serve_conn(stream: TcpStream, inner: &Arc<SeqInner>) {
                 evict_and_shutdown(inner, &[member]);
                 DownFrame::Evicted
             }
-            (UpFrame::Query, None) => view_frame(&inner.state.lock().log),
+            (UpFrame::Query, None) => view_frame(&inner.state.lock()),
             (UpFrame::Stats, None) => {
-                let st = inner.state.lock();
+                let log = inner.state.lock();
                 DownFrame::Stats {
-                    log_len: st.log.end(),
-                    next_seq: st.log.next_seq(),
-                    view_id: st.log.view_id(),
-                    members: st.log.backlog().collect(),
+                    log_len: log.end(),
+                    next_seq: log.next_seq(),
+                    view_id: log.view_id(),
+                    members: log.backlog().collect(),
                 }
             }
             (UpFrame::TimeProbe, None) => DownFrame::Time {
@@ -249,36 +227,28 @@ fn serve_conn(stream: TcpStream, inner: &Arc<SeqInner>) {
     }
 }
 
-/// Admit a joiner: assign its member id and incarnation, register its
-/// cursor at the start of the log and sequence the view that includes it
-/// (O(1) under the lock — the history reaches the joiner through its
-/// writer like everything else), reply `Welcome`, and start the writer via
-/// `start_writer`. From registration on the member is in every view, so
-/// any later failure evicts it again.
+/// Admit a joiner: the log mints its member id, registers its cursor at
+/// the start and sequences the view that includes it (O(1) under the lock
+/// — the history reaches the joiner through its writer like everything
+/// else); reply `Welcome`, and start the writer via `start_writer`. From
+/// registration on the member is in every view, so any later failure
+/// evicts it again.
 fn handle_join(
     stream: &TcpStream,
     inner: &Arc<SeqInner>,
     replica: u64,
     start_writer: impl FnOnce(TcpStream, Arc<SeqInner>, u64) -> io::Result<()>,
 ) -> io::Result<u64> {
-    if replica >= (1 << MEMBER_INCARNATION_SHIFT) {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "replica id exceeds 32 bits"));
-    }
-    let conn = MemberConn { replica, stream: stream.try_clone()? };
+    let conn = stream.try_clone()?;
     let write = stream.try_clone()?;
-    let (id, incarnation) = {
-        let mut st = inner.state.lock();
-        let joins = st.joins.entry(replica).or_insert(0);
-        let incarnation = *joins;
-        *joins += 1;
-        let id = (incarnation << MEMBER_INCARNATION_SHIFT) | replica;
-        st.log.admit(id, conn, 0, framed_view);
-        (id, incarnation)
+    let id = inner.state.lock().admit(replica, conn, 0, framed_view);
+    let Some(id) = id else {
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, "replica id exceeds 32 bits"));
     };
     inner.appended.notify_all();
     // The handshake reply goes out before the writer exists, so it precedes
     // every log frame on the socket.
-    let started = write_frame(&mut (&write), &DownFrame::Welcome { member: id, incarnation })
+    let started = write_frame(&mut (&write), &DownFrame::Welcome { member: id })
         .and_then(|()| start_writer(write, Arc::clone(inner), id));
     if let Err(e) = started {
         evict_and_shutdown(inner, &[id]);
@@ -304,9 +274,9 @@ fn writer_loop(mut stream: TcpStream, inner: &SeqInner, id: u64) {
     loop {
         chunk.clear();
         let mut taken = 0;
-        let mut st = inner.state.lock();
+        let mut log = inner.state.lock();
         loop {
-            let Some((_, frames)) = st.log.pending(id) else { return };
+            let Some((_, frames)) = log.pending(id) else { return };
             for frame in frames {
                 chunk.extend_from_slice(frame);
                 taken += 1;
@@ -317,10 +287,10 @@ fn writer_loop(mut stream: TcpStream, inner: &SeqInner, id: u64) {
             if taken > 0 {
                 break;
             }
-            inner.appended.wait(&mut st);
+            inner.appended.wait(&mut log);
         }
-        st.log.advance(id, taken);
-        drop(st);
+        log.advance(id, taken);
+        drop(log);
         if stream.write_all(&chunk).is_err() {
             evict_and_shutdown(inner, &[id]);
             return;
@@ -361,12 +331,12 @@ mod tests {
 
         assert_eq!(next_view(&survivor), vec![0, 7], "the joiner was registered");
         assert_eq!(next_view(&survivor), vec![0], "and evicted again when its writer failed");
-        let st = seq.inner.state.lock();
-        assert_eq!(st.log.members().map(|(id, _)| id).collect::<Vec<_>>(), vec![0]);
-        assert_eq!(st.log.view_id(), 3);
-        drop(st);
+        let log = seq.inner.state.lock();
+        assert_eq!(log.members().map(|(id, _)| id).collect::<Vec<_>>(), vec![0]);
+        assert_eq!(log.view_id(), 3);
+        drop(log);
         // The joiner got its Welcome and then a closed socket — no frames.
-        assert!(matches!(read_frame(&mut joiner), Ok(DownFrame::Welcome { member: 7, .. })));
+        assert!(matches!(read_frame(&mut joiner), Ok(DownFrame::Welcome { member: 7 })));
         assert!(read_frame::<_, DownFrame>(&mut joiner).is_err());
     }
 }

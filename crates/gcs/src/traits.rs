@@ -38,7 +38,10 @@ use std::time::{Duration, Instant};
 /// carried by the delivery.
 pub const HELD_SEND_SEQ: u64 = u64::MAX;
 
-/// A membership view.
+/// A membership view. Self-describing: each [`MemberId`] is the
+/// `(replica, incarnation)` the sequencer core minted at that member's join
+/// (see `seqlog.rs`), so which incarnation of which replica a view adds or
+/// drops is read off two successive views and nothing else.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct View {
     pub id: u64,
@@ -151,15 +154,6 @@ impl<M> Clone for Box<dyn Cast<M>> {
 pub trait Member<M>: Send {
     fn id(&self) -> MemberId;
 
-    /// How many times this member's logical replica has joined the group
-    /// before (0 on first join). Networked backends count joins at the
-    /// sequencer so a restarted process resumes with a fresh transaction-id
-    /// incarnation; the sim backend tracks rejoins in `Cluster::recover`
-    /// instead and always returns 0 here.
-    fn incarnation(&self) -> u64 {
-        0
-    }
-
     /// A clonable handle for multicasting from other threads.
     fn handle(&self) -> Box<dyn Cast<M>>;
 
@@ -178,14 +172,6 @@ pub trait Member<M>: Send {
 
     /// Delivery copies enqueued but not yet received.
     fn in_flight(&self) -> GaugeReading;
-
-    /// The logical replica id a group member represents, if this endpoint
-    /// knows it (networked backends learn it from view frames; the sim
-    /// backend leaves the mapping to the cluster's member registry).
-    fn replica_of(&self, m: MemberId) -> Option<u64> {
-        let _ = m;
-        None
-    }
 
     /// Leave the group. Survivors observe a view change; for backends
     /// without a distinct graceful-leave protocol this is `crash_self`.
@@ -207,8 +193,13 @@ pub trait Member<M>: Send {
 /// real sockets cannot provide), so the TCP backend inherits the defaults
 /// and the chaos harness stays pinned to [`SimGroup`](crate::SimGroup).
 pub trait Group<M>: Send + Sync {
-    /// Join the group: returns the new member's endpoint. All members
-    /// (including the new one) receive the view that adds it.
+    /// Join the group as the next incarnation of logical replica `replica`
+    /// (its first, if it never joined): returns the new member's endpoint.
+    /// All members (including the new one) receive the view that adds it.
+    fn join_as(&self, replica: u64) -> Result<Box<dyn Member<M>>, GcsError>;
+
+    /// [`Group::join_as`] the next replica id this handle has not handed
+    /// out yet.
     fn join(&self) -> Result<Box<dyn Member<M>>, GcsError>;
 
     /// Administratively crash a member: it is removed from the group and

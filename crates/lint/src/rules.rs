@@ -100,7 +100,7 @@ pub struct LockClass {
     pub condvars: Vec<String>,
     /// Extra declaration names covered by this class for `lock-coverage`
     /// (fields or type aliases with no guard-producing call of their own,
-    /// e.g. a `type MemberRegistry = Arc<Mutex<..>>` alias).
+    /// e.g. a `type Registry = Arc<Mutex<..>>` alias).
     pub fields: Vec<String>,
 }
 

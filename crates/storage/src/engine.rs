@@ -220,7 +220,17 @@ impl Database {
             doomed: AtomicBool::new(false),
             read_keys: Mutex::new(Vec::new()),
         });
-        self.inner.txns.lock().insert(id, Arc::clone(&state));
+        {
+            // Re-checked under the lock `crash` sweeps, so a begin racing a
+            // crash is either refused here or killed by the sweep — never
+            // left alive and undoomed in a closed database, where a lock
+            // wait would have nobody to end it.
+            let mut txns = self.inner.txns.lock();
+            if self.inner.closed.load(Ordering::Acquire) {
+                return Err(DbError::Aborted(AbortReason::Shutdown));
+            }
+            txns.insert(id, Arc::clone(&state));
+        }
         *self.inner.active_snapshots.lock().entry(snapshot.0).or_insert(0) += 1;
         Ok(TxnHandle { db: Arc::clone(&self.inner), state })
     }

@@ -372,6 +372,32 @@ fn crash_closes_database() {
     assert_eq!(err, DbError::Aborted(AbortReason::Shutdown));
 }
 
+/// A `begin` racing `crash` must not slip a live, undoomed transaction into
+/// the closed database: once `crash` has returned, every transaction that
+/// ever began there fails its next operation.
+#[test]
+fn no_transaction_survives_a_crash_it_raced() {
+    for _ in 0..200 {
+        let db = db_with_kv();
+        let beginner = {
+            let db = db.clone();
+            thread::spawn(move || {
+                let mut begun = Vec::new();
+                while let Ok(t) = db.begin() {
+                    begun.push(t);
+                }
+                begun
+            })
+        };
+        thread::yield_now();
+        db.crash();
+        for t in beginner.join().unwrap() {
+            let err = t.read("kv", &Key::single(1)).unwrap_err();
+            assert_eq!(err, DbError::Aborted(AbortReason::Shutdown));
+        }
+    }
+}
+
 #[test]
 fn version_gc_prunes_dead_versions() {
     let db = db_with_kv();

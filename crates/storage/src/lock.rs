@@ -75,6 +75,22 @@ impl LmState {
         }
         self.waits_for.remove(&txn);
     }
+
+    /// Take `id` from its owner: grant it to the next waiter (FIFO), or
+    /// free it. The caller wakes the blocked threads.
+    fn pass_on(&mut self, id: &LockId) {
+        let Some(e) = self.locks.get_mut(id) else { return };
+        if let Some(next) = e.waiters.pop_front() {
+            e.owner = next;
+            let remaining: Vec<TxnId> = e.waiters.iter().copied().collect();
+            self.waits_for.remove(&next);
+            for w in remaining {
+                self.waits_for.insert(w, next);
+            }
+        } else {
+            self.locks.remove(id);
+        }
+    }
 }
 
 /// The lock manager. Shared by all transactions of one database replica.
@@ -123,6 +139,12 @@ impl LockManager {
             // (refresh the wait edge), or we were doomed.
             if st.doomed.contains(&txn) {
                 st.remove_waiter(id, txn);
+                if st.locks.get(id).is_some_and(|e| e.owner == txn) {
+                    // Granted before we woke: hand it on, or it stays owned
+                    // by a transaction that never learns it holds it.
+                    st.pass_on(id);
+                    self.cond.notify_all();
+                }
                 return Err(AbortReason::Shutdown);
             }
             if let Some(e) = st.locks.get(id) {
@@ -140,21 +162,9 @@ impl LockManager {
     pub fn release_all(&self, txn: TxnId, ids: &[LockId]) {
         let mut st = self.state.lock();
         for id in ids {
-            let Some(e) = st.locks.get_mut(id) else {
-                continue;
-            };
-            if e.owner != txn {
-                continue; // already granted away (defensive)
-            }
-            if let Some(next) = e.waiters.pop_front() {
-                e.owner = next;
-                let remaining: Vec<TxnId> = e.waiters.iter().copied().collect();
-                st.waits_for.remove(&next);
-                for w in remaining {
-                    st.waits_for.insert(w, next);
-                }
-            } else {
-                st.locks.remove(id);
+            // Not the owner: already granted away (defensive).
+            if st.locks.get(id).is_some_and(|e| e.owner == txn) {
+                st.pass_on(id);
             }
         }
         st.doomed.remove(&txn);
@@ -290,6 +300,28 @@ mod tests {
         // A is unaffected.
         assert_eq!(lm.owner_of(&lid(1)), Some(a));
         lm.release_all(a, &[lid(1)]);
+    }
+
+    /// A waiter doomed and granted the lock before it wakes must not die
+    /// owning it.
+    #[test]
+    fn a_lock_granted_to_a_doomed_waiter_is_passed_on() {
+        for _ in 0..200 {
+            let lm = Arc::new(LockManager::new());
+            let [a, b] = [1, 2].map(TxnId::new);
+            lm.acquire(a, &lid(1)).unwrap();
+            let waiter = Arc::clone(&lm);
+            let h = thread::spawn(move || waiter.acquire(b, &lid(1)));
+            while lm.blocked_count() == 0 {
+                thread::yield_now();
+            }
+            // Doom B and release A back to back: B is granted the lock
+            // before it gets to run.
+            lm.doom(b);
+            lm.release_all(a, &[lid(1)]);
+            assert_eq!(h.join().unwrap(), Err(AbortReason::Shutdown));
+            assert_eq!(lm.owner_of(&lid(1)), None, "the lock died with its doomed owner");
+        }
     }
 
     #[test]

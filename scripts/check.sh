@@ -137,8 +137,8 @@ else
     cargo test --offline --workspace -q
     echo "==> sirep-model (exhaustive protocol exploration, all scopes + mutant self-check)"
     cargo run --offline -q --release -p sirep-model -- --full --self-check --emit results
-    echo "==> chaos harness (16-seed sweep)"
-    SIREP_CHAOS_SEEDS=16 cargo test --offline --test chaos_faults -q
+    echo "==> chaos harness (256-seed sweep, ≈ 2 min: wide enough to have met the old ≈ 1.5 % failover hang; a hung seed fails by name)"
+    SIREP_CHAOS_SEEDS=256 cargo test --offline --test chaos_faults -q
 fi
 
 echo "OK: fmt, clippy, sirep-lint, trace-off build, tests all green."

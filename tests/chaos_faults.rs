@@ -8,8 +8,9 @@
 //! 3. the auditor stays clean through every seed.
 //!
 //! The sweep width is `SIREP_CHAOS_SEEDS` (default 2 for the quick tier;
-//! CI's full tier sets 16). Each seed's fingerprint is written to
-//! `results/CHAOS_<seed>.json` so a failing seed can be replayed exactly.
+//! `scripts/check.sh`'s full tier sets 256). Each seed runs under a
+//! watchdog, so a hang fails the test naming the seed, and its fingerprint
+//! is written to `results/CHAOS_<seed>.json` so it can be replayed exactly.
 
 use si_rep::common::{CrashPoint, DbError};
 use si_rep::core::{Cluster, ClusterConfig, Connection};
@@ -302,9 +303,15 @@ fn sweep_one_seed(seed: u64) {
                     }
                     // If no client happened to commit through replica 0 in
                     // time, withdraw the trap (it must not fire into the
-                    // final accounting phase).
-                    c.disarm_crash_point(CrashPoint::AfterMulticastBeforeLocalCommit);
-                    if !c.node(0).is_alive() {
+                    // final accounting phase). Whether it fired is what the
+                    // disarm reports — `is_alive` still reads true between
+                    // the firing and the crash it causes.
+                    if !c.disarm_crash_point(CrashPoint::AfterMulticastBeforeLocalCommit) {
+                        let landed = Instant::now() + Q;
+                        while c.node(0).is_alive() {
+                            assert!(Instant::now() < landed, "seed {seed}: fired, never crashed");
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
                         std::thread::sleep(Duration::from_millis(30));
                         c.recover(0).expect("recovery failed");
                     }
@@ -338,9 +345,25 @@ fn sweep_one_seed(seed: u64) {
     );
 }
 
+/// Far beyond a seed's ≈ 0.5 s, and beyond the longest a client may
+/// legitimately sit in in-doubt resolution (8 bounded inquiries).
+const SEED_WATCHDOG: Duration = Duration::from_secs(90);
+
 #[test]
 fn seed_sweep_holds_one_copy_si_and_loses_no_acked_write() {
     for i in 0..sweep_seeds() {
-        sweep_one_seed(0xC0FFEE + i * 7919);
+        let seed = 0xC0FFEE + i * 7919;
+        // The sender is dropped when the seed's thread ends, however it ends.
+        let (done, finished) = std::sync::mpsc::channel::<()>();
+        let run = std::thread::spawn(move || {
+            let _done = done;
+            sweep_one_seed(seed);
+        });
+        if finished.recv_timeout(SEED_WATCHDOG) == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+            panic!("seed {seed}: still running after {SEED_WATCHDOG:?} — a hang");
+        }
+        if let Err(panic) = run.join() {
+            std::panic::resume_unwind(panic);
+        }
     }
 }

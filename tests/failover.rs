@@ -1,11 +1,11 @@
 //! End-to-end failover tests for the §5.4 connection states, through the
 //! public driver API.
 
-use si_rep::common::{AbortReason, DbError};
-use si_rep::core::{Cluster, ClusterConfig, Connection, InDoubt, Outcome};
+use si_rep::common::{AbortReason, CrashPoint, DbError};
+use si_rep::core::{Cluster, ClusterConfig, Connection, InDoubt, Outcome, INQUIRE_DEADLINE};
 use si_rep::driver::{Driver, DriverConfig, Policy};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn cluster(n: usize) -> Arc<Cluster> {
     let c = Arc::new(Cluster::new(ClusterConfig::builder().replicas(n).build()));
@@ -77,6 +77,89 @@ fn inquiry_for_a_live_origin_waits_instead_of_declaring_never_received() {
     std::thread::sleep(Duration::from_millis(50));
     s.commit().unwrap();
     assert_eq!(inquirer.join().unwrap().unwrap(), InDoubt::Known(Outcome::Committed));
+}
+
+#[test]
+fn back_to_back_crashes_of_one_replica_name_the_incarnation_that_left() {
+    // Crash R0, recover it, crash it again with no other view in between:
+    // the survivors must know it was incarnation 1 that left the second
+    // time (they read it off the views), and that incarnation 2 has not.
+    let c = cluster(3);
+    c.crash(0);
+    c.recover(0).unwrap();
+    let mut s = c.session(0);
+    s.execute("INSERT INTO kv VALUES (7, 7)").unwrap();
+    let lost = s.xact_id().unwrap();
+    assert_eq!(lost.incarnation(), 1);
+    c.crash(0); // before the commit request: never multicast
+    assert!(matches!(s.commit(), Err(DbError::Aborted(_))));
+    for k in [1, 2] {
+        let asked = Instant::now();
+        assert_eq!(c.node(k).inquire(lost).unwrap(), InDoubt::NeverReceived, "survivor {k}");
+        assert!(asked.elapsed() < INQUIRE_DEADLINE, "survivor {k} took {:?}", asked.elapsed());
+    }
+
+    c.recover(0).unwrap();
+    let mut s = c.session(0);
+    s.execute("INSERT INTO kv VALUES (8, 8)").unwrap();
+    let live = s.xact_id().unwrap();
+    assert_eq!(live.incarnation(), 2);
+    // Not multicast yet, origin incarnation alive: nobody may call it lost.
+    // The survivors wait out their bound and say they cannot tell.
+    let asked = Instant::now();
+    let inquirers: Vec<_> = [1, 2]
+        .map(|k| {
+            let n = c.node(k);
+            std::thread::spawn(move || n.inquire(live))
+        })
+        .into();
+    for inquirer in inquirers {
+        assert_eq!(inquirer.join().unwrap().unwrap(), InDoubt::Unknown);
+    }
+    let took = asked.elapsed();
+    assert!(took >= INQUIRE_DEADLINE && took < INQUIRE_DEADLINE * 2, "took {took:?}");
+    s.commit().unwrap();
+    assert!(c.quiesce(Duration::from_secs(5)));
+    for k in [1, 2] {
+        assert_eq!(c.node(k).inquire(live).unwrap(), InDoubt::Known(Outcome::Committed));
+    }
+}
+
+/// R0 multicasts a commit and dies before acknowledging it while the
+/// replicas in `cut_off` are partitioned away: they have seen neither the
+/// writeset nor the crash view, so all they can answer is `Unknown`.
+fn in_doubt_commit_with_survivors_cut_off(
+    cut_off: &[usize],
+    attempts: usize,
+) -> Result<(), DbError> {
+    let c = cluster(3);
+    let cfg = DriverConfig::builder().policy(Policy::Primary).inquiry_attempts(attempts).build();
+    let d = Driver::new(Arc::clone(&c), cfg);
+    let mut conn = d.connect().unwrap();
+    conn.execute("INSERT INTO kv VALUES (30, 1)").unwrap();
+    c.partition(cut_off);
+    c.arm_crash_point(CrashPoint::AfterMulticastBeforeLocalCommit, 0);
+    let asked = Instant::now();
+    let resolved = conn.commit();
+    assert!(asked.elapsed() >= INQUIRE_DEADLINE, "nobody waited out the bound");
+    c.heal_partition();
+    assert!(c.quiesce(Duration::from_secs(5)));
+    for k in c.alive() {
+        assert_eq!(k.database().table_len("kv"), 1, "the writeset was delivered uniformly");
+    }
+    resolved
+}
+
+#[test]
+fn an_inquiry_nobody_can_answer_moves_on_to_the_next_survivor() {
+    // R1 (the primary's successor) cannot tell within its bound; R2 can.
+    in_doubt_commit_with_survivors_cut_off(&[1], 2).unwrap();
+}
+
+#[test]
+fn an_inquiry_no_survivor_can_answer_ends_unavailable() {
+    let e = in_doubt_commit_with_survivors_cut_off(&[1, 2], 1).unwrap_err();
+    assert_eq!(e, DbError::Unavailable);
 }
 
 #[test]

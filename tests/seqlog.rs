@@ -1,14 +1,18 @@
 //! The sequencer core (`gcs/src/seqlog.rs`) from tier-1: the delivery
 //! contract both transport backends inherit, checked on the pure state
 //! machine with no thread, clock or socket. Random join / evict / total /
-//! fifo / advance / trim sequences must keep three things true:
+//! fifo / advance / trim sequences must keep four things true:
 //!
 //! - every member's consumed stream is a contiguous slice of one log;
 //! - a view entry sits at the same log index for everyone who consumes it;
 //! - a sender's frames appear in its submission order, total-order sequence
-//!   numbers are dense from 0, and a non-member's frame changes nothing.
+//!   numbers are dense from 0, and a non-member's frame changes nothing;
+//! - a member id is minted once: it names the joiner's replica and how many
+//!   times that replica was admitted before, whatever was evicted or
+//!   trimmed in between, and is never handed out again.
 
 use proptest::prelude::*;
+use si_rep::common::MemberId;
 use si_rep::gcs::SeqLog;
 use std::collections::BTreeMap;
 
@@ -29,7 +33,11 @@ fn view(log: &Log) -> Frame {
 /// joined, so evicted members keep being picked as senders and readers.
 #[derive(Debug, Clone)]
 enum Op {
-    Join { replay: bool },
+    /// A join of one of four replicas, so most joins are re-admits.
+    Join {
+        replica: u64,
+        replay: bool,
+    },
     Evict(Vec<usize>),
     Total(usize),
     Fifo(usize),
@@ -39,7 +47,7 @@ enum Op {
 
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        2 => any::<bool>().prop_map(|replay| Op::Join { replay }),
+        2 => (0u64..4, any::<bool>()).prop_map(|(replica, replay)| Op::Join { replica, replay }),
         1 => prop::collection::vec(0usize..8, 0..3).prop_map(Op::Evict),
         6 => (0usize..8).prop_map(Op::Total),
         3 => (0usize..8).prop_map(Op::Fifo),
@@ -65,17 +73,23 @@ proptest! {
         let mut shadow: Vec<Frame> = Vec::new();
         let mut readers: BTreeMap<u64, Reader> = BTreeMap::new();
         let mut submitted: BTreeMap<u64, u64> = BTreeMap::new();
+        // Admits so far, per replica.
+        let mut admits: BTreeMap<u64, u64> = BTreeMap::new();
         let pick = |readers: &BTreeMap<u64, Reader>, i: usize| {
             readers.keys().nth(i % readers.len().max(1)).copied().unwrap_or(999)
         };
 
         for op in ops {
             match op {
-                Op::Join { replay } => {
-                    let id = readers.len() as u64;
+                Op::Join { replica, replay } => {
                     let from = if replay { 0 } else { log.end() };
-                    log.admit(id, (), from, view);
+                    let id = log.admit(replica, (), from, view).expect("a small replica id fits");
                     shadow.push(view(&log));
+                    let earlier = admits.entry(replica).or_insert(0);
+                    let member = MemberId::new(id);
+                    prop_assert_eq!((member.replica().raw(), member.incarnation()), (replica, *earlier));
+                    *earlier += 1;
+                    prop_assert!(!readers.contains_key(&id), "id {} handed out twice", id);
                     // A replaying joiner starts at whatever trim left; any
                     // joiner starts no later than its own view.
                     let start = log.pending(id).expect("just joined").0;

@@ -7,9 +7,12 @@
 //! - a member that stops reading falls behind *alone*: its cursor lag is
 //!   what `query_seq_stats` reports, and nobody else waits for it;
 //! - evicting a member ends its writer thread and drops what it still had
-//!   in flight.
+//!   in flight;
+//! - a restarted replica is handed to clients only once it has replayed the
+//!   log up to its own join.
 
 use si_rep::common::wire::{read_frame, write_frame};
+use si_rep::core::{Cluster, ClusterConfig, Connection, Transport};
 use si_rep::gcs::tcp::frames::{DownFrame, UpFrame};
 use si_rep::gcs::{
     query_seq_stats, Delivery, Group, Member, SeqStats, Sequencer, TcpGroup, TcpMember,
@@ -270,4 +273,45 @@ fn evicted_members_writer_exits_and_its_frames_in_flight_are_dropped() {
     poll_until("b's writer thread exits", || writer_threads() == 1);
     drop(seq);
     poll_until("shutdown ends the last writer", || writer_threads() == 0);
+}
+
+/// A joiner replays the sequenced log from index 0. Until it reaches its own
+/// join view its `lastvalidated` is behind the group's prune watermark, and a
+/// transaction certified there could pass against entries already pruned —
+/// so a begin on a restarted replica waits until the replay has caught up.
+#[test]
+fn restarted_replica_begins_nothing_before_it_has_caught_up() {
+    let _one = serial();
+    let seq = Sequencer::spawn("127.0.0.1:0").expect("bind sequencer");
+    let start = |replica: u64, appliers: usize| {
+        let transport = Transport::Tcp { sequencer: seq.addr().to_string() };
+        let cfg = ClusterConfig::builder().transport(transport).first_replica(replica);
+        let c = Cluster::try_new(cfg.appliers(appliers).build()).expect("join");
+        c.execute_ddl("CREATE TABLE kv (k INT, v INT, PRIMARY KEY (k))").expect("ddl");
+        c
+    };
+    let survivor = start(1, 2);
+    let mut s = survivor.session(0);
+    let mut commit = |k: u64| {
+        s.execute(&format!("INSERT INTO kv VALUES ({k}, 0)")).expect("insert");
+        s.commit().expect("commit");
+    };
+    let first = start(0, 2);
+    (0..150).for_each(&mut commit);
+    drop(first);
+    (150..300).for_each(&mut commit);
+
+    // No appliers: the replay starts at the join, before the schema can be
+    // installed, and this test is about certification, not application.
+    let again = start(0, 0);
+    let mut s0 = again.session(0);
+    s0.execute("INSERT INTO kv VALUES (300, 0)").expect("insert");
+    assert_eq!(s0.xact_id().expect("open").incarnation(), 1, "second life of replica 0");
+    let behind = survivor.node(0).last_validated().raw() - again.node(0).last_validated().raw();
+    assert_eq!(behind, 0, "a transaction began while the replica was still replaying");
+    s0.commit().expect("commit");
+    assert!(again.audit_is_clean() && survivor.audit_is_clean());
+
+    drop((again, survivor, seq));
+    poll_until("shutdown ends the writers", || writer_threads() == 0);
 }
