@@ -18,17 +18,21 @@
 //!   Prometheus text), one clock-aligned Perfetto trace, and a re-run of
 //!   the 1-copy-SI checks over the union of the scraped journals.
 //!
-//! Schema is deployment configuration: every `node` executes the same
-//! `--schema` DDL locally at startup (DDL is not replicated through the
-//! writeset path). A restarted node re-runs it against its empty database
-//! and then recovers all data by replaying the sequencer's history.
+//! Schema is deployment configuration: every `node` installs the same
+//! `--schema` DDL in its empty database before it joins the group (DDL is
+//! not replicated through the writeset path). A restarted node does so
+//! again and then recovers all data by replaying the sequencer's history.
+//!
+//! A `node` whose replica has stopped — the sequencer died or evicted it —
+//! exits non-zero: sequencer death is fail-stop for the group, and the
+//! clients' §5.4 failover resolves what was in flight (DESIGN.md §14).
 
 use sirep_common::journal::Event;
 use sirep_common::{json_lint, ReplicaId};
 use sirep_core::cluster::Transport;
 use sirep_core::{
     audit_scraped_journals, perfetto_trace_json, shift_events, Cluster, ClusterConfig,
-    ClusterReport,
+    ClusterConfigBuilder, ClusterReport,
 };
 use sirep_driver::remote::{NodeServer, RemoteConn, RemoteDriver, RemoteStatus};
 use sirep_driver::telemetry::{
@@ -47,8 +51,6 @@ roles:
   node      --seq <addr> --replica <k> --bind <addr> [--telemetry <addr>]
             [--schema <sql>]...
   workload  --nodes <a,b,c> [--ops <n>] [--accounts <n>] [--seed <n>] [--init]
-            [--bench-json <path>] [--clients <c1,c2,..>] [--bench-secs <n>]
-            [--read-mix <p1,p2,..>] [--bench-warmup-ms <n>]
   check     --nodes <a,b,c> [--accounts <n>] [--timeout-secs <n>]
   report    --telemetry <a,b,c> [--seq <addr>] --out <dir>
   audit     --telemetry <a,b,c>
@@ -162,17 +164,12 @@ fn cmd_node(args: &[String]) -> i32 {
     let config = ClusterConfig::builder()
         .replicas(1)
         .transport(Transport::Tcp { sequencer: seq.to_string() })
-        .first_replica(replica)
-        .build();
+        .first_replica(replica);
+    let config = flags.all("schema").into_iter().fold(config, ClusterConfigBuilder::schema).build();
     let cluster = match Cluster::try_new(config) {
         Ok(c) => Arc::new(c),
-        Err(e) => return fail(&format!("joining the group via {seq} failed: {e}")),
+        Err(e) => return fail(&format!("starting replica {replica} via {seq} failed: {e}")),
     };
-    for ddl in flags.all("schema") {
-        if let Err(e) = cluster.execute_ddl(ddl) {
-            return fail(&format!("schema statement {ddl:?} failed: {e}"));
-        }
-    }
     // Telemetry goes up before the READY line so a supervisor that has seen
     // READY can rely on the TELEMETRY line already being in the log.
     let tbind = flags.get("telemetry").unwrap_or("127.0.0.1:0");
@@ -181,14 +178,18 @@ fn cmd_node(args: &[String]) -> i32 {
         Err(e) => return fail(&format!("telemetry bind {tbind} failed: {e}")),
     };
     println!("TELEMETRY {}", telemetry.addr());
-    let server = match NodeServer::spawn(bind, cluster, 0) {
+    let server = match NodeServer::spawn(bind, Arc::clone(&cluster), 0) {
         Ok(s) => s,
         Err(e) => return fail(&format!("client listener bind {bind} failed: {e}")),
     };
     println!("READY {}", server.addr());
-    // Keep both servers alive for the life of the process.
-    std::mem::forget(telemetry);
-    park_forever();
+    // Serve for as long as the replica lives. Its delivery loop fail-stops
+    // it when the group connection ends; a dead replica must not go on
+    // accepting clients.
+    while cluster.node(0).is_alive() {
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    fail(&format!("replica {replica} is down: its connection to the sequencer {seq} ended"))
 }
 
 // ---------------------------------------------------------------------------
@@ -274,7 +275,7 @@ fn cmd_workload(args: &[String]) -> i32 {
         return fail("bad numeric flag");
     };
 
-    let driver = RemoteDriver::new(nodes.clone());
+    let driver = RemoteDriver::new(nodes);
     let mut conn = match driver.connect() {
         Ok(c) => c,
         Err(e) => return fail(&format!("no node reachable: {e}")),
@@ -333,251 +334,7 @@ fn cmd_workload(args: &[String]) -> i32 {
         "workload done: {committed}/{ops} transfers committed, {in_doubt} in doubt, {} failovers",
         conn.failovers()
     );
-
-    // Optional e2e bench sweep: committed-transfers/sec over client counts,
-    // emitted as a BENCH_*.json row set (results/BENCH_e2e.json).
-    if let Some(path) = flags.get("bench-json") {
-        let clients_spec = flags.get("clients").unwrap_or("1,2,4");
-        let Ok(secs) = flags.num("bench-secs", 2) else { return fail("bad --bench-secs") };
-        let Ok(warmup_ms) = flags.num("bench-warmup-ms", 500) else {
-            return fail("bad --bench-warmup-ms");
-        };
-        let client_counts: Result<Vec<usize>, _> = clients_spec
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(str::parse::<usize>)
-            .collect();
-        let Ok(client_counts) = client_counts else {
-            return fail(&format!("--clients expects numbers, got {clients_spec:?}"));
-        };
-        let mix_spec = flags.get("read-mix").unwrap_or("0");
-        let read_mixes: Result<Vec<u64>, _> = mix_spec
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(str::parse::<u64>)
-            .collect();
-        let read_mixes = match read_mixes {
-            Ok(m) if m.iter().all(|&p| p <= 100) => m,
-            _ => return fail(&format!("--read-mix expects percentages 0..=100, got {mix_spec:?}")),
-        };
-        drop(conn);
-        match run_bench(&nodes, &client_counts, &read_mixes, secs, warmup_ms, accounts, seed) {
-            Ok(rows) => {
-                let json = bench_json(&rows, accounts, seed);
-                if let Err(e) = json_lint(&json) {
-                    return fail(&format!("internal: bench JSON does not parse: {e}"));
-                }
-                if let Err(e) = std::fs::write(path, json + "\n") {
-                    return fail(&format!("writing {path}: {e}"));
-                }
-                println!("bench written to {path}");
-            }
-            Err(e) => return fail(&format!("bench: {e}")),
-        }
-    }
     0
-}
-
-// ---------------------------------------------------------------------------
-// e2e bench (workload --bench-json)
-// ---------------------------------------------------------------------------
-
-/// Per-client result: (committed writes, committed reads, in_doubt,
-/// per-commit latencies in ms). Only transactions started after the warmup
-/// window are counted.
-type ClientResult = Result<(u64, u64, u64, Vec<f64>), String>;
-
-struct BenchRow {
-    replicas: usize,
-    clients: usize,
-    read_pct: u64,
-    secs: f64,
-    committed: u64,
-    reads: u64,
-    in_doubt: u64,
-    tps: f64,
-    p50_ms: f64,
-    p95_ms: f64,
-}
-
-fn quantile_ms(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Drive money transfers (and, at nonzero read mix, single-row balance
-/// lookups committed through the read-only fast path) from `clients`
-/// concurrent connections for `secs` seconds per (client count, read mix)
-/// pair; measures whole-transaction latency (statements + replicated or
-/// local commit) and committed throughput. The first `warmup_ms` of each
-/// round are driven but discarded, so connection setup, cache warming, and
-/// the sequencer's batching ramp don't dilute the steady-state numbers.
-fn run_bench(
-    nodes: &[String],
-    client_counts: &[usize],
-    read_mixes: &[u64],
-    secs: u64,
-    warmup_ms: u64,
-    accounts: u64,
-    seed: u64,
-) -> Result<Vec<BenchRow>, String> {
-    let mut rows = Vec::new();
-    for &clients in client_counts {
-        if clients == 0 {
-            return Err("--clients entries must be positive".into());
-        }
-        for &read_pct in read_mixes {
-            let run = Duration::from_secs(secs.max(1));
-            let warmup = Duration::from_millis(warmup_ms);
-            // One shared clock for every client: measurement starts at
-            // `measure_from` regardless of how long each connect took.
-            let started = Instant::now();
-            let measure_from = started + warmup;
-            let deadline = measure_from + run;
-            let results: Vec<ClientResult> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..clients)
-                    .map(|c| {
-                        scope.spawn(move || -> ClientResult {
-                            let driver = RemoteDriver::new(nodes.to_vec());
-                            let mut conn =
-                                driver.connect().map_err(|e| format!("client {c}: {e}"))?;
-                            conn.set_autocommit(false).map_err(|e| format!("client {c}: {e}"))?;
-                            let mut rng = Rng(seed ^ (c as u64 + 1).wrapping_mul(0x9e37_79b9));
-                            let (mut writes, mut reads, mut in_doubt) = (0u64, 0u64, 0u64);
-                            let mut lat_ms = Vec::new();
-                            while Instant::now() < deadline {
-                                let from = rng.below(accounts);
-                                let is_read = rng.below(100) < read_pct;
-                                let t0 = Instant::now();
-                                let outcome = if is_read {
-                                    let read = |conn: &mut RemoteConn<'_>| {
-                                        conn.execute(&format!(
-                                            "SELECT balance FROM accounts WHERE id = {from}"
-                                        ))?;
-                                        conn.commit()
-                                    };
-                                    with_retries(&mut conn, 50, read)
-                                } else {
-                                    let to = (from + 1 + rng.below(accounts - 1)) % accounts;
-                                    let amount = 1 + rng.below(20);
-                                    let transfer = |conn: &mut RemoteConn<'_>| {
-                                        conn.execute(&format!(
-                                            "UPDATE accounts SET balance = balance - {amount} \
-                                             WHERE id = {from}"
-                                        ))?;
-                                        conn.execute(&format!(
-                                            "UPDATE accounts SET balance = balance + {amount} \
-                                             WHERE id = {to}"
-                                        ))?;
-                                        conn.commit()
-                                    };
-                                    with_retries(&mut conn, 50, transfer)
-                                };
-                                let measured = t0 >= measure_from;
-                                match outcome {
-                                    Ok(()) if measured => {
-                                        if is_read {
-                                            reads += 1;
-                                        } else {
-                                            writes += 1;
-                                        }
-                                        lat_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-                                    }
-                                    Ok(()) => {}
-                                    Err(sirep_common::DbError::ConnectionLost {
-                                        in_doubt: true,
-                                    }) => {
-                                        if measured {
-                                            in_doubt += 1;
-                                        }
-                                    }
-                                    Err(e) => return Err(format!("client {c}: {e}")),
-                                }
-                            }
-                            Ok((writes, reads, in_doubt, lat_ms))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|_| Err("bench client panicked".into())))
-                    .collect()
-            });
-            let elapsed = (started.elapsed().as_secs_f64() - warmup.as_secs_f64()).max(1e-9);
-            let (mut writes, mut reads, mut in_doubt, mut lat_ms) = (0u64, 0u64, 0u64, Vec::new());
-            for r in results {
-                let (w, rd, d, mut l) = r?;
-                writes += w;
-                reads += rd;
-                in_doubt += d;
-                lat_ms.append(&mut l);
-            }
-            lat_ms.sort_by(f64::total_cmp);
-            let committed = writes + reads;
-            rows.push(BenchRow {
-                replicas: nodes.len(),
-                clients,
-                read_pct,
-                secs: elapsed,
-                committed,
-                reads,
-                in_doubt,
-                tps: committed as f64 / elapsed,
-                p50_ms: quantile_ms(&lat_ms, 0.50),
-                p95_ms: quantile_ms(&lat_ms, 0.95),
-            });
-            let last = rows.last().expect("just pushed");
-            println!(
-                "bench: {} clients x {} replicas, {}% reads: {} committed ({} reads) \
-                 in {:.1}s = {:.1} tps (p50 {:.2} ms, p95 {:.2} ms, {} in doubt)",
-                last.clients,
-                last.replicas,
-                last.read_pct,
-                last.committed,
-                last.reads,
-                last.secs,
-                last.tps,
-                last.p50_ms,
-                last.p95_ms,
-                last.in_doubt
-            );
-        }
-    }
-    Ok(rows)
-}
-
-fn bench_json(rows: &[BenchRow], accounts: u64, seed: u64) -> String {
-    let mut out = format!(
-        "{{\"bench\":\"e2e_tcp\",\"quick\":false,\"accounts\":{accounts},\"seed\":{seed},\
-         \"rows\":["
-    );
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"replicas\":{},\"clients\":{},\"read_pct\":{},\"secs\":{:.2},\
-             \"committed\":{},\"reads\":{},\"in_doubt\":{},\"tps\":{:.2},\
-             \"p50_ms\":{:.3},\"p95_ms\":{:.3}}}",
-            r.replicas,
-            r.clients,
-            r.read_pct,
-            r.secs,
-            r.committed,
-            r.reads,
-            r.in_doubt,
-            r.tps,
-            r.p50_ms,
-            r.p95_ms
-        ));
-    }
-    out.push_str("]}");
-    out
 }
 
 fn node_status(addr: &str) -> Result<RemoteStatus, String> {

@@ -56,6 +56,9 @@ pub struct ClusterConfig {
     /// Run the online 1-copy-SI auditor (on by default; a no-op without the
     /// `trace` feature).
     pub audit: bool,
+    /// DDL every replica's database starts with, installed before the
+    /// replica joins the group's delivery stream.
+    pub schema: Vec<String>,
 }
 
 impl ClusterConfig {
@@ -79,6 +82,7 @@ impl Default for ClusterConfig {
             track_history: false,
             outcome_cap: 1 << 16,
             audit: true,
+            schema: Vec::new(),
         }
     }
 }
@@ -158,6 +162,12 @@ impl ClusterConfigBuilder {
     /// Enable/disable the online 1-copy-SI auditor.
     pub fn audit(mut self, on: bool) -> Self {
         self.cfg.audit = on;
+        self
+    }
+
+    /// One more DDL statement of the schema every replica starts with.
+    pub fn schema(mut self, ddl: impl Into<String>) -> Self {
+        self.cfg.schema.push(ddl.into());
         self
     }
 
@@ -322,6 +332,11 @@ impl Cluster {
             if config.track_history {
                 db.set_track_reads(true);
             }
+            // Before the delivery thread exists: a replayed writeset must
+            // never reach an applier ahead of its table.
+            for ddl in &config.schema {
+                run_ddl(&db, ddl)?;
+            }
             // The member id carries the replica's join count, so a restarted
             // TCP process (and a sim replica after `recover`) mints
             // transaction ids that cannot collide with its previous life.
@@ -399,12 +414,7 @@ impl Cluster {
     /// Run DDL at every replica (schemas must be identical; the paper
     /// installs them before the run).
     pub fn execute_ddl(&self, sql: &str) -> Result<(), DbError> {
-        for n in self.nodes.read().iter() {
-            let txn = n.database().begin()?;
-            sirep_sql::execute_sql(n.database(), &txn, sql)?;
-            txn.commit()?;
-        }
-        Ok(())
+        self.nodes.read().iter().try_for_each(|n| run_ddl(n.database(), sql))
     }
 
     /// Deterministically populate every replica (same closure per replica —
@@ -721,6 +731,12 @@ impl Cluster {
             let _ = h.join();
         }
     }
+}
+
+fn run_ddl(db: &Database, sql: &str) -> Result<(), DbError> {
+    let txn = db.begin()?;
+    sirep_sql::execute_sql(db, &txn, sql)?;
+    txn.commit().map(drop)
 }
 
 impl Drop for Cluster {

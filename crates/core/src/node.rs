@@ -1123,7 +1123,15 @@ impl ReplicaNode {
                 }
                 Ok(Delivery::ViewChange(v)) => self.handle_view(v),
                 Err(GcsError::Timeout) => self.maybe_send_progress(),
-                Err(_) => return, // disconnected: we crashed
+                Err(_) => {
+                    // Disconnected. Either someone crashed us, or the
+                    // sequencer is gone or evicted us: without a delivery
+                    // stream this replica is dead too. Fail-stop, so that
+                    // commits already multicast are answered and clients
+                    // resolve them at a survivor (§5.4).
+                    self.mark_crashed();
+                    return;
+                }
             }
         }
     }

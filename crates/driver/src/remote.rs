@@ -1,42 +1,27 @@
 //! Remote client/server protocol: the driver over a real socket.
 //!
-//! The in-process [`Driver`](crate::Driver) hands each connection an
-//! `Arc<ReplicaNode>`; in a multi-process deployment the middleware runs in
-//! its own process and clients reach it over TCP. This module carries the
-//! *same* JDBC-style surface and the same §5.4 failover semantics across a
-//! length-prefixed [`Wire`] frame protocol:
+//! The in-process [`Driver`](crate::Driver) hands each connection a
+//! [`Session`]; in a multi-process deployment the middleware runs in its own
+//! process and clients reach it over TCP, through a length-prefixed
+//! [`Wire`] frame protocol:
 //!
 //! - [`NodeServer`] — per-middleware-process listener; one thread and one
 //!   [`Session`] per client connection, so statement/commit ordering per
 //!   client is exactly the in-process driver's.
-//! - [`RemoteDriver`]/[`RemoteConn`] — client side; mirrors
-//!   [`DriverConnection`](crate::DriverConnection): transparent failover to
-//!   another node address on connection loss, and in-doubt commit
-//!   resolution via [`ClientReq::Inquire`] against a surviving node.
-//!
-//! One §5.4 case is weaker than in-process: an **autocommit** statement
-//! whose response frame is lost leaves the client without the transaction
-//! id (the id rides on the response), so there is nobody it can ask whether
-//! the implicit commit happened. The in-process driver peeks at the shared
-//! session to recover the id; a remote client cannot. That case surfaces as
-//! [`DbError::ConnectionLost`]` { in_doubt: true }` — exactly the "result
-//! unknown, do not blindly retry non-idempotent work" exception the paper
-//! prescribes when failover cannot mask a crash.
+//! - [`RemoteDriver`]/[`RemoteConn`] — client side: the same §5.4 machine
+//!   ([`crate::failover`]) as [`DriverConnection`](crate::DriverConnection),
+//!   over a framed-TCP link and an address list.
 
+use crate::failover::{Backoff, Connector, Failover, Link, INQUIRY_ATTEMPTS};
 use sirep_common::wire::{read_frame, write_frame, Wire, WireError, WireReader};
-use sirep_common::{AbortReason, DbError};
-use sirep_core::{Cluster, Connection, InDoubt, Outcome, Session, XactId};
+use sirep_common::DbError;
+use sirep_core::{Cluster, InDoubt, Session, XactId};
 use sirep_sql::ExecResult;
 use std::io::{self, BufReader, BufWriter, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
-
-/// Upper bound on one reconnect-backoff step (matches the in-process
-/// driver's `BACKOFF_CAP`).
-const BACKOFF_CAP: Duration = Duration::from_millis(100);
 
 /// One request frame, client → node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,6 +127,13 @@ pub enum ClientResp {
         result: ExecResult,
         xact: Option<XactId>,
     },
+    /// The statement failed; `xact` as in [`ClientResp::Exec`]. If the
+    /// failure is the node going down, the id is what the client asks a
+    /// survivor about.
+    ExecFailed {
+        error: DbError,
+        xact: Option<XactId>,
+    },
     /// Commit / rollback / set-autocommit acknowledged.
     Done,
     Resolved(InDoubt),
@@ -172,6 +164,11 @@ impl Wire for ClientResp {
                 out.push(5);
                 e.encode(out);
             }
+            ClientResp::ExecFailed { error, xact } => {
+                out.push(6);
+                error.encode(out);
+                xact.encode(out);
+            }
         }
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -182,6 +179,7 @@ impl Wire for ClientResp {
             3 => ClientResp::Status(RemoteStatus::decode(r)?),
             4 => ClientResp::Pong,
             5 => ClientResp::Err(DbError::decode(r)?),
+            6 => ClientResp::ExecFailed { error: DbError::decode(r)?, xact: Option::decode(r)? },
             _ => return Err(WireError::Corrupt("client resp tag")),
         })
     }
@@ -191,49 +189,54 @@ impl Wire for ClientResp {
 // Server
 // ---------------------------------------------------------------------------
 
-/// TCP front-end for one middleware replica: accepts client connections and
-/// serves each from its own thread + [`Session`], exactly like a pool of
-/// in-process driver connections.
-pub struct NodeServer {
+/// A TCP accept loop with one thread per connection — the shell of both
+/// [`NodeServer`] and [`TelemetryServer`](crate::TelemetryServer).
+pub(crate) struct Listener {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
 }
 
-impl NodeServer {
-    /// Bind `bind` (e.g. `"127.0.0.1:0"`) and serve sessions against node
-    /// `k` of `cluster`.
-    pub fn spawn(bind: &str, cluster: Arc<Cluster>, k: usize) -> io::Result<NodeServer> {
+impl Listener {
+    /// Bind `bind` (e.g. `"127.0.0.1:0"`) and run `serve` on a thread of its
+    /// own for every connection accepted.
+    pub(crate) fn spawn(
+        bind: &str,
+        name: &str,
+        serve: impl Fn(TcpStream) + Send + Sync + 'static,
+    ) -> io::Result<Listener> {
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let flag = stop.clone();
-        let accept = thread::Builder::new().name(format!("node-server-{k}")).spawn(move || {
+        let serve = Arc::new(serve);
+        let conn_name = format!("{name}-conn");
+        let accept = thread::Builder::new().name(name.into()).spawn(move || {
             for conn in listener.incoming() {
                 if flag.load(Ordering::Relaxed) {
                     return;
                 }
                 let Ok(stream) = conn else { continue };
-                // Client requests are small request/response frames; Nagle
-                // would add a full RTT of buffering to every commit ack.
+                // Small request/response frames: Nagle would add a full RTT
+                // of buffering to every reply.
                 let _ = stream.set_nodelay(true);
-                let cluster = cluster.clone();
-                let _ = thread::Builder::new()
-                    .name("node-server-conn".into())
-                    .spawn(move || serve_conn(stream, &cluster, k));
+                let serve = Arc::clone(&serve);
+                let _ = thread::Builder::new().name(conn_name.clone()).spawn(move || serve(stream));
             }
         })?;
-        Ok(NodeServer { addr, stop, accept: Some(accept) })
+        Ok(Listener { addr, stop, accept: Some(accept) })
     }
 
     /// The bound address (useful with port 0).
-    pub fn addr(&self) -> SocketAddr {
+    pub(crate) fn addr(&self) -> SocketAddr {
         self.addr
     }
+}
 
-    /// Stop accepting new connections. Existing client connections drain on
-    /// their own when the peer hangs up or the node dies.
-    pub fn shutdown(&mut self) {
+/// Stops accepting. Connections already open drain on their own when the
+/// peer hangs up or the node dies.
+impl Drop for Listener {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         // Nudge the accept loop out of `incoming()`.
         let _ = TcpStream::connect(self.addr);
@@ -243,9 +246,20 @@ impl NodeServer {
     }
 }
 
-impl Drop for NodeServer {
-    fn drop(&mut self) {
-        self.shutdown();
+/// TCP front-end for one middleware replica: serves each client connection
+/// from its own thread + [`Session`], exactly like a pool of in-process
+/// driver connections.
+pub struct NodeServer(Listener);
+
+impl NodeServer {
+    /// Bind `bind` and serve sessions against node `k` of `cluster`.
+    pub fn spawn(bind: &str, cluster: Arc<Cluster>, k: usize) -> io::Result<NodeServer> {
+        let serve = move |stream| serve_conn(stream, &cluster, k);
+        Listener::spawn(bind, &format!("node-server-{k}"), serve).map(NodeServer)
+    }
+
+    pub fn addr(&self) -> SocketAddr {
+        self.0.addr()
     }
 }
 
@@ -269,27 +283,18 @@ fn serve_conn(stream: TcpStream, cluster: &Arc<Cluster>, k: usize) {
 }
 
 fn handle_req(session: &mut Session, cluster: &Arc<Cluster>, req: ClientReq) -> ClientResp {
+    let done = |r: Result<(), DbError>| r.map_or_else(ClientResp::Err, |()| ClientResp::Done);
     match req {
-        ClientReq::Exec { sql } => match session.execute(&sql) {
-            Ok(result) => ClientResp::Exec { result, xact: session.last_xact_id() },
-            Err(e) => ClientResp::Err(e),
+        ClientReq::Exec { sql } => match session.exec(&sql) {
+            (Ok(result), xact) => ClientResp::Exec { result, xact },
+            (Err(error), xact) => ClientResp::ExecFailed { error, xact },
         },
-        ClientReq::Commit => match session.commit() {
-            Ok(()) => ClientResp::Done,
-            Err(e) => ClientResp::Err(e),
-        },
-        ClientReq::Rollback => {
-            session.rollback();
-            ClientResp::Done
+        ClientReq::Commit => done(session.commit()),
+        ClientReq::Rollback => done(session.rollback()),
+        ClientReq::SetAutocommit(on) => done(session.set_autocommit(on)),
+        ClientReq::Inquire { xact } => {
+            session.inquire(xact).map_or_else(ClientResp::Err, ClientResp::Resolved)
         }
-        ClientReq::SetAutocommit(on) => match session.set_autocommit(on) {
-            Ok(()) => ClientResp::Done,
-            Err(e) => ClientResp::Err(e),
-        },
-        ClientReq::Inquire { xact } => match session.node().inquire(xact) {
-            Ok(d) => ClientResp::Resolved(d),
-            Err(e) => ClientResp::Err(e),
-        },
         ClientReq::Status => {
             let s = session.node().status();
             ClientResp::Status(RemoteStatus {
@@ -310,23 +315,17 @@ fn handle_req(session: &mut Session, cluster: &Arc<Cluster>, req: ClientReq) -> 
 // Client
 // ---------------------------------------------------------------------------
 
-/// Client-side entry point: a list of node addresses plus failover policy.
+/// Client-side entry point: the node addresses a connection may fail over
+/// across.
 pub struct RemoteDriver {
     addrs: Vec<String>,
-    /// Rounds of in-doubt inquiry before giving up with `Unavailable`.
-    inquiry_attempts: usize,
-    /// Reconnect sweeps over the address list before `Unavailable`.
+    /// Sweeps over the address list before giving up on finding a node.
     connect_sweeps: usize,
 }
 
 impl RemoteDriver {
     pub fn new(addrs: Vec<String>) -> RemoteDriver {
-        RemoteDriver { addrs, inquiry_attempts: 6, connect_sweeps: 5 }
-    }
-
-    pub fn inquiry_attempts(mut self, n: usize) -> RemoteDriver {
-        self.inquiry_attempts = n.max(1);
-        self
+        RemoteDriver { addrs, connect_sweeps: 5 }
     }
 
     pub fn connect_sweeps(mut self, n: usize) -> RemoteDriver {
@@ -336,265 +335,151 @@ impl RemoteDriver {
 
     /// Open a connection to the first reachable node.
     pub fn connect(&self) -> Result<RemoteConn<'_>, DbError> {
-        let mut conn = RemoteConn {
-            driver: self,
-            link: None,
-            addr_idx: 0,
-            autocommit: false,
-            in_txn: false,
-            last_xact: None,
-            failovers: 0,
-        };
-        conn.reconnect(0)?;
-        Ok(conn)
+        Failover::connect(self, INQUIRY_ATTEMPTS)
     }
 }
 
-struct Link {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
+impl Connector for RemoteDriver {
+    type Link = TcpLink;
 
-/// One client connection, failing over across the driver's address list.
-pub struct RemoteConn<'d> {
-    driver: &'d RemoteDriver,
-    link: Option<Link>,
-    addr_idx: usize,
-    autocommit: bool,
-    in_txn: bool,
-    /// Most recent transaction id reported by the server — the handle for
-    /// §5.4 in-doubt resolution after a crashed commit.
-    last_xact: Option<XactId>,
-    failovers: usize,
-}
-
-impl RemoteConn<'_> {
-    /// How many times this connection failed over to another node.
-    pub fn failovers(&self) -> usize {
-        self.failovers
-    }
-
-    /// The address currently connected to.
-    pub fn addr(&self) -> &str {
-        self.driver.addrs.get(self.addr_idx).map_or("", String::as_str)
-    }
-
-    pub fn autocommit(&self) -> bool {
-        self.autocommit
-    }
-
-    /// Execute one statement, failing over on connection loss (§5.4 cases
-    /// 1–2). Inside an explicit transaction a crash loses the transaction:
-    /// the statement returns [`AbortReason::ReplicaCrashed`] and the client
-    /// may retry from BEGIN on the (already re-connected) connection.
-    pub fn execute(&mut self, sql: &str) -> Result<ExecResult, DbError> {
-        match self.request(&ClientReq::Exec { sql: sql.into() }) {
-            Ok(ClientResp::Exec { result, xact }) => {
-                self.last_xact = xact.or(self.last_xact);
-                self.in_txn = !self.autocommit;
-                Ok(result)
-            }
-            Ok(other) => Err(protocol_err("exec", &other)),
-            Err(e) if is_crash(&e) => self.exec_crashed(e),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn exec_crashed(&mut self, e: DbError) -> Result<ExecResult, DbError> {
-        let was_in_txn = std::mem::replace(&mut self.in_txn, false);
-        let autocommit_in_flight = self.autocommit && matches!(e, DbError::ConnectionLost { .. });
-        self.failovers += 1;
-        self.reconnect(self.addr_idx + 1)?;
-        if was_in_txn {
-            // Case 2: statements of the open transaction are lost with the
-            // crashed node; surface a retryable abort on the new node.
-            Err(DbError::Aborted(AbortReason::ReplicaCrashed))
-        } else if autocommit_in_flight {
-            // The implicit commit may or may not have happened and the
-            // response carrying its transaction id is gone — nothing to
-            // inquire about (see module docs).
-            Err(DbError::ConnectionLost { in_doubt: true })
-        } else {
-            Err(DbError::Aborted(AbortReason::ReplicaCrashed))
-        }
-    }
-
-    /// Commit the open transaction; a crashed node triggers in-doubt
-    /// resolution by inquiry on a surviving node (§5.4 case 3).
-    pub fn commit(&mut self) -> Result<(), DbError> {
-        let xact = self.last_xact;
-        self.in_txn = false;
-        match self.request(&ClientReq::Commit) {
-            Ok(ClientResp::Done) => Ok(()),
-            Ok(other) => Err(protocol_err("commit", &other)),
-            Err(e) if is_crash(&e) => {
-                self.failovers += 1;
-                self.reconnect(self.addr_idx + 1)?;
-                match xact {
-                    Some(x) => self.resolve_in_doubt(x),
-                    // No statement ever ran — nothing could have committed.
-                    None => Err(DbError::Aborted(AbortReason::ReplicaCrashed)),
-                }
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Roll back the open transaction. A crash achieves the rollback (the
-    /// transaction died with the node), so after failover this succeeds.
-    pub fn rollback(&mut self) -> Result<(), DbError> {
-        self.in_txn = false;
-        match self.request(&ClientReq::Rollback) {
-            Ok(ClientResp::Done) => Ok(()),
-            Ok(other) => Err(protocol_err("rollback", &other)),
-            Err(e) if is_crash(&e) => {
-                self.failovers += 1;
-                self.reconnect(self.addr_idx + 1)?;
-                Ok(())
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    pub fn set_autocommit(&mut self, on: bool) -> Result<(), DbError> {
-        match self.request(&ClientReq::SetAutocommit(on)) {
-            Ok(ClientResp::Done) => {
-                self.autocommit = on;
-                if on {
-                    self.in_txn = false;
-                }
-                Ok(())
-            }
-            Ok(other) => Err(protocol_err("set_autocommit", &other)),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Status of the node currently connected to.
-    pub fn status(&mut self) -> Result<RemoteStatus, DbError> {
-        match self.request(&ClientReq::Status) {
-            Ok(ClientResp::Status(s)) => Ok(s),
-            Ok(other) => Err(protocol_err("status", &other)),
-            Err(e) => Err(e),
-        }
-    }
-
-    pub fn ping(&mut self) -> Result<(), DbError> {
-        match self.request(&ClientReq::Ping) {
-            Ok(ClientResp::Pong) => Ok(()),
-            Ok(other) => Err(protocol_err("ping", &other)),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Ask the connected node what happened to `xact`.
-    pub fn inquire(&mut self, xact: XactId) -> Result<InDoubt, DbError> {
-        match self.request(&ClientReq::Inquire { xact }) {
-            Ok(ClientResp::Resolved(d)) => Ok(d),
-            Ok(other) => Err(protocol_err("inquire", &other)),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// §5.4 case 3 on the client side: keep asking surviving nodes about
-    /// `xact` until one answers (bounded rounds, exponential backoff).
-    fn resolve_in_doubt(&mut self, xact: XactId) -> Result<(), DbError> {
-        let mut backoff = Duration::from_millis(5);
-        for round in 0..self.driver.inquiry_attempts {
-            if round > 0 {
-                thread::sleep(backoff);
-                backoff = (backoff * 2).min(BACKOFF_CAP);
-            }
-            match self.request(&ClientReq::Inquire { xact }) {
-                Ok(ClientResp::Resolved(InDoubt::Known(Outcome::Committed))) => return Ok(()),
-                Ok(ClientResp::Resolved(InDoubt::Known(Outcome::Aborted))) => {
-                    return Err(DbError::Aborted(AbortReason::ValidationFailure));
-                }
-                Ok(ClientResp::Resolved(InDoubt::NeverReceived)) => {
-                    return Err(DbError::Aborted(AbortReason::ReplicaCrashed));
-                }
-                // Node can't answer (`InDoubt::Unknown` within its bound,
-                // e.g. still recovering) or died under us — hop to the next
-                // one and ask again.
-                Ok(_) | Err(_) => {
-                    let _ = self.reconnect(self.addr_idx + 1);
-                }
-            }
-        }
-        Err(DbError::Unavailable)
-    }
-
-    /// One request/response round trip on the current link. A transport
-    /// failure drops the link and reports as `ConnectionLost` (the response,
-    /// if any, is gone); a server-side `DbError` comes back as `Err` too so
-    /// callers pattern-match one error channel.
-    fn request(&mut self, req: &ClientReq) -> Result<ClientResp, DbError> {
-        let link = self.link.as_mut().ok_or(DbError::ConnectionLost { in_doubt: false })?;
-        let io_result = write_frame(&mut link.writer, req)
-            .and_then(|()| link.writer.flush())
-            .and_then(|()| read_frame::<_, ClientResp>(&mut link.reader));
-        match io_result {
-            Ok(ClientResp::Err(e)) => Err(e),
-            Ok(resp) => Ok(resp),
-            Err(_) => {
-                self.link = None;
-                Err(DbError::ConnectionLost { in_doubt: false })
-            }
-        }
-    }
-
-    /// Sweep the address list (starting at `from`) until a node accepts and
-    /// the session's autocommit mode is re-established.
-    fn reconnect(&mut self, from: usize) -> Result<(), DbError> {
-        let n = self.driver.addrs.len();
-        let mut backoff = Duration::from_millis(5);
-        for sweep in 0..self.driver.connect_sweeps {
+    /// Sweep the address list, starting after `avoid`'s address, until a
+    /// node accepts, says its replica is alive and has taken the autocommit
+    /// mode.
+    fn connect(&self, avoid: Option<&TcpLink>, autocommit: bool) -> Option<TcpLink> {
+        let n = self.addrs.len();
+        let from = avoid.map_or(0, |l| l.addr_idx + 1);
+        let mut backoff = Backoff::new();
+        for sweep in 0..self.connect_sweeps {
             if sweep > 0 {
-                thread::sleep(backoff);
-                backoff = (backoff * 2).min(BACKOFF_CAP);
+                backoff.sleep();
             }
-            for step in 0..n {
-                let idx = (from + step) % n;
-                let Some(addr) = self.driver.addrs.get(idx) else { continue };
+            for addr_idx in (from..from + n).map(|i| i % n) {
+                let Some(addr) = self.addrs.get(addr_idx) else { continue };
                 let Ok(stream) = TcpStream::connect(addr) else { continue };
                 // Small frames both ways: disable Nagle on the client leg
                 // too, or each statement pays a delayed-ack round trip.
                 let _ = stream.set_nodelay(true);
                 let Ok(rstream) = stream.try_clone() else { continue };
-                self.link =
-                    Some(Link { reader: BufReader::new(rstream), writer: BufWriter::new(stream) });
-                self.addr_idx = idx;
-                // Fresh server session defaults to autocommit off; replay
-                // this connection's mode so semantics survive failover.
-                match self.request(&ClientReq::SetAutocommit(self.autocommit)) {
-                    Ok(ClientResp::Done) => return Ok(()),
-                    _ => self.link = None,
+                let io = Some((BufReader::new(rstream), BufWriter::new(stream)));
+                let mut link = TcpLink { addr_idx, io };
+                // A replica that has fail-stopped may still be listening.
+                let alive = matches!(link.status(), Ok(s) if s.alive);
+                // A fresh server session has autocommit off.
+                if alive && (!autocommit || link.set_autocommit(true).is_ok()) {
+                    return Some(link);
                 }
             }
         }
-        Err(DbError::Unavailable)
+        None
     }
 }
 
-/// Crash-shaped errors that should trigger failover, mirroring the
-/// in-process driver's `is_crash`. A lost link reports as `ConnectionLost`.
-fn is_crash(e: &DbError) -> bool {
-    matches!(
-        e,
-        DbError::Aborted(AbortReason::ReplicaCrashed)
-            | DbError::Aborted(AbortReason::Shutdown)
-            | DbError::ConnectionLost { .. }
-    )
+/// One framed request/response connection to a [`NodeServer`].
+pub struct TcpLink {
+    addr_idx: usize,
+    /// `None` once a transport failure has left the stream unusable.
+    io: Option<(BufReader<TcpStream>, BufWriter<TcpStream>)>,
 }
 
-fn protocol_err(what: &str, got: &ClientResp) -> DbError {
-    DbError::Internal(format!("protocol violation: unexpected response to {what}: {got:?}"))
+impl TcpLink {
+    /// One round trip. A transport failure reports as `ConnectionLost` (the
+    /// reply, if any, is gone); a server-side `DbError` comes back as `Err`
+    /// too, so callers match one error channel.
+    fn request(&mut self, req: &ClientReq) -> Result<ClientResp, DbError> {
+        let (reader, writer) =
+            self.io.as_mut().ok_or(DbError::ConnectionLost { in_doubt: false })?;
+        let reply = write_frame(writer, req)
+            .and_then(|()| writer.flush())
+            .and_then(|()| read_frame::<_, ClientResp>(reader));
+        match reply {
+            Ok(ClientResp::Err(e)) => Err(e),
+            Ok(resp) => Ok(resp),
+            Err(_) => {
+                self.io = None;
+                Err(DbError::ConnectionLost { in_doubt: false })
+            }
+        }
+    }
+
+    fn status(&mut self) -> Result<RemoteStatus, DbError> {
+        match self.request(&ClientReq::Status)? {
+            ClientResp::Status(s) => Ok(s),
+            other => Err(protocol_err(&ClientReq::Status, &other)),
+        }
+    }
+
+    /// A request whose only good answer is [`ClientResp::Done`].
+    fn done(&mut self, req: &ClientReq) -> Result<(), DbError> {
+        match self.request(req)? {
+            ClientResp::Done => Ok(()),
+            other => Err(protocol_err(req, &other)),
+        }
+    }
+}
+
+impl Link for TcpLink {
+    fn exec(&mut self, sql: &str) -> (Result<ExecResult, DbError>, Option<XactId>) {
+        let req = ClientReq::Exec { sql: sql.into() };
+        match self.request(&req) {
+            Ok(ClientResp::Exec { result, xact }) => (Ok(result), xact),
+            Ok(ClientResp::ExecFailed { error, xact }) => (Err(error), xact),
+            Ok(other) => (Err(protocol_err(&req, &other)), None),
+            Err(e) => (Err(e), None),
+        }
+    }
+
+    fn commit(&mut self) -> Result<(), DbError> {
+        self.done(&ClientReq::Commit)
+    }
+
+    fn rollback(&mut self) -> Result<(), DbError> {
+        self.done(&ClientReq::Rollback)
+    }
+
+    fn set_autocommit(&mut self, on: bool) -> Result<(), DbError> {
+        self.done(&ClientReq::SetAutocommit(on))
+    }
+
+    fn inquire(&mut self, xact: XactId) -> Result<InDoubt, DbError> {
+        let req = ClientReq::Inquire { xact };
+        match self.request(&req)? {
+            ClientResp::Resolved(d) => Ok(d),
+            other => Err(protocol_err(&req, &other)),
+        }
+    }
+}
+
+/// One client connection, failing over across the driver's address list.
+pub type RemoteConn<'d> = Failover<'d, RemoteDriver>;
+
+impl RemoteConn<'_> {
+    /// The address currently connected to.
+    pub fn addr(&self) -> &str {
+        self.connector.addrs.get(self.link.addr_idx).map_or("", String::as_str)
+    }
+
+    /// Status of the node currently connected to.
+    pub fn status(&mut self) -> Result<RemoteStatus, DbError> {
+        self.link.status()
+    }
+
+    pub fn ping(&mut self) -> Result<(), DbError> {
+        match self.link.request(&ClientReq::Ping)? {
+            ClientResp::Pong => Ok(()),
+            other => Err(protocol_err(&ClientReq::Ping, &other)),
+        }
+    }
+}
+
+fn protocol_err(req: &ClientReq, got: &ClientResp) -> DbError {
+    DbError::Internal(format!("protocol violation: unexpected response to {req:?}: {got:?}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sirep_core::ClusterConfig;
+    use sirep_common::AbortReason;
+    use sirep_core::{ClusterConfig, Outcome};
     use sirep_gcs::GroupConfig;
 
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
@@ -656,6 +541,10 @@ mod tests {
         round_trip(&ClientResp::Pong);
         round_trip(&ClientResp::Err(DbError::Aborted(AbortReason::SerializationFailure)));
         round_trip(&ClientResp::Err(DbError::DuplicateKey("k".into())));
+        round_trip(&ClientResp::ExecFailed {
+            error: DbError::Aborted(AbortReason::ReplicaCrashed),
+            xact: Some(XactId::new(sirep_common::ReplicaId::new(1), 8)),
+        });
         assert!(ClientResp::from_wire(&[99]).is_err());
     }
 
@@ -715,51 +604,6 @@ mod tests {
     }
 
     #[test]
-    fn failover_masks_a_crashed_node() {
-        let (cluster, _servers, addrs) = cluster_and_servers(3);
-        let driver = RemoteDriver::new(addrs);
-        let mut conn = driver.connect().expect("connect");
-        conn.set_autocommit(false).expect("autocommit off");
-        conn.execute("INSERT INTO t VALUES (10, 'doomed')").expect("insert");
-
-        cluster.crash(0);
-
-        // §5.4 case 2: the open transaction is lost, the connection is not.
-        let lost = conn.execute("INSERT INTO t VALUES (11, 'after crash')");
-        assert_eq!(lost, Err(DbError::Aborted(AbortReason::ReplicaCrashed)));
-        assert_eq!(conn.failovers(), 1);
-
-        // Retry the business transaction on the failed-over connection.
-        conn.execute("INSERT INTO t VALUES (10, 'retried')").expect("retry insert");
-        conn.execute("INSERT INTO t VALUES (11, 'retried')").expect("retry insert");
-        conn.commit().expect("commit after failover");
-        let rows = conn.execute("SELECT id FROM t ORDER BY id").expect("select");
-        assert_eq!(rows.rows().len(), 2);
-        conn.commit().expect("close read txn");
-    }
-
-    #[test]
-    fn crashed_commit_resolves_by_inquiry_on_a_survivor() {
-        let (cluster, _servers, addrs) = cluster_and_servers(3);
-        let driver = RemoteDriver::new(addrs);
-        let mut conn = driver.connect().expect("connect");
-        conn.set_autocommit(false).expect("autocommit off");
-        conn.execute("INSERT INTO t VALUES (20, 'in doubt')").expect("insert");
-
-        cluster.crash(0);
-
-        // §5.4 case 3: the commit's fate is resolved by asking a survivor.
-        // The writeset was never multicast (crash before submit), so uniform
-        // delivery guarantees it committed nowhere.
-        let r = conn.commit();
-        assert_eq!(r, Err(DbError::Aborted(AbortReason::ReplicaCrashed)), "got {r:?}");
-
-        let rows = conn.execute("SELECT id FROM t").expect("select on survivor");
-        assert_eq!(rows.rows().len(), 0, "in-doubt txn must not have committed");
-        conn.commit().expect("close read txn");
-    }
-
-    #[test]
     fn connect_skips_dead_addresses() {
         let (_cluster, _servers, mut addrs) = cluster_and_servers(1);
         // A listener that is already gone: connection refused.
@@ -771,6 +615,6 @@ mod tests {
         let driver = RemoteDriver::new(addrs);
         let mut conn = driver.connect().expect("connect must skip the dead node");
         conn.ping().expect("ping");
-        assert_eq!(conn.addr(), conn.driver.addrs[1]);
+        assert_eq!(conn.addr(), driver.addrs[1]);
     }
 }

@@ -28,14 +28,13 @@
 //! decode with the same total `Wire` discipline as the transport tier — a
 //! node killed mid-frame yields `Err`, never a panic or a hang.
 
+use crate::remote::Listener;
 use sirep_common::wire::{read_frame, write_frame, Wire, WireError, WireReader};
 use sirep_common::{Event, GaugeSnapshot, ReplicaId};
 use sirep_core::{Cluster, ClusterReport, NodeStatus, Transport};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 /// Default socket timeout for scrape round trips: long enough for a busy
@@ -157,58 +156,20 @@ impl Wire for TelemetryResp {
 // Server
 // ---------------------------------------------------------------------------
 
-/// Scrape endpoint embedded in every node process: accepts connections,
-/// serves any number of request frames per connection, one thread per
-/// scraper (scrapers are few and short-lived).
-pub struct TelemetryServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-}
+/// Scrape endpoint embedded in every node process: serves any number of
+/// request frames per connection, one thread per scraper (scrapers are few
+/// and short-lived).
+pub struct TelemetryServer(Listener);
 
 impl TelemetryServer {
     /// Bind `bind` (e.g. `"127.0.0.1:0"`) and serve telemetry for `cluster`.
     pub fn spawn(bind: &str, cluster: Arc<Cluster>) -> io::Result<TelemetryServer> {
-        let listener = TcpListener::bind(bind)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = stop.clone();
-        let accept = thread::Builder::new().name("telemetry-server".into()).spawn(move || {
-            for conn in listener.incoming() {
-                if flag.load(Ordering::Relaxed) {
-                    return;
-                }
-                let Ok(stream) = conn else { continue };
-                // Scrape responses are single small frames; don't let Nagle
-                // hold them back.
-                let _ = stream.set_nodelay(true);
-                let cluster = cluster.clone();
-                let _ = thread::Builder::new()
-                    .name("telemetry-conn".into())
-                    .spawn(move || serve_scraper(stream, &cluster));
-            }
-        })?;
-        Ok(TelemetryServer { addr, stop, accept: Some(accept) })
+        let serve = move |stream| serve_scraper(stream, &cluster);
+        Listener::spawn(bind, "telemetry-server", serve).map(TelemetryServer)
     }
 
-    /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stop accepting new scrapers.
-    pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for TelemetryServer {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.0.addr()
     }
 }
 
@@ -351,6 +312,8 @@ mod tests {
     use proptest::prelude::*;
     use sirep_core::{ClusterConfig, Connection};
     use std::io::{Read as _, Write as _};
+    use std::net::TcpListener;
+    use std::thread;
 
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
         let bytes = v.to_wire();

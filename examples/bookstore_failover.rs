@@ -55,7 +55,7 @@ fn main() {
                             committed.fetch_add(1, Ordering::Relaxed);
                         }
                         Err(_) => {
-                            conn.rollback();
+                            let _ = conn.rollback();
                             lost.fetch_add(1, Ordering::Relaxed);
                         }
                     }

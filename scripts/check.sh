@@ -6,8 +6,9 @@
 # Usage: scripts/check.sh [--quick|--tcp|--tsan|--miri]
 #   --quick   skip the slower integration suites (unit tests only)
 #   --tcp     TCP transport tier: transport conformance suite on both
-#             backends, remote-driver protocol tests, and the 3-process
-#             multinode smoke (kill -9 + restart, zero audit violations)
+#             backends, remote-driver protocol tests, the §5.4 failover
+#             cases over both transports, and the 3-process multinode smoke
+#             (kill -9 + restart, zero audit violations)
 #   --tsan    ThreadSanitizer tier over the concurrency-heavy crates
 #             (nightly + rust-src; skipped with a message if unavailable)
 #   --miri    Miri tier over sirep-common / sirep-storage
@@ -28,8 +29,10 @@ MODE="${1:-full}"
 if [[ "$MODE" == "--tcp" ]]; then
     echo "==> transport conformance suite (SimGroup + TcpGroup backends)"
     cargo test --offline -p sirep-gcs --lib conformance -q
-    echo "==> remote driver protocol tests (framed client/server, failover)"
+    echo "==> remote driver protocol tests (framed client/server)"
     cargo test --offline -p sirep-driver --lib remote -q
+    echo "==> §5.4 failover: every cell over a scripted link, the end-to-end cases over both transports"
+    cargo test --offline --test failover_table --test failover -q
     echo "==> telemetry plane tests (frame round-trips, corrupt frames, scrape resilience)"
     cargo test --offline -p sirep-driver --lib telemetry -q
     echo "==> multinode smoke: kill -9 + restart, telemetry report parses, scraped audit clean"

@@ -5,15 +5,11 @@
 # converged: identical table contents on every node, balances conserved,
 # zero 1-copy-SI audit violations. Then scrape every node's telemetry
 # port: merged cluster report + clock-aligned Perfetto trace must come
-# out parseable, the scraped-journal audit must be clean, and a short
-# client sweep writes the e2e bench baseline.
+# out parseable and the scraped-journal audit must be clean.
 #
 # Usage: scripts/multinode.sh [N]        (default: 3 nodes)
 # Env:   OPS, ACCOUNTS, SEED, PROFILE (debug|release)
-#        BENCH_OUT (default: bench JSON stays in the temp workdir;
-#        set BENCH_OUT=results/BENCH_e2e.json to refresh the baseline)
-#        BENCH_CLIENTS, BENCH_SECS, BENCH_READ_MIX, BENCH_WARMUP_MS
-# On failure the workdir (logs, report, trace, bench JSON) is copied to
+# On failure the workdir (logs, report, trace) is copied to
 # artifacts/multinode/ for CI upload.
 set -euo pipefail
 
@@ -39,8 +35,8 @@ cleanup() {
     kill "${pids[@]}" >/dev/null 2>&1 || true
     wait >/dev/null 2>&1 || true
     if [ "$status" -ne 0 ]; then
-        # Keep everything a post-mortem needs: process logs, the scraped
-        # report/trace, and the bench JSON. CI uploads this directory.
+        # Keep everything a post-mortem needs: process logs and the scraped
+        # report/trace. CI uploads this directory.
         mkdir -p artifacts/multinode
         cp -r "$WORKDIR"/. artifacts/multinode/ 2>/dev/null || true
         echo "multinode failed (exit $status); workdir copied to artifacts/multinode/" >&2
@@ -134,17 +130,5 @@ grep -q '^sirep_commits_update_total ' "$WORKDIR/report/report.prom"
 grep -q '^sirep_transport_frames_in_total ' "$WORKDIR/report/report.prom"
 "$BIN" audit --telemetry "$(join_tel)"
 
-echo "== phase 5: e2e bench baseline (committed transfers/sec) =="
-BENCH_OUT=${BENCH_OUT:-$WORKDIR/BENCH_e2e.json}
-"$BIN" workload --nodes "$(join_addrs)" --ops 1 --accounts "$ACCOUNTS" \
-    --seed $((SEED + 3)) --bench-json "$BENCH_OUT" \
-    --clients "${BENCH_CLIENTS:-1,2,4}" --bench-secs "${BENCH_SECS:-2}" \
-    --read-mix "${BENCH_READ_MIX:-0,50}" --bench-warmup-ms "${BENCH_WARMUP_MS:-500}"
-if [ ! -s "$BENCH_OUT" ]; then
-    echo "error: bench output $BENCH_OUT missing or empty" >&2
-    exit 1
-fi
-"$BIN" check --nodes "$(join_addrs)" --accounts "$ACCOUNTS"
-
 echo "multinode smoke passed: $NODES nodes, kill+restart of node $VICTIM survived," \
-    "telemetry report+audit clean, bench at $BENCH_OUT"
+    "telemetry report+audit clean"

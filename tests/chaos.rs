@@ -58,7 +58,7 @@ fn crash_recover_cycles_under_load() {
                                 acked.fetch_add(1, Ordering::SeqCst);
                             }
                             Err(e) => {
-                                conn.rollback();
+                                let _ = conn.rollback();
                                 assert!(
                                     matches!(
                                         e,

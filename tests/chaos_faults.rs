@@ -243,10 +243,7 @@ fn sweep_one_seed(seed: u64) {
             scope.spawn(move || {
                 let driver = Driver::new(
                     Arc::clone(&c),
-                    DriverConfig::builder()
-                        .inquiry_attempts(8)
-                        .backoff_base(Duration::from_millis(1))
-                        .build(),
+                    DriverConfig::builder().inquiry_attempts(8).build(),
                 );
                 'outer: while !stop.load(Ordering::Relaxed) {
                     let Ok(mut conn) = driver.connect() else {
@@ -267,7 +264,7 @@ fn sweep_one_seed(seed: u64) {
                                 acked.fetch_add(1, Ordering::SeqCst);
                             }
                             Err(e) => {
-                                conn.rollback();
+                                let _ = conn.rollback();
                                 // The monkey never takes the whole cluster
                                 // down, so `Unavailable` here would mean
                                 // the bounded in-doubt retry gave up too

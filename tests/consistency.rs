@@ -108,7 +108,7 @@ fn driver_load_with_failover_preserves_acked_commits() {
                         acked.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                     }
                     Err(e) => {
-                        conn.rollback();
+                        let _ = conn.rollback();
                         assert!(
                             matches!(e, si_rep::common::DbError::Aborted(_)),
                             "unexpected error kind: {e:?}"

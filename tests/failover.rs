@@ -1,9 +1,19 @@
 //! End-to-end failover tests for the §5.4 connection states, through the
-//! public driver API.
+//! public driver API. The client-visible cases run against both transports
+//! — the in-process `Driver` and `RemoteDriver` over `NodeServer`s — on the
+//! same sim cluster, and assert the same results: there is one failover
+//! machine (`driver::failover`; `tests/failover_table.rs` has every cell).
 
+use si_rep::common::wire::{read_frame, write_frame};
 use si_rep::common::{AbortReason, CrashPoint, DbError};
 use si_rep::core::{Cluster, ClusterConfig, Connection, InDoubt, Outcome, INQUIRE_DEADLINE};
-use si_rep::driver::{Driver, DriverConfig, Policy};
+use si_rep::driver::remote::{ClientReq, ClientResp};
+use si_rep::driver::{
+    Connector, Driver, DriverConfig, Failover, NodeServer, Policy, RemoteDriver, RemoteStatus,
+};
+use si_rep::sql::ExecResult;
+use si_rep::storage::Value;
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -11,6 +21,51 @@ fn cluster(n: usize) -> Arc<Cluster> {
     let c = Arc::new(Cluster::new(ClusterConfig::builder().replicas(n).build()));
     c.execute_ddl("CREATE TABLE kv (k INT, v INT, PRIMARY KEY (k))").unwrap();
     c
+}
+
+/// What a test does with a connection, whichever transport it runs over.
+trait Client {
+    fn execute(&mut self, sql: &str) -> Result<ExecResult, DbError>;
+    fn commit(&mut self) -> Result<(), DbError>;
+    fn set_autocommit(&mut self, on: bool) -> Result<(), DbError>;
+    fn failovers(&self) -> usize;
+}
+
+impl<C: Connector> Client for Failover<'_, C> {
+    fn execute(&mut self, sql: &str) -> Result<ExecResult, DbError> {
+        Failover::execute(self, sql)
+    }
+    fn commit(&mut self) -> Result<(), DbError> {
+        Failover::commit(self)
+    }
+    fn set_autocommit(&mut self, on: bool) -> Result<(), DbError> {
+        Failover::set_autocommit(self, on)
+    }
+    fn failovers(&self) -> usize {
+        Failover::failovers(self)
+    }
+}
+
+/// Run `case` twice, each time on a fresh `n`-replica cluster with a client
+/// connected to replica 0: once in process, once over TCP.
+fn on_both_transports(n: usize, case: impl Fn(&Arc<Cluster>, &mut dyn Client)) {
+    let c = cluster(n);
+    let d = Driver::new(Arc::clone(&c), DriverConfig::builder().policy(Policy::Primary).build());
+    case(&c, &mut d.connect().unwrap());
+
+    let c = cluster(n);
+    let servers: Vec<NodeServer> =
+        (0..n).map(|k| NodeServer::spawn("127.0.0.1:0", Arc::clone(&c), k).unwrap()).collect();
+    let d = RemoteDriver::new(servers.iter().map(|s| s.addr().to_string()).collect());
+    case(&c, &mut d.connect().unwrap());
+}
+
+/// `v` of row `key` as replica `k` has it.
+fn value_at(c: &Cluster, k: usize, key: i64) -> Value {
+    let mut s = c.session(k);
+    let r = s.execute(&format!("SELECT v FROM kv WHERE k = {key}")).unwrap();
+    s.commit().unwrap();
+    r.rows()[0][0].clone()
 }
 
 #[test]
@@ -164,42 +219,152 @@ fn an_inquiry_no_survivor_can_answer_ends_unavailable() {
 
 #[test]
 fn driver_masks_crash_between_transactions() {
-    let c = cluster(3);
-    let d = Driver::new(Arc::clone(&c), DriverConfig::builder().policy(Policy::Primary).build());
-    let mut conn = d.connect().unwrap();
-    conn.execute("INSERT INTO kv VALUES (10, 1)").unwrap();
-    conn.commit().unwrap();
-    assert!(c.quiesce(Duration::from_secs(5)));
-    let before = conn.replica();
-    c.crash(before.index());
-    // §5.4 case 1: between transactions the failover is invisible.
-    let r = conn.execute("SELECT v FROM kv WHERE k = 10").unwrap();
-    assert_eq!(r.rows().len(), 1);
-    conn.commit().unwrap();
-    assert_ne!(conn.replica(), before);
+    on_both_transports(3, |c, conn| {
+        conn.execute("INSERT INTO kv VALUES (10, 1)").unwrap();
+        conn.commit().unwrap();
+        assert!(c.quiesce(Duration::from_secs(5)));
+        c.crash(0);
+        // §5.4 case 1: between transactions the failover is invisible — the
+        // statement's own result comes back.
+        let r = conn.execute("SELECT v FROM kv WHERE k = 10").unwrap();
+        assert_eq!(r.rows().len(), 1);
+        conn.commit().unwrap();
+        assert_eq!(conn.failovers(), 1);
+    });
 }
 
 #[test]
 fn driver_reports_lost_transaction_and_recovers() {
-    let c = cluster(3);
-    let d = Driver::new(Arc::clone(&c), DriverConfig::builder().policy(Policy::Primary).build());
+    on_both_transports(3, |c, conn| {
+        conn.execute("INSERT INTO kv VALUES (20, 1)").unwrap(); // txn open
+        c.crash(0);
+        // §5.4 case 2: the open transaction is lost; the error is retryable.
+        let err = conn.execute("INSERT INTO kv VALUES (21, 1)").unwrap_err();
+        assert_eq!(err, DbError::Aborted(AbortReason::ReplicaCrashed));
+        assert_eq!(conn.failovers(), 1);
+        // Retry the whole transaction on the failed-over connection.
+        conn.execute("INSERT INTO kv VALUES (20, 1)").unwrap();
+        conn.execute("INSERT INTO kv VALUES (21, 1)").unwrap();
+        conn.commit().unwrap();
+        assert!(c.quiesce(Duration::from_secs(5)));
+        for k in c.alive() {
+            assert_eq!(k.database().table_len("kv"), 2);
+        }
+    });
+}
+
+#[test]
+fn a_commit_multicast_by_a_dying_replica_resolves_to_committed() {
+    on_both_transports(3, |c, conn| {
+        conn.execute("INSERT INTO kv VALUES (40, 1)").unwrap();
+        // §5.4 case 3: the writeset is on the wire, the origin dies before
+        // it acknowledges. A survivor knows the outcome: fully transparent.
+        c.arm_crash_point(CrashPoint::AfterMulticastBeforeLocalCommit, 0);
+        assert_eq!(conn.commit(), Ok(()));
+        assert_eq!(conn.failovers(), 1);
+        assert!(c.quiesce(Duration::from_secs(5)));
+        for k in c.alive() {
+            assert_eq!(k.database().table_len("kv"), 1);
+        }
+    });
+}
+
+#[test]
+fn a_commit_never_multicast_resolves_to_a_retryable_abort() {
+    on_both_transports(3, |c, conn| {
+        conn.execute("INSERT INTO kv VALUES (50, 1)").unwrap();
+        c.crash(0);
+        // Case 3 again, but the origin died before the multicast: uniform
+        // delivery guarantees the transaction committed nowhere.
+        assert_eq!(conn.commit(), Err(DbError::Aborted(AbortReason::ReplicaCrashed)));
+        assert!(c.quiesce(Duration::from_secs(5)));
+        for k in c.alive() {
+            assert_eq!(k.database().table_len("kv"), 0);
+        }
+    });
+}
+
+/// Case 3 in autocommit clothing: the implicit commit runs inside the
+/// statement, so the node's crash-shaped *error reply* may follow a
+/// multicast. The driver resolves the statement's transaction by id; a
+/// caller that blindly retries retryable errors (`with_retries` in
+/// `sirep-cluster`, the benchmark's loop) must not get to apply it twice.
+#[test]
+fn an_in_doubt_autocommit_statement_is_applied_exactly_once_despite_a_blind_retry() {
+    on_both_transports(3, |c, conn| {
+        conn.set_autocommit(true).unwrap();
+        conn.execute("INSERT INTO kv VALUES (1, 1)").unwrap();
+        assert!(c.quiesce(Duration::from_secs(5)));
+        c.arm_crash_point(CrashPoint::AfterMulticastBeforeLocalCommit, 0);
+        let update = "UPDATE kv SET v = v + 1 WHERE k = 1";
+        let first = conn.execute(update);
+        if matches!(&first, Err(DbError::Aborted(reason)) if reason.is_retryable()) {
+            conn.execute(update).unwrap();
+        }
+        // The origin died with the row count; zero stands in for it.
+        assert_eq!(first, Ok(ExecResult::Affected(0)));
+        assert_eq!(conn.failovers(), 1);
+        assert!(c.quiesce(Duration::from_secs(5)));
+        for k in 1..3 {
+            assert_eq!(value_at(c, k, 1), Value::Int(2), "replica {k}");
+        }
+        assert!(c.audit_is_clean());
+    });
+}
+
+#[test]
+fn an_in_doubt_commit_with_every_replica_down_ends_unavailable_not_in_a_hang() {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        on_both_transports(2, |c, conn| {
+            conn.execute("INSERT INTO kv VALUES (9, 9)").unwrap();
+            c.crash(1);
+            c.arm_crash_point(CrashPoint::AfterMulticastBeforeLocalCommit, 0);
+            assert_eq!(conn.commit(), Err(DbError::Unavailable));
+        });
+        done_tx.send(()).unwrap();
+    });
+    done_rx.recv_timeout(Duration::from_secs(30)).expect("the driver gave up inside the watchdog");
+}
+
+/// The one cell where the transports differ (`driver::failover` module
+/// docs): only a TCP link can break before the reply to an autocommit
+/// statement arrives, and then there is no transaction id to ask about.
+#[test]
+fn an_autocommit_statement_whose_link_dies_before_the_reply_is_in_doubt() {
+    // A node that says it is alive, takes the autocommit mode, reads the
+    // statement and dies.
+    let dying = TcpListener::bind("127.0.0.1:0").unwrap();
+    let dying_addr = dying.local_addr().unwrap().to_string();
+    let node = std::thread::spawn(move || {
+        let (mut stream, _) = dying.accept().unwrap();
+        let alive = RemoteStatus {
+            replica: 7,
+            alive: true,
+            last_validated: 0,
+            queued: 0,
+            pending_local: 0,
+            commits: 0,
+            audit_violations: 0,
+        };
+        for reply in [ClientResp::Status(alive), ClientResp::Done] {
+            let _: ClientReq = read_frame(&mut stream).unwrap();
+            write_frame(&mut stream, &reply).unwrap();
+        }
+        let statement: ClientReq = read_frame(&mut stream).unwrap();
+        assert!(matches!(statement, ClientReq::Exec { .. }));
+    });
+    let c = cluster(1);
+    let survivor = NodeServer::spawn("127.0.0.1:0", Arc::clone(&c), 0).unwrap();
+    let d = RemoteDriver::new(vec![dying_addr, survivor.addr().to_string()]);
     let mut conn = d.connect().unwrap();
-    conn.execute("INSERT INTO kv VALUES (20, 1)").unwrap(); // txn open
-    c.crash(conn.replica().index());
-    // §5.4 case 2: the open transaction is lost; the error is retryable.
-    let err = conn.execute("INSERT INTO kv VALUES (21, 1)").unwrap_err();
-    match err {
-        DbError::Aborted(reason) => assert!(reason.is_retryable()),
-        other => panic!("unexpected: {other:?}"),
-    }
-    // Retry the whole transaction on the failed-over connection.
-    conn.execute("INSERT INTO kv VALUES (20, 1)").unwrap();
-    conn.execute("INSERT INTO kv VALUES (21, 1)").unwrap();
-    conn.commit().unwrap();
-    assert!(c.quiesce(Duration::from_secs(5)));
-    for k in c.alive() {
-        assert_eq!(k.database().table_len("kv"), 2);
-    }
+    conn.set_autocommit(true).unwrap();
+    let r = conn.execute("INSERT INTO kv VALUES (1, 1)");
+    assert_eq!(r, Err(DbError::ConnectionLost { in_doubt: true }));
+    node.join().unwrap();
+    // The connection moved on, and the survivor never saw the statement.
+    assert_eq!((conn.failovers(), conn.addr()), (1, survivor.addr().to_string().as_str()));
+    assert_eq!(conn.execute("INSERT INTO kv VALUES (1, 1)"), Ok(ExecResult::Affected(1)));
 }
 
 #[test]

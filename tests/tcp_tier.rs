@@ -9,17 +9,21 @@
 //! - evicting a member ends its writer thread and drops what it still had
 //!   in flight;
 //! - a restarted replica is handed to clients only once it has replayed the
-//!   log up to its own join.
+//!   log up to its own join, and — its schema being part of its
+//!   configuration — applies what it replays;
+//! - the sequencer's death is fail-stop for the group: commits in flight are
+//!   answered, nodes stop being alive, clients end in an error, not a hang.
 
 use si_rep::common::wire::{read_frame, write_frame};
 use si_rep::core::{Cluster, ClusterConfig, Connection, Transport};
+use si_rep::driver::{NodeServer, RemoteDriver};
 use si_rep::gcs::tcp::frames::{DownFrame, UpFrame};
 use si_rep::gcs::{
     query_seq_stats, Delivery, Group, Member, SeqStats, Sequencer, TcpGroup, TcpMember,
 };
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -275,6 +279,15 @@ fn evicted_members_writer_exits_and_its_frames_in_flight_are_dropped() {
     poll_until("shutdown ends the last writer", || writer_threads() == 0);
 }
 
+/// A one-replica cluster on the TCP tier, its schema part of its config.
+fn tcp_node(seq: &Sequencer, replica: u64) -> Cluster {
+    let cfg = ClusterConfig::builder()
+        .transport(Transport::Tcp { sequencer: seq.addr().to_string() })
+        .first_replica(replica)
+        .schema("CREATE TABLE kv (k INT, v INT, PRIMARY KEY (k))");
+    Cluster::try_new(cfg.build()).expect("join")
+}
+
 /// A joiner replays the sequenced log from index 0. Until it reaches its own
 /// join view its `lastvalidated` is behind the group's prune watermark, and a
 /// transaction certified there could pass against entries already pruned —
@@ -283,35 +296,74 @@ fn evicted_members_writer_exits_and_its_frames_in_flight_are_dropped() {
 fn restarted_replica_begins_nothing_before_it_has_caught_up() {
     let _one = serial();
     let seq = Sequencer::spawn("127.0.0.1:0").expect("bind sequencer");
-    let start = |replica: u64, appliers: usize| {
-        let transport = Transport::Tcp { sequencer: seq.addr().to_string() };
-        let cfg = ClusterConfig::builder().transport(transport).first_replica(replica);
-        let c = Cluster::try_new(cfg.appliers(appliers).build()).expect("join");
-        c.execute_ddl("CREATE TABLE kv (k INT, v INT, PRIMARY KEY (k))").expect("ddl");
-        c
-    };
-    let survivor = start(1, 2);
+    let start = |replica: u64| tcp_node(&seq, replica);
+    let survivor = start(1);
     let mut s = survivor.session(0);
     let mut commit = |k: u64| {
         s.execute(&format!("INSERT INTO kv VALUES ({k}, 0)")).expect("insert");
         s.commit().expect("commit");
     };
-    let first = start(0, 2);
+    let first = start(0);
     (0..150).for_each(&mut commit);
     drop(first);
     (150..300).for_each(&mut commit);
 
-    // No appliers: the replay starts at the join, before the schema can be
-    // installed, and this test is about certification, not application.
-    let again = start(0, 0);
+    // The replay starts at the join, appliers running: the schema has to be
+    // in the database by then, which is why it comes through the constructor.
+    let again = start(0);
     let mut s0 = again.session(0);
     s0.execute("INSERT INTO kv VALUES (300, 0)").expect("insert");
     assert_eq!(s0.xact_id().expect("open").incarnation(), 1, "second life of replica 0");
     let behind = survivor.node(0).last_validated().raw() - again.node(0).last_validated().raw();
     assert_eq!(behind, 0, "a transaction began while the replica was still replaying");
     s0.commit().expect("commit");
+    poll_until("the restarted replica has applied the whole log", || {
+        again.node(0).database().table_len("kv") == 301
+    });
     assert!(again.audit_is_clean() && survivor.audit_is_clean());
 
     drop((again, survivor, seq));
+    poll_until("shutdown ends the writers", || writer_threads() == 0);
+}
+
+/// The sequencer dies under load. Every node's delivery stream ends, so every
+/// node fail-stops: commits already multicast are answered, the clients go
+/// through §5.4 resolution, find nobody who can tell, and end in an error.
+#[test]
+fn sequencer_death_fail_stops_every_node_and_no_client_hangs() {
+    let _one = serial();
+    let seq = Sequencer::spawn("127.0.0.1:0").expect("bind sequencer");
+    let nodes = [0, 1].map(|replica| Arc::new(tcp_node(&seq, replica)));
+    let servers = nodes.each_ref().map(|n| NodeServer::spawn("127.0.0.1:0", n.clone(), 0).unwrap());
+    let addrs: Vec<String> = servers.iter().map(|s| s.addr().to_string()).collect();
+    let commits = std::sync::atomic::AtomicU64::new(0);
+    let (ended_tx, ended_rx) = std::sync::mpsc::channel();
+    thread::scope(|scope| {
+        // Commits back to back from four clients: at any instant some of them
+        // are parked between their multicast and its delivery.
+        for client in 0..4u64 {
+            let (addrs, commits, ended_tx) = (addrs.clone(), &commits, ended_tx.clone());
+            scope.spawn(move || {
+                let driver = RemoteDriver::new(addrs);
+                let mut conn = driver.connect().expect("connect");
+                let error = (0..).find_map(|i: u64| {
+                    conn.execute(&format!("INSERT INTO kv VALUES ({}, 0)", client << 32 | i))
+                        .and_then(|_| conn.commit())
+                        .map(|()| commits.fetch_add(1, Ordering::Relaxed))
+                        .err()
+                });
+                ended_tx.send(error).expect("report");
+            });
+        }
+        poll_until("commits flow", || commits.load(Ordering::Relaxed) >= 200);
+        seq.shutdown();
+        for _ in 0..4 {
+            let error = ended_rx.recv_timeout(Duration::from_secs(10));
+            assert!(error.is_ok(), "a client was still waiting 10 s after the sequencer died");
+        }
+    });
+    poll_until("both nodes have fail-stopped", || nodes.iter().all(|n| !n.node(0).is_alive()));
+
+    drop((servers, nodes, seq));
     poll_until("shutdown ends the writers", || writer_threads() == 0);
 }
