@@ -53,6 +53,5 @@ pub use sync::Semaphore;
 pub use trace::{Stage, StageSnapshot, StageStats, TxTrace, STAGE_COUNT};
 pub use transport::TransportSnapshot;
 pub use wire::{
-    read_frame, read_frame_counted, write_frame, write_frame_counted, Wire, WireError, WireReader,
-    MAX_FRAME,
+    read_frame, write_frame, write_frame_counted, Wire, WireError, WireReader, MAX_FRAME,
 };

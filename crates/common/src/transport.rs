@@ -41,8 +41,10 @@ pub struct TransportSnapshot {
     /// Multicasts submitted but not yet sequenced (the `HELD_SEND_SEQ`
     /// window: send accepted, authoritative sequence number still pending).
     pub pending_sends: GaugeReading,
-    /// Deliveries decoded by the reader but not yet received by the
-    /// endpoint (the receive-queue depth).
+    /// Deliveries queued inside the endpoint. Always 0 on TCP: a member
+    /// reads its own socket, so what it has not received yet sits in the
+    /// kernel's buffer and behind its cursor at the sequencer
+    /// (`SeqStats::members`). Kept because telemetry peers decode it.
     pub recv_queue: GaugeReading,
 }
 

@@ -378,29 +378,34 @@ pub fn write_frame<W: Write, T: Wire>(w: &mut W, msg: &T) -> io::Result<()> {
     write_frame_counted(w, msg).map(|_| ())
 }
 
+/// `msg` as one frame: `u32`-LE byte length, then the encoding, in one
+/// buffer.
+pub fn framed<T: Wire>(msg: &T) -> Vec<u8> {
+    let mut framed = vec![0u8; 4];
+    msg.encode(&mut framed);
+    let len = (framed.len() - 4) as u32;
+    framed[..4].copy_from_slice(&len.to_le_bytes());
+    framed
+}
+
 /// [`write_frame`], returning the bytes put on the wire (header + payload)
 /// so transport instrumentation can count traffic without re-encoding.
+/// Header and payload go out in one `write`: on a `TCP_NODELAY` socket two
+/// would be two segments, and a peer woken between them.
 pub fn write_frame_counted<W: Write, T: Wire>(w: &mut W, msg: &T) -> io::Result<u64> {
-    let payload = msg.to_wire();
-    if payload.len() > MAX_FRAME {
+    let framed = framed(msg);
+    if framed.len() - 4 > MAX_FRAME {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, WireError::TooLarge));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&payload)?;
+    w.write_all(&framed)?;
     w.flush()?;
-    Ok(4 + payload.len() as u64)
+    Ok(framed.len() as u64)
 }
 
 /// Read one length-prefixed frame and decode it. A malformed frame maps to
 /// `io::ErrorKind::InvalidData`; EOF at a frame boundary maps to
 /// `io::ErrorKind::UnexpectedEof` (from `read_exact`).
 pub fn read_frame<R: Read, T: Wire>(r: &mut R) -> io::Result<T> {
-    read_frame_counted(r).map(|(v, _)| v)
-}
-
-/// [`read_frame`], returning the bytes taken off the wire (header +
-/// payload) alongside the value.
-pub fn read_frame_counted<R: Read, T: Wire>(r: &mut R) -> io::Result<(T, u64)> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf) as usize;
@@ -409,8 +414,38 @@ pub fn read_frame_counted<R: Read, T: Wire>(r: &mut R) -> io::Result<(T, u64)> {
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
-    let v = T::from_wire(&payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    Ok((v, 4 + len as u64))
+    T::from_wire(&payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+/// Frames off a stream whose reads may stop anywhere — a socket with a read
+/// timeout: what was read stays here until it is a whole frame.
+#[derive(Debug, Default)]
+pub struct FrameBuf(Vec<u8>);
+
+impl FrameBuf {
+    /// Take the first frame, if all of it has been read: the value and its
+    /// size on the wire. A malformed frame maps to `InvalidData`.
+    pub fn pop<T: Wire>(&mut self) -> io::Result<Option<(T, u64)>> {
+        let Some(len) = self.0.first_chunk::<4>() else { return Ok(None) };
+        let len = u32::from_le_bytes(*len) as usize;
+        if len > MAX_FRAME {
+            return Err(io::Error::new(io::ErrorKind::InvalidData, WireError::TooLarge));
+        }
+        let Some(payload) = self.0.get(4..4 + len) else { return Ok(None) };
+        let v = T::from_wire(payload);
+        self.0.drain(..4 + len);
+        v.map(|v| Some((v, 4 + len as u64)))
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    }
+
+    /// One `read` of `r` (a peer writes runs of frames per syscall; this
+    /// takes them the same way). `Ok(0)` is end of stream.
+    pub fn fill<R: Read>(&mut self, r: &mut R) -> io::Result<usize> {
+        let mut chunk = [0u8; 8 << 10];
+        let n = r.read(&mut chunk)?;
+        self.0.extend_from_slice(&chunk[..n]);
+        Ok(n)
+    }
 }
 
 #[cfg(test)]
@@ -496,6 +531,39 @@ mod tests {
         assert_eq!(b, vec![1, 2, 3]);
         let eof: io::Result<String> = read_frame(&mut cursor);
         assert_eq!(eof.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// One frame is one `write` — and the bytes are the length, then the
+    /// encoding, exactly as when they were written separately.
+    #[test]
+    fn a_frame_is_written_with_one_write_call() {
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting::default();
+        let msgs = [String::new(), String::from("frame"), "x".repeat(100_000)];
+        let mut expected = Vec::new();
+        for (i, msg) in msgs.iter().enumerate() {
+            let payload = msg.to_wire();
+            let sent = write_frame_counted(&mut w, msg).unwrap();
+            assert_eq!(sent, 4 + payload.len() as u64);
+            assert_eq!(w.writes, i + 1, "frame {i} took more than one write");
+            expected.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            expected.extend_from_slice(&payload);
+        }
+        assert_eq!(w.bytes, expected);
     }
 
     #[test]

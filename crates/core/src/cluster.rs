@@ -11,7 +11,7 @@ use sirep_common::{
     CrashPoint, DbError, Event, EventKind, GaugeSnapshot, Journal, MemberId, Metrics, ReplicaId,
     StageSnapshot, TransportSnapshot, DEFAULT_JOURNAL_CAPACITY,
 };
-use sirep_gcs::{FaultConfig, Group, GroupConfig, SimGroup, TcpGroup, NETWORK_REPLICA};
+use sirep_gcs::{FaultConfig, Group, GroupConfig, Member, SimGroup, TcpGroup, NETWORK_REPLICA};
 use sirep_storage::{CostModel, Database};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -351,14 +351,7 @@ impl Cluster {
                 Arc::clone(&auditor),
                 Arc::clone(&crash_plan),
             );
-            {
-                let n = Arc::clone(&node);
-                threads.push(std::thread::spawn(move || n.run_delivery(member)));
-            }
-            for _ in 0..config.appliers {
-                let n = Arc::clone(&node);
-                threads.push(std::thread::spawn(move || n.run_applier()));
-            }
+            threads.extend(spawn_node_threads(&node, member, config.appliers)?);
             nodes.push(node);
         }
         Ok(Cluster {
@@ -598,14 +591,8 @@ impl Cluster {
             Arc::clone(&self.auditor),
             Arc::clone(&self.crash_plan),
         );
-        {
-            let n = Arc::clone(&node);
-            self.threads.lock().push(std::thread::spawn(move || n.run_delivery(member)));
-        }
-        for _ in 0..self.config.appliers {
-            let n = Arc::clone(&node);
-            self.threads.lock().push(std::thread::spawn(move || n.run_applier()));
-        }
+        let threads = spawn_node_threads(&node, member, self.config.appliers)?;
+        self.threads.lock().extend(threads);
         // sirep-lint: allow(no-unwrap-on-protocol-paths): k was bounds-checked against the nodes vec at entry to recover, and n never changes after startup
         self.nodes.write()[k] = node;
         Ok(())
@@ -731,6 +718,32 @@ impl Cluster {
             let _ = h.join();
         }
     }
+}
+
+/// Start `node`'s delivery thread and applier pool. Their names are what
+/// `top -H` and `/proc/<pid>/task/*/comm` show (the kernel keeps 15 bytes):
+/// which replica is behind, and on what.
+fn spawn_node_threads(
+    node: &Arc<ReplicaNode>,
+    member: Box<dyn Member<ReplMsg>>,
+    appliers: usize,
+) -> Result<Vec<JoinHandle<()>>, DbError> {
+    let k = node.id().raw();
+    let failed = |e: std::io::Error| {
+        // Whatever did start must not outlive the failed construction.
+        node.mark_crashed();
+        DbError::Internal(format!("cannot start a thread of replica {k}: {e}"))
+    };
+    let thread = |name: String| std::thread::Builder::new().name(name);
+    let n = Arc::clone(node);
+    let deliver = thread(format!("sirep-deliver-{k}")).spawn(move || n.run_delivery(member));
+    let mut threads = vec![deliver.map_err(failed)?];
+    for i in 0..appliers {
+        let n = Arc::clone(node);
+        let apply = thread(format!("sirep-apply-{k}-{i}")).spawn(move || n.run_applier());
+        threads.push(apply.map_err(failed)?);
+    }
+    Ok(threads)
 }
 
 fn run_ddl(db: &Database, sql: &str) -> Result<(), DbError> {

@@ -18,32 +18,57 @@
 //! - any number of **client session threads** execute SQL statements against
 //!   the local database and, at commit, run local validation and multicast
 //!   the writeset (steps I.1–I.2);
-//! - one **delivery thread** receives the total-order stream and runs global
-//!   validation deterministically (step II);
-//! - a small pool of **applier threads** implements step III for REMOTE
-//!   writesets: picking queue entries with no conflicting predecessor,
-//!   applying them (with deadlock retry), and committing under the hole
-//!   rule. Local transactions never wait for an applier: on successful
-//!   validation the delivery thread hands them back to their session
-//!   thread, which commits immediately (adjustment 2).
+//! - one **delivery thread** (`sirep-deliver-<k>`) reads the total-order
+//!   stream — over TCP straight off the member socket, so the kernel's
+//!   buffer and the sequencer's cursor are the only receive queue — and runs
+//!   global validation deterministically (step II);
+//! - a small pool of **applier threads** (`sirep-apply-<k>-<i>`) implements
+//!   step III for REMOTE writesets: picking queue entries with no
+//!   conflicting predecessor, applying them (with deadlock retry), and
+//!   committing under the hole rule. Local transactions never wait for an
+//!   applier: on successful validation the delivery thread hands them back
+//!   to their session thread, which commits immediately (adjustment 2).
+//!   Appliers stay apart from delivery: the validator must never block in
+//!   the database (§4.2).
+//!
+//! A thread is woken only when there is work for it. An uncontended commit
+//! costs its origin five wake-ups (the session thread once per driver round
+//! trip — three —, the delivery thread for the writeset coming back, the
+//! session thread for the verdict) and each remote two (delivery thread,
+//! one applier):
+//!
+//! - an *applier* parks on `apply_cond`, counted in `ApplyState::idle`, and
+//!   one is woken when the ready set grew (`TocommitQueue::push` / `remove`
+//!   say so) while one is idle. One is enough: a claim sweeps everything
+//!   ready, and one that leaves entries behind wakes the next applier. A
+//!   local entry is born `running`: its commit wakes no applier;
+//! - *everyone else* — a hole-gated begin, a hole-throttled
+//!   `finalize_batch`, `inquire`, `await_own_join` — parks on `cond`,
+//!   counted in `NodeState::waiters`, and is notified only if that is
+//!   non-zero, which it rarely is.
+//!
+//! Both counts are plain fields: written by the one wait helper of their
+//! condvar, read by the notifier under the lock it holds for the state
+//! change anyway — a waiter either sees the change or is counted.
+//! `mark_crashed` wakes everybody; `WAIT_TICK` is a shutdown poll and must
+//! never be what makes progress.
 //!
 //! ## Lock structure (per replica)
 //!
-//! The paper's single `wsmutex` is split three ways so the hot paths stop
+//! The paper's single `wsmutex` is split in two so the hot paths stop
 //! contending on one mutex (lint.toml registers the classes and the
-//! `node-state < node-apply` / `node-state < node-telem` order):
+//! `node-state < node-apply` order):
 //!
 //! - the **cert-state lock** (`state`) — ws_list, hole tracker, pending
-//!   local transactions, outcomes, view. Certification, begins, and the
+//!   local transactions, outcomes, view, and off the hot paths the recovery
+//!   markers and the progress-advert cursor. Certification, begins, and the
 //!   final commit step (atomic with begins) run under it;
 //! - the **applier lock** (`apply`) — the tocommit queue. Appliers drain
 //!   eligible entries under it without blocking sessions; sites that need
-//!   both always take `state` first;
-//! - the **telemetry lock** (`telem`) — recovery markers and the progress
-//!   advert cursor; never nested inside anything.
+//!   both always take `state` first.
 //!
 //! Database work (reads, writes, writeset application, the commit log
-//! force) happens outside all of them.
+//! force) happens outside both.
 
 use crate::audit::{key_digest, Auditor};
 use crate::chaos::{CrashPlan, PausePoint};
@@ -51,7 +76,7 @@ use crate::holes::HoleTracker;
 use crate::msg::{Outcome, ReplMsg, WsMsg, XactId};
 use crate::recorder::Recorder;
 use crate::validation::WsList;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use sirep_common::{
     AbortReason, CrashPoint, DbError, EventKind, GaugeSnapshot, GlobalTid, Journal, MemberId,
     Metrics, ProtocolGauges, ReplicaId, Stage, StageSnapshot, StageStats, TransportSnapshot,
@@ -75,8 +100,8 @@ pub enum ReplicationMode {
     SrcaOpt,
 }
 
-/// How long waiters poll for shutdown while blocked on the node condvar.
-const WAIT_TICK: Duration = Duration::from_millis(25);
+/// How long waiters poll for shutdown while blocked on a node condvar.
+pub const WAIT_TICK: Duration = Duration::from_millis(25);
 
 /// How long a begin waits for a still-replaying replica to reach its own
 /// join view before the client is told to go elsewhere.
@@ -94,8 +119,8 @@ pub const INQUIRE_DEADLINE: Duration = Duration::from_secs(5);
 const APPLIER_BATCH_MAX: usize = 64;
 
 /// An entry of `tocommit_queue_k`.
-struct QEntry {
-    tid: GlobalTid,
+pub struct QEntry {
+    pub tid: GlobalTid,
     xact: XactId,
     ws: Arc<WriteSet>,
     origin: ReplicaId,
@@ -109,6 +134,21 @@ struct QEntry {
     /// Stage timeline for remote entries, originating at delivery time
     /// (local entries carry their own trace on the session thread).
     trace: TxTrace,
+}
+
+impl QEntry {
+    /// An entry as delivery queues it; `running`: its session thread commits
+    /// it, no applier may claim it.
+    pub fn new(
+        tid: GlobalTid,
+        xact: XactId,
+        ws: Arc<WriteSet>,
+        origin: ReplicaId,
+        running: bool,
+        trace: TxTrace,
+    ) -> QEntry {
+        QEntry { tid, xact, ws, origin, running, blockers: 0, trace }
+    }
 }
 
 /// One entry claimed into an applier's group commit: everything needed to
@@ -140,7 +180,7 @@ struct BatchItem {
 /// a candidate writeset conflicts with the queue iff one of its keys has a
 /// non-empty waiter list — O(|ws|) instead of O(n·|ws|).
 #[derive(Default)]
-struct TocommitQueue {
+pub struct TocommitQueue {
     entries: HashMap<GlobalTid, QEntry>,
     /// Tuple id → tids of queue entries writing it, ascending (entries are
     /// pushed in tid order; the list's prefix before an entry are its
@@ -153,10 +193,6 @@ struct TocommitQueue {
 }
 
 impl TocommitQueue {
-    fn new() -> TocommitQueue {
-        TocommitQueue::default()
-    }
-
     fn len(&self) -> usize {
         self.entries.len()
     }
@@ -195,8 +231,8 @@ impl TocommitQueue {
 
     /// Insert a validated entry. Must be called in tid order (total-order
     /// delivery / sorted bootstrap), so every current waiter on the entry's
-    /// keys is a predecessor.
-    fn push(&mut self, mut e: QEntry) {
+    /// keys is a predecessor. `true`: the entry is ready for an applier.
+    pub fn push(&mut self, mut e: QEntry) -> bool {
         let mut blockers = 0;
         for id in e.ws.tuple_ids() {
             let list = self.waiters.entry(id.clone()).or_default();
@@ -205,18 +241,20 @@ impl TocommitQueue {
             list.push(e.tid);
         }
         e.blockers = blockers;
+        let ready = !e.running && blockers == 0;
         if e.running {
             self.running += 1;
-        } else if blockers == 0 {
+        } else if ready {
             self.ready.insert(e.tid);
         }
         let prev = self.entries.insert(e.tid, e);
         debug_assert!(prev.is_none(), "tid queued twice");
+        ready
     }
 
     /// Claim the smallest-tid eligible entry for an applier, marking it
     /// running.
-    fn pop_ready(&mut self) -> Option<&QEntry> {
+    pub fn pop_ready(&mut self) -> Option<&QEntry> {
         let tid = self.ready.pop_first()?;
         // sirep-lint: allow(no-unwrap-on-protocol-paths): ready ⊆ entries is the queue's structural invariant (every insert/remove maintains it); a miss is a corrupted queue, not a runtime condition
         let e = self.entries.get_mut(&tid).expect("ready tid must be queued");
@@ -228,8 +266,10 @@ impl TocommitQueue {
 
     /// Remove a committed (or discarded) entry, releasing its successors'
     /// blocker edges; newly eligible entries move onto the ready set.
-    fn remove(&mut self, tid: GlobalTid) -> Option<QEntry> {
-        let e = self.entries.remove(&tid)?;
+    /// Returns how many did.
+    pub fn remove(&mut self, tid: GlobalTid) -> usize {
+        let Some(e) = self.entries.remove(&tid) else { return 0 };
+        let mut released = 0;
         if e.running {
             self.running -= 1;
         } else {
@@ -245,6 +285,7 @@ impl TocommitQueue {
                     s.blockers -= 1;
                     if s.blockers == 0 && !s.running {
                         self.ready.insert(succ);
+                        released += 1;
                     }
                 }
             }
@@ -252,7 +293,7 @@ impl TocommitQueue {
                 self.waiters.remove(id);
             }
         }
-        Some(e)
+        released
     }
 }
 
@@ -295,8 +336,7 @@ impl Drop for LocalGuard {
     fn drop(&mut self) {
         let mut st = self.node.state.lock();
         st.holes.local_finished();
-        drop(st);
-        self.node.cond.notify_all();
+        self.node.unlock_and_wake(st);
     }
 }
 
@@ -469,6 +509,12 @@ struct NodeState {
     /// incarnation multicast is already in `outcomes` — so its in-doubt
     /// transaction with no outcome was never received, full stop.
     departed: HashSet<MemberId>,
+    /// Recovery markers processed (see [`ReplMsg::Marker`]).
+    markers_seen: HashSet<u64>,
+    /// The `lastvalidated` this node last advertised when idle.
+    last_progress_sent: GlobalTid,
+    /// Threads parked on `cond` right now ([`ReplicaNode::wait_state`]).
+    waiters: usize,
 }
 
 impl NodeState {
@@ -492,15 +538,9 @@ impl NodeState {
 /// `node-state < node-apply` order).
 struct ApplyState {
     queue: TocommitQueue,
-}
-
-/// Telemetry/bookkeeping state off the protocol hot paths (`node-telem`):
-/// recovery markers and the progress-advert cursor. Never nested inside
-/// another node lock.
-struct TelemState {
-    /// Recovery markers processed (see [`ReplMsg::Marker`]).
-    markers_seen: HashSet<u64>,
-    last_progress_sent: GlobalTid,
+    /// Appliers parked on `apply_cond` right now
+    /// ([`ReplicaNode::wait_apply`]).
+    idle: usize,
 }
 
 /// One middleware/database replica pair.
@@ -513,8 +553,6 @@ pub struct ReplicaNode {
     cond: Condvar,
     apply: Mutex<ApplyState>,
     apply_cond: Condvar,
-    telem: Mutex<TelemState>,
-    telem_cond: Condvar,
     shutdown: AtomicBool,
     /// Set once the delivery thread has installed a view naming this node's
     /// own member id. On a transport that replays history to joiners that
@@ -606,8 +644,11 @@ impl ReplicaNode {
                     membership: View { id: 0, members: Vec::new() },
                     view: Vec::new(),
                     departed: HashSet::new(),
+                    markers_seen: HashSet::new(),
+                    last_progress_sent: GlobalTid::ZERO,
+                    waiters: 0,
                 },
-                ApplyState { queue: TocommitQueue::new() },
+                ApplyState { queue: TocommitQueue::default(), idle: 0 },
             ),
             Some(b) => {
                 let holes = HoleTracker::bootstrap(
@@ -617,17 +658,9 @@ impl ReplicaNode {
                 // Transferred entries are pushed in tid order (the donor
                 // sorts them) so the waiter index and blocker counts are
                 // rebuilt exactly as delivery order would have built them.
-                let mut queue = TocommitQueue::new();
+                let mut queue = TocommitQueue::default();
                 for (tid, xact, ws, origin) in b.queue_entries {
-                    queue.push(QEntry {
-                        tid,
-                        xact,
-                        ws,
-                        origin,
-                        running: false,
-                        blockers: 0,
-                        trace: TxTrace::start(),
-                    });
+                    queue.push(QEntry::new(tid, xact, ws, origin, false, TxTrace::start()));
                 }
                 (
                     NodeState {
@@ -638,8 +671,11 @@ impl ReplicaNode {
                         view: replicas_of(&b.membership),
                         membership: b.membership,
                         departed: b.departed,
+                        markers_seen: HashSet::new(),
+                        last_progress_sent: GlobalTid::ZERO,
+                        waiters: 0,
                     },
-                    ApplyState { queue },
+                    ApplyState { queue, idle: 0 },
                 )
             }
         };
@@ -653,11 +689,6 @@ impl ReplicaNode {
             cond: Condvar::new(),
             apply: Mutex::new(apply),
             apply_cond: Condvar::new(),
-            telem: Mutex::new(TelemState {
-                markers_seen: HashSet::new(),
-                last_progress_sent: GlobalTid::ZERO,
-            }),
-            telem_cond: Condvar::new(),
             shutdown: AtomicBool::new(false),
             // A donor's state already reflects the recovering node's join.
             joined: AtomicBool::new(recovered),
@@ -677,6 +708,43 @@ impl ReplicaNode {
             node.auditor.report(&node.journal, reset);
         }
         node
+    }
+
+    /// Park on `cond` for one [`WAIT_TICK`], counted in `waiters` meanwhile;
+    /// the caller re-checks what it waits for (and `is_alive`) afterwards.
+    fn wait_state(&self, st: &mut MutexGuard<'_, NodeState>) {
+        st.waiters += 1;
+        self.cond.wait_for(st, WAIT_TICK);
+        st.waiters -= 1;
+    }
+
+    /// Release the state lock after a change somebody may be parked on
+    /// `cond` for, and wake them all (they wait for different things) — if
+    /// anybody is parked: mostly nobody is, and a notify is a system call.
+    fn unlock_and_wake(&self, st: MutexGuard<'_, NodeState>) {
+        let parked = st.waiters > 0;
+        drop(st);
+        if parked {
+            self.cond.notify_all();
+        }
+    }
+
+    /// Park an applier on `apply_cond` for one [`WAIT_TICK`], counted in
+    /// `idle` meanwhile.
+    fn wait_apply(&self, ap: &mut MutexGuard<'_, ApplyState>) {
+        ap.idle += 1;
+        self.apply_cond.wait_for(ap, WAIT_TICK);
+        ap.idle -= 1;
+    }
+
+    /// Release the applier lock and, if the ready set `grew` while an
+    /// applier is idle, wake one.
+    fn unlock_and_wake_applier(&self, ap: MutexGuard<'_, ApplyState>, grew: bool) {
+        let wake = grew && ap.idle > 0;
+        drop(ap);
+        if wake {
+            self.apply_cond.notify_one();
+        }
     }
 
     /// If `point` is armed for this replica, crash-stop here: record the
@@ -799,18 +867,15 @@ impl ReplicaNode {
 
     /// Block until this node's delivery thread has processed the recovery
     /// marker `token` (and therefore every message sequenced before it).
-    /// Waits on the telemetry lock only — marker bookkeeping never touches
-    /// certification state.
     pub(crate) fn wait_for_marker(&self, token: u64, timeout: Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
-        let mut tl = self.telem.lock();
-        while !tl.markers_seen.contains(&token) {
+        let mut st = self.state.lock();
+        while !st.markers_seen.remove(&token) {
             if !self.is_alive() || std::time::Instant::now() >= deadline {
                 return false;
             }
-            self.telem_cond.wait_for(&mut tl, WAIT_TICK);
+            self.wait_state(&mut st);
         }
-        tl.markers_seen.remove(&token);
         true
     }
 
@@ -865,7 +930,7 @@ impl ReplicaNode {
             if !self.is_alive() || Instant::now() >= deadline {
                 return false;
             }
-            self.cond.wait_for(&mut st, WAIT_TICK);
+            self.wait_state(&mut st);
         }
         true
     }
@@ -890,12 +955,9 @@ impl ReplicaNode {
                     // no locals are running (liveness protocol of §4.3.3);
                     // existing holes drain.
                     while st.holes.holes_exist() && self.is_alive() {
-                        self.cond.wait_for(&mut st, WAIT_TICK);
+                        self.wait_state(&mut st);
                     }
                     st.holes.done_waiting();
-                    // Wake other throttled commits in case we were the last
-                    // waiter.
-                    self.cond.notify_all();
                     if !self.is_alive() {
                         return Err(DbError::Aborted(AbortReason::ReplicaCrashed));
                     }
@@ -909,7 +971,9 @@ impl ReplicaNode {
                 let snapshot = st.holes.max_committed();
                 self.auditor.report(&self.journal, EventKind::TxBegin { xact, gated: true });
                 self.recorder.on_begin(xact);
-                drop(st);
+                // Commits throttled for a waiting begin may go on: we may
+                // have been the last one waiting, and a local is running.
+                self.unlock_and_wake(st);
                 Ok(ActiveTxn {
                     xact,
                     txn,
@@ -1092,7 +1156,7 @@ impl ReplicaNode {
             if Instant::now() >= deadline {
                 return Ok(InDoubt::Unknown);
             }
-            self.cond.wait_for(&mut st, WAIT_TICK);
+            self.wait_state(&mut st);
         }
     }
 
@@ -1155,7 +1219,7 @@ impl ReplicaNode {
         st.membership = v;
         let members = st.view.len() as u64;
         self.auditor.report(&self.journal, EventKind::ViewChange { members });
-        self.cond.notify_all();
+        self.unlock_and_wake(guard);
     }
 
     /// Dispatch one totally-ordered message.
@@ -1168,19 +1232,20 @@ impl ReplicaNode {
     }
 
     fn handle_progress(&self, from: ReplicaId, lastvalidated: GlobalTid) {
-        let mut st = self.state.lock();
-        let view = st.view.clone();
-        if let Some((watermark, removed)) = st.wslist.advance_progress(from, lastvalidated, &view) {
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        if let Some((watermark, removed)) =
+            st.wslist.advance_progress(from, lastvalidated, &st.view)
+        {
             self.auditor.report(&self.journal, EventKind::WsListPruned { watermark, removed });
-            self.refresh_gauges(&st);
+            self.refresh_gauges(st);
         }
     }
 
     fn handle_marker(&self, token: u64) {
-        let mut tl = self.telem.lock();
-        tl.markers_seen.insert(token);
-        drop(tl);
-        self.telem_cond.notify_all();
+        let mut st = self.state.lock();
+        st.markers_seen.insert(token);
+        self.unlock_and_wake(st);
     }
 
     fn handle_writeset(self: &Arc<Self>, m: &WsMsg, sequenced_at: Instant) {
@@ -1193,7 +1258,8 @@ impl ReplicaNode {
                 delivered_at.saturating_duration_since(sequenced_at),
             );
         }
-        let mut st = self.state.lock();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         Metrics::inc(&self.metrics.ws_delivered);
         if st.outcomes.get(m.xact).is_some() {
             // Already decided — only possible on a recovered replica whose
@@ -1203,12 +1269,8 @@ impl ReplicaNode {
         }
         self.auditor
             .report(&self.journal, EventKind::TotalOrderDeliver { xact: m.xact, cert: m.cert });
-        {
-            let view = st.view.clone();
-            if let Some((watermark, removed)) = st.wslist.advance_progress(m.origin, m.cert, &view)
-            {
-                self.auditor.report(&self.journal, EventKind::WsListPruned { watermark, removed });
-            }
+        if let Some((watermark, removed)) = st.wslist.advance_progress(m.origin, m.cert, &st.view) {
+            self.auditor.report(&self.journal, EventKind::WsListPruned { watermark, removed });
         }
         if st.wslist.passes(m.cert, &m.ws) {
             let tid = st.wslist.append(m.xact, Arc::clone(&m.ws));
@@ -1233,27 +1295,24 @@ impl ReplicaNode {
             } else {
                 None
             };
-            {
-                let mut ap = self.apply.lock();
-                ap.queue.push(QEntry {
-                    tid,
-                    xact: m.xact,
-                    ws: Arc::clone(&m.ws),
-                    origin: m.origin,
-                    running: local_job.is_some(),
-                    blockers: 0,
-                    trace: TxTrace::starting_at(delivered_at),
-                });
-                self.refresh_apply_gauges(&st, &ap);
-            }
+            let mut ap = self.apply.lock();
+            let ready = ap.queue.push(QEntry::new(
+                tid,
+                m.xact,
+                Arc::clone(&m.ws),
+                m.origin,
+                local_job.is_some(),
+                TxTrace::starting_at(delivered_at),
+            ));
+            self.refresh_apply_gauges(st, &ap);
+            self.unlock_and_wake_applier(ap, ready);
             st.outcomes.record(m.xact, Outcome::Committed);
-            self.refresh_gauges(&st);
-            drop(st);
+            self.refresh_gauges(st);
+            // An `inquire` may be parked for this outcome.
+            self.unlock_and_wake(guard);
             if let Some((responder, job)) = local_job {
                 let _ = responder.send(Ok(job));
             }
-            self.cond.notify_all();
-            self.apply_cond.notify_all();
         } else {
             st.outcomes.record(m.xact, Outcome::Aborted);
             Metrics::inc(&self.metrics.ws_discarded);
@@ -1266,21 +1325,19 @@ impl ReplicaNode {
                     keys: Arc::default(),
                 },
             );
-            self.refresh_gauges(&st);
-            if m.origin == self.id {
-                if let Some(p) = st.pending_local.remove(&m.xact) {
-                    // Abort verdict is journaled under the lock (ordered with
-                    // the ValidationVerdict above); rollback runs outside.
-                    self.auditor.report(&self.journal, EventKind::Abort { xact: m.xact });
-                    drop(st);
-                    p.txn.abort(AbortReason::ValidationFailure);
-                    Metrics::inc(&self.metrics.aborts_validation);
-                    let _ = p.responder.send(Err(DbError::Aborted(AbortReason::ValidationFailure)));
-                    self.cond.notify_all();
-                    return;
-                }
+            self.refresh_gauges(st);
+            let pending = if m.origin == self.id { st.pending_local.remove(&m.xact) } else { None };
+            if pending.is_some() {
+                // Abort verdict is journaled under the lock (ordered with
+                // the ValidationVerdict above); rollback runs outside.
+                self.auditor.report(&self.journal, EventKind::Abort { xact: m.xact });
             }
-            self.cond.notify_all();
+            self.unlock_and_wake(guard);
+            if let Some(p) = pending {
+                p.txn.abort(AbortReason::ValidationFailure);
+                Metrics::inc(&self.metrics.aborts_validation);
+                let _ = p.responder.send(Err(DbError::Aborted(AbortReason::ValidationFailure)));
+            }
         }
     }
 
@@ -1288,22 +1345,13 @@ impl ReplicaNode {
     /// replica can prune (we promise future certs ≥ lastvalidated).
     fn maybe_send_progress(&self) {
         const PRUNE_THRESHOLD: usize = 64;
-        let (grown, lastvalidated) = {
-            let st = self.state.lock();
-            (st.wslist.len() > PRUNE_THRESHOLD, st.wslist.last_tid())
-        };
-        if !grown {
+        let mut st = self.state.lock();
+        let lastvalidated = st.wslist.last_tid();
+        if st.wslist.len() <= PRUNE_THRESHOLD || lastvalidated <= st.last_progress_sent {
             return;
         }
-        // The advert cursor lives behind the telemetry lock: progress
-        // adverts are a pruning hint, not certification state.
-        let mut tl = self.telem.lock();
-        if lastvalidated <= tl.last_progress_sent {
-            return;
-        }
-        // sirep-lint: allow(multicast-under-lock): progress adverts are monotone promises, not certifications — a stale lastvalidated only delays pruning, it cannot reorder certs
         if self.gcs.multicast_fifo(ReplMsg::Progress { from: self.id, lastvalidated }).is_ok() {
-            tl.last_progress_sent = lastvalidated;
+            st.last_progress_sent = lastvalidated;
         }
     }
 
@@ -1339,9 +1387,13 @@ impl ReplicaNode {
                         });
                     }
                     if !claimed.is_empty() {
+                        // What the bound left behind is the next applier's.
+                        if !ap.queue.ready.is_empty() && ap.idle > 0 {
+                            self.apply_cond.notify_one();
+                        }
                         break claimed;
                     }
-                    self.apply_cond.wait_for(&mut ap, WAIT_TICK);
+                    self.wait_apply(&mut ap);
                 }
             };
             // Claimed entries are still in the queue (until finalize_batch
@@ -1432,7 +1484,7 @@ impl ReplicaNode {
                     Metrics::inc(&self.metrics.commits_delayed_for_holes);
                     counted = true;
                 }
-                self.cond.wait_for(&mut st, WAIT_TICK);
+                self.wait_state(&mut st);
             }
         }
         if !self.is_alive() {
@@ -1455,23 +1507,18 @@ impl ReplicaNode {
             item.trace.mark(Stage::Commit);
             self.note_committed(&mut st, item.xact, item.tid);
         }
-        {
-            // O(|ws| + released edges) per entry: unblocks successors,
-            // which the apply_cond notify below wakes the appliers for.
-            let mut ap = self.apply.lock();
-            for item in &batch {
-                ap.queue.remove(item.tid);
-            }
-            self.refresh_apply_gauges(&st, &ap);
-        }
+        // O(|ws| + released edges) per entry: unblocks successors, which an
+        // idle applier is woken for.
+        let mut ap = self.apply.lock();
+        let released: usize = batch.iter().map(|item| ap.queue.remove(item.tid)).sum();
+        self.refresh_apply_gauges(&st, &ap);
+        self.unlock_and_wake_applier(ap, released > 0);
         self.refresh_gauges(&st);
-        drop(st);
+        self.unlock_and_wake(st);
         for item in &batch {
             // Remote timelines start at delivery, not begin: no total.
             self.stages.absorb(&item.trace);
         }
-        self.cond.notify_all();
-        self.apply_cond.notify_all();
     }
 
     /// Protocol bookkeeping for one database commit, under the state lock:
@@ -1515,21 +1562,18 @@ impl ReplicaNode {
         self.recorder.on_commit(xact);
         trace.mark(Stage::Commit);
         self.note_committed(&mut st, xact, tid);
-        {
-            // O(|ws| + released edges): unblocks successors, which the
-            // apply_cond notify below wakes the appliers for.
-            let mut ap = self.apply.lock();
-            ap.queue.remove(tid);
-            self.refresh_apply_gauges(&st, &ap);
-        }
+        // O(|ws| + released edges): unblocks successors, which an idle
+        // applier is woken for.
+        let mut ap = self.apply.lock();
+        let released = ap.queue.remove(tid);
+        self.refresh_apply_gauges(&st, &ap);
+        self.unlock_and_wake_applier(ap, released > 0);
         self.refresh_gauges(&st);
-        drop(st);
+        self.unlock_and_wake(st);
         // Remote timelines start at delivery, not begin; local ones span
         // the whole round trip.
         trace.mark(Stage::Total);
         self.stages.absorb(&trace);
-        self.cond.notify_all();
-        self.apply_cond.notify_all();
     }
 
     // ---------------------------------------------------------------------
@@ -1555,7 +1599,6 @@ impl ReplicaNode {
         }
         self.cond.notify_all();
         self.apply_cond.notify_all();
-        self.telem_cond.notify_all();
     }
 }
 

@@ -43,7 +43,7 @@ use crate::msg::XactId;
 use sirep_common::{GlobalTid, ReplicaId};
 use sirep_storage::{TupleId, WriteSet};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// One validated writeset.
@@ -152,8 +152,9 @@ impl WsList {
     ) -> Option<(GlobalTid, u64)> {
         let e = self.progress.entry(from).or_insert(GlobalTid::ZERO);
         *e = (*e).max(lastvalidated);
-        let alive_set: HashSet<ReplicaId> = alive.iter().copied().collect();
-        self.progress.retain(|r, _| alive_set.contains(r));
+        // A view is a handful of replicas: a scan of it beats building a set
+        // for every delivered writeset.
+        self.progress.retain(|r, _| alive.contains(r));
         // Until every live replica has reported at least once, don't prune.
         if alive.iter().any(|r| !self.progress.contains_key(r)) {
             return None;

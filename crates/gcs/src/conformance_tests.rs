@@ -15,12 +15,11 @@
 //!   "not at all" arm lets a fire-and-forget transport drop in-flight
 //!   tails, where the sim tier delivers everything sent before the crash.
 //! - `Group::in_flight` is **per-process** on the TCP backend: it sums the
-//!   pending-send and receive-queue gauges of the endpoints *this handle*
-//!   created (the sim tier counts group-wide, because it owns every
-//!   queue), and its high-water mark is the max over endpoints rather
-//!   than a true group-wide concurrent peak. It is no longer the silent
-//!   zero it once was — `tcp_only::in_flight_gauge_is_honest` pins the
-//!   honest behaviour.
+//!   pending-send gauges of the endpoints *this handle* created (the sim
+//!   tier counts group-wide, because it owns every queue; a TCP member
+//!   queues nothing), and its high-water mark is the max over endpoints
+//!   rather than a true group-wide concurrent peak —
+//!   `tcp_only::in_flight_gauge_is_honest` pins it.
 //!
 //! Sim-only semantics (simulated latency, deterministic faults, synchronous
 //! sequencing) stay in `group_tests.rs`.
@@ -433,10 +432,9 @@ mod tcp_only {
         await_members(c.as_ref(), 2);
     }
 
-    /// The fix for the old silent-zero gauge: `Group::in_flight` on the
-    /// TCP backend reports real pending-send + receive-queue depth for
-    /// this process's endpoints (see the module docs for the documented
-    /// per-process weakening versus the sim tier).
+    /// `Group::in_flight` on the TCP backend reports the real pending-send
+    /// depth of this process's endpoints (see the module docs for the
+    /// documented per-process weakening versus the sim tier).
     #[test]
     fn in_flight_gauge_is_honest() {
         let b = tcp();
@@ -506,8 +504,7 @@ mod tcp_only {
         a.leave();
         drop(h);
         drop(a);
-        // The reader thread releases its handle asynchronously after the
-        // socket shutdown; poll until the retired fold lands.
+        // The fold lands when the last handle on the endpoint is dropped.
         let deadline = Instant::now() + TIMEOUT;
         loop {
             let t = b.group.transport();

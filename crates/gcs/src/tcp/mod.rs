@@ -3,8 +3,8 @@
 //! [`TcpGroup`] implements the [`crate::traits`] contract over `std::net`
 //! threads and length-prefixed frames (see [`frames`]). All sequencing
 //! happens at the [`Sequencer`] service ([`seq`]); members hold one TCP
-//! connection each, with a reader thread turning [`DownFrame`]s into the
-//! same [`Delivery`] stream the sim backend produces.
+//! connection each, and whoever calls `recv` reads it, turning
+//! [`DownFrame`]s into the same [`Delivery`] stream the sim backend produces.
 //!
 //! Differences from the sim tier, by design (DESIGN.md §14):
 //!
@@ -19,16 +19,12 @@
 //!
 //! ## Telemetry
 //!
-//! Every endpoint counts its wire traffic (frames/bytes in and out, decode
-//! failures) and tracks two gauges: `pending_sends` — total-order
-//! multicasts submitted but not yet sequenced (the [`HELD_SEND_SEQ`]
-//! window, closed when the member's own delivery comes back) — and the
-//! receive-queue depth. [`TcpGroup`] keeps a weak registry of the
-//! endpoints it created plus a `retired` rollup that dropped endpoints
-//! fold their final counters into, so `Group::transport()` stays monotonic
-//! across member churn without the registry retaining dead sockets.
-//! `Group::in_flight` reports the honest sum over live endpoints rather
-//! than the silent zero this backend used to return.
+//! Every endpoint counts its wire traffic and tracks one gauge,
+//! `pending_sends` (the [`HELD_SEND_SEQ`] window), which is also what
+//! `in_flight` reports: a member queues no deliveries, so `recv_queue` reads
+//! 0 and a slow replica shows as its backlog in [`SeqStats`]. [`TcpGroup`]
+//! rolls the endpoints it created up, dropped ones included, so
+//! `Group::transport()` stays monotonic across member churn.
 
 pub mod frames;
 pub mod seq;
@@ -37,13 +33,13 @@ use crate::traits::{Cast, Delivery, GcsError, Group, Member, View, HELD_SEND_SEQ
 use frames::{Bytes, DownFrame, UpFrame};
 use parking_lot::Mutex;
 pub use seq::Sequencer;
-use sirep_common::wire::{read_frame, read_frame_counted, write_frame, write_frame_counted, Wire};
+use sirep_common::wire::{read_frame, write_frame, write_frame_counted, FrameBuf, Wire};
 use sirep_common::{Gauge, GaugeReading, MemberId, TransportSnapshot};
-use std::io::{self, BufReader};
+use std::cell::RefCell;
+use std::io::{self, ErrorKind};
 use std::marker::PhantomData;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -54,6 +50,7 @@ pub(crate) const ADMIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Group-level telemetry shared by a [`TcpGroup`] and every endpoint it
 /// created.
+#[derive(Default)]
 struct GroupTelemetry {
     /// Endpoints created through this group handle. Weak so a dropped
     /// member releases its socket state; reaped lazily on read.
@@ -69,15 +66,6 @@ struct GroupTelemetry {
 }
 
 impl GroupTelemetry {
-    fn new() -> GroupTelemetry {
-        GroupTelemetry {
-            live: Mutex::new(Vec::new()),
-            retired: Mutex::new(TransportSnapshot::default()),
-            reconnects: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
     /// Upgradeable live endpoints, dropping the dead weak refs as we go.
     fn live_endpoints(&self) -> Vec<Arc<TcpShared>> {
         let mut live = self.live.lock();
@@ -116,7 +104,7 @@ impl<M: Wire + Clone + Send + 'static> TcpGroup<M> {
         TcpGroup {
             addr: addr.into(),
             next_replica: AtomicU64::new(first_replica),
-            telemetry: Arc::new(GroupTelemetry::new()),
+            telemetry: Arc::default(),
             _msg: PhantomData,
         }
     }
@@ -162,20 +150,12 @@ impl<M: Wire + Clone + Send + 'static> Group<M> for TcpGroup<M> {
     }
 
     /// In-flight from this process's perspective: multicasts submitted but
-    /// not yet sequenced plus deliveries queued but not yet received,
-    /// summed over this handle's endpoints. Unlike the sim backend this
-    /// cannot see other processes' queues, and the high-water mark is the
-    /// max over endpoints rather than a true group-wide peak — the
+    /// not yet sequenced, summed over this handle's endpoints. Unlike the
+    /// sim backend this cannot see other processes, and the high-water mark
+    /// is the max over endpoints rather than a true group-wide peak — the
     /// conformance suite documents this weakening.
     fn in_flight(&self) -> GaugeReading {
-        let mut total = GaugeReading::default();
-        for shared in self.telemetry.live_endpoints() {
-            for reading in [shared.pending_sends.read(), shared.in_flight.read()] {
-                total.current += reading.current;
-                total.high_water = total.high_water.max(reading.high_water);
-            }
-        }
-        total
+        self.telemetry.rollup().pending_sends
     }
 
     fn transport(&self) -> TransportSnapshot {
@@ -183,20 +163,17 @@ impl<M: Wire + Clone + Send + 'static> Group<M> for TcpGroup<M> {
     }
 }
 
-/// State shared between a TCP member's reader thread, its endpoint, and
-/// its multicast handles.
+/// State shared between a TCP member's endpoint and its multicast handles.
 struct TcpShared {
     id: MemberId,
     /// Write half of the member's connection; the lock keeps concurrent
     /// multicasts' frames from interleaving mid-frame.
     write: Mutex<TcpStream>,
-    /// Socket handle used only for shutdown (leave / crash_self).
+    /// Socket handle used only for shutdown (leave / crash_self / drop).
     sock: TcpStream,
     /// Set once this endpoint is known dead (evicted, socket error, or
     /// crash_self); multicasts fail fast afterwards.
     crashed: AtomicBool,
-    /// Frames decoded by the reader but not yet received by the endpoint.
-    in_flight: Gauge,
     /// Total-order multicasts submitted but not yet sequenced (closed when
     /// our own delivery comes back; zeroed when the endpoint dies, since
     /// an evicted member's in-flight sends are dropped by the sequencer).
@@ -208,8 +185,6 @@ struct TcpShared {
     decode_failures: AtomicU64,
     /// Group-level telemetry to fold our final counters into on drop.
     telemetry: Arc<GroupTelemetry>,
-    /// Latest view delivered.
-    view: Mutex<View>,
 }
 
 impl TcpShared {
@@ -237,7 +212,8 @@ impl TcpShared {
             reconnects: 0,
             evictions: 0,
             pending_sends: self.pending_sends.read(),
-            recv_queue: self.in_flight.read(),
+            // Always 0: the member holds no queue of deliveries.
+            recv_queue: GaugeReading::default(),
         }
     }
 }
@@ -249,16 +225,78 @@ impl Drop for TcpShared {
         // zero them, keep the high-water marks.
         let mut snap = self.transport_snapshot();
         snap.pending_sends.current = 0;
-        snap.recv_queue.current = 0;
         self.telemetry.retired.lock().absorb(&snap);
     }
 }
 
+/// The read half of a member's connection, owned by the endpoint. `buf`
+/// holds what a read took off the socket and `recv` has not delivered yet —
+/// that is all a member buffers: its receive queue is the kernel's socket
+/// buffer and, behind that, its cursor into the sequencer's log.
+struct RecvState {
+    stream: TcpStream,
+    buf: FrameBuf,
+    /// The socket's read timeout as last set (`None`: blocking).
+    timeout: Option<Duration>,
+    /// The last total-order `seq` delivered. The sequencer's stream is
+    /// strictly increasing per connection, so a frame at or below it is a
+    /// replayed duplicate.
+    last_seq: Option<u64>,
+    /// Latest view delivered.
+    view: View,
+}
+
+impl RecvState {
+    /// The next frame, with its size on the wire. The socket is read only
+    /// when `buf` holds no whole frame, waiting there until `wait` after
+    /// `start` (`None`: for ever); `Ok(None)` is that wait running out, with
+    /// whatever did arrive kept. EOF and a malformed frame are errors.
+    fn next_frame(
+        &mut self,
+        wait: Option<Duration>,
+        start: Instant,
+    ) -> io::Result<Option<(DownFrame, u64)>> {
+        let mut left = wait;
+        loop {
+            if let Some(frame) = self.buf.pop()? {
+                return Ok(Some(frame));
+            }
+            if left.is_some_and(|left| left.is_zero()) {
+                return Ok(None);
+            }
+            // One `setsockopt` per change: a loop calling `recv_timeout` with
+            // a fixed value pays it once.
+            if left != self.timeout {
+                self.stream.set_read_timeout(left)?;
+                self.timeout = left;
+            }
+            match self.buf.fill(&mut self.stream) {
+                Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return Ok(None);
+                }
+                Err(e) => return Err(e),
+            }
+            // A later read in this call waits only for what is left.
+            left = wait.map(|wait| wait.saturating_sub(start.elapsed()));
+        }
+    }
+}
+
 /// A member endpoint over TCP. Created via [`TcpGroup::join_as`] /
-/// `Group::join`.
+/// `Group::join`. Dropping it leaves the group.
 pub struct TcpMember<M> {
-    rx: Receiver<Delivery<M>>,
+    recv: RefCell<RecvState>,
     shared: Arc<TcpShared>,
+    _msg: PhantomData<fn() -> M>,
+}
+
+impl<M> Drop for TcpMember<M> {
+    fn drop(&mut self) {
+        self.shared.mark_crashed();
+    }
 }
 
 impl<M: Wire + Clone + Send + 'static> TcpMember<M> {
@@ -281,7 +319,6 @@ impl<M: Wire + Clone + Send + 'static> TcpMember<M> {
             write: Mutex::new(stream.try_clone()?),
             sock: stream.try_clone()?,
             crashed: AtomicBool::new(false),
-            in_flight: Gauge::new(),
             pending_sends: Gauge::new(),
             frames_in: AtomicU64::new(0),
             bytes_in: AtomicU64::new(0),
@@ -289,80 +326,75 @@ impl<M: Wire + Clone + Send + 'static> TcpMember<M> {
             bytes_out: AtomicU64::new(0),
             decode_failures: AtomicU64::new(0),
             telemetry,
-            view: Mutex::new(View { id: 0, members: Vec::new() }),
         });
-        let (tx, rx) = mpsc::channel();
-        let reader_shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name(format!("sirep-tcp-member-{member}"))
-            .spawn(move || reader_loop(stream, &reader_shared, &tx))?;
-        Ok(TcpMember { rx, shared })
+        let view = View { id: 0, members: Vec::new() };
+        let recv =
+            RecvState { stream, buf: FrameBuf::default(), timeout: None, last_seq: None, view };
+        Ok(TcpMember { recv: RefCell::new(recv), shared, _msg: PhantomData })
     }
 
     /// The member id the sequencer assigned.
     pub fn id(&self) -> MemberId {
         self.shared.id
     }
-}
 
-/// Decode the sequencer's frame stream into deliveries. Runs until the
-/// socket closes (eviction, sequencer shutdown, or local leave).
-fn reader_loop<M: Wire>(stream: TcpStream, shared: &TcpShared, tx: &Sender<Delivery<M>>) {
-    // The sequencer writes runs of frames per syscall; read them the same
-    // way instead of two `read`s per frame.
-    let mut stream = BufReader::new(stream);
-    // Duplicate suppression: replay-safe because the sequencer's stream is
-    // strictly increasing per connection.
-    let mut last_seq: Option<u64> = None;
-    while let Ok((frame, bytes)) = read_frame_counted::<_, DownFrame>(&mut stream) {
-        shared.frames_in.fetch_add(1, Ordering::Relaxed);
-        shared.bytes_in.fetch_add(bytes, Ordering::Relaxed);
-        let delivery = match frame {
-            DownFrame::Total { seq, sender, payload } => {
-                if last_seq.is_some_and(|last| seq <= last) {
-                    continue;
+    /// The next delivery off the socket, on the calling thread, waiting at
+    /// most `wait` for it (`None`: for ever). All a frame does to the
+    /// endpoint happens here. The stream ending (EOF, a corrupt frame, a
+    /// confused peer) is `Disconnected` and the endpoint is dead; `leave`,
+    /// `crash_self`, an eviction and the sequencer's shutdown end it by
+    /// shutting the socket down, which also ends a blocked read.
+    fn take(&self, wait: Option<Duration>) -> Result<Delivery<M>, GcsError> {
+        let shared = &*self.shared;
+        let mut recv = self.recv.borrow_mut();
+        let start = Instant::now();
+        let delivery = loop {
+            let (frame, bytes) = match recv.next_frame(wait, start) {
+                Ok(Some(next)) => next,
+                Ok(None) => return Err(GcsError::Timeout),
+                Err(_) => break None,
+            };
+            shared.frames_in.fetch_add(1, Ordering::Relaxed);
+            shared.bytes_in.fetch_add(bytes, Ordering::Relaxed);
+            let (sender, payload, seq) = match frame {
+                DownFrame::Total { seq, sender, payload } => {
+                    if recv.last_seq.is_some_and(|last| seq <= last) {
+                        continue;
+                    }
+                    recv.last_seq = Some(seq);
+                    if sender == shared.id.raw() {
+                        // Our own multicast came back sequenced: the
+                        // HELD_SEND_SEQ window for it is closed.
+                        shared.pending_sends.sub(1);
+                    }
+                    (MemberId::new(sender), payload, Some(seq))
                 }
-                last_seq = Some(seq);
-                if sender == shared.id.raw() {
-                    // Our own multicast came back sequenced: the
-                    // HELD_SEND_SEQ window for it is closed.
-                    shared.pending_sends.sub(1);
+                DownFrame::Fifo { sender, payload } => (MemberId::new(sender), payload, None),
+                DownFrame::View { id, members } => {
+                    let members = members.into_iter().map(MemberId::new).collect();
+                    recv.view = View { id, members };
+                    break Some(Delivery::ViewChange(recv.view.clone()));
                 }
-                let Ok(msg) = M::from_wire(&payload.0) else {
-                    shared.decode_failures.fetch_add(1, Ordering::Relaxed);
-                    break;
-                };
-                Delivery::TotalOrder {
-                    seq,
-                    sender: MemberId::new(sender),
-                    sequenced_at: Instant::now(),
-                    msg,
+                // Welcome is consumed during the handshake; Evicted and the
+                // admin replies only go to admin connections: a confused peer.
+                _ => break None,
+            };
+            let Ok(msg) = M::from_wire(&payload.0) else {
+                shared.decode_failures.fetch_add(1, Ordering::Relaxed);
+                break None;
+            };
+            break Some(match seq {
+                Some(seq) => {
+                    Delivery::TotalOrder { seq, sender, sequenced_at: Instant::now(), msg }
                 }
-            }
-            DownFrame::Fifo { sender, payload } => {
-                let Ok(msg) = M::from_wire(&payload.0) else {
-                    shared.decode_failures.fetch_add(1, Ordering::Relaxed);
-                    break;
-                };
-                Delivery::Fifo { sender: MemberId::new(sender), msg }
-            }
-            DownFrame::View { id, members } => {
-                let view = View { id, members: members.into_iter().map(MemberId::new).collect() };
-                *shared.view.lock() = view.clone();
-                Delivery::ViewChange(view)
-            }
-            // Welcome is consumed during the handshake; Evicted only goes
-            // to admin connections. Either here means a confused peer.
-            DownFrame::Welcome { .. } | DownFrame::Evicted => break,
-            // Admin replies never appear on a member connection.
-            DownFrame::Stats { .. } | DownFrame::Time { .. } => break,
+                None => Delivery::Fifo { sender, msg },
+            });
         };
-        shared.in_flight.add(1);
-        if tx.send(delivery).is_err() {
-            break;
-        }
+        delivery.ok_or_else(|| {
+            shared.mark_crashed();
+            GcsError::Disconnected
+        })
     }
-    shared.mark_crashed();
 }
 
 impl<M: Wire + Clone + Send + 'static> Member<M> for TcpMember<M> {
@@ -375,38 +407,25 @@ impl<M: Wire + Clone + Send + 'static> Member<M> for TcpMember<M> {
     }
 
     fn recv(&self) -> Result<Delivery<M>, GcsError> {
-        match self.rx.recv() {
-            Ok(d) => {
-                self.shared.in_flight.sub(1);
-                Ok(d)
-            }
-            Err(_) => Err(GcsError::Disconnected),
-        }
+        self.take(None)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Delivery<M>, GcsError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(d) => {
-                self.shared.in_flight.sub(1);
-                Ok(d)
-            }
-            Err(RecvTimeoutError::Timeout) => Err(GcsError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(GcsError::Disconnected),
-        }
+        self.take(Some(timeout))
     }
 
+    /// Whatever has reached the socket; when nothing has, this waits one
+    /// clock tick of the kernel's (a socket read timeout cannot be zero).
     fn try_recv(&self) -> Option<Delivery<M>> {
-        let d = self.rx.try_recv().ok()?;
-        self.shared.in_flight.sub(1);
-        Some(d)
+        self.take(Some(Duration::from_micros(1))).ok()
     }
 
     fn view(&self) -> View {
-        self.shared.view.lock().clone()
+        self.recv.borrow().view.clone()
     }
 
     fn in_flight(&self) -> GaugeReading {
-        self.shared.in_flight.read()
+        self.shared.pending_sends.read()
     }
 
     fn leave(&self) {
@@ -478,7 +497,7 @@ impl<M: Wire + Clone + Send + 'static> Cast<M> for TcpCast<M> {
     }
 
     fn in_flight(&self) -> GaugeReading {
-        self.shared.in_flight.read()
+        self.shared.pending_sends.read()
     }
 
     fn clone_cast(&self) -> Box<dyn Cast<M>> {

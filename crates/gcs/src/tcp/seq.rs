@@ -27,8 +27,8 @@
 use super::frames::{DownFrame, UpFrame};
 use crate::seqlog::SeqLog;
 use parking_lot::{Condvar, Mutex};
-use sirep_common::wire::{read_frame, write_frame, Wire};
-use std::io::{self, Write};
+use sirep_common::wire::{framed, read_frame, write_frame};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -43,25 +43,13 @@ const WRITE_CHUNK: usize = 64 << 10;
 /// The sequenced stream in the length-prefixed form that goes on the wire;
 /// per member the log keeps its socket, for shutdown at eviction (wakes
 /// both the member's reader and our writer).
-type Log = SeqLog<Box<[u8]>, TcpStream>;
-
-/// `frame` as it goes on the wire: a little-endian `u32` length, then the
-/// encoding.
-fn framed(frame: &DownFrame) -> Box<[u8]> {
-    let mut framed = vec![0u8; 4];
-    frame.encode(&mut framed);
-    let len = (framed.len() - 4) as u32;
-    for (dst, src) in framed.iter_mut().zip(len.to_le_bytes()) {
-        *dst = src;
-    }
-    framed.into_boxed_slice()
-}
+type Log = SeqLog<Vec<u8>, TcpStream>;
 
 fn view_frame(log: &Log) -> DownFrame {
     DownFrame::View { id: log.view_id(), members: log.members().map(|(id, _)| id).collect() }
 }
 
-fn framed_view(log: &Log) -> Box<[u8]> {
+fn framed_view(log: &Log) -> Vec<u8> {
     framed(&view_frame(log))
 }
 
@@ -168,13 +156,16 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<SeqInner>) {
 /// Serve one inbound connection: a member connection (starts with `Join`)
 /// or an admin connection (`Evict`/`Query` request-reply frames).
 fn serve_conn(stream: TcpStream, inner: &Arc<SeqInner>) {
-    let mut read = stream;
+    // Reads go through a buffer (one `read` per frame, or per run of them);
+    // replies are written to the socket itself.
+    let Ok(read) = stream.try_clone() else { return };
+    let mut read = BufReader::new(read);
     // Which member this connection speaks for, once joined.
     let mut member: Option<u64> = None;
     while let Ok(frame) = read_frame::<_, UpFrame>(&mut read) {
         let reply = match (frame, member) {
             (UpFrame::Join { replica }, None) => {
-                match handle_join(&read, inner, replica, spawn_writer) {
+                match handle_join(&stream, inner, replica, spawn_writer) {
                     Ok(id) => member = Some(id),
                     Err(_) => break,
                 }
@@ -218,7 +209,7 @@ fn serve_conn(stream: TcpStream, inner: &Arc<SeqInner>) {
             // frames on a member connection) end the connection.
             _ => break,
         };
-        if write_frame(&mut (&read), &reply).is_err() {
+        if write_frame(&mut (&stream), &reply).is_err() {
             break;
         }
     }

@@ -14,14 +14,11 @@
 //! - the sequencer's death is fail-stop for the group: commits in flight are
 //!   answered, nodes stop being alive, clients end in an error, not a hang.
 
-use si_rep::common::wire::{read_frame, write_frame};
 use si_rep::core::{Cluster, ClusterConfig, Connection, Transport};
 use si_rep::driver::{NodeServer, RemoteDriver};
-use si_rep::gcs::tcp::frames::{DownFrame, UpFrame};
 use si_rep::gcs::{
     query_seq_stats, Delivery, Group, Member, SeqStats, Sequencer, TcpGroup, TcpMember,
 };
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -142,13 +139,10 @@ fn stalled_member_falls_behind_alone_and_stats_report_its_cursor_lag() {
     let group: TcpGroup<String> = TcpGroup::new(addr.clone(), 0);
     let a = group.join_as(0).expect("join");
     let b = group.join_as(1).expect("join");
-    // The member that stops reading speaks the frame protocol by hand: a
-    // `TcpMember`'s reader thread would keep draining the socket.
-    let mut stalled = TcpStream::connect(&addr).expect("connect");
-    write_frame(&mut stalled, &UpFrame::Join { replica: 2 }).expect("join frame");
-    let Ok(DownFrame::Welcome { member: stalled_id, .. }) = read_frame(&mut stalled) else {
-        panic!("no Welcome");
-    };
+    // The member that stops reading is a member nobody receives from: only
+    // `recv` reads its socket.
+    let stalled = group.join_as(2).expect("join");
+    let stalled_id = stalled.id().raw();
 
     // Multicast until the stalled member's socket buffers are full and its
     // writer is stuck in `write`: the cursor stops while the log keeps
@@ -193,13 +187,13 @@ fn stalled_member_falls_behind_alone_and_stats_report_its_cursor_lag() {
     // which is everything, in order, from index 0 — and the lag drains to 0.
     let mut next_seq = 0;
     for delivered in 0..stats.log_len {
-        match read_frame::<_, DownFrame>(&mut stalled).expect("log frame") {
-            DownFrame::Total { seq, .. } => {
+        match stalled.recv_timeout(TIMEOUT).expect("log frame") {
+            Delivery::TotalOrder { seq, .. } => {
                 assert_eq!(seq, next_seq, "gap or duplicate at log frame {delivered}");
                 next_seq += 1;
             }
-            DownFrame::View { .. } => {}
-            other => panic!("unexpected frame: {other:?}"),
+            Delivery::ViewChange(_) => {}
+            other => panic!("unexpected delivery: {other:?}"),
         }
         if delivered % 256 == 0 {
             // backlog = log_len − cursor, and the cursor is never behind

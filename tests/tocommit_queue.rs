@@ -1,0 +1,108 @@
+//! What `TocommitQueue` tells the code that wakes appliers (core/node.rs,
+//! "Who wakes whom"): `push` says whether the entry is ready for an applier,
+//! `remove` how many entries it made ready. An applier is woken exactly when
+//! one of those says the ready set grew — so if either under-reports, an
+//! eligible writeset sits until a `WAIT_TICK` poll finds it. Checked against
+//! a recomputation from scratch over random push / claim / remove sequences.
+
+use proptest::prelude::*;
+use si_rep::common::{GlobalTid, ReplicaId, TxTrace};
+use si_rep::core::node::{QEntry, TocommitQueue};
+use si_rep::core::XactId;
+use si_rep::storage::{Key, WriteSet, WsOp};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+#[derive(Debug, Clone)]
+enum Op {
+    /// Queue the next tid writing these keys; `true`: born running (a local
+    /// transaction its session thread commits).
+    Push(BTreeSet<i64>, bool),
+    /// An applier claims the smallest ready entry.
+    Claim,
+    /// The i-th queued entry (modulo) commits and leaves.
+    Remove(usize),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        5 => (prop::collection::btree_set(0i64..6, 1..4), any::<bool>())
+            .prop_map(|(keys, running)| Op::Push(keys, running)),
+        3 => Just(Op::Claim),
+        4 => (0usize..16).prop_map(Op::Remove),
+    ]
+}
+
+/// The model: what is queued, by tid.
+struct Queued {
+    keys: BTreeSet<i64>,
+    running: bool,
+}
+
+/// Ready from scratch: not running, and no queued entry with a smaller tid
+/// writes one of its keys.
+fn ready(model: &BTreeMap<u64, Queued>) -> BTreeSet<u64> {
+    model
+        .iter()
+        .filter(|(tid, e)| {
+            !e.running && model.range(..**tid).all(|(_, pred)| pred.keys.is_disjoint(&e.keys))
+        })
+        .map(|(tid, _)| *tid)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
+
+    #[test]
+    fn push_and_remove_report_exactly_how_the_ready_set_grew(
+        ops in prop::collection::vec(op(), 1..120),
+    ) {
+        let mut queue = TocommitQueue::default();
+        let mut model: BTreeMap<u64, Queued> = BTreeMap::new();
+        let mut next_tid = 0u64;
+        for op in ops {
+            match op {
+                Op::Push(keys, running) => {
+                    next_tid += 1;
+                    let mut ws = WriteSet::new();
+                    for k in &keys {
+                        ws.push(Arc::from("t"), Key::single(*k), WsOp::Delete);
+                    }
+                    let entry = QEntry::new(
+                        GlobalTid::new(next_tid),
+                        XactId { origin: ReplicaId::new(0), seq: next_tid },
+                        Arc::new(ws),
+                        ReplicaId::new(0),
+                        running,
+                        TxTrace::start(),
+                    );
+                    let said_ready = queue.push(entry);
+                    model.insert(next_tid, Queued { keys, running });
+                    prop_assert_eq!(said_ready, ready(&model).contains(&next_tid));
+                }
+                Op::Claim => {
+                    let claimed = queue.pop_ready().map(|e| e.tid.raw());
+                    prop_assert_eq!(claimed, ready(&model).first().copied());
+                    if let Some(tid) = claimed {
+                        model.get_mut(&tid).expect("claimed tid is queued").running = true;
+                    }
+                }
+                Op::Remove(i) => {
+                    let Some(&tid) = model.keys().nth(i % model.len().max(1)) else { continue };
+                    let before = ready(&model);
+                    model.remove(&tid);
+                    let entered = ready(&model).difference(&before).count();
+                    prop_assert_eq!(queue.remove(GlobalTid::new(tid)), entered);
+                }
+            }
+        }
+        // Nothing is left behind unannounced: claiming drains exactly the
+        // model's ready set, smallest first.
+        let mut drained = Vec::new();
+        while let Some(e) = queue.pop_ready() {
+            drained.push(e.tid.raw());
+        }
+        prop_assert_eq!(drained, ready(&model).into_iter().collect::<Vec<_>>());
+    }
+}
