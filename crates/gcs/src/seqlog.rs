@@ -1,7 +1,8 @@
 //! The sequencer, as a data structure: one log of frames, one cursor per
 //! member, and nothing else — no thread, no clock, no socket. Both backends
 //! are shells over it: [`crate::SimGroup`] adds simulated latency and the
-//! seeded fault plan, [`crate::Sequencer`] adds sockets and writer threads.
+//! seeded fault plan, [`crate::Sequencer`] adds sockets and who writes to
+//! each: the thread that appended, or the writer of a member that lags.
 //! Each shell keeps one `SeqLog` behind one lock and calls every `&mut`
 //! method under it.
 //!
@@ -98,6 +99,11 @@ impl<F, C> SeqLog<F, C> {
 
     pub fn contains(&self, id: u64) -> bool {
         self.members.contains_key(&id)
+    }
+
+    /// What the shell keeps for `id`; `None` once `id` is not a member.
+    pub fn conn_mut(&mut self, id: u64) -> Option<&mut C> {
+        self.members.get_mut(&id).map(|c| &mut c.conn)
     }
 
     fn push_view(&mut self, view: impl FnOnce(&Self) -> F) {

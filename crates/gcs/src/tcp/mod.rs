@@ -524,9 +524,9 @@ pub struct SeqStats {
     pub next_seq: u64,
     /// Current view id.
     pub view_id: u64,
-    /// `(member, backlog)` pairs sorted by member id: log frames the
-    /// member's writer has not yet taken (`log_len` minus its cursor) —
-    /// the fan-out backlog broken down by destination.
+    /// `(member, backlog)` pairs sorted by member id: log frames not yet
+    /// taken for the member's socket (`log_len` minus its cursor) — the
+    /// fan-out backlog broken down by destination.
     pub members: Vec<(u64, u64)>,
 }
 

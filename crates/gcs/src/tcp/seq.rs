@@ -1,15 +1,13 @@
 //! The sequencer service: a single process that imposes the group's total
 //! order over TCP.
 //!
-//! This file is the I/O shell — sockets, threads and one condvar — over
-//! the [`SeqLog`] core, which owns the sequenced stream, the member cursors
-//! and the delivery contract (see `seqlog.rs`). Here a frame is one
-//! length-prefixed [`DownFrame`] and a member is a socket plus its cursor.
-//! Sequencing is "append, wake the writers"; each member's writer thread
-//! takes the frames past its cursor (a bounded chunk) under the lock and
-//! puts them on the socket with one write, outside it. A slow or dead peer
-//! never blocks sequencing — its cursor falls behind ([`DownFrame::Stats`]
-//! reports by how much) and a failed write evicts it.
+//! This file is the I/O shell — sockets, threads and who may write to which
+//! socket — over the [`SeqLog`] core, which owns the sequenced stream, the
+//! member cursors and the delivery contract (see `seqlog.rs`). Here a frame
+//! is one length-prefixed [`DownFrame`] and a member is a socket plus its
+//! cursor. The thread that appends a frame writes it to every member that
+//! keeps up; a member that does not is handed to its writer thread (the
+//! ownership rule and [`STALL`], DESIGN.md §14).
 //!
 //! A joiner starts at cursor 0: a restarted replica recovers by
 //! deterministic replay rather than state transfer. The member id `Welcome`
@@ -17,7 +15,7 @@
 //! folds into fresh transaction ids so replayed-and-deduped outcomes can
 //! never collide with new ones. Nothing calls [`SeqLog::trim`] here yet —
 //! acceptable for the smoke tier this backend serves; trimming needs a
-//! checkpoint for later joiners (ROADMAP item 2).
+//! checkpoint for later joiners (ROADMAP item 1(b)(ii)).
 //!
 //! Failure detection is TCP-level: a member connection reaching EOF or an
 //! unwritable outbound socket evicts the member and sequences the view
@@ -28,49 +26,180 @@ use super::frames::{DownFrame, UpFrame};
 use crate::seqlog::SeqLog;
 use parking_lot::{Condvar, Mutex};
 use sirep_common::wire::{framed, read_frame, write_frame};
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader, ErrorKind, IoSlice, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// A writer takes frames past its cursor until the chunk reaches this many
-/// bytes (at least one frame), so one socket write carries a run of frames
-/// and the copy under the sequencer lock stays short.
+/// A chunk is taken until it has this many bytes (at least one frame).
 const WRITE_CHUNK: usize = 64 << 10;
 
-/// The sequenced stream in the length-prefixed form that goes on the wire;
-/// per member the log keeps its socket, for shutdown at eviction (wakes
-/// both the member's reader and our writer).
-type Log = SeqLog<Vec<u8>, TcpStream>;
+/// How long a write may wait for room in a member's socket before the
+/// member goes to its writer. Required, not tuning: a connection thread is
+/// the only reader of its member's upstream, and a node multicasts under the
+/// lock its delivery thread — the downstream's reader — needs, so an
+/// unbounded inline write into a full socket can deadlock the two.
+const STALL: Duration = Duration::from_millis(2);
+
+/// Take-and-write rounds of an appender before leftovers go to the writers.
+const PASSES: usize = 2;
+
+/// Who may write to a member's socket, one at a time: nobody (caught up), a
+/// thread that appended, or — once the member could not keep up — its writer.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Owner {
+    Nobody,
+    Appender,
+    Writer,
+}
+
+/// Per member besides its cursor, under the sequencer lock. Frames past the
+/// cursor always have an owner; `carry` is what a stalled write left unsent.
+struct Conn {
+    stream: Arc<TcpStream>,
+    owner: Owner,
+    carry: Option<Arc<[u8]>>,
+    /// The member's writer waits here to be handed the member.
+    wake: Arc<Condvar>,
+}
+
+/// The sequenced stream in its wire form; chunks share frames, never copy.
+type Log = SeqLog<Arc<[u8]>, Conn>;
+
+/// What one socket write carries.
+type Chunk = Vec<Arc<[u8]>>;
 
 fn view_frame(log: &Log) -> DownFrame {
     DownFrame::View { id: log.view_id(), members: log.members().map(|(id, _)| id).collect() }
 }
 
-fn framed_view(log: &Log) -> Vec<u8> {
-    framed(&view_frame(log))
+fn framed_view(log: &Log) -> Arc<[u8]> {
+    framed(&view_frame(log)).into()
 }
 
-/// Evict `ids` under the state lock, then — with the lock released — wake
-/// the writers (the evicted ones exit, the rest send the view) and shut the
-/// evicted sockets down (wakes each evicted member's reader and a writer
-/// blocked on its socket). The shutdown is a syscall: under the lock it
-/// would stall sequencing while the kernel tears down a dead peer's socket.
+/// Member `id`'s next chunk — its carry, then frames past its cursor up to
+/// `WRITE_CHUNK` bytes — the cursor advanced past it. `None` once `id` is
+/// not a member.
+fn take(log: &mut Log, id: u64) -> Option<(Arc<TcpStream>, Chunk)> {
+    let conn = log.conn_mut(id)?;
+    let stream = Arc::clone(&conn.stream);
+    let mut chunk: Chunk = conn.carry.take().into_iter().collect();
+    let (carried, mut bytes) = (chunk.len(), chunk.iter().map(|b| b.len()).sum::<usize>());
+    for frame in log.pending(id)?.1 {
+        if bytes >= WRITE_CHUNK {
+            break;
+        }
+        bytes += frame.len();
+        chunk.push(Arc::clone(frame));
+    }
+    log.advance(id, (chunk.len() - carried) as u64);
+    Some((stream, chunk))
+}
+
+/// Put `chunk` on `stream` with one `write_vectored` — under `STALL`, as
+/// much as fits within it, so a member that reads slowly holds the writing
+/// thread for one `STALL`, not for as long as it keeps making room. Returns
+/// what is left unsent. An error: peer gone.
+fn send_chunk(mut stream: &TcpStream, chunk: &[Arc<[u8]>]) -> io::Result<Vec<u8>> {
+    let slices: Vec<IoSlice<'_>> = chunk.iter().map(|b| IoSlice::new(b)).collect();
+    let sent = loop {
+        match stream.write_vectored(&slices) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => break n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break 0,
+            Err(e) => return Err(e),
+        }
+    };
+    Ok(chunk.iter().flat_map(|b| b.iter().copied()).skip(sent).collect())
+}
+
+/// Give member `id` up: to nobody if it has caught up, else to its writer.
+fn release(log: &mut Log, id: u64) {
+    let caught_up = log.pending(id).is_some_and(|(_, mut pending)| pending.next().is_none());
+    let Some(conn) = log.conn_mut(id) else { return };
+    if caught_up && conn.carry.is_none() {
+        conn.owner = Owner::Nobody;
+    } else {
+        conn.owner = Owner::Writer;
+        conn.wake.notify_one();
+    }
+}
+
+/// Append with `append`, then claim every member nobody writes to that has
+/// frames pending and, for `PASSES` rounds, take its chunk under the lock and
+/// send it outside; leftovers go to the writers. A failed write evicts, once
+/// the rounds are over.
+fn fan_out<R>(inner: &SeqInner, append: impl FnOnce(&mut Log) -> R) -> R {
+    let mut log = inner.state.lock();
+    let appended = append(&mut log);
+    // The members this thread owns. Only an append gives an ownerless member
+    // frames, so claiming once, after it, keeps "frames past a cursor ⇒ an
+    // owner".
+    let (mut mine, mut failed) = (Vec::new(), Vec::new());
+    for (id, backlog) in log.backlog().collect::<Vec<_>>() {
+        match log.conn_mut(id) {
+            Some(conn) if backlog > 0 && conn.owner == Owner::Nobody => {
+                conn.owner = Owner::Appender;
+                mine.push(id);
+            }
+            _ => {}
+        }
+    }
+    for _ in 0..PASSES {
+        let mut chunks = Vec::new();
+        for id in mine.drain(..) {
+            match take(&mut log, id) {
+                Some((stream, chunk)) if !chunk.is_empty() => chunks.push((id, stream, chunk)),
+                _ => release(&mut log, id),
+            }
+        }
+        if chunks.is_empty() {
+            break;
+        }
+        drop(log);
+        let sent: Vec<_> = chunks
+            .into_iter()
+            .map(|(id, stream, chunk)| (id, send_chunk(&stream, &chunk)))
+            .collect();
+        log = inner.state.lock();
+        for (id, sent) in sent {
+            match sent {
+                Ok(rest) if rest.is_empty() => mine.push(id),
+                Ok(rest) => {
+                    if let Some(conn) = log.conn_mut(id) {
+                        conn.carry = Some(rest.into());
+                    }
+                    release(&mut log, id);
+                }
+                // Still this thread's until evicted below.
+                Err(_) => failed.push(id),
+            }
+        }
+    }
+    mine.iter().for_each(|&id| release(&mut log, id));
+    drop(log);
+    if !failed.is_empty() {
+        evict_and_shutdown(inner, &failed);
+    }
+    appended
+}
+
+/// Evict `ids` and fan the view out, then wake their writers to exit and
+/// shut their sockets down (ending their connection threads and blocked
+/// writes) — a syscall, so after unlock: under it the kernel's teardown
+/// would stall sequencing.
 fn evict_and_shutdown(inner: &SeqInner, ids: &[u64]) {
-    let evicted = inner.state.lock().evict(ids, framed_view);
-    inner.appended.notify_all();
-    for stream in evicted {
-        let _ = stream.shutdown(Shutdown::Both);
+    for conn in fan_out(inner, |log| log.evict(ids, framed_view)) {
+        conn.wake.notify_one();
+        let _ = conn.stream.shutdown(Shutdown::Both);
     }
 }
 
 struct SeqInner {
     state: Mutex<Log>,
-    /// Signalled after every log append and every eviction; writers wait on
-    /// it (under `state`) for their cursor to fall behind the log.
-    appended: Condvar,
     shutdown: AtomicBool,
     /// When the service started — the zero point of the monotonic clock
     /// reported by [`UpFrame::TimeProbe`], against which every node process
@@ -93,7 +222,6 @@ impl Sequencer {
         let addr = listener.local_addr()?;
         let inner = Arc::new(SeqInner {
             state: Mutex::new(SeqLog::default()),
-            appended: Condvar::new(),
             shutdown: AtomicBool::new(false),
             epoch: Instant::now(),
         });
@@ -174,17 +302,13 @@ fn serve_conn(stream: TcpStream, inner: &Arc<SeqInner>) {
             // The log refuses an evicted member's in-flight frames: the
             // uniform-delivery contract's "not at all" arm.
             (UpFrame::Total { payload }, Some(id)) => {
-                let _ = inner
-                    .state
-                    .lock()
-                    .total(id, |seq| framed(&DownFrame::Total { seq, sender: id, payload }));
-                inner.appended.notify_all();
+                let frame = |seq| framed(&DownFrame::Total { seq, sender: id, payload }).into();
+                fan_out(inner, |log| log.total(id, frame));
                 continue;
             }
             (UpFrame::Fifo { payload }, Some(id)) => {
-                let frame = framed(&DownFrame::Fifo { sender: id, payload });
-                let _ = inner.state.lock().fifo(id, frame);
-                inner.appended.notify_all();
+                let frame = framed(&DownFrame::Fifo { sender: id, payload }).into();
+                fan_out(inner, |log| log.fifo(id, frame));
                 continue;
             }
             (UpFrame::Leave, Some(_)) => break,
@@ -218,82 +342,78 @@ fn serve_conn(stream: TcpStream, inner: &Arc<SeqInner>) {
     }
 }
 
-/// Admit a joiner: the log mints its member id, registers its cursor at
-/// the start and sequences the view that includes it (O(1) under the lock
-/// — the history reaches the joiner through its writer like everything
-/// else); reply `Welcome`, and start the writer via `start_writer`. From
-/// registration on the member is in every view, so any later failure
-/// evicts it again.
+/// Admit a joiner, owned by this thread: the log mints its id, registers its
+/// cursor at 0 and sequences its view (O(1) under the lock). Reply
+/// `Welcome`, start its writer (`start_writer`) and hand it the member: the
+/// history follows `Welcome`. Any later failure evicts the member again.
 fn handle_join(
     stream: &TcpStream,
     inner: &Arc<SeqInner>,
     replica: u64,
-    start_writer: impl FnOnce(TcpStream, Arc<SeqInner>, u64) -> io::Result<()>,
+    start_writer: impl FnOnce(Arc<SeqInner>, u64) -> io::Result<()>,
 ) -> io::Result<u64> {
-    let conn = stream.try_clone()?;
-    let write = stream.try_clone()?;
-    let id = inner.state.lock().admit(replica, conn, 0, framed_view);
-    let Some(id) = id else {
+    stream.set_write_timeout(Some(STALL))?;
+    let write = Arc::new(stream.try_clone()?);
+    let (owner, carry, wake) = (Owner::Appender, None, Arc::default());
+    let conn = Conn { stream: Arc::clone(&write), owner, carry, wake };
+    let Some(id) = fan_out(inner, |log| log.admit(replica, conn, 0, framed_view)) else {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "replica id exceeds 32 bits"));
     };
-    inner.appended.notify_all();
-    // The handshake reply goes out before the writer exists, so it precedes
-    // every log frame on the socket.
-    let started = write_frame(&mut (&write), &DownFrame::Welcome { member: id })
-        .and_then(|()| start_writer(write, Arc::clone(inner), id));
+    let started = write_frame(&mut (&*write), &DownFrame::Welcome { member: id })
+        .and_then(|()| start_writer(Arc::clone(inner), id));
     if let Err(e) = started {
         evict_and_shutdown(inner, &[id]);
         return Err(e);
     }
+    release(&mut inner.state.lock(), id);
     Ok(id)
 }
 
-fn spawn_writer(stream: TcpStream, inner: Arc<SeqInner>, id: u64) -> io::Result<()> {
+fn spawn_writer(inner: Arc<SeqInner>, id: u64) -> io::Result<()> {
     thread::Builder::new()
         .name("sirep-seq-writer".into())
-        .spawn(move || writer_loop(stream, &inner, id))
+        .spawn(move || writer_loop(&inner, id))
         .map(drop)
 }
 
-/// Send member `id` the log from its cursor on: wait until the cursor is
-/// behind the log, copy a chunk of frames out and advance the cursor — all
-/// under the lock — then put the chunk on the socket with one write, lock
-/// released. Returns once the member is evicted; a write failure means the
-/// peer is gone: evict it so the group agrees.
-fn writer_loop(mut stream: TcpStream, inner: &SeqInner, id: u64) {
-    let mut chunk = Vec::new();
-    loop {
-        chunk.clear();
-        let mut taken = 0;
-        let mut log = inner.state.lock();
-        loop {
-            let Some((_, frames)) = log.pending(id) else { return };
-            for frame in frames {
-                chunk.extend_from_slice(frame);
-                taken += 1;
-                if chunk.len() >= WRITE_CHUNK {
-                    break;
-                }
-            }
-            if taken > 0 {
-                break;
-            }
-            inner.appended.wait(&mut log);
+/// Member `id`'s writer: wait to be handed the member, catch it up, give it
+/// back; until it is evicted. A failed write evicts it so the group agrees.
+fn writer_loop(inner: &SeqInner, id: u64) {
+    let mut log = inner.state.lock();
+    let Some(conn) = log.conn_mut(id) else { return };
+    let (stream, wake) = (Arc::clone(&conn.stream), Arc::clone(&conn.wake));
+    while let Some(owner) = log.conn_mut(id).map(|conn| conn.owner) {
+        if owner != Owner::Writer {
+            wake.wait(&mut log);
+            continue;
         }
-        log.advance(id, taken);
         drop(log);
-        if stream.write_all(&chunk).is_err() {
-            evict_and_shutdown(inner, &[id]);
-            return;
+        if catch_up(inner, id, &stream).is_err() {
+            return evict_and_shutdown(inner, &[id]);
         }
+        log = inner.state.lock();
+        release(&mut log, id);
     }
+}
+
+/// Send member `id` chunks until it has caught up, its send timeout cleared
+/// meanwhile: a full socket puts the writer to sleep, not to a poll.
+fn catch_up(inner: &SeqInner, id: u64, mut stream: &TcpStream) -> io::Result<()> {
+    stream.set_write_timeout(None)?;
+    loop {
+        let taken = take(&mut inner.state.lock(), id);
+        let Some((_, chunk)) = taken.filter(|(_, chunk)| !chunk.is_empty()) else { break };
+        // No timeout: the rest of a short write blocks until it is out.
+        let rest = send_chunk(stream, &chunk)?;
+        stream.write_all(&rest)?;
+    }
+    stream.set_write_timeout(Some(STALL))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Delivery, Member, TcpGroup};
-    use std::time::Duration;
 
     fn next_view(m: &impl Member<u64>) -> Vec<u64> {
         match m.recv_timeout(Duration::from_secs(5)).expect("view change") {
@@ -315,7 +435,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let mut joiner = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
         let (server_side, _) = listener.accept().expect("accept");
-        let failed = handle_join(&server_side, &seq.inner, 7, |_, _, _| {
+        let failed = handle_join(&server_side, &seq.inner, 7, |_, _| {
             Err(io::Error::other("cannot start a writer"))
         });
         assert!(failed.is_err());

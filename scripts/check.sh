@@ -133,6 +133,8 @@ if [[ "$QUICK" == "1" ]]; then
     cargo test --offline --test seqlog -q
     echo "==> wake by need: queue reports, TcpMember framing and blocked recv, wake-up budget, no lost wake-up"
     cargo test --offline --test tocommit_queue --test tcp_member --test wakeups -q
+    echo "==> sequencer fan-out: the appender sends, writers wake only for a lagging member"
+    cargo test --offline --test tcp_tier -q
     echo "==> sirep-model (exhaustive protocol exploration, quick scopes)"
     cargo run --offline -q --release -p sirep-model -- --quick --emit results
     echo "==> chaos harness (2 pinned seeds)"
