@@ -59,7 +59,7 @@ fn main() {
     let ratio = apply_ms / exec_ms;
     let model_per_wall = scale.model_ms(Duration::from_millis(1));
     println!("\n== T-2: writeset application vs full execution (update-intensive txn) ==");
-    println!("(stage medians from the lifecycle trace; wall ms × {model_per_wall:.1} = model ms)");
+    println!("(stage medians from the journal; wall ms × {model_per_wall:.1} = model ms)");
     println!(
         "full execution : {:>8.2} wall ms = {:>8.2} model ms (n={})",
         exec_ms,

@@ -1,28 +1,39 @@
-//! Protocol event journal: a bounded, append-only ring of typed events.
+//! Protocol event journal: a bounded, append-only ring of typed events,
+//! and the one clock of the observability layer.
 //!
-//! Where [`crate::trace`] answers *"where did this transaction's time go?"*,
-//! the journal answers *"what did the protocol do, in what order?"* — every
+//! The journal answers *"what did the protocol do, in what order?"* — every
 //! replica keeps a fixed-capacity ring of [`Event`]s (begin, certification
 //! capture, multicast, total-order delivery, validation verdict, hole
 //! open/close, ws_list prune, commit/abort, apply, view change), each stamped
 //! with the source replica, a per-replica sequence number, and a nanosecond
 //! offset from a shared epoch so timelines from different replicas align.
 //!
+//! It also answers *"where did this transaction's time go?"*: every stamp
+//! it hands out ([`Journal::record`]'s return value, [`Journal::now_ns`])
+//! is on that one timeline, and a [`Stage`] is the gap between two stamps.
+//! The ring holds one histogram per stage; an event that ends stages
+//! records them in the same lock hold ([`Journal::record_ending`]), and a
+//! stage that ends where no event is recorded is stamped by
+//! [`Journal::stage`]. [`Journal::stages`] is what `NodeStatus` reports.
+//!
 //! The ring is deliberately lossy: once `capacity` events are held, the
-//! oldest is dropped and [`Journal::dropped`] counts it.  Recording is one
-//! short mutex hold with no allocation (the one non-`Copy` payload, a
-//! verdict's key digest, is a shared `Arc`), cheap enough for the hot commit
-//! path; consumers take a point-in-time [`snapshot`] (oldest first) and
-//! render it — see the Perfetto exporter in `sirep_core::export` — or fold
-//! the 1-copy-SI checker of `sirep_core::audit` over it.
+//! oldest is dropped and [`Journal::dropped`] counts it (stage histograms
+//! keep every sample). Recording is one short mutex hold with no
+//! allocation (the one non-`Copy` payload, a verdict's key digest, is a
+//! shared `Arc`), cheap enough for the hot commit path; consumers take a
+//! point-in-time [`snapshot`] (oldest first) and render it — see the
+//! Perfetto exporter in `sirep_core::export` — or fold the 1-copy-SI
+//! checker of `sirep_core::audit` over it.
 //!
 //! Like the rest of the observability layer, the whole module is gated on
 //! the default-on `trace` feature: with `--no-default-features` the journal
-//! becomes a no-op with the same API and every call site compiles away.
+//! becomes a no-op with the same API (every stamp is 0, every stage
+//! snapshot empty) and every call site compiles away.
 //!
 //! [`snapshot`]: Journal::snapshot
 
 use crate::ids::{GlobalTid, ReplicaId, XactId};
+use crate::trace::{Stage, StageSnapshot};
 #[cfg(feature = "trace")]
 use parking_lot::Mutex;
 #[cfg(feature = "trace")]
@@ -466,6 +477,7 @@ struct Ring {
     cap: usize,
     next_seq: u64,
     dropped: u64,
+    stages: StageSnapshot,
 }
 
 #[cfg(feature = "trace")]
@@ -488,17 +500,38 @@ impl Journal {
                 cap,
                 next_seq: 0,
                 dropped: 0,
+                stages: StageSnapshot::default(),
             }),
         }
     }
 
-    /// Append an event stamped now. The clock is read under the ring lock,
-    /// so `at_ns` is non-decreasing in `seq` even when recorders race (the
-    /// read-only path records outside the node lock) — the Perfetto exporter
-    /// turns a decreasing pair into a negative-length span.
-    pub fn record(&self, kind: EventKind) {
+    /// Nanoseconds since the epoch, now: a stamp on the events' timeline.
+    pub fn now_ns(&self) -> u64 {
+        self.ns_at(Instant::now())
+    }
+
+    /// The stamp of instant `at` (0 if it precedes the epoch).
+    pub fn ns_at(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_nanos().min(u64::MAX as u128) as u64
+    }
+
+    /// Append an event stamped now; returns the stamp.
+    pub fn record(&self, kind: EventKind) -> u64 {
+        self.record_ending(kind, &[])
+    }
+
+    /// Append an event stamped now and, in the same lock hold, record each
+    /// `(stage, since)` as a sample from stamp `since` to this event's.
+    /// Returns the stamp. The clock is read under the ring lock, so `at_ns`
+    /// is non-decreasing in `seq` even when recorders race (the read-only
+    /// path records outside the node lock) — the Perfetto exporter turns a
+    /// decreasing pair into a negative-length span.
+    pub fn record_ending(&self, kind: EventKind, ends: &[(Stage, u64)]) -> u64 {
         let mut ring = self.inner.lock();
-        let at_ns = self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let at_ns = self.now_ns();
+        for &(stage, since) in ends {
+            ring.stages.record_ns(stage, at_ns.saturating_sub(since));
+        }
         let seq = ring.next_seq;
         ring.next_seq += 1;
         if ring.buf.len() == ring.cap {
@@ -506,6 +539,21 @@ impl Journal {
             ring.dropped += 1;
         }
         ring.buf.push_back(Event { seq, at_ns, replica: self.replica, kind });
+        at_ns
+    }
+
+    /// Record a `stage` sample from stamp `since` to now, for a stage that
+    /// ends where no event is recorded; returns the new stamp.
+    pub fn stage(&self, stage: Stage, since: u64) -> u64 {
+        let mut ring = self.inner.lock();
+        let now = self.now_ns();
+        ring.stages.record_ns(stage, now.saturating_sub(since));
+        now
+    }
+
+    /// Point-in-time copy of the per-stage latency histograms.
+    pub fn stages(&self) -> StageSnapshot {
+        self.inner.lock().stages.clone()
     }
 
     /// Point-in-time copy of the retained events, oldest first.
@@ -560,7 +608,28 @@ impl Journal {
         Journal { replica }
     }
     #[inline(always)]
-    pub fn record(&self, _kind: EventKind) {}
+    pub fn now_ns(&self) -> u64 {
+        0
+    }
+    #[inline(always)]
+    pub fn ns_at(&self, _at: Instant) -> u64 {
+        0
+    }
+    #[inline(always)]
+    pub fn record(&self, _kind: EventKind) -> u64 {
+        0
+    }
+    #[inline(always)]
+    pub fn record_ending(&self, _kind: EventKind, _ends: &[(Stage, u64)]) -> u64 {
+        0
+    }
+    #[inline(always)]
+    pub fn stage(&self, _stage: Stage, _since: u64) -> u64 {
+        0
+    }
+    pub fn stages(&self) -> StageSnapshot {
+        StageSnapshot::default()
+    }
     #[inline(always)]
     pub fn snapshot(&self) -> Vec<Event> {
         Vec::new()
@@ -653,6 +722,37 @@ mod tests {
             assert_eq!(w[1].seq, w[0].seq + 1);
             assert!(w[0].at_ns <= w[1].at_ns, "at_ns went backwards at seq {}", w[1].seq);
         }
+    }
+
+    /// A stage is the gap between two stamps of the journal's own clock,
+    /// recorded when the later one is stamped.
+    #[test]
+    fn stages_are_gaps_between_stamps() {
+        let j = Journal::new(r(0));
+        let x = XactId::new(r(0), 1);
+        let begin = j.record(EventKind::TxBegin { xact: x, gated: true });
+        assert_eq!(j.snapshot()[0].at_ns, begin);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let requested = j.stage(Stage::Execute, begin);
+        assert!(requested >= begin + 2_000_000);
+        let done = j.record_ending(
+            EventKind::LocalReadOnly { xact: x, snapshot: GlobalTid::ZERO, gated: true },
+            &[(Stage::Commit, requested), (Stage::Total, begin)],
+        );
+        assert_eq!(j.snapshot()[1].at_ns, done);
+        assert!(j.now_ns() >= done);
+        let stages = j.stages();
+        for (stage, ns) in [
+            (Stage::Execute, requested - begin),
+            (Stage::Commit, done - requested),
+            (Stage::Total, done - begin),
+        ] {
+            assert_eq!(stages.count(stage), 1);
+            let mut one = StageSnapshot::default();
+            one.record_ns(stage, ns);
+            assert_eq!(stages.median(stage).to_bits(), one.median(stage).to_bits(), "{stage}");
+        }
+        assert_eq!(stages.count(Stage::BeginWait), 0);
     }
 
     #[test]

@@ -14,13 +14,13 @@
 //! - [`histogram`]: log-bucketed latency histograms.
 //! - [`metrics`]: cheap atomic counters for protocol events (commits, aborts
 //!   by reason, commit-order holes, ...).
-//! - [`trace`]: transaction-lifecycle tracing — per-stage latency
-//!   breakdowns across the replication pipeline (compiled out when the
+//! - [`trace`]: the replication pipeline's stages and their per-stage
+//!   latency histograms.
+//! - [`journal`]: bounded ring of typed protocol events per replica, and
+//!   the clock the stage latencies are measured on (compiled out when the
 //!   `trace` cargo feature is disabled).
-//! - [`journal`]: bounded ring of typed protocol events per replica
-//!   (feature-gated like [`trace`]).
 //! - [`gauges`]: current-value telemetry with high-water marks for the
-//!   protocol's queue depths (feature-gated like [`trace`]).
+//!   protocol's queue depths (feature-gated like [`journal`]).
 //! - [`wire`]: the dependency-free length-prefixed binary codec everything
 //!   crossing a process boundary encodes through.
 //! - [`json`]: the one JSON well-formedness checker the hand-rolled
@@ -50,7 +50,7 @@ pub use json::json_lint;
 pub use metrics::{Metrics, Rates};
 pub use stats::{ConfidenceInterval, OnlineStats};
 pub use sync::Semaphore;
-pub use trace::{Stage, StageSnapshot, StageStats, TxTrace, STAGE_COUNT};
+pub use trace::{Stage, StageSnapshot, STAGE_COUNT};
 pub use transport::TransportSnapshot;
 pub use wire::{
     read_frame, write_frame, write_frame_counted, Wire, WireError, WireReader, MAX_FRAME,

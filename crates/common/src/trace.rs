@@ -1,8 +1,9 @@
-//! Transaction-lifecycle tracing: per-stage latency breakdown.
+//! Per-stage latency breakdown of the replication pipeline.
 //!
-//! Every transaction can carry a [`TxTrace`] — a tiny `Copy` value holding
-//! one monotonic origin instant plus one nanosecond offset per pipeline
-//! [`Stage`].  The stages mirror the SRCA-Rep pipeline from the paper:
+//! A transaction's life is one timeline of [`crate::journal::Journal`]
+//! stamps; each [`Stage`] is the gap between two of them, recorded by the
+//! journal when the later one is stamped. The stages mirror the SRCA-Rep
+//! pipeline from the paper:
 //!
 //! ```text
 //! begin_wait -> execute -> ws_extract -> gcs_deliver -> validate_queue
@@ -10,37 +11,24 @@
 //! ```
 //!
 //! * `begin_wait` — time a `begin` stalled on open commit-order holes
-//!   (adjustment 3, §5.3 of the paper).
+//!   (adjustment 3, §5.3 of the paper); sampled only by begins that waited.
 //! * `execute` — client statement execution on the local snapshot.
 //! * `ws_extract` — writeset extraction at commit request time.
 //! * `gcs_deliver` — total-order multicast latency (send → deliver).
 //! * `validate_queue` — time between delivery/validation and the moment the
 //!   writeset starts to apply/commit (the `tocommit`-queue wait).
-//! * `apply` — applying the writeset (remote replicas; ~0 locally since the
-//!   local transaction already holds its updates).
+//! * `apply` — applying the writeset (remote replicas only: the local
+//!   transaction already holds its updates).
 //! * `commit` — the final database commit call, including the hole rule wait.
-//! * `total` — begin to durable commit, end to end.
+//! * `total` — begin to durable commit, end to end (origin only).
 //!
-//! Marks are recorded with [`TxTrace::mark`] as each stage *completes*; a
-//! stage's duration is the gap back to the latest earlier mark (or to the
-//! origin).  Unset stages are skipped, so read-only transactions — which
-//! never see the multicast stages — still produce correct `execute`/`total`
-//! durations.
-//!
-//! [`StageStats`] aggregates traces from many threads into one log-bucketed
-//! [`Histogram`] per stage (recorded in **milliseconds**, like every other
-//! histogram in the workspace).
-//!
-//! The whole module is feature-gated: building with
-//! `--no-default-features` (dropping the `trace` feature) swaps every type
-//! for a zero-sized no-op with the same API, so call sites compile away.
+//! [`StageSnapshot`] holds one log-bucketed [`Histogram`] per stage
+//! (recorded in **milliseconds**, like every other histogram in the
+//! workspace). With the `trace` feature off the journal records nothing,
+//! so every snapshot is empty.
 
-#[cfg(feature = "trace")]
 use crate::histogram::Histogram;
-#[cfg(feature = "trace")]
-use parking_lot::Mutex;
 use std::fmt;
-use std::time::Instant;
 
 /// Pipeline stages of a replicated transaction, in causal order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,162 +89,19 @@ impl fmt::Display for Stage {
     }
 }
 
-#[cfg(feature = "trace")]
-const UNSET: u64 = u64::MAX;
-
-// ======================================================================
-// Real implementation (`trace` feature on — the default).
-// ======================================================================
-
-/// Per-transaction stage timeline.  `Copy`, 72 bytes, no allocation: cheap
-/// enough to thread through the hot commit path and drop on abort.
-#[cfg(feature = "trace")]
-#[derive(Debug, Clone, Copy)]
-pub struct TxTrace {
-    origin: Instant,
-    /// Nanoseconds from `origin` at which each stage *completed*;
-    /// `UNSET` if the stage never ran.
-    marks: [u64; STAGE_COUNT],
-}
-
-#[cfg(feature = "trace")]
-impl TxTrace {
-    /// Start a trace now; the transaction's `begin` is the time origin.
-    #[inline]
-    pub fn start() -> TxTrace {
-        TxTrace::starting_at(Instant::now())
-    }
-
-    /// Start a trace with an explicit origin (e.g. a message send instant).
-    #[inline]
-    pub fn starting_at(origin: Instant) -> TxTrace {
-        TxTrace { origin, marks: [UNSET; STAGE_COUNT] }
-    }
-
-    /// Record that `stage` completed now.
-    #[inline]
-    pub fn mark(&mut self, stage: Stage) {
-        self.mark_at(stage, Instant::now());
-    }
-
-    /// Record that `stage` completed at `at` (for instants carried inside
-    /// multicast messages, which may predate the call).
-    #[inline]
-    pub fn mark_at(&mut self, stage: Stage, at: Instant) {
-        self.marks[stage as usize] =
-            at.saturating_duration_since(self.origin).as_nanos().min(u64::MAX as u128 - 1) as u64;
-    }
-
-    /// Mark [`Stage::Total`] and return the trace, ready for
-    /// [`StageStats::absorb`].
-    #[inline]
-    pub fn finish(mut self) -> TxTrace {
-        self.mark(Stage::Total);
-        self
-    }
-
-    /// The trace origin (the transaction's begin instant).
-    #[inline]
-    pub fn origin(&self) -> Instant {
-        self.origin
-    }
-
-    /// Offset in nanoseconds from origin to `stage`'s completion, if marked.
-    #[inline]
-    pub fn offset_ns(&self, stage: Stage) -> Option<u64> {
-        match self.marks[stage as usize] {
-            UNSET => None,
-            ns => Some(ns),
-        }
-    }
-
-    /// Duration of `stage` in nanoseconds: the gap from the latest earlier
-    /// mark (or the origin, for the first mark) to `stage`'s mark.
-    /// [`Stage::Total`] measures from the origin outright.
-    pub fn stage_ns(&self, stage: Stage) -> Option<u64> {
-        let end = self.offset_ns(stage)?;
-        if stage == Stage::Total {
-            return Some(end);
-        }
-        let prev =
-            self.marks[..stage as usize].iter().copied().filter(|&m| m != UNSET).max().unwrap_or(0);
-        Some(end.saturating_sub(prev))
-    }
-
-    /// True if every stage in `stages` has been marked.
-    pub fn has_all(&self, stages: &[Stage]) -> bool {
-        stages.iter().all(|&s| self.marks[s as usize] != UNSET)
-    }
-}
-
-#[cfg(feature = "trace")]
-impl Default for TxTrace {
-    fn default() -> Self {
-        TxTrace::start()
-    }
-}
-
-/// Thread-safe per-replica aggregation of [`TxTrace`]s: one latency
-/// [`Histogram`] (milliseconds) per [`Stage`].
-#[cfg(feature = "trace")]
-#[derive(Debug, Default)]
-pub struct StageStats {
-    hists: Mutex<[Histogram; STAGE_COUNT]>,
-}
-
-#[cfg(feature = "trace")]
-impl StageStats {
-    pub fn new() -> StageStats {
-        StageStats::default()
-    }
-
-    /// Fold a finished trace into the per-stage histograms.  Only stages the
-    /// trace actually marked are recorded.
-    pub fn absorb(&self, trace: &TxTrace) {
-        let mut hists = self.hists.lock();
-        for stage in Stage::ALL {
-            if let Some(ns) = trace.stage_ns(stage) {
-                hists[stage as usize].record(ns as f64 / 1e6);
-            }
-        }
-    }
-
-    /// Record a single stage duration directly (milliseconds), for stages
-    /// measured outside a full [`TxTrace`] — e.g. remote-replica apply.
-    pub fn record_ms(&self, stage: Stage, ms: f64) {
-        self.hists.lock()[stage as usize].record(ms);
-    }
-
-    /// Record a single stage duration directly from a [`std::time::Duration`].
-    pub fn record_duration(&self, stage: Stage, d: std::time::Duration) {
-        self.record_ms(stage, d.as_secs_f64() * 1e3);
-    }
-
-    /// Merge another registry into this one (for cluster-wide rollups).
-    pub fn merge(&self, other: &StageStats) {
-        let theirs = other.snapshot();
-        let mut hists = self.hists.lock();
-        for stage in Stage::ALL {
-            hists[stage as usize].merge(&theirs.hists[stage as usize]);
-        }
-    }
-
-    /// Point-in-time copy of the per-stage histograms.
-    pub fn snapshot(&self) -> StageSnapshot {
-        StageSnapshot { hists: self.hists.lock().clone() }
-    }
-}
-
-/// Owned copy of a [`StageStats`] registry, detached from its locks —
-/// what [`StageStats::snapshot`] returns and what reports embed.
-#[cfg(feature = "trace")]
+/// One latency [`Histogram`] per [`Stage`]: what a journal accumulates
+/// and what reports embed and merge.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageSnapshot {
     hists: [Histogram; STAGE_COUNT],
 }
 
-#[cfg(feature = "trace")]
 impl StageSnapshot {
+    /// Add one `stage` sample of `ns` nanoseconds.
+    pub fn record_ns(&mut self, stage: Stage, ns: u64) {
+        self.hists[stage as usize].record(ns as f64 / 1e6);
+    }
+
     /// Number of samples recorded for `stage`.
     pub fn count(&self, stage: Stage) -> u64 {
         self.hists[stage as usize].count()
@@ -323,104 +168,13 @@ impl StageSnapshot {
 }
 
 // ======================================================================
-// No-op implementation (`trace` feature off): same API, zero cost.
-// ======================================================================
-
-#[cfg(not(feature = "trace"))]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TxTrace;
-
-#[cfg(not(feature = "trace"))]
-impl TxTrace {
-    #[inline(always)]
-    pub fn start() -> TxTrace {
-        TxTrace
-    }
-    #[inline(always)]
-    pub fn starting_at(_origin: Instant) -> TxTrace {
-        TxTrace
-    }
-    #[inline(always)]
-    pub fn mark(&mut self, _stage: Stage) {}
-    #[inline(always)]
-    pub fn mark_at(&mut self, _stage: Stage, _at: Instant) {}
-    #[inline(always)]
-    pub fn finish(self) -> TxTrace {
-        self
-    }
-    #[inline(always)]
-    pub fn offset_ns(&self, _stage: Stage) -> Option<u64> {
-        None
-    }
-    #[inline(always)]
-    pub fn stage_ns(&self, _stage: Stage) -> Option<u64> {
-        None
-    }
-    #[inline(always)]
-    pub fn has_all(&self, _stages: &[Stage]) -> bool {
-        false
-    }
-}
-
-#[cfg(not(feature = "trace"))]
-#[derive(Debug, Default)]
-pub struct StageStats;
-
-#[cfg(not(feature = "trace"))]
-impl StageStats {
-    pub fn new() -> StageStats {
-        StageStats
-    }
-    #[inline(always)]
-    pub fn absorb(&self, _trace: &TxTrace) {}
-    #[inline(always)]
-    pub fn record_ms(&self, _stage: Stage, _ms: f64) {}
-    #[inline(always)]
-    pub fn record_duration(&self, _stage: Stage, _d: std::time::Duration) {}
-    pub fn merge(&self, _other: &StageStats) {}
-    pub fn snapshot(&self) -> StageSnapshot {
-        StageSnapshot
-    }
-}
-
-#[cfg(not(feature = "trace"))]
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageSnapshot;
-
-#[cfg(not(feature = "trace"))]
-impl StageSnapshot {
-    pub fn count(&self, _stage: Stage) -> u64 {
-        0
-    }
-    pub fn quantile(&self, _stage: Stage, _q: f64) -> f64 {
-        f64::NAN
-    }
-    pub fn median(&self, _stage: Stage) -> f64 {
-        f64::NAN
-    }
-    pub fn overflow(&self, _stage: Stage) -> u64 {
-        0
-    }
-    pub fn merge(&mut self, _other: &StageSnapshot) {}
-    pub fn is_empty(&self) -> bool {
-        true
-    }
-    pub fn breakdown_table(&self) -> String {
-        String::from("(tracing compiled out: build with the `trace` feature)\n")
-    }
-}
-
-// ======================================================================
 // Wire form (telemetry scrapes).
 // ======================================================================
 
-/// Sparse canonical encoding shared by both cfg variants: a `Vec` of
-/// `(stage_tag, histogram)` pairs for the stages with at least one sample,
-/// in strictly increasing stage order. The trace-off build encodes the
-/// empty list and decodes-and-discards, so mixed-feature deployments
-/// exchange frames without either side panicking.
+/// Sparse canonical encoding: a `Vec` of `(stage_tag, histogram)` pairs
+/// for the stages with at least one sample, in strictly increasing stage
+/// order.
 impl crate::wire::Wire for StageSnapshot {
-    #[cfg(feature = "trace")]
     fn encode(&self, out: &mut Vec<u8>) {
         let nonempty: Vec<(u8, Histogram)> = Stage::ALL
             .iter()
@@ -430,16 +184,10 @@ impl crate::wire::Wire for StageSnapshot {
         nonempty.encode(out);
     }
 
-    #[cfg(not(feature = "trace"))]
-    fn encode(&self, out: &mut Vec<u8>) {
-        Vec::<(u8, crate::histogram::Histogram)>::new().encode(out);
-    }
-
     fn decode(r: &mut crate::wire::WireReader<'_>) -> Result<Self, crate::wire::WireError> {
         use crate::wire::WireError;
-        let pairs = Vec::<(u8, crate::histogram::Histogram)>::decode(r)?;
+        let pairs = Vec::<(u8, Histogram)>::decode(r)?;
         let mut last: Option<u8> = None;
-        #[allow(unused_mut)]
         let mut snap = StageSnapshot::default();
         for (tag, hist) in pairs {
             if tag as usize >= STAGE_COUNT {
@@ -452,83 +200,31 @@ impl crate::wire::Wire for StageSnapshot {
                 return Err(WireError::Corrupt("stage empty histogram"));
             }
             last = Some(tag);
-            #[cfg(feature = "trace")]
-            {
-                snap.hists[tag as usize] = hist;
-            }
-            #[cfg(not(feature = "trace"))]
-            let _ = hist;
+            snap.hists[tag as usize] = hist;
         }
         Ok(snap)
     }
 }
 
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use crate::wire::{Wire, WireError};
+
+    const MS: u64 = 1_000_000;
 
     #[test]
-    fn marks_accumulate_in_order() {
-        let t0 = Instant::now();
-        let mut tr = TxTrace::starting_at(t0);
-        tr.mark_at(Stage::BeginWait, t0 + Duration::from_millis(2));
-        tr.mark_at(Stage::Execute, t0 + Duration::from_millis(10));
-        tr.mark_at(Stage::WsExtract, t0 + Duration::from_millis(11));
-        tr.mark_at(Stage::GcsDeliver, t0 + Duration::from_millis(15));
-        tr.mark_at(Stage::ValidateQueue, t0 + Duration::from_millis(18));
-        tr.mark_at(Stage::Apply, t0 + Duration::from_millis(18));
-        tr.mark_at(Stage::Commit, t0 + Duration::from_millis(20));
-        let tr = {
-            let mut t = tr;
-            t.mark_at(Stage::Total, t0 + Duration::from_millis(20));
-            t
-        };
-
-        assert_eq!(tr.stage_ns(Stage::BeginWait), Some(2_000_000));
-        assert_eq!(tr.stage_ns(Stage::Execute), Some(8_000_000));
-        assert_eq!(tr.stage_ns(Stage::WsExtract), Some(1_000_000));
-        assert_eq!(tr.stage_ns(Stage::GcsDeliver), Some(4_000_000));
-        assert_eq!(tr.stage_ns(Stage::ValidateQueue), Some(3_000_000));
-        assert_eq!(tr.stage_ns(Stage::Apply), Some(0));
-        assert_eq!(tr.stage_ns(Stage::Commit), Some(2_000_000));
-        assert_eq!(tr.stage_ns(Stage::Total), Some(20_000_000));
-    }
-
-    #[test]
-    fn skipped_stages_bridge_correctly() {
-        // Read-only path: no ws_extract/gcs/validate/apply.
-        let t0 = Instant::now();
-        let mut tr = TxTrace::starting_at(t0);
-        tr.mark_at(Stage::Execute, t0 + Duration::from_millis(5));
-        tr.mark_at(Stage::Commit, t0 + Duration::from_millis(6));
-        tr.mark_at(Stage::Total, t0 + Duration::from_millis(6));
-
-        assert_eq!(tr.stage_ns(Stage::BeginWait), None);
-        // Execute bridges back to the origin (no begin_wait mark).
-        assert_eq!(tr.stage_ns(Stage::Execute), Some(5_000_000));
-        // Commit bridges over the unset multicast stages to execute.
-        assert_eq!(tr.stage_ns(Stage::Commit), Some(1_000_000));
-        assert!(!tr.has_all(&[Stage::GcsDeliver]));
-        assert!(tr.has_all(&[Stage::Execute, Stage::Commit, Stage::Total]));
-    }
-
-    #[test]
-    fn stats_absorb_merge_and_report() {
-        let t0 = Instant::now();
-        let stats = StageStats::new();
+    fn record_merge_and_report() {
+        let mut snap = StageSnapshot::default();
+        assert!(snap.is_empty());
         for i in 1..=50u64 {
-            let mut tr = TxTrace::starting_at(t0);
-            tr.mark_at(Stage::Execute, t0 + Duration::from_millis(i));
-            tr.mark_at(Stage::Commit, t0 + Duration::from_millis(i + 1));
-            tr.mark_at(Stage::Total, t0 + Duration::from_millis(i + 1));
-            stats.absorb(&tr);
+            snap.record_ns(Stage::Execute, i * MS);
+            snap.record_ns(Stage::Commit, MS);
         }
-        let other = StageStats::new();
-        other.record_ms(Stage::Apply, 3.0);
-        stats.merge(&other);
+        let mut other = StageSnapshot::default();
+        other.record_ns(Stage::Apply, 3 * MS);
+        snap.merge(&other);
 
-        let snap = stats.snapshot();
         assert_eq!(snap.count(Stage::Execute), 50);
         assert_eq!(snap.count(Stage::Apply), 1);
         assert_eq!(snap.count(Stage::BeginWait), 0);
@@ -541,15 +237,6 @@ mod tests {
         assert!(!table.contains("begin_wait"), "empty stages are omitted:\n{table}");
     }
 
-    #[test]
-    fn unmarked_trace_records_nothing() {
-        let stats = StageStats::new();
-        stats.absorb(&TxTrace::start());
-        assert!(stats.snapshot().is_empty());
-    }
-
-    use crate::wire::{Wire, WireError};
-
     fn round_trip(snap: &StageSnapshot) {
         let bytes = snap.to_wire();
         let back = StageSnapshot::from_wire(&bytes).expect("decode");
@@ -560,12 +247,11 @@ mod tests {
     #[test]
     fn wire_round_trips() {
         round_trip(&StageSnapshot::default());
-        let stats = StageStats::new();
-        stats.record_ms(Stage::Execute, 12.5);
-        stats.record_ms(Stage::Execute, 1.25);
-        stats.record_ms(Stage::Commit, 0.4);
-        stats.record_ms(Stage::Total, 14.0);
-        let snap = stats.snapshot();
+        let mut snap = StageSnapshot::default();
+        snap.record_ns(Stage::Execute, 12_500_000);
+        snap.record_ns(Stage::Execute, 1_250_000);
+        snap.record_ns(Stage::Commit, 400_000);
+        snap.record_ns(Stage::Total, 14 * MS);
         round_trip(&snap);
         let back = StageSnapshot::from_wire(&snap.to_wire()).unwrap();
         assert_eq!(back.count(Stage::Execute), 2);
@@ -574,10 +260,10 @@ mod tests {
 
     #[test]
     fn wire_truncation_rejected() {
-        let stats = StageStats::new();
-        stats.record_ms(Stage::Apply, 3.0);
-        stats.record_ms(Stage::Total, 9.0);
-        let bytes = stats.snapshot().to_wire();
+        let mut snap = StageSnapshot::default();
+        snap.record_ns(Stage::Apply, 3 * MS);
+        snap.record_ns(Stage::Total, 9 * MS);
+        let bytes = snap.to_wire();
         for cut in 0..bytes.len() {
             assert!(StageSnapshot::from_wire(&bytes[..cut]).is_err(), "cut at {cut}");
         }
@@ -585,9 +271,9 @@ mod tests {
 
     #[test]
     fn wire_non_canonical_rejected() {
-        let mut one = crate::histogram::Histogram::new();
+        let mut one = Histogram::new();
         one.record(1.0);
-        let frame = |pairs: &[(u8, crate::histogram::Histogram)]| {
+        let frame = |pairs: &[(u8, Histogram)]| {
             let mut out = Vec::new();
             pairs.to_vec().encode(&mut out);
             out
@@ -596,8 +282,7 @@ mod tests {
         assert_eq!(got.unwrap_err(), WireError::Corrupt("stage tag"));
         let got = StageSnapshot::from_wire(&frame(&[(3, one.clone()), (1, one.clone())]));
         assert_eq!(got.unwrap_err(), WireError::Corrupt("stage order"));
-        let empty = crate::histogram::Histogram::new();
-        let got = StageSnapshot::from_wire(&frame(&[(0, empty)]));
+        let got = StageSnapshot::from_wire(&frame(&[(0, Histogram::new())]));
         assert_eq!(got.unwrap_err(), WireError::Corrupt("stage empty histogram"));
     }
 }

@@ -36,7 +36,7 @@
 //! same API, like the rest of the observability layer; the checker and the
 //! offline fold are plain code in both configurations.
 
-use sirep_common::{Event, EventKind, GlobalTid, ReplicaId, XactId};
+use sirep_common::{Event, EventKind, GlobalTid, Journal, ReplicaId, Stage, XactId};
 use sirep_storage::WriteSet;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -522,24 +522,23 @@ pub fn audit_scraped_journals(journals: &[(ReplicaId, Vec<Event>)]) -> Vec<Audit
 // Online wrapper
 // ======================================================================
 
-#[cfg(feature = "trace")]
 use parking_lot::Mutex;
 
 /// The online auditor, shared by every replica of a cluster: one
 /// [`Checker`] behind a strict *leaf* lock. [`Auditor::report`] is invoked
 /// while a node's state lock is held and never calls back into a node, so
 /// no lock cycle can form.
-#[cfg(feature = "trace")]
 pub struct Auditor {
     enabled: bool,
     inner: Mutex<Checker>,
 }
 
-#[cfg(feature = "trace")]
 impl Auditor {
     /// `enabled = false` keeps the journal half of [`Auditor::report`] and
-    /// skips the checks.
+    /// skips the checks. Without the `trace` feature the checks are always
+    /// skipped (and the journal records nothing), so every query is clean.
     pub fn new(enabled: bool) -> Auditor {
+        let enabled = enabled && cfg!(feature = "trace");
         Auditor { enabled, inner: Mutex::new(Checker::default()) }
     }
 
@@ -554,40 +553,21 @@ impl Auditor {
     }
 
     /// The one reporting call: check `kind` as the next event of
-    /// `journal`'s replica, then append it to the journal ring.
-    pub fn report(&self, journal: &sirep_common::Journal, kind: EventKind) {
+    /// `journal`'s replica, then append it to the journal ring. Returns the
+    /// event's stamp.
+    pub fn report(&self, journal: &Journal, kind: EventKind) -> u64 {
+        self.report_ending(journal, kind, &[])
+    }
+
+    /// [`Auditor::report`] for an event that ends stages: each
+    /// `(stage, since)` is recorded with it ([`Journal::record_ending`]).
+    pub fn report_ending(&self, journal: &Journal, kind: EventKind, ends: &[(Stage, u64)]) -> u64 {
         if self.enabled {
             self.inner.lock().observe(journal.replica(), &kind);
         }
-        journal.record(kind);
+        journal.record_ending(kind, ends)
     }
 }
-
-/// No-op auditor (`trace` feature off): same API, everything compiles away.
-#[cfg(not(feature = "trace"))]
-pub struct Auditor;
-
-#[cfg(not(feature = "trace"))]
-impl Auditor {
-    #[inline(always)]
-    pub fn new(_enabled: bool) -> Auditor {
-        Auditor
-    }
-
-    #[inline(always)]
-    pub fn is_clean(&self) -> bool {
-        true
-    }
-
-    #[inline(always)]
-    pub fn violations(&self) -> Vec<AuditViolation> {
-        Vec::new()
-    }
-
-    #[inline(always)]
-    pub fn report(&self, _journal: &sirep_common::Journal, _kind: EventKind) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

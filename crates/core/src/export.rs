@@ -9,7 +9,8 @@
 //! data), so no escaping is needed.
 
 use crate::cluster::ClusterReport;
-use sirep_common::{Event, EventKind, ReplicaId, Stage};
+use sirep_common::{Event, EventKind, ReplicaId, Stage, XactId};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Render per-replica journals as one Chrome Trace Event Format document —
@@ -17,7 +18,8 @@ use std::fmt::Write as _;
 ///
 /// Layout: one "process" per replica (pid = replica id). Track 0 carries an
 /// instant event per journal record; track 1 carries transaction spans
-/// (begin → commit/abort at the same replica); track 2 carries writeset
+/// (begin → commit, abort or read-only commit at the same replica); track 2
+/// carries writeset
 /// application spans (apply_start → apply_done). Timestamps are
 /// microseconds from the journals' shared epoch, so replicas align.
 pub fn perfetto_trace_json(journals: &[(ReplicaId, Vec<Event>)]) -> String {
@@ -39,13 +41,8 @@ pub fn perfetto_trace_json(journals: &[(ReplicaId, Vec<Event>)]) -> String {
             &mut out,
         );
     }
-    // Open spans keyed by (replica, xact): value is the start ts in µs.
-    let mut tx_open: Vec<((u64, sirep_common::XactId), f64)> = Vec::new();
-    let mut apply_open: Vec<((u64, sirep_common::XactId), f64)> = Vec::new();
-    let take = |open: &mut Vec<((u64, sirep_common::XactId), f64)>,
-                key: (u64, sirep_common::XactId)| {
-        open.iter().position(|(k, _)| *k == key).map(|i| open.swap_remove(i).1)
-    };
+    // Open spans keyed by (replica, xact, track): value is the start ts in µs.
+    let mut open: HashMap<(u64, XactId, u8), f64> = HashMap::new();
     for (replica, events) in journals {
         let pid = replica.raw();
         for e in events {
@@ -59,34 +56,30 @@ pub fn perfetto_trace_json(journals: &[(ReplicaId, Vec<Event>)]) -> String {
                 ),
                 &mut out,
             );
-            match e.kind {
-                EventKind::TxBegin { xact, .. } => tx_open.push(((pid, xact), ts)),
-                EventKind::Commit { xact, .. } | EventKind::Abort { xact } => {
-                    if let Some(start) = take(&mut tx_open, (pid, xact)) {
-                        let dur = (ts - start).max(0.0);
-                        emit(
-                            format!(
-                                "{{\"name\":\"tx {xact}\",\"cat\":\"tx\",\"ph\":\"X\",\
-                                 \"ts\":{start:.3},\"dur\":{dur:.3},\"pid\":{pid},\"tid\":1}}"
-                            ),
-                            &mut out,
-                        );
-                    }
-                }
-                EventKind::ApplyStart { xact, .. } => apply_open.push(((pid, xact), ts)),
-                EventKind::ApplyDone { xact, tid } => {
-                    if let Some(start) = take(&mut apply_open, (pid, xact)) {
-                        let dur = (ts - start).max(0.0);
-                        emit(
-                            format!(
-                                "{{\"name\":\"apply {tid}\",\"cat\":\"apply\",\"ph\":\"X\",\
-                                 \"ts\":{start:.3},\"dur\":{dur:.3},\"pid\":{pid},\"tid\":2}}"
-                            ),
-                            &mut out,
-                        );
-                    }
-                }
-                _ => {}
+            let (track, xact, opens) = match e.kind {
+                EventKind::TxBegin { xact, .. } => (1u8, xact, true),
+                EventKind::Commit { xact, .. }
+                | EventKind::Abort { xact }
+                | EventKind::LocalReadOnly { xact, .. } => (1, xact, false),
+                EventKind::ApplyStart { xact, .. } => (2, xact, true),
+                EventKind::ApplyDone { xact, .. } => (2, xact, false),
+                _ => continue,
+            };
+            if opens {
+                open.insert((pid, xact, track), ts);
+            } else if let Some(start) = open.remove(&(pid, xact, track)) {
+                let (cat, name) = match e.kind {
+                    EventKind::ApplyDone { tid, .. } => ("apply", format!("apply {tid}")),
+                    _ => ("tx", format!("tx {xact}")),
+                };
+                let dur = (ts - start).max(0.0);
+                emit(
+                    format!(
+                        "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{start:.3},\
+                         \"dur\":{dur:.3},\"pid\":{pid},\"tid\":{track}}}"
+                    ),
+                    &mut out,
+                );
             }
         }
     }
@@ -283,7 +276,7 @@ pub fn shift_events(events: &mut [Event], offset_ns: i64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sirep_common::{GlobalTid, Journal, XactId};
+    use sirep_common::{GlobalTid, Journal};
     use std::time::Instant;
 
     fn r(k: u64) -> ReplicaId {
@@ -309,6 +302,36 @@ mod tests {
             assert!(doc.contains("\"ph\":\"X\""));
             assert!(doc.contains("\"name\":\"tx R0.0#1\""));
         }
+    }
+
+    fn spans(doc: &str) -> usize {
+        doc.matches("\"ph\":\"X\"").count()
+    }
+
+    #[test]
+    fn read_only_transactions_get_a_span() {
+        let ev = |seq: u64, kind| Event { seq, at_ns: seq * 1000, replica: r(0), kind };
+        let snapshot = GlobalTid::ZERO;
+        let x = XactId::new(r(0), 1);
+        let doc = perfetto_trace_json(&[(
+            r(0),
+            vec![
+                ev(0, EventKind::TxBegin { xact: x, gated: true }),
+                ev(1, EventKind::LocalReadOnly { xact: x, snapshot, gated: true }),
+            ],
+        )]);
+        assert_eq!(spans(&doc), 1);
+        assert!(doc.contains(
+            "\"name\":\"tx R0.0#1\",\"cat\":\"tx\",\"ph\":\"X\",\"ts\":0.000,\"dur\":1.000"
+        ));
+
+        let mut events = Vec::new();
+        for seq in 0..1000 {
+            let xact = XactId::new(r(0), seq);
+            events.push(ev(2 * seq, EventKind::TxBegin { xact, gated: true }));
+            events.push(ev(2 * seq + 1, EventKind::LocalReadOnly { xact, snapshot, gated: true }));
+        }
+        assert_eq!(spans(&perfetto_trace_json(&[(r(0), events)])), 1000);
     }
 
     #[test]

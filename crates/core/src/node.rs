@@ -79,8 +79,7 @@ use crate::validation::WsList;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use sirep_common::{
     AbortReason, CrashPoint, DbError, EventKind, GaugeSnapshot, GlobalTid, Journal, MemberId,
-    Metrics, ProtocolGauges, ReplicaId, Stage, StageSnapshot, StageStats, TransportSnapshot,
-    TxTrace,
+    Metrics, ProtocolGauges, ReplicaId, Stage, StageSnapshot, TransportSnapshot,
 };
 use sirep_gcs::{Cast, Delivery, GcsError, Member, View};
 use sirep_storage::{Database, TupleId, TxnHandle, WriteSet};
@@ -131,9 +130,9 @@ pub struct QEntry {
     /// an applier exactly when this reaches zero; [`TocommitQueue::remove`]
     /// decrements it as predecessors commit.
     blockers: usize,
-    /// Stage timeline for remote entries, originating at delivery time
-    /// (local entries carry their own trace on the session thread).
-    trace: TxTrace,
+    /// Journal stamp of the entry's delivery, where its `validate_queue`
+    /// stage starts (unused for a running local entry).
+    last_ns: u64,
 }
 
 impl QEntry {
@@ -145,9 +144,8 @@ impl QEntry {
         ws: Arc<WriteSet>,
         origin: ReplicaId,
         running: bool,
-        trace: TxTrace,
     ) -> QEntry {
-        QEntry { tid, xact, ws, origin, running, blockers: 0, trace }
+        QEntry { tid, xact, ws, origin, running, blockers: 0, last_ns: 0 }
     }
 }
 
@@ -157,7 +155,8 @@ struct BatchItem {
     tid: GlobalTid,
     xact: XactId,
     ws: Arc<WriteSet>,
-    trace: TxTrace,
+    /// Journal stamp of the entry's last stage boundary.
+    last_ns: u64,
 }
 
 /// The `tocommit` queue with incremental conflict scheduling.
@@ -311,8 +310,9 @@ struct PendingLocal {
     /// Keeps the transaction in the hole tracker's set B until it no
     /// longer holds database locks.
     guard: LocalGuard,
-    /// Stage timeline, handed back to the session thread with the job.
-    trace: TxTrace,
+    /// Journal stamp of the writeset's extraction, where `gcs_deliver`
+    /// starts.
+    last_ns: u64,
 }
 
 /// Handed from the delivery thread back to the session thread on
@@ -321,7 +321,8 @@ struct LocalCommitJob {
     tid: GlobalTid,
     txn: TxnHandle,
     _guard: LocalGuard,
-    trace: TxTrace,
+    /// Journal stamp of the delivery, where `validate_queue` starts.
+    last_ns: u64,
 }
 
 /// RAII membership in the hole tracker's set B (running local
@@ -393,8 +394,8 @@ pub struct NodeStatus {
     pub view: Vec<ReplicaId>,
     /// Snapshot of this replica's protocol event counters.
     pub metrics: Metrics,
-    /// Snapshot of this replica's per-stage latency histograms (empty when
-    /// the `trace` feature is disabled).
+    /// Snapshot of this replica's per-stage latency histograms, from its
+    /// journal (empty when the `trace` feature is disabled).
     pub stages: StageSnapshot,
     /// Queue-depth gauges with high-water marks (zeros when the `trace`
     /// feature is disabled).
@@ -564,11 +565,9 @@ pub struct ReplicaNode {
     /// here names the incarnation it was created under.
     next_xact: AtomicU64,
     pub metrics: Arc<Metrics>,
-    /// Per-stage latency histograms fed by transaction traces (no-op when
-    /// the `trace` feature is disabled).
-    pub stages: Arc<StageStats>,
     pub recorder: Arc<Recorder>,
-    /// Protocol event journal for this replica (no-op without `trace`).
+    /// Protocol event journal for this replica, and the clock its stage
+    /// latencies are measured on (no-op without `trace`).
     pub journal: Journal,
     /// Queue-depth gauges, refreshed at mutation sites under the state
     /// lock (no-op without `trace`).
@@ -603,7 +602,10 @@ pub struct ActiveTxn {
     /// read-only and commits without certification.
     snapshot: GlobalTid,
     guard: LocalGuard,
-    trace: TxTrace,
+    /// Journal stamp where the transaction began (its `total` starts).
+    begin_ns: u64,
+    /// Journal stamp of its last stage boundary (`TxBegin`).
+    last_ns: u64,
 }
 
 impl ReplicaNode {
@@ -659,8 +661,10 @@ impl ReplicaNode {
                 // sorts them) so the waiter index and blocker counts are
                 // rebuilt exactly as delivery order would have built them.
                 let mut queue = TocommitQueue::default();
+                let now = journal.now_ns();
                 for (tid, xact, ws, origin) in b.queue_entries {
-                    queue.push(QEntry::new(tid, xact, ws, origin, false, TxTrace::start()));
+                    queue
+                        .push(QEntry { last_ns: now, ..QEntry::new(tid, xact, ws, origin, false) });
                 }
                 (
                     NodeState {
@@ -694,7 +698,6 @@ impl ReplicaNode {
             joined: AtomicBool::new(recovered),
             next_xact: AtomicU64::new(XactId::seq_base(member.incarnation()) + 1),
             metrics: Arc::new(Metrics::new()),
-            stages: Arc::new(StageStats::new()),
             recorder: Arc::new(Recorder::new(record_history)),
             journal,
             gauges: ProtocolGauges::new(),
@@ -844,7 +847,7 @@ impl ReplicaNode {
             waiting_to_start: st.holes.waiting_to_start(),
             view: st.view.clone(),
             metrics: Metrics::clone(&self.metrics),
-            stages: self.stages.snapshot(),
+            stages: self.journal.stages(),
             gauges: self.gauges.snapshot(self.gcs.in_flight()),
             transport: self.gcs.transport(),
         }
@@ -943,12 +946,13 @@ impl ReplicaNode {
             return Err(DbError::Aborted(AbortReason::ReplicaCrashed));
         }
         let xact = XactId { origin: self.id, seq: self.next_xact.fetch_add(1, Ordering::Relaxed) };
-        let mut trace = TxTrace::start();
         Metrics::inc(&self.metrics.begins_total);
         match self.mode {
             ReplicationMode::SrcaRep => {
                 let mut st = self.state.lock();
+                let mut waited_from = None;
                 if st.holes.holes_exist() {
+                    waited_from = Some(self.journal.now_ns());
                     Metrics::inc(&self.metrics.begins_delayed_by_holes);
                     st.holes.start_waiting();
                     // A waiting local throttles hole-creating commits once
@@ -961,7 +965,6 @@ impl ReplicaNode {
                     if !self.is_alive() {
                         return Err(DbError::Aborted(AbortReason::ReplicaCrashed));
                     }
-                    trace.mark(Stage::BeginWait);
                 }
                 let txn = self.db.begin()?;
                 st.holes.local_started();
@@ -969,7 +972,9 @@ impl ReplicaNode {
                 // transaction's snapshot reflects (no holes exist here, so
                 // every tid ≤ snapshot is committed locally).
                 let snapshot = st.holes.max_committed();
-                self.auditor.report(&self.journal, EventKind::TxBegin { xact, gated: true });
+                let begin = EventKind::TxBegin { xact, gated: true };
+                let waited = waited_from.map(|from| (Stage::BeginWait, from));
+                let last_ns = self.auditor.report_ending(&self.journal, begin, waited.as_slice());
                 self.recorder.on_begin(xact);
                 // Commits throttled for a waiting begin may go on: we may
                 // have been the last one waiting, and a local is running.
@@ -979,7 +984,8 @@ impl ReplicaNode {
                     txn,
                     snapshot,
                     guard: LocalGuard { node: Arc::clone(self) },
-                    trace,
+                    begin_ns: waited_from.unwrap_or(last_ns),
+                    last_ns,
                 })
             }
             ReplicationMode::SrcaOpt => {
@@ -996,7 +1002,8 @@ impl ReplicaNode {
                 let txn = self.db.begin()?;
                 st.holes.local_started();
                 let snapshot = st.holes.max_committed();
-                self.auditor.report(&self.journal, EventKind::TxBegin { xact, gated: false });
+                let last_ns =
+                    self.auditor.report(&self.journal, EventKind::TxBegin { xact, gated: false });
                 drop(st);
                 self.recorder.on_begin(xact);
                 Ok(ActiveTxn {
@@ -1004,7 +1011,8 @@ impl ReplicaNode {
                     txn,
                     snapshot,
                     guard: LocalGuard { node: Arc::clone(self) },
-                    trace,
+                    begin_ns: last_ns,
+                    last_ns,
                 })
             }
         }
@@ -1014,8 +1022,8 @@ impl ReplicaNode {
     /// local validation against the tocommit queue, multicast in total
     /// order, and block until the transaction's fate is decided.
     pub fn commit_local(self: &Arc<Self>, active: ActiveTxn) -> Result<(), DbError> {
-        let ActiveTxn { xact, txn, snapshot, guard, mut trace } = active;
-        trace.mark(Stage::Execute);
+        let ActiveTxn { xact, txn, snapshot, guard, begin_ns, last_ns } = active;
+        let requested = self.journal.stage(Stage::Execute, last_ns);
         let ws = txn.writeset();
         if ws.is_empty() {
             // Certification-free read-only path (step I.2.c): the
@@ -1028,14 +1036,14 @@ impl ReplicaNode {
             txn.commit()?;
             self.recorder.on_commit(xact);
             let gated = self.mode == ReplicationMode::SrcaRep;
+            let done = EventKind::LocalReadOnly { xact, snapshot, gated };
+            let ends = [(Stage::Commit, requested), (Stage::Total, begin_ns)];
             // sirep-lint: allow(journal-gauge-under-lock): read-only commits touch no protocol state — the event is ordered by this session thread alone, and the checker re-checks the begin-time snapshot against its own frontier, which only grows
-            self.auditor.report(&self.journal, EventKind::LocalReadOnly { xact, snapshot, gated });
+            self.auditor.report_ending(&self.journal, done, &ends);
             Metrics::inc(&self.metrics.commits_readonly);
-            trace.mark(Stage::Commit);
-            self.stages.absorb(&trace.finish());
             return Ok(());
         }
-        trace.mark(Stage::WsExtract);
+        let extracted = self.journal.stage(Stage::WsExtract, requested);
         if self.crash_point(CrashPoint::BeforeMulticast) {
             // §5.4 case 1/2: the transaction dies with its origin; nothing
             // was multicast, so no replica will ever see this writeset.
@@ -1062,7 +1070,8 @@ impl ReplicaNode {
             }
             let cert = st.wslist.last_tid();
             self.auditor.report(&self.journal, EventKind::CertCapture { xact, cert });
-            st.pending_local.insert(xact, PendingLocal { txn, responder: reply_tx, guard, trace });
+            let pending = PendingLocal { txn, responder: reply_tx, guard, last_ns: extracted };
+            st.pending_local.insert(xact, pending);
             // Multicast while still holding the state lock, so that cert
             // capture order equals total-order sequence order. The ws_list
             // pruning protocol depends on this: every cert this replica puts
@@ -1103,9 +1112,10 @@ impl ReplicaNode {
             Ok(Ok(job)) => {
                 // Adjustment 2: commit immediately on this (the client's)
                 // thread — never behind the applier pool.
-                let LocalCommitJob { tid, txn, _guard, mut trace } = job;
-                trace.mark(Stage::ValidateQueue);
-                self.finalize(tid, xact, &ws, txn, trace);
+                let LocalCommitJob { tid, txn, _guard, last_ns } = job;
+                let woke = self.journal.stage(Stage::ValidateQueue, last_ns);
+                let ends = [(Stage::Commit, woke), (Stage::Total, begin_ns)];
+                self.finalize(tid, xact, &ws, txn, &ends);
                 Metrics::inc(&self.metrics.commits_update);
                 Ok(())
             }
@@ -1249,15 +1259,6 @@ impl ReplicaNode {
     }
 
     fn handle_writeset(self: &Arc<Self>, m: &WsMsg, sequenced_at: Instant) {
-        let delivered_at = Instant::now();
-        if m.origin != self.id {
-            // The origin's multicast latency lands on its own trace; remote
-            // replicas account it directly (they have no session trace).
-            self.stages.record_duration(
-                Stage::GcsDeliver,
-                delivered_at.saturating_duration_since(sequenced_at),
-            );
-        }
         let mut guard = self.state.lock();
         let st = &mut *guard;
         Metrics::inc(&self.metrics.ws_delivered);
@@ -1267,8 +1268,17 @@ impl ReplicaNode {
             // in the fork or the copied queue). Skip idempotently.
             return;
         }
-        self.auditor
-            .report(&self.journal, EventKind::TotalOrderDeliver { xact: m.xact, cert: m.cert });
+        // The origin's multicast started at its writeset extraction; a
+        // remote replica has only the transport's sequencing instant.
+        let sent = match st.pending_local.get(&m.xact) {
+            Some(p) => p.last_ns,
+            None => self.journal.ns_at(sequenced_at),
+        };
+        let delivered = self.auditor.report_ending(
+            &self.journal,
+            EventKind::TotalOrderDeliver { xact: m.xact, cert: m.cert },
+            &[(Stage::GcsDeliver, sent)],
+        );
         if let Some((watermark, removed)) = st.wslist.advance_progress(m.origin, m.cert, &st.view) {
             self.auditor.report(&self.journal, EventKind::WsListPruned { watermark, removed });
         }
@@ -1288,22 +1298,16 @@ impl ReplicaNode {
             // thread (adjustment 2); mark it running so no applier picks it.
             let local_job = if m.origin == self.id {
                 st.pending_local.remove(&m.xact).map(|p| {
-                    let mut trace = p.trace;
-                    trace.mark_at(Stage::GcsDeliver, delivered_at);
-                    (p.responder, LocalCommitJob { tid, txn: p.txn, _guard: p.guard, trace })
+                    let job =
+                        LocalCommitJob { tid, txn: p.txn, _guard: p.guard, last_ns: delivered };
+                    (p.responder, job)
                 })
             } else {
                 None
             };
             let mut ap = self.apply.lock();
-            let ready = ap.queue.push(QEntry::new(
-                tid,
-                m.xact,
-                Arc::clone(&m.ws),
-                m.origin,
-                local_job.is_some(),
-                TxTrace::starting_at(delivered_at),
-            ));
+            let entry = QEntry::new(tid, m.xact, Arc::clone(&m.ws), m.origin, local_job.is_some());
+            let ready = ap.queue.push(QEntry { last_ns: delivered, ..entry });
             self.refresh_apply_gauges(st, &ap);
             self.unlock_and_wake_applier(ap, ready);
             st.outcomes.record(m.xact, Outcome::Committed);
@@ -1377,13 +1381,11 @@ impl ReplicaNode {
                     let mut claimed = Vec::new();
                     while claimed.len() < APPLIER_BATCH_MAX {
                         let Some(e) = ap.queue.pop_ready() else { break };
-                        let mut trace = e.trace;
-                        trace.mark(Stage::ValidateQueue);
                         claimed.push(BatchItem {
                             tid: e.tid,
                             xact: e.xact,
                             ws: Arc::clone(&e.ws),
-                            trace,
+                            last_ns: e.last_ns,
                         });
                     }
                     if !claimed.is_empty() {
@@ -1411,17 +1413,18 @@ impl ReplicaNode {
             // marked running). A nominally-local entry without a session —
             // transferred during recovery from before our crash — is applied
             // like any remote writeset.
-            for item in &batch {
+            for item in &mut batch {
                 let start = EventKind::ApplyStart { xact: item.xact, tid: item.tid };
+                let queued = [(Stage::ValidateQueue, item.last_ns)];
                 // sirep-lint: allow(journal-gauge-under-lock): apply runs outside the state lock by design (the paper's adjustment 2 — appliers work in parallel); Apply* events are ordered per-tid by the queue's running flag, not by the lock
-                self.auditor.report(&self.journal, start);
+                item.last_ns = self.auditor.report_ending(&self.journal, start, &queued);
             }
             let Some(handle) = self.apply_batch(&batch) else { return }; // database crashed
             for item in &mut batch {
-                item.trace.mark(Stage::Apply);
                 let done = EventKind::ApplyDone { xact: item.xact, tid: item.tid };
+                let applied = [(Stage::Apply, item.last_ns)];
                 // sirep-lint: allow(journal-gauge-under-lock): same as ApplyStart above — apply is deliberately lock-free; finalize_batch re-enters the lock for the commit records
-                self.auditor.report(&self.journal, done);
+                item.last_ns = self.auditor.report_ending(&self.journal, done, &applied);
             }
             self.finalize_batch(batch, handle);
         }
@@ -1472,7 +1475,7 @@ impl ReplicaNode {
     /// always allowed through. Later batch members may open holes, exactly
     /// as an unthrottled single commit may; local begins still gate on
     /// `holes_exist`, so 1-copy-SI is intact.
-    fn finalize_batch(&self, mut batch: Vec<BatchItem>, txn: TxnHandle) {
+    fn finalize_batch(&self, batch: Vec<BatchItem>, txn: TxnHandle) {
         let Some(gate) = batch.first().map(|i| i.tid) else { return };
         // One flush charge for the whole batch — the group-commit saving.
         self.db.cost_model().commit_batch(batch.len());
@@ -1500,12 +1503,11 @@ impl ReplicaNode {
         }
         let res = txn.commit_quiet();
         debug_assert!(res.is_ok(), "validated batch failed to commit: {res:?}");
-        for item in &mut batch {
+        for item in &batch {
             self.recorder.on_commit(item.xact);
             // The commit stage includes the hole-rule wait above — that
             // delay is part of perceived commit latency.
-            item.trace.mark(Stage::Commit);
-            self.note_committed(&mut st, item.xact, item.tid);
+            self.note_committed(&mut st, item.xact, item.tid, &[(Stage::Commit, item.last_ns)]);
         }
         // O(|ws| + released edges) per entry: unblocks successors, which an
         // idle applier is woken for.
@@ -1515,24 +1517,30 @@ impl ReplicaNode {
         self.unlock_and_wake_applier(ap, released > 0);
         self.refresh_gauges(&st);
         self.unlock_and_wake(st);
-        for item in &batch {
-            // Remote timelines start at delivery, not begin: no total.
-            self.stages.absorb(&item.trace);
-        }
     }
 
     /// Protocol bookkeeping for one database commit, under the state lock:
-    /// advance the hole tracker and report the commit, preceded by the
-    /// hole-set transition (empty ↔ nonempty) it caused, if any.
-    fn note_committed(&self, st: &mut NodeState, xact: XactId, tid: GlobalTid) {
+    /// advance the hole tracker and report the commit — which ends the
+    /// stages in `ends` —, preceded by the hole-set transition (empty ↔
+    /// nonempty) it caused, if any.
+    fn note_committed(
+        &self,
+        st: &mut NodeState,
+        xact: XactId,
+        tid: GlobalTid,
+        ends: &[(Stage, u64)],
+    ) {
         let had_holes = st.holes.holes_exist();
         st.holes.on_committed(tid);
-        match (had_holes, st.holes.holes_exist()) {
-            (false, true) => self.auditor.report(&self.journal, EventKind::HoleOpened { tid }),
-            (true, false) => self.auditor.report(&self.journal, EventKind::HoleClosed { tid }),
-            _ => {}
+        let transition = match (had_holes, st.holes.holes_exist()) {
+            (false, true) => Some(EventKind::HoleOpened { tid }),
+            (true, false) => Some(EventKind::HoleClosed { tid }),
+            _ => None,
+        };
+        if let Some(transition) = transition {
+            self.auditor.report(&self.journal, transition);
         }
-        self.auditor.report(&self.journal, EventKind::Commit { xact, tid });
+        self.auditor.report_ending(&self.journal, EventKind::Commit { xact, tid }, ends);
     }
 
     /// Commit a validated *local* transaction on its session thread
@@ -1540,14 +1548,15 @@ impl ReplicaNode {
     /// and bookkeeping atomically under it. A local transaction sits in the
     /// hole tracker's running set, so the hole rule never throttles it
     /// (`may_commit(tid, is_local=true)` is identically true) — no wait
-    /// loop here, unlike [`ReplicaNode::finalize_batch`].
+    /// loop here, unlike [`ReplicaNode::finalize_batch`]. The commit event
+    /// ends the stages in `ends`.
     fn finalize(
         &self,
         tid: GlobalTid,
         xact: XactId,
         ws: &WriteSet,
         txn: TxnHandle,
-        mut trace: TxTrace,
+        ends: &[(Stage, u64)],
     ) {
         self.db.cost_model().commit();
         let mut st = self.state.lock();
@@ -1560,8 +1569,7 @@ impl ReplicaNode {
         let res = txn.commit_quiet();
         debug_assert!(res.is_ok(), "validated transaction failed to commit: {res:?}");
         self.recorder.on_commit(xact);
-        trace.mark(Stage::Commit);
-        self.note_committed(&mut st, xact, tid);
+        self.note_committed(&mut st, xact, tid, ends);
         // O(|ws| + released edges): unblocks successors, which an idle
         // applier is woken for.
         let mut ap = self.apply.lock();
@@ -1570,10 +1578,6 @@ impl ReplicaNode {
         self.unlock_and_wake_applier(ap, released > 0);
         self.refresh_gauges(&st);
         self.unlock_and_wake(st);
-        // Remote timelines start at delivery, not begin; local ones span
-        // the whole round trip.
-        trace.mark(Stage::Total);
-        self.stages.absorb(&trace);
     }
 
     // ---------------------------------------------------------------------

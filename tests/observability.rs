@@ -1,12 +1,16 @@
 //! Observability-layer tests: the metrics accounting invariant, per-stage
-//! trace coverage for committed transactions, and TxTrace mark ordering.
+//! coverage for committed transactions, and stages as gaps between journal
+//! stamps.
 //!
-//! These pin down the two contracts the harnesses depend on:
+//! These pin down the three contracts the harnesses depend on:
 //! 1. every `begin_local` ends in exactly one terminal counter, so
 //!    `begins_total == commits_* + aborts_*` holds after a quiesce;
-//! 2. a committed update transaction marks every lifecycle stage, on the
+//! 2. a committed update transaction samples every lifecycle stage, on the
 //!    origin replica and on the remote appliers, so the fig5/fig7
-//!    breakdown tables never show a silently-missing stage.
+//!    breakdown tables never show a silently-missing stage;
+//! 3. a stage is the gap between two stamps of the replica's journal, so
+//!    the origin's stages tile its `total` and a remote `apply` is the gap
+//!    between its `apply_start` and `apply_done` events.
 
 use si_rep::common::Metrics;
 use si_rep::core::{Cluster, ClusterConfig, Connection};
@@ -14,7 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 #[cfg(feature = "trace")]
-use si_rep::common::{Stage, TxTrace};
+use si_rep::common::{Stage, StageSnapshot};
 
 const Q: Duration = Duration::from_secs(20);
 
@@ -329,24 +333,56 @@ fn gauges_track_queue_depths() {
     assert_eq!(report.gauges.tocommit_depth.high_water, max_hw);
 }
 
-/// Stage offsets recorded by a trace are monotone in lifecycle order: a
-/// later stage never reports an earlier completion time.
+/// One update transaction on a fresh 2-replica cluster. At the origin its
+/// stages tile its `total` — they are consecutive gaps between journal
+/// stamps — within one histogram bucket per stage; at the remote, `apply`
+/// is the gap between the `apply_start` and `apply_done` stamps.
 #[cfg(feature = "trace")]
 #[test]
-fn trace_offsets_are_monotone_and_complete() {
-    let mut t = TxTrace::start();
-    for stage in Stage::ALL {
-        t.mark(stage);
+fn stages_are_the_journals_gaps() {
+    /// How far a quantile (a bucket's lower edge) can sit below the sample:
+    /// one ~3.7 % bucket, or 1 µs for samples below the tracked range.
+    fn bucket(ms: f64) -> f64 {
+        ms * (10f64.powf(1.0 / 64.0) - 1.0) + 1e-3
     }
-    let t = t.finish();
-    assert!(t.has_all(&Stage::ALL), "every marked stage must be present");
-    let mut last = 0u64;
-    for stage in Stage::ALL {
-        let off = t.offset_ns(stage).expect("marked stage has an offset");
-        assert!(off >= last, "{} regressed: {off} < {last}", stage.name());
-        last = off;
-        // Per-stage latency is the gap to the latest earlier mark — never
-        // negative, never missing once the stage is marked.
-        assert!(t.stage_ns(stage).is_some());
+    /// What a histogram holding the one sample `ns` reports for `stage`.
+    fn reported(stage: Stage, ns: u64) -> f64 {
+        let mut one = StageSnapshot::default();
+        one.record_ns(stage, ns);
+        one.median(stage)
     }
+    let c = cluster(2);
+    let mut s = c.session(0);
+    s.execute("INSERT INTO acc VALUES (1, 1000)").unwrap();
+    s.commit().unwrap();
+    assert!(c.quiesce(Q), "cluster failed to drain");
+    let report = c.metrics();
+    let journals = c.journal_events();
+    let at = |k: usize, name: &str| -> u64 {
+        let mut hits = journals[k].1.iter().filter(|e| e.kind.name() == name);
+        let e = hits.next().unwrap_or_else(|| panic!("R{k} journal has no {name}"));
+        assert!(hits.next().is_none(), "R{k} journal has two {name}");
+        e.at_ns
+    };
+
+    let origin = &report.per_node[0].stages;
+    assert_eq!(origin.count(Stage::BeginWait), 0, "nothing to wait for");
+    let tiles =
+        [Stage::Execute, Stage::WsExtract, Stage::GcsDeliver, Stage::ValidateQueue, Stage::Commit];
+    for stage in tiles.into_iter().chain([Stage::Total]) {
+        assert_eq!(origin.count(stage), 1, "{stage}");
+    }
+    let total = origin.median(Stage::Total);
+    assert_eq!(total, reported(Stage::Total, at(0, "commit") - at(0, "tx_begin")));
+    let sum: f64 = tiles.iter().map(|&st| origin.median(st)).sum();
+    let slack: f64 = tiles.iter().map(|&st| bucket(origin.median(st))).sum::<f64>() + bucket(total);
+    assert!((sum - total).abs() <= slack, "stages sum to {sum} ms, total {total} ms");
+
+    let remote = &report.per_node[1].stages;
+    assert_eq!(remote.count(Stage::Apply), 1);
+    let apply_ns = at(1, "apply_done") - at(1, "apply_start");
+    let apply = remote.median(Stage::Apply);
+    assert_eq!(apply, reported(Stage::Apply, apply_ns));
+    assert!(apply <= apply_ns as f64 / 1e6 && apply_ns as f64 / 1e6 - apply <= bucket(apply));
+    assert_eq!(c.node(1).journal.stages(), report.per_node[1].stages);
 }

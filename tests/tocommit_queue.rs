@@ -6,7 +6,7 @@
 //! a recomputation from scratch over random push / claim / remove sequences.
 
 use proptest::prelude::*;
-use si_rep::common::{GlobalTid, ReplicaId, TxTrace};
+use si_rep::common::{GlobalTid, ReplicaId};
 use si_rep::core::node::{QEntry, TocommitQueue};
 use si_rep::core::XactId;
 use si_rep::storage::{Key, WriteSet, WsOp};
@@ -75,7 +75,6 @@ proptest! {
                         Arc::new(ws),
                         ReplicaId::new(0),
                         running,
-                        TxTrace::start(),
                     );
                     let said_ready = queue.push(entry);
                     model.insert(next_tid, Queued { keys, running });
