@@ -79,8 +79,8 @@ pub enum CrashPoint {
     /// In `commit_local`, after the writeset was multicast but before the
     /// origin commits or acks — the classic in-doubt window (§5.4 case 3).
     AfterMulticastBeforeLocalCommit,
-    /// In the applier, after a remote writeset was delivered and validated
-    /// but before it commits locally.
+    /// On the thread that claimed a delivered, validated remote writeset
+    /// (an applier or the delivery thread), before it commits locally.
     AfterDeliverBeforeCommit,
     /// In `Cluster::recover`, after the donor produced its state-transfer
     /// snapshot but before the joiner installs it — the donor dies and

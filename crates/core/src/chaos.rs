@@ -35,9 +35,9 @@ pub enum PausePoint {
     /// the window the nonatomic-begin-snapshot counterexample schedules a
     /// concurrent commit into.
     OptBeginPreLock,
-    /// In `run_applier`, after a batch is claimed but before it is applied
-    /// and committed — the window where a writeset is validated (its
-    /// outcome known) but not yet locally visible.
+    /// In `run_batch`, on the thread that claimed a batch, before it is
+    /// applied and committed — the window where a writeset is validated
+    /// (its outcome known) but not yet locally visible.
     ApplierBeforeCommit,
 }
 

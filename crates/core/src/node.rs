@@ -28,20 +28,21 @@
 //!   committing under the hole rule. Local transactions never wait for an
 //!   applier: on successful validation the delivery thread hands them back
 //!   to their session thread, which commits immediately (adjustment 2).
-//!   Appliers stay apart from delivery: the validator must never block in
-//!   the database (§4.2).
+//!   The delivery thread applies a remote writeset itself when nothing can
+//!   make it wait, probing its tuple locks instead of waiting for them: the
+//!   validator never blocks in the database (§4.2).
 //!
 //! A thread is woken only when there is work for it. An uncontended commit
 //! costs its origin five wake-ups (the session thread once per driver round
 //! trip — three —, the delivery thread for the writeset coming back, the
-//! session thread for the verdict) and each remote two (delivery thread,
-//! one applier):
+//! session thread for the verdict) and each remote one (the delivery
+//! thread), or two when it must leave the apply to an applier:
 //!
 //! - an *applier* parks on `apply_cond`, counted in `ApplyState::idle`, and
 //!   one is woken when the ready set grew (`TocommitQueue::push` / `remove`
-//!   say so) while one is idle. One is enough: a claim sweeps everything
-//!   ready, and one that leaves entries behind wakes the next applier. A
-//!   local entry is born `running`: its commit wakes no applier;
+//!   / `unclaim` say so) while one is idle. One is enough: a claim sweeps
+//!   everything ready, and one that leaves entries behind wakes the next
+//!   applier. A local entry is born `running`: its commit wakes no applier;
 //! - *everyone else* — a hole-gated begin, a hole-throttled
 //!   `finalize_batch`, `inquire`, `await_own_join` — parks on `cond`,
 //!   counted in `NodeState::waiters`, and is notified only if that is
@@ -123,7 +124,7 @@ pub struct QEntry {
     xact: XactId,
     ws: Arc<WriteSet>,
     origin: ReplicaId,
-    /// An applier has picked this entry (is applying / committing it).
+    /// A thread has claimed this entry (is applying / committing it).
     running: bool,
     /// Conflict edges to entries with smaller tids still in the queue —
     /// one per (predecessor, shared key) pair. The entry is eligible for
@@ -149,14 +150,20 @@ impl QEntry {
     }
 }
 
-/// One entry claimed into an applier's group commit: everything needed to
-/// apply and finish it after the queue lock is released.
+/// One entry claimed into a group commit: everything needed to apply and
+/// finish it after the queue lock is released.
 struct BatchItem {
     tid: GlobalTid,
     xact: XactId,
     ws: Arc<WriteSet>,
     /// Journal stamp of the entry's last stage boundary.
     last_ns: u64,
+}
+
+impl BatchItem {
+    fn of(e: &QEntry) -> BatchItem {
+        BatchItem { tid: e.tid, xact: e.xact, ws: Arc::clone(&e.ws), last_ns: e.last_ns }
+    }
 }
 
 /// The `tocommit` queue with incremental conflict scheduling.
@@ -261,6 +268,15 @@ impl TocommitQueue {
         e.running = true;
         self.running += 1;
         Some(e)
+    }
+
+    /// Give back a claimed entry; its `validate_queue` restarts at `last_ns`.
+    pub fn unclaim(&mut self, tid: GlobalTid, last_ns: u64) {
+        let Some(e) = self.entries.get_mut(&tid) else { return };
+        e.running = false;
+        e.last_ns = last_ns;
+        self.running -= 1;
+        self.ready.insert(tid);
     }
 
     /// Remove a committed (or discarded) entry, releasing its successors'
@@ -1308,14 +1324,25 @@ impl ReplicaNode {
             let mut ap = self.apply.lock();
             let entry = QEntry::new(tid, m.xact, Arc::clone(&m.ws), m.origin, local_job.is_some());
             let ready = ap.queue.push(QEntry { last_ns: delivered, ..entry });
+            // Apply a ready remote writeset here if nothing can make that
+            // wait: no older entry is ready, the hole rule admits its commit,
+            // no service time is charged (it sleeps). Locks: `run_batch`.
+            let inline = ready
+                && ap.queue.ready.len() == 1
+                && (self.mode == ReplicationMode::SrcaOpt || st.holes.may_commit(tid, false))
+                && self.db.cost_model().is_free();
+            let claimed = if inline { ap.queue.pop_ready().map(BatchItem::of) } else { None };
             self.refresh_apply_gauges(st, &ap);
-            self.unlock_and_wake_applier(ap, ready);
+            self.unlock_and_wake_applier(ap, ready && !inline);
             st.outcomes.record(m.xact, Outcome::Committed);
             self.refresh_gauges(st);
             // An `inquire` may be parked for this outcome.
             self.unlock_and_wake(guard);
             if let Some((responder, job)) = local_job {
                 let _ = responder.send(Ok(job));
+            }
+            if let Some(item) = claimed {
+                self.run_batch(vec![item], false);
             }
         } else {
             st.outcomes.record(m.xact, Outcome::Aborted);
@@ -1372,7 +1399,7 @@ impl ReplicaNode {
             // non-conflicting and can safely be applied inside a single
             // engine transaction. pop_ready pops the smallest ready tid
             // first, so the batch is ascending by construction.
-            let mut batch = {
+            let batch = {
                 let mut ap = self.apply.lock();
                 loop {
                     if !self.is_alive() {
@@ -1381,12 +1408,7 @@ impl ReplicaNode {
                     let mut claimed = Vec::new();
                     while claimed.len() < APPLIER_BATCH_MAX {
                         let Some(e) = ap.queue.pop_ready() else { break };
-                        claimed.push(BatchItem {
-                            tid: e.tid,
-                            xact: e.xact,
-                            ws: Arc::clone(&e.ws),
-                            last_ns: e.last_ns,
-                        });
+                        claimed.push(BatchItem::of(e));
                     }
                     if !claimed.is_empty() {
                         // What the bound left behind is the next applier's.
@@ -1398,36 +1420,50 @@ impl ReplicaNode {
                     self.wait_apply(&mut ap);
                 }
             };
-            // Claimed entries are still in the queue (until finalize_batch
-            // removes them), so a thread parked here models "validated but
-            // not yet locally visible" for the P7 replay test.
-            self.pause_point(PausePoint::ApplierBeforeCommit);
-            if self.crash_point(CrashPoint::AfterDeliverBeforeCommit) {
-                // The writesets were delivered and validated here but die
-                // uncommitted with the replica; uniform delivery means
-                // every survivor still commits them.
-                return;
-            }
-            // Appliers only ever see remote writesets (local entries are
-            // committed by their session thread and enter the queue already
-            // marked running). A nominally-local entry without a session —
-            // transferred during recovery from before our crash — is applied
-            // like any remote writeset.
-            for item in &mut batch {
-                let start = EventKind::ApplyStart { xact: item.xact, tid: item.tid };
-                let queued = [(Stage::ValidateQueue, item.last_ns)];
-                // sirep-lint: allow(journal-gauge-under-lock): apply runs outside the state lock by design (the paper's adjustment 2 — appliers work in parallel); Apply* events are ordered per-tid by the queue's running flag, not by the lock
-                item.last_ns = self.auditor.report_ending(&self.journal, start, &queued);
-            }
-            let Some(handle) = self.apply_batch(&batch) else { return }; // database crashed
-            for item in &mut batch {
-                let done = EventKind::ApplyDone { xact: item.xact, tid: item.tid };
-                let applied = [(Stage::Apply, item.last_ns)];
-                // sirep-lint: allow(journal-gauge-under-lock): same as ApplyStart above — apply is deliberately lock-free; finalize_batch re-enters the lock for the commit records
-                item.last_ns = self.auditor.report_ending(&self.journal, done, &applied);
-            }
-            self.finalize_batch(batch, handle);
+            self.run_batch(batch, true);
         }
+    }
+
+    /// Apply and commit a claimed batch (step III) on an applier or, `wait`
+    /// false, on the delivery thread, which must never wait in the database
+    /// (§4.2): a tuple lock a local transaction holds sends the batch to an
+    /// applier, which waits instead until the local fails validation.
+    fn run_batch(&self, mut batch: Vec<BatchItem>, wait: bool) {
+        // Claimed entries are still in the queue (until finalize_batch
+        // removes them), so a thread parked here models "validated but
+        // not yet locally visible" for the P7 replay test.
+        self.pause_point(PausePoint::ApplierBeforeCommit);
+        if self.crash_point(CrashPoint::AfterDeliverBeforeCommit) {
+            // The writesets were delivered and validated here but die
+            // uncommitted with the replica; uniform delivery means
+            // every survivor still commits them.
+            return;
+        }
+        // Only remote writesets get here (local entries are committed by
+        // their session thread and enter the queue already marked running).
+        // A nominally-local entry without a session — transferred during
+        // recovery from before our crash — is applied like any remote one.
+        for item in &mut batch {
+            let start = EventKind::ApplyStart { xact: item.xact, tid: item.tid };
+            let queued = [(Stage::ValidateQueue, item.last_ns)];
+            // sirep-lint: allow(journal-gauge-under-lock): apply runs outside the state lock by design (the paper's adjustment 2 — appliers work in parallel); Apply* events are ordered per-tid by the queue's running flag, not by the lock
+            item.last_ns = self.auditor.report_ending(&self.journal, start, &queued);
+        }
+        let Some(handle) = self.apply_batch(&batch, wait) else {
+            // Back to the ready set (harmless if the replica is down).
+            let mut ap = self.apply.lock();
+            for item in &batch {
+                ap.queue.unclaim(item.tid, item.last_ns);
+            }
+            return self.unlock_and_wake_applier(ap, true);
+        };
+        for item in &mut batch {
+            let done = EventKind::ApplyDone { xact: item.xact, tid: item.tid };
+            let applied = [(Stage::Apply, item.last_ns)];
+            // sirep-lint: allow(journal-gauge-under-lock): same as ApplyStart above — apply is deliberately lock-free; finalize_batch re-enters the lock for the commit records
+            item.last_ns = self.auditor.report_ending(&self.journal, done, &applied);
+        }
+        self.finalize_batch(batch, handle);
     }
 
     /// Apply a batch of mutually non-conflicting remote writesets inside
@@ -1436,19 +1472,24 @@ impl ReplicaNode {
     /// log force. Retries the whole batch on database deadlocks (§4.2:
     /// "the middleware has to reapply the writeset until the remote
     /// transaction succeeds"); dropping the handle rolls back every
-    /// already-applied member, so a retry starts clean.
-    fn apply_batch(&self, batch: &[BatchItem]) -> Option<TxnHandle> {
+    /// already-applied member, so a retry starts clean. `None`: the replica
+    /// is down, or a retry was due that must not `wait`.
+    fn apply_batch(&self, batch: &[BatchItem], wait: bool) -> Option<TxnHandle> {
+        let apply = if wait { TxnHandle::apply_writeset } else { TxnHandle::apply_writeset_nowait };
         'retry: loop {
             if !self.is_alive() {
                 return None;
             }
             let Ok(txn) = self.db.begin() else { return None };
             for item in batch {
-                match txn.apply_writeset(&item.ws) {
+                match apply(&txn, &item.ws) {
                     Ok(()) => {}
                     Err(DbError::Aborted(AbortReason::Deadlock))
                     | Err(DbError::Aborted(AbortReason::SerializationFailure)) => {
                         Metrics::inc(&self.metrics.ws_apply_retries);
+                        if !wait {
+                            return None;
+                        }
                         continue 'retry;
                     }
                     Err(DbError::Aborted(AbortReason::Shutdown)) => return None,
@@ -1482,6 +1523,11 @@ impl ReplicaNode {
         let mut st = self.state.lock();
         if self.mode == ReplicationMode::SrcaRep {
             let mut counted = false;
+            // The delivery thread waits here only for appliers: the rule
+            // admitted its batch at claim and turns only if a begin waits
+            // while no local runs (one awaiting its verdict runs). Then no
+            // local lock blocks an applier, and every smaller pending tid is
+            // certified: the appliers commit them all.
             while !st.holes.may_commit(gate, false) && self.is_alive() {
                 if !counted {
                     Metrics::inc(&self.metrics.commits_delayed_for_holes);

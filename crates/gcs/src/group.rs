@@ -593,9 +593,14 @@ impl<M: Clone + Send + 'static> Member<M> for SimMember<M> {
     }
 }
 
-fn wait_until(at: Instant) {
+/// Return at `at`, never before: `precise_sleep` is only mean-accurate (it
+/// may end early, which suits service times), so yield out the rest.
+pub(crate) fn wait_until(at: Instant) {
     let now = Instant::now();
     if at > now {
         precise_sleep(at - now);
+    }
+    while Instant::now() < at {
+        std::thread::yield_now();
     }
 }

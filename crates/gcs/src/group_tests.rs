@@ -168,6 +168,17 @@ fn no_deliveries_to_crashed_member_after_crash() {
 }
 
 #[test]
+fn wait_until_never_returns_early() {
+    for i in 0..1_000u64 {
+        let d = Duration::from_micros(30 + i * 1_970 / 999);
+        let at = Instant::now() + d;
+        wait_until(at);
+        let now = Instant::now();
+        assert!(now >= at, "a {d:?} wait returned {:?} early", at - now);
+    }
+}
+
+#[test]
 fn simulated_latency_is_applied() {
     let mut cfg = GroupConfig::instant();
     cfg.scale = TimeScale::REAL_TIME;

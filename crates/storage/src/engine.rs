@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! begin → read/scan/insert/update/delete ... → writeset() → commit/abort
-//!                                  (remote)  → apply_ws_entry ... → commit
+//!                                  (remote)  → apply_writeset → commit
 //! ```
 //!
 //! Semantics reproduced from §4 of the paper:
@@ -30,7 +30,7 @@ use crate::lock::{LockId, LockManager};
 use crate::schema::TableSchema;
 use crate::value::{Key, Row};
 use crate::version::{CommitTs, Version, VersionChain};
-use crate::writeset::{WriteSet, WsEntry, WsOp};
+use crate::writeset::{WriteSet, WsOp};
 use parking_lot::{Mutex, RwLock};
 use sirep_common::{AbortReason, DbError, TxnId};
 use std::collections::{BTreeMap, HashMap};
@@ -525,12 +525,14 @@ impl TxnHandle {
     /// The shared write path: lock → version check → kind-specific checks →
     /// buffer the after-image. On a conflict the whole transaction aborts
     /// (PostgreSQL semantics: an error inside a transaction dooms it).
+    /// `wait`: whether to wait for another holder of the tuple lock.
     fn write_internal(
         &self,
         table: &str,
         key: Key,
         op: WsOp,
         kind: WriteKind,
+        wait: bool,
     ) -> Result<(), DbError> {
         self.check_active()?;
         let t = self.db.table(table)?;
@@ -546,7 +548,8 @@ impl TxnHandle {
         let already_ours = self.state.buffer.lock().contains(table, &key);
         if !already_ours {
             // Acquire the exclusive tuple lock (blocks behind holders).
-            if let Err(reason) = self.db.locks.acquire(self.state.id, &lock_id) {
+            let lock = if wait { LockManager::acquire } else { LockManager::try_acquire };
+            if let Err(reason) = lock(&self.db.locks, self.state.id, &lock_id) {
                 self.terminate(reason);
                 return Err(DbError::Aborted(reason));
             }
@@ -598,31 +601,36 @@ impl TxnHandle {
     pub fn insert(&self, table: &str, row: Row) -> Result<(), DbError> {
         let t = self.db.table(table)?;
         let key = t.schema.key_of(&row);
-        self.write_internal(table, key, WsOp::Put(row), WriteKind::Insert)
+        self.write_internal(table, key, WsOp::Put(row), WriteKind::Insert, true)
     }
 
     /// Write a full-row after-image for `key` (used by UPDATE execution,
     /// which reads the old row, computes the new image, and stores it).
     pub fn update_key(&self, table: &str, key: Key, row: Row) -> Result<(), DbError> {
-        self.write_internal(table, key, WsOp::Put(row), WriteKind::Update)
+        self.write_internal(table, key, WsOp::Put(row), WriteKind::Update, true)
     }
 
     /// Delete the tuple with `key` (no-op at commit if it never existed).
     pub fn delete_key(&self, table: &str, key: Key) -> Result<(), DbError> {
-        self.write_internal(table, key, WsOp::Delete, WriteKind::Delete)
+        self.write_internal(table, key, WsOp::Delete, WriteKind::Delete, true)
     }
 
-    /// Apply one entry of a replicated writeset: a blind write through the
-    /// normal lock + version-check path, charged at the cheaper
-    /// writeset-application rate (§6.3: ~20 % of full execution).
-    pub fn apply_ws_entry(&self, entry: &WsEntry) -> Result<(), DbError> {
-        self.write_internal(&entry.table, entry.key.clone(), entry.op.clone(), WriteKind::Apply)
-    }
-
-    /// Apply a whole writeset.
+    /// Apply a replicated writeset: blind writes through the normal lock +
+    /// version-check path, charged at the cheaper writeset-application rate
+    /// (§6.3: ~20 % of full execution).
     pub fn apply_writeset(&self, ws: &WriteSet) -> Result<(), DbError> {
+        self.apply_entries(ws, true)
+    }
+
+    /// [`TxnHandle::apply_writeset`] that never waits: a tuple lock another
+    /// transaction holds aborts this one, releasing every lock it took.
+    pub fn apply_writeset_nowait(&self, ws: &WriteSet) -> Result<(), DbError> {
+        self.apply_entries(ws, false)
+    }
+
+    fn apply_entries(&self, ws: &WriteSet, wait: bool) -> Result<(), DbError> {
         for e in ws.entries() {
-            self.apply_ws_entry(e)?;
+            self.write_internal(&e.table, e.key.clone(), e.op.clone(), WriteKind::Apply, wait)?;
         }
         Ok(())
     }

@@ -322,6 +322,32 @@ fn remote_apply_blocks_behind_local_writer() {
 }
 
 #[test]
+fn a_nowait_apply_behind_a_local_writer_rolls_back_holding_nothing() {
+    let db = db_with_kv();
+    put(&db, 1, 10);
+    let local = db.begin().unwrap();
+    local.update_key("kv", Key::single(1), vec![Value::Int(1), Value::Int(11)]).unwrap();
+
+    // Key 2 is free and taken first; key 1 is the local's.
+    let mut ws = WriteSet::new();
+    ws.push(Arc::from("kv"), Key::single(2), WsOp::Put(vec![Value::Int(2), Value::Int(7)]));
+    ws.push(Arc::from("kv"), Key::single(1), WsOp::Put(vec![Value::Int(1), Value::Int(99)]));
+    let remote = db.begin().unwrap();
+    let probed = remote.apply_writeset_nowait(&ws);
+    assert_eq!(probed, Err(DbError::Aborted(AbortReason::Deadlock)));
+    let other = db.begin().unwrap();
+    other.insert("kv", vec![Value::Int(2), Value::Int(8)]).unwrap();
+    other.commit().unwrap();
+    assert_eq!(get(&db, 2), Some(8), "the probe released the lock it took");
+    drop(remote);
+    local.abort(AbortReason::ValidationFailure);
+    let retry = db.begin().unwrap();
+    retry.apply_writeset_nowait(&ws).unwrap();
+    retry.commit().unwrap();
+    assert_eq!((get(&db, 1), get(&db, 2)), (Some(99), Some(7)));
+}
+
+#[test]
 fn drop_aborts_transaction() {
     let db = db_with_kv();
     {

@@ -157,10 +157,29 @@ impl LockManager {
         }
     }
 
+    /// [`LockManager::acquire`] that never waits (no-wait locking): where
+    /// that would block, fails with [`AbortReason::Deadlock`].
+    pub fn try_acquire(&self, txn: TxnId, id: &LockId) -> Result<(), AbortReason> {
+        let mut st = self.state.lock();
+        match st.locks.get(id) {
+            _ if st.doomed.contains(&txn) => Err(AbortReason::Shutdown),
+            Some(e) if e.owner != txn => Err(AbortReason::Deadlock),
+            Some(_) => Ok(()),
+            None => {
+                st.locks.insert(id.clone(), LockEntry { owner: txn, waiters: VecDeque::new() });
+                Ok(())
+            }
+        }
+    }
+
     /// Release every lock in `ids` held by `txn`, granting each to its next
-    /// waiter (FIFO) and waking all blocked threads to re-check.
+    /// waiter (FIFO) and, if anybody is parked, waking all blocked threads
+    /// to re-check.
     pub fn release_all(&self, txn: TxnId, ids: &[LockId]) {
         let mut st = self.state.lock();
+        // Every parked waiter has a wait-for edge — read before `pass_on`
+        // drops a grantee's. A notify is a system call even with no waiter.
+        let parked = !st.waits_for.is_empty();
         for id in ids {
             // Not the owner: already granted away (defensive).
             if st.locks.get(id).is_some_and(|e| e.owner == txn) {
@@ -169,7 +188,9 @@ impl LockManager {
         }
         st.doomed.remove(&txn);
         drop(st);
-        self.cond.notify_all();
+        if parked {
+            self.cond.notify_all();
+        }
     }
 
     /// Kill `txn` from outside: wakes it if blocked and makes any current or
@@ -236,6 +257,40 @@ mod tests {
         h.join().unwrap();
         assert!(got_b.load(Ordering::SeqCst));
         assert_eq!(lm.owner_of(&lid(1)), Some(TxnId::new(2)));
+    }
+
+    /// A release only notifies when somebody is parked; the waiter it grants
+    /// the lock to must still be woken.
+    #[test]
+    fn a_release_wakes_the_waiter_it_grants_the_lock_to() {
+        let lm = Arc::new(LockManager::new());
+        let [a, b] = [1, 2].map(TxnId::new);
+        lm.acquire(a, &lid(1)).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = Arc::clone(&lm);
+        let h = thread::spawn(move || tx.send(waiter.acquire(b, &lid(1))).unwrap());
+        while lm.blocked_count() == 0 {
+            thread::yield_now();
+        }
+        lm.release_all(a, &[lid(1)]);
+        let granted = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(granted, Ok(Ok(())), "the waiter granted the lock was never woken");
+        h.join().unwrap();
+        assert_eq!(lm.owner_of(&lid(1)), Some(b));
+    }
+
+    #[test]
+    fn try_acquire_never_waits() {
+        let lm = LockManager::new();
+        let [a, b] = [1, 2].map(TxnId::new);
+        assert_eq!(lm.try_acquire(a, &lid(1)), Ok(()));
+        assert_eq!(lm.try_acquire(a, &lid(1)), Ok(()), "reentrant");
+        assert_eq!(lm.try_acquire(b, &lid(1)), Err(AbortReason::Deadlock));
+        assert_eq!(lm.blocked_count(), 0, "a failed probe leaves no wait edge");
+        lm.release_all(a, &[lid(1)]);
+        assert_eq!(lm.try_acquire(b, &lid(1)), Ok(()));
+        lm.doom(a);
+        assert_eq!(lm.try_acquire(a, &lid(2)), Err(AbortReason::Shutdown));
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! `remove` how many entries it made ready. An applier is woken exactly when
 //! one of those says the ready set grew — so if either under-reports, an
 //! eligible writeset sits until a `WAIT_TICK` poll finds it. Checked against
-//! a recomputation from scratch over random push / claim / remove sequences.
+//! a recomputation from scratch over random push / claim / unclaim / remove
+//! sequences. `unclaim` is how the delivery thread gives back a writeset it
+//! claimed but could not apply without waiting.
 
 use proptest::prelude::*;
 use si_rep::common::{GlobalTid, ReplicaId};
@@ -20,6 +22,8 @@ enum Op {
     Push(BTreeSet<i64>, bool),
     /// An applier claims the smallest ready entry.
     Claim,
+    /// The i-th claimed entry (modulo) goes back to the ready set.
+    Unclaim(usize),
     /// The i-th queued entry (modulo) commits and leaves.
     Remove(usize),
 }
@@ -29,6 +33,7 @@ fn op() -> impl Strategy<Value = Op> {
         5 => (prop::collection::btree_set(0i64..6, 1..4), any::<bool>())
             .prop_map(|(keys, running)| Op::Push(keys, running)),
         3 => Just(Op::Claim),
+        2 => (0usize..16).prop_map(Op::Unclaim),
         4 => (0usize..16).prop_map(Op::Remove),
     ]
 }
@@ -51,6 +56,11 @@ fn ready(model: &BTreeMap<u64, Queued>) -> BTreeSet<u64> {
         .collect()
 }
 
+/// Claim every ready entry, smallest first.
+fn drain(queue: &mut TocommitQueue) -> Vec<u64> {
+    std::iter::from_fn(|| queue.pop_ready().map(|e| e.tid.raw())).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
 
@@ -60,6 +70,8 @@ proptest! {
     ) {
         let mut queue = TocommitQueue::default();
         let mut model: BTreeMap<u64, Queued> = BTreeMap::new();
+        // Claimed and still queued (entries born running are not claims).
+        let mut claimed: BTreeSet<u64> = BTreeSet::new();
         let mut next_tid = 0u64;
         for op in ops {
             match op {
@@ -81,16 +93,31 @@ proptest! {
                     prop_assert_eq!(said_ready, ready(&model).contains(&next_tid));
                 }
                 Op::Claim => {
-                    let claimed = queue.pop_ready().map(|e| e.tid.raw());
-                    prop_assert_eq!(claimed, ready(&model).first().copied());
-                    if let Some(tid) = claimed {
+                    let claimed_now = queue.pop_ready().map(|e| e.tid.raw());
+                    prop_assert_eq!(claimed_now, ready(&model).first().copied());
+                    if let Some(tid) = claimed_now {
                         model.get_mut(&tid).expect("claimed tid is queued").running = true;
+                        claimed.insert(tid);
+                    }
+                }
+                Op::Unclaim(i) => {
+                    let Some(&tid) = claimed.iter().nth(i % claimed.len().max(1)) else { continue };
+                    claimed.remove(&tid);
+                    queue.unclaim(GlobalTid::new(tid), 0);
+                    model.get_mut(&tid).expect("claimed tid is queued").running = false;
+                    // The ready set is the recomputed one: drain it, then
+                    // give every entry back.
+                    let drained = drain(&mut queue);
+                    prop_assert_eq!(&drained, &ready(&model).into_iter().collect::<Vec<_>>());
+                    for tid in drained {
+                        queue.unclaim(GlobalTid::new(tid), 0);
                     }
                 }
                 Op::Remove(i) => {
                     let Some(&tid) = model.keys().nth(i % model.len().max(1)) else { continue };
                     let before = ready(&model);
                     model.remove(&tid);
+                    claimed.remove(&tid);
                     let entered = ready(&model).difference(&before).count();
                     prop_assert_eq!(queue.remove(GlobalTid::new(tid)), entered);
                 }
@@ -98,10 +125,6 @@ proptest! {
         }
         // Nothing is left behind unannounced: claiming drains exactly the
         // model's ready set, smallest first.
-        let mut drained = Vec::new();
-        while let Some(e) = queue.pop_ready() {
-            drained.push(e.tid.raw());
-        }
-        prop_assert_eq!(drained, ready(&model).into_iter().collect::<Vec<_>>());
+        prop_assert_eq!(drain(&mut queue), ready(&model).into_iter().collect::<Vec<_>>());
     }
 }

@@ -2,8 +2,9 @@
 //! whom"). Two sides of that:
 //!
 //! - the budget: a local commit has nothing for its replica's appliers, and a
-//!   remote one has work for one of them — counted as voluntary context
-//!   switches of the `sirep-apply-*` threads;
+//!   remote one has nothing for them either — the delivery thread applies it
+//!   — unless the database charges service time; counted as voluntary
+//!   context switches of the `sirep-apply-*` threads;
 //! - no lost wake-up: a thread that is *not* woken when it should be is found
 //!   by the next `WAIT_TICK` poll, so the failure is a 25 ms stall, not a
 //!   hang. Under contention — conflicts, holes, gated begins — nearly no
@@ -11,10 +12,11 @@
 //!   begins would hide it: a client stalled for 25 ms leaves the other
 //!   replica without conflicts, so stalls make themselves rare.)
 
-use si_rep::common::{Stage, StageSnapshot};
+use si_rep::common::{Stage, StageSnapshot, TimeScale};
 use si_rep::core::node::WAIT_TICK;
 use si_rep::core::{Cluster, ClusterConfig, Connection, Transport};
 use si_rep::gcs::Sequencer;
+use si_rep::storage::CostModel;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -37,36 +39,51 @@ fn voluntary_switches(prefix: &str) -> (u64, usize) {
     total
 }
 
-#[test]
-fn a_local_commit_wakes_no_applier_of_its_replica_and_one_of_each_remote() {
-    const COMMITS: u64 = 1_000;
-    // Replica ids nobody else in this file uses: thread names carry them.
-    let cfg = ClusterConfig::builder().replicas(2).first_replica(8);
+/// Voluntary context switches per commit of the appliers of each replica of
+/// a two-replica sim cluster on replicas `first` and `first + 1`, over
+/// `commits` uncontended commits at the first (the origin).
+fn applier_switches_per_commit(first: u64, cost: CostModel, commits: u64) -> [f64; 2] {
+    let cfg = ClusterConfig::builder().replicas(2).first_replica(first).cost(cost);
     let c = Cluster::new(cfg.schema("CREATE TABLE kv (k INT, v INT, PRIMARY KEY (k))").build());
-    let appliers = ["sirep-apply-8-", "sirep-apply-9-"];
+    let appliers = [first, first + 1].map(|k| format!("sirep-apply-{k}-"));
     let mut s = c.session(0);
     s.execute("INSERT INTO kv VALUES (-1, 0)").unwrap();
     s.commit().unwrap();
     assert!(c.quiesce(Q));
 
-    let before = appliers.map(voluntary_switches);
+    let before = appliers.clone().map(|p| voluntary_switches(&p));
     assert_eq!(before.map(|(_, threads)| threads), [2, 2], "two named appliers per replica");
-    let start = Instant::now();
-    for k in 0..COMMITS {
+    for k in 0..commits {
         s.execute(&format!("INSERT INTO kv VALUES ({k}, 0)")).unwrap();
         s.commit().unwrap();
     }
     assert!(c.quiesce(Q));
-    let took = start.elapsed();
-    let after = appliers.map(voluntary_switches);
-    let per_commit = |i: usize| (after[i].0 - before[i].0) as f64 / COMMITS as f64;
-    eprintln!("applier wake-ups per commit: origin {}, remote {}", per_commit(0), per_commit(1));
-    // What remains at the origin is the appliers' shutdown poll.
-    assert!(per_commit(0) <= 0.2, "origin appliers: {} per commit in {took:?}", per_commit(0));
-    assert!(per_commit(1) <= 1.5, "remote appliers: {} per commit in {took:?}", per_commit(1));
-    assert!(per_commit(1) >= 0.05, "the remote appliers did apply: {}", per_commit(1));
-    assert_eq!(c.node(1).database().table_len("kv") as u64, COMMITS + 1);
+    let after = appliers.map(|p| voluntary_switches(&p));
+    assert_eq!(c.node(1).database().table_len("kv") as u64, commits + 1);
     assert!(c.audit_is_clean());
+    [0, 1].map(|i| (after[i].0 - before[i].0) as f64 / commits as f64)
+}
+
+#[test]
+fn an_uncontended_commit_wakes_no_applier_at_the_origin_or_the_remote() {
+    // Replica ids nobody else in this file uses: thread names carry them.
+    let [origin, remote] = applier_switches_per_commit(8, CostModel::free(), 1_000);
+    eprintln!("applier wake-ups per commit: origin {origin}, remote {remote}");
+    // What remains is the appliers' shutdown poll: a local commit has
+    // nothing for an applier, and the remote's delivery thread applies.
+    assert!(origin <= 0.2, "origin appliers: {origin} per commit");
+    assert!(remote <= 0.2, "remote appliers: {remote} per commit");
+}
+
+/// A database that charges service time sleeps in it, and the delivery
+/// thread must not: every remote writeset is an applier's.
+#[test]
+fn a_costed_database_keeps_remote_applies_on_the_appliers() {
+    let cost = CostModel { scale: TimeScale::TEST_FAST, apply_write_ms: 1.0, ..CostModel::free() };
+    let [origin, remote] = applier_switches_per_commit(10, cost, 300);
+    eprintln!("costed applier wake-ups per commit: origin {origin}, remote {remote}");
+    assert!(origin <= 0.2, "origin appliers: {origin} per commit");
+    assert!((0.5..=1.5).contains(&remote), "remote appliers: {remote} per commit");
 }
 
 const HOT_IDS: i64 = 8;
