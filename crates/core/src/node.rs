@@ -36,40 +36,41 @@
 //! costs its origin five wake-ups (the session thread once per driver round
 //! trip — three —, the delivery thread for the writeset coming back, the
 //! session thread for the verdict) and each remote one (the delivery
-//! thread), or two when it must leave the apply to an applier:
-//!
-//! - an *applier* parks on `apply_cond`, counted in `ApplyState::idle`, and
-//!   one is woken when the ready set grew (`TocommitQueue::push` / `remove`
-//!   / `unclaim` say so) while one is idle. One is enough: a claim sweeps
-//!   everything ready, and one that leaves entries behind wakes the next
-//!   applier. A local entry is born `running`: its commit wakes no applier;
-//! - *everyone else* — a hole-gated begin, a hole-throttled
-//!   `finalize_batch`, `inquire`, `await_own_join` — parks on `cond`,
-//!   counted in `NodeState::waiters`, and is notified only if that is
-//!   non-zero, which it rarely is.
-//!
-//! Both counts are plain fields: written by the one wait helper of their
-//! condvar, read by the notifier under the lock it holds for the state
-//! change anyway — a waiter either sees the change or is counted.
-//! `mark_crashed` wakes everybody; `WAIT_TICK` is a shutdown poll and must
-//! never be what makes progress.
+//! thread), or two when it must leave the apply to an applier.
 //!
 //! ## Lock structure (per replica)
 //!
-//! The paper's single `wsmutex` is split in two so the hot paths stop
-//! contending on one mutex (lint.toml registers the classes and the
-//! `node-state < node-apply` order):
+//! One lock, the paper's `wsmutex` (`state`, `node-state` in lint.toml),
+//! guards all protocol state: ws_list, hole tracker, tocommit queue,
+//! pending local transactions, outcomes, view, and off the hot paths the
+//! recovery markers and the progress-advert cursor. Certification, begins,
+//! queue pushes, claims and removes, and the commit step (atomic with
+//! begins) run under it. Database work (reads, writes, writeset
+//! application, the commit log force) happens outside it. An update commit
+//! takes it five times at its origin (begin, local validation, delivery,
+//! commit, end of the local) and twice at a remote (delivery, commit), or
+//! three times when an applier has to claim it.
 //!
-//! - the **cert-state lock** (`state`) — ws_list, hole tracker, pending
-//!   local transactions, outcomes, view, and off the hot paths the recovery
-//!   markers and the progress-advert cursor. Certification, begins, and the
-//!   final commit step (atomic with begins) run under it;
-//! - the **applier lock** (`apply`) — the tocommit queue. Appliers drain
-//!   eligible entries under it without blocking sessions; sites that need
-//!   both always take `state` first.
+//! Two condvars pair with it, so a wake-up reaches only the kind of thread
+//! that has work:
 //!
-//! Database work (reads, writes, writeset application, the commit log
-//! force) happens outside both.
+//! - an *applier* parks on `apply_cond`, counted in `NodeState::idle`, and
+//!   one is woken (`notify_one`) when the ready set grew
+//!   (`TocommitQueue::push` / `remove` / `unclaim` say so) while one is
+//!   idle. One is enough: a claim sweeps everything ready, and one that
+//!   leaves entries behind wakes the next applier. A local entry is born
+//!   `running`: its commit wakes no applier;
+//! - *everyone else* — a hole-gated begin, a hole-throttled
+//!   `finalize_batch`, `inquire`, `await_own_join`, a recovery awaiting its
+//!   marker — parks on `cond`, counted in `NodeState::waiters`, and is
+//!   notified (all of them: they wait for different things) only if that is
+//!   non-zero, which it rarely is.
+//!
+//! Both counts are plain fields: written by the one wait helper of their
+//! condvar, read by [`ReplicaNode::unlock_and_wake`] under the lock held
+//! for the state change anyway — a waiter either sees the change or is
+//! counted. `mark_crashed` wakes everybody; `WAIT_TICK` is a shutdown poll
+//! and must never be what makes progress.
 
 use crate::audit::{key_digest, Auditor};
 use crate::chaos::{CrashPlan, PausePoint};
@@ -150,19 +151,29 @@ impl QEntry {
     }
 }
 
-/// One entry claimed into a group commit: everything needed to apply and
-/// finish it after the queue lock is released.
+/// A validated transaction on its way to commit: one entry of an applier's
+/// group commit, or a local transaction, which commits as a batch of one.
 struct BatchItem {
     tid: GlobalTid,
     xact: XactId,
     ws: Arc<WriteSet>,
     /// Journal stamp of the entry's last stage boundary.
     last_ns: u64,
+    /// `Some`: a local transaction's begin stamp, where its `total` starts
+    /// (its begin is recorded). `None`: a remote writeset, which begins
+    /// here at its commit.
+    begin_ns: Option<u64>,
 }
 
 impl BatchItem {
     fn of(e: &QEntry) -> BatchItem {
-        BatchItem { tid: e.tid, xact: e.xact, ws: Arc::clone(&e.ws), last_ns: e.last_ns }
+        BatchItem {
+            tid: e.tid,
+            xact: e.xact,
+            ws: Arc::clone(&e.ws),
+            last_ns: e.last_ns,
+            begin_ns: None,
+        }
     }
 }
 
@@ -222,7 +233,7 @@ impl TocommitQueue {
 
     /// Is `xact` still queued here — validated (its outcome known) but not
     /// yet committed locally? Claimed entries stay in the queue until
-    /// `finalize`/`finalize_batch` removes them, so this covers the whole
+    /// `finalize_batch` removes them, so this covers the whole
     /// in-flight window. O(n) scan, but only called on the rare
     /// failover-inquire path.
     fn contains_xact(&self, xact: XactId) -> bool {
@@ -353,7 +364,7 @@ impl Drop for LocalGuard {
     fn drop(&mut self) {
         let mut st = self.node.state.lock();
         st.holes.local_finished();
-        self.node.unlock_and_wake(st);
+        self.node.unlock_and_wake(st, false);
     }
 }
 
@@ -507,12 +518,13 @@ impl sirep_common::wire::Wire for InDoubt {
     }
 }
 
-/// Certification state — everything the paper's `wsmutex` must keep atomic
-/// with local transaction begins and commits. Guarded by the node's
-/// cert-state lock (`node-state` in lint.toml).
+/// The replica's protocol state — everything the paper's `wsmutex` keeps
+/// atomic with local transaction begins and commits. Guarded by the node's
+/// one lock (`node-state` in lint.toml).
 struct NodeState {
     wslist: WsList,
     holes: HoleTracker,
+    queue: TocommitQueue,
     pending_local: HashMap<XactId, PendingLocal>,
     outcomes: OutcomeLog,
     /// The last view the delivery thread processed (so in-doubt inquiries
@@ -532,6 +544,9 @@ struct NodeState {
     last_progress_sent: GlobalTid,
     /// Threads parked on `cond` right now ([`ReplicaNode::wait_state`]).
     waiters: usize,
+    /// Appliers parked on `apply_cond` right now
+    /// ([`ReplicaNode::wait_apply`]).
+    idle: usize,
 }
 
 impl NodeState {
@@ -549,17 +564,6 @@ impl NodeState {
     }
 }
 
-/// Applier-side state: the tocommit queue, guarded by its own lock
-/// (`node-apply`) so applier wakeups and drains never contend with session
-/// begins. Sites that need cert state too take `state` first (the declared
-/// `node-state < node-apply` order).
-struct ApplyState {
-    queue: TocommitQueue,
-    /// Appliers parked on `apply_cond` right now
-    /// ([`ReplicaNode::wait_apply`]).
-    idle: usize,
-}
-
 /// One middleware/database replica pair.
 pub struct ReplicaNode {
     id: ReplicaId,
@@ -568,7 +572,6 @@ pub struct ReplicaNode {
     mode: ReplicationMode,
     state: Mutex<NodeState>,
     cond: Condvar,
-    apply: Mutex<ApplyState>,
     apply_cond: Condvar,
     shutdown: AtomicBool,
     /// Set once the delivery thread has installed a view naming this node's
@@ -585,8 +588,8 @@ pub struct ReplicaNode {
     /// Protocol event journal for this replica, and the clock its stage
     /// latencies are measured on (no-op without `trace`).
     pub journal: Journal,
-    /// Queue-depth gauges, refreshed at mutation sites under the state
-    /// lock (no-op without `trace`).
+    /// Queue-depth gauges, refreshed at mutation sites under the lock
+    /// (no-op without `trace`).
     pub gauges: ProtocolGauges,
     /// Cluster-wide 1-copy-SI auditor. Every protocol transition is
     /// reported through `auditor.report(&journal, ..)` — one call that
@@ -645,29 +648,28 @@ impl ReplicaNode {
             last_validated: b.wslist.last_tid(),
             max_committed: b.max_committed,
         });
-        let (state, apply) = match bootstrap {
-            None => (
-                NodeState {
-                    wslist: WsList::new(),
-                    holes: HoleTracker::new(),
-                    pending_local: HashMap::new(),
-                    outcomes: OutcomeLog::new(outcome_cap),
-                    // The view must only ever reflect view changes this node's
-                    // delivery thread has actually processed. Seeding it with
-                    // the expected full membership would make the one-by-one
-                    // formation view changes look like departures, poisoning
-                    // `departed` with (replica, 0) entries that later turn
-                    // in-doubt inquiries into false `NeverReceived` answers —
-                    // a committed transaction reported to its client as lost.
-                    membership: View { id: 0, members: Vec::new() },
-                    view: Vec::new(),
-                    departed: HashSet::new(),
-                    markers_seen: HashSet::new(),
-                    last_progress_sent: GlobalTid::ZERO,
-                    waiters: 0,
-                },
-                ApplyState { queue: TocommitQueue::default(), idle: 0 },
-            ),
+        let state = match bootstrap {
+            None => NodeState {
+                wslist: WsList::new(),
+                holes: HoleTracker::new(),
+                queue: TocommitQueue::default(),
+                pending_local: HashMap::new(),
+                outcomes: OutcomeLog::new(outcome_cap),
+                // The view must only ever reflect view changes this node's
+                // delivery thread has actually processed. Seeding it with
+                // the expected full membership would make the one-by-one
+                // formation view changes look like departures, poisoning
+                // `departed` with (replica, 0) entries that later turn
+                // in-doubt inquiries into false `NeverReceived` answers —
+                // a committed transaction reported to its client as lost.
+                membership: View { id: 0, members: Vec::new() },
+                view: Vec::new(),
+                departed: HashSet::new(),
+                markers_seen: HashSet::new(),
+                last_progress_sent: GlobalTid::ZERO,
+                waiters: 0,
+                idle: 0,
+            },
             Some(b) => {
                 let holes = HoleTracker::bootstrap(
                     b.max_committed,
@@ -682,21 +684,20 @@ impl ReplicaNode {
                     queue
                         .push(QEntry { last_ns: now, ..QEntry::new(tid, xact, ws, origin, false) });
                 }
-                (
-                    NodeState {
-                        wslist: b.wslist,
-                        holes,
-                        pending_local: HashMap::new(),
-                        outcomes: b.outcomes,
-                        view: replicas_of(&b.membership),
-                        membership: b.membership,
-                        departed: b.departed,
-                        markers_seen: HashSet::new(),
-                        last_progress_sent: GlobalTid::ZERO,
-                        waiters: 0,
-                    },
-                    ApplyState { queue, idle: 0 },
-                )
+                NodeState {
+                    wslist: b.wslist,
+                    holes,
+                    queue,
+                    pending_local: HashMap::new(),
+                    outcomes: b.outcomes,
+                    view: replicas_of(&b.membership),
+                    membership: b.membership,
+                    departed: b.departed,
+                    markers_seen: HashSet::new(),
+                    last_progress_sent: GlobalTid::ZERO,
+                    waiters: 0,
+                    idle: 0,
+                }
             }
         };
         let member = gcs.id();
@@ -707,7 +708,6 @@ impl ReplicaNode {
             mode,
             state: Mutex::new(state),
             cond: Condvar::new(),
-            apply: Mutex::new(apply),
             apply_cond: Condvar::new(),
             shutdown: AtomicBool::new(false),
             // A donor's state already reflects the recovering node's join.
@@ -737,31 +737,26 @@ impl ReplicaNode {
         st.waiters -= 1;
     }
 
-    /// Release the state lock after a change somebody may be parked on
-    /// `cond` for, and wake them all (they wait for different things) — if
-    /// anybody is parked: mostly nobody is, and a notify is a system call.
-    fn unlock_and_wake(&self, st: MutexGuard<'_, NodeState>) {
+    /// Park an applier on `apply_cond` for one [`WAIT_TICK`], counted in
+    /// `idle` meanwhile.
+    fn wait_apply(&self, st: &mut MutexGuard<'_, NodeState>) {
+        st.idle += 1;
+        self.apply_cond.wait_for(st, WAIT_TICK);
+        st.idle -= 1;
+    }
+
+    /// Release the lock after a change somebody may be parked on `cond`
+    /// for, and wake them all (they wait for different things) — if anybody
+    /// is parked: mostly nobody is, and a notify is a system call. If the
+    /// tocommit queue's ready set `grew` while an applier is idle, wake one.
+    fn unlock_and_wake(&self, st: MutexGuard<'_, NodeState>, grew: bool) {
         let parked = st.waiters > 0;
+        let applier = grew && st.idle > 0;
         drop(st);
         if parked {
             self.cond.notify_all();
         }
-    }
-
-    /// Park an applier on `apply_cond` for one [`WAIT_TICK`], counted in
-    /// `idle` meanwhile.
-    fn wait_apply(&self, ap: &mut MutexGuard<'_, ApplyState>) {
-        ap.idle += 1;
-        self.apply_cond.wait_for(ap, WAIT_TICK);
-        ap.idle -= 1;
-    }
-
-    /// Release the applier lock and, if the ready set `grew` while an
-    /// applier is idle, wake one.
-    fn unlock_and_wake_applier(&self, ap: MutexGuard<'_, ApplyState>, grew: bool) {
-        let wake = grew && ap.idle > 0;
-        drop(ap);
-        if wake {
+        if applier {
             self.apply_cond.notify_one();
         }
     }
@@ -789,34 +784,22 @@ impl ReplicaNode {
         self.crash_plan.pause_at(point, self.id);
     }
 
-    /// Recompute the cert-state gauges. Called at mutation sites under the
-    /// state lock; compiles away without `trace`.
+    /// Recompute the gauges. Called at mutation sites under the lock, so
+    /// refreshes stay ordered with the changes they observe; applier claims
+    /// skip it (queue depth changes on push and remove). Compiles away
+    /// without `trace`.
     fn refresh_gauges(&self, st: &NodeState) {
         #[cfg(feature = "trace")]
         {
             self.gauges.ws_list_len.set(st.wslist.len() as u64);
             self.gauges.open_holes.set(st.holes.open_holes() as u64);
             self.gauges.cert_index_keys.set(st.wslist.index_len() as u64);
+            self.gauges.tocommit_depth.set(st.queue.len() as u64);
+            self.gauges.applier_backlog.set(st.queue.backlog() as u64);
+            self.gauges.ready_len.set(st.queue.ready_len() as u64);
         }
         #[cfg(not(feature = "trace"))]
         let _ = st;
-    }
-
-    /// Recompute the queue-depth gauges that live behind the applier lock.
-    /// Takes both state refs so call sites prove they hold the cert-state
-    /// *and* applier locks (in the declared `node-state < node-apply`
-    /// order) — gauge refreshes stay ordered with the queue mutations they
-    /// observe. Applier drains deliberately skip this (they only *claim*
-    /// entries; depth changes on push and remove).
-    fn refresh_apply_gauges(&self, _st: &NodeState, ap: &ApplyState) {
-        #[cfg(feature = "trace")]
-        {
-            self.gauges.tocommit_depth.set(ap.queue.len() as u64);
-            self.gauges.applier_backlog.set(ap.queue.backlog() as u64);
-            self.gauges.ready_len.set(ap.queue.ready_len() as u64);
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = ap;
     }
 
     pub fn id(&self) -> ReplicaId {
@@ -842,21 +825,19 @@ impl ReplicaNode {
 
     /// Current number of queued (validated, uncommitted) writesets.
     pub fn queue_len(&self) -> usize {
-        self.apply.lock().queue.len()
+        self.state.lock().queue.len()
     }
 
     /// A point-in-time snapshot of this replica's protocol state, for
     /// monitoring and load-balancing decisions.
     pub fn status(&self) -> NodeStatus {
         let st = self.state.lock();
-        let ap = self.apply.lock();
         self.refresh_gauges(&st);
-        self.refresh_apply_gauges(&st, &ap);
         NodeStatus {
             replica: self.id,
             alive: self.is_alive(),
             last_validated: st.wslist.last_tid(),
-            queued: ap.queue.len(),
+            queued: st.queue.len(),
             pending_local: st.pending_local.len(),
             holes_open: st.holes.holes_exist(),
             running_locals: st.holes.running_locals(),
@@ -905,21 +886,19 @@ impl ReplicaNode {
     /// latched (its state lock) only for the duration of the copy; other
     /// replicas are unaffected.
     ///
-    /// Correctness: commits at this replica happen under the state lock,
-    /// and queue membership only changes while it is held (pushes and
-    /// removes take `state` before `apply`), so while we hold both the
-    /// forked database corresponds exactly to "all validated tids except
-    /// those still in the queue". The recovering replica must have joined
+    /// Correctness: commits at this replica and queue pushes and removes
+    /// happen under the lock, so while we hold it the forked database
+    /// corresponds exactly to "all validated tids except those still in
+    /// the queue". The recovering replica must have joined
     /// the group *before* this is taken; every writeset it then receives is
     /// either (a) recorded in the transferred outcome log — covered by the
     /// fork or the copied queue and skipped — or (b) new, and validated
     /// normally against the transferred ws_list.
     pub(crate) fn state_transfer(&self, cost: sirep_storage::CostModel) -> (Database, Bootstrap) {
         let st = self.state.lock();
-        let ap = self.apply.lock();
         let db = self.db.fork_latest(cost);
         let mut queue_entries: Vec<_> =
-            ap.queue.iter().map(|e| (e.tid, e.xact, Arc::clone(&e.ws), e.origin)).collect();
+            st.queue.iter().map(|e| (e.tid, e.xact, Arc::clone(&e.ws), e.origin)).collect();
         // Tid order, so the recovering replica can rebuild its scheduling
         // index with the same incremental pushes delivery would have made.
         queue_entries.sort_by_key(|(tid, ..)| *tid);
@@ -994,7 +973,7 @@ impl ReplicaNode {
                 self.recorder.on_begin(xact);
                 // Commits throttled for a waiting begin may go on: we may
                 // have been the last one waiting, and a local is running.
-                self.unlock_and_wake(st);
+                self.unlock_and_wake(st, false);
                 Ok(ActiveTxn {
                     xact,
                     txn,
@@ -1071,10 +1050,8 @@ impl ReplicaNode {
         {
             let mut st = self.state.lock();
             // Local validation (adjustment 1): only the tocommit queue —
-            // O(|ws|) probes of its waiter index, via a momentary applier
-            // lock nested inside the state lock (the declared
-            // `node-state < node-apply` order).
-            if self.apply.lock().queue.conflicts(&ws) {
+            // O(|ws|) probes of its waiter index.
+            if st.queue.conflicts(&ws) {
                 // Journal the abort verdict at the decision point, under the
                 // lock, so it cannot interleave after a later transaction's
                 // events; only the database-side rollback runs outside.
@@ -1127,11 +1104,13 @@ impl ReplicaNode {
         match reply_rx.recv() {
             Ok(Ok(job)) => {
                 // Adjustment 2: commit immediately on this (the client's)
-                // thread — never behind the applier pool.
+                // thread — never behind the applier pool. The guard keeps
+                // the transaction a running local until it has committed.
                 let LocalCommitJob { tid, txn, _guard, last_ns } = job;
                 let woke = self.journal.stage(Stage::ValidateQueue, last_ns);
-                let ends = [(Stage::Commit, woke), (Stage::Total, begin_ns)];
-                self.finalize(tid, xact, &ws, txn, &ends);
+                self.recorder.on_local_committed(xact, &txn, &ws);
+                let item = BatchItem { tid, xact, ws, last_ns: woke, begin_ns: Some(begin_ns) };
+                self.finalize_batch(std::slice::from_ref(&item), txn);
                 Metrics::inc(&self.metrics.commits_update);
                 Ok(())
             }
@@ -1156,12 +1135,8 @@ impl ReplicaNode {
                 // the tocommit queue, so a failed-over client told
                 // "committed" could begin its next transaction here and
                 // miss its own write. Hold the answer until the entry has
-                // left the queue (committed locally). Momentary apply lock
-                // inside the state lock — the declared node-state <
-                // node-apply order, same as local validation.
-                let visible =
-                    o != Outcome::Committed || !self.apply.lock().queue.contains_xact(xact);
-                if visible {
+                // left the queue (committed locally).
+                if o != Outcome::Committed || !st.queue.contains_xact(xact) {
                     return Ok(InDoubt::Known(o));
                 }
             } else if st.has_departed(origin) {
@@ -1245,7 +1220,7 @@ impl ReplicaNode {
         st.membership = v;
         let members = st.view.len() as u64;
         self.auditor.report(&self.journal, EventKind::ViewChange { members });
-        self.unlock_and_wake(guard);
+        self.unlock_and_wake(guard, false);
     }
 
     /// Dispatch one totally-ordered message.
@@ -1271,7 +1246,7 @@ impl ReplicaNode {
     fn handle_marker(&self, token: u64) {
         let mut st = self.state.lock();
         st.markers_seen.insert(token);
-        self.unlock_and_wake(st);
+        self.unlock_and_wake(st, false);
     }
 
     fn handle_writeset(self: &Arc<Self>, m: &WsMsg, sequenced_at: Instant) {
@@ -1321,23 +1296,21 @@ impl ReplicaNode {
             } else {
                 None
             };
-            let mut ap = self.apply.lock();
             let entry = QEntry::new(tid, m.xact, Arc::clone(&m.ws), m.origin, local_job.is_some());
-            let ready = ap.queue.push(QEntry { last_ns: delivered, ..entry });
+            let ready = st.queue.push(QEntry { last_ns: delivered, ..entry });
             // Apply a ready remote writeset here if nothing can make that
             // wait: no older entry is ready, the hole rule admits its commit,
             // no service time is charged (it sleeps). Locks: `run_batch`.
             let inline = ready
-                && ap.queue.ready.len() == 1
+                && st.queue.ready.len() == 1
                 && (self.mode == ReplicationMode::SrcaOpt || st.holes.may_commit(tid, false))
                 && self.db.cost_model().is_free();
-            let claimed = if inline { ap.queue.pop_ready().map(BatchItem::of) } else { None };
-            self.refresh_apply_gauges(st, &ap);
-            self.unlock_and_wake_applier(ap, ready && !inline);
+            let claimed = if inline { st.queue.pop_ready().map(BatchItem::of) } else { None };
             st.outcomes.record(m.xact, Outcome::Committed);
             self.refresh_gauges(st);
-            // An `inquire` may be parked for this outcome.
-            self.unlock_and_wake(guard);
+            // An `inquire` may be parked for this outcome, an applier for
+            // the entry.
+            self.unlock_and_wake(guard, ready && !inline);
             if let Some((responder, job)) = local_job {
                 let _ = responder.send(Ok(job));
             }
@@ -1363,7 +1336,7 @@ impl ReplicaNode {
                 // the ValidationVerdict above); rollback runs outside.
                 self.auditor.report(&self.journal, EventKind::Abort { xact: m.xact });
             }
-            self.unlock_and_wake(guard);
+            self.unlock_and_wake(guard, false);
             if let Some(p) = pending {
                 p.txn.abort(AbortReason::ValidationFailure);
                 Metrics::inc(&self.metrics.aborts_validation);
@@ -1400,24 +1373,24 @@ impl ReplicaNode {
             // engine transaction. pop_ready pops the smallest ready tid
             // first, so the batch is ascending by construction.
             let batch = {
-                let mut ap = self.apply.lock();
+                let mut st = self.state.lock();
                 loop {
                     if !self.is_alive() {
                         return;
                     }
                     let mut claimed = Vec::new();
                     while claimed.len() < APPLIER_BATCH_MAX {
-                        let Some(e) = ap.queue.pop_ready() else { break };
+                        let Some(e) = st.queue.pop_ready() else { break };
                         claimed.push(BatchItem::of(e));
                     }
                     if !claimed.is_empty() {
                         // What the bound left behind is the next applier's.
-                        if !ap.queue.ready.is_empty() && ap.idle > 0 {
+                        if !st.queue.ready.is_empty() && st.idle > 0 {
                             self.apply_cond.notify_one();
                         }
                         break claimed;
                     }
-                    self.wait_apply(&mut ap);
+                    self.wait_apply(&mut st);
                 }
             };
             self.run_batch(batch, true);
@@ -1451,11 +1424,11 @@ impl ReplicaNode {
         }
         let Some(handle) = self.apply_batch(&batch, wait) else {
             // Back to the ready set (harmless if the replica is down).
-            let mut ap = self.apply.lock();
+            let mut st = self.state.lock();
             for item in &batch {
-                ap.queue.unclaim(item.tid, item.last_ns);
+                st.queue.unclaim(item.tid, item.last_ns);
             }
-            return self.unlock_and_wake_applier(ap, true);
+            return self.unlock_and_wake(st, true);
         };
         for item in &mut batch {
             let done = EventKind::ApplyDone { xact: item.xact, tid: item.tid };
@@ -1463,7 +1436,7 @@ impl ReplicaNode {
             // sirep-lint: allow(journal-gauge-under-lock): same as ApplyStart above — apply is deliberately lock-free; finalize_batch re-enters the lock for the commit records
             item.last_ns = self.auditor.report_ending(&self.journal, done, &applied);
         }
-        self.finalize_batch(batch, handle);
+        self.finalize_batch(&batch, handle);
     }
 
     /// Apply a batch of mutually non-conflicting remote writesets inside
@@ -1504,9 +1477,11 @@ impl ReplicaNode {
         }
     }
 
-    /// Group-commit a batch of applied remote entries: one log force, one
-    /// engine commit, then per-entry protocol bookkeeping in ascending tid
-    /// order under the state lock.
+    /// The commit step of a validated transaction: a group commit of
+    /// applied remote entries, or a local transaction on its session thread
+    /// (adjustment 2) as a batch of one. One log force outside the lock,
+    /// then the engine commit and per-entry protocol bookkeeping in
+    /// ascending tid order under it, atomic with begins.
     ///
     /// The hole rule gates on the batch's *smallest* tid only. Gating on
     /// every member jointly can deadlock two appliers — batch {t1, t5}
@@ -1515,8 +1490,10 @@ impl ReplicaNode {
     /// unbatched commits: the smallest pending tid above the watermark is
     /// always allowed through. Later batch members may open holes, exactly
     /// as an unthrottled single commit may; local begins still gate on
-    /// `holes_exist`, so 1-copy-SI is intact.
-    fn finalize_batch(&self, batch: Vec<BatchItem>, txn: TxnHandle) {
+    /// `holes_exist`, so 1-copy-SI is intact. A committing local still
+    /// counts as running (its session holds its `LocalGuard`), so the rule
+    /// never throttles it.
+    fn finalize_batch(&self, batch: &[BatchItem], txn: TxnHandle) {
         let Some(gate) = batch.first().map(|i| i.tid) else { return };
         // One flush charge for the whole batch — the group-commit saving.
         self.db.cost_model().commit_batch(batch.len());
@@ -1541,41 +1518,34 @@ impl ReplicaNode {
             txn.abort(AbortReason::Shutdown);
             return;
         }
-        // Remote begins are recorded at commit time under the state lock
-        // (see RecordingNotes); batch members don't conflict with each
-        // other, so one begin spanning a sibling's commit is harmless.
-        for item in &batch {
+        // A remote transaction begins here, at its commit and under the
+        // lock, so its begin never spans a conflicting commit (its position
+        // does not matter otherwise: remote readsets are empty, Def. 3).
+        // Batch members don't conflict with each other, so one begin
+        // spanning a sibling's commit is harmless.
+        for item in batch.iter().filter(|item| item.begin_ns.is_none()) {
             self.recorder.on_begin(item.xact);
         }
         let res = txn.commit_quiet();
         debug_assert!(res.is_ok(), "validated batch failed to commit: {res:?}");
-        for item in &batch {
+        for item in batch {
             self.recorder.on_commit(item.xact);
-            // The commit stage includes the hole-rule wait above — that
-            // delay is part of perceived commit latency.
-            self.note_committed(&mut st, item.xact, item.tid, &[(Stage::Commit, item.last_ns)]);
+            self.note_committed(&mut st, item);
         }
         // O(|ws| + released edges) per entry: unblocks successors, which an
         // idle applier is woken for.
-        let mut ap = self.apply.lock();
-        let released: usize = batch.iter().map(|item| ap.queue.remove(item.tid)).sum();
-        self.refresh_apply_gauges(&st, &ap);
-        self.unlock_and_wake_applier(ap, released > 0);
+        let released: usize = batch.iter().map(|item| st.queue.remove(item.tid)).sum();
         self.refresh_gauges(&st);
-        self.unlock_and_wake(st);
+        self.unlock_and_wake(st, released > 0);
     }
 
-    /// Protocol bookkeeping for one database commit, under the state lock:
-    /// advance the hole tracker and report the commit — which ends the
-    /// stages in `ends` —, preceded by the hole-set transition (empty ↔
-    /// nonempty) it caused, if any.
-    fn note_committed(
-        &self,
-        st: &mut NodeState,
-        xact: XactId,
-        tid: GlobalTid,
-        ends: &[(Stage, u64)],
-    ) {
+    /// Protocol bookkeeping for one committed entry, under the lock: advance
+    /// the hole tracker and report the commit — which ends its `commit`
+    /// stage (the hole-rule wait is part of perceived commit latency) and a
+    /// local transaction's `total` —, preceded by the hole-set transition
+    /// (empty ↔ nonempty) it caused, if any.
+    fn note_committed(&self, st: &mut NodeState, item: &BatchItem) {
+        let BatchItem { tid, xact, last_ns, begin_ns, .. } = *item;
         let had_holes = st.holes.holes_exist();
         st.holes.on_committed(tid);
         let transition = match (had_holes, st.holes.holes_exist()) {
@@ -1586,44 +1556,16 @@ impl ReplicaNode {
         if let Some(transition) = transition {
             self.auditor.report(&self.journal, transition);
         }
-        self.auditor.report_ending(&self.journal, EventKind::Commit { xact, tid }, ends);
-    }
-
-    /// Commit a validated *local* transaction on its session thread
-    /// (adjustment 2): log force outside the lock, then the database commit
-    /// and bookkeeping atomically under it. A local transaction sits in the
-    /// hole tracker's running set, so the hole rule never throttles it
-    /// (`may_commit(tid, is_local=true)` is identically true) — no wait
-    /// loop here, unlike [`ReplicaNode::finalize_batch`]. The commit event
-    /// ends the stages in `ends`.
-    fn finalize(
-        &self,
-        tid: GlobalTid,
-        xact: XactId,
-        ws: &WriteSet,
-        txn: TxnHandle,
-        ends: &[(Stage, u64)],
-    ) {
-        self.db.cost_model().commit();
-        let mut st = self.state.lock();
-        if !self.is_alive() {
-            drop(st);
-            txn.abort(AbortReason::Shutdown);
-            return;
-        }
-        self.recorder.on_local_committed(xact, &txn, ws);
-        let res = txn.commit_quiet();
-        debug_assert!(res.is_ok(), "validated transaction failed to commit: {res:?}");
-        self.recorder.on_commit(xact);
-        self.note_committed(&mut st, xact, tid, ends);
-        // O(|ws| + released edges): unblocks successors, which an idle
-        // applier is woken for.
-        let mut ap = self.apply.lock();
-        let released = ap.queue.remove(tid);
-        self.refresh_apply_gauges(&st, &ap);
-        self.unlock_and_wake_applier(ap, released > 0);
-        self.refresh_gauges(&st);
-        self.unlock_and_wake(st);
+        let commit = EventKind::Commit { xact, tid };
+        let ended = (Stage::Commit, last_ns);
+        match begin_ns {
+            Some(begin_ns) => self.auditor.report_ending(
+                &self.journal,
+                commit,
+                &[ended, (Stage::Total, begin_ns)],
+            ),
+            None => self.auditor.report_ending(&self.journal, commit, &[ended]),
+        };
     }
 
     // ---------------------------------------------------------------------
@@ -1659,12 +1601,3 @@ fn replicas_of(view: &View) -> Vec<ReplicaId> {
     replicas.dedup();
     replicas
 }
-
-/// Remote-begin recording note: the begin of a remote transaction at this
-/// replica is recorded in [`ReplicaNode::finalize`] just before its commit,
-/// while the state lock is held. Its exact position does not affect
-/// 1-copy-SI (remote readsets are empty — Def. 3), but it must not span a
-/// conflicting commit, and by recording it at commit time under the lock it
-/// never does.
-#[allow(dead_code)]
-struct RecordingNotes;

@@ -1,16 +1,18 @@
-//! Behavioural tests for the centralized SRCA variants and the [20]
-//! table-lock baseline.
+//! Behavioural tests for the centralized Fig. 1 SRCA and the [20]
+//! table-lock baseline. Adjustments 1–3 run on a `Cluster`: concurrent
+//! replication is `cluster_tests::many_writers_converge_identically`, a
+//! contended `v = v + 1` is `cluster_tests::contended_counter_full_cluster`.
 
 use crate::session::{Connection, System, TxnTemplate};
-use crate::srca::{Srca, SrcaConfig, SrcaVariant};
+use crate::srca::Srca;
 use crate::tablelock::{TableLockCluster, TableLockConfig};
 use sirep_storage::Value;
 use std::time::Duration;
 
 const Q: Duration = Duration::from_secs(10);
 
-fn srca(n: usize, v: SrcaVariant) -> Srca {
-    let s = Srca::new(SrcaConfig::test(n, v));
+fn srca(n: usize) -> Srca {
+    let s = Srca::new(n);
     s.execute_ddl("CREATE TABLE kv (k INT, v INT, PRIMARY KEY (k))").unwrap();
     s
 }
@@ -25,7 +27,7 @@ fn get(sys: &Srca, k: usize, key: i64) -> Option<i64> {
 
 #[test]
 fn serial_variant_replicates() {
-    let sys = srca(3, SrcaVariant::Serial);
+    let sys = srca(3);
     let mut s = sys.session(0);
     s.execute("INSERT INTO kv VALUES (1, 10)").unwrap();
     s.commit().unwrap();
@@ -36,32 +38,8 @@ fn serial_variant_replicates() {
 }
 
 #[test]
-fn hole_sync_variant_replicates_under_concurrency() {
-    let sys = std::sync::Arc::new(srca(3, SrcaVariant::HoleSync));
-    let mut handles = Vec::new();
-    for k in 0..3 {
-        let sys2 = std::sync::Arc::clone(&sys);
-        handles.push(std::thread::spawn(move || {
-            let mut s = sys2.session(k);
-            for i in 0..30 {
-                let key = (k as i64) * 100 + i;
-                s.execute(&format!("INSERT INTO kv VALUES ({key}, {i})")).unwrap();
-                s.commit().unwrap();
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert!(sys.quiesce(Q));
-    for k in 0..3 {
-        assert_eq!(sys.database(k).table_len("kv"), 90, "replica {k} diverged");
-    }
-}
-
-#[test]
 fn serial_variant_certification_aborts_conflicts() {
-    let sys = srca(2, SrcaVariant::Serial);
+    let sys = srca(2);
     {
         let mut s = sys.session(0);
         s.execute("INSERT INTO kv VALUES (1, 0)").unwrap();
@@ -78,37 +56,6 @@ fn serial_variant_certification_aborts_conflicts() {
     assert!(sys.quiesce(Q));
     let v = get(&sys, 0, 1);
     assert_eq!(v, get(&sys, 1, 1));
-}
-
-#[test]
-fn concurrent_commit_variant_survives_contention() {
-    let sys = std::sync::Arc::new(srca(2, SrcaVariant::ConcurrentCommit));
-    {
-        let mut s = sys.session(0);
-        s.execute("INSERT INTO kv VALUES (1, 0)").unwrap();
-        s.commit().unwrap();
-    }
-    assert!(sys.quiesce(Q));
-    let mut handles = Vec::new();
-    for k in 0..2 {
-        let sys2 = std::sync::Arc::clone(&sys);
-        handles.push(std::thread::spawn(move || {
-            let mut s = sys2.session(k);
-            let mut done = 0;
-            while done < 15 {
-                let r = s.execute("UPDATE kv SET v = v + 1 WHERE k = 1").and_then(|_| s.commit());
-                if r.is_ok() {
-                    done += 1;
-                }
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert!(sys.quiesce(Q));
-    assert_eq!(get(&sys, 0, 1), Some(30));
-    assert_eq!(get(&sys, 1, 1), Some(30));
 }
 
 // ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@
 //!   system-wide load, exactly as §6 describes.
 //!
 //! Workloads produce [`TxnTemplate`]s so the same generator can drive both
-//! the statement-transparent systems (SI-Rep, SRCA, centralized) and the
+//! the statement-transparent systems (SI-Rep, centralized) and the
 //! [20] baseline that needs whole pre-declared transactions.
 
 pub mod largedb;
@@ -66,14 +66,6 @@ pub fn setup_centralized(sys: &sirep_core::Centralized, w: &dyn Workload) -> Res
     r
 }
 
-/// Install a workload into the centralized SRCA middleware.
-pub fn setup_srca(sys: &sirep_core::srca::Srca, w: &dyn Workload) -> Result<(), DbError> {
-    for ddl in w.ddl() {
-        sys.execute_ddl(&ddl)?;
-    }
-    sys.load_with(|db| w.populate(db))
-}
-
 /// Install a workload into the [20] table-lock baseline.
 pub fn setup_tablelock(
     sys: &sirep_core::tablelock::TableLockCluster,
@@ -103,7 +95,12 @@ mod runner_tests {
         let sys = Centralized::new(CostModel::free());
         setup_centralized(&sys, &w).unwrap();
         let mut cfg = RunConfig::quick(4, 500.0);
+        // The clock and warm-up of the cluster test below: on `quick`'s
+        // 2 µs model ms the window is 2 ms of wall time, which a busy host
+        // can leave without a single client scheduled.
+        cfg.scale = TimeScale::compressed(10.0);
         cfg.duration_ms = 1_000.0;
+        cfg.warmup_ms = 100.0;
         let res = run(&sys, &w, &cfg);
         assert!(res.committed > 0, "no transactions committed");
         assert!(res.update_rt.count() > 0);

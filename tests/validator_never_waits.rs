@@ -3,7 +3,8 @@
 //! ready remote writeset itself only while no tuple lock stands in the way.
 //! A local transaction holding one sends the writeset to an applier, which
 //! waits in the database instead, and delivery goes on. (tests/
-//! hidden_deadlock.rs shows the deadlock itself, on the centralized `Srca`.)
+//! hidden_deadlock.rs shows the deadlock itself on Fig. 1's `Srca`, and its
+//! resolution on a `Cluster` in both `SrcaOpt` and `SrcaRep`.)
 
 use si_rep::common::{AbortReason, DbError, Metrics};
 use si_rep::core::{Cluster, ClusterConfig, Connection};
