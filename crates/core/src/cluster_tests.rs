@@ -3,7 +3,8 @@
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::model::check_one_copy_si;
 use crate::msg::Outcome;
-use crate::node::{InDoubt, ReplicationMode};
+use crate::node::ReplicationMode;
+use crate::replica::InDoubt;
 use crate::session::Connection;
 use sirep_common::{AbortReason, DbError};
 use sirep_storage::Value;

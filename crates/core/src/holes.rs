@@ -27,7 +27,7 @@ use std::collections::BTreeSet;
 use std::ops::Bound::Excluded;
 
 /// Tracks validated-but-uncommitted tids at one replica.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct HoleTracker {
     /// Validated, not yet committed at this replica, in tid order.
     pending: BTreeSet<GlobalTid>,
@@ -181,8 +181,9 @@ impl HoleTracker {
         self.running_locals
     }
 
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
+    /// The validated-but-uncommitted tids, ascending.
+    pub fn pending(&self) -> impl Iterator<Item = GlobalTid> + '_ {
+        self.pending.iter().copied()
     }
 
     pub fn max_committed(&self) -> GlobalTid {

@@ -8,10 +8,11 @@
 //! | Module | Paper section | Contents |
 //! |---|---|---|
 //! | [`model`] | §2 | SI-schedules, SI-equivalence, the 1-copy-SI criterion and an exact checker |
-//! | [`srca`] | §3 | the centralized SRCA algorithm (Fig. 1), with per-adjustment variants |
+//! | [`srca`] | §3 | the centralized SRCA algorithm (Fig. 1) |
 //! | [`validation`] | §3/§5.3 | `ws_list` certification + distributed garbage collection |
 //! | [`holes`] | §4.3.3 | commit-order holes and start/commit synchronization |
-//! | [`node`], [`cluster`] | §5 | the decentralized SRCA-Rep middleware (Fig. 4) and SRCA-Opt |
+//! | [`replica`], [`tocommit`], `outcomes` | §4–5 | SRCA-Rep's decisions (Fig. 4, adjustments 1–3) as one thread-free state machine, its tocommit queue and its outcome log |
+//! | [`node`], [`cluster`] | §5 | the decentralized SRCA-Rep middleware (Fig. 4) and SRCA-Opt: threads, database and group member around the replica core |
 //! | [`session`] | §5.3–5.4 | JDBC-style sessions, the [`System`]/[`Connection`] abstraction |
 //! | [`centralized`] | §6 | the single-database baseline of the figures |
 //! | [`tablelock`] | §6.3 | the reimplemented table-level-locking protocol of [20] |
@@ -47,10 +48,13 @@ pub mod holes;
 pub mod model;
 pub mod msg;
 pub mod node;
+mod outcomes;
 pub mod recorder;
+pub mod replica;
 pub mod session;
 pub mod srca;
 pub mod tablelock;
+pub mod tocommit;
 pub mod validation;
 
 pub use audit::{
@@ -66,7 +70,8 @@ pub use model::{
     ReplicatedExecution, Schedule, TxSpec, Violation,
 };
 pub use msg::{Outcome, ReplMsg, WsMsg, XactId};
-pub use node::{InDoubt, NodeStatus, ReplicaNode, ReplicationMode, INQUIRE_DEADLINE};
+pub use node::{NodeStatus, ReplicaNode, ReplicationMode, INQUIRE_DEADLINE};
+pub use replica::{InDoubt, ReplicaCore};
 pub use session::{Connection, Session, System, TxnTemplate};
 pub use validation::{CertEntry, WsList};
 

@@ -19,7 +19,7 @@ use sirep_storage::WriteSet;
 use std::sync::Arc;
 
 /// The recorded outcome of a transaction whose writeset reached validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Outcome {
     /// Passed global validation; will commit (or has committed) at every
     /// replica.

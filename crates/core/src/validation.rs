@@ -90,6 +90,18 @@ impl WsList {
         self.entries.is_empty()
     }
 
+    /// The prune watermark: every entry at or below it is gone.
+    pub fn watermark(&self) -> GlobalTid {
+        self.watermark
+    }
+
+    /// The progress each replica advertised, by replica.
+    pub fn progress(&self) -> Vec<(ReplicaId, GlobalTid)> {
+        let mut progress: Vec<_> = self.progress.iter().map(|(&r, &t)| (r, t)).collect();
+        progress.sort();
+        progress
+    }
+
     /// Number of keys tracked by the last-certifier index (bounded by the
     /// total tuple count of live entries; exported as a gauge).
     pub fn index_len(&self) -> usize {
@@ -180,7 +192,7 @@ impl WsList {
         Some((watermark, removed))
     }
 
-    /// Iterate entries with `tid > cert` (test/debug).
+    /// Iterate entries with `tid > cert`.
     pub fn entries_after(&self, cert: GlobalTid) -> impl Iterator<Item = &CertEntry> {
         self.entries.iter().filter(move |e| e.tid > cert)
     }

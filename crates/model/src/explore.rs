@@ -3,9 +3,10 @@
 //! BFS (rather than the classic DFS) costs the same number of state
 //! visits but guarantees the first violation found lies at minimal depth,
 //! so every counterexample trace is already minimal — no separate
-//! shrinking pass. The memo set is a `BTreeSet` keyed on the state's
-//! derived `Ord`, which is the canonical form: two states comparing equal
-//! are behaviorally identical by construction.
+//! shrinking pass. The memo set is a `BTreeSet` of the states' canonical
+//! keys ([`ProtocolModel::key`]); only the frontier holds whole states,
+//! and the arena keeps each visited state's parent and label, from which
+//! a trace is rebuilt by replay.
 
 use crate::{ProtocolModel, TraceEvent, Violation};
 use std::collections::{BTreeSet, VecDeque};
@@ -96,9 +97,9 @@ impl Report {
     }
 }
 
-/// Arena entry: visited state, parent index, and the label that reached
-/// it (`None` only for the root).
-type ArenaEntry<M> = (<M as ProtocolModel>::State, usize, Option<<M as ProtocolModel>::Label>);
+/// Arena entry: a visited state's parent index and the label that
+/// reached it (`None` only for the root).
+type ArenaEntry<M> = (usize, Option<<M as ProtocolModel>::Label>);
 
 impl Explorer {
     /// Exhaustively explore `model`, stopping at the first (minimal)
@@ -109,15 +110,15 @@ impl Explorer {
         scenario: &str,
         mutations: &[String],
     ) -> Report {
-        // Arena of visited states with back-pointers for trace rebuild.
+        // Back-pointers of the visited states, for trace rebuild.
         let mut arena: Vec<ArenaEntry<M>> = Vec::new();
-        let mut memo: BTreeSet<M::State> = BTreeSet::new();
-        let mut frontier: VecDeque<(usize, usize)> = VecDeque::new();
+        let mut memo: BTreeSet<M::Key> = BTreeSet::new();
+        let mut frontier: VecDeque<(M::State, usize, usize)> = VecDeque::new();
 
         let init = model.initial();
-        memo.insert(init.clone());
-        arena.push((init, usize::MAX, None));
-        frontier.push_back((0, 0));
+        memo.insert(model.key(&init));
+        arena.push((usize::MAX, None));
+        frontier.push_back((init, 0, 0));
 
         let mut report = Report {
             scenario: scenario.to_string(),
@@ -129,12 +130,12 @@ impl Explorer {
             violation: None,
         };
 
-        while let Some((idx, depth)) = frontier.pop_front() {
+        while let Some((state, idx, depth)) = frontier.pop_front() {
             report.max_depth = report.max_depth.max(depth);
-            let labels = model.enabled(&arena[idx].0);
+            let labels = model.enabled(&state);
             if labels.is_empty() {
                 report.terminals += 1;
-                let viols = model.terminal_check(&arena[idx].0);
+                let viols = model.terminal_check(&state);
                 if !viols.is_empty() {
                     report.violation = Some(build_counterexample(
                         model, &arena, idx, None, viols, scenario, mutations, true,
@@ -148,7 +149,7 @@ impl Explorer {
                 continue;
             }
             for label in labels {
-                let (succ, viols, _events) = model.apply(&arena[idx].0, &label);
+                let (succ, viols, _events) = model.apply(&state, &label);
                 report.transitions += 1;
                 if !viols.is_empty() {
                     report.violation = Some(build_counterexample(
@@ -163,10 +164,10 @@ impl Explorer {
                     ));
                     return report;
                 }
-                if memo.insert(succ.clone()) {
+                if memo.insert(model.key(&succ)) {
                     report.states += 1;
-                    arena.push((succ, idx, Some(label)));
-                    frontier.push_back((arena.len() - 1, depth + 1));
+                    arena.push((idx, Some(label)));
+                    frontier.push_back((succ, arena.len() - 1, depth + 1));
                 }
             }
         }
@@ -190,7 +191,7 @@ fn build_counterexample<M: ProtocolModel>(
     let mut labels: Vec<M::Label> = Vec::new();
     let mut cur = end;
     while cur != 0 {
-        let (_, parent, label) = &arena[cur];
+        let (parent, label) = &arena[cur];
         labels.push(label.clone().expect("non-root arena entries carry a label"));
         cur = *parent;
     }

@@ -1,13 +1,16 @@
 //! # sirep-model: bounded exhaustive model checking for SRCA-Rep
 //!
-//! A pure-Rust, dependency-free state-space explorer (same spirit as
-//! `sirep-lint`) that enumerates **every** interleaving of a small scope —
-//! 2–3 transactions over 2–3 replicas — of an abstracted SRCA-Rep state
-//! machine: begin (with the §4.3.3 hole wait), local validation
-//! (adjustment 1), total-order multicast, certification, group-commit
-//! apply with the smallest-tid hole gate, the certification-free
-//! read-only fast path, hole open/close/sync (adjustment 3), crash,
-//! in-doubt resolution, and recovery.
+//! A pure-Rust state-space explorer (same spirit as `sirep-lint`) that
+//! enumerates **every** interleaving of a small scope — 2–4 transactions
+//! over 2–3 replicas — of SRCA-Rep. The replicas are sirep-core's own
+//! [`ReplicaCore`](sirep_core::ReplicaCore), the state machine the running
+//! node drives; the model supplies only the environment: clients, the
+//! total-order log, each replica's committed versions, crash and recovery.
+//! Transitions call the core the way `node.rs` does, one lock hold each:
+//! begin (with the §4.3.3 hole wait), local validation (adjustment 1),
+//! total-order multicast, certification, applier claims and group commits
+//! under the smallest-tid hole gate, the certification-free read-only fast
+//! path, crash, in-doubt resolution, and recovery by state transfer.
 //!
 //! Exploration is breadth-first with canonical-state memoization and a
 //! depth bound, so the first violation found is a **minimal**
@@ -46,9 +49,9 @@
 //!
 //! Determinism is load-bearing: two runs over the same scope must produce
 //! identical state counts and identical traces. The crate therefore uses
-//! only ordered collections (`BTreeMap`/`BTreeSet`/`Vec`), never reads
-//! clocks or RNGs, and is covered by `lint.toml`'s
-//! `no-ambient-nondeterminism` rule.
+//! only ordered collections, never reads clocks or RNGs, passes every
+//! journal stamp as 0, and — like `core/src/replica.rs` — is covered by
+//! `lint.toml`'s `no-ambient-nondeterminism` rule.
 
 pub mod explore;
 pub mod scenarios;
@@ -115,6 +118,13 @@ pub struct Violation {
     pub detail: String,
 }
 
+impl Violation {
+    #[must_use]
+    pub fn of(prop: Prop, detail: String) -> Violation {
+        Violation { prop, detail }
+    }
+}
+
 /// One journal-vocabulary event produced by a model transition: the
 /// replica it would be recorded at, and the event itself.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,13 +140,16 @@ pub struct TraceEvent {
 /// enumerate in a deterministic order. The sharded-certification variant
 /// (ROADMAP item 2) implements this same trait.
 pub trait ProtocolModel {
-    /// Canonical state: `Ord` doubles as the memoization key, so two
-    /// states comparing equal must be behaviorally identical.
-    type State: Clone + Ord + std::fmt::Debug;
+    type State: Clone;
+    /// A state's canonical form, the memoization key: two states with
+    /// equal keys must be behaviorally identical.
+    type Key: Ord;
     /// A transition label, used to rebuild counterexample traces.
     type Label: Clone + std::fmt::Debug;
 
     fn initial(&self) -> Self::State;
+
+    fn key(&self, s: &Self::State) -> Self::Key;
 
     /// All transitions enabled in `s`, in a deterministic order.
     fn enabled(&self, s: &Self::State) -> Vec<Self::Label>;

@@ -1,22 +1,26 @@
-//! The abstracted SRCA-Rep state machine.
+//! The SRCA-Rep model: sirep-core's [`ReplicaCore`] in an abstract
+//! environment. One [`State`] is the total-order log, one [`Replica`] per
+//! replica (the shipped core plus its shell's liveness, delivery cursor,
+//! claimed batches and committed tids) and one [`TxnState`] per client.
+//! Transitions call the core the way `node.rs` does, one lock hold each
+//! (DESIGN.md §17: the exceptions and the soundness argument); the replica
+//! events of a trace are the core's own. Storage, the network and the
+//! clients stay abstract.
 //!
-//! One [`State`] is a global configuration: the total-order log (the
-//! sequencer's view), one [`RepState`] per replica (certification list,
-//! tocommit queue, claimed applier batches, hole tracker, prune
-//! watermark), and one [`TxnState`] per client transaction. Transitions
-//! mirror `sirep-core`'s real steps at the granularity of its lock holds:
-//! everything the node does under one state-lock hold is one atomic model
-//! transition (see DESIGN.md §17 for the soundness argument).
-//!
-//! [`Mutation`]s are seeded faults in the abstract protocol used by the
-//! conformance self-tests: each must produce a counterexample, proving
-//! the explorer is fail-closed. Two of them (`NonatomicBeginSnapshot`,
-//! `EagerInquire`) are exact abstractions of real bugs this model found
-//! in `sirep-core` (fixed in the same change that introduced this crate).
+//! [`Mutation`]s are seeded faults: each must produce a counterexample,
+//! proving the explorer fail-closed. None is a knob in the core — the
+//! environment skips a gate the shell asks, or misbehaves itself. Two
+//! (`NonatomicBeginSnapshot`, `EagerInquire`) are exact abstractions of
+//! real bugs this model found in `sirep-core`.
 
 use crate::{Prop, ProtocolModel, TraceEvent, Violation};
-use sirep_common::{EventKind, GlobalTid, ReplicaId, XactId};
+use sirep_common::{EventKind, GlobalTid, MemberId, ReplicaId, XactId};
+use sirep_core::msg::{Outcome, WsMsg};
+use sirep_core::replica::{CoreKey, InDoubt, ReplicaCore};
+use sirep_gcs::View;
+use sirep_storage::{Key, WriteSet, WsOp};
 use std::collections::BTreeSet;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Replica index (dense, `0..scenario.replicas`).
@@ -82,11 +86,13 @@ fn ws_name(ws: u8) -> String {
 /// require every mutation to yield a counterexample (fail-closed proof).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Mutation {
-    /// Global validation always passes — certification is skipped.
-    /// Expected: P2 (two concurrent conflicting writers both commit).
+    /// Global validation always passes — the environment hands the core
+    /// "passed" without asking it to certify. Expected: P2 (two
+    /// concurrent conflicting writers both commit).
     SkipCertification,
     /// Begins never wait for holes and the group-commit gate is always
-    /// open — exactly the SRCA-Opt ablation (§4.3.2 / Fig. 7).
+    /// open — the environment never asks the core's gates, exactly the
+    /// SRCA-Opt ablation (§4.3.2 / Fig. 7) with the core still gated.
     /// Expected: P1 (a begin observes a snapshot with a hole).
     DropHoleGate,
     /// Local commit-time conflict detection against already-committed
@@ -98,8 +104,8 @@ pub enum Mutation {
     /// the shape of the real pre-fix `SrcaOpt` begin bug. Expected: P3.
     NonatomicBeginSnapshot,
     /// In-doubt resolution answers "committed" from the outcome log as
-    /// soon as the verdict is known, before the writeset is committed at
-    /// the answering replica — the shape of the real pre-fix `inquire`
+    /// soon as the verdict is known, without the queue check of
+    /// `ReplicaCore::inquire` — the shape of the real pre-fix `inquire`
     /// bug. Expected: P7.
     EagerInquire,
 }
@@ -142,8 +148,9 @@ pub enum Phase {
     /// Blocked in begin until the origin has no holes (§4.3.3).
     WaitingBegin,
     /// `NonatomicBeginSnapshot` only: the engine snapshot is taken but
-    /// the watermark not yet recorded (the pre-fix race window).
-    SnapTaken,
+    /// the watermark not yet recorded (the pre-fix race window); `true`:
+    /// the begin had waited for holes.
+    SnapTaken(bool),
     Active,
     /// Writeset multicast; waiting for the total-order verdict.
     Submitted,
@@ -167,111 +174,24 @@ pub enum LogEntry {
     Join { rep: Rep },
 }
 
-/// One tocommit-queue entry at one replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct QEntry {
-    pub tid: Tid,
-    pub txn: Txn,
-    pub ws: u8,
-    /// A local entry owned by its session thread (appliers skip it).
-    pub local_running: bool,
-    /// Claimed by an applier batch (still blocks conflicting successors
-    /// until the commit removes it — mirrors the real queue).
-    pub claimed: bool,
-}
-
-/// One replica's protocol state.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct RepState {
+/// One replica: its core, and what its shell holds.
+#[derive(Clone)]
+pub struct Replica {
     pub alive: bool,
     /// How many log entries this replica has processed.
     pub delivered: u8,
-    /// Group view as a replica bitmask.
-    pub view: u8,
-    /// Next dense tid this replica will assign (identical everywhere —
-    /// P5 checks it).
-    pub next_tid: Tid,
-    /// Certification list: validated `(tid, ws)`, pruned from the front.
-    pub wslist: Vec<(Tid, u8)>,
-    /// Tocommit queue in ascending tid order.
-    pub queue: Vec<QEntry>,
+    /// Shared between states until a transition changes it.
+    pub core: Rc<ReplicaCore>,
     /// Claimed, uncommitted applier batches (ascending tids each).
     pub batches: Vec<Vec<Tid>>,
-    /// Validated-but-uncommitted tids (the hole tracker's pending set).
-    pub pending: Vec<Tid>,
-    /// Highest tid committed here (the hole tracker's frontier).
-    pub max_committed: Tid,
-    /// ws_list prune watermark (monotone).
-    pub watermark: Tid,
-    /// Per-origin progress promise (highest cert seen from each replica).
-    pub adverts: Vec<Tid>,
+    /// The tids its database committed (bit `tid`): the versions
+    /// first-updater-wins reads.
+    pub committed: u32,
 }
 
-impl RepState {
-    fn new(replicas: u8) -> RepState {
-        RepState {
-            alive: true,
-            delivered: 0,
-            view: (1u16 << replicas).wrapping_sub(1) as u8,
-            next_tid: 1,
-            wslist: Vec::new(),
-            queue: Vec::new(),
-            batches: Vec::new(),
-            pending: Vec::new(),
-            max_committed: 0,
-            watermark: 0,
-            adverts: vec![0; replicas as usize],
-        }
-    }
-
-    /// Some pending tid sits below the commit frontier.
-    #[must_use]
-    pub fn holes_exist(&self) -> bool {
-        self.pending.first().is_some_and(|&p| p < self.max_committed)
-    }
-
-    /// Would committing `tid` now create a *new* hole? (HoleTracker
-    /// semantics: some pending tid strictly between the frontier and
-    /// `tid`.)
-    #[must_use]
-    pub fn creates_new_hole(&self, tid: Tid) -> bool {
-        tid > self.max_committed && self.pending.iter().any(|&p| p > self.max_committed && p < tid)
-    }
-
-    /// `tid` has been validated and committed at this replica.
-    #[must_use]
-    pub fn committed_contains(&self, tid: Tid) -> bool {
-        tid >= 1 && tid < self.next_tid && !self.pending.contains(&tid)
-    }
-
-    /// Queue indices eligible for an applier claim, in ascending tid
-    /// order: unclaimed, not session-owned, and not conflicting with any
-    /// earlier entry still in the queue (claimed or not) — the blocker
-    /// semantics of the real `TocommitQueue`.
-    fn ready(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (i, e) in self.queue.iter().enumerate() {
-            if e.claimed || e.local_running {
-                continue;
-            }
-            let blocked = self.queue[..i].iter().any(|f| f.ws & e.ws != 0);
-            if !blocked {
-                out.push(i);
-            }
-        }
-        out
-    }
-
-    /// Commit `tid` here: drop it from pending and advance the frontier.
-    /// Returns `(had_holes, has_holes)` for journal rendering.
-    fn commit_tid(&mut self, tid: Tid) -> (bool, bool) {
-        let had = self.holes_exist();
-        self.pending.retain(|&p| p != tid);
-        if tid > self.max_committed {
-            self.max_committed = tid;
-        }
-        self.queue.retain(|e| e.tid != tid);
-        (had, self.holes_exist())
+impl Replica {
+    fn has_committed(&self, tid: Tid) -> bool {
+        self.committed & (1 << tid) != 0
     }
 }
 
@@ -291,40 +211,24 @@ pub struct TxnState {
 }
 
 /// One global configuration of the model.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone)]
 pub struct State {
     pub log: Vec<LogEntry>,
     /// Verdict registry parallel to `log`: the first replica to validate
     /// entry `i` records `(passed, tid)`; later replicas must agree (P5).
     pub verdicts: Vec<Option<(bool, Tid)>>,
-    pub reps: Vec<RepState>,
+    pub reps: Vec<Replica>,
     pub txns: Vec<TxnState>,
     pub crashes: u8,
 }
 
+/// A replica as the explorer memoizes it: its core by [`ReplicaCore::key`].
+type ReplicaKey = (bool, u8, Vec<Vec<Tid>>, u32, CoreKey);
+
+/// [`State`] as the explorer memoizes it.
+pub type StateKey = (Vec<LogEntry>, Vec<Option<(bool, Tid)>>, Vec<ReplicaKey>, Vec<TxnState>, u8);
+
 impl State {
-    /// Local transactions of `origin` blocked in begin (the paper's set A).
-    fn waiting(&self, scenario: &Scenario, origin: Rep) -> usize {
-        self.txns
-            .iter()
-            .enumerate()
-            .filter(|(i, t)| scenario.txns[*i].origin == origin && t.phase == Phase::WaitingBegin)
-            .count()
-    }
-
-    /// Local transactions of `origin` begun and not yet finished (the
-    /// paper's set B — they may hold engine tuple locks).
-    fn running(&self, scenario: &Scenario, origin: Rep) -> usize {
-        self.txns
-            .iter()
-            .enumerate()
-            .filter(|(i, t)| {
-                scenario.txns[*i].origin == origin
-                    && matches!(t.phase, Phase::Active | Phase::Submitted)
-            })
-            .count()
-    }
-
     /// Log index of transaction `t`'s writeset entry, if multicast.
     fn ws_index(&self, t: Txn) -> Option<usize> {
         self.log.iter().position(|e| matches!(e, LogEntry::Ws { txn, .. } if *txn == t))
@@ -332,16 +236,18 @@ impl State {
 
     /// The writeset of an assigned tid (via the verdict registry).
     fn ws_of_tid(&self, scenario: &Scenario, tid: Tid) -> u8 {
-        for (i, v) in self.verdicts.iter().enumerate() {
-            if let Some((true, t)) = v {
-                if *t == tid {
-                    if let LogEntry::Ws { txn, .. } = self.log[i] {
-                        return scenario.txns[txn as usize].ws;
-                    }
-                }
+        let ws = |(v, e): (&Option<(bool, Tid)>, &LogEntry)| match (*v, *e) {
+            (Some((true, t)), LogEntry::Ws { txn, .. }) if t == tid => {
+                Some(scenario.txns[txn as usize].ws)
             }
-        }
-        0
+            _ => None,
+        };
+        self.verdicts.iter().zip(&self.log).find_map(ws).unwrap_or(0)
+    }
+
+    /// The replica's core, to change it.
+    fn core(&mut self, r: Rep) -> &mut ReplicaCore {
+        Rc::make_mut(&mut self.reps[r as usize].core)
     }
 }
 
@@ -379,18 +285,30 @@ pub enum Label {
     Recover(Rep, Rep),
 }
 
-/// The abstract SRCA-Rep model: a scenario plus an optional set of
-/// seeded mutations.
+/// Outcome-log capacity of a model core: more than any scope delivers.
+const OUTCOME_CAP: usize = 64;
+
+type Events = Vec<TraceEvent>;
+
+/// `kinds` as events at replica `r`.
+fn at(r: Rep, kinds: impl IntoIterator<Item = EventKind>) -> impl Iterator<Item = TraceEvent> {
+    kinds.into_iter().map(move |kind| TraceEvent { replica: r, kind })
+}
+
+/// The SRCA-Rep model: a scenario plus an optional set of seeded
+/// mutations.
 #[derive(Debug, Clone)]
 pub struct SrcaModel {
     pub scenario: Scenario,
     pub mutations: BTreeSet<Mutation>,
+    /// Each transaction's writeset: a row of table `t` per key bit.
+    writesets: Vec<Arc<WriteSet>>,
 }
 
 impl SrcaModel {
     #[must_use]
     pub fn new(scenario: Scenario) -> SrcaModel {
-        SrcaModel { scenario, mutations: BTreeSet::new() }
+        SrcaModel::with_mutations(scenario, [])
     }
 
     #[must_use]
@@ -398,7 +316,18 @@ impl SrcaModel {
         scenario: Scenario,
         mutations: impl IntoIterator<Item = Mutation>,
     ) -> SrcaModel {
-        SrcaModel { scenario, mutations: mutations.into_iter().collect() }
+        let writesets = scenario
+            .txns
+            .iter()
+            .map(|t| {
+                let mut ws = WriteSet::new();
+                for k in (0..8i64).filter(|k| t.ws & (1 << k) != 0) {
+                    ws.push(Arc::from("t"), Key::single(k), WsOp::Delete);
+                }
+                Arc::new(ws)
+            })
+            .collect();
+        SrcaModel { scenario, mutations: mutations.into_iter().collect(), writesets }
     }
 
     fn has(&self, m: Mutation) -> bool {
@@ -417,41 +346,46 @@ impl SrcaModel {
         self.scenario.txns[t as usize].origin
     }
 
-    /// The model is of SRCA-Rep, so every begin claims to be hole-gated —
-    /// also under `DropHoleGate`, which is a *fault* in that protocol, not
-    /// an honest SRCA-Opt run: the journal says "gated" and the begin is not.
-    fn tx_begin(&self, t: Txn) -> EventKind {
-        EventKind::TxBegin { xact: self.xact(t), gated: true }
+    /// The transaction that validated as `tid`.
+    fn xact_of_tid(&self, s: &State, tid: Tid) -> XactId {
+        let t = s.txns.iter().position(|tx| tx.tid == tid).unwrap_or_default();
+        self.xact(t as Txn)
     }
 
-    /// The §4.3.3 commit rule, mirroring `HoleTracker::may_commit`.
-    fn may_commit(&self, s: &State, r: Rep, tid: Tid) -> bool {
-        if self.has(Mutation::DropHoleGate) {
-            return true;
+    /// The view a `View` or `Join` entry at log index `idx` installs:
+    /// everyone at incarnation 0, minus the crashed, plus each re-joined
+    /// replica's next incarnation; ids grow with the log.
+    fn view_at(&self, s: &State, idx: usize) -> View {
+        let member = |r: Rep, incarnation: u64| MemberId::of(u64::from(r), incarnation);
+        let mut members: Vec<MemberId> =
+            (0..self.scenario.replicas).map(|r| member(r, 0)).collect();
+        let mut joins = [0u64; 8];
+        for entry in &s.log[..=idx] {
+            match *entry {
+                LogEntry::View { crashed } => {
+                    members.retain(|m| m.replica() != ReplicaId::new(u64::from(crashed)));
+                }
+                LogEntry::Join { rep } => {
+                    joins[rep as usize] += 1;
+                    members.push(member(rep, joins[rep as usize]));
+                }
+                LogEntry::Ws { .. } => {}
+            }
         }
-        let rep = &s.reps[r as usize];
-        s.waiting(&self.scenario, r) == 0
-            || s.running(&self.scenario, r) > 0
-            || !rep.creates_new_hole(tid)
+        View { id: idx as u64 + 2, members }
     }
 
-    /// P1: the snapshot `{1..snap}` at `r` must be a committed prefix —
-    /// no pending tid at or below the frontier the snapshot reflects.
-    fn check_snapshot_prefix(&self, s: &State, r: Rep, snap: Tid, t: Txn) -> Vec<Violation> {
-        let rep = &s.reps[r as usize];
-        let hole: Vec<Tid> = rep.pending.iter().copied().filter(|&p| p <= snap).collect();
+    /// P1: the snapshot taken at `r` now must be a prefix `{1..snap}` of
+    /// the commit order — no pending tid at or below the frontier.
+    fn check_snapshot_prefix(&self, s: &State, r: Rep, t: Txn) -> Vec<Violation> {
+        let holes = s.reps[r as usize].core.holes();
+        let snap = holes.max_committed();
+        let hole: Vec<Tid> = holes.pending().filter(|&p| p <= snap).map(GlobalTid::raw).collect();
         if hole.is_empty() {
-            Vec::new()
-        } else {
-            vec![Violation {
-                prop: Prop::SnapshotPrefix,
-                detail: format!(
-                    "T{t} began at R{r} with snapshot {snap} while tids {hole:?} are \
-                     validated but uncommitted there — the snapshot is not a prefix \
-                     of the commit order (1-copy-SI broken)"
-                ),
-            }]
+            return Vec::new();
         }
+        let detail = format!("T{t} began at R{r} with snapshot {snap} while {hole:?} are pending");
+        vec![Violation::of(Prop::SnapshotPrefix, detail)]
     }
 
     /// P2: no two concurrent committed writers on the same key. Checked
@@ -465,78 +399,146 @@ impl SrcaModel {
             }
             let concurrent = s.txns[t as usize].db_snapshot < other.tid && other.db_snapshot < tid;
             if concurrent && self.ws(o) & self.ws(t) != 0 {
-                out.push(Violation {
-                    prop: Prop::FirstCommitterWins,
-                    detail: format!(
-                        "T{t} (tid {tid}, snapshot {}) and T{o} (tid {}, snapshot {}) are \
-                         concurrent, write intersecting keys, and both passed validation \
-                         — first-committer-wins is broken",
-                        s.txns[t as usize].db_snapshot, other.tid, other.db_snapshot
-                    ),
-                });
+                let detail = format!("T{t} and T{o} are concurrent, share a key and both passed");
+                out.push(Violation::of(Prop::FirstCommitterWins, detail));
             }
         }
         out
     }
 
-    /// Begin bookkeeping shared by `Begin`/`Resume`: take the snapshot
-    /// (atomically, or just the engine half under the nonatomic mutant).
-    fn do_begin(&self, s: &mut State, t: Txn) -> (Vec<Violation>, Vec<TraceEvent>) {
+    /// P6 for a batch about to commit at `r`: no member may open a new hole
+    /// while a begin waits and no local runs (§4.3.3). Members commit in
+    /// ascending order, so each one's frontier is the previous member's.
+    fn check_hole_discipline(&self, s: &State, r: Rep, batch: &[Tid]) -> Vec<Violation> {
+        let holes = s.reps[r as usize].core.holes();
+        if holes.waiting_to_start() == 0 || holes.running_locals() > 0 {
+            return Vec::new();
+        }
+        let mut frontier = holes.max_committed().raw();
+        let mut out = Vec::new();
+        for &tid in batch {
+            if holes.pending().any(|p| frontier < p.raw() && p.raw() < tid) {
+                let detail =
+                    format!("R{r} committed {tid} of {batch:?}, opening a hole for a begin");
+                out.push(Violation::of(Prop::HoleDiscipline, detail));
+            }
+            frontier = frontier.max(tid);
+        }
+        out
+    }
+
+    /// Take the engine snapshot for `t` (a `Begin` that need not wait, or a
+    /// `Resume`), and record the watermark with it — or later, under the
+    /// nonatomic mutant.
+    fn begin(&self, s: &mut State, t: Txn, waited: bool, events: &mut Events) -> Vec<Violation> {
         let r = self.origin(t);
-        let snap = s.reps[r as usize].max_committed;
-        let viols = self.check_snapshot_prefix(s, r, snap, t);
-        let tx = &mut s.txns[t as usize];
-        tx.db_snapshot = snap;
+        let viols = self.check_snapshot_prefix(s, r, t);
+        s.txns[t as usize].db_snapshot = s.reps[r as usize].core.holes().max_committed().raw();
         if self.has(Mutation::NonatomicBeginSnapshot) {
-            // The race window: the engine snapshot exists but the
-            // watermark is recorded by a later `Record` transition.
-            tx.phase = Phase::SnapTaken;
-            (viols, Vec::new())
+            s.txns[t as usize].phase = Phase::SnapTaken(waited);
         } else {
-            tx.snapshot = snap;
-            tx.phase = Phase::Active;
-            (viols, vec![TraceEvent { replica: r, kind: self.tx_begin(t) }])
+            self.record(s, t, waited, events);
+        }
+        viols
+    }
+
+    /// The core's begin: the recorded watermark and `TxBegin`.
+    fn record(&self, s: &mut State, t: Txn, waited: bool, events: &mut Events) {
+        let r = self.origin(t);
+        let (snapshot, begin) = s.core(r).begin(self.xact(t), waited);
+        let tx = &mut s.txns[t as usize];
+        tx.snapshot = snapshot.raw();
+        tx.phase = Phase::Active;
+        events.extend(at(r, [begin]));
+    }
+
+    /// Commit `batch` at `r` through the core, as `finalize_batch` does:
+    /// the database commits the tids, the core reports each one's hole
+    /// transition and commit.
+    fn commit(&self, s: &mut State, r: Rep, batch: &[Tid], events: &mut Events) {
+        let entries: Vec<(GlobalTid, XactId)> =
+            batch.iter().map(|&tid| (GlobalTid::new(tid), self.xact_of_tid(s, tid))).collect();
+        let (commits, _) = s.core(r).commit(entries);
+        for (transition, commit) in commits {
+            events.extend(at(r, transition.into_iter().chain([commit])));
+        }
+        for &tid in batch {
+            s.reps[r as usize].committed |= 1 << tid;
         }
     }
 
-    /// Commit `tid` at replica `r`, emitting hole + commit events the way
-    /// the real node journals them.
-    fn do_commit(&self, s: &mut State, r: Rep, tid: Tid, events: &mut Vec<TraceEvent>) {
-        let txn = s
-            .txns
-            .iter()
-            .position(|tx| tx.tid == tid)
-            .map_or_else(|| XactId::new(ReplicaId::new(u64::from(r)), 99), |i| self.xact(i as Txn));
-        let (had, has) = s.reps[r as usize].commit_tid(tid);
-        if !had && has {
-            events.push(TraceEvent {
-                replica: r,
-                kind: EventKind::HoleOpened { tid: GlobalTid::new(tid) },
-            });
-        } else if had && !has {
-            events.push(TraceEvent {
-                replica: r,
-                kind: EventKind::HoleClosed { tid: GlobalTid::new(tid) },
-            });
+    /// A local transaction of `t`'s origin ended without committing.
+    fn abort(&self, s: &mut State, t: Txn) {
+        s.txns[t as usize].phase = Phase::Aborted;
+        s.core(self.origin(t)).local_finished();
+    }
+
+    /// Process log entry `idx` at `r`.
+    fn deliver(&self, s: &mut State, r: Rep, idx: usize, events: &mut Events) -> Vec<Violation> {
+        let LogEntry::Ws { txn: t, cert } = s.log[idx] else {
+            let view = self.view_at(s, idx);
+            events.extend(at(r, s.core(r).view_change(view)));
+            return Vec::new();
+        };
+        let m = WsMsg {
+            origin: ReplicaId::new(u64::from(self.origin(t))),
+            xact: self.xact(t),
+            cert: GlobalTid::new(cert),
+            ws: Arc::clone(&self.writesets[t as usize]),
+        };
+        let core = s.core(r);
+        let passed = self.has(Mutation::SkipCertification) || core.passes(m.cert, &m.ws);
+        let Some(d) = core.deliver(&m, passed, 0, false) else { return Vec::new() };
+        let watermark = core.ws_list().watermark().raw();
+        events.extend(at(r, d.events));
+        if d.tid.is_none() && d.local.is_some() {
+            self.abort(s, t);
         }
-        events.push(TraceEvent {
-            replica: r,
-            kind: EventKind::Commit { xact: txn, tid: GlobalTid::new(tid) },
-        });
+        let mut viols = Vec::new();
+        // P4: certifying below the watermark means pruned entries were not
+        // checked.
+        if cert < watermark {
+            let detail = format!("R{r} certified T{t} at cert {cert}, below watermark {watermark}");
+            viols.push(Violation::of(Prop::WatermarkSoundness, detail));
+        }
+        // P5: every replica must reach the same verdict and assign the same
+        // tid (Thm 1).
+        let tid = d.tid.map_or(0, GlobalTid::raw);
+        match s.verdicts[idx] {
+            None => {
+                s.verdicts[idx] = Some((passed, tid));
+                if passed {
+                    s.txns[t as usize].tid = tid;
+                    viols.extend(self.check_first_committer_wins(s, t, tid));
+                }
+            }
+            Some((p0, t0)) if p0 != passed || (passed && t0 != tid) => {
+                let detail =
+                    format!("R{r} decided ({passed}, {tid}) for T{t}, another ({p0}, {t0})");
+                viols.push(Violation::of(Prop::VerdictAgreement, detail));
+            }
+            Some(_) => {}
+        }
+        viols
     }
 }
 
 impl ProtocolModel for SrcaModel {
     type State = State;
+    type Key = StateKey;
     type Label = Label;
 
     fn initial(&self) -> State {
+        let mut core = ReplicaCore::new(true, OUTCOME_CAP);
+        let members = (0..self.scenario.replicas).map(|r| MemberId::of(u64::from(r), 0)).collect();
+        core.view_change(View { id: 1, members });
+        let core = Rc::new(core);
+        let replica =
+            Replica { alive: true, delivered: 0, core, batches: Vec::new(), committed: 0 };
         State {
             log: Vec::new(),
             verdicts: Vec::new(),
-            reps: (0..self.scenario.replicas)
-                .map(|_| RepState::new(self.scenario.replicas))
-                .collect(),
+            reps: vec![replica; usize::from(self.scenario.replicas)],
             txns: vec![
                 TxnState {
                     phase: Phase::NotStarted,
@@ -551,19 +553,24 @@ impl ProtocolModel for SrcaModel {
         }
     }
 
-    #[allow(clippy::too_many_lines)]
+    fn key(&self, s: &State) -> StateKey {
+        let rep =
+            |r: &Replica| (r.alive, r.delivered, r.batches.clone(), r.committed, r.core.key());
+        let reps = s.reps.iter().map(rep).collect();
+        (s.log.clone(), s.verdicts.clone(), reps, s.txns.clone(), s.crashes)
+    }
+
     fn enabled(&self, s: &State) -> Vec<Label> {
         let mut out = Vec::new();
         for (i, tx) in s.txns.iter().enumerate() {
             let t = i as Txn;
-            let r = self.origin(t);
-            let rep = &s.reps[r as usize];
+            let rep = &s.reps[self.origin(t) as usize];
             match tx.phase {
                 Phase::NotStarted if rep.alive => out.push(Label::Begin(t)),
-                Phase::WaitingBegin if rep.alive && !rep.holes_exist() => {
+                Phase::WaitingBegin if rep.alive && !rep.core.holes_exist() => {
                     out.push(Label::Resume(t));
                 }
-                Phase::SnapTaken if rep.alive => out.push(Label::Record(t)),
+                Phase::SnapTaken(_) if rep.alive => out.push(Label::Record(t)),
                 Phase::Active if rep.alive => {
                     if self.ws(t) == 0 {
                         out.push(Label::RoCommit(t));
@@ -575,26 +582,22 @@ impl ProtocolModel for SrcaModel {
                     // The session thread may commit once the origin has
                     // validated the writeset with a pass verdict.
                     if let Some(idx) = s.ws_index(t) {
-                        if usize::from(rep.delivered) > idx {
-                            if let Some((true, _)) = s.verdicts[idx] {
-                                out.push(Label::LocalCommit(t));
-                            }
+                        if usize::from(rep.delivered) > idx
+                            && matches!(s.verdicts[idx], Some((true, _)))
+                        {
+                            out.push(Label::LocalCommit(t));
                         }
                     }
                 }
                 Phase::InDoubt => {
-                    if let Some(idx) = s.ws_index(t) {
-                        for (k, rep2) in s.reps.iter().enumerate() {
-                            if !rep2.alive || usize::from(rep2.delivered) <= idx {
-                                continue;
-                            }
-                            let Some((passed, tid)) = s.verdicts[idx] else { continue };
-                            let visible = !passed
-                                || rep2.committed_contains(tid)
-                                || self.has(Mutation::EagerInquire);
-                            if visible {
-                                out.push(Label::Resolve(t, k as Rep));
-                            }
+                    for (k, rep2) in s.reps.iter().enumerate().filter(|(_, r)| r.alive) {
+                        let answered = if self.has(Mutation::EagerInquire) {
+                            rep2.core.outcome(self.xact(t)).is_some()
+                        } else {
+                            matches!(rep2.core.inquire(self.xact(t)), Some(InDoubt::Known(_)))
+                        };
+                        if answered {
+                            out.push(Label::Resolve(t, k as Rep));
                         }
                     }
                 }
@@ -617,13 +620,13 @@ impl ProtocolModel for SrcaModel {
                 out.push(Label::Deliver(r));
             }
             if rep.batches.len() < usize::from(self.scenario.max_appliers) {
-                let ready = rep.ready().len();
-                for kk in 1..=ready {
+                for kk in 1..=rep.core.sizes().ready {
                     out.push(Label::Claim(r, kk as u8));
                 }
             }
             for (b, batch) in rep.batches.iter().enumerate() {
-                if self.may_commit(s, r, batch[0]) {
+                let gate = GlobalTid::new(batch[0]);
+                if self.has(Mutation::DropHoleGate) || rep.core.may_commit(gate) {
                     out.push(Label::GroupCommit(r, b as u8));
                 }
             }
@@ -645,66 +648,50 @@ impl ProtocolModel for SrcaModel {
             Label::Begin(t) => {
                 let r = self.origin(t);
                 let gated = !self.has(Mutation::DropHoleGate);
-                if gated && s.reps[r as usize].holes_exist() {
+                if gated && s.reps[r as usize].core.holes_exist() {
+                    s.core(r).wait_begin();
                     s.txns[t as usize].phase = Phase::WaitingBegin;
                 } else {
-                    let (v, e) = self.do_begin(&mut s, t);
-                    viols = v;
-                    events = e;
+                    viols = self.begin(&mut s, t, false, &mut events);
                 }
             }
-            Label::Resume(t) => {
-                let (v, e) = self.do_begin(&mut s, t);
-                viols = v;
-                events = e;
-            }
+            Label::Resume(t) => viols = self.begin(&mut s, t, true, &mut events),
             Label::Record(t) => {
-                // Second half of the nonatomic begin: the watermark is
-                // read *now*, possibly after commits the engine snapshot
-                // cannot contain.
-                let r = self.origin(t);
-                let snap = s.reps[r as usize].max_committed;
-                let tx = &mut s.txns[t as usize];
-                tx.snapshot = snap;
-                tx.phase = Phase::Active;
-                events.push(TraceEvent { replica: r, kind: self.tx_begin(t) });
+                // Second half of the nonatomic begin: the watermark is read
+                // *now*, possibly after commits the engine snapshot cannot
+                // contain.
+                let waited = matches!(s.txns[t as usize].phase, Phase::SnapTaken(true));
+                self.record(&mut s, t, waited, &mut events);
             }
             Label::Submit(t) => {
                 let r = self.origin(t);
                 let ws = self.ws(t);
                 let rep = &s.reps[r as usize];
-                // Adjustment 1: local validation against the tocommit
-                // queue only.
-                let queue_conflict = rep.queue.iter().any(|e| e.ws & ws != 0);
                 // The engine's first-updater-wins: a committed version
                 // newer than our snapshot on a key we write aborts us.
                 let fuw_conflict = !self.has(Mutation::BreakFirstCommitterWins)
-                    && (s.txns[t as usize].db_snapshot + 1..rep.next_tid).any(|tid| {
-                        rep.committed_contains(tid) && s.ws_of_tid(&self.scenario, tid) & ws != 0
-                    });
-                if queue_conflict || fuw_conflict {
-                    s.txns[t as usize].phase = Phase::Aborted;
-                    events.push(TraceEvent {
-                        replica: r,
-                        kind: EventKind::Abort { xact: self.xact(t) },
-                    });
+                    && (s.txns[t as usize].db_snapshot + 1..=rep.core.last_validated().raw()).any(
+                        |tid| rep.has_committed(tid) && s.ws_of_tid(&self.scenario, tid) & ws != 0,
+                    );
+                let xact = self.xact(t);
+                let submitted = if fuw_conflict {
+                    Err(EventKind::Abort { xact })
                 } else {
-                    let cert = rep.next_tid - 1;
-                    s.txns[t as usize].cert = cert;
-                    s.txns[t as usize].phase = Phase::Submitted;
-                    s.log.push(LogEntry::Ws { txn: t, cert });
-                    s.verdicts.push(None);
-                    events.push(TraceEvent {
-                        replica: r,
-                        kind: EventKind::CertCapture {
-                            xact: self.xact(t),
-                            cert: GlobalTid::new(cert),
-                        },
-                    });
-                    events.push(TraceEvent {
-                        replica: r,
-                        kind: EventKind::Multicast { xact: self.xact(t) },
-                    });
+                    s.core(r).submit(xact, &self.writesets[t as usize], 0)
+                };
+                match submitted {
+                    Err(abort) => {
+                        self.abort(&mut s, t);
+                        events.extend(at(r, [abort]));
+                    }
+                    Ok((cert, capture)) => {
+                        let cert = cert.raw();
+                        s.txns[t as usize].cert = cert;
+                        s.txns[t as usize].phase = Phase::Submitted;
+                        s.log.push(LogEntry::Ws { txn: t, cert });
+                        s.verdicts.push(None);
+                        events.extend(at(r, [capture, EventKind::Multicast { xact }]));
+                    }
                 }
             }
             Label::RoCommit(t) => {
@@ -713,192 +700,35 @@ impl ProtocolModel for SrcaModel {
                 // P3: the journaled snapshot must be the snapshot the
                 // reads actually saw.
                 if tx.snapshot != tx.db_snapshot {
-                    viols.push(Violation {
-                        prop: Prop::CaptureMismatch,
-                        detail: format!(
-                            "read-only T{t} at R{r} journals snapshot {} but its engine \
-                             snapshot contains only tids <= {} — the journal (and the \
-                             auditor) are told a lie",
-                            tx.snapshot, tx.db_snapshot
-                        ),
-                    });
+                    let (journaled, read) = (tx.snapshot, tx.db_snapshot);
+                    let detail =
+                        format!("read-only T{t} journals snapshot {journaled}, read {read}");
+                    viols.push(Violation::of(Prop::CaptureMismatch, detail));
                 }
                 s.txns[t as usize].phase = Phase::RoCommitted;
-                events.push(TraceEvent {
-                    replica: r,
-                    kind: EventKind::LocalReadOnly {
-                        xact: self.xact(t),
-                        snapshot: GlobalTid::new(tx.snapshot),
-                        gated: true,
-                    },
-                });
+                s.core(r).local_finished();
+                let (xact, snapshot) = (self.xact(t), GlobalTid::new(tx.snapshot));
+                events.extend(at(r, [EventKind::LocalReadOnly { xact, snapshot, gated: true }]));
             }
             Label::LocalCommit(t) => {
                 let r = self.origin(t);
                 let tid = s.txns[t as usize].tid;
-                self.do_commit(&mut s, r, tid, &mut events);
+                self.commit(&mut s, r, &[tid], &mut events);
+                s.core(r).local_finished();
                 s.txns[t as usize].phase = Phase::Committed;
             }
             Label::Deliver(r) => {
                 let idx = usize::from(s.reps[r as usize].delivered);
                 s.reps[r as usize].delivered += 1;
-                match s.log[idx] {
-                    LogEntry::Ws { txn: t, cert } => {
-                        let ws = self.ws(t);
-                        events.push(TraceEvent {
-                            replica: r,
-                            kind: EventKind::TotalOrderDeliver {
-                                xact: self.xact(t),
-                                cert: GlobalTid::new(cert),
-                            },
-                        });
-                        // P4: certifying below the watermark means pruned
-                        // entries were not checked.
-                        if cert < s.reps[r as usize].watermark {
-                            viols.push(Violation {
-                                prop: Prop::WatermarkSoundness,
-                                detail: format!(
-                                    "R{r} delivered T{t} with cert {cert} below its prune \
-                                     watermark {} — conflicts may have been pruned away",
-                                    s.reps[r as usize].watermark
-                                ),
-                            });
-                        }
-                        // Progress promise + pruning.
-                        {
-                            let rep = &mut s.reps[r as usize];
-                            let o = usize::from(self.origin(t));
-                            rep.adverts[o] = rep.adverts[o].max(cert);
-                            let wm = (0..rep.adverts.len())
-                                .filter(|m| rep.view & (1 << m) != 0)
-                                .map(|m| rep.adverts[m])
-                                .min()
-                                .unwrap_or(0);
-                            if wm > rep.watermark {
-                                let before = rep.wslist.len();
-                                rep.wslist.retain(|&(tid, _)| tid > wm);
-                                let removed = (before - rep.wslist.len()) as u64;
-                                rep.watermark = wm;
-                                // Every watermark move is journaled, as in
-                                // the real node.
-                                events.push(TraceEvent {
-                                    replica: r,
-                                    kind: EventKind::WsListPruned {
-                                        watermark: GlobalTid::new(wm),
-                                        removed,
-                                    },
-                                });
-                            }
-                        }
-                        let passed = self.has(Mutation::SkipCertification)
-                            || !s.reps[r as usize]
-                                .wslist
-                                .iter()
-                                .any(|&(tid, w)| tid > cert && w & ws != 0);
-                        let tid = if passed { s.reps[r as usize].next_tid } else { 0 };
-                        // P5: every replica must reach the same verdict
-                        // and assign the same tid (Thm 1).
-                        match s.verdicts[idx] {
-                            None => {
-                                s.verdicts[idx] = Some((passed, tid));
-                                if passed {
-                                    s.txns[t as usize].tid = tid;
-                                    viols.extend(self.check_first_committer_wins(&s, t, tid));
-                                }
-                            }
-                            Some((p0, t0)) => {
-                                if p0 != passed || (passed && t0 != tid) {
-                                    viols.push(Violation {
-                                        prop: Prop::VerdictAgreement,
-                                        detail: format!(
-                                            "R{r} decided (passed={passed}, tid={tid}) for T{t} \
-                                             but an earlier replica decided (passed={p0}, \
-                                             tid={t0}) — Thm 1 broken"
-                                        ),
-                                    });
-                                }
-                            }
-                        }
-                        events.push(TraceEvent {
-                            replica: r,
-                            kind: EventKind::ValidationVerdict {
-                                xact: self.xact(t),
-                                cert: GlobalTid::new(cert),
-                                tid: passed.then(|| GlobalTid::new(tid)),
-                                // The abstract key index stands in for its
-                                // hash: any injective map is a digest.
-                                keys: if passed {
-                                    (0..8u64).filter(|&k| ws & (1 << k) != 0).collect()
-                                } else {
-                                    Arc::default()
-                                },
-                            },
-                        });
-                        if passed {
-                            let local =
-                                self.origin(t) == r && s.txns[t as usize].phase == Phase::Submitted;
-                            let rep = &mut s.reps[r as usize];
-                            rep.next_tid += 1;
-                            rep.wslist.push((tid, ws));
-                            rep.pending.push(tid);
-                            rep.pending.sort_unstable();
-                            rep.queue.push(QEntry {
-                                tid,
-                                txn: t,
-                                ws,
-                                local_running: local,
-                                claimed: false,
-                            });
-                            rep.queue.sort_unstable_by_key(|e| e.tid);
-                        } else if self.origin(t) == r
-                            && s.txns[t as usize].phase == Phase::Submitted
-                        {
-                            s.txns[t as usize].phase = Phase::Aborted;
-                            events.push(TraceEvent {
-                                replica: r,
-                                kind: EventKind::Abort { xact: self.xact(t) },
-                            });
-                        }
-                    }
-                    LogEntry::View { crashed } => {
-                        let rep = &mut s.reps[r as usize];
-                        rep.view &= !(1 << crashed);
-                        events.push(TraceEvent {
-                            replica: r,
-                            kind: EventKind::ViewChange {
-                                members: u64::from(rep.view.count_ones()),
-                            },
-                        });
-                    }
-                    LogEntry::Join { rep: j } => {
-                        let rep = &mut s.reps[r as usize];
-                        rep.view |= 1 << j;
-                        events.push(TraceEvent {
-                            replica: r,
-                            kind: EventKind::ViewChange {
-                                members: u64::from(rep.view.count_ones()),
-                            },
-                        });
-                    }
-                }
+                viols = self.deliver(&mut s, r, idx, &mut events);
             }
             Label::Claim(r, k) => {
-                let ready = s.reps[r as usize].ready();
-                let take: Vec<usize> = ready.into_iter().take(usize::from(k)).collect();
-                let mut batch = Vec::new();
-                for qi in take {
-                    let e = &mut s.reps[r as usize].queue[qi];
-                    e.claimed = true;
-                    batch.push(e.tid);
-                    events.push(TraceEvent {
-                        replica: r,
-                        kind: EventKind::ApplyStart {
-                            xact: self.xact(e.txn),
-                            tid: GlobalTid::new(e.tid),
-                        },
-                    });
-                }
-                s.reps[r as usize].batches.push(batch);
+                let claimed = s.core(r).claim(usize::from(k));
+                events.extend(at(
+                    r,
+                    claimed.iter().map(|e| EventKind::ApplyStart { xact: e.xact, tid: e.tid }),
+                ));
+                s.reps[r as usize].batches.push(claimed.iter().map(|e| e.tid.raw()).collect());
             }
             Label::GroupCommit(r, b) => {
                 // The whole batch commits under one state-lock hold in the
@@ -906,31 +736,13 @@ impl ProtocolModel for SrcaModel {
                 // was checked on the smallest tid in `enabled`; P6 checks
                 // each member against the strict §4.3.3 discipline.
                 let batch = s.reps[r as usize].batches.remove(usize::from(b));
-                let waiting = s.waiting(&self.scenario, r);
-                let running = s.running(&self.scenario, r);
-                for &tid in &batch {
-                    if waiting > 0 && running == 0 && s.reps[r as usize].creates_new_hole(tid) {
-                        viols.push(Violation {
-                            prop: Prop::HoleDiscipline,
-                            detail: format!(
-                                "R{r} group-committed tid {tid} (batch {batch:?}) creating a \
-                                 new hole while a local begin was waiting and no local was \
-                                 running — §4.3.3 forbids this"
-                            ),
-                        });
-                    }
-                    let txn = s.reps[r as usize].queue.iter().find(|e| e.tid == tid).map(|e| e.txn);
-                    if let Some(t) = txn {
-                        events.push(TraceEvent {
-                            replica: r,
-                            kind: EventKind::ApplyDone {
-                                xact: self.xact(t),
-                                tid: GlobalTid::new(tid),
-                            },
-                        });
-                    }
-                    self.do_commit(&mut s, r, tid, &mut events);
-                }
+                viols = self.check_hole_discipline(&s, r, &batch);
+                let done = |&tid: &Tid| EventKind::ApplyDone {
+                    xact: self.xact_of_tid(&s, tid),
+                    tid: GlobalTid::new(tid),
+                };
+                events.extend(at(r, batch.iter().map(done)));
+                self.commit(&mut s, r, &batch, &mut events);
             }
             Label::Crash(r) => {
                 s.crashes += 1;
@@ -946,61 +758,40 @@ impl ProtocolModel for SrcaModel {
                         Phase::Submitted => Phase::InDoubt,
                         Phase::NotStarted
                         | Phase::WaitingBegin
-                        | Phase::SnapTaken
+                        | Phase::SnapTaken(_)
                         | Phase::Active => Phase::Aborted,
                         p => p,
                     };
                 }
             }
             Label::Resolve(t, r) => {
-                let idx = s.ws_index(t).unwrap_or(usize::MAX);
-                let (passed, tid) = s.verdicts[idx].unwrap_or((false, 0));
-                if passed {
+                let rep = &s.reps[r as usize];
+                if rep.core.outcome(self.xact(t)) == Some(Outcome::Committed) {
                     // P7: reporting "committed" is a promise that the
                     // client's next snapshot at this replica contains the
                     // write.
-                    if !s.reps[r as usize].committed_contains(tid) {
-                        viols.push(Violation {
-                            prop: Prop::SessionOrder,
-                            detail: format!(
-                                "R{r} resolved in-doubt T{t} as committed while tid {tid} \
-                                 is still uncommitted there — a failed-over client's next \
-                                 begin would miss its own write (session order broken)"
-                            ),
-                        });
+                    let tid = s.txns[t as usize].tid;
+                    if !rep.has_committed(tid) {
+                        let detail =
+                            format!("R{r} answered T{t} committed before committing {tid}");
+                        viols.push(Violation::of(Prop::SessionOrder, detail));
                     }
                     s.txns[t as usize].phase = Phase::Committed;
                 } else {
                     s.txns[t as usize].phase = Phase::Aborted;
                 }
             }
-            Label::Recover(r, donor) => {
-                let d = s.reps[donor as usize].clone();
-                let rep = &mut s.reps[r as usize];
-                rep.alive = true;
-                rep.delivered = d.delivered;
-                rep.view = d.view | (1 << r);
-                rep.next_tid = d.next_tid;
-                rep.wslist = d.wslist;
-                // Transferred queue entries lose their session ownership
-                // and claims: the joiner applies them like remote entries.
-                rep.queue = d
-                    .queue
-                    .into_iter()
-                    .map(|e| QEntry { local_running: false, claimed: false, ..e })
-                    .collect();
-                rep.batches = Vec::new();
-                rep.pending = d.pending;
-                rep.max_committed = d.max_committed;
-                rep.watermark = d.watermark;
-                rep.adverts = d.adverts;
-                events.push(TraceEvent {
-                    replica: r,
-                    kind: EventKind::ReplicaReset {
-                        last_validated: GlobalTid::new(rep.next_tid - 1),
-                        max_committed: GlobalTid::new(rep.max_committed),
-                    },
-                });
+            Label::Recover(r, d) => {
+                let donor = &s.reps[d as usize];
+                let (core, reset) = donor.core.transfer(0);
+                s.reps[r as usize] = Replica {
+                    alive: true,
+                    delivered: donor.delivered,
+                    core: Rc::new(core),
+                    batches: Vec::new(),
+                    committed: donor.committed,
+                };
+                events.extend(at(r, [reset]));
                 s.log.push(LogEntry::Join { rep: r });
                 s.verdicts.push(None);
             }
@@ -1016,52 +807,28 @@ impl ProtocolModel for SrcaModel {
                 || (tx.phase == Phase::InDoubt && !any_alive)
                 || !s.reps[usize::from(self.origin(i as Txn))].alive;
             if !done {
-                out.push(Violation {
-                    prop: Prop::Liveness,
-                    detail: format!(
-                        "terminal state leaves T{i} stuck in {:?} (no transition can ever \
-                         run it to completion)",
-                        tx.phase
-                    ),
-                });
+                let phase = tx.phase;
+                out.push(Violation::of(Prop::Liveness, format!("T{i} is stuck in {phase:?}")));
             }
         }
         let mut frontiers = BTreeSet::new();
-        for (k, rep) in s.reps.iter().enumerate() {
-            if !rep.alive {
-                continue;
+        for (k, rep) in s.reps.iter().enumerate().filter(|(_, r)| r.alive) {
+            let holes = rep.core.holes();
+            let pending: Vec<Tid> = holes.pending().map(GlobalTid::raw).collect();
+            let (queued, batches) = (rep.core.sizes().queued, &rep.batches);
+            // Open holes are pending tids.
+            if queued > 0 || !pending.is_empty() || !batches.is_empty() {
+                let detail = format!(
+                    "R{k} is left with {queued} queued, {pending:?} pending, {batches:?} claimed"
+                );
+                out.push(Violation::of(Prop::Liveness, detail));
             }
-            if !rep.queue.is_empty() || !rep.pending.is_empty() || !rep.batches.is_empty() {
-                out.push(Violation {
-                    prop: Prop::Liveness,
-                    detail: format!(
-                        "terminal state leaves R{k} with undrained work: queue={:?} \
-                         pending={:?} batches={:?}",
-                        rep.queue.iter().map(|e| e.tid).collect::<Vec<_>>(),
-                        rep.pending,
-                        rep.batches
-                    ),
-                });
-            }
-            if rep.holes_exist() {
-                out.push(Violation {
-                    prop: Prop::Liveness,
-                    detail: format!(
-                        "terminal state leaves R{k} with open holes: {:?}",
-                        rep.pending
-                    ),
-                });
-            }
-            frontiers.insert((rep.next_tid, rep.max_committed));
+            frontiers.insert((rep.core.last_validated(), holes.max_committed()));
         }
         if frontiers.len() > 1 {
-            out.push(Violation {
-                prop: Prop::Liveness,
-                detail: format!(
-                    "live replicas diverged at the terminal state: \
-                     (next_tid, max_committed) in {frontiers:?}"
-                ),
-            });
+            let detail =
+                format!("live replicas diverged: (last validated, max committed) in {frontiers:?}");
+            out.push(Violation::of(Prop::Liveness, detail));
         }
         out
     }

@@ -133,6 +133,8 @@ if [[ "$QUICK" == "1" ]]; then
     cargo test --offline --test seqlog -q
     echo "==> wake by need: queue reports, TcpMember framing and blocked recv, wake-up budget, no lost wake-up, a validator that never waits and the hidden deadlock (§4.2)"
     cargo test --offline --test tocommit_queue --test tcp_member --test wakeups --test validator_never_waits --test hidden_deadlock -q
+    echo "==> replica core property tests (tests/replica_core.rs: Theorem 1, the hole rule, recovery, P7)"
+    cargo test --offline --test replica_core -q
     echo "==> sequencer fan-out: the appender sends, writers wake only for a lagging member"
     cargo test --offline --test tcp_tier -q
     echo "==> sirep-model (exhaustive protocol exploration, quick scopes)"

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use si_rep::common::{GlobalTid, ReplicaId};
-use si_rep::core::node::{QEntry, TocommitQueue};
+use si_rep::core::tocommit::{QEntry, TocommitQueue};
 use si_rep::core::XactId;
 use si_rep::storage::{Key, WriteSet, WsOp};
 use std::collections::{BTreeMap, BTreeSet};
