@@ -9,7 +9,7 @@
 //! exactly once (the table is in DESIGN.md §10). It is run three ways:
 //!
 //! - **online** — [`Auditor`] wraps one checker in a leaf lock; replica
-//!   nodes report every protocol transition through [`Auditor::report`],
+//!   nodes report every protocol transition through [`Auditor::reporter`],
 //!   which feeds the checker and the replica's journal ring in one call;
 //! - **offline** — [`audit_scraped_journals`] folds the same checker over
 //!   journals scraped from other processes;
@@ -522,21 +522,23 @@ pub fn audit_scraped_journals(journals: &[(ReplicaId, Vec<Event>)]) -> Vec<Audit
 // Online wrapper
 // ======================================================================
 
+use crate::replica::Report;
 use parking_lot::Mutex;
 
 /// The online auditor, shared by every replica of a cluster: one
-/// [`Checker`] behind a strict *leaf* lock. [`Auditor::report`] is invoked
-/// while a node's state lock is held and never calls back into a node, so
-/// no lock cycle can form.
+/// [`Checker`] behind a strict *leaf* lock. Its [`Auditor::reporter`] is
+/// invoked while a node's state lock is held and never calls back into a
+/// node, so no lock cycle can form.
 pub struct Auditor {
     enabled: bool,
     inner: Mutex<Checker>,
 }
 
 impl Auditor {
-    /// `enabled = false` keeps the journal half of [`Auditor::report`] and
-    /// skips the checks. Without the `trace` feature the checks are always
-    /// skipped (and the journal records nothing), so every query is clean.
+    /// `enabled = false` keeps the journal half of [`Auditor::reporter`]
+    /// and skips the checks. Without the `trace` feature the checks are
+    /// always skipped (and the journal records nothing), so every query is
+    /// clean.
     pub fn new(enabled: bool) -> Auditor {
         let enabled = enabled && cfg!(feature = "trace");
         Auditor { enabled, inner: Mutex::new(Checker::default()) }
@@ -552,20 +554,18 @@ impl Auditor {
         self.inner.lock().violations().to_vec()
     }
 
-    /// The one reporting call: check `kind` as the next event of
-    /// `journal`'s replica, then append it to the journal ring. Returns the
-    /// event's stamp.
-    pub fn report(&self, journal: &Journal, kind: EventKind) -> u64 {
-        self.report_ending(journal, kind, &[])
-    }
-
-    /// [`Auditor::report`] for an event that ends stages: each
-    /// `(stage, since)` is recorded with it ([`Journal::record_ending`]).
-    pub fn report_ending(&self, journal: &Journal, kind: EventKind, ends: &[(Stage, u64)]) -> u64 {
-        if self.enabled {
-            self.inner.lock().observe(journal.replica(), &kind);
+    /// The one reporting call, a [`Report`] sink — what a replica core's
+    /// transitions report to, and the node's shell too: each event is
+    /// checked as the next of `journal`'s replica, then appended to the
+    /// journal ring with the stages it ends ([`Journal::record_ending`]),
+    /// which stamps it.
+    pub fn reporter<'a>(&'a self, journal: &'a Journal) -> impl Report + 'a {
+        move |kind: EventKind, ends: &[(Stage, u64)]| {
+            if self.enabled {
+                self.inner.lock().observe(journal.replica(), &kind);
+            }
+            journal.record_ending(kind, ends)
         }
-        journal.record_ending(kind, ends)
     }
 }
 #[cfg(test)]

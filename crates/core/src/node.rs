@@ -41,20 +41,23 @@
 //! ## Lock structure (per replica)
 //!
 //! This file is the shell around [`ReplicaCore`] (`replica.rs`), which
-//! makes every protocol decision. One lock, the paper's `wsmutex` (`state`,
-//! `node-state` in lint.toml), guards the core and the sessions awaiting a
-//! verdict. Each hold makes one core call, does the database step that
-//! must be atomic with it, and reports the call's events:
+//! makes every protocol decision and holds the local transactions awaiting
+//! their verdict, each with its session's `Verdict` sender. One lock, the
+//! paper's `wsmutex` (`state`, `node-state` in lint.toml), guards the core.
+//! Each hold makes one core call and does the database step that must be
+//! atomic with it; the call reports its own events, through the sink
+//! `auditor.reporter(&journal)` made in the same hold:
 //!
 //! | hold | core call | also under the lock |
 //! |---|---|---|
 //! | begin | `wait_begin` (and the hole wait), then `begin` | `db.begin` |
-//! | local validation | `submit` | the multicast |
+//! | local validation | `submit` | the multicast, `Multicast` |
 //! | delivery | `deliver`, `progress`, `view_change` or `marker` | a progress advert when idle |
 //! | applier claim, give-back | `claim`, `unclaim` | |
 //! | commit | `commit` | `commit_quiet` |
 //! | end of a local | `local_finished` | |
-//! | inquiry, recovery | `inquire`, `marker_seen`, `transfer` | the donor's database fork |
+//! | inquiry, recovery | `inquire`, `marker_seen`, `transfer`, `reset` | the donor's database fork |
+//! | crash | `forget_locals` | `CrashPointFired` (its own hold) |
 //!
 //! The gates (`passes`, `holes_exist`, `may_commit`) are core queries asked
 //! in the hold they gate. Database work (reads, writes, writeset
@@ -88,7 +91,7 @@ use crate::audit::Auditor;
 use crate::chaos::{CrashPlan, PausePoint};
 use crate::msg::{ReplMsg, WsMsg, XactId};
 use crate::recorder::Recorder;
-use crate::replica::{Claimed, InDoubt, ReplicaCore};
+use crate::replica::{Claimed, InDoubt, ReplicaCore, Report};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use sirep_common::{
     AbortReason, CrashPoint, DbError, EventKind, GaugeSnapshot, GlobalTid, Journal, MemberId,
@@ -96,7 +99,6 @@ use sirep_common::{
 };
 use sirep_gcs::{Cast, Delivery, GcsError, Member, View};
 use sirep_storage::{Database, TxnHandle};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
@@ -139,6 +141,9 @@ const APPLIER_BATCH_MAX: usize = 64;
 /// blocked inside the database on a local's tuple lock — a reincarnation of
 /// the §4.2 hidden deadlock).
 type Verdict = SyncSender<Result<(GlobalTid, u64), AbortReason>>;
+
+/// The replica core, each awaiting local with its session's [`Verdict`].
+type Core = ReplicaCore<Verdict>;
 
 /// RAII membership in the hole tracker's set B (running local
 /// transactions). Dropped when the local transaction terminates — whether
@@ -240,10 +245,7 @@ impl sirep_common::wire::Wire for NodeStatus {
 /// begins and commits. Guarded by the node's one lock (`node-state` in
 /// lint.toml).
 struct NodeState {
-    core: ReplicaCore,
-    /// Where to send the verdicts of the local transactions the core lists
-    /// as awaiting theirs.
-    sessions: HashMap<XactId, Verdict>,
+    core: Core,
     /// Threads parked on `cond` right now ([`ReplicaNode::wait_state`]).
     waiters: usize,
     /// Appliers parked on `apply_cond` right now
@@ -279,9 +281,9 @@ pub struct ReplicaNode {
     /// (no-op without `trace`).
     pub gauges: ProtocolGauges,
     /// Cluster-wide 1-copy-SI auditor. Every protocol transition is
-    /// reported through `auditor.report(&journal, ..)` — one call that
-    /// checks the event and appends it to the journal ring — under the
-    /// state lock (the auditor's own lock is a strict leaf).
+    /// reported to `auditor.reporter(&journal)` — one sink that checks the
+    /// event and appends it to the journal ring — under the state lock (the
+    /// auditor's own lock is a strict leaf).
     auditor: Arc<Auditor>,
     /// Armed crash-points shared across the cluster (chaos harness).
     crash_plan: Arc<CrashPlan>,
@@ -312,18 +314,16 @@ impl ReplicaNode {
         mode: ReplicationMode,
         outcome_cap: usize,
         record_history: bool,
-        bootstrap: Option<(ReplicaCore, EventKind)>,
+        bootstrap: Option<Core>,
         journal: Journal,
         auditor: Arc<Auditor>,
         crash_plan: Arc<CrashPlan>,
     ) -> Arc<ReplicaNode> {
         // A recovered replica's stream restarts from the transferred state.
         let recovered = bootstrap.is_some();
-        let (core, reset) = match bootstrap {
-            Some((core, reset)) => (core, Some(reset)),
-            None => (ReplicaCore::new(mode == ReplicationMode::SrcaRep, outcome_cap), None),
-        };
-        let state = NodeState { core, sessions: HashMap::new(), waiters: 0, idle: 0 };
+        let core = bootstrap
+            .unwrap_or_else(|| ReplicaCore::new(mode == ReplicationMode::SrcaRep, outcome_cap));
+        let state = NodeState { core, waiters: 0, idle: 0 };
         let member = gcs.id();
         let node = Arc::new(ReplicaNode {
             id: member.replica(),
@@ -344,11 +344,11 @@ impl ReplicaNode {
             auditor,
             crash_plan,
         });
-        if let Some(reset) = reset {
+        if recovered {
             // First event of the new incarnation, before the caller starts
             // any thread that could report for it.
-            let _st = node.state.lock();
-            node.auditor.report(&node.journal, reset);
+            let mut st = node.state.lock();
+            st.core.reset(&mut node.auditor.reporter(&node.journal));
         }
         node
     }
@@ -359,6 +359,19 @@ impl ReplicaNode {
         st.waiters += 1;
         self.cond.wait_for(st, WAIT_TICK);
         st.waiters -= 1;
+    }
+
+    /// Park on `cond` until `done` holds (`true`), or the node dies or
+    /// `deadline` passes (`false`).
+    fn wait_until(&self, deadline: Instant, mut done: impl FnMut(&mut Core) -> bool) -> bool {
+        let mut st = self.state.lock();
+        while !done(&mut st.core) {
+            if !self.is_alive() || Instant::now() >= deadline {
+                return false;
+            }
+            self.wait_state(&mut st);
+        }
+        true
     }
 
     /// Park an applier on `apply_cond` for one [`WAIT_TICK`], counted in
@@ -388,13 +401,15 @@ impl ReplicaNode {
     /// If `point` is armed for this replica, crash-stop here: record the
     /// firing, crash the GCS member (survivors get a view change, exactly
     /// as `Cluster::crash` orders it), then fail this node's clients. Must
-    /// be called *without* the state lock held — `mark_crashed` takes it.
+    /// be called *without* the state lock held — it takes it to record the
+    /// firing between other holds' events, and `mark_crashed` takes it.
     fn crash_point(&self, point: CrashPoint) -> bool {
         if !self.crash_plan.fire(point, self.id) {
             return false;
         }
-        // sirep-lint: allow(journal-gauge-under-lock): crash-stop record — mark_crashed below takes the state lock itself, so holding it here would self-deadlock; nothing races a replica that is about to die
-        self.auditor.report(&self.journal, EventKind::CrashPointFired { point });
+        let st = self.state.lock();
+        self.auditor.reporter(&self.journal).report(EventKind::CrashPointFired { point }, &[]);
+        drop(st);
         self.gcs.crash_self();
         self.mark_crashed();
         true
@@ -410,21 +425,16 @@ impl ReplicaNode {
 
     /// Recompute the gauges. Called at mutation sites under the lock, so
     /// refreshes stay ordered with the changes they observe; applier claims
-    /// skip it (queue depth changes on push and remove). Compiles away
-    /// without `trace`.
+    /// skip it (queue depth changes on push and remove). Without `trace`
+    /// the gauges are no-ops.
     fn refresh_gauges(&self, st: &NodeState) {
-        #[cfg(feature = "trace")]
-        {
-            let z = st.core.sizes();
-            self.gauges.ws_list_len.set(z.ws_list as u64);
-            self.gauges.open_holes.set(z.open_holes as u64);
-            self.gauges.cert_index_keys.set(z.cert_index_keys as u64);
-            self.gauges.tocommit_depth.set(z.queued as u64);
-            self.gauges.applier_backlog.set(z.backlog as u64);
-            self.gauges.ready_len.set(z.ready as u64);
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = st;
+        let z = st.core.sizes();
+        self.gauges.ws_list_len.set(z.ws_list as u64);
+        self.gauges.open_holes.set(z.open_holes as u64);
+        self.gauges.cert_index_keys.set(z.cert_index_keys as u64);
+        self.gauges.tocommit_depth.set(z.queued as u64);
+        self.gauges.applier_backlog.set(z.backlog as u64);
+        self.gauges.ready_len.set(z.ready as u64);
     }
 
     pub fn id(&self) -> ReplicaId {
@@ -442,10 +452,6 @@ impl ReplicaNode {
 
     pub fn is_alive(&self) -> bool {
         !self.shutdown.load(Ordering::Acquire)
-    }
-
-    pub fn mode(&self) -> ReplicationMode {
-        self.mode
     }
 
     /// Current number of queued (validated, uncommitted) writesets.
@@ -489,15 +495,7 @@ impl ReplicaNode {
     /// Block until this node's delivery thread has processed the recovery
     /// marker `token` (and therefore every message sequenced before it).
     pub(crate) fn wait_for_marker(&self, token: u64, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut st = self.state.lock();
-        while !st.core.marker_seen(token) {
-            if !self.is_alive() || std::time::Instant::now() >= deadline {
-                return false;
-            }
-            self.wait_state(&mut st);
-        }
-        true
+        self.wait_until(Instant::now() + timeout, |core| core.marker_seen(token))
     }
 
     /// Produce a consistent state transfer for a recovering replica (the
@@ -515,13 +513,10 @@ impl ReplicaNode {
     /// either (a) recorded in the transferred outcome log — covered by the
     /// fork or the copied queue and skipped — or (b) new, and validated
     /// normally against the transferred ws_list.
-    pub(crate) fn state_transfer(
-        &self,
-        cost: sirep_storage::CostModel,
-    ) -> (Database, (ReplicaCore, EventKind)) {
+    pub(crate) fn state_transfer(&self, cost: sirep_storage::CostModel) -> (Database, Core) {
         let st = self.state.lock();
         let db = self.db.fork_latest(cost);
-        (db, st.core.transfer(self.journal.now_ns()))
+        (db, st.core.transfer())
     }
 
     // ---------------------------------------------------------------------
@@ -530,18 +525,8 @@ impl ReplicaNode {
 
     /// Wait (bounded) for `joined`; `false` sends the client elsewhere.
     fn await_own_join(&self) -> bool {
-        if self.joined.load(Ordering::Acquire) {
-            return true;
-        }
-        let deadline = Instant::now() + JOIN_DEADLINE;
-        let mut st = self.state.lock();
-        while !self.joined.load(Ordering::Acquire) {
-            if !self.is_alive() || Instant::now() >= deadline {
-                return false;
-            }
-            self.wait_state(&mut st);
-        }
-        true
+        let joined = || self.joined.load(Ordering::Acquire);
+        joined() || self.wait_until(Instant::now() + JOIN_DEADLINE, |_| joined())
     }
 
     /// Start a local transaction (step I.1.a): under SRCA-Rep the begin
@@ -587,9 +572,8 @@ impl ReplicaNode {
         // Captured atomically with the begin: the watermark this
         // transaction's snapshot reflects (no holes exist here, so every
         // tid ≤ snapshot is committed locally).
-        let (snapshot, begin) = st.core.begin(xact, waited_from.is_some());
-        let waited = waited_from.map(|from| (Stage::BeginWait, from));
-        let last_ns = self.auditor.report_ending(&self.journal, begin, waited.as_slice());
+        let report = &mut self.auditor.reporter(&self.journal);
+        let (snapshot, last_ns) = st.core.begin(xact, waited_from, report);
         self.recorder.on_begin(xact);
         // Commits throttled for a waiting begin may go on: we may have been
         // the last one waiting, and a local is running.
@@ -625,7 +609,7 @@ impl ReplicaNode {
             let done = EventKind::LocalReadOnly { xact, snapshot, gated };
             let ends = [(Stage::Commit, requested), (Stage::Total, begin_ns)];
             // sirep-lint: allow(journal-gauge-under-lock): read-only commits touch no protocol state — the event is ordered by this session thread alone, and the checker re-checks the begin-time snapshot against its own frontier, which only grows
-            self.auditor.report_ending(&self.journal, done, &ends);
+            self.auditor.reporter(&self.journal).report(done, &ends);
             Metrics::inc(&self.metrics.commits_readonly);
             return Ok(());
         }
@@ -640,23 +624,17 @@ impl ReplicaNode {
         let ws = Arc::new(ws);
         {
             let mut st = self.state.lock();
-            // Local validation (adjustment 1): only the tocommit queue.
-            let (cert, capture) = match st.core.submit(xact, &ws, extracted) {
-                Ok(passed) => passed,
-                Err(abort) => {
-                    // Journal the abort verdict at the decision point, under
-                    // the lock, so it cannot interleave after a later
-                    // transaction's events; only the database-side rollback
-                    // runs outside.
-                    self.auditor.report(&self.journal, abort);
-                    drop(st);
-                    txn.abort(AbortReason::ValidationFailure);
-                    Metrics::inc(&self.metrics.aborts_validation);
-                    return Err(DbError::Aborted(AbortReason::ValidationFailure));
-                }
+            // Local validation (adjustment 1): only the tocommit queue. The
+            // core journals an abort at the decision point, under the lock,
+            // so it cannot interleave after a later transaction's events;
+            // only the database-side rollback runs outside.
+            let report = &mut self.auditor.reporter(&self.journal);
+            let Some(cert) = st.core.submit(xact, &ws, extracted, reply_tx, report) else {
+                drop(st);
+                txn.abort(AbortReason::ValidationFailure);
+                Metrics::inc(&self.metrics.aborts_validation);
+                return Err(DbError::Aborted(AbortReason::ValidationFailure));
             };
-            self.auditor.report(&self.journal, capture);
-            st.sessions.insert(xact, reply_tx);
             // Multicast while still holding the state lock, so that cert
             // capture order equals total-order sequence order. The ws_list
             // pruning protocol depends on this: every cert this replica puts
@@ -674,13 +652,12 @@ impl ReplicaNode {
                 ws: Arc::clone(&ws),
             }));
             if self.gcs.multicast_total(msg).is_err() {
-                // We crashed concurrently.
-                st.sessions.remove(&xact);
+                // We crashed concurrently; the waiter dies with the core.
                 drop(st);
                 txn.abort(AbortReason::ReplicaCrashed);
                 return Err(DbError::Aborted(AbortReason::ReplicaCrashed));
             }
-            self.auditor.report(&self.journal, EventKind::Multicast { xact });
+            self.auditor.reporter(&self.journal).report(EventKind::Multicast { xact }, &[]);
         }
         if self.crash_point(CrashPoint::AfterMulticastBeforeLocalCommit) {
             // §5.4 case 3: the writeset is on the wire (survivors will
@@ -713,19 +690,15 @@ impl ReplicaNode {
     /// processed — uniform delivery guarantees no writeset can arrive after
     /// that — and for at most [`INQUIRE_DEADLINE`].
     pub fn inquire(&self, xact: XactId) -> Result<InDoubt, DbError> {
-        let deadline = Instant::now() + INQUIRE_DEADLINE;
-        let mut st = self.state.lock();
-        loop {
-            if let Some(answer) = st.core.inquire(xact) {
-                return Ok(answer);
-            }
-            if !self.is_alive() {
-                return Err(DbError::Aborted(AbortReason::ReplicaCrashed));
-            }
-            if Instant::now() >= deadline {
-                return Ok(InDoubt::Unknown);
-            }
-            self.wait_state(&mut st);
+        let mut answer = None;
+        self.wait_until(Instant::now() + INQUIRE_DEADLINE, |core| {
+            answer = core.inquire(xact);
+            answer.is_some()
+        });
+        match answer {
+            Some(answer) => Ok(answer),
+            None if !self.is_alive() => Err(DbError::Aborted(AbortReason::ReplicaCrashed)),
+            None => Ok(InDoubt::Unknown),
         }
     }
 
@@ -740,15 +713,17 @@ impl ReplicaNode {
                 return;
             }
             match member.recv_timeout(idle) {
-                Ok(Delivery::TotalOrder { msg, sequenced_at, .. }) => {
-                    self.handle_total(msg, sequenced_at);
+                Ok(Delivery::TotalOrder { msg: ReplMsg::WriteSet(m), sequenced_at, .. }) => {
+                    self.handle_writeset(&m, sequenced_at);
                 }
-                Ok(Delivery::Fifo { msg: ReplMsg::Progress { from, lastvalidated }, .. }) => {
-                    self.handle_progress(from, lastvalidated);
-                }
-                Ok(Delivery::Fifo { msg: ReplMsg::Marker { token }, .. }) => {
-                    self.handle_marker(token);
-                }
+                Ok(
+                    Delivery::TotalOrder { msg: ReplMsg::Progress { from, lastvalidated }, .. }
+                    | Delivery::Fifo { msg: ReplMsg::Progress { from, lastvalidated }, .. },
+                ) => self.handle_progress(from, lastvalidated),
+                Ok(
+                    Delivery::TotalOrder { msg: ReplMsg::Marker { token }, .. }
+                    | Delivery::Fifo { msg: ReplMsg::Marker { token }, .. },
+                ) => self.handle_marker(token),
                 Ok(
                     Delivery::Fifo { msg: ReplMsg::WriteSet(_), .. } | Delivery::TotalBatch { .. },
                 ) => {
@@ -774,27 +749,18 @@ impl ReplicaNode {
     fn handle_view(&self, v: View) {
         let joined = v.contains(self.gcs.id());
         let mut st = self.state.lock();
-        let Some(change) = st.core.view_change(v) else { return };
+        if !st.core.view_change(v, &mut self.auditor.reporter(&self.journal)) {
+            return;
+        }
         if joined {
             self.joined.store(true, Ordering::Release);
         }
-        self.auditor.report(&self.journal, change);
         self.unlock_and_wake(st, false);
-    }
-
-    /// Dispatch one totally-ordered message.
-    fn handle_total(self: &Arc<Self>, msg: ReplMsg, sequenced_at: Instant) {
-        match msg {
-            ReplMsg::WriteSet(m) => self.handle_writeset(&m, sequenced_at),
-            ReplMsg::Progress { from, lastvalidated } => self.handle_progress(from, lastvalidated),
-            ReplMsg::Marker { token } => self.handle_marker(token),
-        }
     }
 
     fn handle_progress(&self, from: ReplicaId, lastvalidated: GlobalTid) {
         let mut st = self.state.lock();
-        if let Some(pruned) = st.core.progress(from, lastvalidated) {
-            self.auditor.report(&self.journal, pruned);
+        if st.core.progress(from, lastvalidated, &mut self.auditor.reporter(&self.journal)) {
             self.refresh_gauges(&st);
         }
     }
@@ -806,6 +772,7 @@ impl ReplicaNode {
     }
 
     fn handle_writeset(self: &Arc<Self>, m: &WsMsg, sequenced_at: Instant) {
+        let sequenced = self.journal.ns_at(sequenced_at);
         let mut st = self.state.lock();
         Metrics::inc(&self.metrics.ws_delivered);
         let passed = st.core.passes(m.cert, &m.ws);
@@ -814,32 +781,21 @@ impl ReplicaNode {
         // rule admits its commit; no service time may be charged (it
         // sleeps). Locks: `run_batch`.
         let inline = self.db.cost_model().is_free();
-        let now = self.journal.now_ns();
-        let Some(d) = st.core.deliver(m, passed, now, inline) else { return };
-        // The origin's multicast started at its writeset extraction; a
-        // remote replica has only the transport's sequencing instant.
-        let sent = d.local.unwrap_or_else(|| self.journal.ns_at(sequenced_at));
-        let mut events = d.events.into_iter();
-        let delivered = events.next().map_or(now, |tod| {
-            self.auditor.report_ending(&self.journal, tod, &[(Stage::GcsDeliver, sent)])
-        });
-        for event in events {
-            self.auditor.report(&self.journal, event);
-        }
+        let report = &mut self.auditor.reporter(&self.journal);
+        let Some(d) = st.core.deliver(m, passed, sequenced, inline, report) else { return };
         self.refresh_gauges(&st);
-        let session = d.local.and_then(|_| st.sessions.remove(&m.xact));
         if d.tid.is_none() {
             Metrics::inc(&self.metrics.ws_discarded);
-            if session.is_some() {
+            if d.local.is_some() {
                 Metrics::inc(&self.metrics.aborts_validation);
             }
         }
         // An `inquire` may be parked for this outcome, an applier for the
         // entry.
         self.unlock_and_wake(st, d.ready);
-        if let Some(session) = session {
-            let _ = session
-                .send(d.tid.map(|tid| (tid, delivered)).ok_or(AbortReason::ValidationFailure));
+        if let Some(session) = d.local {
+            let _ =
+                session.send(d.tid.map(|tid| (tid, d.at)).ok_or(AbortReason::ValidationFailure));
         }
         if let Some(entry) = d.claimed {
             self.run_batch(vec![entry], false);
@@ -872,7 +828,8 @@ impl ReplicaNode {
                     if !self.is_alive() {
                         return;
                     }
-                    let claimed = st.core.claim(APPLIER_BATCH_MAX);
+                    let report = &mut self.auditor.reporter(&self.journal);
+                    let claimed = st.core.claim(APPLIER_BATCH_MAX, report);
                     if !claimed.is_empty() {
                         // What the bound left behind is the next applier's.
                         if st.core.sizes().ready > 0 && st.idle > 0 {
@@ -906,12 +863,7 @@ impl ReplicaNode {
         // their session thread and enter the queue already marked running).
         // A nominally-local entry without a session — transferred during
         // recovery from before our crash — is applied like any remote one.
-        for item in &mut batch {
-            let start = EventKind::ApplyStart { xact: item.xact, tid: item.tid };
-            let queued = [(Stage::ValidateQueue, item.last_ns)];
-            // sirep-lint: allow(journal-gauge-under-lock): apply runs outside the state lock by design (the paper's adjustment 2 — appliers work in parallel); Apply* events are ordered per-tid by the queue's running flag, not by the lock
-            item.last_ns = self.auditor.report_ending(&self.journal, start, &queued);
-        }
+        // Each one's `ApplyStart` was reported by its claim.
         let Some(handle) = self.apply_batch(&batch, wait) else {
             // Back to the ready set (harmless if the replica is down).
             let mut st = self.state.lock();
@@ -921,8 +873,8 @@ impl ReplicaNode {
         for item in &mut batch {
             let done = EventKind::ApplyDone { xact: item.xact, tid: item.tid };
             let applied = [(Stage::Apply, item.last_ns)];
-            // sirep-lint: allow(journal-gauge-under-lock): same as ApplyStart above — apply is deliberately lock-free; finalize_batch re-enters the lock for the commit records
-            item.last_ns = self.auditor.report_ending(&self.journal, done, &applied);
+            // sirep-lint: allow(journal-gauge-under-lock): apply runs outside the state lock by design (the paper's adjustment 2 — appliers work in parallel); ApplyDone is ordered per-tid by the queue's running flag, not by the lock, and finalize_batch re-enters the lock for the commit records
+            item.last_ns = self.auditor.reporter(&self.journal).report(done, &applied);
         }
         self.finalize_batch(&batch, None, handle);
     }
@@ -1018,23 +970,10 @@ impl ReplicaNode {
         }
         let res = txn.commit_quiet();
         debug_assert!(res.is_ok(), "validated batch failed to commit: {res:?}");
-        let (commits, grew) = st.core.commit(batch.iter().map(|e| (e.tid, e.xact)));
-        for (e, (transition, commit)) in batch.iter().zip(commits) {
+        let entries = batch.iter().map(|e| (e.tid, e.xact, e.last_ns));
+        let grew = st.core.commit(entries, begin_ns, &mut self.auditor.reporter(&self.journal));
+        for e in batch {
             self.recorder.on_commit(e.xact);
-            if let Some(transition) = transition {
-                self.auditor.report(&self.journal, transition);
-            }
-            // The commit ends its `commit` stage (the hole-rule wait is part
-            // of perceived commit latency) and a local transaction's `total`.
-            let ended = (Stage::Commit, e.last_ns);
-            match begin_ns {
-                Some(begin_ns) => self.auditor.report_ending(
-                    &self.journal,
-                    commit,
-                    &[ended, (Stage::Total, begin_ns)],
-                ),
-                None => self.auditor.report_ending(&self.journal, commit, &[ended]),
-            };
         }
         self.refresh_gauges(&st);
         // Successors the commits unblocked wait for an idle applier.
@@ -1054,10 +993,9 @@ impl ReplicaNode {
             return;
         }
         self.db.crash();
-        let sessions: Vec<Verdict> = self.state.lock().sessions.drain().map(|(_, v)| v).collect();
-        for session in sessions {
-            let _ = session.send(Err(AbortReason::ReplicaCrashed));
-        }
+        // A session awaiting its verdict reads its dropped sender as the
+        // crash.
+        self.state.lock().core.forget_locals();
         self.cond.notify_all();
         self.apply_cond.notify_all();
     }

@@ -4,15 +4,15 @@
 //! clock, does no I/O and touches no database. It owns the certification
 //! list ([`WsList`]), the hole tracker ([`HoleTracker`]: holes, set A's
 //! waiting begins, set B's running locals), the tocommit queue
-//! ([`TocommitQueue`]), the local transactions awaiting their verdict (ids
-//! and stamps only — the engine transaction and whoever waits belong to
-//! the caller), the outcome log, the membership view and its departed
-//! incarnations, the recovery markers and the progress-advert cursor.
+//! ([`TocommitQueue`]), the local transactions awaiting their verdict (with
+//! whoever waits, `W`), the outcome log, the membership view and its
+//! departed incarnations, the recovery markers and the progress-advert
+//! cursor.
 //!
-//! Each transition method is one hold of the node lock in `node.rs` and
-//! returns its decision plus the journal events the caller reports, in
-//! order. Stamps (`now`, `last_ns`) are the caller's journal stamps, stored
-//! and handed back. The gates are queries the caller asks in the same
+//! Each transition method is one hold of the node lock in `node.rs`: it
+//! reports its journal events to the caller's [`Report`] sink as it decides
+//! them, keeps the stamps the sink answers where later stages start, and
+//! returns its decision. The gates are queries the caller asks in the same
 //! hold: [`ReplicaCore::passes`], [`ReplicaCore::holes_exist`] and
 //! [`ReplicaCore::may_commit`]. `node.rs` drives the core from its session,
 //! delivery and applier loops, with a database and a group member;
@@ -26,7 +26,7 @@ use crate::outcomes::OutcomeLog;
 use crate::tocommit::{QEntry, TocommitQueue};
 use crate::validation::WsList;
 use sirep_common::wire::{Wire, WireError, WireReader};
-use sirep_common::{EventKind, GlobalTid, MemberId, ReplicaId};
+use sirep_common::{EventKind, GlobalTid, MemberId, ReplicaId, Stage};
 use sirep_gcs::View;
 use sirep_storage::WriteSet;
 use std::collections::{BTreeMap, BTreeSet};
@@ -34,6 +34,19 @@ use std::sync::Arc;
 
 /// `ws_list` length above which an idle replica advertises its progress.
 const PRUNE_THRESHOLD: usize = 64;
+
+/// Where a transition reports each journal event `kind` as it is decided,
+/// with the `(stage, since)`s it ends; the answer is its stamp. The node's
+/// sink is `Auditor::reporter`; the model's, its trace (stamps 0).
+pub trait Report {
+    fn report(&mut self, kind: EventKind, ends: &[(Stage, u64)]) -> u64;
+}
+
+impl<F: FnMut(EventKind, &[(Stage, u64)]) -> u64> Report for F {
+    fn report(&mut self, kind: EventKind, ends: &[(Stage, u64)]) -> u64 {
+        self(kind, ends)
+    }
+}
 
 /// The answer to an in-doubt inquiry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,19 +94,23 @@ pub struct Claimed {
 }
 
 impl Claimed {
-    fn of(e: &QEntry) -> Claimed {
-        Claimed { tid: e.tid, xact: e.xact, ws: Arc::clone(&e.ws), last_ns: e.last_ns }
+    /// Claim `e`: its `ApplyStart` ends its `validate_queue`.
+    fn start(e: &QEntry, sink: &mut impl Report) -> Claimed {
+        let (tid, xact) = (e.tid, e.xact);
+        let queued = [(Stage::ValidateQueue, e.last_ns)];
+        let last_ns = sink.report(EventKind::ApplyStart { xact, tid }, &queued);
+        Claimed { tid, xact, ws: Arc::clone(&e.ws), last_ns }
     }
 }
 
 /// What [`ReplicaCore::deliver`] decided.
-pub struct Delivered {
-    /// `TotalOrderDeliver`, a prune, the verdict, a failed local's abort.
-    pub events: Vec<EventKind>,
+pub struct Delivered<W> {
     /// The tid assigned; `None`: the writeset failed certification.
     pub tid: Option<GlobalTid>,
-    /// Our own awaiting local transaction: the stamp its submit left.
-    pub local: Option<u64>,
+    /// Our own awaiting local transaction's waiter.
+    pub local: Option<W>,
+    /// The `TotalOrderDeliver` stamp, where `validate_queue` starts.
+    pub at: u64,
     /// The ready set grew and nothing claimed the entry: wake an applier.
     pub ready: bool,
     /// The entry, claimed for the caller to apply itself.
@@ -134,17 +151,18 @@ pub struct CoreKey {
     progress_sent: GlobalTid,
 }
 
-/// One replica's protocol state (see the module header).
+/// One replica's protocol state (see the module header); `W` is whoever
+/// waits for a local transaction's verdict.
 #[derive(Clone)]
-pub struct ReplicaCore {
+pub struct ReplicaCore<W = ()> {
     /// Adjustment 3 is on (SRCA-Rep); off is the SRCA-Opt ablation.
     gated: bool,
     ws_list: WsList,
     holes: HoleTracker,
     queue: TocommitQueue,
-    /// Local transactions multicast and awaiting their verdict, with the
-    /// stamp of their writeset's extraction.
-    locals: BTreeMap<XactId, u64>,
+    /// Local transactions multicast and awaiting their verdict: the stamp
+    /// of their writeset's extraction, and their waiter.
+    locals: BTreeMap<XactId, (u64, W)>,
     outcomes: OutcomeLog,
     /// The last view processed here (so in-doubt inquiries see exactly the
     /// §5.4 guarantee); its member ids are the live
@@ -163,7 +181,7 @@ pub struct ReplicaCore {
     progress_sent: GlobalTid,
 }
 
-impl ReplicaCore {
+impl<W> ReplicaCore<W> {
     /// A fresh replica's core; `gated`: run adjustment 3 (SRCA-Rep).
     ///
     /// The membership starts empty and only ever reflects views processed
@@ -172,7 +190,7 @@ impl ReplicaCore {
     /// `departed` with `(replica, 0)` entries that later turn in-doubt
     /// inquiries into false `NeverReceived` answers — a committed
     /// transaction reported to its client as lost.
-    pub fn new(gated: bool, outcome_cap: usize) -> ReplicaCore {
+    pub fn new(gated: bool, outcome_cap: usize) -> ReplicaCore<W> {
         ReplicaCore {
             gated,
             ws_list: WsList::new(),
@@ -329,15 +347,22 @@ impl ReplicaCore {
     }
 
     /// Step I.1.a, atomic with the caller's engine begin: the transaction
-    /// joins set B (and leaves set A if it `waited`). Returns the snapshot
-    /// watermark — with no hole open, every tid up to it is committed here
-    /// — and the `TxBegin` event.
-    pub fn begin(&mut self, xact: XactId, waited: bool) -> (GlobalTid, EventKind) {
-        if waited {
+    /// joins set B (and leaves set A if it `waited`, since then). Returns the
+    /// snapshot watermark — with no hole open, every tid up to it is
+    /// committed here — and the `TxBegin` stamp.
+    pub fn begin(
+        &mut self,
+        xact: XactId,
+        waited: Option<u64>,
+        sink: &mut impl Report,
+    ) -> (GlobalTid, u64) {
+        if waited.is_some() {
             self.holes.done_waiting();
         }
         self.holes.local_started();
-        (self.holes.max_committed(), EventKind::TxBegin { xact, gated: self.gated })
+        let waited = waited.map(|since| (Stage::BeginWait, since));
+        let at = sink.report(EventKind::TxBegin { xact, gated: self.gated }, waited.as_slice());
+        (self.holes.max_committed(), at)
     }
 
     /// A local transaction terminated — committed, aborted or rolled back —
@@ -348,28 +373,39 @@ impl ReplicaCore {
 
     /// Step I.2: local validation against the tocommit queue only
     /// (adjustment 1), then the cert capture. On success the transaction
-    /// awaits its verdict here, with `now` (its writeset's extraction) as
-    /// its stamp. `Err`: the abort.
+    /// awaits its verdict here with `waiter`, stamped `extracted` (its
+    /// writeset's extraction). `None`: it aborted.
     pub fn submit(
         &mut self,
         xact: XactId,
         ws: &WriteSet,
-        now: u64,
-    ) -> Result<(GlobalTid, EventKind), EventKind> {
+        extracted: u64,
+        waiter: W,
+        sink: &mut impl Report,
+    ) -> Option<GlobalTid> {
         if self.queue.conflicts(ws) {
-            return Err(EventKind::Abort { xact });
+            sink.report(EventKind::Abort { xact }, &[]);
+            return None;
         }
         let cert = self.ws_list.last_tid();
-        self.locals.insert(xact, now);
-        Ok((cert, EventKind::CertCapture { xact, cert }))
+        sink.report(EventKind::CertCapture { xact, cert }, &[]);
+        self.locals.insert(xact, (extracted, waiter));
+        Some(cert)
+    }
+
+    /// The replica crashed: drop the awaiting locals' waiters.
+    pub fn forget_locals(&mut self) {
+        self.locals.clear();
     }
 
     /// Step II for one totally-ordered writeset: its cert as a progress
     /// promise (prune), the verdict, and for a pass the tid and the queue
     /// push. `passed` is the caller's [`ReplicaCore::passes`] in the same
-    /// hold; `now` stamps the queue entry. With `inline`, a ready remote
-    /// entry that nothing can make wait — no older entry is ready and the
-    /// hole rule admits its commit — is claimed for the caller.
+    /// hold. `TotalOrderDeliver` ends `gcs_deliver`, which started at an
+    /// awaiting local's extraction or else at `sequenced`, the transport's
+    /// sequencing stamp. With `inline`, a ready remote entry that nothing
+    /// can make wait — no older entry is ready and the hole rule admits its
+    /// commit — is claimed for the caller.
     ///
     /// `None`: already decided — only on a recovered replica whose delivery
     /// buffer overlaps the transferred state; skipped idempotently.
@@ -377,43 +413,50 @@ impl ReplicaCore {
         &mut self,
         m: &WsMsg,
         passed: bool,
-        now: u64,
+        sequenced: u64,
         inline: bool,
-    ) -> Option<Delivered> {
+        sink: &mut impl Report,
+    ) -> Option<Delivered<W>> {
         if self.outcomes.get(m.xact).is_some() {
             return None;
         }
         let (xact, cert) = (m.xact, m.cert);
         let local = self.locals.remove(&xact);
-        let mut events = Vec::with_capacity(4);
-        events.push(EventKind::TotalOrderDeliver { xact, cert });
-        events.extend(self.progress(m.origin, cert));
+        let sent = [(Stage::GcsDeliver, local.as_ref().map_or(sequenced, |l| l.0))];
+        let at = sink.report(EventKind::TotalOrderDeliver { xact, cert }, &sent);
+        let local = local.map(|(_, waiter)| waiter);
+        self.progress(m.origin, cert, sink);
         let tid = passed.then(|| self.ws_list.append(xact, Arc::clone(&m.ws)));
         let keys = if passed { key_digest(&m.ws) } else { Arc::default() };
-        events.push(EventKind::ValidationVerdict { xact, cert, tid, keys });
+        sink.report(EventKind::ValidationVerdict { xact, cert, tid, keys }, &[]);
         self.outcomes.record(xact, if passed { Outcome::Committed } else { Outcome::Aborted });
         let Some(tid) = tid else {
-            events.extend(local.map(|_| EventKind::Abort { xact }));
-            return Some(Delivered { events, tid, local, ready: false, claimed: None });
+            if local.is_some() {
+                sink.report(EventKind::Abort { xact }, &[]);
+            }
+            return Some(Delivered { tid, local, at, ready: false, claimed: None });
         };
         self.holes.on_validated(tid);
         // A local entry with a waiting session commits on the session
         // (adjustment 2): born running, so no applier picks it.
         let mut entry = QEntry::new(tid, xact, Arc::clone(&m.ws), m.origin, local.is_some());
-        entry.last_ns = now;
+        entry.last_ns = at;
         let ready = self.queue.push(entry);
         let claim = ready && inline && self.queue.ready_len() == 1 && self.may_commit(tid);
-        let claimed = if claim { self.queue.pop_ready().map(Claimed::of) } else { None };
-        Some(Delivered { events, tid: Some(tid), local, ready: ready && !claim, claimed })
+        let claimed =
+            if claim { self.queue.pop_ready().map(|e| Claimed::start(e, sink)) } else { None };
+        Some(Delivered { tid: Some(tid), local, at, ready: ready && !claim, claimed })
     }
 
-    /// A progress advert from `from` (explicit, or a writeset's cert):
-    /// prune `ws_list` below the group-wide promise. Every move of the
-    /// watermark is reported.
-    pub fn progress(&mut self, from: ReplicaId, lastvalidated: GlobalTid) -> Option<EventKind> {
-        let (watermark, removed) =
-            self.ws_list.advance_progress(from, lastvalidated, &self.view)?;
-        Some(EventKind::WsListPruned { watermark, removed })
+    /// A progress advert from `from` (explicit, or a writeset's cert): its
+    /// `last` validated tid. Prune `ws_list` below the group-wide promise,
+    /// reporting every move of the watermark. `true`: it moved.
+    pub fn progress(&mut self, from: ReplicaId, last: GlobalTid, sink: &mut impl Report) -> bool {
+        let pruned = self.ws_list.advance_progress(from, last, &self.view);
+        if let Some((watermark, removed)) = pruned {
+            sink.report(EventKind::WsListPruned { watermark, removed }, &[]);
+        }
+        pruned.is_some()
     }
 
     /// The advert [`ReplicaCore::progress_due`] asked for went out.
@@ -424,11 +467,11 @@ impl ReplicaCore {
     /// Install a view: whoever the previous view named and this one does
     /// not has departed. Views are self-describing (a member id is its
     /// `(replica, incarnation)`), so this reads two views and nothing else.
-    /// `None`: not newer than the installed view — a recovered replica's
+    /// `false`: not newer than the installed view — a recovered replica's
     /// stream starts at its own join view, which its transfer reflects.
-    pub fn view_change(&mut self, v: View) -> Option<EventKind> {
+    pub fn view_change(&mut self, v: View, sink: &mut impl Report) -> bool {
         if v.id <= self.membership.id {
-            return None;
+            return false;
         }
         self.departed.extend(self.membership.members.iter().filter(|m| !v.contains(**m)));
         let mut replicas: Vec<ReplicaId> = v.members.iter().map(|m| m.replica()).collect();
@@ -436,7 +479,8 @@ impl ReplicaCore {
         replicas.dedup();
         self.view = replicas;
         self.membership = v;
-        Some(EventKind::ViewChange { members: self.view.len() as u64 })
+        sink.report(EventKind::ViewChange { members: self.view.len() as u64 }, &[]);
+        true
     }
 
     /// A recovery marker was delivered: everything sequenced before it was.
@@ -454,8 +498,8 @@ impl ReplicaCore {
     /// predecessors — including the others claimed here — so the batch is
     /// mutually non-conflicting and ascending. An entry given back for a
     /// held tuple lock is claimed alone: a batch sharing it would wait on
-    /// that lock too.
-    pub fn claim(&mut self, max: usize) -> Vec<Claimed> {
+    /// that lock too. Each claim reports its `ApplyStart`.
+    pub fn claim(&mut self, max: usize, sink: &mut impl Report) -> Vec<Claimed> {
         let mut claimed = Vec::new();
         while claimed.len() < max {
             let Some(e) = self.queue.pop_ready() else { break };
@@ -464,7 +508,7 @@ impl ReplicaCore {
                 self.queue.unclaim(tid, last_ns);
                 break;
             }
-            claimed.push(Claimed::of(e));
+            claimed.push(Claimed::start(e, sink));
             if alone {
                 break;
             }
@@ -482,54 +526,66 @@ impl ReplicaCore {
 
     /// The commit step's bookkeeping, atomic with begins: queued entries,
     /// ascending, leave the hole tracker's pending set and the queue. Per
-    /// entry: the hole-set transition its commit caused (empty ↔
-    /// nonempty), if any, and its `Commit`. `true`: successors became
-    /// ready.
+    /// `(tid, xact, since)`: the hole-set transition its commit caused
+    /// (empty ↔ nonempty), if any, then its `Commit`, which ends its
+    /// `commit` stage (started at `since`: the hole-rule wait is part of
+    /// perceived commit latency) and, with `begun` — a local, committed as
+    /// a batch of one —, its `total`. `true`: successors became ready.
     pub fn commit(
         &mut self,
-        batch: impl IntoIterator<Item = (GlobalTid, XactId)>,
-    ) -> (Vec<(Option<EventKind>, EventKind)>, bool) {
-        let mut events = Vec::new();
+        batch: impl IntoIterator<Item = (GlobalTid, XactId, u64)>,
+        begun: Option<u64>,
+        sink: &mut impl Report,
+    ) -> bool {
         let mut released = 0;
-        for (tid, xact) in batch {
+        for (tid, xact, since) in batch {
             let had_holes = self.holes.holes_exist();
             self.holes.on_committed(tid);
-            let transition = match (had_holes, self.holes.holes_exist()) {
-                (false, true) => Some(EventKind::HoleOpened { tid }),
-                (true, false) => Some(EventKind::HoleClosed { tid }),
-                _ => None,
+            match (had_holes, self.holes.holes_exist()) {
+                (false, true) => sink.report(EventKind::HoleOpened { tid }, &[]),
+                (true, false) => sink.report(EventKind::HoleClosed { tid }, &[]),
+                _ => 0,
             };
-            events.push((transition, EventKind::Commit { xact, tid }));
+            let commit = EventKind::Commit { xact, tid };
+            match begun {
+                Some(b) => sink.report(commit, &[(Stage::Commit, since), (Stage::Total, b)]),
+                None => sink.report(commit, &[(Stage::Commit, since)]),
+            };
             released += self.queue.remove(tid);
         }
-        (events, released > 0)
+        released > 0
     }
 
-    /// State transfer (§8): the core a recovering replica starts from, and
-    /// the `ReplicaReset` it reports first. The queue is rebuilt by pushes
-    /// in tid order, exactly as delivery order built it; its entries lose
-    /// their claims and sessions (the joiner applies them like remote
-    /// ones) and restart their `validate_queue` at `now`.
-    pub fn transfer(&self, now: u64) -> (ReplicaCore, EventKind) {
-        let mut queue = TocommitQueue::default();
-        for e in self.queue.iter() {
-            let mut entry = QEntry::new(e.tid, e.xact, Arc::clone(&e.ws), e.origin, false);
-            entry.last_ns = now;
-            queue.push(entry);
-        }
-        let max_committed = self.holes.max_committed();
-        let core = ReplicaCore {
+    /// State transfer (§8): the core a recovering replica starts from once
+    /// [`ReplicaCore::reset`] has run on it.
+    pub fn transfer(&self) -> ReplicaCore<W> {
+        ReplicaCore {
             ws_list: self.ws_list.clone(),
-            holes: HoleTracker::bootstrap(max_committed, self.queue.iter().map(|e| e.tid)),
-            queue,
+            holes: self.holes.clone(),
+            queue: self.queue.clone(),
             outcomes: self.outcomes.clone(),
             membership: self.membership.clone(),
             view: self.view.clone(),
             departed: self.departed.clone(),
             ..ReplicaCore::new(self.gated, 0)
-        };
+        }
+    }
+
+    /// A transferred core's first transition, in its joiner: the
+    /// `ReplicaReset`. The queue is rebuilt by pushes in tid order, exactly
+    /// as delivery order built it; its entries lose their claims and
+    /// sessions (the joiner applies them like remote ones) and restart their
+    /// `validate_queue` at the reset. No begin waits or runs here yet.
+    pub fn reset(&mut self, sink: &mut impl Report) {
+        let max_committed = self.holes.max_committed();
         let reset =
-            EventKind::ReplicaReset { last_validated: core.last_validated(), max_committed };
-        (core, reset)
+            EventKind::ReplicaReset { last_validated: self.last_validated(), max_committed };
+        let at = sink.report(reset, &[]);
+        for e in std::mem::take(&mut self.queue).iter() {
+            let mut entry = QEntry::new(e.tid, e.xact, Arc::clone(&e.ws), e.origin, false);
+            entry.last_ns = at;
+            self.queue.push(entry);
+        }
+        self.holes = HoleTracker::bootstrap(max_committed, self.queue.iter().map(|e| e.tid));
     }
 }

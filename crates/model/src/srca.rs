@@ -3,9 +3,10 @@
 //! replica (the shipped core plus its shell's liveness, delivery cursor,
 //! claimed batches and committed tids) and one [`TxnState`] per client.
 //! Transitions call the core the way `node.rs` does, one lock hold each
-//! (DESIGN.md §17: the exceptions and the soundness argument); the replica
-//! events of a trace are the core's own. Storage, the network and the
-//! clients stay abstract.
+//! (DESIGN.md §17: the exceptions and the soundness argument). The core
+//! reports its events into the trace itself; the model adds only the
+//! shell's (`Multicast`, `LocalReadOnly`, `ApplyDone`). Storage, the network
+//! and the clients stay abstract.
 //!
 //! [`Mutation`]s are seeded faults: each must produce a counterexample,
 //! proving the explorer fail-closed. None is a knob in the core — the
@@ -14,9 +15,9 @@
 //! real bugs this model found in `sirep-core`.
 
 use crate::{Prop, ProtocolModel, TraceEvent, Violation};
-use sirep_common::{EventKind, GlobalTid, MemberId, ReplicaId, XactId};
+use sirep_common::{EventKind, GlobalTid, MemberId, ReplicaId, Stage, XactId};
 use sirep_core::msg::{Outcome, WsMsg};
-use sirep_core::replica::{CoreKey, InDoubt, ReplicaCore};
+use sirep_core::replica::{CoreKey, InDoubt, ReplicaCore, Report};
 use sirep_gcs::View;
 use sirep_storage::{Key, WriteSet, WsOp};
 use std::collections::BTreeSet;
@@ -290,9 +291,13 @@ const OUTCOME_CAP: usize = 64;
 
 type Events = Vec<TraceEvent>;
 
-/// `kinds` as events at replica `r`.
-fn at(r: Rep, kinds: impl IntoIterator<Item = EventKind>) -> impl Iterator<Item = TraceEvent> {
-    kinds.into_iter().map(move |kind| TraceEvent { replica: r, kind })
+/// The model's [`Report`] sink: replica `r`'s events into the trace, with
+/// stamps 0.
+fn trace(r: Rep, events: &mut Events) -> impl Report + '_ {
+    move |kind, _: &[(Stage, u64)]| {
+        events.push(TraceEvent { replica: r, kind });
+        0
+    }
 }
 
 /// The SRCA-Rep model: a scenario plus an optional set of seeded
@@ -445,23 +450,20 @@ impl SrcaModel {
     /// The core's begin: the recorded watermark and `TxBegin`.
     fn record(&self, s: &mut State, t: Txn, waited: bool, events: &mut Events) {
         let r = self.origin(t);
-        let (snapshot, begin) = s.core(r).begin(self.xact(t), waited);
+        let (snapshot, _) =
+            s.core(r).begin(self.xact(t), waited.then_some(0), &mut trace(r, events));
         let tx = &mut s.txns[t as usize];
         tx.snapshot = snapshot.raw();
         tx.phase = Phase::Active;
-        events.extend(at(r, [begin]));
     }
 
     /// Commit `batch` at `r` through the core, as `finalize_batch` does:
     /// the database commits the tids, the core reports each one's hole
     /// transition and commit.
     fn commit(&self, s: &mut State, r: Rep, batch: &[Tid], events: &mut Events) {
-        let entries: Vec<(GlobalTid, XactId)> =
-            batch.iter().map(|&tid| (GlobalTid::new(tid), self.xact_of_tid(s, tid))).collect();
-        let (commits, _) = s.core(r).commit(entries);
-        for (transition, commit) in commits {
-            events.extend(at(r, transition.into_iter().chain([commit])));
-        }
+        let entries: Vec<(GlobalTid, XactId, u64)> =
+            batch.iter().map(|&tid| (GlobalTid::new(tid), self.xact_of_tid(s, tid), 0)).collect();
+        s.core(r).commit(entries, None, &mut trace(r, events));
         for &tid in batch {
             s.reps[r as usize].committed |= 1 << tid;
         }
@@ -477,7 +479,7 @@ impl SrcaModel {
     fn deliver(&self, s: &mut State, r: Rep, idx: usize, events: &mut Events) -> Vec<Violation> {
         let LogEntry::Ws { txn: t, cert } = s.log[idx] else {
             let view = self.view_at(s, idx);
-            events.extend(at(r, s.core(r).view_change(view)));
+            s.core(r).view_change(view, &mut trace(r, events));
             return Vec::new();
         };
         let m = WsMsg {
@@ -488,9 +490,10 @@ impl SrcaModel {
         };
         let core = s.core(r);
         let passed = self.has(Mutation::SkipCertification) || core.passes(m.cert, &m.ws);
-        let Some(d) = core.deliver(&m, passed, 0, false) else { return Vec::new() };
+        let Some(d) = core.deliver(&m, passed, 0, false, &mut trace(r, events)) else {
+            return Vec::new();
+        };
         let watermark = core.ws_list().watermark().raw();
-        events.extend(at(r, d.events));
         if d.tid.is_none() && d.local.is_some() {
             self.abort(s, t);
         }
@@ -531,7 +534,7 @@ impl ProtocolModel for SrcaModel {
     fn initial(&self) -> State {
         let mut core = ReplicaCore::new(true, OUTCOME_CAP);
         let members = (0..self.scenario.replicas).map(|r| MemberId::of(u64::from(r), 0)).collect();
-        core.view_change(View { id: 1, members });
+        core.view_change(View { id: 1, members }, &mut trace(0, &mut Vec::new()));
         let core = Rc::new(core);
         let replica =
             Replica { alive: true, delivered: 0, core, batches: Vec::new(), committed: 0 };
@@ -674,23 +677,21 @@ impl ProtocolModel for SrcaModel {
                         |tid| rep.has_committed(tid) && s.ws_of_tid(&self.scenario, tid) & ws != 0,
                     );
                 let xact = self.xact(t);
+                let ws = &self.writesets[t as usize];
                 let submitted = if fuw_conflict {
-                    Err(EventKind::Abort { xact })
+                    None
                 } else {
-                    s.core(r).submit(xact, &self.writesets[t as usize], 0)
+                    s.core(r).submit(xact, ws, 0, (), &mut trace(r, &mut events))
                 };
                 match submitted {
-                    Err(abort) => {
-                        self.abort(&mut s, t);
-                        events.extend(at(r, [abort]));
-                    }
-                    Ok((cert, capture)) => {
+                    None => self.abort(&mut s, t),
+                    Some(cert) => {
                         let cert = cert.raw();
                         s.txns[t as usize].cert = cert;
                         s.txns[t as usize].phase = Phase::Submitted;
                         s.log.push(LogEntry::Ws { txn: t, cert });
                         s.verdicts.push(None);
-                        events.extend(at(r, [capture, EventKind::Multicast { xact }]));
+                        events.push(TraceEvent { replica: r, kind: EventKind::Multicast { xact } });
                     }
                 }
             }
@@ -708,7 +709,8 @@ impl ProtocolModel for SrcaModel {
                 s.txns[t as usize].phase = Phase::RoCommitted;
                 s.core(r).local_finished();
                 let (xact, snapshot) = (self.xact(t), GlobalTid::new(tx.snapshot));
-                events.extend(at(r, [EventKind::LocalReadOnly { xact, snapshot, gated: true }]));
+                let kind = EventKind::LocalReadOnly { xact, snapshot, gated: true };
+                events.push(TraceEvent { replica: r, kind });
             }
             Label::LocalCommit(t) => {
                 let r = self.origin(t);
@@ -723,11 +725,7 @@ impl ProtocolModel for SrcaModel {
                 viols = self.deliver(&mut s, r, idx, &mut events);
             }
             Label::Claim(r, k) => {
-                let claimed = s.core(r).claim(usize::from(k));
-                events.extend(at(
-                    r,
-                    claimed.iter().map(|e| EventKind::ApplyStart { xact: e.xact, tid: e.tid }),
-                ));
+                let claimed = s.core(r).claim(usize::from(k), &mut trace(r, &mut events));
                 s.reps[r as usize].batches.push(claimed.iter().map(|e| e.tid.raw()).collect());
             }
             Label::GroupCommit(r, b) => {
@@ -737,11 +735,11 @@ impl ProtocolModel for SrcaModel {
                 // each member against the strict §4.3.3 discipline.
                 let batch = s.reps[r as usize].batches.remove(usize::from(b));
                 viols = self.check_hole_discipline(&s, r, &batch);
-                let done = |&tid: &Tid| EventKind::ApplyDone {
-                    xact: self.xact_of_tid(&s, tid),
-                    tid: GlobalTid::new(tid),
+                let done = |&tid: &Tid| {
+                    let (xact, tid) = (self.xact_of_tid(&s, tid), GlobalTid::new(tid));
+                    TraceEvent { replica: r, kind: EventKind::ApplyDone { xact, tid } }
                 };
-                events.extend(at(r, batch.iter().map(done)));
+                events.extend(batch.iter().map(done));
                 self.commit(&mut s, r, &batch, &mut events);
             }
             Label::Crash(r) => {
@@ -783,7 +781,8 @@ impl ProtocolModel for SrcaModel {
             }
             Label::Recover(r, d) => {
                 let donor = &s.reps[d as usize];
-                let (core, reset) = donor.core.transfer(0);
+                let mut core = donor.core.transfer();
+                core.reset(&mut trace(r, &mut events));
                 s.reps[r as usize] = Replica {
                     alive: true,
                     delivered: donor.delivered,
@@ -791,7 +790,6 @@ impl ProtocolModel for SrcaModel {
                     batches: Vec::new(),
                     committed: donor.committed,
                 };
-                events.extend(at(r, [reset]));
                 s.log.push(LogEntry::Join { rep: r });
                 s.verdicts.push(None);
             }

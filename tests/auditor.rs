@@ -484,19 +484,20 @@ fn violation_count_is_capped() {
     assert_eq!(v.len(), VIOLATION_CAP);
 }
 
-/// The online wrapper: `Auditor::report` is the one call that feeds both the
-/// checker and the journal ring; disabled, it only journals.
+/// The online wrapper: `Auditor::reporter` is the one call that feeds both
+/// the checker and the journal ring; disabled, it only journals.
 #[cfg(feature = "trace")]
 #[test]
 fn auditor_report_feeds_checker_and_journal() {
     use si_rep::common::Journal;
+    use si_rep::core::replica::Report;
     use si_rep::core::Auditor;
     for enabled in [true, false] {
         let a = Auditor::new(enabled);
         let j = Journal::new(R0);
-        a.report(&j, pass(x(0, 1), 0, 1, &[7]));
+        a.reporter(&j).report(pass(x(0, 1), 0, 1, &[7]), &[]);
         assert!(a.is_clean());
-        a.report(&j, pass(x(1, 1), 0, 2, &[7]));
+        a.reporter(&j).report(pass(x(1, 1), 0, 2, &[7]), &[]);
         assert_eq!(a.is_clean(), !enabled);
         assert_eq!(
             kinds(&a.violations()),
@@ -514,10 +515,11 @@ fn auditor_report_feeds_checker_and_journal() {
 #[test]
 fn stub_auditor_has_same_api_and_stays_clean() {
     use si_rep::common::Journal;
+    use si_rep::core::replica::Report;
     use si_rep::core::Auditor;
     let a = Auditor::new(true);
-    a.report(&Journal::new(R0), pass(x(0, 1), 0, 1, &[7]));
-    a.report(&Journal::new(R0), pass(x(1, 1), 0, 2, &[7]));
+    a.reporter(&Journal::new(R0)).report(pass(x(0, 1), 0, 1, &[7]), &[]);
+    a.reporter(&Journal::new(R0)).report(pass(x(1, 1), 0, 2, &[7]), &[]);
     assert!(a.is_clean());
     assert!(a.violations().is_empty());
 }

@@ -9,8 +9,9 @@
 //!    origin replica and on the remote appliers, so the fig5/fig7
 //!    breakdown tables never show a silently-missing stage;
 //! 3. a stage is the gap between two stamps of the replica's journal, so
-//!    the origin's stages tile its `total` and a remote `apply` is the gap
-//!    between its `apply_start` and `apply_done` events.
+//!    the origin's stages tile its `total`, and at a remote `validate_queue`
+//!    and `apply` are the gaps from its `total_order_deliver` to its
+//!    `apply_start` and on to its `apply_done`.
 
 use si_rep::common::Metrics;
 use si_rep::core::{Cluster, ClusterConfig, Connection};
@@ -335,8 +336,9 @@ fn gauges_track_queue_depths() {
 
 /// One update transaction on a fresh 2-replica cluster. At the origin its
 /// stages tile its `total` — they are consecutive gaps between journal
-/// stamps — within one histogram bucket per stage; at the remote, `apply`
-/// is the gap between the `apply_start` and `apply_done` stamps.
+/// stamps — within one histogram bucket per stage; at the remote,
+/// `validate_queue` is the gap between the `total_order_deliver` and
+/// `apply_start` stamps, and `apply` the gap on to `apply_done`.
 #[cfg(feature = "trace")]
 #[test]
 fn stages_are_the_journals_gaps() {
@@ -379,10 +381,17 @@ fn stages_are_the_journals_gaps() {
     assert!((sum - total).abs() <= slack, "stages sum to {sum} ms, total {total} ms");
 
     let remote = &report.per_node[1].stages;
-    assert_eq!(remote.count(Stage::Apply), 1);
-    let apply_ns = at(1, "apply_done") - at(1, "apply_start");
-    let apply = remote.median(Stage::Apply);
-    assert_eq!(apply, reported(Stage::Apply, apply_ns));
-    assert!(apply <= apply_ns as f64 / 1e6 && apply_ns as f64 / 1e6 - apply <= bucket(apply));
+    let gaps = [
+        (Stage::ValidateQueue, "total_order_deliver", "apply_start"),
+        (Stage::Apply, "apply_start", "apply_done"),
+    ];
+    for (stage, from, to) in gaps {
+        assert_eq!(remote.count(stage), 1, "{stage}");
+        let gap_ns = at(1, to) - at(1, from);
+        let median = remote.median(stage);
+        assert_eq!(median, reported(stage, gap_ns), "{stage}");
+        let gap = gap_ns as f64 / 1e6;
+        assert!(median <= gap && gap - median <= bucket(median), "{stage}");
+    }
     assert_eq!(c.node(1).journal.stages(), report.per_node[1].stages);
 }

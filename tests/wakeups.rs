@@ -11,16 +11,31 @@
 //!   commit and no gated begin may take that long. (Counting over *all*
 //!   begins would hide it: a client stalled for 25 ms leaves the other
 //!   replica without conflicts, so stalls make themselves rare.)
+//!
+//! Both are budgets on what a cluster's threads do on a few CPUs, so the
+//! tests run one at a time ([`SERIAL`]): two clusters side by side preempt
+//! each other's threads, and a preempted thread is a stall or a wake-up
+//! that the cluster under test did not cause.
 
 use si_rep::common::{Stage, StageSnapshot, TimeScale};
 use si_rep::core::node::WAIT_TICK;
 use si_rep::core::{Cluster, ClusterConfig, Connection, Transport};
 use si_rep::gcs::Sequencer;
 use si_rep::storage::CostModel;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 const Q: Duration = Duration::from_secs(20);
+
+/// Held by each test for its whole run (see the module header).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Wait for the other tests of this file to finish; a failed one poisons
+/// nothing here.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Voluntary context switches so far of this process's threads whose name
 /// starts with `prefix`, and how many threads that is.
@@ -66,6 +81,7 @@ fn applier_switches_per_commit(first: u64, cost: CostModel, commits: u64) -> [f6
 
 #[test]
 fn an_uncontended_commit_wakes_no_applier_at_the_origin_or_the_remote() {
+    let _serial = serial();
     // Replica ids nobody else in this file uses: thread names carry them.
     let [origin, remote] = applier_switches_per_commit(8, CostModel::free(), 1_000);
     eprintln!("applier wake-ups per commit: origin {origin}, remote {remote}");
@@ -79,6 +95,7 @@ fn an_uncontended_commit_wakes_no_applier_at_the_origin_or_the_remote() {
 /// thread must not: every remote writeset is an applier's.
 #[test]
 fn a_costed_database_keeps_remote_applies_on_the_appliers() {
+    let _serial = serial();
     let cost = CostModel { scale: TimeScale::TEST_FAST, apply_write_ms: 1.0, ..CostModel::free() };
     let [origin, remote] = applier_switches_per_commit(10, cost, 300);
     eprintln!("costed applier wake-ups per commit: origin {origin}, remote {remote}");
@@ -194,6 +211,7 @@ const ACCOUNTS: &str = "CREATE TABLE acc (id INT, bal INT, PRIMARY KEY (id))";
 
 #[test]
 fn no_wake_up_is_lost_under_contention_on_the_sim_cluster() {
+    let _serial = serial();
     let cfg = ClusterConfig::builder().replicas(2).first_replica(2).schema(ACCOUNTS);
     let c = Cluster::new(cfg.build());
     hot_transfers_never_wait_for_a_poll([(&c, 0), (&c, 1)]);
@@ -201,6 +219,7 @@ fn no_wake_up_is_lost_under_contention_on_the_sim_cluster() {
 
 #[test]
 fn no_wake_up_is_lost_under_contention_on_two_tcp_nodes() {
+    let _serial = serial();
     let seq = Sequencer::spawn("127.0.0.1:0").expect("bind sequencer");
     let node = |replica| {
         let cfg = ClusterConfig::builder()
