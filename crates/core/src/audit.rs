@@ -529,19 +529,16 @@ use parking_lot::Mutex;
 /// [`Checker`] behind a strict *leaf* lock. Its [`Auditor::reporter`] is
 /// invoked while a node's state lock is held and never calls back into a
 /// node, so no lock cycle can form.
+#[derive(Default)]
 pub struct Auditor {
-    enabled: bool,
     inner: Mutex<Checker>,
 }
 
 impl Auditor {
-    /// `enabled = false` keeps the journal half of [`Auditor::reporter`]
-    /// and skips the checks. Without the `trace` feature the checks are
-    /// always skipped (and the journal records nothing), so every query is
-    /// clean.
-    pub fn new(enabled: bool) -> Auditor {
-        let enabled = enabled && cfg!(feature = "trace");
-        Auditor { enabled, inner: Mutex::new(Checker::default()) }
+    /// Without the `trace` feature the checks are skipped (and the journal
+    /// records nothing), so every query is clean.
+    pub fn new() -> Auditor {
+        Auditor::default()
     }
 
     /// No violation recorded so far.
@@ -561,7 +558,7 @@ impl Auditor {
     /// which stamps it.
     pub fn reporter<'a>(&'a self, journal: &'a Journal) -> impl Report + 'a {
         move |kind: EventKind, ends: &[(Stage, u64)]| {
-            if self.enabled {
+            if cfg!(feature = "trace") {
                 self.inner.lock().observe(journal.replica(), &kind);
             }
             journal.record_ending(kind, ends)

@@ -51,11 +51,6 @@ pub struct ClusterConfig {
     pub appliers: usize,
     /// Record begin/commit histories and readsets for 1-copy-SI checking.
     pub track_history: bool,
-    /// Outcome-log capacity for in-doubt resolution.
-    pub outcome_cap: usize,
-    /// Run the online 1-copy-SI auditor (on by default; a no-op without the
-    /// `trace` feature).
-    pub audit: bool,
     /// DDL every replica's database starts with, installed before the
     /// replica joins the group's delivery stream.
     pub schema: Vec<String>,
@@ -80,8 +75,6 @@ impl Default for ClusterConfig {
             first_replica: 0,
             appliers: 2,
             track_history: false,
-            outcome_cap: 1 << 16,
-            audit: true,
             schema: Vec::new(),
         }
     }
@@ -150,18 +143,6 @@ impl ClusterConfigBuilder {
     /// Record begin/commit histories and readsets for 1-copy-SI checking.
     pub fn track_history(mut self, on: bool) -> Self {
         self.cfg.track_history = on;
-        self
-    }
-
-    /// Outcome-log capacity for in-doubt resolution.
-    pub fn outcome_cap(mut self, cap: usize) -> Self {
-        self.cfg.outcome_cap = cap;
-        self
-    }
-
-    /// Enable/disable the online 1-copy-SI auditor.
-    pub fn audit(mut self, on: bool) -> Self {
-        self.cfg.audit = on;
         self
     }
 
@@ -319,7 +300,7 @@ impl Cluster {
             }
         };
         let epoch = Instant::now();
-        let auditor = Arc::new(Auditor::new(config.audit));
+        let auditor = Arc::new(Auditor::new());
         let crash_plan = Arc::new(CrashPlan::new());
         let mut nodes = Vec::with_capacity(config.replicas);
         let mut threads = Vec::new();
@@ -344,7 +325,6 @@ impl Cluster {
                 db,
                 member.handle(),
                 config.mode,
-                config.outcome_cap,
                 config.track_history,
                 None,
                 Journal::with_epoch(rid, epoch, DEFAULT_JOURNAL_CAPACITY),
@@ -584,7 +564,6 @@ impl Cluster {
             db,
             member.handle(),
             self.config.mode,
-            self.config.outcome_cap,
             self.config.track_history,
             Some(bootstrap),
             Journal::with_epoch(rid, self.epoch, DEFAULT_JOURNAL_CAPACITY),

@@ -132,6 +132,9 @@ pub const INQUIRE_DEADLINE: Duration = Duration::from_secs(5);
 /// for the next applier.
 const APPLIER_BATCH_MAX: usize = 64;
 
+/// Verdicts a replica keeps for in-doubt resolution (§5.4 case 3).
+const OUTCOME_CAP: usize = 1 << 16;
+
 /// How a local transaction multicast and awaiting its fate learns it: its
 /// tid and the delivery's stamp (where `validate_queue` starts), or why it
 /// aborted. On a pass the session thread commits the transaction itself —
@@ -312,7 +315,6 @@ impl ReplicaNode {
         db: Database,
         gcs: Box<dyn Cast<ReplMsg>>,
         mode: ReplicationMode,
-        outcome_cap: usize,
         record_history: bool,
         bootstrap: Option<Core>,
         journal: Journal,
@@ -322,7 +324,7 @@ impl ReplicaNode {
         // A recovered replica's stream restarts from the transferred state.
         let recovered = bootstrap.is_some();
         let core = bootstrap
-            .unwrap_or_else(|| ReplicaCore::new(mode == ReplicationMode::SrcaRep, outcome_cap));
+            .unwrap_or_else(|| ReplicaCore::new(mode == ReplicationMode::SrcaRep, OUTCOME_CAP));
         let state = NodeState { core, waiters: 0, idle: 0 };
         let member = gcs.id();
         let node = Arc::new(ReplicaNode {

@@ -1,10 +1,14 @@
 //! The sequencer, as a data structure: one log of frames, one cursor per
-//! member, and nothing else — no thread, no clock, no socket. Both backends
-//! are shells over it: [`crate::SimGroup`] adds simulated latency and the
-//! seeded fault plan, [`crate::Sequencer`] adds sockets and who writes to
-//! each: the thread that appended, or the writer of a member that lags.
-//! Each shell keeps one `SeqLog` behind one lock and calls every `&mut`
-//! method under it.
+//! member, and nothing else — no thread, no clock, no socket. It has three
+//! shells: [`crate::SimGroup`] adds simulated latency and the seeded fault
+//! plan, [`crate::Sequencer`] adds sockets and who writes to each (the
+//! thread that appended, or the writer of a member that lags), and
+//! sirep-model's explorer runs it as its network — submit is
+//! [`SeqLog::total`], deliver is [`SeqLog::pending`] then
+//! [`SeqLog::advance`], crash is [`SeqLog::evict`], recovery is
+//! [`SeqLog::admit`] at the donor's cursor — and memoizes it by value
+//! (hence `Clone` and `Ord`). Each backend keeps one `SeqLog` behind one
+//! lock and calls every `&mut` method under it.
 //!
 //! **The delivery contract** (what SRCA-Rep §5.2/§5.4 assumes of the GCS,
 //! and what `conformance_tests.rs` checks on both backends) follows from
@@ -36,6 +40,7 @@
 use sirep_common::MemberId;
 use std::collections::{vec_deque, BTreeMap, VecDeque};
 
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct Cursor<C> {
     conn: C,
     /// Absolute index of the first frame this member has not consumed.
@@ -44,6 +49,7 @@ struct Cursor<C> {
 
 /// The sequenced log of opaque frames `F` plus the member table
 /// `id → (C, cursor)`; `C` is whatever the shell keeps per member.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SeqLog<F, C> {
     next_seq: u64,
     view_id: u64,

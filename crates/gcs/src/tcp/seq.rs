@@ -15,7 +15,7 @@
 //! folds into fresh transaction ids so replayed-and-deduped outcomes can
 //! never collide with new ones. Nothing calls [`SeqLog::trim`] here yet —
 //! acceptable for the smoke tier this backend serves; trimming needs a
-//! checkpoint for later joiners (ROADMAP item 1(b)(ii)).
+//! checkpoint for later joiners (ROADMAP item 2(c)).
 //!
 //! Failure detection is TCP-level: a member connection reaching EOF or an
 //! unwritable outbound socket evicts the member and sequences the view

@@ -4,9 +4,13 @@
 //! enumerates **every** interleaving of a small scope — 2–4 transactions
 //! over 2–3 replicas — of SRCA-Rep. The replicas are sirep-core's own
 //! [`ReplicaCore`](sirep_core::ReplicaCore), the state machine the running
-//! node drives; the model supplies only the environment: clients, the
-//! total-order log, each replica's committed versions, crash and recovery.
-//! Transitions call the core the way `node.rs` does, one lock hold each:
+//! node drives, and the total-order network is sirep-gcs's own
+//! [`SeqLog`](sirep_gcs::SeqLog), the sequencer core both transports run:
+//! it mints every member id and view, and its cursors are the replicas'
+//! delivery positions. The model supplies only the environment: clients,
+//! each replica's committed versions, crash and recovery. Transitions call
+//! the cores the way `node.rs` and the sequencer's shells do, one lock hold
+//! each:
 //! begin (with the §4.3.3 hole wait), local validation (adjustment 1),
 //! total-order multicast, certification, applier claims and group commits
 //! under the smallest-tid hole gate, the certification-free read-only fast
@@ -43,15 +47,16 @@
 //! as deterministic regression tests against the real `sirep-core` node
 //! (see `tests/model_replay.rs` at the workspace root).
 //!
-//! The abstraction lives behind the [`ProtocolModel`] trait so future
-//! variants (the sharded-certification work of ROADMAP item 2) plug into
-//! the same explorer and property set.
+//! The abstraction lives behind the [`ProtocolModel`] trait, so another
+//! protocol variant (a sharded keyspace, say, parked on the ROADMAP) would
+//! plug into the same explorer and property set.
 //!
 //! Determinism is load-bearing: two runs over the same scope must produce
 //! identical state counts and identical traces. The crate therefore uses
 //! only ordered collections, never reads clocks or RNGs, passes every
-//! journal stamp as 0, and — like `core/src/replica.rs` — is covered by
-//! `lint.toml`'s `no-ambient-nondeterminism` rule.
+//! journal stamp as 0, and — like `core/src/replica.rs` and
+//! `gcs/src/seqlog.rs` — is covered by `lint.toml`'s
+//! `no-ambient-nondeterminism` rule.
 
 pub mod explore;
 pub mod scenarios;
@@ -79,7 +84,7 @@ pub enum Prop {
     /// P4: the prune watermark regressed, or a writeset was certified
     /// with `cert` below the watermark (pruned entries not checkable).
     WatermarkSoundness,
-    /// P5: two replicas assigned different verdicts or tids to the same
+    /// P5: two replicas assigned a different verdict or tid to the same
     /// sequenced writeset (Thm 1 broken).
     VerdictAgreement,
     /// P6: a remote commit created a new hole while a local transaction
@@ -137,8 +142,7 @@ pub struct TraceEvent {
 ///
 /// Implementations must be **pure**: `enabled` and `apply` may depend only
 /// on the model's own configuration and the given state, and must
-/// enumerate in a deterministic order. The sharded-certification variant
-/// (ROADMAP item 2) implements this same trait.
+/// enumerate in a deterministic order.
 pub trait ProtocolModel {
     type State: Clone;
     /// A state's canonical form, the memoization key: two states with

@@ -130,12 +130,13 @@ fn run_scope(
 /// Fail-closed proof: each seeded mutant must produce a counterexample of
 /// the expected property on its designated scope.
 fn self_check(explorer: Explorer, emit: Option<&str>) -> bool {
-    let expectations: [(Mutation, &str, Prop); 5] = [
+    let expectations: [(Mutation, &str, Prop); 6] = [
         (Mutation::SkipCertification, "2x2", Prop::FirstCommitterWins),
         (Mutation::BreakFirstCommitterWins, "2x2", Prop::FirstCommitterWins),
         (Mutation::NonatomicBeginSnapshot, "2x2", Prop::CaptureMismatch),
         (Mutation::DropHoleGate, "3x2", Prop::SnapshotPrefix),
         (Mutation::EagerInquire, "2x2-crash", Prop::SessionOrder),
+        (Mutation::LateJoin, "2x2-crash", Prop::Liveness),
     ];
     let mut ok = true;
     for (mutant, scope_name, expect) in expectations {

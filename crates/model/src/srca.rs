@@ -1,24 +1,26 @@
-//! The SRCA-Rep model: sirep-core's [`ReplicaCore`] in an abstract
-//! environment. One [`State`] is the total-order log, one [`Replica`] per
-//! replica (the shipped core plus its shell's liveness, delivery cursor,
-//! claimed batches and committed tids) and one [`TxnState`] per client.
-//! Transitions call the core the way `node.rs` does, one lock hold each
-//! (DESIGN.md §17: the exceptions and the soundness argument). The core
-//! reports its events into the trace itself; the model adds only the
-//! shell's (`Multicast`, `LocalReadOnly`, `ApplyDone`). Storage, the network
+//! The SRCA-Rep model: sirep-core's [`ReplicaCore`] over sirep-gcs's
+//! [`SeqLog`]. One [`State`] is the group's log (its members are the live
+//! replicas, its cursors their delivery positions), one [`Replica`] per
+//! replica (the shipped core plus its shell's member id, claimed batches
+//! and committed tids) and one [`TxnState`] per client. Transitions call
+//! the cores the way `node.rs` and the sequencer's shells do, one lock hold
+//! each (DESIGN.md §17: the exceptions and the soundness argument). The
+//! core reports its events into the trace itself; the model adds only the
+//! shell's (`Multicast`, `LocalReadOnly`, `ApplyDone`). Storage, the sockets
 //! and the clients stay abstract.
 //!
 //! [`Mutation`]s are seeded faults: each must produce a counterexample,
 //! proving the explorer fail-closed. None is a knob in the core — the
 //! environment skips a gate the shell asks, or misbehaves itself. Two
 //! (`NonatomicBeginSnapshot`, `EagerInquire`) are exact abstractions of
-//! real bugs this model found in `sirep-core`.
+//! real bugs this model found in `sirep-core`; one (`LateJoin`) is a fault
+//! of the group's join.
 
 use crate::{Prop, ProtocolModel, TraceEvent, Violation};
 use sirep_common::{EventKind, GlobalTid, MemberId, ReplicaId, Stage, XactId};
 use sirep_core::msg::{Outcome, WsMsg};
 use sirep_core::replica::{CoreKey, InDoubt, ReplicaCore, Report};
-use sirep_gcs::View;
+use sirep_gcs::{SeqLog, View};
 use sirep_storage::{Key, WriteSet, WsOp};
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -109,15 +111,19 @@ pub enum Mutation {
     /// `ReplicaCore::inquire` — the shape of the real pre-fix `inquire`
     /// bug. Expected: P7.
     EagerInquire,
+    /// A recovering replica joins the log at its end, not at its donor's
+    /// cursor: what the donor had yet to read is lost. Expected: L1.
+    LateJoin,
 }
 
 impl Mutation {
-    pub const ALL: [Mutation; 5] = [
+    pub const ALL: [Mutation; 6] = [
         Mutation::SkipCertification,
         Mutation::DropHoleGate,
         Mutation::BreakFirstCommitterWins,
         Mutation::NonatomicBeginSnapshot,
         Mutation::EagerInquire,
+        Mutation::LateJoin,
     ];
 
     /// Stable CLI name.
@@ -129,6 +135,7 @@ impl Mutation {
             Mutation::BreakFirstCommitterWins => "break-first-committer-wins",
             Mutation::NonatomicBeginSnapshot => "nonatomic-begin-snapshot",
             Mutation::EagerInquire => "eager-inquire",
+            Mutation::LateJoin => "late-join",
         }
     }
 
@@ -143,8 +150,9 @@ impl Mutation {
 // ======================================================================
 
 /// Client-visible lifecycle of one transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
+    #[default]
     NotStarted,
     /// Blocked in begin until the origin has no holes (§4.3.3).
     WaitingBegin,
@@ -155,6 +163,8 @@ pub enum Phase {
     Active,
     /// Writeset multicast; waiting for the total-order verdict.
     Submitted,
+    /// The origin's own verdict passed: its session may commit.
+    Validated,
     /// The origin crashed after the multicast (§5.4 case 3).
     InDoubt,
     Committed,
@@ -163,24 +173,29 @@ pub enum Phase {
     RoCommitted,
 }
 
-/// One entry of the total-order log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// One frame of the group's log.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LogEntry {
     /// A multicast writeset with the origin's certification watermark.
     Ws { txn: Txn, cert: Tid },
-    /// A view change excluding a crashed replica (sequenced after all of
-    /// its writesets — the uniform-delivery cut).
-    View { crashed: Rep },
-    /// A recovered replica re-joined the group.
-    Join { rep: Rep },
+    /// A view as [`SeqLog::admit`] and [`SeqLog::evict`] append it.
+    View { id: u64, members: Rc<[MemberId]> },
+}
+
+/// The group's log: the shipped sequencer core.
+pub type Log = SeqLog<LogEntry, ()>;
+
+/// The view frame of the log's current member table.
+fn view(log: &Log) -> LogEntry {
+    let members = log.members().map(|(id, ())| MemberId::new(id)).collect();
+    LogEntry::View { id: log.view_id(), members }
 }
 
 /// One replica: its core, and what its shell holds.
 #[derive(Clone)]
 pub struct Replica {
-    pub alive: bool,
-    /// How many log entries this replica has processed.
-    pub delivered: u8,
+    /// The member id the log minted at its last join.
+    pub member: u64,
     /// Shared between states until a transition changes it.
     pub core: Rc<ReplicaCore>,
     /// Claimed, uncommitted applier batches (ascending tids each).
@@ -197,7 +212,7 @@ impl Replica {
 }
 
 /// Per-transaction model state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TxnState {
     pub phase: Phase,
     /// What the engine snapshot actually contains (frontier at the
@@ -209,41 +224,41 @@ pub struct TxnState {
     pub cert: Tid,
     /// Global tid assigned at validation (0 = none yet).
     pub tid: Tid,
+    /// The first verdict reached on its writeset, which all must agree on (P5).
+    pub verdict: Option<bool>,
 }
 
 /// One global configuration of the model.
 #[derive(Clone)]
 pub struct State {
-    pub log: Vec<LogEntry>,
-    /// Verdict registry parallel to `log`: the first replica to validate
-    /// entry `i` records `(passed, tid)`; later replicas must agree (P5).
-    pub verdicts: Vec<Option<(bool, Tid)>>,
+    /// Shared between states until a transition changes it.
+    pub log: Rc<Log>,
     pub reps: Vec<Replica>,
     pub txns: Vec<TxnState>,
     pub crashes: u8,
 }
 
 /// A replica as the explorer memoizes it: its core by [`ReplicaCore::key`].
-type ReplicaKey = (bool, u8, Vec<Vec<Tid>>, u32, CoreKey);
+type ReplicaKey = (u64, Vec<Vec<Tid>>, u32, CoreKey);
 
-/// [`State`] as the explorer memoizes it.
-pub type StateKey = (Vec<LogEntry>, Vec<Option<(bool, Tid)>>, Vec<ReplicaKey>, Vec<TxnState>, u8);
+/// [`State`] as the explorer memoizes it. The log comes last: it is the
+/// slowest to compare, and states next to each other often share it.
+pub type StateKey = (Vec<TxnState>, u8, Vec<ReplicaKey>, Rc<Log>);
 
 impl State {
-    /// Log index of transaction `t`'s writeset entry, if multicast.
-    fn ws_index(&self, t: Txn) -> Option<usize> {
-        self.log.iter().position(|e| matches!(e, LogEntry::Ws { txn, .. } if *txn == t))
+    /// Is replica `r` a member of the group?
+    pub fn alive(&self, r: Rep) -> bool {
+        self.log.contains(self.reps[r as usize].member)
     }
 
-    /// The writeset of an assigned tid (via the verdict registry).
-    fn ws_of_tid(&self, scenario: &Scenario, tid: Tid) -> u8 {
-        let ws = |(v, e): (&Option<(bool, Tid)>, &LogEntry)| match (*v, *e) {
-            (Some((true, t)), LogEntry::Ws { txn, .. }) if t == tid => {
-                Some(scenario.txns[txn as usize].ws)
-            }
-            _ => None,
-        };
-        self.verdicts.iter().zip(&self.log).find_map(ws).unwrap_or(0)
+    /// The log entry at `r`'s cursor, if it has one to deliver.
+    fn next_entry(&self, r: Rep) -> Option<&LogEntry> {
+        self.log.pending(self.reps[r as usize].member)?.1.next()
+    }
+
+    /// The transaction that validated as `tid`.
+    fn txn_of_tid(&self, tid: Tid) -> Option<Txn> {
+        self.txns.iter().position(|tx| tx.tid == tid).map(|t| t as Txn)
     }
 
     /// The replica's core, to change it.
@@ -278,7 +293,7 @@ pub enum Label {
     Claim(Rep, u8),
     /// Group-commit claimed batch `b` (hole gate on its smallest tid).
     GroupCommit(Rep, u8),
-    /// Crash-stop a replica (view change is sequenced behind its log).
+    /// Crash-stop a replica: the log evicts it behind its writesets.
     Crash(Rep),
     /// Resolve an in-doubt transaction at a surviving replica (§5.4).
     Resolve(Txn, Rep),
@@ -353,31 +368,7 @@ impl SrcaModel {
 
     /// The transaction that validated as `tid`.
     fn xact_of_tid(&self, s: &State, tid: Tid) -> XactId {
-        let t = s.txns.iter().position(|tx| tx.tid == tid).unwrap_or_default();
-        self.xact(t as Txn)
-    }
-
-    /// The view a `View` or `Join` entry at log index `idx` installs:
-    /// everyone at incarnation 0, minus the crashed, plus each re-joined
-    /// replica's next incarnation; ids grow with the log.
-    fn view_at(&self, s: &State, idx: usize) -> View {
-        let member = |r: Rep, incarnation: u64| MemberId::of(u64::from(r), incarnation);
-        let mut members: Vec<MemberId> =
-            (0..self.scenario.replicas).map(|r| member(r, 0)).collect();
-        let mut joins = [0u64; 8];
-        for entry in &s.log[..=idx] {
-            match *entry {
-                LogEntry::View { crashed } => {
-                    members.retain(|m| m.replica() != ReplicaId::new(u64::from(crashed)));
-                }
-                LogEntry::Join { rep } => {
-                    joins[rep as usize] += 1;
-                    members.push(member(rep, joins[rep as usize]));
-                }
-                LogEntry::Ws { .. } => {}
-            }
-        }
-        View { id: idx as u64 + 2, members }
+        self.xact(s.txn_of_tid(tid).unwrap_or_default())
     }
 
     /// P1: the snapshot taken at `r` now must be a prefix `{1..snap}` of
@@ -475,12 +466,17 @@ impl SrcaModel {
         s.core(self.origin(t)).local_finished();
     }
 
-    /// Process log entry `idx` at `r`.
-    fn deliver(&self, s: &mut State, r: Rep, idx: usize, events: &mut Events) -> Vec<Violation> {
-        let LogEntry::Ws { txn: t, cert } = s.log[idx] else {
-            let view = self.view_at(s, idx);
-            s.core(r).view_change(view, &mut trace(r, events));
-            return Vec::new();
+    /// Process the log entry at `r`'s cursor, and move the cursor on.
+    fn deliver(&self, s: &mut State, r: Rep, events: &mut Events) -> Vec<Violation> {
+        let entry = s.next_entry(r).cloned().expect("enabled: an entry is pending");
+        Rc::make_mut(&mut s.log).advance(s.reps[r as usize].member, 1);
+        let (t, cert) = match entry {
+            LogEntry::Ws { txn, cert } => (txn, cert),
+            LogEntry::View { id, members } => {
+                let view = View { id, members: members.to_vec() };
+                s.core(r).view_change(view, &mut trace(r, events));
+                return Vec::new();
+            }
         };
         let m = WsMsg {
             origin: ReplicaId::new(u64::from(self.origin(t))),
@@ -494,8 +490,13 @@ impl SrcaModel {
             return Vec::new();
         };
         let watermark = core.ws_list().watermark().raw();
-        if d.tid.is_none() && d.local.is_some() {
-            self.abort(s, t);
+        // The origin hands its session the verdict.
+        if d.local.is_some() {
+            if d.tid.is_some() {
+                s.txns[t as usize].phase = Phase::Validated;
+            } else {
+                self.abort(s, t);
+            }
         }
         let mut viols = Vec::new();
         // P4: certifying below the watermark means pruned entries were not
@@ -507,20 +508,21 @@ impl SrcaModel {
         // P5: every replica must reach the same verdict and assign the same
         // tid (Thm 1).
         let tid = d.tid.map_or(0, GlobalTid::raw);
-        match s.verdicts[idx] {
-            None => {
-                s.verdicts[idx] = Some((passed, tid));
+        let tx = &mut s.txns[t as usize];
+        match (tx.verdict, tx.tid) {
+            (None, _) => {
+                tx.verdict = Some(passed);
                 if passed {
-                    s.txns[t as usize].tid = tid;
+                    tx.tid = tid;
                     viols.extend(self.check_first_committer_wins(s, t, tid));
                 }
             }
-            Some((p0, t0)) if p0 != passed || (passed && t0 != tid) => {
+            (Some(p0), t0) if p0 != passed || (passed && t0 != tid) => {
                 let detail =
                     format!("R{r} decided ({passed}, {tid}) for T{t}, another ({p0}, {t0})");
                 viols.push(Violation::of(Prop::VerdictAgreement, detail));
             }
-            Some(_) => {}
+            (Some(_), _) => {}
         }
         viols
     }
@@ -532,68 +534,62 @@ impl ProtocolModel for SrcaModel {
     type Label = Label;
 
     fn initial(&self) -> State {
+        // The group forms: every replica joins, and all of them start past
+        // the formation views with the last one installed.
+        let mut log = Log::default();
+        let members: Vec<u64> = (0..self.scenario.replicas)
+            .map(|r| log.admit(u64::from(r), (), 0, view).expect("a model replica id fits"))
+            .collect();
+        for &m in &members {
+            log.advance(m, log.end());
+        }
+        log.trim();
         let mut core = ReplicaCore::new(true, OUTCOME_CAP);
-        let members = (0..self.scenario.replicas).map(|r| MemberId::of(u64::from(r), 0)).collect();
-        core.view_change(View { id: 1, members }, &mut trace(0, &mut Vec::new()));
+        if let LogEntry::View { id, members } = view(&log) {
+            core.view_change(
+                View { id, members: members.to_vec() },
+                &mut trace(0, &mut Vec::new()),
+            );
+        }
         let core = Rc::new(core);
         let replica =
-            Replica { alive: true, delivered: 0, core, batches: Vec::new(), committed: 0 };
+            |member| Replica { member, core: Rc::clone(&core), batches: Vec::new(), committed: 0 };
         State {
-            log: Vec::new(),
-            verdicts: Vec::new(),
-            reps: vec![replica; usize::from(self.scenario.replicas)],
-            txns: vec![
-                TxnState {
-                    phase: Phase::NotStarted,
-                    db_snapshot: 0,
-                    snapshot: 0,
-                    cert: 0,
-                    tid: 0,
-                };
-                self.scenario.txns.len()
-            ],
+            log: Rc::new(log),
+            reps: members.into_iter().map(replica).collect(),
+            txns: vec![TxnState::default(); self.scenario.txns.len()],
             crashes: 0,
         }
     }
 
     fn key(&self, s: &State) -> StateKey {
-        let rep =
-            |r: &Replica| (r.alive, r.delivered, r.batches.clone(), r.committed, r.core.key());
-        let reps = s.reps.iter().map(rep).collect();
-        (s.log.clone(), s.verdicts.clone(), reps, s.txns.clone(), s.crashes)
+        let rep = |r: &Replica| (r.member, r.batches.clone(), r.committed, r.core.key());
+        (s.txns.clone(), s.crashes, s.reps.iter().map(rep).collect(), Rc::clone(&s.log))
     }
 
     fn enabled(&self, s: &State) -> Vec<Label> {
         let mut out = Vec::new();
         for (i, tx) in s.txns.iter().enumerate() {
             let t = i as Txn;
+            let alive = s.alive(self.origin(t));
             let rep = &s.reps[self.origin(t) as usize];
             match tx.phase {
-                Phase::NotStarted if rep.alive => out.push(Label::Begin(t)),
-                Phase::WaitingBegin if rep.alive && !rep.core.holes_exist() => {
+                Phase::NotStarted if alive => out.push(Label::Begin(t)),
+                Phase::WaitingBegin if alive && !rep.core.holes_exist() => {
                     out.push(Label::Resume(t));
                 }
-                Phase::SnapTaken(_) if rep.alive => out.push(Label::Record(t)),
-                Phase::Active if rep.alive => {
+                Phase::SnapTaken(_) if alive => out.push(Label::Record(t)),
+                Phase::Active if alive => {
                     if self.ws(t) == 0 {
                         out.push(Label::RoCommit(t));
                     } else {
                         out.push(Label::Submit(t));
                     }
                 }
-                Phase::Submitted if rep.alive => {
-                    // The session thread may commit once the origin has
-                    // validated the writeset with a pass verdict.
-                    if let Some(idx) = s.ws_index(t) {
-                        if usize::from(rep.delivered) > idx
-                            && matches!(s.verdicts[idx], Some((true, _)))
-                        {
-                            out.push(Label::LocalCommit(t));
-                        }
-                    }
-                }
+                Phase::Validated if alive => out.push(Label::LocalCommit(t)),
                 Phase::InDoubt => {
-                    for (k, rep2) in s.reps.iter().enumerate().filter(|(_, r)| r.alive) {
+                    let live = s.reps.iter().enumerate().filter(|&(k, _)| s.alive(k as Rep));
+                    for (k, rep2) in live {
                         let answered = if self.has(Mutation::EagerInquire) {
                             rep2.core.outcome(self.xact(t)).is_some()
                         } else {
@@ -609,17 +605,14 @@ impl ProtocolModel for SrcaModel {
         }
         for (k, rep) in s.reps.iter().enumerate() {
             let r = k as Rep;
-            if !rep.alive {
+            if !s.alive(r) {
                 if self.scenario.allow_recover {
-                    for (d, donor) in s.reps.iter().enumerate() {
-                        if donor.alive {
-                            out.push(Label::Recover(r, d as Rep));
-                        }
-                    }
+                    let donors = (0..self.scenario.replicas).filter(|&d| s.alive(d));
+                    out.extend(donors.map(|d| Label::Recover(r, d)));
                 }
                 continue;
             }
-            if usize::from(rep.delivered) < s.log.len() {
+            if s.next_entry(r).is_some() {
                 out.push(Label::Deliver(r));
             }
             if rep.batches.len() < usize::from(self.scenario.max_appliers) {
@@ -633,9 +626,7 @@ impl ProtocolModel for SrcaModel {
                     out.push(Label::GroupCommit(r, b as u8));
                 }
             }
-            if s.crashes < self.scenario.max_crashes
-                && s.reps.iter().filter(|x| x.alive).count() >= 2
-            {
+            if s.crashes < self.scenario.max_crashes && s.log.members().count() >= 2 {
                 out.push(Label::Crash(r));
             }
         }
@@ -674,7 +665,10 @@ impl ProtocolModel for SrcaModel {
                 // newer than our snapshot on a key we write aborts us.
                 let fuw_conflict = !self.has(Mutation::BreakFirstCommitterWins)
                     && (s.txns[t as usize].db_snapshot + 1..=rep.core.last_validated().raw()).any(
-                        |tid| rep.has_committed(tid) && s.ws_of_tid(&self.scenario, tid) & ws != 0,
+                        |tid| {
+                            rep.has_committed(tid)
+                                && s.txn_of_tid(tid).is_some_and(|o| self.ws(o) & ws != 0)
+                        },
                     );
                 let xact = self.xact(t);
                 let ws = &self.writesets[t as usize];
@@ -689,8 +683,8 @@ impl ProtocolModel for SrcaModel {
                         let cert = cert.raw();
                         s.txns[t as usize].cert = cert;
                         s.txns[t as usize].phase = Phase::Submitted;
-                        s.log.push(LogEntry::Ws { txn: t, cert });
-                        s.verdicts.push(None);
+                        let member = s.reps[r as usize].member;
+                        Rc::make_mut(&mut s.log).total(member, |_| LogEntry::Ws { txn: t, cert });
                         events.push(TraceEvent { replica: r, kind: EventKind::Multicast { xact } });
                     }
                 }
@@ -719,11 +713,7 @@ impl ProtocolModel for SrcaModel {
                 s.core(r).local_finished();
                 s.txns[t as usize].phase = Phase::Committed;
             }
-            Label::Deliver(r) => {
-                let idx = usize::from(s.reps[r as usize].delivered);
-                s.reps[r as usize].delivered += 1;
-                viols = self.deliver(&mut s, r, idx, &mut events);
-            }
+            Label::Deliver(r) => viols = self.deliver(&mut s, r, &mut events),
             Label::Claim(r, k) => {
                 let claimed = s.core(r).claim(usize::from(k), &mut trace(r, &mut events));
                 s.reps[r as usize].batches.push(claimed.iter().map(|e| e.tid.raw()).collect());
@@ -744,16 +734,14 @@ impl ProtocolModel for SrcaModel {
             }
             Label::Crash(r) => {
                 s.crashes += 1;
-                s.reps[r as usize].alive = false;
                 s.reps[r as usize].batches.clear();
-                s.log.push(LogEntry::View { crashed: r });
-                s.verdicts.push(None);
+                Rc::make_mut(&mut s.log).evict(&[s.reps[r as usize].member], view);
                 for (i, tx) in s.txns.iter_mut().enumerate() {
                     if self.origin(i as Txn) != r {
                         continue;
                     }
                     tx.phase = match tx.phase {
-                        Phase::Submitted => Phase::InDoubt,
+                        Phase::Submitted | Phase::Validated => Phase::InDoubt,
                         Phase::NotStarted
                         | Phase::WaitingBegin
                         | Phase::SnapTaken(_)
@@ -783,15 +771,17 @@ impl ProtocolModel for SrcaModel {
                 let donor = &s.reps[d as usize];
                 let mut core = donor.core.transfer();
                 core.reset(&mut trace(r, &mut events));
-                s.reps[r as usize] = Replica {
-                    alive: true,
-                    delivered: donor.delivered,
-                    core: Rc::new(core),
-                    batches: Vec::new(),
-                    committed: donor.committed,
+                let committed = donor.committed;
+                let from = if self.has(Mutation::LateJoin) {
+                    s.log.end()
+                } else {
+                    s.log.pending(donor.member).expect("the donor is live").0
                 };
-                s.log.push(LogEntry::Join { rep: r });
-                s.verdicts.push(None);
+                let log = Rc::make_mut(&mut s.log);
+                let member =
+                    log.admit(u64::from(r), (), from, view).expect("a model replica id fits");
+                s.reps[r as usize] =
+                    Replica { member, core: Rc::new(core), batches: Vec::new(), committed };
             }
         }
         (s, viols, events)
@@ -799,18 +789,18 @@ impl ProtocolModel for SrcaModel {
 
     fn terminal_check(&self, s: &State) -> Vec<Violation> {
         let mut out = Vec::new();
-        let any_alive = s.reps.iter().any(|r| r.alive);
+        let any_alive = s.log.members().next().is_some();
         for (i, tx) in s.txns.iter().enumerate() {
             let done = matches!(tx.phase, Phase::Committed | Phase::Aborted | Phase::RoCommitted)
                 || (tx.phase == Phase::InDoubt && !any_alive)
-                || !s.reps[usize::from(self.origin(i as Txn))].alive;
+                || !s.alive(self.origin(i as Txn));
             if !done {
                 let phase = tx.phase;
                 out.push(Violation::of(Prop::Liveness, format!("T{i} is stuck in {phase:?}")));
             }
         }
         let mut frontiers = BTreeSet::new();
-        for (k, rep) in s.reps.iter().enumerate().filter(|(_, r)| r.alive) {
+        for (k, rep) in s.reps.iter().enumerate().filter(|&(k, _)| s.alive(k as Rep)) {
             let holes = rep.core.holes();
             let pending: Vec<Tid> = holes.pending().map(GlobalTid::raw).collect();
             let (queued, batches) = (rep.core.sizes().queued, &rep.batches);

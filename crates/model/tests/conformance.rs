@@ -106,6 +106,14 @@ fn mutant_eager_inquire_trips_session_order() {
 }
 
 #[test]
+fn mutant_late_join_trips_liveness() {
+    // A joiner admitted at the log's end instead of at its donor's cursor
+    // misses what the donor had not yet read: the live replicas end
+    // on different frontiers.
+    assert_mutant_trips(Mutation::LateJoin, "2x2-crash", Prop::Liveness);
+}
+
+#[test]
 fn exploration_is_deterministic() {
     // Two full runs of a clean scope and of a violating one must agree on
     // every count and on the rendered counterexample, byte for byte.

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Rust line counts per workspace crate, test vs non-test — the number
-# ROADMAP item 3 ("one of everything") is judged by: a consolidation must
-# make the non-test count go *down*, not move lines around.
+# ROADMAP item 10 ("delete what nothing needs") and the north star's
+# "fewest lines" are judged by: a consolidation must make the non-test
+# count go *down*, not move lines around.
 #
 # Usage: scripts/loc.sh                  print this tree's counts as JSON
 #        scripts/loc.sh --against <dir>  write results/LOC.json with

@@ -59,22 +59,6 @@ fn clean_runs_report_no_violations() {
     }
 }
 
-/// `audit(false)` turns the online checks off entirely: no bookkeeping, no
-/// violations — even for workloads that would be checked when on.
-#[test]
-fn disabled_auditor_reports_nothing() {
-    let c = Cluster::new(
-        ClusterConfig::builder().replicas(2).mode(ReplicationMode::SrcaRep).audit(false).build(),
-    );
-    c.execute_ddl("CREATE TABLE t (id INT, v INT, PRIMARY KEY (id))").unwrap();
-    let mut s = c.session(0);
-    s.execute("INSERT INTO t VALUES (1, 1)").unwrap();
-    s.commit().unwrap();
-    assert!(c.quiesce(Q));
-    assert!(c.audit_is_clean());
-    assert!(c.metrics().violations.is_empty());
-}
-
 /// Suffix closure — the guard on the benchmark's correctness gate, which
 /// audits 8 192-event rings cut out of ≈ 100 k-transaction runs: whatever a
 /// clean run journals must audit clean from *any* starting point. Conflicting
@@ -485,28 +469,23 @@ fn violation_count_is_capped() {
 }
 
 /// The online wrapper: `Auditor::reporter` is the one call that feeds both
-/// the checker and the journal ring; disabled, it only journals.
+/// the checker and the journal ring.
 #[cfg(feature = "trace")]
 #[test]
 fn auditor_report_feeds_checker_and_journal() {
     use si_rep::common::Journal;
     use si_rep::core::replica::Report;
     use si_rep::core::Auditor;
-    for enabled in [true, false] {
-        let a = Auditor::new(enabled);
-        let j = Journal::new(R0);
-        a.reporter(&j).report(pass(x(0, 1), 0, 1, &[7]), &[]);
-        assert!(a.is_clean());
-        a.reporter(&j).report(pass(x(1, 1), 0, 2, &[7]), &[]);
-        assert_eq!(a.is_clean(), !enabled);
-        assert_eq!(
-            kinds(&a.violations()),
-            if enabled { vec![AuditKind::FirstCommitterWins] } else { vec![] }
-        );
-        assert_eq!(j.len(), 2);
-        // What went into the ring is what the offline audit then sees.
-        assert_eq!(audit_scraped_journals(&[(R0, j.snapshot())]).len(), 1);
-    }
+    let a = Auditor::new();
+    let j = Journal::new(R0);
+    a.reporter(&j).report(pass(x(0, 1), 0, 1, &[7]), &[]);
+    assert!(a.is_clean());
+    a.reporter(&j).report(pass(x(1, 1), 0, 2, &[7]), &[]);
+    assert!(!a.is_clean());
+    assert_eq!(kinds(&a.violations()), vec![AuditKind::FirstCommitterWins]);
+    assert_eq!(j.len(), 2);
+    // What went into the ring is what the offline audit then sees.
+    assert_eq!(audit_scraped_journals(&[(R0, j.snapshot())]).len(), 1);
 }
 
 /// With tracing compiled out the auditor is a no-op: the same API exists
@@ -517,7 +496,7 @@ fn stub_auditor_has_same_api_and_stays_clean() {
     use si_rep::common::Journal;
     use si_rep::core::replica::Report;
     use si_rep::core::Auditor;
-    let a = Auditor::new(true);
+    let a = Auditor::new();
     a.reporter(&Journal::new(R0)).report(pass(x(0, 1), 0, 1, &[7]), &[]);
     a.reporter(&Journal::new(R0)).report(pass(x(1, 1), 0, 2, &[7]), &[]);
     assert!(a.is_clean());

@@ -1,7 +1,9 @@
 //! The sequencer core (`gcs/src/seqlog.rs`) from tier-1: the delivery
 //! contract both transport backends inherit, checked on the pure state
 //! machine with no thread, clock or socket. Random join / evict / total /
-//! fifo / advance / trim sequences must keep four things true:
+//! fifo / advance / trim sequences must keep four things true, whatever
+//! index a joiner starts from (0, the end, or mid-log as sirep-model
+//! admits a recovering replica at its donor's cursor):
 //!
 //! - every member's consumed stream is a contiguous slice of one log;
 //! - a view entry sits at the same log index for everyone who consumes it;
@@ -33,10 +35,11 @@ fn view(log: &Log) -> Frame {
 /// joined, so evicted members keep being picked as senders and readers.
 #[derive(Debug, Clone)]
 enum Op {
-    /// A join of one of four replicas, so most joins are re-admits.
+    /// A join of one of four replicas, so most joins are re-admits,
+    /// asking for its cursor at `from`: 0, mid-log, or past the end.
     Join {
         replica: u64,
-        replay: bool,
+        from: u64,
     },
     Evict(Vec<usize>),
     Total(usize),
@@ -47,7 +50,8 @@ enum Op {
 
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        2 => (0u64..4, any::<bool>()).prop_map(|(replica, replay)| Op::Join { replica, replay }),
+        2 => (0u64..4, prop_oneof![Just(0), 0u64..96, Just(u64::MAX)])
+            .prop_map(|(replica, from)| Op::Join { replica, from }),
         1 => prop::collection::vec(0usize..8, 0..3).prop_map(Op::Evict),
         6 => (0usize..8).prop_map(Op::Total),
         3 => (0usize..8).prop_map(Op::Fifo),
@@ -81,8 +85,9 @@ proptest! {
 
         for op in ops {
             match op {
-                Op::Join { replica, replay } => {
-                    let from = if replay { 0 } else { log.end() };
+                Op::Join { replica, from } => {
+                    // What the log still holds: trimmed frames are gone.
+                    let (first, end) = (log.end() - log.retained() as u64, log.end());
                     let id = log.admit(replica, (), from, view).expect("a small replica id fits");
                     shadow.push(view(&log));
                     let earlier = admits.entry(replica).or_insert(0);
@@ -90,11 +95,12 @@ proptest! {
                     prop_assert_eq!((member.replica().raw(), member.incarnation()), (replica, *earlier));
                     *earlier += 1;
                     prop_assert!(!readers.contains_key(&id), "id {} handed out twice", id);
-                    // A replaying joiner starts at whatever trim left; any
-                    // joiner starts no later than its own view.
+                    // A joiner starts where it asked, clamped to what the
+                    // log held: no earlier than trim left, no later than
+                    // its own view.
                     let start = log.pending(id).expect("just joined").0;
+                    prop_assert_eq!(start, from.clamp(first, end));
                     prop_assert!(start < log.end());
-                    prop_assert!(replay || start == log.end() - 1);
                     readers.insert(id, Reader { start, consumed: Vec::new() });
                 }
                 Op::Evict(picks) => {
