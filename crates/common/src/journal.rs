@@ -49,9 +49,6 @@ pub enum FaultKind {
     /// First delivery attempt dropped; the copy arrives later via the
     /// simulated retransmission (uniform delivery is preserved).
     Drop,
-    /// A second copy of the same total-order message was enqueued; the
-    /// receive path dedups it by sequence number.
-    Duplicate,
     /// The copy was delayed beyond the configured network latency.
     ExtraDelay,
 }
@@ -61,7 +58,6 @@ impl FaultKind {
     pub fn name(&self) -> &'static str {
         match self {
             FaultKind::Drop => "drop",
-            FaultKind::Duplicate => "duplicate",
             FaultKind::ExtraDelay => "extra_delay",
         }
     }
@@ -247,7 +243,6 @@ impl Wire for FaultKind {
     fn encode(&self, out: &mut Vec<u8>) {
         let tag: u8 = match self {
             FaultKind::Drop => 0,
-            FaultKind::Duplicate => 1,
             FaultKind::ExtraDelay => 2,
         };
         tag.encode(out);
@@ -256,7 +251,6 @@ impl Wire for FaultKind {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(match u8::decode(r)? {
             0 => FaultKind::Drop,
-            1 => FaultKind::Duplicate,
             2 => FaultKind::ExtraDelay,
             _ => return Err(WireError::Corrupt("fault kind tag")),
         })
@@ -793,7 +787,7 @@ mod tests {
             assert_eq!(kind.name(), name);
             assert_eq!(kind.xact(), None);
         }
-        assert_eq!(FaultKind::Duplicate.name(), "duplicate");
+        assert_eq!(FaultKind::ExtraDelay.name(), "extra_delay");
         assert_eq!(
             CrashPoint::AfterMulticastBeforeLocalCommit.name(),
             "after_multicast_before_local_commit"
@@ -864,7 +858,10 @@ mod tests {
     #[test]
     fn wire_corrupt_tags_rejected() {
         assert_eq!(EventKind::from_wire(&[20]), Err(WireError::Corrupt("event kind tag")));
-        assert_eq!(FaultKind::from_wire(&[3]), Err(WireError::Corrupt("fault kind tag")));
+        // Tag 1 was a duplicate, which injected nothing; it is retired.
+        for tag in [1, 3] {
+            assert_eq!(FaultKind::from_wire(&[tag]), Err(WireError::Corrupt("fault kind tag")));
+        }
         assert_eq!(CrashPoint::from_wire(&[4]), Err(WireError::Corrupt("crash point tag")));
     }
 

@@ -8,7 +8,7 @@ use crate::node::{NodeStatus, ReplicaNode, ReplicationMode};
 use crate::session::Session;
 use parking_lot::{Mutex, RwLock};
 use sirep_common::{
-    CrashPoint, DbError, Event, EventKind, GaugeSnapshot, Journal, MemberId, Metrics, ReplicaId,
+    CrashPoint, DbError, Event, GaugeSnapshot, Journal, MemberId, Metrics, ReplicaId,
     StageSnapshot, TransportSnapshot, DEFAULT_JOURNAL_CAPACITY,
 };
 use sirep_gcs::{FaultConfig, Group, GroupConfig, Member, SimGroup, TcpGroup, NETWORK_REPLICA};
@@ -544,14 +544,10 @@ impl Cluster {
             }
             // Consistent state transfer from the donor (brief latch).
             let snapshot = donor.state_transfer(self.config.cost.clone());
-            if self.crash_plan.fire(CrashPoint::MidStateTransfer, donor.id()) {
+            if donor.crash_point(CrashPoint::MidStateTransfer) {
                 // The donor crash-stops with the snapshot handed over but
                 // not yet installed; the joiner must not trust a transfer
                 // from a dead donor, so discard it and retry.
-                donor
-                    .journal
-                    .record(EventKind::CrashPointFired { point: CrashPoint::MidStateTransfer });
-                self.crash(donor.id().index() - self.config.first_replica as usize);
                 continue;
             }
             break snapshot;

@@ -405,7 +405,7 @@ impl ReplicaNode {
     /// as `Cluster::crash` orders it), then fail this node's clients. Must
     /// be called *without* the state lock held — it takes it to record the
     /// firing between other holds' events, and `mark_crashed` takes it.
-    fn crash_point(&self, point: CrashPoint) -> bool {
+    pub(crate) fn crash_point(&self, point: CrashPoint) -> bool {
         if !self.crash_plan.fire(point, self.id) {
             return false;
         }

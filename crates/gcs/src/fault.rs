@@ -10,10 +10,6 @@
 //!   arrives later via a simulated retransmission.  A uniform reliable
 //!   multicast never silently loses a message to a live member — drops
 //!   manifest as extra latency, exactly as Spread's retransmission does.
-//! - **Duplicate**: a decision of the schedule only. A member is a cursor
-//!   into the group's log and passes each entry once, so there is no second
-//!   copy to deliver; the decision is still drawn, `note`d and folded into
-//!   the fingerprint.
 //! - **ExtraDelay**: the copy is delayed beyond the configured latency.
 //! - **Partitions** (driven by [`FaultConfig::partition_prob`] or
 //!   explicitly via `Group::partition`): isolated members stop receiving —
@@ -52,8 +48,6 @@ pub struct FaultConfig {
     /// Probability a delivery copy's first attempt is dropped (it then
     /// arrives after `retransmit_delay_ms`).
     pub drop_prob: f64,
-    /// Probability a total-order copy is duplicated.
-    pub dup_prob: f64,
     /// Probability a copy is delayed by up to `extra_delay_ms`.
     pub delay_prob: f64,
     /// Maximum extra delay, in model milliseconds.
@@ -76,7 +70,6 @@ impl FaultConfig {
         FaultConfig {
             seed,
             drop_prob: 0.0,
-            dup_prob: 0.0,
             delay_prob: 0.0,
             extra_delay_ms: 0.0,
             retransmit_delay_ms: 0.0,
@@ -91,7 +84,6 @@ impl FaultConfig {
         FaultConfig {
             seed,
             drop_prob: 0.08,
-            dup_prob: 0.08,
             delay_prob: 0.15,
             extra_delay_ms: 2.0,
             retransmit_delay_ms: 1.0,
@@ -105,7 +97,6 @@ impl FaultConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultDecision {
     pub drop: bool,
-    pub duplicate: bool,
     /// Extra model-ms latency (0.0 = none).
     pub extra_delay_ms: f64,
 }
@@ -207,20 +198,12 @@ impl FaultState {
         !self.explicit && self.plan_heal_at.is_some_and(|at| self.msg_index >= at)
     }
 
-    pub fn is_isolated(&self, member: u64) -> bool {
-        self.isolated.contains(&member)
-    }
-
     /// Pure per-copy decision for message `msg` delivered to `member`.
     pub fn decide(&self, msg: u64, member: u64) -> FaultDecision {
         let c = &self.cfg;
-        if c.drop_prob == 0.0 && c.dup_prob == 0.0 && c.delay_prob == 0.0 {
-            return FaultDecision::default();
-        }
         let mut rng = decision_rng(c.seed, msg, member);
         // Draw in a fixed order so the decision tuple is stable.
         let drop = c.drop_prob > 0.0 && rng.gen_bool(c.drop_prob);
-        let duplicate = c.dup_prob > 0.0 && rng.gen_bool(c.dup_prob);
         let delayed = c.delay_prob > 0.0 && rng.gen_bool(c.delay_prob);
         let extra_delay_ms = if delayed && c.extra_delay_ms > 0.0 {
             // Quantize to 1/64 ms so the magnitude folds into the
@@ -229,7 +212,7 @@ impl FaultState {
         } else {
             0.0
         };
-        FaultDecision { drop, duplicate, extra_delay_ms }
+        FaultDecision { drop, extra_delay_ms }
     }
 
     /// Should a planned partition start at message `msg`, and whom does it
@@ -299,7 +282,6 @@ impl FaultState {
             FaultRecord::Fault { msg, member, kind } => {
                 let k = match kind {
                     FaultKind::Drop => 1,
-                    FaultKind::Duplicate => 2,
                     FaultKind::ExtraDelay => 3,
                 };
                 fnv_fold(fnv_fold(fnv_fold(self.fingerprint, *msg), *member), k)
@@ -371,13 +353,13 @@ mod tests {
             st.note(FaultKind::Drop, 0, 1);
             st.begin_partition(1, vec![2], false);
             st.end_partition(4);
-            st.note(FaultKind::Duplicate, 2, 0);
+            st.note(FaultKind::ExtraDelay, 2, 0);
             (st.fingerprint(), st.log())
         };
         assert_eq!(run(), run());
         let (fp, _) = run();
         let mut reordered = FaultState::new(FaultConfig::chaos(3), Journal::new(NETWORK_REPLICA));
-        reordered.note(FaultKind::Duplicate, 2, 0);
+        reordered.note(FaultKind::ExtraDelay, 2, 0);
         reordered.note(FaultKind::Drop, 0, 1);
         assert_ne!(reordered.fingerprint().0, fp.0);
     }

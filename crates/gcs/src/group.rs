@@ -14,10 +14,9 @@
 //! reliable multicast in a LAN" (§5.2) is one config knob.
 //!
 //! A seeded [`FaultConfig`] plan (see [`crate::fault`]) can additionally
-//! drop (→ retransmit), duplicate, delay, and partition deliveries without
-//! violating the contract: drops and delays become per-copy latency stored
-//! on the entry, a duplicate is a schedule record only (a cursor cannot
-//! pass one entry twice), and a partition *bounds* the isolated members'
+//! drop (→ retransmit), delay, and partition deliveries without violating
+//! the contract: drops and delays become per-copy latency stored on the
+//! entry, and a partition *bounds* the isolated members'
 //! cursors at the log index where it began (and holds their multicasts
 //! unsequenced) until it heals, preserving the single total order.
 
@@ -132,7 +131,7 @@ impl<M> GroupState<M> {
     }
 
     fn isolated(&self, id: MemberId) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.is_isolated(id.raw()))
+        self.faults.as_ref().is_some_and(|f| f.isolated.contains(&id.raw()))
     }
 
     /// The log index `id`'s cursor may not pass right now.
@@ -192,10 +191,10 @@ impl<M> GroupState<M> {
 
     /// Append `sender`'s multicast. `m` is its fault-plan message index
     /// (`None` without a plan): each member's copy may be dropped (first
-    /// attempt lost → arrives after the retransmission delay), duplicated
-    /// (total-order only) or extra-delayed. Every decision is a pure
-    /// function of the plan seed, `m` and the member, made and `note`d
-    /// here in member order, so the schedule replays identically.
+    /// attempt lost → arrives after the retransmission delay) or
+    /// extra-delayed. Every decision is a pure function of the plan seed,
+    /// `m` and the member, made and `note`d here in member order, so the
+    /// schedule replays identically.
     fn sequence(
         &mut self,
         order: Order,
@@ -213,19 +212,13 @@ impl<M> GroupState<M> {
         if let (Some(f), Some(m)) = (self.faults.as_mut(), m) {
             for (id, ()) in self.log.members() {
                 let d = f.decide(m, id);
-                let mut extra_ms = 0.0;
-                if d.extra_delay_ms > 0.0 {
-                    extra_ms += d.extra_delay_ms;
+                let mut extra_ms = d.extra_delay_ms;
+                if extra_ms > 0.0 {
                     f.note(FaultKind::ExtraDelay, m, id);
                 }
                 if d.drop {
                     extra_ms += f.cfg.retransmit_delay_ms;
                     f.note(FaultKind::Drop, m, id);
-                }
-                // A cursor passes each entry once, so a duplicate copy has
-                // nowhere to go: it is part of the schedule only.
-                if d.duplicate && matches!(order, Order::Total) {
-                    f.note(FaultKind::Duplicate, m, id);
                 }
                 if extra_ms > 0.0 {
                     late.push((MemberId::new(id), cfg.scale.wall(extra_ms)));

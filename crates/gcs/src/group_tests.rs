@@ -424,34 +424,6 @@ mod faults {
     }
 
     #[test]
-    fn duplicate_deliveries_are_deduped_at_the_member() {
-        let group: SimGroup<u32> = SimGroup::new(GroupConfig::instant());
-        let a = group.join();
-        let b = group.join();
-        drain_views(&a);
-        drain_views(&b);
-        group.install_faults(FaultConfig { dup_prob: 1.0, ..FaultConfig::quiet(7) });
-        for i in 0..5 {
-            a.handle().multicast_total(i).unwrap();
-        }
-        // Every copy drew a duplicate — a schedule record only, since a
-        // cursor passes each entry once: each member sees each sequence
-        // number exactly once.
-        for m in [&a, &b] {
-            let got = collect_total(m, 5);
-            assert_eq!(got.iter().map(|(s, _)| *s).collect::<Vec<_>>(), (0..5).collect::<Vec<_>>());
-            assert!(m.try_recv().is_none(), "no second copy may be delivered");
-        }
-        let dups = group
-            .fault_log()
-            .iter()
-            .filter(|r| matches!(r, FaultRecord::Fault { kind: FaultKind::Duplicate, .. }))
-            .count();
-        assert_eq!(dups, 10, "2 members x 5 messages, all duplicated");
-        assert_eq!(a.in_flight().current, 0);
-    }
-
-    #[test]
     fn dropped_messages_are_retransmitted_not_lost() {
         let group: SimGroup<u32> = SimGroup::new(GroupConfig::instant());
         let a = group.join();

@@ -53,7 +53,7 @@ pub mod traits;
 
 pub use fault::{FaultConfig, FaultDecision, FaultRecord, NETWORK_REPLICA};
 pub use group::{GroupConfig, SimGroup, SimHandle, SimMember};
-pub use seqlog::SeqLog;
+pub use seqlog::{Owner, SeqLog};
 pub use tcp::{probe_seq_time, query_seq_stats, SeqStats, Sequencer, TcpCast, TcpGroup, TcpMember};
 pub use traits::{Cast, Delivery, GcsError, Group, Member, View, HELD_SEND_SEQ};
 

@@ -1,14 +1,11 @@
-//! The sequencer, as a data structure: one log of frames, one cursor per
-//! member, and nothing else — no thread, no clock, no socket. It has three
-//! shells: [`crate::SimGroup`] adds simulated latency and the seeded fault
-//! plan, [`crate::Sequencer`] adds sockets and who writes to each (the
-//! thread that appended, or the writer of a member that lags), and
-//! sirep-model's explorer runs it as its network — submit is
-//! [`SeqLog::total`], deliver is [`SeqLog::pending`] then
-//! [`SeqLog::advance`], crash is [`SeqLog::evict`], recovery is
-//! [`SeqLog::admit`] at the donor's cursor — and memoizes it by value
-//! (hence `Clone` and `Ord`). Each backend keeps one `SeqLog` behind one
-//! lock and calls every `&mut` method under it.
+//! The sequencer, as a data structure: one log of frames, one cursor and
+//! one socket owner per member, and nothing else — no thread, clock or
+//! socket. [`crate::SimGroup`] adds simulated latency and the seeded fault
+//! plan, [`crate::Sequencer`] sockets and threads; sirep-model runs it as
+//! its replica model's network and as its sequencer model (driven the way
+//! the TCP shell's threads drive it), memoized by value (hence `Clone` and
+//! `Ord`). Each backend keeps one `SeqLog` behind one lock and calls every
+//! `&mut` method under it.
 //!
 //! **The delivery contract** (what SRCA-Rep §5.2/§5.4 assumes of the GCS,
 //! and what `conformance_tests.rs` checks on both backends) follows from
@@ -33,6 +30,12 @@
 //!   incarnation of which replica it adds or drops — what §5.4's in-doubt
 //!   answer "never received" needs — and nobody downstream counts or maps.
 //!
+//! **Ownership** (the TCP shell's, DESIGN.md §14): *frames past a cursor,
+//! or a leftover, mean the member has an [`Owner`]*, the one thread that
+//! may [`SeqLog::take`] from it and write to its socket. [`SeqLog::claim`]
+//! after every append and [`SeqLog::release`] keep that; `SimGroup` and
+//! the replica model never call them.
+//!
 //! A slow member is a cursor that lags ([`SeqLog::backlog`]); it never
 //! delays an append. [`SeqLog::trim`] drops what every cursor has passed;
 //! indices stay absolute, so trimming is invisible to the cursors.
@@ -40,11 +43,23 @@
 use sirep_common::MemberId;
 use std::collections::{vec_deque, BTreeMap, VecDeque};
 
+/// Who may write to a member's socket: nobody (it has nothing left), the
+/// thread that appended or admitted it, or its writer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Owner {
+    Nobody,
+    Appender,
+    Writer,
+}
+
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct Cursor<C> {
+struct Cursor<F, C> {
     conn: C,
     /// Absolute index of the first frame this member has not consumed.
     next: u64,
+    owner: Owner,
+    /// What a short write left unsent (boxed: it is rare).
+    leftover: Option<Box<F>>,
 }
 
 /// The sequenced log of opaque frames `F` plus the member table
@@ -54,7 +69,7 @@ pub struct SeqLog<F, C> {
     next_seq: u64,
     view_id: u64,
     /// Sorted by id, so views and iteration order are deterministic.
-    members: BTreeMap<u64, Cursor<C>>,
+    members: BTreeMap<u64, Cursor<F, C>>,
     /// Times each replica has been admitted — the next joiner's
     /// incarnation. Only ever grows: eviction and trimming leave it alone.
     joins: BTreeMap<u64, u64>,
@@ -120,8 +135,8 @@ impl<F, C> SeqLog<F, C> {
 
     /// Admit a fresh incarnation of `replica`: mint its member id, register
     /// its cursor at `from` (clamped to what the log still holds: 0 replays
-    /// all of it, [`SeqLog::end`] starts at the joiner's own view) and
-    /// append the view that includes it. `view` renders a view frame from
+    /// all of it, [`SeqLog::end`] starts at the joiner's own view), owned
+    /// by the admitting thread, and append the view that includes it. `view` renders a view frame from
     /// the log's new `view_id` and `members`. `None`: `replica` does not
     /// fit in an id ([`MemberId::INCARNATION_SHIFT`]), nothing happened.
     pub fn admit(
@@ -138,14 +153,15 @@ impl<F, C> SeqLog<F, C> {
         let id = MemberId::of(replica, *joins).raw();
         *joins += 1;
         let next = from.clamp(self.base, self.end());
-        self.members.insert(id, Cursor { conn, next });
+        self.members.insert(id, Cursor { conn, next, owner: Owner::Appender, leftover: None });
         self.push_view(view);
         Some(id)
     }
 
     /// Remove `ids` and append one view covering all of them; ids that are
-    /// not members are skipped, and if none is, nothing is appended.
-    /// Returns what the shell kept for each evicted member.
+    /// not members are skipped, and if none is, nothing is appended. An
+    /// evicted member has no owner and nothing to take any more. Returns
+    /// what the shell kept for each evicted member.
     pub fn evict(&mut self, ids: &[u64], view: impl FnOnce(&Self) -> F) -> Vec<C> {
         let gone: Vec<C> =
             ids.iter().filter_map(|id| self.members.remove(id)).map(|c| c.conn).collect();
@@ -190,6 +206,60 @@ impl<F, C> SeqLog<F, C> {
         if let Some(c) = self.members.get_mut(&id) {
             c.next = (c.next + n).min(end);
         }
+    }
+
+    /// After an append: the caller now owns every ownerless member with
+    /// frames pending. Returns their ids.
+    pub fn claim(&mut self) -> Vec<u64> {
+        let (end, mut claimed) = (self.end(), Vec::new());
+        for (&id, c) in &mut self.members {
+            if c.owner == Owner::Nobody && c.next < end {
+                c.owner = Owner::Appender;
+                claimed.push(id);
+            }
+        }
+        claimed
+    }
+
+    /// The owner's next chunk for `id`, the cursor moved past it: the
+    /// leftover, then frames while `fits` — told each one taken — says
+    /// another fits. Empty once nothing is left or `id` is not a member.
+    pub fn take(&mut self, id: u64, mut fits: impl FnMut(&F) -> bool) -> Vec<F>
+    where
+        F: Clone,
+    {
+        let Some(c) = self.members.get_mut(&id) else { return Vec::new() };
+        let mut chunk: Vec<F> = c.leftover.take().map(|rest| *rest).into_iter().collect();
+        let (carried, mut room) = (chunk.len(), chunk.iter().all(&mut fits));
+        let mut frames = self.frames.range((c.next - self.base) as usize..);
+        while let Some(frame) = frames.next().filter(|_| room) {
+            room = fits(frame);
+            chunk.push(frame.clone());
+        }
+        c.next += (chunk.len() - carried) as u64;
+        chunk
+    }
+
+    /// The owner gives `id` up with what its write left unsent: to nobody
+    /// if nothing is left, else to its writer — `true`: wake it.
+    pub fn release(&mut self, id: u64, leftover: Option<F>) -> bool {
+        let end = self.end();
+        let Some(c) = self.members.get_mut(&id) else { return false };
+        c.leftover = leftover.map(Box::new);
+        let left = c.next < end || c.leftover.is_some();
+        c.owner = if left { Owner::Writer } else { Owner::Nobody };
+        left
+    }
+
+    /// `id`'s owner and what a short write to it left unsent, until it is
+    /// taken; `None` once `id` is not a member.
+    pub fn owner(&self, id: u64) -> Option<(Owner, Option<&F>)> {
+        self.members.get(&id).map(|c| (c.owner, c.leftover.as_deref()))
+    }
+
+    /// Whether `id`'s writer owns it; `None` once `id` is not a member.
+    pub fn writer_owns(&self, id: u64) -> Option<bool> {
+        self.owner(id).map(|(owner, _)| owner == Owner::Writer)
     }
 
     /// `(member, frames it has not consumed)` in id order.

@@ -1,13 +1,13 @@
 //! The sequencer service: a single process that imposes the group's total
 //! order over TCP.
 //!
-//! This file is the I/O shell — sockets, threads and who may write to which
-//! socket — over the [`SeqLog`] core, which owns the sequenced stream, the
-//! member cursors and the delivery contract (see `seqlog.rs`). Here a frame
-//! is one length-prefixed [`DownFrame`] and a member is a socket plus its
-//! cursor. The thread that appends a frame writes it to every member that
-//! keeps up; a member that does not is handed to its writer thread (the
-//! ownership rule and [`STALL`], DESIGN.md §14).
+//! This file is the I/O shell — sockets and threads — over the [`SeqLog`]
+//! core, which owns the stream, the cursors, who may write to each socket
+//! and the delivery contract (see `seqlog.rs`). A frame is one
+//! length-prefixed [`DownFrame`]; a member is a socket plus its writer's
+//! `wake`. The thread that appends a frame writes it to every member that
+//! keeps up; one whose socket stays full for [`STALL`] goes to its writer
+//! (DESIGN.md §14). sirep-model's `seq` scope drives the core the same way.
 //!
 //! A joiner starts at cursor 0: a restarted replica recovers by
 //! deterministic replay rather than state transfer. The member id `Welcome`
@@ -46,30 +46,15 @@ const STALL: Duration = Duration::from_millis(2);
 /// Take-and-write rounds of an appender before leftovers go to the writers.
 const PASSES: usize = 2;
 
-/// Who may write to a member's socket, one at a time: nobody (caught up), a
-/// thread that appended, or — once the member could not keep up — its writer.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Owner {
-    Nobody,
-    Appender,
-    Writer,
-}
-
-/// Per member besides its cursor, under the sequencer lock. Frames past the
-/// cursor always have an owner; `carry` is what a stalled write left unsent.
+/// Per member besides its cursor and owner, under the sequencer lock.
 struct Conn {
     stream: Arc<TcpStream>,
-    owner: Owner,
-    carry: Option<Arc<[u8]>>,
     /// The member's writer waits here to be handed the member.
     wake: Arc<Condvar>,
 }
 
 /// The sequenced stream in its wire form; chunks share frames, never copy.
 type Log = SeqLog<Arc<[u8]>, Conn>;
-
-/// What one socket write carries.
-type Chunk = Vec<Arc<[u8]>>;
 
 fn view_frame(log: &Log) -> DownFrame {
     DownFrame::View { id: log.view_id(), members: log.members().map(|(id, _)| id).collect() }
@@ -79,23 +64,14 @@ fn framed_view(log: &Log) -> Arc<[u8]> {
     framed(&view_frame(log)).into()
 }
 
-/// Member `id`'s next chunk — its carry, then frames past its cursor up to
-/// `WRITE_CHUNK` bytes — the cursor advanced past it. `None` once `id` is
-/// not a member.
-fn take(log: &mut Log, id: u64) -> Option<(Arc<TcpStream>, Chunk)> {
-    let conn = log.conn_mut(id)?;
-    let stream = Arc::clone(&conn.stream);
-    let mut chunk: Chunk = conn.carry.take().into_iter().collect();
-    let (carried, mut bytes) = (chunk.len(), chunk.iter().map(|b| b.len()).sum::<usize>());
-    for frame in log.pending(id)?.1 {
-        if bytes >= WRITE_CHUNK {
-            break;
-        }
+/// Member `id`'s next chunk, taken by its owner: up to `WRITE_CHUNK` bytes
+/// (at least one frame).
+fn next_chunk(log: &mut Log, id: u64) -> Vec<Arc<[u8]>> {
+    let mut bytes = 0;
+    log.take(id, |frame| {
         bytes += frame.len();
-        chunk.push(Arc::clone(frame));
-    }
-    log.advance(id, (chunk.len() - carried) as u64);
-    Some((stream, chunk))
+        bytes < WRITE_CHUNK
+    })
 }
 
 /// Put `chunk` on `stream` with one `write_vectored` — under `STALL`, as
@@ -116,44 +92,29 @@ fn send_chunk(mut stream: &TcpStream, chunk: &[Arc<[u8]>]) -> io::Result<Vec<u8>
     Ok(chunk.iter().flat_map(|b| b.iter().copied()).skip(sent).collect())
 }
 
-/// Give member `id` up: to nobody if it has caught up, else to its writer.
-fn release(log: &mut Log, id: u64) {
-    let caught_up = log.pending(id).is_some_and(|(_, mut pending)| pending.next().is_none());
-    let Some(conn) = log.conn_mut(id) else { return };
-    if caught_up && conn.carry.is_none() {
-        conn.owner = Owner::Nobody;
-    } else {
-        conn.owner = Owner::Writer;
+/// Give member `id` up with what its last write left unsent, and wake its
+/// writer if the member went to it.
+fn hand_back(log: &mut Log, id: u64, leftover: Option<Arc<[u8]>>) {
+    if let (true, Some(conn)) = (log.release(id, leftover), log.conn_mut(id)) {
         conn.wake.notify_one();
     }
 }
 
-/// Append with `append`, then claim every member nobody writes to that has
-/// frames pending and, for `PASSES` rounds, take its chunk under the lock and
-/// send it outside; leftovers go to the writers. A failed write evicts, once
-/// the rounds are over.
+/// Append with `append`, claim the members it gave frames to and, for
+/// `PASSES` rounds, take their chunks under the lock and send them outside;
+/// leftovers go to the writers. A failed write evicts, once the rounds are
+/// over.
 fn fan_out<R>(inner: &SeqInner, append: impl FnOnce(&mut Log) -> R) -> R {
     let mut log = inner.state.lock();
     let appended = append(&mut log);
-    // The members this thread owns. Only an append gives an ownerless member
-    // frames, so claiming once, after it, keeps "frames past a cursor ⇒ an
-    // owner".
-    let (mut mine, mut failed) = (Vec::new(), Vec::new());
-    for (id, backlog) in log.backlog().collect::<Vec<_>>() {
-        match log.conn_mut(id) {
-            Some(conn) if backlog > 0 && conn.owner == Owner::Nobody => {
-                conn.owner = Owner::Appender;
-                mine.push(id);
-            }
-            _ => {}
-        }
-    }
+    let (mut mine, mut failed) = (log.claim(), Vec::new());
     for _ in 0..PASSES {
         let mut chunks = Vec::new();
         for id in mine.drain(..) {
-            match take(&mut log, id) {
-                Some((stream, chunk)) if !chunk.is_empty() => chunks.push((id, stream, chunk)),
-                _ => release(&mut log, id),
+            let chunk = next_chunk(&mut log, id);
+            match log.conn_mut(id).filter(|_| !chunk.is_empty()) {
+                Some(conn) => chunks.push((id, Arc::clone(&conn.stream), chunk)),
+                None => hand_back(&mut log, id, None),
             }
         }
         if chunks.is_empty() {
@@ -168,18 +129,13 @@ fn fan_out<R>(inner: &SeqInner, append: impl FnOnce(&mut Log) -> R) -> R {
         for (id, sent) in sent {
             match sent {
                 Ok(rest) if rest.is_empty() => mine.push(id),
-                Ok(rest) => {
-                    if let Some(conn) = log.conn_mut(id) {
-                        conn.carry = Some(rest.into());
-                    }
-                    release(&mut log, id);
-                }
+                Ok(rest) => hand_back(&mut log, id, Some(rest.into())),
                 // Still this thread's until evicted below.
                 Err(_) => failed.push(id),
             }
         }
     }
-    mine.iter().for_each(|&id| release(&mut log, id));
+    mine.iter().for_each(|&id| hand_back(&mut log, id, None));
     drop(log);
     if !failed.is_empty() {
         evict_and_shutdown(inner, &failed);
@@ -354,8 +310,7 @@ fn handle_join(
 ) -> io::Result<u64> {
     stream.set_write_timeout(Some(STALL))?;
     let write = Arc::new(stream.try_clone()?);
-    let (owner, carry, wake) = (Owner::Appender, None, Arc::default());
-    let conn = Conn { stream: Arc::clone(&write), owner, carry, wake };
+    let conn = Conn { stream: Arc::clone(&write), wake: Arc::default() };
     let Some(id) = fan_out(inner, |log| log.admit(replica, conn, 0, framed_view)) else {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "replica id exceeds 32 bits"));
     };
@@ -365,7 +320,7 @@ fn handle_join(
         evict_and_shutdown(inner, &[id]);
         return Err(e);
     }
-    release(&mut inner.state.lock(), id);
+    hand_back(&mut inner.state.lock(), id, None);
     Ok(id)
 }
 
@@ -382,8 +337,8 @@ fn writer_loop(inner: &SeqInner, id: u64) {
     let mut log = inner.state.lock();
     let Some(conn) = log.conn_mut(id) else { return };
     let (stream, wake) = (Arc::clone(&conn.stream), Arc::clone(&conn.wake));
-    while let Some(owner) = log.conn_mut(id).map(|conn| conn.owner) {
-        if owner != Owner::Writer {
+    while let Some(owned) = log.writer_owns(id) {
+        if !owned {
             wake.wait(&mut log);
             continue;
         }
@@ -392,7 +347,7 @@ fn writer_loop(inner: &SeqInner, id: u64) {
             return evict_and_shutdown(inner, &[id]);
         }
         log = inner.state.lock();
-        release(&mut log, id);
+        hand_back(&mut log, id, None);
     }
 }
 
@@ -400,12 +355,11 @@ fn writer_loop(inner: &SeqInner, id: u64) {
 /// meanwhile: a full socket puts the writer to sleep, not to a poll.
 fn catch_up(inner: &SeqInner, id: u64, mut stream: &TcpStream) -> io::Result<()> {
     stream.set_write_timeout(None)?;
-    loop {
-        let taken = take(&mut inner.state.lock(), id);
-        let Some((_, chunk)) = taken.filter(|(_, chunk)| !chunk.is_empty()) else { break };
+    let mut chunk = next_chunk(&mut inner.state.lock(), id);
+    while !chunk.is_empty() {
         // No timeout: the rest of a short write blocks until it is out.
-        let rest = send_chunk(stream, &chunk)?;
-        stream.write_all(&rest)?;
+        stream.write_all(&send_chunk(stream, &chunk)?)?;
+        chunk = next_chunk(&mut inner.state.lock(), id);
     }
     stream.set_write_timeout(Some(STALL))
 }

@@ -1,8 +1,11 @@
 //! # sirep-model: bounded exhaustive model checking for SRCA-Rep
 //!
 //! A pure-Rust state-space explorer (same spirit as `sirep-lint`) that
-//! enumerates **every** interleaving of a small scope — 2–4 transactions
-//! over 2–3 replicas — of SRCA-Rep. The replicas are sirep-core's own
+//! enumerates **every** interleaving of a small scope of two models. The
+//! sequencer model ([`SeqModel`], `seq.rs`) drives the shipped
+//! [`SeqLog`](sirep_gcs::SeqLog) the way the TCP sequencer's threads do and
+//! checks S1–S4 of `DESIGN.md §17`. The SRCA-Rep model ([`SrcaModel`]) runs
+//! 2–4 transactions over 2–3 replicas. Its replicas are sirep-core's own
 //! [`ReplicaCore`](sirep_core::ReplicaCore), the state machine the running
 //! node drives, and the total-order network is sirep-gcs's own
 //! [`SeqLog`](sirep_gcs::SeqLog), the sequencer core both transports run:
@@ -47,9 +50,8 @@
 //! as deterministic regression tests against the real `sirep-core` node
 //! (see `tests/model_replay.rs` at the workspace root).
 //!
-//! The abstraction lives behind the [`ProtocolModel`] trait, so another
-//! protocol variant (a sharded keyspace, say, parked on the ROADMAP) would
-//! plug into the same explorer and property set.
+//! Both models sit behind the [`ProtocolModel`] trait and share the
+//! explorer, the counterexample format and the fail-closed self-check.
 //!
 //! Determinism is load-bearing: two runs over the same scope must produce
 //! identical state counts and identical traces. The crate therefore uses
@@ -60,10 +62,12 @@
 
 pub mod explore;
 pub mod scenarios;
+pub mod seq;
 pub mod srca;
 
 pub use explore::{Counterexample, Explorer, Report};
 pub use scenarios::{scope_by_name, Scope, SCOPES};
+pub use seq::{seq_scenarios, SeqModel};
 pub use srca::{Mutation, Scenario, SrcaModel, TxnSpec};
 
 use sirep_common::EventKind;
@@ -96,6 +100,16 @@ pub enum Prop {
     /// L1: a terminal state with open holes, stuck queue entries, a
     /// permanently waiting begin, or diverged live replicas.
     Liveness,
+    /// S1: a member's stream (socket, frames in hand, leftover, cursor) has
+    /// a gap, a duplicate or a reordering.
+    StreamSlice,
+    /// S2: a thread took from or wrote to a member it does not own alone.
+    OneWriter,
+    /// S3: a member behind or with a leftover had no owner, or a terminal
+    /// state left a live member short of the log.
+    Owned,
+    /// S4: an evicted member was taken from, or its writer never exited.
+    EvictionEnds,
 }
 
 impl Prop {
@@ -111,6 +125,10 @@ impl Prop {
             Prop::HoleDiscipline => "P6-hole-discipline",
             Prop::SessionOrder => "P7-session-order",
             Prop::Liveness => "L1-liveness",
+            Prop::StreamSlice => "S1-stream-slice",
+            Prop::OneWriter => "S2-one-writer",
+            Prop::Owned => "S3-owned",
+            Prop::EvictionEnds => "S4-eviction-ends",
         }
     }
 }
@@ -138,7 +156,9 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-/// The abstraction seam: a protocol model the [`Explorer`] can enumerate.
+/// The abstraction seam: a protocol model the [`Explorer`] can enumerate —
+/// [`SrcaModel`] (the replicas over the sequencer's log) and [`SeqModel`]
+/// (the sequencer's threads over the same log).
 ///
 /// Implementations must be **pure**: `enabled` and `apply` may depend only
 /// on the model's own configuration and the given state, and must

@@ -1,9 +1,11 @@
-//! sirep-model CLI: exhaustively explore SRCA-Rep scopes, fail closed.
+//! sirep-model CLI: exhaustively explore SRCA-Rep scopes and the
+//! sequencer scope, fail closed.
 //!
 //! ```text
-//! sirep-model --quick                      # CI quick tier (2x2, 3x2)
+//! sirep-model --quick                      # CI quick tier (2x2, 3x2, seq)
 //! sirep-model --full                       # all shipped scopes
 //! sirep-model --scope 2x2 --scope 3x2      # explicit scopes
+//! sirep-model --scope seq                  # the sequencer model
 //! sirep-model --scope 2x2 --mutant skip-certification
 //! sirep-model --self-check                 # every mutant must trip
 //! sirep-model --emit results               # write MODEL_cex_*.txt on failure
@@ -12,11 +14,18 @@
 //! Exit codes: 0 = all scopes explored exhaustively with zero violations;
 //! 1 = violation found or exploration incomplete (fail closed); 2 = usage.
 
-use sirep_model::{scope_by_name, Explorer, Mutation, Prop, Scope, SrcaModel, SCOPES};
+use sirep_model::{
+    scope_by_name, seq_scenarios, Counterexample, Explorer, Mutation, Prop, ProtocolModel, Scope,
+    SeqModel, SrcaModel, SCOPES,
+};
 use std::process::ExitCode;
+
+/// The sequencer model's scope name.
+const SEQ: &str = "seq";
 
 struct Args {
     scopes: Vec<&'static Scope>,
+    seq: bool,
     mutations: Vec<Mutation>,
     self_check: bool,
     list: bool,
@@ -27,6 +36,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         scopes: Vec::new(),
+        seq: false,
         mutations: Vec::new(),
         self_check: false,
         list: false,
@@ -38,12 +48,22 @@ fn parse_args() -> Result<Args, String> {
         match a.as_str() {
             "--scope" => {
                 let name = it.next().ok_or("--scope needs a name")?;
+                if name == SEQ {
+                    args.seq = true;
+                    continue;
+                }
                 let scope =
                     scope_by_name(&name).ok_or_else(|| format!("unknown scope '{name}'"))?;
                 args.scopes.push(scope);
             }
-            "--quick" => args.scopes.extend(SCOPES.iter().filter(|s| s.quick)),
-            "--full" => args.scopes.extend(SCOPES.iter()),
+            "--quick" => {
+                args.scopes.extend(SCOPES.iter().filter(|s| s.quick));
+                args.seq = true;
+            }
+            "--full" => {
+                args.scopes.extend(SCOPES.iter());
+                args.seq = true;
+            }
             "--mutant" => {
                 let name = it.next().ok_or("--mutant needs a name")?;
                 let m =
@@ -60,8 +80,9 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    if args.scopes.is_empty() && !args.self_check && !args.list {
+    if args.scopes.is_empty() && !args.seq && !args.self_check && !args.list {
         args.scopes.extend(SCOPES.iter().filter(|s| s.quick));
+        args.seq = true;
     }
     Ok(args)
 }
@@ -78,22 +99,35 @@ fn emit_counterexample(dir: &str, tag: &str, body: &str) {
     }
 }
 
+/// The SRCA-Rep models of one scope, each with its scenario's description.
+fn srca_models(scope: &Scope, mutations: &[Mutation]) -> Vec<(String, SrcaModel)> {
+    let model = |sc: sirep_model::Scenario| {
+        (sc.describe(), SrcaModel::with_mutations(sc, mutations.iter().copied()))
+    };
+    scope.scenarios().into_iter().map(model).collect()
+}
+
+/// The sequencer models, one per scenario.
+fn seq_models(mutations: &[Mutation]) -> Vec<(String, SeqModel)> {
+    let model = |jobs| SeqModel { jobs, mutations: mutations.iter().copied().collect() };
+    seq_scenarios().into_iter().map(model).map(|m| (format!("{:?}", m.jobs), m)).collect()
+}
+
 /// Run one scope (with optional mutations); returns false on failure.
-fn run_scope(
-    scope: &Scope,
+fn run_scope<M: ProtocolModel>(
+    name: &str,
+    models: Vec<(String, M)>,
     mutations: &[Mutation],
     explorer: Explorer,
     emit: Option<&str>,
 ) -> bool {
     let mutation_names: Vec<String> = mutations.iter().map(|m| m.name().to_string()).collect();
-    let scenarios = scope.scenarios();
+    let scenarios = models.len();
     let mut states = 0usize;
     let mut transitions = 0usize;
     let mut terminals = 0usize;
     let mut max_depth = 0usize;
-    for scenario in &scenarios {
-        let desc = scenario.describe();
-        let model = SrcaModel::with_mutations(scenario.clone(), mutations.iter().copied());
+    for (desc, model) in models {
         let report = explorer.explore(&model, &desc, &mutation_names);
         states += report.states;
         transitions += report.transitions;
@@ -101,57 +135,56 @@ fn run_scope(
         max_depth = max_depth.max(report.max_depth);
         if report.depth_bound_hit {
             eprintln!(
-                "scope {}: depth bound {} hit on [{desc}] — exploration incomplete, failing closed",
-                scope.name, explorer.depth_bound
+                "scope {name}: depth bound {} hit on [{desc}] — exploration incomplete, failing closed",
+                explorer.depth_bound
             );
             return false;
         }
         if let Some(cex) = report.violation {
             let rendered = cex.to_string();
-            eprintln!("scope {}: VIOLATION on [{desc}]\n{rendered}", scope.name);
+            eprintln!("scope {name}: VIOLATION on [{desc}]\n{rendered}");
             if let Some(dir) = emit {
-                emit_counterexample(dir, scope.name, &rendered);
+                emit_counterexample(dir, name, &rendered);
             }
             return false;
         }
     }
     println!(
-        "scope {:>10}: {:>3} scenarios, {:>8} states, {:>8} transitions, {:>6} terminals, max depth {:>3} — ok",
-        scope.name,
-        scenarios.len(),
-        states,
-        transitions,
-        terminals,
-        max_depth
+        "scope {name:>10}: {scenarios:>3} scenarios, {states:>8} states, {transitions:>8} transitions, {terminals:>6} terminals, max depth {max_depth:>3} — ok"
     );
     true
+}
+
+/// The first counterexample over `models`, scenario by scenario.
+fn first_violation<M: ProtocolModel>(
+    models: Vec<(String, M)>,
+    explorer: Explorer,
+    mutant: Mutation,
+) -> Option<Counterexample> {
+    let names = vec![mutant.name().to_string()];
+    models.into_iter().find_map(|(desc, model)| explorer.explore(&model, &desc, &names).violation)
 }
 
 /// Fail-closed proof: each seeded mutant must produce a counterexample of
 /// the expected property on its designated scope.
 fn self_check(explorer: Explorer, emit: Option<&str>) -> bool {
-    let expectations: [(Mutation, &str, Prop); 6] = [
+    let expectations: [(Mutation, &str, Prop); 9] = [
         (Mutation::SkipCertification, "2x2", Prop::FirstCommitterWins),
         (Mutation::BreakFirstCommitterWins, "2x2", Prop::FirstCommitterWins),
         (Mutation::NonatomicBeginSnapshot, "2x2", Prop::CaptureMismatch),
         (Mutation::DropHoleGate, "3x2", Prop::SnapshotPrefix),
         (Mutation::EagerInquire, "2x2-crash", Prop::SessionOrder),
         (Mutation::LateJoin, "2x2-crash", Prop::Liveness),
+        (Mutation::SkipClaim, SEQ, Prop::Owned),
+        (Mutation::DoubleClaim, SEQ, Prop::OneWriter),
+        (Mutation::ReleaseBeforeCarry, SEQ, Prop::StreamSlice),
     ];
     let mut ok = true;
     for (mutant, scope_name, expect) in expectations {
-        let scope = scope_by_name(scope_name).expect("self-check scope exists");
-        let mutation_names = vec![mutant.name().to_string()];
-        let mut found = None;
-        for scenario in scope.scenarios() {
-            let desc = scenario.describe();
-            let model = SrcaModel::with_mutations(scenario, [mutant]);
-            let report = explorer.explore(&model, &desc, &mutation_names);
-            if let Some(cex) = report.violation {
-                found = Some(cex);
-                break;
-            }
-        }
+        let found = match scope_by_name(scope_name) {
+            Some(scope) => first_violation(srca_models(scope, &[mutant]), explorer, mutant),
+            None => first_violation(seq_models(&[mutant]), explorer, mutant),
+        };
         match found {
             Some(cex) if cex.violations.iter().any(|v| v.prop == expect) => {
                 println!(
@@ -212,13 +245,18 @@ fn main() -> ExitCode {
                 if s.quick { " [quick]" } else { " [full]" }
             );
         }
+        println!("{SEQ:>10}: sequencer, 2 members + 1 joiner, 2 appends, 1 eviction [quick]");
         return ExitCode::SUCCESS;
     }
     let explorer = Explorer { depth_bound: args.depth };
     let emit = args.emit.as_deref();
     let mut ok = true;
     for scope in &args.scopes {
-        ok &= run_scope(scope, &args.mutations, explorer, emit);
+        let models = srca_models(scope, &args.mutations);
+        ok &= run_scope(scope.name, models, &args.mutations, explorer, emit);
+    }
+    if args.seq {
+        ok &= run_scope(SEQ, seq_models(&args.mutations), &args.mutations, explorer, emit);
     }
     if args.self_check {
         ok &= self_check(explorer, emit);

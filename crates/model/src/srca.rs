@@ -114,16 +114,26 @@ pub enum Mutation {
     /// A recovering replica joins the log at its end, not at its donor's
     /// cursor: what the donor had yet to read is lost. Expected: L1.
     LateJoin,
+    /// Sequencer: an appender does not `claim`. Expected: S3.
+    SkipClaim,
+    /// Sequencer: an appender takes for every member behind, owned or not.
+    /// Expected: S2.
+    DoubleClaim,
+    /// Sequencer: a short write's leftover is dropped. Expected: S1.
+    ReleaseBeforeCarry,
 }
 
 impl Mutation {
-    pub const ALL: [Mutation; 6] = [
+    pub const ALL: [Mutation; 9] = [
         Mutation::SkipCertification,
         Mutation::DropHoleGate,
         Mutation::BreakFirstCommitterWins,
         Mutation::NonatomicBeginSnapshot,
         Mutation::EagerInquire,
         Mutation::LateJoin,
+        Mutation::SkipClaim,
+        Mutation::DoubleClaim,
+        Mutation::ReleaseBeforeCarry,
     ];
 
     /// Stable CLI name.
@@ -136,6 +146,9 @@ impl Mutation {
             Mutation::NonatomicBeginSnapshot => "nonatomic-begin-snapshot",
             Mutation::EagerInquire => "eager-inquire",
             Mutation::LateJoin => "late-join",
+            Mutation::SkipClaim => "skip-claim",
+            Mutation::DoubleClaim => "double-claim",
+            Mutation::ReleaseBeforeCarry => "release-before-carry",
         }
     }
 

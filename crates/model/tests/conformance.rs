@@ -5,7 +5,7 @@
 //! must explore the acceptance scopes clean, and two runs must be
 //! bit-identical (state counts and rendered traces).
 
-use sirep_model::{scope_by_name, Explorer, Mutation, Prop, SrcaModel};
+use sirep_model::{scope_by_name, seq_scenarios, Explorer, Mutation, Prop, SeqModel, SrcaModel};
 
 /// Explore a whole scope under a mutation set; return the first
 /// counterexample (if any) rendered to a string plus its properties.
@@ -31,6 +31,25 @@ fn explore_scope(
         }
     }
     (states, transitions, None)
+}
+
+/// The same over the sequencer scope.
+fn explore_seq(mutations: &[Mutation]) -> (usize, Option<(Vec<Prop>, String)>) {
+    let explorer = Explorer::default();
+    let names: Vec<String> = mutations.iter().map(|m| m.name().to_string()).collect();
+    let mut states = 0;
+    for jobs in seq_scenarios() {
+        let desc = format!("{jobs:?}");
+        let model = SeqModel { jobs, mutations: mutations.iter().copied().collect() };
+        let report = explorer.explore(&model, &desc, &names);
+        assert!(!report.depth_bound_hit, "depth bound hit on [{desc}] — not exhaustive");
+        states += report.states;
+        if let Some(cex) = report.violation {
+            let props = cex.violations.iter().map(|v| v.prop).collect();
+            return (states, Some((props, cex.to_string())));
+        }
+    }
+    (states, None)
 }
 
 #[test]
@@ -111,6 +130,41 @@ fn mutant_late_join_trips_liveness() {
     // misses what the donor had not yet read: the live replicas end
     // on different frontiers.
     assert_mutant_trips(Mutation::LateJoin, "2x2-crash", Prop::Liveness);
+}
+
+#[test]
+fn sequencer_model_is_clean() {
+    let (states, cex) = explore_seq(&[]);
+    assert!(cex.is_none(), "violation in the unmutated sequencer: {:?}", cex.map(|c| c.1));
+    assert!(states > 10_000, "suspiciously small state space: {states}");
+}
+
+fn assert_seq_mutant_trips(mutant: Mutation, expect: Prop) {
+    let (_, cex) = explore_seq(&[mutant]);
+    let (props, rendered) = cex.unwrap_or_else(|| {
+        panic!("mutant {} produced no counterexample on seq — not fail-closed", mutant.name())
+    });
+    assert!(props.contains(&expect), "mutant {} tripped {props:?}:\n{rendered}", mutant.name());
+}
+
+#[test]
+fn mutant_skip_claim_trips_owned() {
+    // An append that claims nobody leaves the members it gave frames to
+    // behind with no owner.
+    assert_seq_mutant_trips(Mutation::SkipClaim, Prop::Owned);
+}
+
+#[test]
+fn mutant_double_claim_trips_one_writer() {
+    // The second appender takes for members the first still owns.
+    assert_seq_mutant_trips(Mutation::DoubleClaim, Prop::OneWriter);
+}
+
+#[test]
+fn mutant_release_before_carry_trips_stream_slice() {
+    // A short write's leftover dropped at release: the member's stream has
+    // a gap between its socket and its cursor.
+    assert_seq_mutant_trips(Mutation::ReleaseBeforeCarry, Prop::StreamSlice);
 }
 
 #[test]

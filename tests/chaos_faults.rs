@@ -1,4 +1,4 @@
-//! The chaos harness: seeded fault injection (drop/duplicate/delay,
+//! The chaos harness: seeded fault injection (drop/delay,
 //! partitions) plus named crash-points, driven hard while the online
 //! 1-copy-SI auditor watches. Invariants:
 //!

@@ -1,11 +1,19 @@
 //! The sequencer core (`gcs/src/seqlog.rs`) from tier-1: the delivery
-//! contract both transport backends inherit, checked on the pure state
-//! machine with no thread, clock or socket. Random join / evict / total /
-//! fifo / advance / trim sequences must keep four things true, whatever
-//! index a joiner starts from (0, the end, or mid-log as sirep-model
-//! admits a recovering replica at its donor's cursor):
+//! contract both transport backends inherit, and the TCP shell's ownership
+//! rule, checked on the pure state machine with no thread, clock or socket.
+//! Random join / evict / total / fifo / advance / trim sequences, each
+//! append followed by a `claim` as the shell's fan-out does, interleaved
+//! with owners' takes (an appender's may leave a leftover, a writer's sends
+//! it all) and releases, must keep these things true, whatever index a
+//! joiner starts from (0, the end, or mid-log as sirep-model admits a
+//! recovering replica at its donor's cursor):
 //!
-//! - every member's consumed stream is a contiguous slice of one log;
+//! - every member's consumed stream — what `advance` skipped past and what
+//!   its owners took and sent — is a contiguous slice of one log;
+//! - a member has at most one owner, `claim` takes only ownerless ones, and
+//!   pending frames or a leftover mean it has one; a release with a
+//!   leftover hands it to its writer, and `evict` returns its conn and
+//!   forgets its owner;
 //! - a view entry sits at the same log index for everyone who consumes it;
 //! - a sender's frames appear in its submission order, total-order sequence
 //!   numbers are dense from 0, and a non-member's frame changes nothing;
@@ -15,20 +23,52 @@
 
 use proptest::prelude::*;
 use si_rep::common::MemberId;
-use si_rep::gcs::SeqLog;
-use std::collections::BTreeMap;
+use si_rep::gcs::{Owner, SeqLog};
+use std::collections::{BTreeMap, BTreeSet};
 
+/// A log entry, or (`Rest`) what a short write left unsent.
 #[derive(Debug, Clone, PartialEq)]
 enum Frame {
     View { id: u64, members: Vec<u64> },
     Total { seq: u64, sender: u64, nth: u64 },
     Fifo { sender: u64, nth: u64 },
+    Rest(Vec<Frame>),
 }
 
-type Log = SeqLog<Frame, ()>;
+impl Frame {
+    fn flatten(self) -> Vec<Frame> {
+        match self {
+            Frame::Rest(frames) => frames,
+            frame => vec![frame],
+        }
+    }
+}
+
+/// A member's conn is the number of the op that admitted it, so `evict`
+/// shows whose it returns.
+type Log = SeqLog<Frame, usize>;
 
 fn view(log: &Log) -> Frame {
-    Frame::View { id: log.view_id(), members: log.members().map(|(id, ())| id).collect() }
+    Frame::View { id: log.view_id(), members: log.members().map(|(id, _)| id).collect() }
+}
+
+fn owner(log: &Log, id: u64) -> Option<Owner> {
+    log.owner(id).map(|(owner, _)| owner)
+}
+
+fn has_leftover(log: &Log, id: u64) -> bool {
+    log.owner(id).is_some_and(|(_, leftover)| leftover.is_some())
+}
+
+/// Take `id`'s next chunk of at most `budget` frames (at least one),
+/// flattened.
+fn take(log: &mut Log, id: u64, budget: usize) -> Vec<Frame> {
+    let mut frames = 0;
+    let chunk = log.take(id, |frame| {
+        frames += if let Frame::Rest(rest) = frame { rest.len() } else { 1 };
+        frames < budget
+    });
+    chunk.into_iter().flat_map(Frame::flatten).collect()
 }
 
 /// One step of a run. Member picks index (modulo) into every id that ever
@@ -46,6 +86,17 @@ enum Op {
     Fifo(usize),
     Advance(usize, u64),
     Trim,
+    /// An appender takes a chunk of at most `budget` frames from a member
+    /// it owns and sends `sent` of them; the rest goes back as a leftover.
+    Send {
+        member: usize,
+        budget: usize,
+        sent: usize,
+    },
+    /// An owner gives a member up.
+    Release(usize),
+    /// A member's writer takes a chunk and sends all of it.
+    CatchUp(usize, usize),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -57,12 +108,17 @@ fn op() -> impl Strategy<Value = Op> {
         3 => (0usize..8).prop_map(Op::Fifo),
         6 => (0usize..8, 0u64..6).prop_map(|(m, n)| Op::Advance(m, n)),
         2 => Just(Op::Trim),
+        4 => (0usize..8, 1usize..4, 0usize..4)
+            .prop_map(|(member, budget, sent)| Op::Send { member, budget, sent }),
+        2 => (0usize..8).prop_map(Op::Release),
+        3 => (0usize..8, 1usize..4).prop_map(|(m, budget)| Op::CatchUp(m, budget)),
     ]
 }
 
-/// What the test tracks per member: where its cursor started and what it
-/// has consumed since.
+/// What the test tracks per member: its conn, where its cursor started and
+/// what it has consumed since.
 struct Reader {
+    conn: usize,
     start: u64,
     consumed: Vec<Frame>,
 }
@@ -79,16 +135,19 @@ proptest! {
         let mut submitted: BTreeMap<u64, u64> = BTreeMap::new();
         // Admits so far, per replica.
         let mut admits: BTreeMap<u64, u64> = BTreeMap::new();
+        // Who owns each member, as the test tracks it (absent: nobody).
+        let mut held: BTreeMap<u64, Owner> = BTreeMap::new();
         let pick = |readers: &BTreeMap<u64, Reader>, i: usize| {
             readers.keys().nth(i % readers.len().max(1)).copied().unwrap_or(999)
         };
 
-        for op in ops {
+        for (step, op) in ops.into_iter().enumerate() {
+            let appended = log.end();
             match op {
                 Op::Join { replica, from } => {
                     // What the log still holds: trimmed frames are gone.
                     let (first, end) = (log.end() - log.retained() as u64, log.end());
-                    let id = log.admit(replica, (), from, view).expect("a small replica id fits");
+                    let id = log.admit(replica, step, from, view).expect("a small replica id fits");
                     shadow.push(view(&log));
                     let earlier = admits.entry(replica).or_insert(0);
                     let member = MemberId::new(id);
@@ -101,7 +160,10 @@ proptest! {
                     let start = log.pending(id).expect("just joined").0;
                     prop_assert_eq!(start, from.clamp(first, end));
                     prop_assert!(start < log.end());
-                    readers.insert(id, Reader { start, consumed: Vec::new() });
+                    readers.insert(id, Reader { conn: step, start, consumed: Vec::new() });
+                    // The joiner is the admitting thread's.
+                    prop_assert_eq!(owner(&log, id), Some(Owner::Appender));
+                    held.insert(id, Owner::Appender);
                 }
                 Op::Evict(picks) => {
                     let ids: Vec<u64> = picks.iter().map(|&i| pick(&readers, i)).collect();
@@ -110,7 +172,15 @@ proptest! {
                     live.sort_unstable();
                     live.dedup();
                     let (end, view_id) = (log.end(), log.view_id());
-                    let gone = log.evict(&ids, view).len();
+                    let mut seen = BTreeSet::new();
+                    let conns: Vec<usize> = ids
+                        .iter()
+                        .filter(|&&id| log.contains(id) && seen.insert(id))
+                        .map(|id| readers[id].conn)
+                        .collect();
+                    let gone = log.evict(&ids, view);
+                    prop_assert_eq!(&gone, &conns, "evict returns each member's conn once");
+                    let gone = gone.len();
                     prop_assert_eq!(gone, live.len());
                     if gone == 0 {
                         prop_assert_eq!((log.end(), log.view_id()), (end, view_id));
@@ -120,6 +190,9 @@ proptest! {
                     }
                     for id in ids {
                         prop_assert!(!log.contains(id) && log.pending(id).is_none());
+                        prop_assert_eq!(owner(&log, id), None, "eviction ends ownership");
+                        prop_assert!(take(&mut log, id, 3).is_empty() && !log.release(id, None));
+                        held.remove(&id);
                     }
                 }
                 Op::Total(i) | Op::Fifo(i) => {
@@ -150,6 +223,11 @@ proptest! {
                 }
                 Op::Advance(i, n) => {
                     let id = pick(&readers, i);
+                    // A leftover comes before the cursor: only its owner's
+                    // take passes it.
+                    if has_leftover(&log, id) {
+                        continue;
+                    }
                     let Some((next, frames)) = log.pending(id) else {
                         prop_assert!(!log.contains(id));
                         continue;
@@ -163,6 +241,68 @@ proptest! {
                     log.trim();
                     let slowest = log.backlog().map(|(_, behind)| behind).max().unwrap_or(0);
                     prop_assert_eq!(log.retained() as u64, slowest, "trim stops at the slowest");
+                }
+                Op::Send { .. } | Op::CatchUp(..) => {
+                    let (member, budget, sent, writer) = match op {
+                        Op::Send { member, budget, sent } => (member, budget, sent, false),
+                        Op::CatchUp(member, budget) => (member, budget, usize::MAX, true),
+                        _ => unreachable!(),
+                    };
+                    let id = pick(&readers, member);
+                    let taker = if writer { Owner::Writer } else { Owner::Appender };
+                    if held.get(&id) != Some(&taker) {
+                        continue;
+                    }
+                    let reader = readers.get_mut(&id).expect("members are tracked");
+                    let leftover = has_leftover(&log, id);
+                    let chunk = take(&mut log, id, budget);
+                    // The leftover first, then the frames past the cursor:
+                    // the chunk continues the member's stream.
+                    let at = (reader.start as usize) + reader.consumed.len();
+                    prop_assert_eq!(&chunk[..], &shadow[at..at + chunk.len()]);
+                    prop_assert!(chunk.len() <= budget.max(1) || leftover, "over budget");
+                    let sent = sent.min(chunk.len());
+                    reader.consumed.extend_from_slice(&chunk[..sent]);
+                    if sent < chunk.len() {
+                        let rest = Frame::Rest(chunk[sent..].to_vec());
+                        prop_assert!(log.release(id, Some(rest)), "a leftover wakes the writer");
+                        prop_assert_eq!(owner(&log, id), Some(Owner::Writer));
+                        held.insert(id, Owner::Writer);
+                    }
+                }
+                Op::Release(i) => {
+                    let id = pick(&readers, i);
+                    // An owner releases only what it has taken.
+                    if !held.contains_key(&id) || has_leftover(&log, id) {
+                        continue;
+                    }
+                    let behind = log.backlog().any(|(m, n)| m == id && n > 0);
+                    let woken = log.release(id, None);
+                    prop_assert_eq!(woken, behind, "only a member with frames left goes to its writer");
+                    if woken {
+                        held.insert(id, Owner::Writer);
+                    } else {
+                        held.remove(&id);
+                    }
+                }
+            }
+            // Claim after an append, as the shell's fan-out does: only an
+            // append gives an ownerless member frames.
+            if log.end() > appended {
+                for id in log.claim() {
+                    let earlier = held.insert(id, Owner::Appender);
+                    prop_assert!(earlier.is_none(), "{} had an owner", id);
+                }
+            } else {
+                prop_assert!(log.claim().is_empty(), "nothing appended, nothing to claim");
+            }
+            // One owner each, the one the test tracks; and frames pending or
+            // a leftover mean there is one.
+            for (id, behind) in log.backlog().collect::<Vec<_>>() {
+                let expect = held.get(&id).copied().unwrap_or(Owner::Nobody);
+                prop_assert_eq!(owner(&log, id), Some(expect), "member {}", id);
+                if behind > 0 || has_leftover(&log, id) {
+                    prop_assert!(expect != Owner::Nobody, "member {} is behind with no owner", id);
                 }
             }
             prop_assert_eq!(shadow.len() as u64, log.end());
