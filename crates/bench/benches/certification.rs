@@ -18,7 +18,6 @@ use sirep_core::validation::WsList;
 use sirep_core::XactId;
 use sirep_storage::{Key, WriteSet, WsOp};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A writeset of `size` distinct keys drawn from `lo..hi`.
 fn random_ws(rng: &mut SmallRng, size: usize, lo: i64, hi: i64) -> Arc<WriteSet> {
@@ -51,22 +50,6 @@ fn build_list(rng: &mut SmallRng, list_len: usize, entry_ws: usize) -> WsList {
     list
 }
 
-/// Median nanoseconds per call of `f` over `iters` calls × `reps` samples.
-fn time_ns(reps: usize, iters: usize, mut f: impl FnMut() -> bool) -> f64 {
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let start = Instant::now();
-        let mut acc = true;
-        for _ in 0..iters {
-            acc &= std::hint::black_box(f());
-        }
-        assert!(acc, "bench candidates must all pass");
-        samples.push(start.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 fn main() {
     let quick = bench::quick();
     let list_lens: &[usize] = if quick { &[256, 1024] } else { &[256, 1024, 4096] };
@@ -93,13 +76,20 @@ fn main() {
                 i += 1;
                 &cands[i % cands.len()]
             };
-            let indexed = time_ns(reps, iters, || list.passes(GlobalTid::ZERO, next()));
+            let indexed = bench::time_ns(reps, iters, || {
+                assert!(list.passes(GlobalTid::ZERO, next()), "bench candidates must all pass");
+            });
             let mut j = 0;
             let mut next_s = || {
                 j += 1;
                 &cands[j % cands.len()]
             };
-            let scan = time_ns(reps, iters, || list.passes_scan(GlobalTid::ZERO, next_s()));
+            let scan = bench::time_ns(reps, iters, || {
+                assert!(
+                    list.passes_scan(GlobalTid::ZERO, next_s()),
+                    "bench candidates must all pass"
+                );
+            });
             let speedup = scan / indexed;
             if list_len >= 1024 {
                 gate_speedup = gate_speedup.min(speedup);

@@ -3,9 +3,9 @@
 //! Harness utilities shared by the figure benchmarks. Each figure of the
 //! paper's evaluation has its own bench target (`cargo bench -p sirep-bench
 //! --bench fig5_tpcw`, `fig6_largedb`, `fig7_update_intensive`, plus
-//! `writeset_cost` for the §6.3 writeset-application claim and `micro` /
-//! `gcs_micro` criterion benches). Results are printed as a table and
-//! written as CSV under `results/`.
+//! `writeset_cost` for the §6.3 writeset-application claim and the `micro`,
+//! `gcs_micro` and `certification` micro-benches, timed by [`time_ns`]).
+//! Results are printed as a table and written as CSV under `results/`.
 //!
 //! ## Calibration
 //!
@@ -26,6 +26,21 @@ use sirep_gcs::GroupConfig;
 use sirep_storage::CostModel;
 use sirep_workloads::RunResult;
 use std::io::Write;
+
+/// Median nanoseconds per call of `f` over `iters` calls × `reps` samples.
+pub fn time_ns<R>(reps: usize, iters: usize, mut f: impl FnMut() -> R) -> f64 {
+    let mut samples: Vec<f64> = (0..reps)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            for _ in 0..iters {
+                std::hint::black_box(f());
+            }
+            start.elapsed().as_nanos() as f64 / iters as f64
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
 
 /// Smoke-run mode (used by CI and the test suite).
 pub fn quick() -> bool {

@@ -93,42 +93,21 @@ impl GaugeSnapshot {
 // feature configurations, so these impls are unconditional.
 // ======================================================================
 
-use crate::wire::{Wire, WireError, WireReader};
+crate::wire_codec!(struct GaugeReading { current, high_water });
 
-impl Wire for GaugeReading {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.current.encode(out);
-        self.high_water.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(GaugeReading { current: u64::decode(r)?, high_water: u64::decode(r)? })
-    }
-}
-
-/// Fixed-arity encoding in `fields()` order — adding a gauge changes the
-/// frame layout, which the telemetry round-trip tests pin on purpose.
-impl Wire for GaugeSnapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        for (_, reading) in self.fields() {
-            reading.encode(out);
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(GaugeSnapshot {
-            tocommit_depth: GaugeReading::decode(r)?,
-            ws_list_len: GaugeReading::decode(r)?,
-            open_holes: GaugeReading::decode(r)?,
-            applier_backlog: GaugeReading::decode(r)?,
-            ready_len: GaugeReading::decode(r)?,
-            cert_index_keys: GaugeReading::decode(r)?,
-            gcs_in_flight: GaugeReading::decode(r)?,
-            faults_injected: GaugeReading::decode(r)?,
-            partitioned: GaugeReading::decode(r)?,
-        })
-    }
-}
+// Fixed arity, in `fields()` order: adding a gauge changes the frame
+// layout, which the telemetry round-trip tests pin on purpose.
+crate::wire_codec!(struct GaugeSnapshot {
+    tocommit_depth,
+    ws_list_len,
+    open_holes,
+    applier_backlog,
+    ready_len,
+    cert_index_keys,
+    gcs_in_flight,
+    faults_injected,
+    partitioned,
+});
 
 // ======================================================================
 // Real implementation (`trace` feature on — the default).
@@ -245,6 +224,7 @@ impl ProtocolGauges {
 #[cfg(all(test, feature = "trace"))]
 mod tests {
     use super::*;
+    use crate::wire::Wire;
 
     #[test]
     fn gauge_tracks_current_and_high_water() {
@@ -279,6 +259,12 @@ mod tests {
         assert_eq!(a.fields()[2].0, "open_holes");
     }
 
+    /// `v`'s encoding as hex: the golden assertions pin the layout, which
+    /// a round trip alone cannot (it passes when both sides change).
+    fn hex<T: Wire>(v: &T) -> String {
+        v.to_wire().iter().map(|b| format!("{b:02x}")).collect()
+    }
+
     #[test]
     fn wire_round_trips() {
         let gauges = ProtocolGauges::new();
@@ -292,6 +278,21 @@ mod tests {
         assert_eq!(back.to_wire(), bytes);
         let r = GaugeReading { current: 4, high_water: 1 << 40 };
         assert_eq!(GaugeReading::from_wire(&r.to_wire()).unwrap(), r);
+        assert_eq!(hex(&r), "04000000000000000000000000010000");
+        assert_eq!(
+            hex(&snap),
+            concat!(
+                "03000000000000000300000000000000",
+                "4d000000000000004d00000000000000",
+                "01000000000000000100000000000000",
+                "00000000000000000000000000000000",
+                "00000000000000000000000000000000",
+                "00000000000000000000000000000000",
+                "02000000000000000900000000000000",
+                "00000000000000000000000000000000",
+                "00000000000000000000000000000000"
+            )
+        );
     }
 
     #[test]

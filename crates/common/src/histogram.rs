@@ -132,7 +132,7 @@ use crate::wire::{Wire, WireError, WireReader};
 /// and rejects anything non-canonical (out-of-range or unordered buckets,
 /// zero-count pairs, a total that disagrees with the parts), so a decoded
 /// histogram re-encodes bit-identically and its quantile math can trust
-/// `total` without re-summing.
+/// `total` without re-summing. Hand-written for that check.
 impl Wire for Histogram {
     fn encode(&self, out: &mut Vec<u8>) {
         let nonzero: Vec<(u32, u64)> = self

@@ -237,219 +237,43 @@ pub const DEFAULT_JOURNAL_CAPACITY: usize = 8192;
 // data in both feature configurations, so these impls are unconditional.
 // ======================================================================
 
-use crate::wire::{Wire, WireError, WireReader};
+crate::wire_codec!(enum FaultKind, "fault kind tag" {
+    0 => Drop,
+    // Tag 1 was `Duplicate`, which injected nothing; it stays retired.
+    2 => ExtraDelay,
+});
 
-impl Wire for FaultKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            FaultKind::Drop => 0,
-            FaultKind::ExtraDelay => 2,
-        };
-        tag.encode(out);
-    }
+crate::wire_codec!(enum CrashPoint, "crash point tag" {
+    0 => BeforeMulticast,
+    1 => AfterMulticastBeforeLocalCommit,
+    2 => AfterDeliverBeforeCommit,
+    3 => MidStateTransfer,
+});
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode(r)? {
-            0 => FaultKind::Drop,
-            2 => FaultKind::ExtraDelay,
-            _ => return Err(WireError::Corrupt("fault kind tag")),
-        })
-    }
-}
+crate::wire_codec!(enum EventKind, "event kind tag" {
+    0 => TxBegin { xact, gated },
+    1 => CertCapture { xact, cert },
+    2 => Multicast { xact },
+    3 => TotalOrderDeliver { xact, cert },
+    4 => ValidationVerdict { xact, cert, tid, keys },
+    5 => HoleOpened { tid },
+    6 => HoleClosed { tid },
+    7 => WsListPruned { watermark, removed },
+    8 => Commit { xact, tid },
+    9 => Abort { xact },
+    10 => ApplyStart { xact, tid },
+    11 => ApplyDone { xact, tid },
+    12 => ViewChange { members },
+    13 => ClientFailover { from },
+    14 => FaultInjected { fault, msg, member },
+    15 => PartitionStarted { isolated },
+    16 => PartitionHealed { flushed },
+    17 => CrashPointFired { point },
+    18 => LocalReadOnly { xact, snapshot, gated },
+    19 => ReplicaReset { last_validated, max_committed },
+});
 
-impl Wire for CrashPoint {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            CrashPoint::BeforeMulticast => 0,
-            CrashPoint::AfterMulticastBeforeLocalCommit => 1,
-            CrashPoint::AfterDeliverBeforeCommit => 2,
-            CrashPoint::MidStateTransfer => 3,
-        };
-        tag.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode(r)? {
-            0 => CrashPoint::BeforeMulticast,
-            1 => CrashPoint::AfterMulticastBeforeLocalCommit,
-            2 => CrashPoint::AfterDeliverBeforeCommit,
-            3 => CrashPoint::MidStateTransfer,
-            _ => return Err(WireError::Corrupt("crash point tag")),
-        })
-    }
-}
-
-impl Wire for EventKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            EventKind::TxBegin { xact, gated } => {
-                0u8.encode(out);
-                xact.encode(out);
-                gated.encode(out);
-            }
-            EventKind::CertCapture { xact, cert } => {
-                1u8.encode(out);
-                xact.encode(out);
-                cert.encode(out);
-            }
-            EventKind::Multicast { xact } => {
-                2u8.encode(out);
-                xact.encode(out);
-            }
-            EventKind::TotalOrderDeliver { xact, cert } => {
-                3u8.encode(out);
-                xact.encode(out);
-                cert.encode(out);
-            }
-            EventKind::ValidationVerdict { xact, cert, tid, ref keys } => {
-                4u8.encode(out);
-                xact.encode(out);
-                cert.encode(out);
-                tid.encode(out);
-                // Same layout as `Vec<u64>`, which is what decode reads.
-                (keys.len() as u32).encode(out);
-                for k in keys.iter() {
-                    k.encode(out);
-                }
-            }
-            EventKind::HoleOpened { tid } => {
-                5u8.encode(out);
-                tid.encode(out);
-            }
-            EventKind::HoleClosed { tid } => {
-                6u8.encode(out);
-                tid.encode(out);
-            }
-            EventKind::WsListPruned { watermark, removed } => {
-                7u8.encode(out);
-                watermark.encode(out);
-                removed.encode(out);
-            }
-            EventKind::Commit { xact, tid } => {
-                8u8.encode(out);
-                xact.encode(out);
-                tid.encode(out);
-            }
-            EventKind::Abort { xact } => {
-                9u8.encode(out);
-                xact.encode(out);
-            }
-            EventKind::ApplyStart { xact, tid } => {
-                10u8.encode(out);
-                xact.encode(out);
-                tid.encode(out);
-            }
-            EventKind::ApplyDone { xact, tid } => {
-                11u8.encode(out);
-                xact.encode(out);
-                tid.encode(out);
-            }
-            EventKind::ViewChange { members } => {
-                12u8.encode(out);
-                members.encode(out);
-            }
-            EventKind::ClientFailover { from } => {
-                13u8.encode(out);
-                from.encode(out);
-            }
-            EventKind::FaultInjected { fault, msg, member } => {
-                14u8.encode(out);
-                fault.encode(out);
-                msg.encode(out);
-                member.encode(out);
-            }
-            EventKind::PartitionStarted { isolated } => {
-                15u8.encode(out);
-                isolated.encode(out);
-            }
-            EventKind::PartitionHealed { flushed } => {
-                16u8.encode(out);
-                flushed.encode(out);
-            }
-            EventKind::CrashPointFired { point } => {
-                17u8.encode(out);
-                point.encode(out);
-            }
-            EventKind::LocalReadOnly { xact, snapshot, gated } => {
-                18u8.encode(out);
-                xact.encode(out);
-                snapshot.encode(out);
-                gated.encode(out);
-            }
-            EventKind::ReplicaReset { last_validated, max_committed } => {
-                19u8.encode(out);
-                last_validated.encode(out);
-                max_committed.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode(r)? {
-            0 => EventKind::TxBegin { xact: XactId::decode(r)?, gated: bool::decode(r)? },
-            1 => EventKind::CertCapture { xact: XactId::decode(r)?, cert: GlobalTid::decode(r)? },
-            2 => EventKind::Multicast { xact: XactId::decode(r)? },
-            3 => EventKind::TotalOrderDeliver {
-                xact: XactId::decode(r)?,
-                cert: GlobalTid::decode(r)?,
-            },
-            4 => EventKind::ValidationVerdict {
-                xact: XactId::decode(r)?,
-                cert: GlobalTid::decode(r)?,
-                tid: Option::<GlobalTid>::decode(r)?,
-                keys: Vec::<u64>::decode(r)?.into(),
-            },
-            5 => EventKind::HoleOpened { tid: GlobalTid::decode(r)? },
-            6 => EventKind::HoleClosed { tid: GlobalTid::decode(r)? },
-            7 => EventKind::WsListPruned {
-                watermark: GlobalTid::decode(r)?,
-                removed: u64::decode(r)?,
-            },
-            8 => EventKind::Commit { xact: XactId::decode(r)?, tid: GlobalTid::decode(r)? },
-            9 => EventKind::Abort { xact: XactId::decode(r)? },
-            10 => EventKind::ApplyStart { xact: XactId::decode(r)?, tid: GlobalTid::decode(r)? },
-            11 => EventKind::ApplyDone { xact: XactId::decode(r)?, tid: GlobalTid::decode(r)? },
-            12 => EventKind::ViewChange { members: u64::decode(r)? },
-            13 => EventKind::ClientFailover { from: ReplicaId::decode(r)? },
-            14 => EventKind::FaultInjected {
-                fault: FaultKind::decode(r)?,
-                msg: u64::decode(r)?,
-                member: u64::decode(r)?,
-            },
-            15 => EventKind::PartitionStarted { isolated: u64::decode(r)? },
-            16 => EventKind::PartitionHealed { flushed: u64::decode(r)? },
-            17 => EventKind::CrashPointFired { point: CrashPoint::decode(r)? },
-            18 => EventKind::LocalReadOnly {
-                xact: XactId::decode(r)?,
-                snapshot: GlobalTid::decode(r)?,
-                gated: bool::decode(r)?,
-            },
-            19 => EventKind::ReplicaReset {
-                last_validated: GlobalTid::decode(r)?,
-                max_committed: GlobalTid::decode(r)?,
-            },
-            _ => return Err(WireError::Corrupt("event kind tag")),
-        })
-    }
-}
-
-impl Wire for Event {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.seq.encode(out);
-        self.at_ns.encode(out);
-        self.replica.encode(out);
-        self.kind.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Event {
-            seq: u64::decode(r)?,
-            at_ns: u64::decode(r)?,
-            replica: ReplicaId::decode(r)?,
-            kind: EventKind::decode(r)?,
-        })
-    }
-}
+crate::wire_codec!(struct Event { seq, at_ns, replica, kind });
 
 // ======================================================================
 // Real implementation (`trace` feature on — the default).
@@ -804,6 +628,12 @@ mod tests {
         assert_eq!(back.to_wire(), bytes, "re-encode must be bit-identical");
     }
 
+    /// `v`'s encoding as hex: the golden assertions pin the layout, which
+    /// a round trip alone cannot (it passes when both sides change).
+    fn hex<T: Wire>(v: &T) -> String {
+        v.to_wire().iter().map(|b| format!("{b:02x}")).collect()
+    }
+
     /// One instance of every `EventKind` variant, for exhaustive wire tests.
     fn all_kinds() -> Vec<EventKind> {
         let x = XactId::new(r(2), 9);
@@ -844,6 +674,44 @@ mod tests {
             round_trip(&kind);
             round_trip(&Event { seq: 7, at_ns: 123_456_789, replica: r(2), kind });
         }
+        let golden = [
+            "000200000000000000090000000000000001",
+            "01020000000000000009000000000000002900000000000000",
+            "0202000000000000000900000000000000",
+            "03020000000000000009000000000000002900000000000000",
+            "040200000000000000090000000000000028000000000000000129000000000000000300000003000000000000000700000000000000ffffffffffffffff",
+            "040200000000000000090000000000000029000000000000000000000000",
+            "052900000000000000",
+            "062900000000000000",
+            "0729000000000000000300000000000000",
+            "08020000000000000009000000000000002900000000000000",
+            "0902000000000000000900000000000000",
+            "0a020000000000000009000000000000002900000000000000",
+            "0b020000000000000009000000000000002900000000000000",
+            "0c0300000000000000",
+            "0d0100000000000000",
+            "0e0211000000000000000200000000000000",
+            "0f0100000000000000",
+            "100800000000000000",
+            "1102",
+            "1202000000000000000900000000000000290000000000000000",
+            "1329000000000000002700000000000000",
+        ];
+        assert_eq!(all_kinds().iter().map(hex).collect::<Vec<_>>(), golden);
+        let event =
+            Event { seq: 7, at_ns: 123_456_789, replica: r(2), kind: all_kinds()[2].clone() };
+        assert_eq!(
+            hex(&event),
+            "070000000000000015cd5b070000000002000000000000000202000000000000000900000000000000"
+        );
+        assert_eq!(hex(&FaultKind::Drop) + &hex(&FaultKind::ExtraDelay), "0002");
+        let points = [
+            CrashPoint::BeforeMulticast,
+            CrashPoint::AfterMulticastBeforeLocalCommit,
+            CrashPoint::AfterDeliverBeforeCommit,
+            CrashPoint::MidStateTransfer,
+        ];
+        assert_eq!(points.map(|p| hex(&p)).concat(), "00010203");
         round_trip(&vec![
             Event { seq: 0, at_ns: 1, replica: r(0), kind: EventKind::ViewChange { members: 1 } },
             Event {

@@ -170,6 +170,7 @@ impl Metrics {
 /// Wire form (telemetry scrapes): the 12 counter values in `counters()`
 /// declaration order. A decoded `Metrics` is a snapshot — its atomics carry
 /// the scraped values and can be merged like any local snapshot.
+/// Hand-written: the fields are atomic counters, read and stored by value.
 impl crate::wire::Wire for Metrics {
     fn encode(&self, out: &mut Vec<u8>) {
         for (_, value) in self.counters() {

@@ -173,7 +173,7 @@ impl StageSnapshot {
 
 /// Sparse canonical encoding: a `Vec` of `(stage_tag, histogram)` pairs
 /// for the stages with at least one sample, in strictly increasing stage
-/// order.
+/// order. Hand-written: decode rejects non-canonical input.
 impl crate::wire::Wire for StageSnapshot {
     fn encode(&self, out: &mut Vec<u8>) {
         let nonempty: Vec<(u8, Histogram)> = Stage::ALL

@@ -14,7 +14,6 @@
 //! through atomics owned by the backend, which may feature-gate them).
 
 use crate::gauges::GaugeReading;
-use crate::wire::{Wire, WireError, WireReader};
 
 /// Point-in-time transport counters/gauges for one endpoint (or the summed
 /// rollup over several).
@@ -93,33 +92,22 @@ impl TransportSnapshot {
     }
 }
 
-impl Wire for TransportSnapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        for (_, value) in self.counters() {
-            value.encode(out);
-        }
-        self.pending_sends.encode(out);
-        self.recv_queue.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(TransportSnapshot {
-            frames_in: u64::decode(r)?,
-            bytes_in: u64::decode(r)?,
-            frames_out: u64::decode(r)?,
-            bytes_out: u64::decode(r)?,
-            decode_failures: u64::decode(r)?,
-            reconnects: u64::decode(r)?,
-            evictions: u64::decode(r)?,
-            pending_sends: GaugeReading::decode(r)?,
-            recv_queue: GaugeReading::decode(r)?,
-        })
-    }
-}
+crate::wire_codec!(struct TransportSnapshot {
+    frames_in,
+    bytes_in,
+    frames_out,
+    bytes_out,
+    decode_failures,
+    reconnects,
+    evictions,
+    pending_sends,
+    recv_queue,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::Wire;
 
     #[test]
     fn absorb_sums_counters_and_maxes_high_water() {
@@ -144,6 +132,12 @@ mod tests {
         assert!(TransportSnapshot::default().is_empty());
     }
 
+    /// `v`'s encoding as hex: the golden assertions pin the layout, which
+    /// a round trip alone cannot (it passes when both sides change).
+    fn hex<T: Wire>(v: &T) -> String {
+        v.to_wire().iter().map(|b| format!("{b:02x}")).collect()
+    }
+
     #[test]
     fn wire_round_trips() {
         let snap = TransportSnapshot {
@@ -157,6 +151,20 @@ mod tests {
             pending_sends: GaugeReading { current: 8, high_water: 9 },
             recv_queue: GaugeReading { current: 10, high_water: 11 },
         };
+        assert_eq!(
+            hex(&snap),
+            concat!(
+                "0100000000000000",
+                "0200000000000000",
+                "0300000000000000",
+                "0400000000000000",
+                "0500000000000000",
+                "0600000000000000",
+                "0700000000000000",
+                "08000000000000000900000000000000",
+                "0a000000000000000b00000000000000"
+            )
+        );
         let bytes = snap.to_wire();
         let back = TransportSnapshot::from_wire(&bytes).expect("decode");
         assert_eq!(back, snap);

@@ -13,9 +13,23 @@
 //! [`MAX_FRAME`]. Decoding is total: malformed input yields [`WireError`],
 //! never a panic or an attacker-sized allocation (length prefixes are
 //! validated against the bytes actually present before reserving).
+//!
+//! A message type states its layout once, through
+//! [`wire_codec!`](crate::wire_codec): a struct's fields in wire order, or
+//! an enum's `tag => Variant` table with each variant's fields. The macro
+//! writes both `encode` and `decode`, so the two cannot drift; tags stay
+//! literal numbers next to their variants (a retired tag stays out of the
+//! table). `usize` travels as `u64`, `Arc<T>` and `Box<T>` as `T` (decode
+//! allocates afresh), `Arc<[T]>` as `Vec<T>` and `Arc<str>` as `String`.
+//! Hand-written, each for the reason noted at its impl: the primitives and
+//! containers here, `DbError` (re-interns a string), `Key` (a tuple
+//! struct), `WriteSet` (rebuilt through `push`), `Bytes` (one bulk copy),
+//! `Histogram` and `StageSnapshot` (reject non-canonical input) and
+//! `Metrics` (atomic counters).
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 /// Hard upper bound on a single frame, applied on both sides of a stream.
 /// Generous for writesets (a full TPC-W cart update is a few KiB) while
@@ -122,6 +136,8 @@ pub trait Wire: Sized {
     }
 }
 
+// The primitives and containers are hand-written: declarations are made
+// of them.
 macro_rules! wire_int {
     ($($t:ty),*) => {$(
         impl Wire for $t {
@@ -164,24 +180,57 @@ impl Wire for bool {
     }
 }
 
-impl Wire for String {
+/// `usize` travels as `u64`; a value this host cannot hold is corrupt.
+impl Wire for usize {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u32).encode(out);
-        out.extend_from_slice(self.as_bytes());
+        (*self as u64).encode(out);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let n = r.seq_len(1)?;
-        let bytes = r.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Corrupt("utf-8"))
+        usize::try_from(u64::decode(r)?).map_err(|_| WireError::Corrupt("usize"))
+    }
+}
+
+/// A string is its `u32` byte length, then its UTF-8 bytes.
+fn encode_str(s: &str, out: &mut Vec<u8>) {
+    (s.len() as u32).encode(out);
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn decode_str<'a>(r: &mut WireReader<'a>) -> Result<&'a str, WireError> {
+    let n = r.seq_len(1)?;
+    std::str::from_utf8(r.take(n)?).map_err(|_| WireError::Corrupt("utf-8"))
+}
+
+impl Wire for String {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_str(self, out);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        decode_str(r).map(String::from)
+    }
+}
+
+/// The `String` layout, decoded into one fresh allocation.
+impl Wire for Arc<str> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_str(self, out);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        decode_str(r).map(Arc::from)
+    }
+}
+
+/// A sequence is its `u32` element count, then the elements.
+fn encode_seq<T: Wire>(items: &[T], out: &mut Vec<u8>) {
+    (items.len() as u32).encode(out);
+    for item in items {
+        item.encode(out);
     }
 }
 
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u32).encode(out);
-        for item in self {
-            item.encode(out);
-        }
+        encode_seq(self, out);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let n = r.seq_len(1)?;
@@ -190,6 +239,36 @@ impl<T: Wire> Wire for Vec<T> {
             out.push(T::decode(r)?);
         }
         Ok(out)
+    }
+}
+
+/// The `Vec<T>` layout.
+impl<T: Wire> Wire for Arc<[T]> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_seq(self, out);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Vec::<T>::decode(r).map(Arc::from)
+    }
+}
+
+/// The inner value; decode allocates a fresh one, so no `Arc` is shared
+/// across the boundary.
+impl<T: Wire> Wire for Arc<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        T::decode(r).map(Arc::new)
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        T::decode(r).map(Box::new)
     }
 }
 
@@ -255,41 +334,70 @@ wire_id!(
     crate::ids::MemberId
 );
 
-impl Wire for crate::ids::XactId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.origin.encode(out);
-        self.seq.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(crate::ids::XactId { origin: crate::ids::ReplicaId::decode(r)?, seq: u64::decode(r)? })
-    }
+/// Writes a type's `impl Wire` from one declaration of its layout, so
+/// `encode` and `decode` cannot disagree.
+///
+/// - `wire_codec!(struct T { a, b })`: the named fields, in wire order.
+/// - `wire_codec!(enum T, "t tag" { 0 => A, 1 => B(x), 2 => C { a, b } })`:
+///   a `u8` tag, then the variant's fields in the order listed; an unknown
+///   tag decodes to `WireError::Corrupt("t tag")`.
+///
+/// A variant left out does not compile (`encode`'s match is not
+/// exhaustive); a tag used twice is an `unreachable_patterns` warning,
+/// which CI denies.
+#[macro_export]
+macro_rules! wire_codec {
+    (struct $ty:ty { $($field:ident),* $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $($crate::wire::Wire::encode(&self.$field, out);)*
+            }
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                Ok(Self { $($field: $crate::wire::Wire::decode(r)?),* })
+            }
+        }
+    };
+    (enum $ty:ty, $what:literal {
+        $($tag:literal => $var:ident $(($($t:ident),*))? $({ $($f:ident),* })?),* $(,)?
+    }) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Self::$var $(($($t),*))? $({ $($f),* })? => {
+                        out.push($tag);
+                        $($($crate::wire::Wire::encode($t, out);)*)?
+                        $($($crate::wire::Wire::encode($f, out);)*)?
+                    })*
+                }
+            }
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                Ok(match <u8 as $crate::wire::Wire>::decode(r)? {
+                    $($tag => {
+                        $($(let $t = $crate::wire::Wire::decode(r)?;)*)?
+                        $($(let $f = $crate::wire::Wire::decode(r)?;)*)?
+                        Self::$var $(($($t),*))? $({ $($f),* })?
+                    })*
+                    _ => return Err($crate::wire::WireError::Corrupt($what)),
+                })
+            }
+        }
+    };
 }
 
-impl Wire for crate::error::AbortReason {
-    fn encode(&self, out: &mut Vec<u8>) {
-        use crate::error::AbortReason::*;
-        out.push(match self {
-            SerializationFailure => 0,
-            Deadlock => 1,
-            ValidationFailure => 2,
-            UserRequested => 3,
-            ReplicaCrashed => 4,
-            Shutdown => 5,
-        });
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        use crate::error::AbortReason::*;
-        Ok(match u8::decode(r)? {
-            0 => SerializationFailure,
-            1 => Deadlock,
-            2 => ValidationFailure,
-            3 => UserRequested,
-            4 => ReplicaCrashed,
-            5 => Shutdown,
-            _ => return Err(WireError::Corrupt("abort reason tag")),
-        })
-    }
-}
+wire_codec!(struct crate::ids::XactId { origin, seq });
+
+wire_codec!(enum crate::error::AbortReason, "abort reason tag" {
+    0 => SerializationFailure,
+    1 => Deadlock,
+    2 => ValidationFailure,
+    3 => UserRequested,
+    4 => ReplicaCrashed,
+    5 => Shutdown,
+});
 
 /// `TypeMismatch::expected` is a `&'static str`; the decoder re-interns the
 /// transported string against the finite set the engine actually emits, so
@@ -306,6 +414,7 @@ fn intern_expected(s: &str) -> &'static str {
     }
 }
 
+// Hand-written: decode re-interns `TypeMismatch::expected`.
 impl Wire for crate::error::DbError {
     fn encode(&self, out: &mut Vec<u8>) {
         use crate::error::DbError::*;
@@ -461,6 +570,12 @@ mod tests {
         assert_eq!(back.to_wire(), bytes, "re-encode must be bit-identical");
     }
 
+    /// `v`'s encoding as hex: the golden assertions pin the layout, which
+    /// a round trip alone cannot (it passes when both sides change).
+    fn hex<T: Wire>(v: &T) -> String {
+        v.to_wire().iter().map(|b| format!("{b:02x}")).collect()
+    }
+
     #[test]
     fn primitives_round_trip() {
         round_trip(&0u8);
@@ -484,6 +599,10 @@ mod tests {
         round_trip(&GlobalTid::new(u64::MAX));
         round_trip(&MemberId::new(9));
         round_trip(&XactId { origin: ReplicaId::new(1), seq: XactId::seq_base(2) + 7 });
+        assert_eq!(
+            hex(&XactId { origin: ReplicaId::new(1), seq: XactId::seq_base(2) + 7 }),
+            "01000000000000000700000000000200"
+        );
     }
 
     #[test]
@@ -601,6 +720,15 @@ mod tests {
         for e in all {
             round_trip(&e);
         }
+        let reasons = [
+            AbortReason::SerializationFailure,
+            AbortReason::Deadlock,
+            AbortReason::ValidationFailure,
+            AbortReason::UserRequested,
+            AbortReason::ReplicaCrashed,
+            AbortReason::Shutdown,
+        ];
+        assert_eq!(reasons.map(|r| hex(&r)).concat(), "000102030405");
         assert_eq!(DbError::from_wire(&[99]), Err(WireError::Corrupt("db error tag")));
     }
 

@@ -91,46 +91,14 @@ impl std::fmt::Display for AuditViolation {
 // Telemetry wire forms, so scraped cluster reports can carry violations
 // across process boundaries.
 
-impl sirep_common::wire::Wire for AuditKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            AuditKind::CommitOrderDivergence => 0,
-            AuditKind::FirstCommitterWins => 1,
-            AuditKind::HoleSyncViolation => 2,
-            AuditKind::PruneWatermarkViolation => 3,
-        });
-    }
+sirep_common::wire_codec!(enum AuditKind, "audit kind tag" {
+    0 => CommitOrderDivergence,
+    1 => FirstCommitterWins,
+    2 => HoleSyncViolation,
+    3 => PruneWatermarkViolation,
+});
 
-    fn decode(
-        r: &mut sirep_common::wire::WireReader<'_>,
-    ) -> Result<Self, sirep_common::wire::WireError> {
-        Ok(match u8::decode(r)? {
-            0 => AuditKind::CommitOrderDivergence,
-            1 => AuditKind::FirstCommitterWins,
-            2 => AuditKind::HoleSyncViolation,
-            3 => AuditKind::PruneWatermarkViolation,
-            _ => return Err(sirep_common::wire::WireError::Corrupt("audit kind tag")),
-        })
-    }
-}
-
-impl sirep_common::wire::Wire for AuditViolation {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.kind.encode(out);
-        self.replica.encode(out);
-        self.detail.encode(out);
-    }
-
-    fn decode(
-        r: &mut sirep_common::wire::WireReader<'_>,
-    ) -> Result<Self, sirep_common::wire::WireError> {
-        Ok(AuditViolation {
-            kind: AuditKind::decode(r)?,
-            replica: ReplicaId::decode(r)?,
-            detail: String::decode(r)?,
-        })
-    }
-}
+sirep_common::wire_codec!(struct AuditViolation { kind, replica, detail });
 
 /// Bounds on remembered verdicts and certified writesets, so a long run
 /// cannot grow the checker without limit. Old entries age out FIFO; the

@@ -241,29 +241,14 @@ impl ClusterReport {
     }
 }
 
-impl sirep_common::wire::Wire for ClusterReport {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.metrics.encode(out);
-        self.stages.encode(out);
-        self.gauges.encode(out);
-        self.violations.encode(out);
-        self.transport.encode(out);
-        self.per_node.encode(out);
-    }
-
-    fn decode(
-        r: &mut sirep_common::wire::WireReader<'_>,
-    ) -> Result<Self, sirep_common::wire::WireError> {
-        Ok(ClusterReport {
-            metrics: Metrics::decode(r)?,
-            stages: StageSnapshot::decode(r)?,
-            gauges: GaugeSnapshot::decode(r)?,
-            violations: Vec::<AuditViolation>::decode(r)?,
-            transport: TransportSnapshot::decode(r)?,
-            per_node: Vec::<NodeStatus>::decode(r)?,
-        })
-    }
-}
+sirep_common::wire_codec!(struct ClusterReport {
+    metrics,
+    stages,
+    gauges,
+    violations,
+    transport,
+    per_node,
+});
 
 /// A running cluster. Dropping it shuts every replica down.
 pub struct Cluster {

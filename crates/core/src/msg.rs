@@ -13,7 +13,6 @@
 
 pub use sirep_common::XactId;
 
-use sirep_common::wire::{Wire, WireError, WireReader};
 use sirep_common::{GlobalTid, ReplicaId};
 use sirep_storage::WriteSet;
 use std::sync::Arc;
@@ -28,22 +27,10 @@ pub enum Outcome {
     Aborted,
 }
 
-impl Wire for Outcome {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            Outcome::Committed => 0,
-            Outcome::Aborted => 1,
-        });
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(Outcome::Committed),
-            1 => Ok(Outcome::Aborted),
-            _ => Err(WireError::Corrupt("outcome tag")),
-        }
-    }
-}
+sirep_common::wire_codec!(enum Outcome, "outcome tag" {
+    0 => Committed,
+    1 => Aborted,
+});
 
 /// A writeset message, multicast in total order at commit time (Fig. 4,
 /// step I.2.g).
@@ -58,23 +45,7 @@ pub struct WsMsg {
     pub ws: Arc<WriteSet>,
 }
 
-impl Wire for WsMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.origin.encode(out);
-        self.xact.encode(out);
-        self.cert.encode(out);
-        self.ws.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(WsMsg {
-            origin: ReplicaId::decode(r)?,
-            xact: XactId::decode(r)?,
-            cert: GlobalTid::decode(r)?,
-            ws: Arc::new(WriteSet::decode(r)?),
-        })
-    }
-}
+sirep_common::wire_codec!(struct WsMsg { origin, xact, cert, ws });
 
 /// Inter-replica message. Writesets are wrapped in `Arc` — the in-process
 /// "network" ships the pointer, mirroring that a real network would ship an
@@ -101,42 +72,17 @@ pub enum ReplMsg {
     },
 }
 
-impl Wire for ReplMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ReplMsg::WriteSet(ws) => {
-                out.push(0);
-                ws.encode(out);
-            }
-            ReplMsg::Progress { from, lastvalidated } => {
-                out.push(1);
-                from.encode(out);
-                lastvalidated.encode(out);
-            }
-            ReplMsg::Marker { token } => {
-                out.push(2);
-                token.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(ReplMsg::WriteSet(Arc::new(WsMsg::decode(r)?))),
-            1 => Ok(ReplMsg::Progress {
-                from: ReplicaId::decode(r)?,
-                lastvalidated: GlobalTid::decode(r)?,
-            }),
-            2 => Ok(ReplMsg::Marker { token: u64::decode(r)? }),
-            _ => Err(WireError::Corrupt("replmsg tag")),
-        }
-    }
-}
+sirep_common::wire_codec!(enum ReplMsg, "replmsg tag" {
+    0 => WriteSet(ws),
+    1 => Progress { from, lastvalidated },
+    2 => Marker { token },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use sirep_common::wire::{Wire, WireError};
     use sirep_storage::{Key, Value, WsOp};
 
     fn ws(entries: &[(&str, i64)]) -> WriteSet {
@@ -168,14 +114,41 @@ mod tests {
         assert_eq!(back.to_wire(), bytes);
     }
 
+    /// `v`'s encoding as hex: the golden assertions pin the layout, which
+    /// a round trip alone cannot (it passes when both sides change).
+    fn hex<T: Wire>(v: &T) -> String {
+        v.to_wire().iter().map(|b| format!("{b:02x}")).collect()
+    }
+
     #[test]
     fn all_repl_msg_variants_round_trip() {
-        assert_repl_round_trip(&ReplMsg::WriteSet(Arc::new(sample_ws_msg(3))));
-        assert_repl_round_trip(&ReplMsg::Progress {
-            from: ReplicaId::new(2),
-            lastvalidated: GlobalTid::new(99),
-        });
-        assert_repl_round_trip(&ReplMsg::Marker { token: u64::MAX });
+        let msgs = [
+            ReplMsg::WriteSet(Arc::new(sample_ws_msg(3))),
+            ReplMsg::Progress { from: ReplicaId::new(2), lastvalidated: GlobalTid::new(99) },
+            ReplMsg::Marker { token: u64::MAX },
+        ];
+        for msg in &msgs {
+            assert_repl_round_trip(msg);
+        }
+        assert_eq!(
+            hex(&msgs[0]),
+            concat!(
+                "00",
+                "0100000000000000",
+                "0100000000000000",
+                "0700000000000200",
+                "0300000000000000",
+                "02000000",
+                "080000006163636f756e7473",
+                "01000000010300000000000000",
+                "00020000000103000000000000000305000000726f772d33",
+                "060000006f7264657273",
+                "01000000010400000000000000",
+                "00020000000104000000000000000305000000726f772d34"
+            )
+        );
+        assert_eq!(hex(&msgs[1]), "0102000000000000006300000000000000");
+        assert_eq!(hex(&msgs[2]), "02ffffffffffffffff");
     }
 
     #[test]
@@ -192,6 +165,7 @@ mod tests {
     fn outcome_and_corrupt_tags() {
         assert_eq!(Outcome::from_wire(&Outcome::Committed.to_wire()), Ok(Outcome::Committed));
         assert_eq!(Outcome::from_wire(&Outcome::Aborted.to_wire()), Ok(Outcome::Aborted));
+        assert_eq!(hex(&Outcome::Committed) + &hex(&Outcome::Aborted), "0001");
         assert_eq!(Outcome::from_wire(&[9]), Err(WireError::Corrupt("outcome tag")));
         assert!(ReplMsg::from_wire(&[9]).is_err());
     }

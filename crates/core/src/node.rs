@@ -195,54 +195,23 @@ pub struct NodeStatus {
     pub transport: TransportSnapshot,
 }
 
-impl NodeStatus {
-    /// A coarse load figure for balancing decisions: work queued or in
-    /// flight at this replica.
-    pub fn load(&self) -> usize {
-        self.queued + self.pending_local + self.running_locals
-    }
-}
-
-/// Telemetry wire form: fixed field order, `usize` counters as `u64`.
-/// Scraped by the per-process telemetry service and merged by the
-/// multinode `report` role.
-impl sirep_common::wire::Wire for NodeStatus {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.replica.encode(out);
-        self.alive.encode(out);
-        self.last_validated.encode(out);
-        (self.queued as u64).encode(out);
-        (self.pending_local as u64).encode(out);
-        self.holes_open.encode(out);
-        (self.running_locals as u64).encode(out);
-        (self.waiting_to_start as u64).encode(out);
-        self.view.encode(out);
-        self.metrics.encode(out);
-        self.stages.encode(out);
-        self.gauges.encode(out);
-        self.transport.encode(out);
-    }
-
-    fn decode(
-        r: &mut sirep_common::wire::WireReader<'_>,
-    ) -> Result<Self, sirep_common::wire::WireError> {
-        Ok(NodeStatus {
-            replica: ReplicaId::decode(r)?,
-            alive: bool::decode(r)?,
-            last_validated: GlobalTid::decode(r)?,
-            queued: u64::decode(r)? as usize,
-            pending_local: u64::decode(r)? as usize,
-            holes_open: bool::decode(r)?,
-            running_locals: u64::decode(r)? as usize,
-            waiting_to_start: u64::decode(r)? as usize,
-            view: Vec::decode(r)?,
-            metrics: Metrics::decode(r)?,
-            stages: StageSnapshot::decode(r)?,
-            gauges: GaugeSnapshot::decode(r)?,
-            transport: TransportSnapshot::decode(r)?,
-        })
-    }
-}
+// Telemetry wire form: scraped by the per-process telemetry service and
+// merged by the multinode `report` role.
+sirep_common::wire_codec!(struct NodeStatus {
+    replica,
+    alive,
+    last_validated,
+    queued,
+    pending_local,
+    holes_open,
+    running_locals,
+    waiting_to_start,
+    view,
+    metrics,
+    stages,
+    gauges,
+    transport,
+});
 
 /// Everything the paper's `wsmutex` keeps atomic with local transaction
 /// begins and commits. Guarded by the node's one lock (`node-state` in

@@ -25,7 +25,6 @@ use crate::msg::{Outcome, WsMsg, XactId};
 use crate::outcomes::OutcomeLog;
 use crate::tocommit::{QEntry, TocommitQueue};
 use crate::validation::WsList;
-use sirep_common::wire::{Wire, WireError, WireReader};
 use sirep_common::{EventKind, GlobalTid, MemberId, ReplicaId, Stage};
 use sirep_gcs::View;
 use sirep_storage::WriteSet;
@@ -63,26 +62,11 @@ pub enum InDoubt {
     Unknown,
 }
 
-impl Wire for InDoubt {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            InDoubt::Known(outcome) => {
-                out.push(0);
-                outcome.encode(out);
-            }
-            InDoubt::NeverReceived => out.push(1),
-            InDoubt::Unknown => out.push(2),
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode(r)? {
-            0 => InDoubt::Known(Outcome::decode(r)?),
-            1 => InDoubt::NeverReceived,
-            2 => InDoubt::Unknown,
-            _ => return Err(WireError::Corrupt("in-doubt tag")),
-        })
-    }
-}
+sirep_common::wire_codec!(enum InDoubt, "in-doubt tag" {
+    0 => Known(outcome),
+    1 => NeverReceived,
+    2 => Unknown,
+});
 
 /// A claimed queue entry on its way to commit.
 pub struct Claimed {

@@ -55,8 +55,6 @@ pub enum Policy {
     /// Rotate over alive replicas.
     #[default]
     RoundRobin,
-    /// Pick the alive replica with the least queued replication work.
-    LeastLoaded,
     /// Always prefer the lowest-numbered alive replica (deterministic;
     /// useful in tests).
     Primary,
@@ -91,7 +89,7 @@ impl DriverConfig {
 /// ```
 /// use sirep_driver::{DriverConfig, Policy};
 ///
-/// let cfg = DriverConfig::builder().policy(Policy::LeastLoaded).inquiry_attempts(3).build();
+/// let cfg = DriverConfig::builder().policy(Policy::Primary).inquiry_attempts(3).build();
 /// assert_eq!(cfg.inquiry_attempts, 3);
 /// ```
 #[derive(Debug, Clone)]
@@ -142,7 +140,6 @@ impl Driver {
                 let i = self.rr.fetch_add(1, Ordering::Relaxed) % alive.len().max(1);
                 alive.get(i).map(Arc::clone)
             }
-            Policy::LeastLoaded => alive.iter().min_by_key(|n| n.status().load()).map(Arc::clone),
             Policy::Primary => alive.iter().min_by_key(|n| n.id()).map(Arc::clone),
         }
     }
@@ -252,12 +249,9 @@ mod tests {
     }
 
     #[test]
-    fn least_loaded_policy_picks_alive() {
+    fn discovery_skips_crashed_replicas() {
         let c = cluster(2);
-        let d = Driver::new(
-            Arc::clone(&c),
-            DriverConfig::builder().policy(Policy::LeastLoaded).build(),
-        );
+        let d = Driver::new(Arc::clone(&c), DriverConfig::default());
         c.crash(0);
         let conn = d.connect().unwrap();
         assert_eq!(conn.replica().index(), 1);

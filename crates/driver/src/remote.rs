@@ -13,7 +13,7 @@
 //!   over a framed-TCP link and an address list.
 
 use crate::failover::{Backoff, Connector, Failover, Link, INQUIRY_ATTEMPTS};
-use sirep_common::wire::{read_frame, write_frame, Wire, WireError, WireReader};
+use sirep_common::wire::{read_frame, write_frame};
 use sirep_common::DbError;
 use sirep_core::{Cluster, InDoubt, Session, XactId};
 use sirep_sql::ExecResult;
@@ -42,40 +42,15 @@ pub enum ClientReq {
     Ping,
 }
 
-impl Wire for ClientReq {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ClientReq::Exec { sql } => {
-                out.push(0);
-                sql.encode(out);
-            }
-            ClientReq::Commit => out.push(1),
-            ClientReq::Rollback => out.push(2),
-            ClientReq::SetAutocommit(on) => {
-                out.push(3);
-                on.encode(out);
-            }
-            ClientReq::Inquire { xact } => {
-                out.push(4);
-                xact.encode(out);
-            }
-            ClientReq::Status => out.push(5),
-            ClientReq::Ping => out.push(6),
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode(r)? {
-            0 => ClientReq::Exec { sql: String::decode(r)? },
-            1 => ClientReq::Commit,
-            2 => ClientReq::Rollback,
-            3 => ClientReq::SetAutocommit(bool::decode(r)?),
-            4 => ClientReq::Inquire { xact: XactId::decode(r)? },
-            5 => ClientReq::Status,
-            6 => ClientReq::Ping,
-            _ => return Err(WireError::Corrupt("client req tag")),
-        })
-    }
-}
+sirep_common::wire_codec!(enum ClientReq, "client req tag" {
+    0 => Exec { sql },
+    1 => Commit,
+    2 => Rollback,
+    3 => SetAutocommit(on),
+    4 => Inquire { xact },
+    5 => Status,
+    6 => Ping,
+});
 
 /// Node-health snapshot returned by [`ClientReq::Status`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,28 +69,15 @@ pub struct RemoteStatus {
     pub audit_violations: u64,
 }
 
-impl Wire for RemoteStatus {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.replica.encode(out);
-        self.alive.encode(out);
-        self.last_validated.encode(out);
-        self.queued.encode(out);
-        self.pending_local.encode(out);
-        self.commits.encode(out);
-        self.audit_violations.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(RemoteStatus {
-            replica: u64::decode(r)?,
-            alive: bool::decode(r)?,
-            last_validated: u64::decode(r)?,
-            queued: u64::decode(r)?,
-            pending_local: u64::decode(r)?,
-            commits: u64::decode(r)?,
-            audit_violations: u64::decode(r)?,
-        })
-    }
-}
+sirep_common::wire_codec!(struct RemoteStatus {
+    replica,
+    alive,
+    last_validated,
+    queued,
+    pending_local,
+    commits,
+    audit_violations,
+});
 
 /// One response frame, node → client.
 #[derive(Debug, Clone, PartialEq)]
@@ -142,48 +104,15 @@ pub enum ClientResp {
     Err(DbError),
 }
 
-impl Wire for ClientResp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ClientResp::Exec { result, xact } => {
-                out.push(0);
-                result.encode(out);
-                xact.encode(out);
-            }
-            ClientResp::Done => out.push(1),
-            ClientResp::Resolved(d) => {
-                out.push(2);
-                d.encode(out);
-            }
-            ClientResp::Status(s) => {
-                out.push(3);
-                s.encode(out);
-            }
-            ClientResp::Pong => out.push(4),
-            ClientResp::Err(e) => {
-                out.push(5);
-                e.encode(out);
-            }
-            ClientResp::ExecFailed { error, xact } => {
-                out.push(6);
-                error.encode(out);
-                xact.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode(r)? {
-            0 => ClientResp::Exec { result: ExecResult::decode(r)?, xact: Option::decode(r)? },
-            1 => ClientResp::Done,
-            2 => ClientResp::Resolved(InDoubt::decode(r)?),
-            3 => ClientResp::Status(RemoteStatus::decode(r)?),
-            4 => ClientResp::Pong,
-            5 => ClientResp::Err(DbError::decode(r)?),
-            6 => ClientResp::ExecFailed { error: DbError::decode(r)?, xact: Option::decode(r)? },
-            _ => return Err(WireError::Corrupt("client resp tag")),
-        })
-    }
-}
+sirep_common::wire_codec!(enum ClientResp, "client resp tag" {
+    0 => Exec { result, xact },
+    1 => Done,
+    2 => Resolved(answer),
+    3 => Status(status),
+    4 => Pong,
+    5 => Err(error),
+    6 => ExecFailed { error, xact },
+});
 
 // ---------------------------------------------------------------------------
 // Server
@@ -478,73 +407,120 @@ fn protocol_err(req: &ClientReq, got: &ClientResp) -> DbError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sirep_common::wire::{Wire, WireError};
     use sirep_common::AbortReason;
     use sirep_core::{ClusterConfig, Outcome};
     use sirep_gcs::GroupConfig;
 
-    fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
+    /// Round trip `v`, and pin its exact bytes (`want`, hex): a round trip
+    /// alone passes when encode and decode change together.
+    fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(v: &T, want: &str) {
         let bytes = v.to_wire();
         assert_eq!(&T::from_wire(&bytes).expect("decode"), v);
         for cut in 0..bytes.len() {
             assert!(T::from_wire(&bytes[..cut]).is_err(), "truncation must fail");
         }
+        assert_eq!(hex(&bytes), want, "{v:?}");
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
     #[test]
     fn request_frames_round_trip() {
-        round_trip(&ClientReq::Exec { sql: "SELECT * FROM t".into() });
-        round_trip(&ClientReq::Commit);
-        round_trip(&ClientReq::Rollback);
-        round_trip(&ClientReq::SetAutocommit(true));
-        round_trip(&ClientReq::Inquire {
-            xact: XactId::new(sirep_common::ReplicaId::new(2), XactId::seq_base(1) + 9),
-        });
-        round_trip(&ClientReq::Status);
-        round_trip(&ClientReq::Ping);
+        round_trip(
+            &ClientReq::Exec { sql: "SELECT * FROM t".into() },
+            "000f00000053454c454354202a2046524f4d2074",
+        );
+        round_trip(&ClientReq::Commit, "01");
+        round_trip(&ClientReq::Rollback, "02");
+        round_trip(&ClientReq::SetAutocommit(true), "0301");
+        round_trip(
+            &ClientReq::Inquire {
+                xact: XactId::new(sirep_common::ReplicaId::new(2), XactId::seq_base(1) + 9),
+            },
+            "0402000000000000000900000000000100",
+        );
+        round_trip(&ClientReq::Status, "05");
+        round_trip(&ClientReq::Ping, "06");
         assert!(ClientReq::from_wire(&[99]).is_err());
     }
 
     #[test]
     fn response_frames_round_trip() {
-        round_trip(&ClientResp::Exec {
-            result: ExecResult::Rows {
-                columns: vec!["a".into(), "b".into()],
-                rows: vec![vec![
-                    sirep_storage::Value::Int(1),
-                    sirep_storage::Value::Text("x".into()),
-                ]],
+        round_trip(
+            &ClientResp::Exec {
+                result: ExecResult::Rows {
+                    columns: vec!["a".into(), "b".into()],
+                    rows: vec![vec![
+                        sirep_storage::Value::Int(1),
+                        sirep_storage::Value::Text("x".into()),
+                    ]],
+                },
+                xact: Some(XactId::new(sirep_common::ReplicaId::new(0), 3)),
             },
-            xact: Some(XactId::new(sirep_common::ReplicaId::new(0), 3)),
-        });
-        round_trip(&ClientResp::Exec { result: ExecResult::Affected(7), xact: None });
-        round_trip(&ClientResp::Exec { result: ExecResult::Created, xact: None });
-        round_trip(&ClientResp::Done);
-        for answer in [
-            InDoubt::Known(Outcome::Committed),
-            InDoubt::Known(Outcome::Aborted),
-            InDoubt::NeverReceived,
-            InDoubt::Unknown,
+            concat!(
+                "00",
+                "00",
+                "02000000",
+                "01000000",
+                "61",
+                "01000000",
+                "62",
+                "01000000",
+                "02000000",
+                "01",
+                "0100000000000000",
+                "03",
+                "01000000",
+                "78",
+                "01",
+                "0000000000000000",
+                "0300000000000000"
+            ),
+        );
+        round_trip(
+            &ClientResp::Exec { result: ExecResult::Affected(7), xact: None },
+            "0001070000000000000000",
+        );
+        round_trip(&ClientResp::Exec { result: ExecResult::Created, xact: None }, "000200");
+        round_trip(&ClientResp::Done, "01");
+        for (answer, want) in [
+            (InDoubt::Known(Outcome::Committed), "020000"),
+            (InDoubt::Known(Outcome::Aborted), "020001"),
+            (InDoubt::NeverReceived, "0201"),
+            (InDoubt::Unknown, "0202"),
         ] {
-            round_trip(&ClientResp::Resolved(answer));
+            round_trip(&ClientResp::Resolved(answer), want);
         }
         // The in-doubt answer has one wire form; a tag past it is corrupt.
         assert_eq!(ClientResp::from_wire(&[2, 3]), Err(WireError::Corrupt("in-doubt tag")));
-        round_trip(&ClientResp::Status(RemoteStatus {
-            replica: 2,
-            alive: true,
-            last_validated: 41,
-            queued: 1,
-            pending_local: 0,
-            commits: 40,
-            audit_violations: 0,
-        }));
-        round_trip(&ClientResp::Pong);
-        round_trip(&ClientResp::Err(DbError::Aborted(AbortReason::SerializationFailure)));
-        round_trip(&ClientResp::Err(DbError::DuplicateKey("k".into())));
-        round_trip(&ClientResp::ExecFailed {
-            error: DbError::Aborted(AbortReason::ReplicaCrashed),
-            xact: Some(XactId::new(sirep_common::ReplicaId::new(1), 8)),
-        });
+        round_trip(
+            &ClientResp::Status(RemoteStatus {
+                replica: 2,
+                alive: true,
+                last_validated: 41,
+                queued: 1,
+                pending_local: 0,
+                commits: 40,
+                audit_violations: 0,
+            }),
+            "0302000000000000000129000000000000000100000000000000000000000000000028000000000000000000000000000000",
+        );
+        round_trip(&ClientResp::Pong, "04");
+        let err = DbError::Aborted(AbortReason::SerializationFailure);
+        round_trip(&ClientResp::Err(err.clone()), &format!("05{}", hex(&err.to_wire())));
+        let err = DbError::DuplicateKey("k".into());
+        round_trip(&ClientResp::Err(err.clone()), &format!("05{}", hex(&err.to_wire())));
+        let error = DbError::Aborted(AbortReason::ReplicaCrashed);
+        round_trip(
+            &ClientResp::ExecFailed {
+                error: error.clone(),
+                xact: Some(XactId::new(sirep_common::ReplicaId::new(1), 8)),
+            },
+            &format!("06{}0101000000000000000800000000000000", hex(&error.to_wire())),
+        );
         assert!(ClientResp::from_wire(&[99]).is_err());
     }
 

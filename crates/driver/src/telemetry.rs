@@ -29,7 +29,7 @@
 //! node killed mid-frame yields `Err`, never a panic or a hang.
 
 use crate::remote::Listener;
-use sirep_common::wire::{read_frame, write_frame, Wire, WireError, WireReader};
+use sirep_common::wire::{read_frame, write_frame};
 use sirep_common::{Event, GaugeSnapshot, ReplicaId};
 use sirep_core::{Cluster, ClusterReport, NodeStatus, Transport};
 use std::io;
@@ -59,30 +59,14 @@ pub enum TelemetryReq {
     ClockProbe,
 }
 
-impl Wire for TelemetryReq {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            TelemetryReq::Status => 0,
-            TelemetryReq::Report => 1,
-            TelemetryReq::Prometheus => 2,
-            TelemetryReq::Journal => 3,
-            TelemetryReq::Gauges => 4,
-            TelemetryReq::ClockProbe => 5,
-        });
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode(r)? {
-            0 => TelemetryReq::Status,
-            1 => TelemetryReq::Report,
-            2 => TelemetryReq::Prometheus,
-            3 => TelemetryReq::Journal,
-            4 => TelemetryReq::Gauges,
-            5 => TelemetryReq::ClockProbe,
-            _ => return Err(WireError::Corrupt("telemetry req tag")),
-        })
-    }
-}
+sirep_common::wire_codec!(enum TelemetryReq, "telemetry req tag" {
+    0 => Status,
+    1 => Report,
+    2 => Prometheus,
+    3 => Journal,
+    4 => Gauges,
+    5 => ClockProbe,
+});
 
 /// One telemetry response frame, node → scraper. (No `PartialEq`:
 /// [`ClusterReport`] carries live atomic counters; equality is
@@ -104,53 +88,15 @@ pub enum TelemetryResp {
     Err(String),
 }
 
-impl Wire for TelemetryResp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            TelemetryResp::Status(statuses) => {
-                out.push(0);
-                statuses.encode(out);
-            }
-            TelemetryResp::Report(report) => {
-                out.push(1);
-                report.encode(out);
-            }
-            TelemetryResp::Prometheus(text) => {
-                out.push(2);
-                text.encode(out);
-            }
-            TelemetryResp::Journal(journals) => {
-                out.push(3);
-                journals.encode(out);
-            }
-            TelemetryResp::Gauges(gauges) => {
-                out.push(4);
-                gauges.encode(out);
-            }
-            TelemetryResp::Clock { offset_ns } => {
-                out.push(5);
-                offset_ns.encode(out);
-            }
-            TelemetryResp::Err(msg) => {
-                out.push(6);
-                msg.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode(r)? {
-            0 => TelemetryResp::Status(Vec::<NodeStatus>::decode(r)?),
-            1 => TelemetryResp::Report(Box::new(ClusterReport::decode(r)?)),
-            2 => TelemetryResp::Prometheus(String::decode(r)?),
-            3 => TelemetryResp::Journal(Vec::<(ReplicaId, Vec<Event>)>::decode(r)?),
-            4 => TelemetryResp::Gauges(GaugeSnapshot::decode(r)?),
-            5 => TelemetryResp::Clock { offset_ns: i64::decode(r)? },
-            6 => TelemetryResp::Err(String::decode(r)?),
-            _ => return Err(WireError::Corrupt("telemetry resp tag")),
-        })
-    }
-}
+sirep_common::wire_codec!(enum TelemetryResp, "telemetry resp tag" {
+    0 => Status(statuses),
+    1 => Report(report),
+    2 => Prometheus(text),
+    3 => Journal(journals),
+    4 => Gauges(gauges),
+    5 => Clock { offset_ns },
+    6 => Err(msg),
+});
 
 // ---------------------------------------------------------------------------
 // Server
@@ -310,7 +256,10 @@ pub fn scrape_clock_offset(addr: &str) -> io::Result<i64> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use sirep_core::{ClusterConfig, Connection};
+    use sirep_common::wire::{Wire, WireError};
+    use sirep_common::{EventKind, GaugeReading, GlobalTid, Metrics, StageSnapshot};
+    use sirep_common::{TransportSnapshot, XactId};
+    use sirep_core::{AuditKind, AuditViolation, ClusterConfig, Connection};
     use std::io::{Read as _, Write as _};
     use std::net::TcpListener;
     use std::thread;
@@ -335,18 +284,54 @@ mod tests {
         }
     }
 
+    /// `v`'s encoding as hex: the golden assertions pin the layout, which
+    /// a round trip alone cannot (it passes when both sides change).
+    fn hex<T: Wire>(v: &T) -> String {
+        v.to_wire().iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// A status with a distinct value in every field it encodes itself.
+    fn fixed_status() -> NodeStatus {
+        NodeStatus {
+            replica: ReplicaId::new(1),
+            alive: true,
+            last_validated: GlobalTid::new(41),
+            queued: 2,
+            pending_local: 3,
+            holes_open: false,
+            running_locals: 4,
+            waiting_to_start: 5,
+            view: vec![ReplicaId::new(0), ReplicaId::new(1)],
+            metrics: Metrics::new(),
+            stages: StageSnapshot::default(),
+            gauges: GaugeSnapshot {
+                tocommit_depth: GaugeReading { current: 6, high_water: 7 },
+                partitioned: GaugeReading { current: 8, high_water: 9 },
+                ..GaugeSnapshot::default()
+            },
+            transport: TransportSnapshot {
+                frames_in: 10,
+                evictions: 11,
+                recv_queue: GaugeReading { current: 12, high_water: 13 },
+                ..TransportSnapshot::default()
+            },
+        }
+    }
+
     #[test]
     fn request_frames_round_trip() {
-        for req in [
+        let reqs = [
             TelemetryReq::Status,
             TelemetryReq::Report,
             TelemetryReq::Prometheus,
             TelemetryReq::Journal,
             TelemetryReq::Gauges,
             TelemetryReq::ClockProbe,
-        ] {
+        ];
+        for req in reqs {
             round_trip(&req);
         }
+        assert_eq!(reqs.map(|req| hex(&req)).concat(), "000102030405");
         assert_eq!(TelemetryReq::from_wire(&[6]), Err(WireError::Corrupt("telemetry req tag")));
     }
 
@@ -373,6 +358,156 @@ mod tests {
             TelemetryResp::from_wire(&[7]),
             Err(WireError::Corrupt("telemetry resp tag"))
         ));
+
+        // Golden bytes, one value per variant. `Metrics` and `StageSnapshot`
+        // are pinned by their own tests; here they are what they encode to.
+        let (metrics, stages) = (hex(&Metrics::new()), hex(&StageSnapshot::default()));
+        let status = fixed_status();
+        let status_hex = [
+            "0100000000000000",
+            "01",
+            "2900000000000000",
+            "0200000000000000",
+            "0300000000000000",
+            "00",
+            "0400000000000000",
+            "0500000000000000",
+            "02000000",
+            "0000000000000000",
+            "0100000000000000",
+            &metrics,
+            &stages,
+            "06000000000000000700000000000000",
+            "00000000000000000000000000000000",
+            "00000000000000000000000000000000",
+            "00000000000000000000000000000000",
+            "00000000000000000000000000000000",
+            "00000000000000000000000000000000",
+            "00000000000000000000000000000000",
+            "00000000000000000000000000000000",
+            "08000000000000000900000000000000",
+            "0a00000000000000",
+            "0000000000000000",
+            "0000000000000000",
+            "0000000000000000",
+            "0000000000000000",
+            "0000000000000000",
+            "0b00000000000000",
+            "00000000000000000000000000000000",
+            "0c000000000000000d00000000000000",
+        ]
+        .concat();
+        assert_eq!(hex(&status), status_hex);
+        let resp = TelemetryResp::Status(vec![status.clone()]);
+        round_trip_bytes(&resp);
+        assert_eq!(hex(&resp), format!("0001000000{status_hex}"));
+        let kinds = [
+            AuditKind::CommitOrderDivergence,
+            AuditKind::FirstCommitterWins,
+            AuditKind::HoleSyncViolation,
+            AuditKind::PruneWatermarkViolation,
+        ];
+        let violations = kinds.map(|kind| AuditViolation {
+            kind,
+            replica: ReplicaId::new(2),
+            detail: "d".into(),
+        });
+        let report = ClusterReport::from_statuses(vec![status], violations.to_vec());
+        let resp = TelemetryResp::Report(Box::new(report));
+        round_trip_bytes(&resp);
+        assert_eq!(
+            hex(&resp),
+            [
+                "01",
+                &metrics,
+                &stages,
+                "06000000000000000700000000000000",
+                "00000000000000000000000000000000",
+                "00000000000000000000000000000000",
+                "00000000000000000000000000000000",
+                "00000000000000000000000000000000",
+                "00000000000000000000000000000000",
+                "00000000000000000000000000000000",
+                "00000000000000000000000000000000",
+                "08000000000000000900000000000000",
+                "04000000",
+                "00",
+                "0200000000000000",
+                "01000000",
+                "64",
+                "01",
+                "0200000000000000",
+                "01000000",
+                "64",
+                "02",
+                "0200000000000000",
+                "01000000",
+                "64",
+                "03",
+                "0200000000000000",
+                "01000000",
+                "64",
+                "0a00000000000000",
+                "0000000000000000",
+                "0000000000000000",
+                "0000000000000000",
+                "0000000000000000",
+                "0000000000000000",
+                "0b00000000000000",
+                "00000000000000000000000000000000",
+                "0c000000000000000d00000000000000",
+                "01000000",
+                &status_hex
+            ]
+            .concat()
+        );
+        let resp = TelemetryResp::Prometheus("up 1".into());
+        round_trip_bytes(&resp);
+        assert_eq!(hex(&resp), "020400000075702031");
+        let commit =
+            EventKind::Commit { xact: XactId::new(ReplicaId::new(1), 5), tid: GlobalTid::new(6) };
+        let event = Event { seq: 3, at_ns: 4, replica: ReplicaId::new(1), kind: commit };
+        let resp = TelemetryResp::Journal(vec![(ReplicaId::new(1), vec![event])]);
+        round_trip_bytes(&resp);
+        assert_eq!(
+            hex(&resp),
+            concat!(
+                "03",
+                "01000000",
+                "0100000000000000",
+                "01000000",
+                "0300000000000000",
+                "0400000000000000",
+                "0100000000000000",
+                "08",
+                "0100000000000000",
+                "0500000000000000",
+                "0600000000000000"
+            )
+        );
+        let resp = TelemetryResp::Gauges(fixed_status().gauges);
+        round_trip_bytes(&resp);
+        assert_eq!(
+            hex(&resp),
+            concat!(
+                "04",
+                "06000000000000000700000000000000",
+                "00000000000000000000000000000000",
+                "00000000000000000000000000000000",
+                "00000000000000000000000000000000",
+                "00000000000000000000000000000000",
+                "00000000000000000000000000000000",
+                "00000000000000000000000000000000",
+                "00000000000000000000000000000000",
+                "08000000000000000900000000000000"
+            )
+        );
+        let resp = TelemetryResp::Clock { offset_ns: -2 };
+        round_trip_bytes(&resp);
+        assert_eq!(hex(&resp), "05feffffffffffffff");
+        let resp = TelemetryResp::Err("e".into());
+        round_trip_bytes(&resp);
+        assert_eq!(hex(&resp), "060100000065");
     }
 
     proptest! {

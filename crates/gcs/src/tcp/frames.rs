@@ -14,6 +14,7 @@ use sirep_common::wire::{Wire, WireError, WireReader};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bytes(pub Vec<u8>);
 
+// Hand-written: it copies its buffer in one go.
 impl Wire for Bytes {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.0.len() as u32).encode(out);
@@ -58,46 +59,16 @@ pub enum UpFrame {
     TimeProbe,
 }
 
-impl Wire for UpFrame {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            UpFrame::Join { replica } => {
-                out.push(0);
-                replica.encode(out);
-            }
-            UpFrame::Total { payload } => {
-                out.push(1);
-                payload.encode(out);
-            }
-            UpFrame::Fifo { payload } => {
-                out.push(2);
-                payload.encode(out);
-            }
-            UpFrame::Leave => out.push(3),
-            UpFrame::Evict { member } => {
-                out.push(4);
-                member.encode(out);
-            }
-            UpFrame::Query => out.push(5),
-            UpFrame::Stats => out.push(6),
-            UpFrame::TimeProbe => out.push(7),
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(UpFrame::Join { replica: u64::decode(r)? }),
-            1 => Ok(UpFrame::Total { payload: Bytes::decode(r)? }),
-            2 => Ok(UpFrame::Fifo { payload: Bytes::decode(r)? }),
-            3 => Ok(UpFrame::Leave),
-            4 => Ok(UpFrame::Evict { member: u64::decode(r)? }),
-            5 => Ok(UpFrame::Query),
-            6 => Ok(UpFrame::Stats),
-            7 => Ok(UpFrame::TimeProbe),
-            _ => Err(WireError::Corrupt("upframe tag")),
-        }
-    }
-}
+sirep_common::wire_codec!(enum UpFrame, "upframe tag" {
+    0 => Join { replica },
+    1 => Total { payload },
+    2 => Fifo { payload },
+    3 => Leave,
+    4 => Evict { member },
+    5 => Query,
+    6 => Stats,
+    7 => TimeProbe,
+});
 
 /// Sequencer → member.
 ///
@@ -131,105 +102,77 @@ pub enum DownFrame {
     Time { now_ns: u64 },
 }
 
-impl Wire for DownFrame {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            DownFrame::Welcome { member } => {
-                out.push(0);
-                member.encode(out);
-            }
-            DownFrame::Total { seq, sender, payload } => {
-                out.push(1);
-                seq.encode(out);
-                sender.encode(out);
-                payload.encode(out);
-            }
-            DownFrame::Fifo { sender, payload } => {
-                out.push(2);
-                sender.encode(out);
-                payload.encode(out);
-            }
-            DownFrame::View { id, members } => {
-                out.push(3);
-                id.encode(out);
-                members.encode(out);
-            }
-            DownFrame::Evicted => out.push(4),
-            DownFrame::Stats { log_len, next_seq, view_id, members } => {
-                out.push(5);
-                log_len.encode(out);
-                next_seq.encode(out);
-                view_id.encode(out);
-                members.encode(out);
-            }
-            DownFrame::Time { now_ns } => {
-                out.push(6);
-                now_ns.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(DownFrame::Welcome { member: u64::decode(r)? }),
-            1 => Ok(DownFrame::Total {
-                seq: u64::decode(r)?,
-                sender: u64::decode(r)?,
-                payload: Bytes::decode(r)?,
-            }),
-            2 => Ok(DownFrame::Fifo { sender: u64::decode(r)?, payload: Bytes::decode(r)? }),
-            3 => Ok(DownFrame::View { id: u64::decode(r)?, members: Vec::decode(r)? }),
-            4 => Ok(DownFrame::Evicted),
-            5 => Ok(DownFrame::Stats {
-                log_len: u64::decode(r)?,
-                next_seq: u64::decode(r)?,
-                view_id: u64::decode(r)?,
-                members: Vec::decode(r)?,
-            }),
-            6 => Ok(DownFrame::Time { now_ns: u64::decode(r)? }),
-            _ => Err(WireError::Corrupt("downframe tag")),
-        }
-    }
-}
+sirep_common::wire_codec!(enum DownFrame, "downframe tag" {
+    0 => Welcome { member },
+    1 => Total { seq, sender, payload },
+    2 => Fifo { sender, payload },
+    3 => View { id, members },
+    4 => Evicted,
+    5 => Stats { log_len, next_seq, view_id, members },
+    6 => Time { now_ns },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
+    /// Round trip `v`, and pin its exact bytes (`want`, hex): a round trip
+    /// alone passes when encode and decode change together.
+    fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(v: &T, want: &str) {
         let bytes = v.to_wire();
         let back = T::from_wire(&bytes).expect("decode");
         assert_eq!(&back, v);
         assert_eq!(back.to_wire(), bytes);
+        assert_eq!(bytes.iter().map(|b| format!("{b:02x}")).collect::<String>(), want, "{v:?}");
     }
 
     #[test]
     fn all_up_frame_variants_round_trip() {
-        round_trip(&UpFrame::Join { replica: 2 });
-        round_trip(&UpFrame::Total { payload: Bytes(vec![1, 2, 3]) });
-        round_trip(&UpFrame::Fifo { payload: Bytes(Vec::new()) });
-        round_trip(&UpFrame::Leave);
-        round_trip(&UpFrame::Evict { member: (3 << 32) | 1 });
-        round_trip(&UpFrame::Query);
-        round_trip(&UpFrame::Stats);
-        round_trip(&UpFrame::TimeProbe);
+        round_trip(&UpFrame::Join { replica: 2 }, "000200000000000000");
+        round_trip(&UpFrame::Total { payload: Bytes(vec![1, 2, 3]) }, "0103000000010203");
+        round_trip(&UpFrame::Fifo { payload: Bytes(Vec::new()) }, "0200000000");
+        round_trip(&UpFrame::Leave, "03");
+        round_trip(&UpFrame::Evict { member: (3 << 32) | 1 }, "040100000003000000");
+        round_trip(&UpFrame::Query, "05");
+        round_trip(&UpFrame::Stats, "06");
+        round_trip(&UpFrame::TimeProbe, "07");
     }
 
     #[test]
     fn all_down_frame_variants_round_trip() {
-        round_trip(&DownFrame::Welcome { member: (1 << 32) | 5 });
-        round_trip(&DownFrame::Total { seq: 9, sender: 2, payload: Bytes(vec![0xff; 64]) });
-        round_trip(&DownFrame::Fifo { sender: 0, payload: Bytes(vec![7]) });
-        round_trip(&DownFrame::View { id: 4, members: vec![0, 1, 1 << 32] });
-        round_trip(&DownFrame::Evicted);
-        round_trip(&DownFrame::Stats {
-            log_len: 100,
-            next_seq: 42,
-            view_id: 7,
-            members: vec![(0, 3), (1 << 32, 0)],
-        });
-        round_trip(&DownFrame::Time { now_ns: 1_234_567_890 });
+        round_trip(&DownFrame::Welcome { member: (1 << 32) | 5 }, "000500000001000000");
+        round_trip(
+            &DownFrame::Total { seq: 9, sender: 2, payload: Bytes(vec![0xff; 64]) },
+            &format!("010900000000000000020000000000000040000000{}", "ff".repeat(64)),
+        );
+        round_trip(
+            &DownFrame::Fifo { sender: 0, payload: Bytes(vec![7]) },
+            "0200000000000000000100000007",
+        );
+        round_trip(
+            &DownFrame::View { id: 4, members: vec![0, 1, 1 << 32] },
+            "03040000000000000003000000000000000000000001000000000000000000000001000000",
+        );
+        round_trip(&DownFrame::Evicted, "04");
+        round_trip(
+            &DownFrame::Stats {
+                log_len: 100,
+                next_seq: 42,
+                view_id: 7,
+                members: vec![(0, 3), (1 << 32, 0)],
+            },
+            concat!(
+                "05",
+                "6400000000000000",
+                "2a00000000000000",
+                "0700000000000000",
+                "02000000",
+                "00000000000000000300000000000000",
+                "00000000010000000000000000000000"
+            ),
+        );
+        round_trip(&DownFrame::Time { now_ns: 1_234_567_890 }, "06d202964900000000");
     }
 
     #[test]

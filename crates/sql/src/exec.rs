@@ -9,7 +9,6 @@
 
 use crate::ast::*;
 use crate::parser::parse;
-use sirep_common::wire::{Wire, WireError, WireReader};
 use sirep_common::DbError;
 use sirep_storage::{Database, Key, Row, TableSchema, TxnHandle, Value};
 use std::cmp::Ordering;
@@ -42,30 +41,11 @@ impl ExecResult {
     }
 }
 
-impl Wire for ExecResult {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ExecResult::Rows { columns, rows } => {
-                out.push(0);
-                columns.encode(out);
-                rows.encode(out);
-            }
-            ExecResult::Affected(n) => {
-                out.push(1);
-                (*n as u64).encode(out);
-            }
-            ExecResult::Created => out.push(2),
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode(r)? {
-            0 => ExecResult::Rows { columns: Vec::decode(r)?, rows: Vec::decode(r)? },
-            1 => ExecResult::Affected(u64::decode(r)? as usize),
-            2 => ExecResult::Created,
-            _ => return Err(WireError::Corrupt("exec result tag")),
-        })
-    }
-}
+sirep_common::wire_codec!(enum ExecResult, "exec result tag" {
+    0 => Rows { columns, rows },
+    1 => Affected(n),
+    2 => Created,
+});
 
 /// Parse and execute one SQL string inside `txn`.
 pub fn execute_sql(db: &Database, txn: &TxnHandle, sql: &str) -> Result<ExecResult, DbError> {

@@ -10,38 +10,15 @@
 use crate::value::{Key, Value};
 use crate::writeset::{WriteSet, WsEntry, WsOp};
 use sirep_common::wire::{Wire, WireError, WireReader};
-use std::sync::Arc;
 
-impl Wire for Value {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Value::Null => out.push(0),
-            Value::Int(i) => {
-                out.push(1);
-                i.encode(out);
-            }
-            Value::Float(f) => {
-                out.push(2);
-                f.encode(out);
-            }
-            Value::Text(s) => {
-                out.push(3);
-                s.encode(out);
-            }
-        }
-    }
+sirep_common::wire_codec!(enum Value, "value tag" {
+    0 => Null,
+    1 => Int(i),
+    2 => Float(f),
+    3 => Text(s),
+});
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Int(i64::decode(r)?)),
-            2 => Ok(Value::Float(f64::decode(r)?)),
-            3 => Ok(Value::Text(String::decode(r)?)),
-            _ => Err(WireError::Corrupt("value tag")),
-        }
-    }
-}
-
+// Hand-written: a one-field tuple struct, encoded as its `Vec<Value>`.
 impl Wire for Key {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
@@ -52,40 +29,15 @@ impl Wire for Key {
     }
 }
 
-impl Wire for WsOp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            WsOp::Put(row) => {
-                out.push(0);
-                row.encode(out);
-            }
-            WsOp::Delete => out.push(1),
-        }
-    }
+sirep_common::wire_codec!(enum WsOp, "wsop tag" {
+    0 => Put(row),
+    1 => Delete,
+});
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(WsOp::Put(Vec::<Value>::decode(r)?)),
-            1 => Ok(WsOp::Delete),
-            _ => Err(WireError::Corrupt("wsop tag")),
-        }
-    }
-}
+sirep_common::wire_codec!(struct WsEntry { table, key, op });
 
-impl Wire for WsEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.table.len() as u32).encode(out);
-        out.extend_from_slice(self.table.as_bytes());
-        self.key.encode(out);
-        self.op.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let table: Arc<str> = Arc::from(String::decode(r)?.as_str());
-        Ok(WsEntry { table, key: Key::decode(r)?, op: WsOp::decode(r)? })
-    }
-}
-
+// Hand-written: decode rebuilds the set through `push`, which derives the
+// probe index.
 impl Wire for WriteSet {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.entries().len() as u32).encode(out);
@@ -109,12 +61,19 @@ impl Wire for WriteSet {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
         let bytes = v.to_wire();
         let back = T::from_wire(&bytes).expect("decode");
         assert_eq!(&back, v);
         assert_eq!(back.to_wire(), bytes, "re-encode must be bit-identical");
+    }
+
+    /// `v`'s encoding as hex: the golden assertions pin the layout, which
+    /// a round trip alone cannot (it passes when both sides change).
+    fn hex<T: Wire>(v: &T) -> String {
+        v.to_wire().iter().map(|b| format!("{b:02x}")).collect()
     }
 
     #[test]
@@ -124,6 +83,10 @@ mod tests {
         round_trip(&Value::Float(-0.0));
         round_trip(&Value::Text(String::from("naïve ε")));
         round_trip(&Key::composite(vec![Value::Int(1), Value::Text("b".into())]));
+        assert_eq!(hex(&Value::Null), "00");
+        assert_eq!(hex(&Value::Int(-2)), "01feffffffffffffff");
+        assert_eq!(hex(&Value::Float(1.5)), "02000000000000f83f");
+        assert_eq!(hex(&Value::Text("é".into())), "0302000000c3a9");
     }
 
     #[test]
@@ -133,6 +96,23 @@ mod tests {
         ws.push(Arc::from("orders"), Key::single(1), WsOp::Delete);
         let back = WriteSet::from_wire(&ws.to_wire()).expect("decode");
         assert_eq!(back.entries(), ws.entries());
+        assert_eq!(
+            hex(&ws.entries()[0]),
+            "0500000073746f636b010000000103000000000000000001000000010900000000000000"
+        );
+        assert_eq!(hex(&ws.entries()[1]), "060000006f72646572730100000001010000000000000001");
+        assert_eq!(
+            hex(&ws),
+            concat!(
+                "02000000",
+                "0500000073746f636b",
+                "01000000010300000000000000",
+                "0001000000010900000000000000",
+                "060000006f7264657273",
+                "01000000010100000000000000",
+                "01"
+            )
+        );
         // The probe index is rebuilt, not shipped: certification works.
         assert!(back.contains("stock", &Key::single(3)));
         assert!(back.intersects(&ws));

@@ -410,7 +410,7 @@ fn a_member_that_pauses_does_not_hold_up_the_others() {
         let stop = &stop;
         for m in [a, b] {
             let cast = m.handle();
-            scope.spawn(move || {
+            let sender = scope.spawn(move || {
                 let msg = format!("{:4096}", "");
                 while !stop.load(Ordering::Relaxed) {
                     for _ in 0..8 {
@@ -419,8 +419,10 @@ fn a_member_that_pauses_does_not_hold_up_the_others() {
                     thread::sleep(Duration::from_millis(1));
                 }
             });
+            // Read until the sender is done: dropping `m` marks its
+            // connection crashed, which would fail a burst still in flight.
             scope.spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
+                while !sender.is_finished() {
                     let _ = m.recv_timeout(STEP);
                 }
             });
