@@ -78,7 +78,7 @@ fn main() {
     let ns = time_ns(reps, iters, || list.passes(black_box(cert), black_box(&conflicting)));
     case("validation/conflict_window_100", ns);
 
-    // The per-transition cost of the one recorder: every protocol event
+    // The per-transition cost of the one journal: every protocol event
     // takes the journal's ring lock and stamps `at_ns`, and an event that
     // ends a stage also buckets the stage's latency in the same hold. An
     // update transaction records six events at its origin (plus three

@@ -19,11 +19,12 @@
 //! The ring is deliberately lossy: once `capacity` events are held, the
 //! oldest is dropped and [`Journal::dropped`] counts it (stage histograms
 //! keep every sample). Recording is one short mutex hold with no
-//! allocation (the one non-`Copy` payload, a verdict's key digest, is a
-//! shared `Arc`), cheap enough for the hot commit path; consumers take a
-//! point-in-time [`snapshot`] (oldest first) and render it — see the
-//! Perfetto exporter in `sirep_core::export` — or fold the 1-copy-SI
-//! checker of `sirep_core::audit` over it.
+//! allocation (the non-`Copy` payloads, a verdict's key digest and a
+//! local's readset digest, are shared `Arc`s), cheap enough for the hot
+//! commit path; consumers take a point-in-time [`snapshot`] (oldest
+//! first) and render it — see the Perfetto exporter in
+//! `sirep_core::export` — or fold the 1-copy-SI checker of
+//! `sirep_core::audit` over it, or build Def. 3's history from it.
 //!
 //! Like the rest of the observability layer, the whole module is gated on
 //! the default-on `trace` feature: with `--no-default-features` the journal
@@ -109,8 +110,10 @@ pub enum EventKind {
     /// under SRCA-Opt, which forgoes the wait by design).
     TxBegin { xact: XactId, gated: bool },
     /// Commit requested: the certification watermark (`ws_list.last_tid`)
-    /// was captured under the state lock.
-    CertCapture { xact: XactId, cert: GlobalTid },
+    /// was captured under the state lock. `reads` is the transaction's
+    /// readset digest (hashed like a verdict's `keys`), empty unless the
+    /// database tracks reads — what Def. 3's history needs of a local.
+    CertCapture { xact: XactId, cert: GlobalTid, reads: Arc<[u64]> },
     /// The writeset was handed to the total-order multicast.
     Multicast { xact: XactId },
     /// The writeset came back in total order.
@@ -153,8 +156,8 @@ pub enum EventKind {
     /// A read-only transaction ran entirely against the local snapshot
     /// (`snapshot` = the begin-time commit watermark): no multicast, no
     /// certification, no sequencer round-trip. `gated` as in
-    /// [`EventKind::TxBegin`].
-    LocalReadOnly { xact: XactId, snapshot: GlobalTid, gated: bool },
+    /// [`EventKind::TxBegin`], `reads` as in [`EventKind::CertCapture`].
+    LocalReadOnly { xact: XactId, snapshot: GlobalTid, gated: bool, reads: Arc<[u64]> },
     /// This replica (re)joined from a recovery state transfer; its stream
     /// restarts here with certification at `last_validated` and the commit
     /// frontier at `max_committed` (transferred entries may still be
@@ -252,7 +255,7 @@ crate::wire_codec!(enum CrashPoint, "crash point tag" {
 
 crate::wire_codec!(enum EventKind, "event kind tag" {
     0 => TxBegin { xact, gated },
-    1 => CertCapture { xact, cert },
+    1 => CertCapture { xact, cert, reads },
     2 => Multicast { xact },
     3 => TotalOrderDeliver { xact, cert },
     4 => ValidationVerdict { xact, cert, tid, keys },
@@ -269,7 +272,7 @@ crate::wire_codec!(enum EventKind, "event kind tag" {
     15 => PartitionStarted { isolated },
     16 => PartitionHealed { flushed },
     17 => CrashPointFired { point },
-    18 => LocalReadOnly { xact, snapshot, gated },
+    18 => LocalReadOnly { xact, snapshot, gated, reads },
     19 => ReplicaReset { last_validated, max_committed },
 });
 
@@ -487,7 +490,7 @@ mod tests {
         let j = Journal::new(r(3));
         let a = XactId::new(r(3), 1);
         j.record(EventKind::TxBegin { xact: a, gated: true });
-        j.record(EventKind::CertCapture { xact: a, cert: GlobalTid::ZERO });
+        j.record(EventKind::CertCapture { xact: a, cert: GlobalTid::ZERO, reads: Arc::default() });
         j.record(EventKind::Commit { xact: a, tid: GlobalTid::new(1) });
         let snap = j.snapshot();
         assert_eq!(snap.len(), 3);
@@ -554,7 +557,12 @@ mod tests {
         let requested = j.stage(Stage::Execute, begin);
         assert!(requested >= begin + 2_000_000);
         let done = j.record_ending(
-            EventKind::LocalReadOnly { xact: x, snapshot: GlobalTid::ZERO, gated: true },
+            EventKind::LocalReadOnly {
+                xact: x,
+                snapshot: GlobalTid::ZERO,
+                gated: true,
+                reads: Arc::default(),
+            },
             &[(Stage::Commit, requested), (Stage::Total, begin)],
         );
         assert_eq!(j.snapshot()[1].at_ns, done);
@@ -640,7 +648,7 @@ mod tests {
         let t = GlobalTid::new(41);
         vec![
             EventKind::TxBegin { xact: x, gated: true },
-            EventKind::CertCapture { xact: x, cert: t },
+            EventKind::CertCapture { xact: x, cert: t, reads: Arc::from([5u64]) },
             EventKind::Multicast { xact: x },
             EventKind::TotalOrderDeliver { xact: x, cert: t },
             EventKind::ValidationVerdict {
@@ -663,7 +671,7 @@ mod tests {
             EventKind::PartitionStarted { isolated: 1 },
             EventKind::PartitionHealed { flushed: 8 },
             EventKind::CrashPointFired { point: CrashPoint::AfterDeliverBeforeCommit },
-            EventKind::LocalReadOnly { xact: x, snapshot: t, gated: false },
+            EventKind::LocalReadOnly { xact: x, snapshot: t, gated: false, reads: Arc::from([]) },
             EventKind::ReplicaReset { last_validated: t, max_committed: GlobalTid::new(39) },
         ]
     }
@@ -676,7 +684,7 @@ mod tests {
         }
         let golden = [
             "000200000000000000090000000000000001",
-            "01020000000000000009000000000000002900000000000000",
+            "01020000000000000009000000000000002900000000000000010000000500000000000000",
             "0202000000000000000900000000000000",
             "03020000000000000009000000000000002900000000000000",
             "040200000000000000090000000000000028000000000000000129000000000000000300000003000000000000000700000000000000ffffffffffffffff",
@@ -694,7 +702,7 @@ mod tests {
             "0f0100000000000000",
             "100800000000000000",
             "1102",
-            "1202000000000000000900000000000000290000000000000000",
+            "120200000000000000090000000000000029000000000000000000000000",
             "1329000000000000002700000000000000",
         ];
         assert_eq!(all_kinds().iter().map(hex).collect::<Vec<_>>(), golden);

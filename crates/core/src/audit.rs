@@ -6,7 +6,8 @@
 //! adjustment 3, and a prune watermark that never overtakes a certificate
 //! still needed. [`Checker`] is a pure state machine over the journal's
 //! [`EventKind`] vocabulary in which each of those invariants is written
-//! exactly once (the table is in DESIGN.md §10). It is run three ways:
+//! exactly once (the table is in DESIGN.md §10). The journal is read four
+//! ways:
 //!
 //! - **online** — [`Auditor`] wraps one checker in a leaf lock; replica
 //!   nodes report every protocol transition through [`Auditor::reporter`],
@@ -14,7 +15,10 @@
 //! - **offline** — [`audit_scraped_journals`] folds the same checker over
 //!   journals scraped from other processes;
 //! - **model traces** — `sirep-model` counterexamples are `EventKind`
-//!   streams and go through [`Checker::observe`] unchanged.
+//!   streams and go through [`Checker::observe`] unchanged;
+//! - **Def. 3's history** — [`history_from_journals`] turns whole
+//!   journals, of one cluster or of several processes, into the schedules,
+//!   readsets and writesets `crate::model::check_one_copy_si` decides.
 //!
 //! The checker never influences the protocol; it only records
 //! [`AuditViolation`]s, which [`crate::cluster::ClusterReport`] surfaces and
@@ -34,12 +38,15 @@
 //!
 //! With `--no-default-features` [`Auditor`] compiles to a no-op with the
 //! same API, like the rest of the observability layer; the checker and the
-//! offline fold are plain code in both configurations.
+//! offline fold are plain code in both configurations, and the history
+//! builder refuses to build from journals that recorded nothing.
 
+use crate::model::{Op, ReplicatedExecution, TxSpec};
 use sirep_common::{Event, EventKind, GlobalTid, Journal, ReplicaId, Stage, XactId};
-use sirep_storage::WriteSet;
+use sirep_gcs::NETWORK_REPLICA;
+use sirep_storage::{TupleId, TxnHandle, WriteSet};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -127,24 +134,40 @@ impl Hasher for Fnv1a {
     }
 }
 
-/// The key digest a passed [`EventKind::ValidationVerdict`] carries: the
-/// sorted, deduplicated 64-bit hashes of the writeset's tuple ids. Empty
-/// without the `trace` feature, where nothing would record it.
-pub fn key_digest(ws: &WriteSet) -> Arc<[u64]> {
+/// A set of tuple ids as Def. 3's history and the checks see it: their
+/// sorted, deduplicated 64-bit hashes. Empty, and not allocated, for an
+/// empty set and without the `trace` feature, where nothing would record
+/// it.
+fn digest<'a>(ids: impl Iterator<Item = &'a TupleId>) -> Arc<[u64]> {
     if !cfg!(feature = "trace") {
         return Arc::default();
     }
-    let mut keys: Vec<u64> = ws
-        .tuple_ids()
+    let mut keys: Vec<u64> = ids
         .map(|id| {
             let mut h = Fnv1a(0xCBF2_9CE4_8422_2325);
             id.hash(&mut h);
             h.finish()
         })
         .collect();
+    if keys.is_empty() {
+        return Arc::default();
+    }
     keys.sort_unstable();
     keys.dedup();
     keys.into()
+}
+
+/// The key digest a passed [`EventKind::ValidationVerdict`] carries.
+pub fn key_digest(ws: &WriteSet) -> Arc<[u64]> {
+    digest(ws.tuple_ids())
+}
+
+/// The readset digest a local's [`EventKind::CertCapture`] or
+/// [`EventKind::LocalReadOnly`] carries: a read and a write of one tuple
+/// hash alike. Empty unless the database tracks reads
+/// (`ClusterConfig::track_history`).
+pub fn read_digest(txn: &TxnHandle) -> Arc<[u64]> {
+    digest(txn.read_keys().iter())
 }
 
 /// What the checker knows about a replica's commit-order holes. Hole events
@@ -278,7 +301,7 @@ impl Checker {
             // Sound although the event is recorded after the fact: the
             // frontier only grows, and tids validated after the begin are
             // all above the snapshot.
-            EventKind::LocalReadOnly { xact, snapshot, gated } => {
+            EventKind::LocalReadOnly { xact, snapshot, gated, .. } => {
                 if rs.frontier_exact && snapshot > rs.max_committed {
                     let detail = format!(
                         "read-only {xact} claims snapshot {snapshot} above max committed {}",
@@ -484,6 +507,99 @@ pub fn audit_scraped_journals(journals: &[(ReplicaId, Vec<Event>)]) -> Vec<Audit
         checker.finish(*replica);
     }
     checker.violations
+}
+
+/// Def. 3's input: every transaction that committed at its origin, with its
+/// readset and writeset, and the replicas' begin/commit schedules.
+pub type History = (BTreeMap<XactId, TxSpec>, ReplicatedExecution<XactId>);
+
+/// Why journals do not hold a whole history. Def. 3 decided on part of one
+/// would pass vacuously, so [`history_from_journals`] refuses instead.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum HistoryGap {
+    /// Built without the `trace` feature: nothing is journaled.
+    NoTrace,
+    /// The ring dropped events of this replica's stream.
+    Dropped(ReplicaId),
+    /// This replica rejoined from a state transfer: its stream does not
+    /// hold what the transfer brought.
+    Reset(ReplicaId),
+    /// Two streams of this replica.
+    Duplicate(ReplicaId),
+}
+
+/// Def. 3's history from per-replica journals, in journal order:
+///
+/// - a local begin is its `TxBegin`;
+/// - a commit is a `Commit`, or a read-only's `LocalReadOnly`;
+/// - a remote transaction begins immediately before its `Commit` — it
+///   reads nothing here (Def. 3's `rmap`), and the node begins it at its
+///   commit, under the lock;
+/// - a local's readset is its `CertCapture`'s or `LocalReadOnly`'s
+///   `reads`, its writeset its passed `ValidationVerdict`'s `keys`; an
+///   object is a hash of [`read_digest`] / [`key_digest`].
+///
+/// A transaction that did not commit at its origin is left out everywhere.
+/// Streams are keyed by replica, so journals of separate clusters or
+/// processes combine; the network's pseudo-replica is skipped. Scrape after
+/// the deployment has quiesced, from databases that track reads.
+pub fn history_from_journals(journals: &[(ReplicaId, Vec<Event>)]) -> Result<History, HistoryGap> {
+    if !cfg!(feature = "trace") {
+        return Err(HistoryGap::NoTrace);
+    }
+    let mut streams = BTreeMap::new();
+    for (replica, events) in journals.iter().filter(|(r, _)| *r != NETWORK_REPLICA) {
+        if events.iter().enumerate().any(|(i, e)| e.seq != i as u64) {
+            return Err(HistoryGap::Dropped(*replica));
+        }
+        if events.iter().any(|e| matches!(e.kind, EventKind::ReplicaReset { .. })) {
+            return Err(HistoryGap::Reset(*replica));
+        }
+        if streams.insert(*replica, events).is_some() {
+            return Err(HistoryGap::Duplicate(*replica));
+        }
+    }
+    let (mut reads, mut writes, mut locality) = (HashMap::new(), HashMap::new(), BTreeMap::new());
+    let mut schedules = Vec::new();
+    for (k, (replica, events)) in streams.into_iter().enumerate() {
+        let mut schedule = Vec::new();
+        for e in events {
+            match &e.kind {
+                EventKind::TxBegin { xact, .. } => schedule.push(Op::Begin(*xact)),
+                EventKind::CertCapture { xact, reads: r, .. } => {
+                    reads.insert(*xact, r);
+                }
+                EventKind::ValidationVerdict { xact, tid: Some(_), keys, .. } => {
+                    writes.insert(*xact, keys);
+                }
+                EventKind::Commit { xact, .. } if xact.origin != replica => {
+                    schedule.extend([Op::Begin(*xact), Op::Commit(*xact)]);
+                }
+                EventKind::Commit { xact, .. } => {
+                    schedule.push(Op::Commit(*xact));
+                    locality.insert(*xact, k);
+                }
+                EventKind::LocalReadOnly { xact, reads: r, .. } => {
+                    reads.insert(*xact, r);
+                    schedule.push(Op::Commit(*xact));
+                    locality.insert(*xact, k);
+                }
+                _ => {}
+            }
+        }
+        schedules.push(schedule);
+    }
+    let objs = |d: Option<&&Arc<[u64]>>| {
+        d.into_iter().flat_map(|d| d.iter()).map(|k| format!("{k:016x}")).collect()
+    };
+    let specs: BTreeMap<XactId, TxSpec> = locality
+        .keys()
+        .map(|x| (*x, TxSpec { readset: objs(reads.get(x)), writeset: objs(writes.get(x)) }))
+        .collect();
+    for schedule in &mut schedules {
+        schedule.retain(|op| locality.contains_key(&op.txn()));
+    }
+    Ok((specs, ReplicatedExecution { schedules, locality }))
 }
 
 // ======================================================================

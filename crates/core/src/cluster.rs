@@ -1,9 +1,8 @@
 //! Cluster assembly: N middleware/database replica pairs over one group.
 
-use crate::audit::{AuditViolation, Auditor};
+use crate::audit::{history_from_journals, AuditViolation, Auditor, History, HistoryGap};
 use crate::chaos::{CrashPlan, PausePoint};
-use crate::model::{ReplicatedExecution, TxSpec};
-use crate::msg::{ReplMsg, XactId};
+use crate::msg::ReplMsg;
 use crate::node::{NodeStatus, ReplicaNode, ReplicationMode};
 use crate::session::Session;
 use parking_lot::{Mutex, RwLock};
@@ -13,7 +12,6 @@ use sirep_common::{
 };
 use sirep_gcs::{FaultConfig, Group, GroupConfig, Member, SimGroup, TcpGroup, NETWORK_REPLICA};
 use sirep_storage::{CostModel, Database};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -49,7 +47,8 @@ pub struct ClusterConfig {
     pub first_replica: u64,
     /// Applier threads per replica (step III concurrency).
     pub appliers: usize,
-    /// Record begin/commit histories and readsets for 1-copy-SI checking.
+    /// Track reads, so the journals carry the readsets of Def. 3's history
+    /// ([`Cluster::collect_history`]).
     pub track_history: bool,
     /// DDL every replica's database starts with, installed before the
     /// replica joins the group's delivery stream.
@@ -140,7 +139,8 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Record begin/commit histories and readsets for 1-copy-SI checking.
+    /// Track reads, so the journals carry the readsets of Def. 3's history
+    /// ([`Cluster::collect_history`]).
     pub fn track_history(mut self, on: bool) -> Self {
         self.cfg.track_history = on;
         self
@@ -310,7 +310,6 @@ impl Cluster {
                 db,
                 member.handle(),
                 config.mode,
-                config.track_history,
                 None,
                 Journal::with_epoch(rid, epoch, DEFAULT_JOURNAL_CAPACITY),
                 Arc::clone(&auditor),
@@ -545,7 +544,6 @@ impl Cluster {
             db,
             member.handle(),
             self.config.mode,
-            self.config.track_history,
             Some(bootstrap),
             Journal::with_epoch(rid, self.epoch, DEFAULT_JOURNAL_CAPACITY),
             Arc::clone(&self.auditor),
@@ -639,31 +637,11 @@ impl Cluster {
         false
     }
 
-    /// Collect the recorded execution for 1-copy-SI checking. Call only on
-    /// a quiesced cluster with `track_history` enabled. Returns the
-    /// transaction specs and the per-replica schedules.
-    pub fn collect_history(&self) -> (BTreeMap<XactId, TxSpec>, ReplicatedExecution<XactId>) {
-        let nodes = self.nodes.read().clone();
-        let mut specs: BTreeMap<XactId, TxSpec> = BTreeMap::new();
-        for n in &nodes {
-            for (xact, spec) in n.recorder.take_specs() {
-                specs.insert(xact, spec);
-            }
-        }
-        let mut exec = ReplicatedExecution { schedules: Vec::new(), locality: BTreeMap::new() };
-        for n in &nodes {
-            let events: Vec<_> = n
-                .recorder
-                .take_events()
-                .into_iter()
-                .filter(|op| specs.contains_key(&op.txn()))
-                .collect();
-            exec.schedules.push(events);
-        }
-        for xact in specs.keys() {
-            exec.locality.insert(*xact, xact.origin.index());
-        }
-        (specs, exec)
+    /// Def. 3's history of this cluster, from its journals
+    /// ([`history_from_journals`]). Call on a quiesced cluster built with
+    /// `track_history`, or every readset is empty.
+    pub fn collect_history(&self) -> Result<History, HistoryGap> {
+        history_from_journals(&self.journal_events())
     }
 
     /// Shut the whole cluster down and join all threads.

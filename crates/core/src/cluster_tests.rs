@@ -320,7 +320,7 @@ fn history_checker_passes_on_real_execution() {
         h.join().unwrap();
     }
     assert!(c.quiesce(Q));
-    let (specs, exec) = c.collect_history();
+    let (specs, exec) = c.collect_history().expect("a whole history");
     assert!(!specs.is_empty());
     let witness = check_one_copy_si(&specs, &exec)
         .unwrap_or_else(|v| panic!("1-copy-SI violated by SRCA-Rep: {v}"));

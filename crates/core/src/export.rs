@@ -91,7 +91,7 @@ pub fn perfetto_trace_json(journals: &[(ReplicaId, Vec<Event>)]) -> String {
 fn event_args(kind: &EventKind) -> String {
     match *kind {
         EventKind::TxBegin { xact, gated } => format!("\"xact\":\"{xact}\",\"gated\":{gated}"),
-        EventKind::CertCapture { xact, cert } => {
+        EventKind::CertCapture { xact, cert, .. } => {
             format!("\"xact\":\"{xact}\",\"cert\":{}", cert.raw())
         }
         EventKind::Multicast { xact } => format!("\"xact\":\"{xact}\""),
@@ -127,7 +127,7 @@ fn event_args(kind: &EventKind) -> String {
         EventKind::PartitionStarted { isolated } => format!("\"isolated\":{isolated}"),
         EventKind::PartitionHealed { flushed } => format!("\"flushed\":{flushed}"),
         EventKind::CrashPointFired { point } => format!("\"point\":\"{}\"", point.name()),
-        EventKind::LocalReadOnly { xact, snapshot, gated } => {
+        EventKind::LocalReadOnly { xact, snapshot, gated, .. } => {
             format!("\"xact\":\"{xact}\",\"snapshot\":{},\"gated\":{gated}", snapshot.raw())
         }
         EventKind::ReplicaReset { last_validated, max_committed } => format!(
@@ -277,6 +277,7 @@ pub fn shift_events(events: &mut [Event], offset_ns: i64) {
 mod tests {
     use super::*;
     use sirep_common::{GlobalTid, Journal};
+    use std::sync::Arc;
     use std::time::Instant;
 
     fn r(k: u64) -> ReplicaId {
@@ -289,7 +290,7 @@ mod tests {
         let j = Journal::with_epoch(r(0), epoch, 64);
         let x = XactId::new(r(0), 1);
         j.record(EventKind::TxBegin { xact: x, gated: true });
-        j.record(EventKind::CertCapture { xact: x, cert: GlobalTid::ZERO });
+        j.record(EventKind::CertCapture { xact: x, cert: GlobalTid::ZERO, reads: Arc::default() });
         j.record(EventKind::Multicast { xact: x });
         j.record(EventKind::Commit { xact: x, tid: GlobalTid::new(1) });
         let doc = perfetto_trace_json(&[(r(0), j.snapshot())]);
@@ -312,13 +313,12 @@ mod tests {
     fn read_only_transactions_get_a_span() {
         let ev = |seq: u64, kind| Event { seq, at_ns: seq * 1000, replica: r(0), kind };
         let snapshot = GlobalTid::ZERO;
+        let ro =
+            |xact| EventKind::LocalReadOnly { xact, snapshot, gated: true, reads: Arc::default() };
         let x = XactId::new(r(0), 1);
         let doc = perfetto_trace_json(&[(
             r(0),
-            vec![
-                ev(0, EventKind::TxBegin { xact: x, gated: true }),
-                ev(1, EventKind::LocalReadOnly { xact: x, snapshot, gated: true }),
-            ],
+            vec![ev(0, EventKind::TxBegin { xact: x, gated: true }), ev(1, ro(x))],
         )]);
         assert_eq!(spans(&doc), 1);
         assert!(doc.contains(
@@ -329,7 +329,7 @@ mod tests {
         for seq in 0..1000 {
             let xact = XactId::new(r(0), seq);
             events.push(ev(2 * seq, EventKind::TxBegin { xact, gated: true }));
-            events.push(ev(2 * seq + 1, EventKind::LocalReadOnly { xact, snapshot, gated: true }));
+            events.push(ev(2 * seq + 1, ro(xact)));
         }
         assert_eq!(spans(&perfetto_trace_json(&[(r(0), events)])), 1000);
     }

@@ -16,8 +16,7 @@
 //! | [`session`] | §5.3–5.4 | JDBC-style sessions, the [`System`]/[`Connection`] abstraction |
 //! | [`centralized`] | §6 | the single-database baseline of the figures |
 //! | [`tablelock`] | §6.3 | the reimplemented table-level-locking protocol of [20] |
-//! | [`recorder`] | — | execution recording feeding the 1-copy-SI checker |
-//! | [`audit`] | Thm 1/§4.3.3 | the 1-copy-SI checker over the journal's event stream: online, over scraped journals, over model traces |
+//! | [`audit`] | Def. 3/Thm 1/§4.3.3 | the 1-copy-SI checker over the journal's event stream — online, over scraped journals, over model traces — and Def. 3's history built from journals |
 //! | [`export`] | — | Perfetto trace and Prometheus text renderers |
 //!
 //! ## Quick start
@@ -49,7 +48,6 @@ pub mod model;
 pub mod msg;
 pub mod node;
 mod outcomes;
-pub mod recorder;
 pub mod replica;
 pub mod session;
 pub mod srca;
@@ -58,7 +56,8 @@ pub mod tocommit;
 pub mod validation;
 
 pub use audit::{
-    audit_scraped_journals, key_digest, AuditKind, AuditViolation, Auditor, Checker, VIOLATION_CAP,
+    audit_scraped_journals, history_from_journals, key_digest, read_digest, AuditKind,
+    AuditViolation, Auditor, Checker, History, HistoryGap, VIOLATION_CAP,
 };
 pub use centralized::Centralized;
 pub use chaos::{CrashPlan, PausePoint};

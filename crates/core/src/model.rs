@@ -213,7 +213,7 @@ where
     Ok(true)
 }
 
-/// The recorded execution of a replicated system: one schedule per replica
+/// The execution of a replicated system: one schedule per replica
 /// plus, for every transaction, the replica it was local at.
 ///
 /// Update transactions must appear in every replica's schedule (ROWA);

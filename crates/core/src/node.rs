@@ -87,10 +87,9 @@
 //! counted. `mark_crashed` wakes everybody; `WAIT_TICK` is a shutdown poll
 //! and must never be what makes progress.
 
-use crate::audit::Auditor;
+use crate::audit::{read_digest, Auditor};
 use crate::chaos::{CrashPlan, PausePoint};
 use crate::msg::{ReplMsg, WsMsg, XactId};
-use crate::recorder::Recorder;
 use crate::replica::{Claimed, InDoubt, ReplicaCore, Report};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use sirep_common::{
@@ -245,7 +244,6 @@ pub struct ReplicaNode {
     /// here names the incarnation it was created under.
     next_xact: AtomicU64,
     pub metrics: Arc<Metrics>,
-    pub recorder: Arc<Recorder>,
     /// Protocol event journal for this replica, and the clock its stage
     /// latencies are measured on (no-op without `trace`).
     pub journal: Journal,
@@ -279,12 +277,10 @@ pub struct ActiveTxn {
 impl ReplicaNode {
     /// A node for the group member `gcs` multicasts as: that member id is
     /// the node's replica id and incarnation.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         db: Database,
         gcs: Box<dyn Cast<ReplMsg>>,
         mode: ReplicationMode,
-        record_history: bool,
         bootstrap: Option<Core>,
         journal: Journal,
         auditor: Arc<Auditor>,
@@ -309,7 +305,6 @@ impl ReplicaNode {
             joined: AtomicBool::new(recovered),
             next_xact: AtomicU64::new(XactId::seq_base(member.incarnation()) + 1),
             metrics: Arc::new(Metrics::new()),
-            recorder: Arc::new(Recorder::new(record_history)),
             journal,
             gauges: ProtocolGauges::new(),
             auditor,
@@ -545,7 +540,6 @@ impl ReplicaNode {
         // tid ≤ snapshot is committed locally).
         let report = &mut self.auditor.reporter(&self.journal);
         let (snapshot, last_ns) = st.core.begin(xact, waited_from, report);
-        self.recorder.on_begin(xact);
         // Commits throttled for a waiting begin may go on: we may have been
         // the last one waiting, and a local is running.
         self.unlock_and_wake(st, false);
@@ -566,6 +560,8 @@ impl ReplicaNode {
         let ActiveTxn { xact, txn, snapshot, guard: _guard, begin_ns, last_ns } = active;
         let requested = self.journal.stage(Stage::Execute, last_ns);
         let ws = txn.writeset();
+        // Def. 3's readset, journaled at the origin only.
+        let reads = read_digest(&txn);
         if ws.is_empty() {
             // Certification-free read-only path (step I.2.c): the
             // transaction ran entirely against the local snapshot — commit
@@ -573,11 +569,9 @@ impl ReplicaNode {
             // round-trip. Its commit position is irrelevant for 1-copy-SI;
             // the journaled snapshot lets the auditor check the snapshot
             // itself was hole-free.
-            self.recorder.on_local_committed(xact, &txn, &ws);
             txn.commit()?;
-            self.recorder.on_commit(xact);
             let gated = self.mode == ReplicationMode::SrcaRep;
-            let done = EventKind::LocalReadOnly { xact, snapshot, gated };
+            let done = EventKind::LocalReadOnly { xact, snapshot, gated, reads };
             let ends = [(Stage::Commit, requested), (Stage::Total, begin_ns)];
             // sirep-lint: allow(journal-gauge-under-lock): read-only commits touch no protocol state — the event is ordered by this session thread alone, and the checker re-checks the begin-time snapshot against its own frontier, which only grows
             self.auditor.reporter(&self.journal).report(done, &ends);
@@ -600,7 +594,7 @@ impl ReplicaNode {
             // so it cannot interleave after a later transaction's events;
             // only the database-side rollback runs outside.
             let report = &mut self.auditor.reporter(&self.journal);
-            let Some(cert) = st.core.submit(xact, &ws, extracted, reply_tx, report) else {
+            let Some(cert) = st.core.submit(xact, &ws, reads, extracted, reply_tx, report) else {
                 drop(st);
                 txn.abort(AbortReason::ValidationFailure);
                 Metrics::inc(&self.metrics.aborts_validation);
@@ -649,7 +643,6 @@ impl ReplicaNode {
         // never behind the applier pool. The guard keeps the transaction a
         // running local until it has committed.
         let woke = self.journal.stage(Stage::ValidateQueue, last_ns);
-        self.recorder.on_local_committed(xact, &txn, &ws);
         let entry = Claimed { tid, xact, ws, last_ns: woke };
         self.finalize_batch(std::slice::from_ref(&entry), Some(begin_ns), txn);
         Metrics::inc(&self.metrics.commits_update);
@@ -928,24 +921,10 @@ impl ReplicaNode {
             txn.abort(AbortReason::Shutdown);
             return;
         }
-        // A remote transaction begins here, at its commit and under the
-        // lock, so its begin never spans a conflicting commit (its position
-        // does not matter otherwise: remote readsets are empty, Def. 3).
-        // Batch members don't conflict with each other, so one begin
-        // spanning a sibling's commit is harmless. A local's begin was
-        // recorded at its begin.
-        if begin_ns.is_none() {
-            for e in batch {
-                self.recorder.on_begin(e.xact);
-            }
-        }
         let res = txn.commit_quiet();
         debug_assert!(res.is_ok(), "validated batch failed to commit: {res:?}");
         let entries = batch.iter().map(|e| (e.tid, e.xact, e.last_ns));
         let grew = st.core.commit(entries, begin_ns, &mut self.auditor.reporter(&self.journal));
-        for e in batch {
-            self.recorder.on_commit(e.xact);
-        }
         self.refresh_gauges(&st);
         // Successors the commits unblocked wait for an idle applier.
         self.unlock_and_wake(st, grew);

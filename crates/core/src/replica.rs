@@ -356,13 +356,15 @@ impl<W> ReplicaCore<W> {
     }
 
     /// Step I.2: local validation against the tocommit queue only
-    /// (adjustment 1), then the cert capture. On success the transaction
-    /// awaits its verdict here with `waiter`, stamped `extracted` (its
-    /// writeset's extraction). `None`: it aborted.
+    /// (adjustment 1), then the cert capture, which journals the readset
+    /// digest `reads`. On success the transaction awaits its verdict here
+    /// with `waiter`, stamped `extracted` (its writeset's extraction).
+    /// `None`: it aborted.
     pub fn submit(
         &mut self,
         xact: XactId,
         ws: &WriteSet,
+        reads: Arc<[u64]>,
         extracted: u64,
         waiter: W,
         sink: &mut impl Report,
@@ -372,7 +374,7 @@ impl<W> ReplicaCore<W> {
             return None;
         }
         let cert = self.ws_list.last_tid();
-        sink.report(EventKind::CertCapture { xact, cert }, &[]);
+        sink.report(EventKind::CertCapture { xact, cert, reads }, &[]);
         self.locals.insert(xact, (extracted, waiter));
         Some(cert)
     }

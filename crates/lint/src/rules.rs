@@ -87,7 +87,7 @@ pub struct LockClass {
     pub lock_exprs: Vec<String>,
     pub files: Vec<String>,
     /// Call-path suffixes that acquire this lock internally, from any
-    /// file (`multicast_total`, `journal.record`, `recorder.on_*`).
+    /// file (`multicast_total`, `journal.record*`, `auditor.report*`).
     pub acquire_fns: Vec<String>,
     /// A parameter of this type proves the lock is held (`&NodeState`).
     pub param_types: Vec<String>,
@@ -223,7 +223,7 @@ impl CheckerConfig {
 }
 
 /// Does `path` end with dotted-pattern `pat`? A trailing `*` on the final
-/// pattern segment makes it a prefix match (`recorder.on_*`).
+/// pattern segment makes it a prefix match (`journal.record*`).
 pub fn suffix_matches(path: &[String], pat: &str) -> bool {
     let segs: Vec<&str> = pat.split('.').collect();
     if segs.len() > path.len() {

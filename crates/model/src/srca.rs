@@ -688,7 +688,7 @@ impl ProtocolModel for SrcaModel {
                 let submitted = if fuw_conflict {
                     None
                 } else {
-                    s.core(r).submit(xact, ws, 0, (), &mut trace(r, &mut events))
+                    s.core(r).submit(xact, ws, Arc::default(), 0, (), &mut trace(r, &mut events))
                 };
                 match submitted {
                     None => self.abort(&mut s, t),
@@ -716,7 +716,8 @@ impl ProtocolModel for SrcaModel {
                 s.txns[t as usize].phase = Phase::RoCommitted;
                 s.core(r).local_finished();
                 let (xact, snapshot) = (self.xact(t), GlobalTid::new(tx.snapshot));
-                let kind = EventKind::LocalReadOnly { xact, snapshot, gated: true };
+                let kind =
+                    EventKind::LocalReadOnly { xact, snapshot, gated: true, reads: Arc::default() };
                 events.push(TraceEvent { replica: r, kind });
             }
             Label::LocalCommit(t) => {

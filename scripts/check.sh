@@ -135,6 +135,8 @@ if [[ "$QUICK" == "1" ]]; then
     cargo test --offline --test tocommit_queue --test tcp_member --test wakeups --test validator_never_waits --test hidden_deadlock -q
     echo "==> replica core property tests (tests/replica_core.rs: Theorem 1, the hole rule, recovery, P7)"
     cargo test --offline --test replica_core -q
+    echo "==> Def. 3 from journals (tests/one_copy_si.rs: named histories, the event-to-op mapping, random scripts)"
+    cargo test --offline --test one_copy_si -q
     echo "==> sequencer fan-out: the appender sends, writers wake only for a lagging member"
     cargo test --offline --test tcp_tier -q
     echo "==> sirep-model (exhaustive protocol exploration, quick scopes)"
@@ -144,6 +146,8 @@ if [[ "$QUICK" == "1" ]]; then
 else
     echo "==> cargo test (workspace; seqlog unit tests + tests/seqlog.rs cover the one sequencer core)"
     cargo test --offline --workspace -q
+    echo "==> si_anomalies example (SI anomalies on a live cluster; Def. 3 on its journals)"
+    cargo run --offline -q --example si_anomalies
     echo "==> sirep-model (exhaustive protocol exploration, all scopes + mutant self-check)"
     cargo run --offline -q --release -p sirep-model -- --full --self-check --emit results
     echo "==> chaos harness (256-seed sweep, ≈ 2 min: wide enough to have met the old ≈ 1.5 % failover hang; a hung seed fails by name)"

@@ -242,7 +242,12 @@ fn clean_journal(replica: ReplicaId) -> (ReplicaId, Vec<Event>) {
             commit(x(0, 1), 1),
             EventKind::HoleClosed { tid: t(1) },
             begin(true),
-            EventKind::LocalReadOnly { xact: x(0, 99), snapshot: t(2), gated: true },
+            EventKind::LocalReadOnly {
+                xact: x(0, 99),
+                snapshot: t(2),
+                gated: true,
+                reads: Arc::default(),
+            },
             pruned(1),
             pruned(2),
             deliver(x(1, 2), 2),
@@ -369,8 +374,12 @@ fn row7_begin_during_hole() {
 /// gated, is hole-free at or below it.
 #[test]
 fn row8_read_only_snapshot() {
-    let ro =
-        |snapshot, gated| EventKind::LocalReadOnly { xact: x(0, 9), snapshot: t(snapshot), gated };
+    let ro = |snapshot, gated| EventKind::LocalReadOnly {
+        xact: x(0, 9),
+        snapshot: t(snapshot),
+        gated,
+        reads: Arc::default(),
+    };
     let v = check(&[(R0, pass(x(0, 1), 0, 1, &[1])), (R0, commit(x(0, 1), 1)), (R0, ro(2, true))]);
     assert_eq!(kinds(&v), [AuditKind::HoleSyncViolation]);
     assert!(v[0].detail.contains("above max committed"), "{}", v[0].detail);
@@ -418,7 +427,12 @@ fn row9_hole_alternation() {
 #[test]
 fn unknown_prefix_suppresses_exactly_what_it_cannot_know() {
     let close = EventKind::HoleClosed { tid: t(7) };
-    let ro = EventKind::LocalReadOnly { xact: x(0, 9), snapshot: t(40), gated: true };
+    let ro = EventKind::LocalReadOnly {
+        xact: x(0, 9),
+        snapshot: t(40),
+        gated: true,
+        reads: Arc::default(),
+    };
     // Truncated: the open, and the commits behind snapshot 40, were dropped.
     assert_eq!(
         audit_scraped_journals(&[journal(R0, 10, vec![close.clone(), ro.clone()])]),

@@ -18,8 +18,12 @@
 //!   configuration — applies what it replays;
 //! - the sequencer's death is fail-stop for the group: commits in flight are
 //!   answered, nodes stop being alive, clients end in an error, not a hang.
+//! - the journals of nodes that share a sequencer are one history, and
+//!   Def. 3 (1-copy-SI) holds over it.
 
-use si_rep::core::{Cluster, ClusterConfig, Connection, Transport};
+use si_rep::core::{
+    check_one_copy_si, history_from_journals, Cluster, ClusterConfig, Connection, Transport,
+};
 use si_rep::driver::{NodeServer, RemoteDriver};
 use si_rep::gcs::{
     query_seq_stats, Cast, Delivery, GcsError, Group, Member, SeqStats, Sequencer, TcpGroup,
@@ -546,12 +550,73 @@ fn evicted_members_writer_exits_and_its_frames_in_flight_are_dropped() {
 }
 
 /// A one-replica cluster on the TCP tier, its schema part of its config.
+/// It tracks reads, so its journal holds its part of Def. 3's history.
 fn tcp_node(seq: &Sequencer, replica: u64) -> Cluster {
     let cfg = ClusterConfig::builder()
         .transport(Transport::Tcp { sequencer: seq.addr().to_string() })
         .first_replica(replica)
+        .track_history(true)
         .schema("CREATE TABLE kv (k INT, v INT, PRIMARY KEY (k))");
     Cluster::try_new(cfg.build()).expect("join")
+}
+
+/// Def. 3 on the TCP tier: three one-replica clusters, each with its own
+/// auditor and journal clock as separate processes would have, share a
+/// sequencer and run conflicting updates and reads; their journals,
+/// concatenated, are one history the checker decides.
+#[test]
+fn one_copy_si_is_decided_from_the_journals_of_separate_nodes() {
+    let _one = serial();
+    let seq = Sequencer::spawn("127.0.0.1:0").expect("bind sequencer");
+    let nodes = [0, 1, 2].map(|replica| tcp_node(&seq, replica));
+    let mut s = nodes[0].session(0);
+    for k in 0..4 {
+        s.execute(&format!("INSERT INTO kv VALUES ({k}, 0)")).expect("insert");
+    }
+    s.commit().expect("commit");
+    poll_until("every node has the rows", || {
+        nodes.iter().all(|n| n.node(0).database().table_len("kv") == 4)
+    });
+    thread::scope(|scope| {
+        for (i, node) in nodes.iter().enumerate() {
+            scope.spawn(move || {
+                let mut s = node.session(0);
+                for n in 0..30 {
+                    let k = (i + n) % 4;
+                    let mut txn = || {
+                        s.execute(&format!("SELECT v FROM kv WHERE k = {}", (k + 1) % 4))?;
+                        if n % 3 != 0 {
+                            s.execute(&format!("UPDATE kv SET v = v + 1 WHERE k = {k}"))?;
+                        }
+                        s.commit()
+                    };
+                    if txn().is_err() {
+                        s.rollback();
+                    }
+                }
+            });
+        }
+    });
+    poll_until("every node has applied every writeset", || {
+        let last = nodes[0].node(0).last_validated();
+        nodes.iter().all(|n| n.node(0).last_validated() == last && n.node(0).queue_len() == 0)
+    });
+    let journals: Vec<_> = nodes.iter().flat_map(Cluster::journal_events).collect();
+    assert!(nodes.iter().all(|n| n.node(0).journal.dropped() == 0), "a journal dropped events");
+    let (specs, exec) =
+        history_from_journals(&journals).expect("the journals hold the whole history");
+    // Every transaction but the setup read a row: the readsets travelled.
+    assert_eq!(specs.values().filter(|t| t.readset.is_empty()).count(), 1, "{specs:?}");
+    let updates = specs.values().filter(|t| t.is_update()).count();
+    assert!(
+        updates > 1 && updates < specs.len(),
+        "{updates} updates of {} transactions",
+        specs.len()
+    );
+    check_one_copy_si(&specs, &exec).unwrap_or_else(|v| panic!("1-copy-SI violated on TCP: {v}"));
+
+    drop((nodes, seq));
+    poll_until("shutdown ends the writers", || writers().0 == 0);
 }
 
 /// A joiner replays the sequenced log from index 0. Until it reaches its own
