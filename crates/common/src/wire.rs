@@ -164,8 +164,6 @@ impl Wire for f64 {
 
 impl Wire for bool {
     fn encode(&self, out: &mut Vec<u8>) {
-        // Literal tag bytes, mirrored by `decode`'s arms: the lint's
-        // wire-tag registry checks the two sides stay in sync.
         match self {
             false => out.push(0),
             true => out.push(1),
@@ -343,8 +341,8 @@ wire_id!(
 ///   tag decodes to `WireError::Corrupt("t tag")`.
 ///
 /// A variant left out does not compile (`encode`'s match is not
-/// exhaustive); a tag used twice is an `unreachable_patterns` warning,
-/// which CI denies.
+/// exhaustive), and neither does a tag used twice (`decode`'s match
+/// denies `unreachable_patterns`).
 #[macro_export]
 macro_rules! wire_codec {
     (struct $ty:ty { $($field:ident),* $(,)? }) => {
@@ -372,6 +370,7 @@ macro_rules! wire_codec {
                     })*
                 }
             }
+            #[deny(unreachable_patterns)]
             fn decode(
                 r: &mut $crate::wire::WireReader<'_>,
             ) -> Result<Self, $crate::wire::WireError> {
@@ -399,88 +398,40 @@ wire_codec!(enum crate::error::AbortReason, "abort reason tag" {
     5 => Shutdown,
 });
 
-/// `TypeMismatch::expected` is a `&'static str`; the decoder re-interns the
-/// transported string against the finite set the engine actually emits, so
-/// the round trip is exact for every error the engine can produce (unknown
-/// strings — only possible from a corrupt or newer peer — degrade to a
-/// generic description rather than failing the decode).
-fn intern_expected(s: &str) -> &'static str {
-    match s {
-        "int" => "int",
-        "float" => "float",
-        "text" => "text",
-        "non-null primary key" => "non-null primary key",
-        _ => "a value of the column's type",
-    }
-}
-
-// Hand-written: decode re-interns `TypeMismatch::expected`.
-impl Wire for crate::error::DbError {
+/// A `&'static str` travels as a `String`. Decode re-interns it against
+/// the finite set the engine emits as `DbError::TypeMismatch::expected`, the
+/// one such field on the wire, so the round trip is exact for every error
+/// the engine can produce; an unknown string (only possible from a corrupt
+/// or newer peer) degrades to a generic description rather than failing
+/// the decode.
+impl Wire for &'static str {
     fn encode(&self, out: &mut Vec<u8>) {
-        use crate::error::DbError::*;
-        match self {
-            Aborted(reason) => {
-                out.push(0);
-                reason.encode(out);
-            }
-            UnknownTable(name) => {
-                out.push(1);
-                name.encode(out);
-            }
-            UnknownColumn(name) => {
-                out.push(2);
-                name.encode(out);
-            }
-            TypeMismatch { column, expected } => {
-                out.push(3);
-                column.encode(out);
-                expected.to_string().encode(out);
-            }
-            DuplicateKey(key) => {
-                out.push(4);
-                key.encode(out);
-            }
-            NoSuchTransaction => out.push(5),
-            Parse(msg) => {
-                out.push(6);
-                msg.encode(out);
-            }
-            Unsupported(msg) => {
-                out.push(7);
-                msg.encode(out);
-            }
-            ConnectionLost { in_doubt } => {
-                out.push(8);
-                in_doubt.encode(out);
-            }
-            Unavailable => out.push(9),
-            Internal(msg) => {
-                out.push(10);
-                msg.encode(out);
-            }
-        }
+        encode_str(self, out);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        use crate::error::DbError::*;
-        Ok(match u8::decode(r)? {
-            0 => Aborted(crate::error::AbortReason::decode(r)?),
-            1 => UnknownTable(String::decode(r)?),
-            2 => UnknownColumn(String::decode(r)?),
-            3 => TypeMismatch {
-                column: String::decode(r)?,
-                expected: intern_expected(&String::decode(r)?),
-            },
-            4 => DuplicateKey(String::decode(r)?),
-            5 => NoSuchTransaction,
-            6 => Parse(String::decode(r)?),
-            7 => Unsupported(String::decode(r)?),
-            8 => ConnectionLost { in_doubt: bool::decode(r)? },
-            9 => Unavailable,
-            10 => Internal(String::decode(r)?),
-            _ => return Err(WireError::Corrupt("db error tag")),
+        Ok(match decode_str(r)? {
+            "int" => "int",
+            "float" => "float",
+            "text" => "text",
+            "non-null primary key" => "non-null primary key",
+            _ => "a value of the column's type",
         })
     }
 }
+
+wire_codec!(enum crate::error::DbError, "db error tag" {
+    0 => Aborted(reason),
+    1 => UnknownTable(name),
+    2 => UnknownColumn(name),
+    3 => TypeMismatch { column, expected },
+    4 => DuplicateKey(key),
+    5 => NoSuchTransaction,
+    6 => Parse(msg),
+    7 => Unsupported(msg),
+    8 => ConnectionLost { in_doubt },
+    9 => Unavailable,
+    10 => Internal(msg),
+});
 
 /// Write one length-prefixed frame (`u32`-LE byte length, then payload).
 pub fn write_frame<W: Write, T: Wire>(w: &mut W, msg: &T) -> io::Result<()> {
@@ -717,6 +668,13 @@ mod tests {
             DbError::Unavailable,
             DbError::Internal("invariant".into()),
         ];
+        // Each variant's tag, then its fields in declaration order.
+        let golden = "00000001000200030004000501080000006163636f756e74730207000000\
+            62616c616e63650305000000707269636505000000666c6f617403020000006964\
+            140000006e6f6e2d6e756c6c207072696d617279206b657904080000005b496e74\
+            2833295d050610000000756e657870656374656420746f6b656e07040000004a4f\
+            494e08010800090a09000000696e76617269616e74";
+        assert_eq!(all.iter().map(hex).collect::<String>(), golden);
         for e in all {
             round_trip(&e);
         }

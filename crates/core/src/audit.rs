@@ -268,23 +268,20 @@ impl Checker {
 
     /// Check one event of `replica`'s stream.
     pub fn observe(&mut self, replica: ReplicaId, kind: &EventKind) {
-        if let EventKind::ReplicaReset { last_validated, max_committed } = *kind {
+        let rs = self.replicas.entry(replica).or_insert_with(ReplicaState::from_start);
+        let violation = match *kind {
             // The stream restarts from a state transfer: the frontier is
             // given, everything else is an unknown prefix (transferred
             // entries may still be pending, holes may be open).
-            self.replicas.insert(
-                replica,
-                ReplicaState {
+            EventKind::ReplicaReset { last_validated, max_committed } => {
+                *rs = ReplicaState {
                     max_committed,
                     frontier_exact: true,
                     last_passed: last_validated,
                     ..ReplicaState::unknown_prefix()
-                },
-            );
-            return;
-        }
-        let rs = self.replicas.entry(replica).or_insert_with(ReplicaState::from_start);
-        let violation = match *kind {
+                };
+                None
+            }
             // #7: a hole-gated begin never happens with a validated tid
             // still uncommitted below the commit frontier (adjustment 3).
             EventKind::TxBegin { gated: true, .. } => {
@@ -367,9 +364,26 @@ impl Checker {
                     (AuditKind::CommitOrderDivergence, detail)
                 })
             }
-            // Everything else carries no audited state (lint.toml's
-            // journal-consumer-registry records why, variant by variant).
-            _ => None,
+            // Ungated begins (SRCA-Opt) are allowed to begin in a hole.
+            EventKind::TxBegin { gated: false, .. } => None,
+            // Def. 3's readset: `history_from_journals` reads it.
+            EventKind::CertCapture { .. } => None,
+            // A transport stage: ordering is audited via verdict/commit pairs.
+            EventKind::Multicast { .. } => None,
+            // An aborted transaction never opens a hole or commits.
+            EventKind::Abort { .. } => None,
+            // Apply duration is exporter material, not lifecycle state.
+            EventKind::ApplyStart { .. } | EventKind::ApplyDone { .. } => None,
+            // Membership is orthogonal to the per-transaction hole/prune
+            // lifecycle.
+            EventKind::ViewChange { .. } => None,
+            // A client-side event with no replica state transition.
+            EventKind::ClientFailover { .. } => None,
+            // Chaos bookkeeping, not protocol state.
+            EventKind::FaultInjected { .. }
+            | EventKind::PartitionStarted { .. }
+            | EventKind::PartitionHealed { .. }
+            | EventKind::CrashPointFired { .. } => None,
         };
         if let Some((kind, detail)) = violation {
             self.violate(kind, replica, detail);

@@ -24,11 +24,10 @@ pub enum TokKind {
     Punct(char),
     /// Lifetime, without the leading quote (`'a` → `a`).
     Lifetime(String),
-    /// Any literal: string, raw string, byte string, char, number. The
-    /// raw source text is carried (the registry pass reads wire-tag
-    /// integers out of `match` arms), but rules match on `Ident` tokens,
-    /// so an `unwrap()` inside a string still cannot trip the panic rule.
-    Literal(String),
+    /// Any literal: string, raw string, byte string, char, number. Its
+    /// text is dropped, so an `unwrap()` inside a string cannot trip the
+    /// panic rule.
+    Literal,
 }
 
 impl Tok {
@@ -44,33 +43,7 @@ impl Tok {
     }
 
     pub fn is_literal(&self) -> bool {
-        matches!(self.kind, TokKind::Literal(_))
-    }
-
-    /// Decimal integer value of a numeric literal (`42`, `7u8`, `1_000`),
-    /// `None` for strings/chars/floats/hex.
-    pub fn int_lit(&self) -> Option<u64> {
-        let TokKind::Literal(text) = &self.kind else {
-            return None;
-        };
-        let digits: String = text.chars().take_while(|c| c.is_ascii_digit() || *c == '_').collect();
-        let rest = &text[digits.len()..];
-        // Reject non-decimal forms (0x..), floats (1.5) and non-numeric
-        // suffix junk that is not a plain int-type suffix.
-        if digits.is_empty()
-            || rest.starts_with('.')
-            || rest.starts_with('x')
-            || rest.starts_with('b')
-        {
-            return None;
-        }
-        if !(rest.is_empty()
-            || ["u8", "u16", "u32", "u64", "usize", "i8", "i16", "i32", "i64", "isize"]
-                .contains(&rest))
-        {
-            return None;
-        }
-        digits.replace('_', "").parse().ok()
+        self.kind == TokKind::Literal
     }
 }
 
@@ -136,14 +109,12 @@ pub fn lex(src: &str) -> (Vec<Tok>, Vec<Directive>) {
                 }
             }
             '"' => {
-                let start = i;
                 i = skip_string(b, i, &mut line);
-                toks.push(Tok { kind: TokKind::Literal(src[start..i].to_string()), line });
+                toks.push(Tok { kind: TokKind::Literal, line });
             }
             'r' | 'b' if starts_raw_or_byte_string(b, i) => {
-                let start = i;
                 i = skip_raw_or_byte_string(b, i, &mut line);
-                toks.push(Tok { kind: TokKind::Literal(src[start..i].to_string()), line });
+                toks.push(Tok { kind: TokKind::Literal, line });
             }
             '\'' => {
                 // Lifetime vs char literal: `'ident` not followed by a
@@ -156,9 +127,8 @@ pub fn lex(src: &str) -> (Vec<Tok>, Vec<Directive>) {
                     toks.push(Tok { kind: TokKind::Lifetime(src[i + 1..j].to_string()), line });
                     i = j;
                 } else {
-                    let start = i;
                     i = skip_char_literal(b, i, &mut line);
-                    toks.push(Tok { kind: TokKind::Literal(src[start..i].to_string()), line });
+                    toks.push(Tok { kind: TokKind::Literal, line });
                 }
             }
             c if c.is_ascii_digit() => {
@@ -174,7 +144,7 @@ pub fn lex(src: &str) -> (Vec<Tok>, Vec<Directive>) {
                         j += 1;
                     }
                 }
-                toks.push(Tok { kind: TokKind::Literal(src[i..j].to_string()), line });
+                toks.push(Tok { kind: TokKind::Literal, line });
                 i = j;
             }
             c if c == '_' || c.is_alphabetic() => {
@@ -414,13 +384,6 @@ mod tests {
         let (toks, _) = lex("0..n");
         let dots = toks.iter().filter(|t| t.is_punct('.')).count();
         assert_eq!(dots, 2);
-    }
-
-    #[test]
-    fn int_literals_carry_their_value() {
-        let (toks, _) = lex("out.push(3u8); 1_000; \"7\"; 1.5; 0x10");
-        let ints: Vec<u64> = toks.iter().filter_map(Tok::int_lit).collect();
-        assert_eq!(ints, vec![3, 1000], "strings, floats and hex are not wire tags");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! sirep-lint: workspace invariant checker for SI-Rep.
 //!
-//! Enforces the lock-discipline, determinism, and registry invariants the
-//! SRCA-Rep protocol depends on (DESIGN.md §13, §18). Eleven named rules,
-//! each individually suppressable per-site with a written justification:
+//! Enforces the lock-discipline and determinism invariants the SRCA-Rep
+//! protocol depends on (DESIGN.md §13, §18). Eight named rules, each
+//! individually suppressable per-site with a written justification:
 //!
 //! - an inline directive on or directly above the offending line:
 //!   `// sirep-lint: allow(<rule>): <why this site is safe>`
@@ -15,15 +15,12 @@
 //! suppressions from warnings to a failing exit.
 //!
 //! Guard-sensitive rules run over a per-function control-flow graph
-//! ([`cfg`]) with fixed-point may/must guard liveness ([`dataflow`]);
-//! cross-artifact registries (wire tags, journal consumers, chaos
-//! points) are checked by [`registry`].
+//! ([`cfg`]) with fixed-point may/must guard liveness ([`dataflow`]).
 
 pub mod cfg;
 pub mod config;
 pub mod dataflow;
 pub mod lexer;
-pub mod registry;
 pub mod rules;
 pub mod scopes;
 
@@ -48,7 +45,6 @@ pub struct TomlSuppress {
 #[derive(Debug)]
 pub struct LintConfig {
     pub checker: CheckerConfig,
-    pub registry: registry::RegistryRules,
     pub roots: Vec<String>,
     pub exclude: Vec<String>,
     pub suppress: Vec<TomlSuppress>,
@@ -97,7 +93,6 @@ pub fn load_config_str(src: &str) -> Result<LintConfig, String> {
 
     let mut cfg = LintConfig {
         checker: CheckerConfig::default(),
-        registry: registry::RegistryRules::default(),
         roots: vec!["crates".into(), "src".into()],
         exclude: Vec::new(),
         suppress: Vec::new(),
@@ -250,61 +245,6 @@ pub fn load_config_str(src: &str) -> Result<LintConfig, String> {
             }
             cfg.checker.lock_coverage = Some(rule);
         }
-        if let Some(t) = config::get_table(rules_tbl, rules::RULE_WIRE_TAGS) {
-            cfg.registry.wire_tags =
-                Some(registry::WireTagRule { files: config::get_str_list(t, "files") });
-        }
-        if let Some(t) = config::get_table(rules_tbl, rules::RULE_JOURNAL_CONSUMERS) {
-            let enum_file = config::get_str(t, "enum-file")
-                .ok_or("lint.toml: journal-consumer-registry needs `enum-file`")?;
-            let enum_name = config::get_str(t, "enum-name")
-                .ok_or("lint.toml: journal-consumer-registry needs `enum-name`")?;
-            let consumers = config::get_str_list(t, "consumers");
-            if consumers.is_empty() {
-                return cfg_err("lint.toml: journal-consumer-registry needs `consumers`");
-            }
-            let mut ignore = Vec::new();
-            for entry in config::get_str_list(t, "ignore") {
-                // "consumer-file: Variant: why this consumer skips it"
-                let parts: Vec<&str> = entry.splitn(3, ':').map(str::trim).collect();
-                let [file, variant, reason] = parts[..] else {
-                    return cfg_err(format!(
-                        "lint.toml: journal-consumer-registry ignore entry `{entry}` must be \
-                         `<consumer-file>: <Variant>: <reason>`"
-                    ));
-                };
-                if reason.is_empty() {
-                    return cfg_err(format!(
-                        "lint.toml: ignore entry for `{variant}` in `{file}` has no reason — \
-                         every deliberate skip must carry a written justification"
-                    ));
-                }
-                ignore.push(registry::ConsumerIgnore {
-                    file: file.to_string(),
-                    variant: variant.to_string(),
-                    reason: reason.to_string(),
-                });
-            }
-            cfg.registry.journal_consumers =
-                Some(registry::JournalConsumerRule { enum_file, enum_name, consumers, ignore });
-        }
-        if let Some(t) = config::get_table(rules_tbl, rules::RULE_CHAOS_POINTS) {
-            let mut enums = Vec::new();
-            for entry in config::get_str_list(t, "enums") {
-                let Some((file, name)) = entry.split_once(':') else {
-                    return cfg_err(format!(
-                        "lint.toml: chaos-point-registry enum entry `{entry}` must be \
-                         `<file>: <EnumName>`"
-                    ));
-                };
-                enums.push((file.trim().to_string(), name.trim().to_string()));
-            }
-            let hook_files = config::get_str_list(t, "hook-files");
-            if enums.is_empty() || hook_files.is_empty() {
-                return cfg_err("lint.toml: chaos-point-registry needs `enums` and `hook-files`");
-            }
-            cfg.registry.chaos_points = Some(registry::ChaosPointRule { enums, hook_files });
-        }
     }
 
     for tbl in config::get_table_array(&root, "suppress") {
@@ -366,9 +306,6 @@ pub fn check_file(
     }
     rules::check_nondet(&toks, &funcs, file, &cfg.checker, &mut raw);
     rules::check_lock_coverage(&toks, &funcs, file, &cfg.checker, &mut raw);
-    if let Some(rule) = &cfg.registry.wire_tags {
-        registry::check_wire_tags(&funcs, file, rule, &mut raw);
-    }
 
     // Directive hygiene first: malformed, unknown-rule, or reason-less
     // directives are violations in their own right and never suppress.
@@ -463,7 +400,6 @@ pub fn run(workspace_root: &Path, cfg: &LintConfig) -> Result<Report, String> {
 
     let mut report = Report::default();
     let mut used_toml: BTreeSet<usize> = BTreeSet::new();
-    let mut scan = registry::Scan::default();
     for path in files {
         let rel =
             path.strip_prefix(workspace_root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
@@ -477,25 +413,6 @@ pub fn run(workspace_root: &Path, cfg: &LintConfig) -> Result<Report, String> {
         report.violations.extend(res.violations);
         report.suppressed.extend(res.suppressed);
         report.warnings.extend(res.warnings);
-        let (toks, _) = lexer::lex(&src);
-        scan.scan_file(&rel, &toks, &scopes::extract_funcs(&toks), &cfg.registry);
-    }
-    // Cross-file registry findings; suppressible via lint.toml only (there
-    // is no single source line to hang an inline directive on).
-    let mut registry_raw = Vec::new();
-    scan.finish(&cfg.registry, &mut registry_raw);
-    'reg: for v in registry_raw {
-        for (idx, s) in cfg.suppress.iter().enumerate() {
-            if s.rule == v.rule
-                && rules::file_matches(&v.file, &s.file)
-                && s.contains.as_deref().is_none_or(|c| v.msg.contains(c))
-            {
-                used_toml.insert(idx);
-                report.suppressed.push(Suppressed { violation: v, via: "lint.toml".into() });
-                continue 'reg;
-            }
-        }
-        report.violations.push(v);
     }
     for (idx, s) in cfg.suppress.iter().enumerate() {
         if !used_toml.contains(&idx) {

@@ -48,14 +48,11 @@ pub const RULE_LOCK_ORDER: &str = "lock-ordering";
 pub const RULE_NO_IO: &str = "no-io-under-lock";
 pub const RULE_NO_BLOCKING: &str = "no-blocking-under-lock";
 pub const RULE_LOCK_COVERAGE: &str = "lock-coverage";
-pub const RULE_WIRE_TAGS: &str = "wire-tag-registry";
-pub const RULE_JOURNAL_CONSUMERS: &str = "journal-consumer-registry";
-pub const RULE_CHAOS_POINTS: &str = "chaos-point-registry";
 /// Pseudo-rule for broken suppression directives (malformed syntax or a
 /// missing justification). Not suppressible, by design.
 pub const RULE_DIRECTIVE: &str = "lint-directive";
 
-pub const ALL_RULES: [&str; 11] = [
+pub const ALL_RULES: [&str; 8] = [
     RULE_MULTICAST,
     RULE_JOURNAL_GAUGE,
     RULE_NONDET,
@@ -64,9 +61,6 @@ pub const ALL_RULES: [&str; 11] = [
     RULE_NO_IO,
     RULE_NO_BLOCKING,
     RULE_LOCK_COVERAGE,
-    RULE_WIRE_TAGS,
-    RULE_JOURNAL_CONSUMERS,
-    RULE_CHAOS_POINTS,
 ];
 
 #[derive(Debug, Clone)]

@@ -16,10 +16,6 @@ pub struct Func {
     /// Type name of the enclosing `impl` block, if any (`impl Foo` and
     /// `impl Trait for Foo` both record `Foo`).
     pub impl_type: Option<String>,
-    /// Trait name of the enclosing `impl Trait for Type` block
-    /// (`impl Wire for Frame` records `Wire`; inherent impls record
-    /// nothing). The registry pass uses this to find encode/decode pairs.
-    pub impl_trait: Option<String>,
     /// Signature tokens, `fn` through the token before the body `{`.
     pub sig: Vec<Tok>,
     /// Body tokens, exclusive of the outer braces.
@@ -41,20 +37,13 @@ impl Func {
 pub fn extract_funcs(toks: &[Tok]) -> Vec<Func> {
     let mut out = Vec::new();
     let mut i = 0;
-    walk(toks, &mut i, None, None, false, &mut out);
+    walk(toks, &mut i, None, false, &mut out);
     out
 }
 
 /// Recursive item-level walk. `i` points into `toks`; consumes until the
 /// closing `}` of the current block (or end of input at top level).
-fn walk(
-    toks: &[Tok],
-    i: &mut usize,
-    impl_type: Option<&str>,
-    impl_trait: Option<&str>,
-    in_test: bool,
-    out: &mut Vec<Func>,
-) {
+fn walk(toks: &[Tok], i: &mut usize, impl_type: Option<&str>, in_test: bool, out: &mut Vec<Func>) {
     // Attributes seen since the last item, flattened to ident lists.
     let mut pending_attrs: Vec<Vec<String>> = Vec::new();
     while *i < toks.len() {
@@ -137,7 +126,6 @@ fn walk(
                 out.push(Func {
                     name,
                     impl_type: impl_type.map(String::from),
-                    impl_trait: impl_trait.map(String::from),
                     sig,
                     body,
                     line: fn_line,
@@ -150,17 +138,15 @@ fn walk(
                 *i += 1;
                 // Find the impl'd type: the last path identifier before the
                 // opening `{` (handles `impl Foo`, `impl<T> Foo<T>`,
-                // `impl Trait for Foo`, `impl Drop for Foo<'_>`). When a
-                // `for` is present, the last ident before it is the trait.
+                // `impl Trait for Foo`, `impl Drop for Foo<'_>`).
                 let mut last_ident: Option<String> = None;
-                let mut trait_ident: Option<String> = None;
                 while *i < toks.len() && !toks[*i].is_punct('{') {
                     if toks[*i].is_punct(';') {
                         break;
                     }
                     if let Some(s) = toks[*i].ident() {
                         if s == "for" {
-                            trait_ident = last_ident.take();
+                            last_ident = None;
                         } else if s != "where" && s != "dyn" && s != "mut" {
                             last_ident = Some(s.to_string());
                         }
@@ -183,7 +169,7 @@ fn walk(
                 }
                 if *i < toks.len() && toks[*i].is_punct('{') {
                     *i += 1;
-                    walk(toks, i, last_ident.as_deref(), trait_ident.as_deref(), is_test, out);
+                    walk(toks, i, last_ident.as_deref(), is_test, out);
                 }
             }
             TokKind::Ident(kw) if kw == "mod" => {
@@ -197,7 +183,7 @@ fn walk(
                 }
                 if *i < toks.len() && toks[*i].is_punct('{') {
                     *i += 1;
-                    walk(toks, i, None, None, is_test, out);
+                    walk(toks, i, None, is_test, out);
                 } else if *i < toks.len() {
                     *i += 1; // `mod name;`
                 }
@@ -206,7 +192,7 @@ fn walk(
                 // Non-item block (struct/enum/trait body, const init, …):
                 // recurse so nested fns (trait default methods) are found.
                 *i += 1;
-                walk(toks, i, impl_type, impl_trait, in_test, out);
+                walk(toks, i, impl_type, in_test, out);
             }
             _ => {
                 if !matches!(t.kind, TokKind::Punct('#')) && !t.is_punct(']') {
@@ -250,10 +236,8 @@ mod tests {
         assert_eq!(fs.len(), 3);
         assert_eq!(fs[0].name, "join");
         assert_eq!(fs[0].impl_type.as_deref(), Some("Group"));
-        assert_eq!(fs[0].impl_trait, None, "inherent impls have no trait");
         assert_eq!(fs[1].name, "drop");
         assert_eq!(fs[1].impl_type.as_deref(), Some("Guard"));
-        assert_eq!(fs[1].impl_trait.as_deref(), Some("Drop"));
         assert_eq!(fs[2].impl_type, None);
     }
 

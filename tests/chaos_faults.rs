@@ -5,16 +5,18 @@
 //! 1. the fault schedule is a pure function of the seed — same seed, same
 //!    script ⇒ byte-identical schedule (fingerprint equality);
 //! 2. no acknowledged write is ever lost, no matter which faults fire;
-//! 3. the auditor stays clean through every seed.
+//! 3. the auditor stays clean through every seed;
+//! 4. every crash point fires, is journaled, and ends in its §5.4 outcome.
 //!
 //! The sweep width is `SIREP_CHAOS_SEEDS` (default 2 for the quick tier;
 //! `scripts/check.sh`'s full tier sets 256). Each seed runs under a
 //! watchdog, so a hang fails the test naming the seed, and its fingerprint
 //! is written to `results/CHAOS_<seed>.json` so it can be replayed exactly.
 
-use si_rep::common::{CrashPoint, DbError};
+use si_rep::common::wire::Wire;
+use si_rep::common::{AbortReason, CrashPoint, DbError};
 use si_rep::core::{Cluster, ClusterConfig, Connection};
-use si_rep::driver::{Driver, DriverConfig};
+use si_rep::driver::{Driver, DriverConfig, Policy};
 use si_rep::gcs::{
     Cast, Delivery, FaultConfig, FaultRecord, Group, GroupConfig, Member, SimGroup, SimMember,
 };
@@ -132,40 +134,140 @@ fn cluster(n: usize) -> Arc<Cluster> {
     c
 }
 
-fn sum_at(c: &Cluster, k: usize) -> i64 {
-    let mut s = c.session(k);
-    let r = s.execute("SELECT SUM(v) FROM kv").unwrap();
+fn int_at(c: &Cluster, replica: usize, sql: &str) -> i64 {
+    let mut s = c.session(replica);
+    let r = s.execute(sql).unwrap();
     let v = r.rows()[0][0].as_int().unwrap();
     s.commit().unwrap();
     v
 }
 
-/// A remote replica dies after picking a writeset off its `tocommit`
-/// queue but before committing it. The origin's commit is unaffected, the
-/// survivors converge, and recovery restores the dropped apply via state
-/// transfer.
-#[test]
-fn crash_point_mid_apply_recovers() {
-    let c = cluster(3);
-    c.arm_crash_point(CrashPoint::AfterDeliverBeforeCommit, 2);
-    let mut s = c.session(0);
-    s.execute("UPDATE kv SET v = v + 1 WHERE k = 0").unwrap();
-    s.commit().unwrap();
+fn sum_at(c: &Cluster, k: usize) -> i64 {
+    int_at(c, k, "SELECT SUM(v) FROM kv")
+}
+
+/// Account 1's balance at replica `k`: the transfers it has committed.
+fn credited_at(c: &Cluster, k: usize) -> i64 {
+    int_at(c, k, "SELECT v FROM kv WHERE k = 1")
+}
+
+/// Moves one unit from account 0 to account 1: `kv`'s total stays 0.
+fn transfer(conn: &mut dyn Connection) -> Result<(), DbError> {
+    conn.execute("UPDATE kv SET v = v - 1 WHERE k = 0")?;
+    conn.execute("UPDATE kv SET v = v + 1 WHERE k = 1")?;
+    conn.commit()
+}
+
+/// Waits until the armed point has fired and `victim` is down: the point
+/// disarms when it fires, and the replica is down a moment later.
+fn wait_fired(c: &Cluster, victim: usize) {
     let deadline = Instant::now() + Duration::from_secs(10);
-    // The point disarms when it fires; the replica is down a moment later.
-    while Instant::now() < deadline && (!c.armed_crash_points().is_empty() || c.node(2).is_alive())
+    while Instant::now() < deadline
+        && (!c.armed_crash_points().is_empty() || c.node(victim).is_alive())
     {
         std::thread::sleep(Duration::from_millis(2));
     }
     assert!(c.armed_crash_points().is_empty(), "the crash-point never fired");
-    assert!(!c.node(2).is_alive());
-    assert!(c.quiesce(Q));
-    assert_eq!(sum_at(&c, 0), 1);
-    assert_eq!(sum_at(&c, 1), 1);
-    c.recover(2).unwrap();
-    assert!(c.quiesce(Q));
-    assert_eq!(sum_at(&c, 2), 1, "the apply dropped at the crash-point must be restored");
-    assert!(c.audit_is_clean(), "{:?}", c.audit_violations());
+    assert!(!c.node(victim).is_alive());
+}
+
+/// Arms `point` on `c` and drives one transfer through it, asserting what
+/// the client sees (§5.4). Returns the replica that crashed. The `match` is
+/// the variant witness: a new `CrashPoint` does not compile without a row.
+fn fire(c: &Arc<Cluster>, point: CrashPoint) -> usize {
+    let driver =
+        Driver::new(Arc::clone(c), DriverConfig::builder().policy(Policy::Primary).build());
+    match point {
+        // §5.4 case 1/2: the origin dies before the multicast. The commit is
+        // a retryable abort, no survivor ever holds the transfer, and the
+        // client's retry commits at a survivor.
+        CrashPoint::BeforeMulticast => {
+            let mut conn = driver.connect().unwrap();
+            c.arm_crash_point(point, 0);
+            assert_eq!(transfer(&mut conn), Err(DbError::Aborted(AbortReason::ReplicaCrashed)));
+            assert_eq!(conn.failovers(), 1);
+            wait_fired(c, 0);
+            assert!(c.quiesce(Q));
+            for k in [1, 2] {
+                assert_eq!(credited_at(c, k), 0, "survivor {k} holds a commit never multicast");
+            }
+            transfer(&mut conn).unwrap();
+            0
+        }
+        // §5.4 case 3: the writeset is on the wire when the origin dies; a
+        // survivor resolves the in-doubt commit as committed.
+        CrashPoint::AfterMulticastBeforeLocalCommit => {
+            let mut conn = driver.connect().unwrap();
+            c.arm_crash_point(point, 0);
+            assert_eq!(transfer(&mut conn), Ok(()));
+            assert_eq!(conn.failovers(), 1);
+            0
+        }
+        // A remote dies holding a validated writeset it has not committed;
+        // the origin's commit is unaffected, and recovery restores the
+        // dropped apply by state transfer.
+        CrashPoint::AfterDeliverBeforeCommit => {
+            c.arm_crash_point(point, 2);
+            transfer(&mut driver.connect().unwrap()).unwrap();
+            2
+        }
+        // The donor dies mid-transfer; recovery retries with another donor.
+        CrashPoint::MidStateTransfer => {
+            c.crash(2);
+            transfer(&mut driver.connect().unwrap()).unwrap();
+            assert!(c.quiesce(Q));
+            c.arm_crash_point(point, 0);
+            c.recover(2).unwrap();
+            0
+        }
+    }
+}
+
+/// Every crash point in turn, each on a fresh cluster: it fires, its
+/// replica journals it, the client sees its §5.4 outcome, and once every
+/// replica is back, all hold the one committed transfer, the total is
+/// conserved and the auditor is clean.
+#[test]
+fn every_crash_point_fires_with_its_section_5_4_outcome() {
+    // `wire_codec!` gives every variant a tag, so decoding every one-byte
+    // tag yields each point once.
+    let points: Vec<CrashPoint> =
+        (0..=u8::MAX).filter_map(|tag| CrashPoint::from_wire(&[tag]).ok()).collect();
+    assert!(points.contains(&CrashPoint::BeforeMulticast));
+    for point in points {
+        let c = cluster(3);
+        let victim = fire(&c, point);
+        wait_fired(&c, victim);
+        #[cfg(feature = "trace")]
+        {
+            let id = c.node(victim).id();
+            let fired =
+                c.journal_events().into_iter().find(|(r, _)| *r == id).map_or(0, |(_, evs)| {
+                    let here = |e: &&si_rep::common::Event| {
+                        e.kind == si_rep::common::EventKind::CrashPointFired { point }
+                    };
+                    evs.iter().filter(here).count()
+                });
+            assert_eq!(fired, 1, "{point:?}: not journaled once at replica {victim}");
+        }
+        let holds_the_transfer = |k: usize, when: &str| {
+            assert_eq!(sum_at(&c, k), 0, "{point:?}: replica {k} {when}: total not conserved");
+            assert_eq!(credited_at(&c, k), 1, "{point:?}: replica {k} {when}: transfer missing");
+        };
+        assert!(c.quiesce(Q), "{point:?}: survivors did not drain");
+        let down: Vec<usize> = (0..3).filter(|&k| !c.node(k).is_alive()).collect();
+        for k in (0..3).filter(|k| !down.contains(k)) {
+            holds_the_transfer(k, "before recovery");
+        }
+        for &k in &down {
+            c.recover(k).unwrap();
+        }
+        assert!(c.quiesce(Q), "{point:?}: recovery did not drain");
+        for k in 0..3 {
+            holds_the_transfer(k, "after recovery");
+        }
+        assert!(c.audit_is_clean(), "{point:?}: {:?}", c.audit_violations());
+    }
 }
 
 /// Crash a remote replica while its applier is draining a group-commit
@@ -193,14 +295,7 @@ fn crash_mid_batch_group_commit_recovers() {
             });
         }
     });
-    let deadline = Instant::now() + Duration::from_secs(10);
-    // The point disarms when it fires; the replica is down a moment later.
-    while Instant::now() < deadline && (!c.armed_crash_points().is_empty() || c.node(2).is_alive())
-    {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    assert!(c.armed_crash_points().is_empty(), "the crash-point never fired");
-    assert!(!c.node(2).is_alive());
+    wait_fired(&c, 2);
     assert!(c.quiesce(Q));
     assert_eq!(sum_at(&c, 0), 20);
     assert_eq!(sum_at(&c, 1), 20);

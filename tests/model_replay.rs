@@ -27,10 +27,21 @@ fn cluster(mode: ReplicationMode) -> Arc<Cluster> {
     c
 }
 
+/// The replay below that parks on each pause point. The `match` is the
+/// variant witness: a new `PausePoint` does not compile until a replay
+/// parks on it.
+fn replay_of(p: PausePoint) -> &'static str {
+    match p {
+        PausePoint::OptBeginPreLock => "replay_p3_nonatomic_opt_begin_snapshot",
+        PausePoint::ApplierBeforeCommit => "replay_p7_inquire_before_apply",
+    }
+}
+
 fn wait_parked(c: &Cluster, p: PausePoint) {
+    let replay = replay_of(p);
     let deadline = std::time::Instant::now() + Q;
     while c.pause_reached(p) == 0 {
-        assert!(std::time::Instant::now() < deadline, "no thread reached pause point {p:?}");
+        assert!(std::time::Instant::now() < deadline, "{replay}: no thread reached {p:?}");
         std::thread::yield_now();
     }
 }

@@ -142,6 +142,13 @@ fn transfer(mut s: impl Connection, seed: u64) -> Vec<Duration> {
     commits
 }
 
+/// Nanoseconds the calling thread has spent runnable but not running (the
+/// second field of its `schedstat`); 0 where the kernel keeps no such count.
+fn run_queue_ns() -> u64 {
+    let stat = std::fs::read_to_string("/proc/thread-self/schedstat").unwrap_or_default();
+    stat.split_whitespace().nth(1).and_then(|ns| ns.parse().ok()).unwrap_or(0)
+}
+
 fn sum_of_balances(c: &Cluster) -> i64 {
     let mut s = c.session(0);
     let r = s.execute("SELECT SUM(bal) FROM acc").unwrap();
@@ -167,20 +174,42 @@ fn hot_transfers_never_wait_for_a_poll(nodes: [(&Cluster, usize); 2]) {
         thread::sleep(Duration::from_millis(5));
     }
 
-    let commits: Vec<Duration> = thread::scope(|scope| {
+    let started = Instant::now();
+    let (mut commits, mut queued_ns) = (Vec::new(), 0);
+    thread::scope(|scope| {
         let clients: Vec<_> = (0..2 * CLIENTS_PER_NODE)
             .map(|i| {
                 let (c, k) = nodes[i % 2];
-                scope.spawn(move || transfer(c.session(k), 7 + i as u64))
+                scope.spawn(move || {
+                    let queued = run_queue_ns();
+                    let commits = transfer(c.session(k), 7 + i as u64);
+                    (commits, run_queue_ns() - queued)
+                })
             })
             .collect();
-        clients.into_iter().flat_map(|client| client.join().expect("client panicked")).collect()
+        for client in clients {
+            let (took, queued) = client.join().expect("client panicked");
+            commits.extend(took);
+            queued_ns += queued;
+        }
     });
+    // What tells CPU starvation from a lost wake-up: how long the clients,
+    // the threads whose begins wait, sat runnable but not running.
+    let loadavg = std::fs::read_to_string("/proc/loadavg").unwrap_or_default();
+    let host = format!(
+        "the {} clients sat runnable but not running for {} ms in all during a {} ms run, \
+         loadavg {}",
+        2 * CLIENTS_PER_NODE,
+        queued_ns / 1_000_000,
+        started.elapsed().as_millis(),
+        loadavg.split_whitespace().take(3).collect::<Vec<_>>().join(" ")
+    );
     let half_tick_ms = WAIT_TICK.as_secs_f64() * 1e3 / 2.0;
 
     let slow = commits.iter().filter(|d| **d >= WAIT_TICK / 2).count();
     assert!(commits.len() >= TRANSFERS, "{} commits", commits.len());
-    assert!(slow * 100 < commits.len(), "{slow} of {} commits took half a tick", commits.len());
+    let n = commits.len();
+    assert!(slow * 100 < n, "{slow} of {n} commits took half a tick ({host})");
     // `Stage::BeginWait` is what hole-gated begins, and only they, waited.
     let mut stages = StageSnapshot::default();
     for (c, k) in nodes {
@@ -188,7 +217,10 @@ fn hot_transfers_never_wait_for_a_poll(nodes: [(&Cluster, usize); 2]) {
     }
     let gated = stages.count(Stage::BeginWait);
     let p99 = stages.quantile(Stage::BeginWait, 0.99);
-    assert!(p99 < half_tick_ms, "{gated} gated begins, p99 {p99} ms: somebody was not woken");
+    assert!(
+        p99 < half_tick_ms,
+        "{gated} gated begins, p99 {p99} ms: somebody was not woken or was starved ({host})"
+    );
     assert!(gated >= 50, "only {gated} begins were gated: this run shows nothing");
 
     for (c, _) in nodes {
