@@ -4,6 +4,9 @@
 //!
 //! - writeset intersection (the certification inner loop);
 //! - validation against a populated `ws_list`;
+//! - the per-row write path: building a writeset, taking and releasing its
+//!   tuple locks, certifying it into a pruned `ws_list`, and applying and
+//!   committing it at an indexed table;
 //! - recording a journal event, with and without a stage sample;
 //! - storage point reads/writes and snapshot scans;
 //! - SQL parsing.
@@ -12,10 +15,12 @@
 //! ([`sirep_bench::time_ns`]); `SIREP_QUICK=1` shortens every run.
 
 use sirep_bench::{quick, time_ns};
-use sirep_common::{AbortReason, EventKind, GlobalTid, Journal, ReplicaId, Stage};
+use sirep_common::{AbortReason, EventKind, GlobalTid, Journal, ReplicaId, Stage, TxnId};
 use sirep_core::{WsList, XactId};
 use sirep_sql::parse;
-use sirep_storage::{Column, ColumnType, Database, Key, TableSchema, Value, WriteSet, WsOp};
+use sirep_storage::{
+    Column, ColumnType, Database, Key, LockManager, TableSchema, TupleId, Value, WriteSet, WsOp,
+};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -57,6 +62,77 @@ fn kv_db(rows: i64) -> Database {
     db
 }
 
+/// The per-row write path, ten rows at a time (one `mixed_rw10` update):
+/// each case pays what every replica pays per replicated row.
+fn per_row_cases(reps: usize, iters: usize, case: impl Fn(&str, f64)) {
+    let table: Arc<str> = Arc::from("t");
+    let ns = time_ns(reps, iters, || {
+        let mut ws = WriteSet::new();
+        for k in 0..10 {
+            ws.push(Arc::clone(&table), Key::single(k), WsOp::Put(vec![Value::Int(k)]));
+        }
+        ws
+    });
+    case("writeset/push_10", ns);
+
+    let locks = LockManager::new();
+    let txn = TxnId::new(1);
+    let ns = time_ns(reps, iters, || {
+        let ids: Vec<TupleId> =
+            (0..10).map(|k| TupleId::new(Arc::clone(&table), Key::single(k))).collect();
+        for id in &ids {
+            locks.acquire(txn, id).unwrap();
+        }
+        locks.release_all(txn, &ids);
+    });
+    case("locks/acquire_release_10", ns);
+
+    // A window of 100 live entries: each append prunes the oldest.
+    let pool: Vec<Arc<WriteSet>> =
+        (0..1000i64).map(|i| Arc::new(ws_of(i * 10..i * 10 + 10))).collect();
+    let alive = [ReplicaId::new(0)];
+    let mut list = WsList::new();
+    let mut seq = 0u64;
+    let ns = time_ns(reps, iters, || {
+        seq += 1;
+        let ws = &pool[seq as usize % pool.len()];
+        let tid = list.append(XactId { origin: alive[0], seq }, Arc::clone(ws));
+        let watermark = GlobalTid::new(tid.raw().saturating_sub(100));
+        list.advance_progress(alive[0], watermark, &alive)
+    });
+    case("validation/append_prune_10", ns);
+
+    // Remote application at a table indexed on a column the update keeps.
+    let db = Database::in_memory();
+    let cols = ["k", "grp", "v"].map(|c| Column::new(c, ColumnType::Int)).to_vec();
+    db.create_table(TableSchema::new("g", cols, &["k"]).unwrap()).unwrap();
+    let t = db.begin().unwrap();
+    for k in 0..10_000 {
+        t.insert("g", vec![Value::Int(k), Value::Int(k / 10), Value::Int(0)]).unwrap();
+    }
+    t.commit().unwrap();
+    db.create_index("g", "grp").unwrap();
+    let g: Arc<str> = Arc::from("g");
+    let pool: Vec<WriteSet> = (0..1000i64)
+        .map(|i| {
+            let mut ws = WriteSet::new();
+            for k in i * 10..i * 10 + 10 {
+                let row = vec![Value::Int(k), Value::Int(k / 10), Value::Int(i)];
+                ws.push(Arc::clone(&g), Key::single(k), WsOp::Put(row));
+            }
+            ws
+        })
+        .collect();
+    let mut i = 0usize;
+    let ns = time_ns(reps, iters, || {
+        i += 1;
+        let t = db.begin().unwrap();
+        t.apply_writeset(&pool[i % pool.len()]).unwrap();
+        t.commit().unwrap()
+    });
+    case("storage/apply_commit_10_indexed", ns);
+}
+
 fn main() {
     let (reps, iters) = if quick() { (3, 100) } else { (11, 2000) };
     let case = |name: &str, ns: f64| println!("{name:<36} {ns:>12.1} ns/iter");
@@ -77,6 +153,7 @@ fn main() {
     let conflicting = ws_of(9_995..10_005);
     let ns = time_ns(reps, iters, || list.passes(black_box(cert), black_box(&conflicting)));
     case("validation/conflict_window_100", ns);
+    per_row_cases(reps, iters, case);
 
     // The per-transition cost of the one journal: every protocol event
     // takes the journal's ring lock and stamps `at_ns`, and an event that

@@ -341,8 +341,11 @@ wire_id!(
 ///   tag decodes to `WireError::Corrupt("t tag")`.
 ///
 /// A variant left out does not compile (`encode`'s match is not
-/// exhaustive), and neither does a tag used twice (`decode`'s match
-/// denies `unreachable_patterns`).
+/// exhaustive). Neither does a variant or a tag listed twice, in any crate:
+/// the table is also declared as a private `#[repr(u8)]` enum, where a
+/// repeated name is E0428 and a repeated tag E0081 — hard errors, unlike
+/// the `unreachable_patterns` lint, which rustc does not report from
+/// another crate's macro.
 #[macro_export]
 macro_rules! wire_codec {
     (struct $ty:ty { $($field:ident),* $(,)? }) => {
@@ -360,6 +363,13 @@ macro_rules! wire_codec {
     (enum $ty:ty, $what:literal {
         $($tag:literal => $var:ident $(($($t:ident),*))? $({ $($f:ident),* })?),* $(,)?
     }) => {
+        const _: () = {
+            #[allow(dead_code)]
+            #[repr(u8)]
+            enum Tags {
+                $($var = $tag),*
+            }
+        };
         impl $crate::wire::Wire for $ty {
             fn encode(&self, out: &mut Vec<u8>) {
                 match self {
@@ -370,7 +380,6 @@ macro_rules! wire_codec {
                     })*
                 }
             }
-            #[deny(unreachable_patterns)]
             fn decode(
                 r: &mut $crate::wire::WireReader<'_>,
             ) -> Result<Self, $crate::wire::WireError> {

@@ -44,7 +44,7 @@
 use crate::model::{Op, ReplicatedExecution, TxSpec};
 use sirep_common::{Event, EventKind, GlobalTid, Journal, ReplicaId, Stage, XactId};
 use sirep_gcs::NETWORK_REPLICA;
-use sirep_storage::{TupleId, TxnHandle, WriteSet};
+use sirep_storage::{Key, TxnHandle, WriteSet};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -137,8 +137,9 @@ impl Hasher for Fnv1a {
 /// A set of tuple ids as Def. 3's history and the checks see it: their
 /// sorted, deduplicated 64-bit hashes. Empty, and not allocated, for an
 /// empty set and without the `trace` feature, where nothing would record
-/// it.
-fn digest<'a>(ids: impl Iterator<Item = &'a TupleId>) -> Arc<[u64]> {
+/// it. Each hash is FNV-1a over `(table, key)` — never a `TupleId`'s cached
+/// hash, which is seeded per process.
+fn digest<'a>(ids: impl Iterator<Item = (&'a str, &'a Key)>) -> Arc<[u64]> {
     if !cfg!(feature = "trace") {
         return Arc::default();
     }
@@ -159,7 +160,7 @@ fn digest<'a>(ids: impl Iterator<Item = &'a TupleId>) -> Arc<[u64]> {
 
 /// The key digest a passed [`EventKind::ValidationVerdict`] carries.
 pub fn key_digest(ws: &WriteSet) -> Arc<[u64]> {
-    digest(ws.tuple_ids())
+    digest(ws.tuple_ids().map(|id| (&**id.table(), id.key())))
 }
 
 /// The readset digest a local's [`EventKind::CertCapture`] or
@@ -167,7 +168,7 @@ pub fn key_digest(ws: &WriteSet) -> Arc<[u64]> {
 /// hash alike. Empty unless the database tracks reads
 /// (`ClusterConfig::track_history`).
 pub fn read_digest(txn: &TxnHandle) -> Arc<[u64]> {
-    digest(txn.read_keys().iter())
+    digest(txn.read_keys().iter().map(|(table, key)| (&**table, key)))
 }
 
 /// What the checker knows about a replica's commit-order holes. Hole events

@@ -18,13 +18,13 @@
 //! The waiter index doubles as the adjustment-1 local validation test:
 //! a candidate writeset conflicts with the queue iff one of its keys has a
 //! non-empty waiter list — O(|ws|) instead of O(n·|ws|). It is the one hash
-//! map here, probed by key only, so nothing the queue decides depends on
-//! its iteration order.
+//! map here, an `IdMap` probed by tuple id only (on the id's cached hash),
+//! so nothing the queue decides depends on its iteration order.
 
 use crate::msg::XactId;
 use sirep_common::{GlobalTid, ReplicaId};
-use sirep_storage::{TupleId, WriteSet};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use sirep_storage::{IdMap, WriteSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// An entry of `tocommit_queue_k`.
@@ -69,7 +69,7 @@ pub struct TocommitQueue {
     /// Tuple id → tids of queue entries writing it, ascending (entries are
     /// pushed in tid order; the list's prefix before an entry are its
     /// predecessors on that key, the suffix its successors).
-    waiters: HashMap<TupleId, Vec<GlobalTid>>,
+    waiters: IdMap<Vec<GlobalTid>>,
     /// Zero-blocker, not-yet-running entries; appliers pop the smallest.
     ready: BTreeSet<GlobalTid>,
     /// Entries currently marked running.

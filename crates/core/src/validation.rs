@@ -18,7 +18,10 @@
 //! per delivered writeset, all of it on the single total-order delivery
 //! thread. [`WsList`] instead maintains a **last-certifier index**: for
 //! every tuple id written by a live entry, the highest tid that wrote it.
-//! The test collapses to O(|ws|) hash probes, because
+//! The index is an [`IdMap`] keyed by [`TupleId`], the id each writeset
+//! built once per entry (at the origin's write, or at decode), so a probe
+//! reads the id's cached hash and hashes nothing. The test collapses to
+//! O(|ws|) such probes, because
 //!
 //! > ∃ Tj ∈ ws_list: cert < Tj.tid ∧ WS ∩ Tj.WS ≠ ∅
 //! > ⟺ ∃ id ∈ WS: max{ Tj.tid | Tj live, id ∈ Tj.WS } > cert
@@ -38,10 +41,11 @@
 //! when idle), and the list is pruned below the group-wide minimum.
 //!
 //! [`ReplMsg::Progress`]: crate::msg::ReplMsg::Progress
+//! [`TupleId`]: sirep_storage::TupleId
 
 use crate::msg::XactId;
 use sirep_common::{GlobalTid, ReplicaId};
-use sirep_storage::{TupleId, WriteSet};
+use sirep_storage::{IdMap, WriteSet};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -69,7 +73,7 @@ pub struct WsList {
     /// (checked by the differential property test and `debug_validate`):
     /// the domain is exactly the tuple ids written by live entries, and the
     /// value is the maximum tid among the live writers of that id.
-    last_certifier: HashMap<TupleId, GlobalTid>,
+    last_certifier: IdMap<GlobalTid>,
 }
 
 impl WsList {

@@ -203,7 +203,7 @@ fn point_key(pred: &Expr, schema: &TableSchema) -> Option<Key> {
             }
         }
     }
-    parts.into_iter().collect::<Option<Vec<Value>>>().map(Key)
+    parts.into_iter().collect::<Option<Vec<Value>>>().map(Key::composite)
 }
 
 fn select(db: &Database, txn: &TxnHandle, sel: &Select) -> Result<ExecResult, DbError> {

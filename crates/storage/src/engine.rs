@@ -26,11 +26,11 @@
 
 use crate::cost::{CostGate, CostModel};
 use crate::index::SecondaryIndex;
-use crate::lock::{LockId, LockManager};
+use crate::lock::LockManager;
 use crate::schema::TableSchema;
 use crate::value::{Key, Row};
 use crate::version::{CommitTs, Version, VersionChain};
-use crate::writeset::{WriteSet, WsOp};
+use crate::writeset::{TupleId, WriteSet, WsEntry, WsOp};
 use parking_lot::{Mutex, RwLock};
 use sirep_common::{AbortReason, DbError, TxnId};
 use std::collections::{BTreeMap, HashMap};
@@ -51,7 +51,7 @@ struct TxnState {
     snapshot: CommitTs,
     status: Mutex<Status>,
     buffer: Mutex<WriteSet>,
-    locks: Mutex<Vec<LockId>>,
+    locks: Mutex<Vec<TupleId>>,
     doomed: AtomicBool,
     /// Keys of rows this transaction has read (only filled when the
     /// database has read tracking enabled — used by the 1-copy-SI checker).
@@ -181,6 +181,15 @@ impl Database {
         };
         let cols = t.indexes.read().iter().map(|i| i.column).collect();
         cols
+    }
+
+    /// Inspection: the postings ([`SecondaryIndex::len`]) of the index on
+    /// `column` of `table`; `None` without one.
+    pub fn index_postings(&self, table: &str, column: usize) -> Option<usize> {
+        let t = self.inner.table(table).ok()?;
+        let postings =
+            t.indexes.read().iter().find(|i| i.column == column).map(SecondaryIndex::len);
+        postings
     }
 
     pub fn has_table(&self, name: &str) -> bool {
@@ -525,40 +534,39 @@ impl TxnHandle {
     /// The shared write path: lock → version check → kind-specific checks →
     /// buffer the after-image. On a conflict the whole transaction aborts
     /// (PostgreSQL semantics: an error inside a transaction dooms it).
-    /// `wait`: whether to wait for another holder of the tuple lock.
+    /// `id` is built once per write; the lock, the lock list and the buffer
+    /// all take it. `wait`: whether to wait for another holder of the tuple
+    /// lock.
     fn write_internal(
         &self,
-        table: &str,
-        key: Key,
+        t: &Table,
+        id: TupleId,
         op: WsOp,
         kind: WriteKind,
         wait: bool,
     ) -> Result<(), DbError> {
-        self.check_active()?;
-        let t = self.db.table(table)?;
         if let WsOp::Put(row) = &op {
             t.schema.check_row(row)?;
-            if t.schema.key_of(row) != key {
+            if !t.schema.key_matches(row, id.key()) {
                 return Err(DbError::Unsupported(
                     "updating primary-key columns is not supported".into(),
                 ));
             }
         }
-        let lock_id: LockId = (t.name.clone(), key.clone());
-        let already_ours = self.state.buffer.lock().contains(table, &key);
+        let already_ours = self.state.buffer.lock().get_id(&id).is_some();
         if !already_ours {
             // Acquire the exclusive tuple lock (blocks behind holders).
             let lock = if wait { LockManager::acquire } else { LockManager::try_acquire };
-            if let Err(reason) = lock(&self.db.locks, self.state.id, &lock_id) {
+            if let Err(reason) = lock(&self.db.locks, self.state.id, &id) {
                 self.terminate(reason);
                 return Err(DbError::Aborted(reason));
             }
-            self.state.locks.lock().push(lock_id);
+            self.state.locks.lock().push(id.clone());
             // Version check (first-updater-wins): a committed version newer
             // than our snapshot means a concurrent writer won.
             let conflict = {
                 let rows = t.rows.read();
-                rows.get(&key)
+                rows.get(id.key())
                     .and_then(|c| c.newest())
                     .is_some_and(|v| v.commit_ts > self.state.snapshot)
             };
@@ -570,21 +578,20 @@ impl TxnHandle {
         // Kind-specific visibility checks against snapshot + own buffer.
         match kind {
             WriteKind::Insert => {
-                let exists_in_buffer =
-                    matches!(self.state.buffer.lock().get(table, &key), Some(WsOp::Put(_)));
-                let exists_committed = !exists_in_buffer
-                    && self.state.buffer.lock().get(table, &key).is_none()
-                    && t.rows
+                let own = self.state.buffer.lock().get_id(&id).map(|op| matches!(op, WsOp::Put(_)));
+                let exists = own.unwrap_or_else(|| {
+                    t.rows
                         .read()
-                        .get(&key)
+                        .get(id.key())
                         .and_then(|c| c.visible_row(self.state.snapshot))
-                        .is_some();
-                if exists_in_buffer || exists_committed {
+                        .is_some()
+                });
+                if exists {
                     // A duplicate key is a statement error, not a txn abort,
                     // in PostgreSQL only under savepoints; without them the
                     // txn is doomed. We doom it (no savepoints here).
                     self.terminate(AbortReason::SerializationFailure);
-                    return Err(DbError::DuplicateKey(format!("{table}{key}")));
+                    return Err(DbError::DuplicateKey(format!("{}{}", id.table(), id.key())));
                 }
             }
             WriteKind::Update | WriteKind::Delete | WriteKind::Apply => {}
@@ -593,26 +600,34 @@ impl TxnHandle {
             WriteKind::Apply => self.db.cost.apply_write(),
             _ => self.db.cost.write(),
         }
-        self.state.buffer.lock().push(t.name.clone(), key, op);
+        self.state.buffer.lock().push_id(id, op);
         Ok(())
+    }
+
+    /// A local write: `(table, key)` becomes the tuple's id here.
+    fn write_key(&self, table: &str, key: Key, op: WsOp, kind: WriteKind) -> Result<(), DbError> {
+        self.check_active()?;
+        let t = self.db.table(table)?;
+        let id = TupleId::new(t.name.clone(), key);
+        self.write_internal(&t, id, op, kind, true)
     }
 
     /// Insert a full row; fails on a visible duplicate key.
     pub fn insert(&self, table: &str, row: Row) -> Result<(), DbError> {
         let t = self.db.table(table)?;
         let key = t.schema.key_of(&row);
-        self.write_internal(table, key, WsOp::Put(row), WriteKind::Insert, true)
+        self.write_key(table, key, WsOp::Put(row), WriteKind::Insert)
     }
 
     /// Write a full-row after-image for `key` (used by UPDATE execution,
     /// which reads the old row, computes the new image, and stores it).
     pub fn update_key(&self, table: &str, key: Key, row: Row) -> Result<(), DbError> {
-        self.write_internal(table, key, WsOp::Put(row), WriteKind::Update, true)
+        self.write_key(table, key, WsOp::Put(row), WriteKind::Update)
     }
 
     /// Delete the tuple with `key` (no-op at commit if it never existed).
     pub fn delete_key(&self, table: &str, key: Key) -> Result<(), DbError> {
-        self.write_internal(table, key, WsOp::Delete, WriteKind::Delete, true)
+        self.write_key(table, key, WsOp::Delete, WriteKind::Delete)
     }
 
     /// Apply a replicated writeset: blind writes through the normal lock +
@@ -628,9 +643,13 @@ impl TxnHandle {
         self.apply_entries(ws, false)
     }
 
+    /// Each entry goes through the write path under the id the arriving
+    /// writeset already carries: nothing is hashed again.
     fn apply_entries(&self, ws: &WriteSet, wait: bool) -> Result<(), DbError> {
-        for e in ws.entries() {
-            self.write_internal(&e.table, e.key.clone(), e.op.clone(), WriteKind::Apply, wait)?;
+        for (id, e) in ws.tuple_ids().zip(ws.entries()) {
+            self.check_active()?;
+            let t = self.db.table(id.table())?;
+            self.write_internal(&t, id.clone(), e.op.clone(), WriteKind::Apply, wait)?;
         }
         Ok(())
     }
@@ -679,38 +698,29 @@ impl TxnHandle {
             let ts = CommitTs(self.db.last_committed.load(Ordering::Acquire)).next();
             let min_snap = self.db.min_active_snapshot();
             let tables = self.db.tables.read();
-            for e in buffer.entries() {
-                let t = tables.get(&e.table).expect("writeset table vanished");
+            for WsEntry { table, key, op } in buffer.into_entries() {
+                let t = tables.get(&table).expect("writeset table vanished");
+                let row = match op {
+                    WsOp::Put(r) => Some(Arc::new(r)),
+                    WsOp::Delete => None,
+                };
                 let mut rows = t.rows.write();
-                let chain = rows.entry(e.key.clone()).or_default();
-                chain.install(Version {
-                    commit_ts: ts,
-                    row: match &e.op {
-                        WsOp::Put(r) => Some(Arc::new(r.clone())),
-                        WsOp::Delete => None,
-                    },
-                });
+                let chain = rows.entry(key.clone()).or_default();
+                // Retained by the prune below (`index` module doc), so its
+                // postings stand.
+                let prev = chain.newest().and_then(|v| v.row.clone());
+                chain.install(Version { commit_ts: ts, row: row.clone() });
                 let dropped = chain.prune(min_snap);
                 let mut indexes = t.indexes.write();
-                if !indexes.is_empty() {
-                    for idx in indexes.iter_mut() {
-                        if let WsOp::Put(r) = &e.op {
-                            idx.insert(r[idx.column].clone(), e.key.clone());
+                for idx in indexes.iter_mut() {
+                    let col = idx.column;
+                    if let Some(r) = &row {
+                        if prev.as_ref().is_none_or(|p| p[col] != r[col]) {
+                            idx.insert(r[col].clone(), key.clone());
                         }
-                        // Physically drop postings whose value no longer
-                        // appears in any retained version of this key.
-                        let stale: Vec<_> = dropped
-                            .iter()
-                            .filter_map(|v| v.row.as_ref())
-                            .map(|r| r[idx.column].clone())
-                            .filter(|val| {
-                                !chain
-                                    .versions()
-                                    .iter()
-                                    .any(|v| v.row.as_ref().is_some_and(|r| &r[idx.column] == val))
-                            })
-                            .collect();
-                        idx.remove_stale(&stale, &e.key);
+                    }
+                    if !dropped.is_empty() {
+                        idx.remove_dropped(&key, &dropped, chain.versions());
                     }
                 }
             }

@@ -18,9 +18,27 @@
 //! Maintenance happens at commit install time (committed data only;
 //! uncommitted writes live in the transaction's buffer, which readers merge
 //! separately), so the index never exposes dirty data and needs no locks
-//! beyond the table's.
+//! beyond the table's. It touches the index only where the postings change:
+//!
+//! - *Insert on change.* A new version posts `(value, key)` only when the
+//!   previous newest version of the key was missing, a delete, or carried a
+//!   different value. Otherwise that posting already stands: the previous
+//!   version posted it when it was installed, and a posting is removed only
+//!   when no retained version carries its value — and the previous version
+//!   is retained. The prune at commit `ts` keeps every version from the
+//!   newest one at or below `min_snap`, and `min_snap ≤ last_committed < ts`,
+//!   so the previous newest version (committed at or before
+//!   `last_committed`) is that version or a later one.
+//! - *Remove from what was dropped.* Only versions the prune dropped can
+//!   orphan a posting, so stale postings are computed from them alone, and
+//!   only when something was dropped: a dropped version's value is stale
+//!   exactly when no retained version of the key carries it.
+//!
+//! So the postings of a key are always exactly the non-NULL values its
+//! retained versions carry.
 
 use crate::value::{Key, Value};
+use crate::version::Version;
 use std::collections::{BTreeSet, HashMap};
 
 /// One secondary index over a single column.
@@ -50,14 +68,20 @@ impl SecondaryIndex {
         self.entries.get(value).into_iter().flatten()
     }
 
-    /// Drop a key from every posting it appears in whose value is in
-    /// `stale_values` (called when version pruning discards old images).
-    pub fn remove_stale(&mut self, stale_values: &[Value], key: &Key) {
-        for v in stale_values {
-            if let Some(set) = self.entries.get_mut(v) {
+    /// Drop `key`'s postings whose value only `dropped` versions carried,
+    /// not any of the `retained` ones (called when version pruning discards
+    /// old images).
+    pub fn remove_dropped(&mut self, key: &Key, dropped: &[Version], retained: &[Version]) {
+        let col = self.column;
+        for row in dropped.iter().filter_map(|v| v.row.as_deref()) {
+            let value = &row[col];
+            if retained.iter().any(|v| v.row.as_ref().is_some_and(|r| &r[col] == value)) {
+                continue;
+            }
+            if let Some(set) = self.entries.get_mut(value) {
                 set.remove(key);
                 if set.is_empty() {
-                    self.entries.remove(v);
+                    self.entries.remove(value);
                 }
             }
         }
@@ -110,12 +134,23 @@ mod tests {
 
     #[test]
     fn stale_removal() {
+        use crate::version::CommitTs;
+        use std::sync::Arc;
+        let version = |ts: u64, v: Option<i64>| Version {
+            commit_ts: CommitTs(ts),
+            row: v.map(|v| Arc::new(vec![Value::Int(v)])),
+        };
         let mut idx = SecondaryIndex::new(0);
         idx.insert(Value::Int(5), k(1));
         idx.insert(Value::Int(6), k(1));
-        idx.remove_stale(&[Value::Int(5)], &k(1));
+        idx.insert(Value::Int(7), k(1));
+        // 5 and 7 were dropped; 7 is still carried by a retained version.
+        let dropped = [version(1, Some(5)), version(2, None), version(3, Some(7))];
+        idx.remove_dropped(&k(1), &dropped, &[version(4, Some(7)), version(5, Some(6))]);
         assert_eq!(idx.candidates(&Value::Int(5)).count(), 0);
         assert_eq!(idx.candidates(&Value::Int(6)).count(), 1);
+        assert_eq!(idx.candidates(&Value::Int(7)).count(), 1);
+        assert_eq!(idx.len(), 2);
     }
 
     #[test]

@@ -56,11 +56,11 @@ pub mod writeset;
 pub use cost::{CostGate, CostModel};
 pub use engine::{Database, TxnHandle};
 pub use index::SecondaryIndex;
-pub use lock::{LockId, LockManager};
+pub use lock::LockManager;
 pub use schema::{Column, ColumnType, TableSchema};
 pub use value::{Key, Row, Value};
 pub use version::{CommitTs, Version, VersionChain};
-pub use writeset::{TupleId, WriteSet, WsEntry, WsOp};
+pub use writeset::{IdMap, TupleId, WriteSet, WsEntry, WsOp};
 
 #[cfg(test)]
 mod engine_tests;

@@ -24,14 +24,10 @@
 //! reproduction (tens of threads) this is both simple and fast, and all
 //! simulated service times sleep *outside* the critical section.
 
-use crate::value::Key;
+use crate::writeset::{IdMap, TupleId};
 use parking_lot::{Condvar, Mutex};
 use sirep_common::{AbortReason, TxnId};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
-
-/// Identifies a lockable tuple.
-pub type LockId = (Arc<str>, Key);
 
 #[derive(Debug)]
 struct LockEntry {
@@ -41,7 +37,8 @@ struct LockEntry {
 
 #[derive(Debug, Default)]
 struct LmState {
-    locks: HashMap<LockId, LockEntry>,
+    /// Keyed by the tuple's [`TupleId`]: a probe reads its cached hash.
+    locks: IdMap<LockEntry>,
     /// waiter → owner it currently waits on (functional wait-for graph).
     waits_for: HashMap<TxnId, TxnId>,
     /// Transactions killed from outside while possibly blocked.
@@ -69,7 +66,7 @@ impl LmState {
         false
     }
 
-    fn remove_waiter(&mut self, id: &LockId, txn: TxnId) {
+    fn remove_waiter(&mut self, id: &TupleId, txn: TxnId) {
         if let Some(e) = self.locks.get_mut(id) {
             e.waiters.retain(|&w| w != txn);
         }
@@ -78,7 +75,7 @@ impl LmState {
 
     /// Take `id` from its owner: grant it to the next waiter (FIFO), or
     /// free it. The caller wakes the blocked threads.
-    fn pass_on(&mut self, id: &LockId) {
+    fn pass_on(&mut self, id: &TupleId) {
         let Some(e) = self.locks.get_mut(id) else { return };
         if let Some(next) = e.waiters.pop_front() {
             e.owner = next;
@@ -110,7 +107,7 @@ impl LockManager {
     /// wait would close a cycle, or [`AbortReason::Shutdown`] when the
     /// transaction was doomed while waiting. Re-acquiring an owned lock is
     /// a no-op.
-    pub fn acquire(&self, txn: TxnId, id: &LockId) -> Result<(), AbortReason> {
+    pub fn acquire(&self, txn: TxnId, id: &TupleId) -> Result<(), AbortReason> {
         let mut st = self.state.lock();
         if st.doomed.contains(&txn) {
             return Err(AbortReason::Shutdown);
@@ -159,7 +156,7 @@ impl LockManager {
 
     /// [`LockManager::acquire`] that never waits (no-wait locking): where
     /// that would block, fails with [`AbortReason::Deadlock`].
-    pub fn try_acquire(&self, txn: TxnId, id: &LockId) -> Result<(), AbortReason> {
+    pub fn try_acquire(&self, txn: TxnId, id: &TupleId) -> Result<(), AbortReason> {
         let mut st = self.state.lock();
         match st.locks.get(id) {
             _ if st.doomed.contains(&txn) => Err(AbortReason::Shutdown),
@@ -175,7 +172,7 @@ impl LockManager {
     /// Release every lock in `ids` held by `txn`, granting each to its next
     /// waiter (FIFO) and, if anybody is parked, waking all blocked threads
     /// to re-check.
-    pub fn release_all(&self, txn: TxnId, ids: &[LockId]) {
+    pub fn release_all(&self, txn: TxnId, ids: &[TupleId]) {
         let mut st = self.state.lock();
         // Every parked waiter has a wait-for edge — read before `pass_on`
         // drops a grantee's. A notify is a system call even with no waiter.
@@ -204,7 +201,7 @@ impl LockManager {
     }
 
     /// Test/inspection helper: current owner of a lock, if held.
-    pub fn owner_of(&self, id: &LockId) -> Option<TxnId> {
+    pub fn owner_of(&self, id: &TupleId) -> Option<TxnId> {
         self.state.lock().locks.get(id).map(|e| e.owner)
     }
 
@@ -217,13 +214,14 @@ impl LockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
+    use crate::value::{Key, Value};
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
     use std::thread;
     use std::time::Duration;
 
-    fn lid(k: i64) -> LockId {
-        (Arc::from("t"), Key::single(Value::Int(k)))
+    fn lid(k: i64) -> TupleId {
+        TupleId::new(Arc::from("t"), Key::single(Value::Int(k)))
     }
 
     #[test]

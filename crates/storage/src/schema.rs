@@ -89,6 +89,12 @@ impl TableSchema {
         crate::value::Key(self.pk.iter().map(|&i| row[i].clone()).collect())
     }
 
+    /// Whether `row`'s primary key is `key`: [`TableSchema::key_of`]
+    /// compared, without building the key.
+    pub fn key_matches(&self, row: &Row, key: &crate::value::Key) -> bool {
+        self.pk.len() == key.0.len() && self.pk.iter().zip(key.0.iter()).all(|(&i, v)| &row[i] == v)
+    }
+
     /// Validate a full row against the schema (arity + per-column types,
     /// non-null PK).
     pub fn check_row(&self, row: &Row) -> Result<(), DbError> {

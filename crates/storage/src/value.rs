@@ -9,6 +9,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// A single column value.
 #[derive(Debug, Clone)]
@@ -164,17 +165,20 @@ impl From<String> for Value {
 pub type Row = Vec<Value>;
 
 /// A primary key: the PK-column projection of a row. Composite keys are
-/// supported (e.g. TPC-W `order_line(ol_o_id, ol_id)`).
+/// supported (e.g. TPC-W `order_line(ol_o_id, ol_id)`). Shared, so a clone —
+/// into the writeset entry, the version map, an index posting — copies no
+/// values. It hashes and encodes as a `Vec<Value>` does, which the audit
+/// digests and the wire bytes rely on.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Key(pub Vec<Value>);
+pub struct Key(pub Arc<[Value]>);
 
 impl Key {
     pub fn single(v: impl Into<Value>) -> Key {
-        Key(vec![v.into()])
+        Key(Arc::new([v.into()]))
     }
 
     pub fn composite(vs: Vec<Value>) -> Key {
-        Key(vs)
+        Key(vs.into())
     }
 }
 

@@ -25,7 +25,7 @@ impl Wire for Key {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Key(Vec::<Value>::decode(r)?))
+        Ok(Key(Wire::decode(r)?))
     }
 }
 
