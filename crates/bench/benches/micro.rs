@@ -4,9 +4,9 @@
 //!
 //! - writeset intersection (the certification inner loop);
 //! - validation against a populated `ws_list`;
-//! - the per-row write path: building a writeset, taking and releasing its
-//!   tuple locks, certifying it into a pruned `ws_list`, and applying and
-//!   committing it at an indexed table;
+//! - the per-row write path: building a writeset, looking up own writes
+//!   in it, taking and releasing its tuple locks, certifying it into a
+//!   pruned `ws_list`, and applying and committing it at an indexed table;
 //! - recording a journal event, with and without a stage sample;
 //! - storage point reads/writes and snapshot scans;
 //! - SQL parsing.
@@ -74,6 +74,15 @@ fn per_row_cases(reps: usize, iters: usize, case: impl Fn(&str, f64)) {
         ws
     });
     case("writeset/push_10", ns);
+
+    // Read-your-writes: a scan under an open update asks its buffer once
+    // per row. Each run probes every buffered key and one missing key.
+    for n in [2i64, 8] {
+        let ws = ws_of(0..n);
+        let keys: Vec<Key> = (0..=n).map(Key::single).collect();
+        let ns = time_ns(reps, iters, || keys.iter().filter(|k| ws.get("t", k).is_some()).count());
+        case(&format!("writeset/get_{n}"), ns);
+    }
 
     let locks = LockManager::new();
     let txn = TxnId::new(1);

@@ -4,6 +4,7 @@ use crate::exec::execute_sql;
 use proptest::prelude::*;
 use sirep_common::DbError;
 use sirep_storage::{Database, Row, Value};
+use std::collections::BTreeMap;
 
 fn setup(indexed: bool) -> Database {
     let db = Database::in_memory();
@@ -126,6 +127,10 @@ fn extra_conjuncts_recheck_on_index_path() {
 /// One committed step of the index property.
 #[derive(Debug, Clone)]
 enum Op {
+    /// Many UPDATE (`grp`) or DELETE (`true`) statements over all ids in
+    /// one transaction: a buffer of more than 8 entries, some keys written
+    /// more than once, is read back and committed in one go.
+    Batch(Vec<(i64, i64, bool)>),
     /// Move a row to another group (a no-op on a deleted row).
     Move(i64, i64),
     /// Rewrite a row's other column: the indexed value stays.
@@ -142,7 +147,9 @@ enum Op {
 fn op() -> impl Strategy<Value = Op> {
     // Few ids, so keys are written again while older versions are retained.
     let id = 0i64..16;
+    let batch = prop::collection::vec((0i64..100, 0i64..12, any::<bool>()), 9..40);
     prop_oneof![
+        1 => batch.prop_map(Op::Batch),
         3 => (id.clone(), 0i64..12).prop_map(|(id, grp)| Op::Move(id, grp)),
         3 => id.clone().prop_map(Op::Touch),
         1 => id.clone().prop_map(Op::Delete),
@@ -150,6 +157,18 @@ fn op() -> impl Strategy<Value = Op> {
         1 => Just(Op::Hold),
         1 => any::<usize>().prop_map(Op::Release),
     ]
+}
+
+/// The ids of `rows`, in order.
+fn ids(rows: &[Row]) -> Vec<i64> {
+    let mut ids: Vec<i64> = rows.iter().map(|r| r[0].as_int().unwrap()).collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// The ids the model places in group `grp`, in order.
+fn model_ids(model: &BTreeMap<i64, i64>, grp: i64) -> Vec<i64> {
+    model.iter().filter(|&(_, &g)| g == grp).map(|(&id, _)| id).collect()
 }
 
 fn run(db: &Database, sql: &str) {
@@ -177,15 +196,59 @@ proptest! {
         let indexed = setup(true);
         let plain = setup(false);
         let mut held = Vec::new();
+        // What the table holds: the group of each live id.
+        let mut model: BTreeMap<i64, i64> = (0..100).map(|id| (id, id % 10)).collect();
         for op in &ops {
             let sqls = match op {
-                Op::Move(id, grp) => vec![format!("UPDATE item SET grp = {grp} WHERE id = {id}")],
+                Op::Batch(writes) => {
+                    for &(id, grp, delete) in writes {
+                        if delete {
+                            model.remove(&id);
+                        } else if let Some(g) = model.get_mut(&id) {
+                            *g = grp;
+                        }
+                    }
+                    for db in [&indexed, &plain] {
+                        let t = db.begin().unwrap();
+                        for (id, grp, delete) in writes {
+                            let sql = if *delete {
+                                format!("DELETE FROM item WHERE id = {id}")
+                            } else {
+                                format!("UPDATE item SET grp = {grp} WHERE id = {id}")
+                            };
+                            execute_sql(db, &t, &sql).unwrap();
+                        }
+                        // Before the commit, the transaction reads its own
+                        // writes back, through the index where there is one.
+                        for grp in 0..12 {
+                            let scanned = t.scan("item", |r| r[1] == Value::Int(grp)).unwrap();
+                            prop_assert_eq!(ids(&scanned), model_ids(&model, grp), "grp {}", grp);
+                            if let Some(found) = t.index_lookup("item", 1, &Value::Int(grp)).unwrap() {
+                                prop_assert_eq!(ids(&found), ids(&scanned), "grp {}", grp);
+                            }
+                        }
+                        t.commit().unwrap();
+                    }
+                    vec![]
+                }
+                Op::Move(id, grp) => {
+                    if let Some(g) = model.get_mut(id) {
+                        *g = *grp;
+                    }
+                    vec![format!("UPDATE item SET grp = {grp} WHERE id = {id}")]
+                }
                 Op::Touch(id) => vec![format!("UPDATE item SET val = val + 1 WHERE id = {id}")],
-                Op::Delete(id) => vec![format!("DELETE FROM item WHERE id = {id}")],
-                Op::DeleteReinsert(id, grp) => vec![
-                    format!("DELETE FROM item WHERE id = {id}"),
-                    format!("INSERT INTO item VALUES ({id}, {grp}, 0)"),
-                ],
+                Op::Delete(id) => {
+                    model.remove(id);
+                    vec![format!("DELETE FROM item WHERE id = {id}")]
+                }
+                Op::DeleteReinsert(id, grp) => {
+                    model.insert(*id, *grp);
+                    vec![
+                        format!("DELETE FROM item WHERE id = {id}"),
+                        format!("INSERT INTO item VALUES ({id}, {grp}, 0)"),
+                    ]
+                }
                 Op::Hold => {
                     held.push(indexed.begin().unwrap());
                     continue;
@@ -211,6 +274,9 @@ proptest! {
         }
         for grp in 0..12 {
             prop_assert_eq!(grp_ids(&indexed, grp), grp_ids(&plain, grp), "grp {}", grp);
+            let mut found = grp_ids(&indexed, grp);
+            found.sort_unstable();
+            prop_assert_eq!(found, model_ids(&model, grp), "grp {}", grp);
         }
         // With every snapshot closed, one more write to each key prunes it
         // down to its newest versions, which all carry its current value

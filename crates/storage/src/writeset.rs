@@ -232,8 +232,12 @@ impl WriteSet {
     }
 
     /// Look up the after-image this writeset holds for a tuple, if any.
-    /// Used for read-your-writes inside the engine. Allocates nothing: a
-    /// small set is scanned, a larger one probed by the tuple's hash.
+    /// Used for read-your-writes inside the engine (a scan under an open
+    /// update asks once per row). Allocates nothing. A set of up to 8
+    /// entries is scanned: the probe must first SipHash `(table, key)`,
+    /// which costs more than comparing 8 entries (`micro`'s
+    /// `writeset/get_2` and `get_8` run 2–5× slower probing). A larger
+    /// set is probed by the tuple's hash.
     pub fn get(&self, table: &str, key: &Key) -> Option<&WsOp> {
         if self.entries.len() <= 8 {
             return self
