@@ -10,8 +10,7 @@
 //! | [`model`] | §2 | SI-schedules, SI-equivalence, the 1-copy-SI criterion and an exact checker |
 //! | [`srca`] | §3 | the centralized SRCA algorithm (Fig. 1) |
 //! | [`validation`] | §3/§5.3 | `ws_list` certification + distributed garbage collection |
-//! | [`holes`] | §4.3.3 | commit-order holes and start/commit synchronization |
-//! | [`replica`], [`tocommit`], `outcomes` | §4–5 | SRCA-Rep's decisions (Fig. 4, adjustments 1–3) as one thread-free state machine, its tocommit queue and its outcome log |
+//! | [`replica`], [`tocommit`], `outcomes` | §4–5 | SRCA-Rep's decisions (Fig. 4, adjustments 1–3) as one thread-free state machine, its tocommit queue (with §4.3.3's commit-order holes) and its outcome log |
 //! | [`node`], [`cluster`] | §5 | the decentralized SRCA-Rep middleware (Fig. 4) and SRCA-Opt: threads, database and group member around the replica core |
 //! | [`session`] | §5.3–5.4 | JDBC-style sessions, the [`System`]/[`Connection`] abstraction |
 //! | [`centralized`] | §6 | the single-database baseline of the figures |
@@ -43,7 +42,6 @@ pub mod centralized;
 pub mod chaos;
 pub mod cluster;
 pub mod export;
-pub mod holes;
 pub mod model;
 pub mod msg;
 pub mod node;
@@ -63,7 +61,6 @@ pub use centralized::Centralized;
 pub use chaos::{CrashPlan, PausePoint};
 pub use cluster::{Cluster, ClusterConfig, ClusterConfigBuilder, ClusterReport, Transport};
 pub use export::{perfetto_trace_json, prometheus_text, shift_events};
-pub use holes::HoleTracker;
 pub use model::{
     check_one_copy_si, is_conflict_serializable, is_si_schedule, si_equivalent, Op,
     ReplicatedExecution, Schedule, TxSpec, Violation,

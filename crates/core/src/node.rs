@@ -7,8 +7,8 @@
 //! - **Adjustment 2**: writesets are applied and committed *concurrently*
 //!   when they don't conflict with anything earlier in the queue — this is
 //!   what removes the middleware/database "hidden deadlock" of §4.2;
-//! - **Adjustment 3**: start/commit synchronization via the hole tracker,
-//!   which restores 1-copy-SI. Running in
+//! - **Adjustment 3**: start/commit synchronization on the commit-order
+//!   holes of the tocommit queue, which restores 1-copy-SI. Running in
 //!   [`ReplicationMode::SrcaOpt`] skips adjustment 3 — that is the SRCA-Opt
 //!   ablation of Fig. 7, which trades 1-copy-SI for throughput under
 //!   update-intensive load.
@@ -43,10 +43,11 @@
 //! This file is the shell around [`ReplicaCore`] (`replica.rs`), which
 //! makes every protocol decision and holds the local transactions awaiting
 //! their verdict, each with its session's `Verdict` sender. One lock, the
-//! paper's `wsmutex` (`state`, `node-state` in lint.toml), guards the core.
-//! Each hold makes one core call and does the database step that must be
-//! atomic with it; the call reports its own events, through the sink
-//! `auditor.reporter(&journal)` made in the same hold:
+//! paper's `wsmutex` (`state`, `node-state` in lint.toml), guards the core
+//! and the group member's multicast handle, so a multicast cannot be written
+//! outside a hold. Each hold makes one core call and does the database step
+//! that must be atomic with it; the call reports its own events, through the
+//! sink `auditor.reporter(&journal)` made in the same hold:
 //!
 //! | hold | core call | also under the lock |
 //! |---|---|---|
@@ -57,7 +58,7 @@
 //! | commit | `commit` | `commit_quiet` |
 //! | end of a local | `local_finished` | |
 //! | inquiry, recovery | `inquire`, `marker_seen`, `transfer`, `reset` | the donor's database fork |
-//! | crash | `forget_locals` | `CrashPointFired` (its own hold) |
+//! | crash | `forget_locals` | `CrashPointFired` and the member's `crash_self` (their own hold) |
 //!
 //! The gates (`passes`, `holes_exist`, `may_commit`) are core queries asked
 //! in the hold they gate. Database work (reads, writes, writeset
@@ -147,10 +148,10 @@ type Verdict = SyncSender<Result<(GlobalTid, u64), AbortReason>>;
 /// The replica core, each awaiting local with its session's [`Verdict`].
 type Core = ReplicaCore<Verdict>;
 
-/// RAII membership in the hole tracker's set B (running local
-/// transactions). Dropped when the local transaction terminates — whether
-/// by commit, validation failure, rollback, statement abort or session
-/// drop — so the count can never leak.
+/// RAII membership in §4.3.3's set B (running local transactions). Dropped
+/// when the local transaction terminates — whether by commit, validation
+/// failure, rollback, statement abort or session drop — so the count can
+/// never leak.
 pub struct LocalGuard {
     node: Arc<ReplicaNode>,
 }
@@ -217,6 +218,13 @@ sirep_common::wire_codec!(struct NodeStatus {
 /// lint.toml).
 struct NodeState {
     core: Core,
+    /// What this replica multicasts through. Only a hold reaches it, so cert
+    /// capture order equals total-order sequence order: a session that
+    /// multicast outside the lock could be overtaken by one that captured a
+    /// higher cert, and the group-wide prune watermark (the minimum of the
+    /// certs on the wire) could then pass this writeset's cert and prune a
+    /// conflicting entry before it validates — a lost update.
+    gcs: Box<dyn Cast<ReplMsg>>,
     /// Threads parked on `cond` right now ([`ReplicaNode::wait_state`]).
     waiters: usize,
     /// Appliers parked on `apply_cond` right now
@@ -227,8 +235,9 @@ struct NodeState {
 /// One middleware/database replica pair.
 pub struct ReplicaNode {
     id: ReplicaId,
+    /// The group member this node multicasts as: `id` plus its incarnation.
+    member: MemberId,
     db: Database,
-    gcs: Box<dyn Cast<ReplMsg>>,
     mode: ReplicationMode,
     state: Mutex<NodeState>,
     cond: Condvar,
@@ -290,12 +299,12 @@ impl ReplicaNode {
         let recovered = bootstrap.is_some();
         let core = bootstrap
             .unwrap_or_else(|| ReplicaCore::new(mode == ReplicationMode::SrcaRep, OUTCOME_CAP));
-        let state = NodeState { core, waiters: 0, idle: 0 };
         let member = gcs.id();
+        let state = NodeState { core, gcs, waiters: 0, idle: 0 };
         let node = Arc::new(ReplicaNode {
             id: member.replica(),
+            member,
             db,
-            gcs,
             mode,
             state: Mutex::new(state),
             cond: Condvar::new(),
@@ -365,18 +374,19 @@ impl ReplicaNode {
     }
 
     /// If `point` is armed for this replica, crash-stop here: record the
-    /// firing, crash the GCS member (survivors get a view change, exactly
-    /// as `Cluster::crash` orders it), then fail this node's clients. Must
-    /// be called *without* the state lock held — it takes it to record the
-    /// firing between other holds' events, and `mark_crashed` takes it.
+    /// firing and crash the GCS member in one hold (survivors get a view
+    /// change, exactly as `Cluster::crash` orders it), then fail this node's
+    /// clients. Must be called *without* the state lock held — it takes it
+    /// to record the firing between other holds' events, and `mark_crashed`
+    /// takes it.
     pub(crate) fn crash_point(&self, point: CrashPoint) -> bool {
         if !self.crash_plan.fire(point, self.id) {
             return false;
         }
         let st = self.state.lock();
         self.auditor.reporter(&self.journal).report(EventKind::CrashPointFired { point }, &[]);
+        st.gcs.crash_self();
         drop(st);
-        self.gcs.crash_self();
         self.mark_crashed();
         true
     }
@@ -409,7 +419,7 @@ impl ReplicaNode {
 
     /// The group member this node multicasts as: `id` plus its incarnation.
     pub fn member(&self) -> MemberId {
-        self.gcs.id()
+        self.member
     }
 
     pub fn database(&self) -> &Database {
@@ -443,8 +453,8 @@ impl ReplicaNode {
             view: st.core.view().to_vec(),
             metrics: Metrics::clone(&self.metrics),
             stages: self.journal.stages(),
-            gauges: self.gauges.snapshot(self.gcs.in_flight()),
-            transport: self.gcs.transport(),
+            gauges: self.gauges.snapshot(st.gcs.in_flight()),
+            transport: st.gcs.transport(),
         }
     }
 
@@ -600,23 +610,16 @@ impl ReplicaNode {
                 Metrics::inc(&self.metrics.aborts_validation);
                 return Err(DbError::Aborted(AbortReason::ValidationFailure));
             };
-            // Multicast while still holding the state lock, so that cert
-            // capture order equals total-order sequence order. The ws_list
-            // pruning protocol depends on this: every cert this replica puts
-            // on the wire is an implicit progress promise ("my future certs
-            // are ≥ this"), and the group-wide prune watermark is the
-            // minimum of those promises. If another session captured a
-            // higher cert and got sequenced first, the watermark could
-            // overtake this writeset's cert and prune a conflicting entry
-            // out of every replica's ws_list before this writeset validates
-            // — a silent lost update.
+            // Multicast in the hold that captured the cert (see
+            // `NodeState::gcs`): every cert on the wire is a progress
+            // promise ("my future certs are ≥ this").
             let msg = ReplMsg::WriteSet(Arc::new(WsMsg {
                 origin: self.id,
                 xact,
                 cert,
                 ws: Arc::clone(&ws),
             }));
-            if self.gcs.multicast_total(msg).is_err() {
+            if st.gcs.multicast_total(msg).is_err() {
                 // We crashed concurrently; the waiter dies with the core.
                 drop(st);
                 txn.abort(AbortReason::ReplicaCrashed);
@@ -711,7 +714,7 @@ impl ReplicaNode {
     /// Install a view (a view not newer than the installed one changes
     /// nothing).
     fn handle_view(&self, v: View) {
-        let joined = v.contains(self.gcs.id());
+        let joined = v.contains(self.member);
         let mut st = self.state.lock();
         if !st.core.view_change(v, &mut self.auditor.reporter(&self.journal)) {
             return;
@@ -771,7 +774,7 @@ impl ReplicaNode {
     fn maybe_send_progress(&self) {
         let mut st = self.state.lock();
         let Some(lastvalidated) = st.core.progress_due() else { return };
-        if self.gcs.multicast_fifo(ReplMsg::Progress { from: self.id, lastvalidated }).is_ok() {
+        if st.gcs.multicast_fifo(ReplMsg::Progress { from: self.id, lastvalidated }).is_ok() {
             st.core.progress_sent(lastvalidated);
         }
     }

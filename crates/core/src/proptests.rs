@@ -1,8 +1,8 @@
 //! Property-based tests for the protocol data structures.
 
-use crate::holes::HoleTracker;
 use crate::model::{check_one_copy_si, is_si_schedule, Op, ReplicatedExecution, Schedule, TxSpec};
 use crate::msg::XactId;
+use crate::tocommit::{QEntry, TocommitQueue};
 use crate::validation::WsList;
 use proptest::prelude::*;
 use sirep_common::{GlobalTid, ReplicaId};
@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
-// HoleTracker vs a naive model
+// The tocommit queue's holes vs a naive model
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Default)]
@@ -35,10 +35,10 @@ impl NaiveHoles {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
 
-    /// Drive the tracker with random validate-then-commit schedules and
-    /// compare every observable against the brute-force model.
+    /// Queue tids in order, commit them in a random order, and compare every
+    /// hole observable against the brute-force model.
     #[test]
-    fn hole_tracker_matches_naive_model(commit_order in Just(()).prop_perturb(|_, mut rng| {
+    fn queue_holes_match_naive_model(commit_order in Just(()).prop_perturb(|_, mut rng| {
         // Random permutation of 1..=n as the commit order.
         let n = (rng.random::<u64>() % 12) + 1;
         let mut v: Vec<u64> = (1..=n).collect();
@@ -49,28 +49,29 @@ proptest! {
         v
     })) {
         let n = commit_order.len() as u64;
-        let mut tracker = HoleTracker::new();
+        let mut queue = TocommitQueue::default();
         let mut naive = NaiveHoles::default();
         for t in 1..=n {
-            tracker.on_validated(GlobalTid::new(t));
+            let xact = XactId { origin: ReplicaId::new(0), seq: t };
+            queue.push(QEntry::new(GlobalTid::new(t), xact, Arc::new(WriteSet::new()), false));
             naive.pending.push(t);
         }
         for &t in &commit_order {
-            prop_assert_eq!(tracker.holes_exist(), naive.holes_exist(), "before committing {}", t);
+            prop_assert_eq!(queue.holes_exist(), naive.holes_exist(), "before committing {}", t);
             prop_assert_eq!(
-                tracker.creates_new_hole(GlobalTid::new(t)),
+                queue.creates_new_hole(GlobalTid::new(t)),
                 naive.creates_new_hole(t),
                 "creates_new_hole({})", t
             );
             // The liveness invariant: the smallest pending tid never
             // creates a new hole.
             let min_pending = *naive.pending.iter().min().unwrap();
-            prop_assert!(!tracker.creates_new_hole(GlobalTid::new(min_pending)));
-            tracker.on_committed(GlobalTid::new(t));
+            prop_assert!(!queue.creates_new_hole(GlobalTid::new(min_pending)));
+            queue.remove(GlobalTid::new(t));
             naive.pending.retain(|&x| x != t);
             naive.committed.push(t);
         }
-        prop_assert!(!tracker.holes_exist(), "all committed → no holes");
+        prop_assert!(!queue.holes_exist(), "all committed → no holes");
     }
 }
 

@@ -2,12 +2,12 @@
 //! adjustments 1–3 of §4 — every decision the paper's `wsmutex` keeps
 //! atomic, and nothing else: [`ReplicaCore`] spawns nothing, reads no
 //! clock, does no I/O and touches no database. It owns the certification
-//! list ([`WsList`]), the hole tracker ([`HoleTracker`]: holes, set A's
-//! waiting begins, set B's running locals), the tocommit queue
-//! ([`TocommitQueue`]), the local transactions awaiting their verdict (with
-//! whoever waits, `W`), the outcome log, the membership view and its
-//! departed incarnations, the recovery markers and the progress-advert
-//! cursor.
+//! list ([`WsList`]), the tocommit queue ([`TocommitQueue`]: the validated,
+//! uncommitted writesets, the commit frontier and the holes below it), the
+//! begin accounting of §4.3.3 (set A's waiting begins, set B's running
+//! locals), the local transactions awaiting their verdict (with whoever
+//! waits, `W`), the outcome log, the membership view and its departed
+//! incarnations, the recovery markers and the progress-advert cursor.
 //!
 //! Each transition method is one hold of the node lock in `node.rs`: it
 //! reports its journal events to the caller's [`Report`] sink as it decides
@@ -20,7 +20,6 @@
 //! DESIGN.md §17's P1–P7 on them.
 
 use crate::audit::key_digest;
-use crate::holes::HoleTracker;
 use crate::msg::{Outcome, WsMsg, XactId};
 use crate::outcomes::OutcomeLog;
 use crate::tocommit::{QEntry, TocommitQueue};
@@ -123,10 +122,9 @@ pub struct CoreKey {
     last_validated: GlobalTid,
     progress: Vec<(ReplicaId, GlobalTid)>,
     watermark: GlobalTid,
-    pending: Vec<GlobalTid>,
     max_committed: GlobalTid,
     begins: (usize, usize),
-    queue: Vec<(GlobalTid, XactId, ReplicaId, bool, bool)>,
+    queue: Vec<(GlobalTid, XactId, bool, bool)>,
     locals: Vec<XactId>,
     outcomes: Vec<(XactId, Outcome)>,
     membership: (u64, Vec<MemberId>),
@@ -142,8 +140,18 @@ pub struct ReplicaCore<W = ()> {
     /// Adjustment 3 is on (SRCA-Rep); off is the SRCA-Opt ablation.
     gated: bool,
     ws_list: WsList,
-    holes: HoleTracker,
     queue: TocommitQueue,
+    /// Local transactions blocked in "wait until no holes" (the paper's
+    /// set A).
+    waiting_to_start: usize,
+    /// Local transactions begun and still holding database resources (the
+    /// paper's set B). While B is non-empty, hole-creating commits must not
+    /// be throttled: a running local can hold tuple locks that block a
+    /// remote writeset, and throttling that writeset's commit would close a
+    /// deadlock cycle through the middleware. §4.3.3: "We allow new holes to
+    /// be created until B is empty. Once B is empty, we delay the commit of
+    /// further transactions until all holes have disappeared."
+    running_locals: usize,
     /// Local transactions multicast and awaiting their verdict: the stamp
     /// of their writeset's extraction, and their waiter.
     locals: BTreeMap<XactId, (u64, W)>,
@@ -178,8 +186,9 @@ impl<W> ReplicaCore<W> {
         ReplicaCore {
             gated,
             ws_list: WsList::new(),
-            holes: HoleTracker::new(),
             queue: TocommitQueue::default(),
+            waiting_to_start: 0,
+            running_locals: 0,
             locals: BTreeMap::new(),
             outcomes: OutcomeLog::new(outcome_cap),
             membership: View { id: 0, members: Vec::new() },
@@ -196,13 +205,20 @@ impl<W> ReplicaCore<W> {
 
     /// Is a commit-order hole open? A gated begin waits until none is.
     pub fn holes_exist(&self) -> bool {
-        self.holes.holes_exist()
+        self.queue.holes_exist()
     }
 
-    /// The §4.3.3 commit rule for a remote `tid`; always true ungated. A
-    /// local's commit passes it too: its session still counts as running.
+    /// The §4.3.3 commit rule: a commit may be delayed only when it would
+    /// create a new hole, a local transaction waits to start (set A), and no
+    /// local transaction runs (set B is empty; otherwise throttling could
+    /// deadlock with the tuple locks a running local holds). Always true
+    /// ungated. A local's commit passes it: its session still counts as
+    /// running.
     pub fn may_commit(&self, tid: GlobalTid) -> bool {
-        !self.gated || self.holes.may_commit(tid, false)
+        !self.gated
+            || self.waiting_to_start == 0
+            || self.running_locals > 0
+            || !self.queue.creates_new_hole(tid)
     }
 
     /// Certification (step II.2): nothing validated after `cert` overlaps?
@@ -229,21 +245,22 @@ impl<W> ReplicaCore<W> {
         &self.ws_list
     }
 
-    pub fn holes(&self) -> &HoleTracker {
-        &self.holes
+    /// The validated, uncommitted writesets and the commit frontier.
+    pub fn queue(&self) -> &TocommitQueue {
+        &self.queue
     }
 
     pub fn sizes(&self) -> Sizes {
         Sizes {
             ws_list: self.ws_list.len(),
             cert_index_keys: self.ws_list.index_len(),
-            open_holes: self.holes.open_holes(),
+            open_holes: self.queue.open_holes(),
             queued: self.queue.len(),
             backlog: self.queue.backlog(),
             ready: self.queue.ready_len(),
             pending_local: self.locals.len(),
-            running_locals: self.holes.running_locals(),
-            waiting_to_start: self.holes.waiting_to_start(),
+            running_locals: self.running_locals,
+            waiting_to_start: self.waiting_to_start,
         }
     }
 
@@ -258,14 +275,9 @@ impl<W> ReplicaCore<W> {
             last_validated: self.ws_list.last_tid(),
             progress: self.ws_list.progress(),
             watermark: self.ws_list.watermark(),
-            pending: self.holes.pending().collect(),
-            max_committed: self.holes.max_committed(),
-            begins: (self.holes.waiting_to_start(), self.holes.running_locals()),
-            queue: self
-                .queue
-                .iter()
-                .map(|e| (e.tid, e.xact, e.origin, e.running, e.handed_back))
-                .collect(),
+            max_committed: self.queue.max_committed(),
+            begins: (self.waiting_to_start, self.running_locals),
+            queue: self.queue.iter().map(|e| (e.tid, e.xact, e.running, e.handed_back)).collect(),
             locals: self.locals.keys().copied().collect(),
             outcomes: self.outcomes.iter().collect(),
             membership: (self.membership.id, self.membership.members.clone()),
@@ -327,7 +339,7 @@ impl<W> ReplicaCore<W> {
 
     /// A local begin found a hole and waits (joins set A).
     pub fn wait_begin(&mut self) {
-        self.holes.start_waiting();
+        self.waiting_to_start += 1;
     }
 
     /// Step I.1.a, atomic with the caller's engine begin: the transaction
@@ -341,18 +353,20 @@ impl<W> ReplicaCore<W> {
         sink: &mut impl Report,
     ) -> (GlobalTid, u64) {
         if waited.is_some() {
-            self.holes.done_waiting();
+            debug_assert!(self.waiting_to_start > 0);
+            self.waiting_to_start -= 1;
         }
-        self.holes.local_started();
+        self.running_locals += 1;
         let waited = waited.map(|since| (Stage::BeginWait, since));
         let at = sink.report(EventKind::TxBegin { xact, gated: self.gated }, waited.as_slice());
-        (self.holes.max_committed(), at)
+        (self.queue.max_committed(), at)
     }
 
     /// A local transaction terminated — committed, aborted or rolled back —
     /// and holds no database locks any more (it leaves set B).
     pub fn local_finished(&mut self) {
-        self.holes.local_finished();
+        debug_assert!(self.running_locals > 0);
+        self.running_locals -= 1;
     }
 
     /// Step I.2: local validation against the tocommit queue only
@@ -422,10 +436,9 @@ impl<W> ReplicaCore<W> {
             }
             return Some(Delivered { tid, local, at, ready: false, claimed: None });
         };
-        self.holes.on_validated(tid);
         // A local entry with a waiting session commits on the session
         // (adjustment 2): born running, so no applier picks it.
-        let mut entry = QEntry::new(tid, xact, Arc::clone(&m.ws), m.origin, local.is_some());
+        let mut entry = QEntry::new(tid, xact, Arc::clone(&m.ws), local.is_some());
         entry.last_ns = at;
         let ready = self.queue.push(entry);
         let claim = ready && inline && self.queue.ready_len() == 1 && self.may_commit(tid);
@@ -511,12 +524,12 @@ impl<W> ReplicaCore<W> {
     }
 
     /// The commit step's bookkeeping, atomic with begins: queued entries,
-    /// ascending, leave the hole tracker's pending set and the queue. Per
-    /// `(tid, xact, since)`: the hole-set transition its commit caused
-    /// (empty ↔ nonempty), if any, then its `Commit`, which ends its
-    /// `commit` stage (started at `since`: the hole-rule wait is part of
-    /// perceived commit latency) and, with `begun` — a local, committed as
-    /// a batch of one —, its `total`. `true`: successors became ready.
+    /// ascending, leave the queue. Per `(tid, xact, since)`: the hole-set
+    /// transition its commit caused (empty ↔ nonempty), if any, then its
+    /// `Commit`, which ends its `commit` stage (started at `since`: the
+    /// hole-rule wait is part of perceived commit latency) and, with `begun`
+    /// — a local, committed as a batch of one —, its `total`. `true`:
+    /// successors became ready.
     pub fn commit(
         &mut self,
         batch: impl IntoIterator<Item = (GlobalTid, XactId, u64)>,
@@ -525,9 +538,9 @@ impl<W> ReplicaCore<W> {
     ) -> bool {
         let mut released = 0;
         for (tid, xact, since) in batch {
-            let had_holes = self.holes.holes_exist();
-            self.holes.on_committed(tid);
-            match (had_holes, self.holes.holes_exist()) {
+            let had_holes = self.queue.holes_exist();
+            released += self.queue.remove(tid);
+            match (had_holes, self.queue.holes_exist()) {
                 (false, true) => sink.report(EventKind::HoleOpened { tid }, &[]),
                 (true, false) => sink.report(EventKind::HoleClosed { tid }, &[]),
                 _ => 0,
@@ -537,7 +550,6 @@ impl<W> ReplicaCore<W> {
                 Some(b) => sink.report(commit, &[(Stage::Commit, since), (Stage::Total, b)]),
                 None => sink.report(commit, &[(Stage::Commit, since)]),
             };
-            released += self.queue.remove(tid);
         }
         released > 0
     }
@@ -547,7 +559,6 @@ impl<W> ReplicaCore<W> {
     pub fn transfer(&self) -> ReplicaCore<W> {
         ReplicaCore {
             ws_list: self.ws_list.clone(),
-            holes: self.holes.clone(),
             queue: self.queue.clone(),
             outcomes: self.outcomes.clone(),
             membership: self.membership.clone(),
@@ -558,20 +569,84 @@ impl<W> ReplicaCore<W> {
     }
 
     /// A transferred core's first transition, in its joiner: the
-    /// `ReplicaReset`. The queue is rebuilt by pushes in tid order, exactly
-    /// as delivery order built it; its entries lose their claims and
-    /// sessions (the joiner applies them like remote ones) and restart their
+    /// `ReplicaReset`. The queue's entries lose their claims and sessions
+    /// (the joiner applies them like remote ones) and restart their
     /// `validate_queue` at the reset. No begin waits or runs here yet.
     pub fn reset(&mut self, sink: &mut impl Report) {
-        let max_committed = self.holes.max_committed();
+        let max_committed = self.queue.max_committed();
         let reset =
             EventKind::ReplicaReset { last_validated: self.last_validated(), max_committed };
-        let at = sink.report(reset, &[]);
-        for e in std::mem::take(&mut self.queue).iter() {
-            let mut entry = QEntry::new(e.tid, e.xact, Arc::clone(&e.ws), e.origin, false);
-            entry.last_ns = at;
-            self.queue.push(entry);
+        self.queue.requeue(sink.report(reset, &[]));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn t(n: u64) -> GlobalTid {
+        GlobalTid::new(n)
+    }
+
+    fn xact(n: u64) -> XactId {
+        XactId::new(ReplicaId::new(1), n)
+    }
+
+    fn ignore(_: EventKind, _: &[(Stage, u64)]) -> u64 {
+        0
+    }
+
+    /// A gated core that validated remote writesets `1..=n`, none
+    /// conflicting with another.
+    fn validated(n: u64) -> ReplicaCore {
+        let mut core = ReplicaCore::new(true, 64);
+        for i in 1..=n {
+            let ws = Arc::new(WriteSet::new());
+            let m = WsMsg { origin: ReplicaId::new(1), xact: xact(i), cert: GlobalTid::ZERO, ws };
+            let d = core.deliver(&m, true, 0, false, &mut ignore).expect("a new writeset");
+            assert_eq!(d.tid, Some(t(i)));
         }
-        self.holes = HoleTracker::bootstrap(max_committed, self.queue.iter().map(|e| e.tid));
+        core
+    }
+
+    #[test]
+    fn commit_rule_gates_only_hole_creating_commits_while_a_begin_waits() {
+        let mut core = validated(2);
+        core.wait_begin();
+        // Committing 2 would create a hole → delayed; 1 creates none.
+        assert!(!core.may_commit(t(2)));
+        assert!(core.may_commit(t(1)));
+        // The begin went ahead: nobody waits, and a local runs.
+        core.begin(xact(9), Some(0), &mut ignore);
+        assert!(core.may_commit(t(2)));
+        // Nobody waits, nobody runs: anything may commit.
+        core.local_finished();
+        assert!(core.may_commit(t(2)));
+    }
+
+    #[test]
+    fn running_locals_disable_commit_throttling() {
+        // While set B is non-empty, hole-creating commits must not be
+        // delayed (they could be blocked on a running local's tuple locks —
+        // throttling would deadlock).
+        let mut core = validated(2);
+        core.wait_begin();
+        core.wait_begin();
+        core.begin(xact(9), Some(0), &mut ignore);
+        assert!(core.may_commit(t(2)), "B non-empty: no throttling");
+        core.local_finished();
+        assert!(!core.may_commit(t(2)), "B empty: throttle hole-creators");
+    }
+
+    #[test]
+    fn liveness_smallest_queued_tid_always_commits() {
+        let mut core = validated(10);
+        core.wait_begin();
+        for i in 1..=10 {
+            assert!(core.may_commit(t(i)));
+            assert!(i == 10 || !core.may_commit(t(i + 1)));
+            core.commit([(t(i), xact(i), 0)], None, &mut ignore);
+        }
+        assert!(!core.holes_exist());
     }
 }

@@ -20,11 +20,22 @@
 //! non-empty waiter list — O(|ws|) instead of O(n·|ws|). It is the one hash
 //! map here, an `IdMap` probed by tuple id only (on the id's cached hash),
 //! so nothing the queue decides depends on its iteration order.
+//!
+//! The queue's entries are the replica's one set of validated, uncommitted
+//! tids, so it also keeps the commit frontier and reads §4.3.3's
+//! commit-order **holes** off them. With adjustment 2, transactions may
+//! commit in an order different from validation order; a queued tid below
+//! the highest committed one is a hole. A begin that sees a hole could
+//! observe tid `j` but not `i < j`, which is how SRCA-Opt loses 1-copy-SI
+//! (§4.3.2). The smallest queued tid above the frontier never creates a new
+//! hole, so under the commit rule (`ReplicaCore::may_commit`) holes always
+//! drain.
 
 use crate::msg::XactId;
-use sirep_common::{GlobalTid, ReplicaId};
+use sirep_common::GlobalTid;
 use sirep_storage::{IdMap, WriteSet};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound::Excluded;
 use std::sync::Arc;
 
 /// An entry of `tocommit_queue_k`.
@@ -33,7 +44,6 @@ pub struct QEntry {
     pub tid: GlobalTid,
     pub(crate) xact: XactId,
     pub(crate) ws: Arc<WriteSet>,
-    pub(crate) origin: ReplicaId,
     /// A thread has claimed this entry (is applying / committing it).
     pub(crate) running: bool,
     /// Conflict edges to entries with smaller tids still in the queue —
@@ -51,20 +61,16 @@ pub struct QEntry {
 impl QEntry {
     /// An entry as delivery queues it; `running`: its session thread commits
     /// it, no applier may claim it.
-    pub fn new(
-        tid: GlobalTid,
-        xact: XactId,
-        ws: Arc<WriteSet>,
-        origin: ReplicaId,
-        running: bool,
-    ) -> QEntry {
-        QEntry { tid, xact, ws, origin, running, blockers: 0, last_ns: 0, handed_back: false }
+    pub fn new(tid: GlobalTid, xact: XactId, ws: Arc<WriteSet>, running: bool) -> QEntry {
+        QEntry { tid, xact, ws, running, blockers: 0, last_ns: 0, handed_back: false }
     }
 }
 
-/// The queue: entries by tid, and the indexes that make claims O(log n).
+/// The queue: entries by tid, the indexes that make claims O(log n), and
+/// the commit frontier the holes are measured against.
 #[derive(Clone, Default)]
 pub struct TocommitQueue {
+    /// Validated, not yet committed at this replica, in tid order.
     entries: BTreeMap<GlobalTid, QEntry>,
     /// Tuple id → tids of queue entries writing it, ascending (entries are
     /// pushed in tid order; the list's prefix before an entry are its
@@ -74,6 +80,12 @@ pub struct TocommitQueue {
     ready: BTreeSet<GlobalTid>,
     /// Entries currently marked running.
     running: usize,
+    /// Highest tid committed at this replica.
+    max_committed: GlobalTid,
+    /// Cached `|entries ∩ [..max_committed)|`, the number of open holes, so
+    /// the hole checks on every begin and commit are O(1). An entry is
+    /// charged here at most once, when the commit frontier first passes it.
+    open: usize,
 }
 
 impl TocommitQueue {
@@ -93,7 +105,7 @@ impl TocommitQueue {
     }
 
     /// The queued entries in tid order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &QEntry> {
+    pub fn iter(&self) -> impl Iterator<Item = &QEntry> {
         self.entries.values()
     }
 
@@ -103,6 +115,30 @@ impl TocommitQueue {
     /// O(n) scan, but only called on the rare failover-inquire path.
     pub(crate) fn contains_xact(&self, xact: XactId) -> bool {
         self.entries.values().any(|e| e.xact == xact)
+    }
+
+    /// Highest tid committed at this replica.
+    pub fn max_committed(&self) -> GlobalTid {
+        self.max_committed
+    }
+
+    /// Is there a hole right now? (Some queued tid below a committed one.)
+    pub fn holes_exist(&self) -> bool {
+        self.open > 0
+    }
+
+    /// How many holes are open: queued tids below the commit frontier. O(1).
+    pub fn open_holes(&self) -> usize {
+        self.open
+    }
+
+    /// Would committing `tid` now create a *new* hole? True iff a queued tid
+    /// falls strictly between `max_committed` and `tid`: not yet a hole, but
+    /// it would become one. Committing at or below `max_committed` only ever
+    /// closes holes.
+    pub fn creates_new_hole(&self, tid: GlobalTid) -> bool {
+        tid > self.max_committed
+            && self.entries.range((Excluded(self.max_committed), Excluded(tid))).next().is_some()
     }
 
     /// Adjustment-1 local validation: does `ws` conflict with any queued
@@ -123,6 +159,11 @@ impl TocommitQueue {
             list.push(e.tid);
         }
         e.blockers = blockers;
+        if e.tid < self.max_committed {
+            // Validated below the frontier (state-transfer catch-up): born a
+            // hole.
+            self.open += 1;
+        }
         let ready = !e.running && blockers == 0;
         if e.running {
             self.running += 1;
@@ -132,6 +173,19 @@ impl TocommitQueue {
         let prev = self.entries.insert(e.tid, e);
         debug_assert!(prev.is_none(), "tid queued twice");
         ready
+    }
+
+    /// A recovering replica's queue: every entry loses its claim and its
+    /// session (the joiner applies it like a remote one) and restarts its
+    /// `validate_queue` at `at`. The indexes are rebuilt by pushes in tid
+    /// order, exactly as delivery order built them; the frontier stays.
+    pub(crate) fn requeue(&mut self, at: u64) {
+        let frontier = TocommitQueue { max_committed: self.max_committed, ..Self::default() };
+        for (tid, e) in std::mem::replace(self, frontier).entries {
+            let mut entry = QEntry::new(tid, e.xact, e.ws, false);
+            entry.last_ns = at;
+            self.push(entry);
+        }
     }
 
     /// Claim the smallest-tid eligible entry for an applier, marking it
@@ -156,11 +210,22 @@ impl TocommitQueue {
         self.ready.insert(tid);
     }
 
-    /// Remove a committed (or discarded) entry, releasing its successors'
-    /// blocker edges; newly eligible entries move onto the ready set.
-    /// Returns how many did.
+    /// Remove a committed entry, releasing its successors' blocker edges;
+    /// newly eligible entries move onto the ready set. Returns how many did.
+    ///
+    /// The commit closes the hole `tid` itself was, or, when it moves the
+    /// frontier past still-queued tids, opens theirs. Each queued tid is
+    /// counted at most once, so the range walk is amortized O(1) per entry.
     pub fn remove(&mut self, tid: GlobalTid) -> usize {
         let Some(e) = self.entries.remove(&tid) else { return 0 };
+        if tid < self.max_committed {
+            self.open -= 1;
+        } else {
+            let passed = (Excluded(self.max_committed), Excluded(tid));
+            self.open += self.entries.range(passed).count();
+            self.max_committed = tid;
+        }
+        debug_assert_eq!(self.open, self.entries.range(..self.max_committed).count());
         let mut released = 0;
         if e.running {
             self.running -= 1;
@@ -186,5 +251,116 @@ impl TocommitQueue {
             }
         }
         released
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sirep_common::ReplicaId;
+
+    fn t(n: u64) -> GlobalTid {
+        GlobalTid::new(n)
+    }
+
+    /// A queue holding `tids`, none conflicting with another.
+    fn queued(tids: impl IntoIterator<Item = u64>) -> TocommitQueue {
+        let mut q = TocommitQueue::default();
+        for n in tids {
+            q.push(entry(n));
+        }
+        q
+    }
+
+    fn entry(n: u64) -> QEntry {
+        let xact = XactId { origin: ReplicaId::new(0), seq: n };
+        QEntry::new(t(n), xact, Arc::new(WriteSet::new()), false)
+    }
+
+    #[test]
+    fn in_order_commits_never_hole() {
+        let mut q = queued(1..=5);
+        for i in 1..=5 {
+            assert!(!q.creates_new_hole(t(i)));
+            assert!(!q.holes_exist());
+            q.remove(t(i));
+        }
+        assert!(!q.holes_exist());
+        assert_eq!(q.max_committed(), t(5));
+    }
+
+    #[test]
+    fn out_of_order_commit_creates_hole() {
+        let mut q = queued([1, 2]);
+        assert!(q.creates_new_hole(t(2)), "committing 2 before 1 creates a hole");
+        q.remove(t(2));
+        assert!(q.holes_exist());
+        q.remove(t(1));
+        assert!(!q.holes_exist(), "hole closes when 1 commits");
+    }
+
+    #[test]
+    fn existing_hole_is_not_a_new_hole() {
+        let mut q = queued([1, 2, 3]);
+        q.remove(t(2)); // 1 is now a hole
+                        // Committing 3 does not create a NEW hole (1 is already one, and
+                        // nothing queued falls between max_committed = 2 and 3).
+        assert!(!q.creates_new_hole(t(3)));
+        // With 4 and 5 also queued, committing 5 would make 3 and 4 new
+        // holes, and committing 4 would make 3 one.
+        q.push(entry(4));
+        q.push(entry(5));
+        assert!(q.creates_new_hole(t(5)));
+        assert!(q.creates_new_hole(t(4)));
+        // Once 3 commits, committing 4 is hole-free again.
+        q.remove(t(3));
+        assert!(!q.creates_new_hole(t(4)));
+    }
+
+    #[test]
+    fn committing_below_max_committed_never_creates_holes() {
+        let mut q = queued([1, 2, 3]);
+        q.remove(t(3)); // 1 and 2 are holes now
+        assert!(!q.creates_new_hole(t(1)));
+        assert!(!q.creates_new_hole(t(2)));
+        assert!(!q.creates_new_hole(t(3))); // boundary: tid == max_committed
+    }
+
+    #[test]
+    fn open_holes_counter_tracks_frontier_jumps() {
+        let mut q = queued(1..=6);
+        assert_eq!(q.open_holes(), 0);
+        q.remove(t(5)); // frontier jumps past 1..4
+        assert_eq!(q.open_holes(), 4);
+        q.remove(t(2));
+        assert_eq!(q.open_holes(), 3);
+        q.remove(t(6)); // above the frontier, nothing queued in (5, 6)
+        assert_eq!(q.open_holes(), 3);
+        q.remove(t(3));
+        assert_eq!(q.open_holes(), 2);
+        q.remove(t(1));
+        q.remove(t(4));
+        assert_eq!(q.open_holes(), 0);
+        assert!(!q.holes_exist());
+    }
+
+    #[test]
+    fn requeue_keeps_the_frontier_and_its_holes() {
+        let mut q = queued([3, 7, 10, 12]);
+        q.pop_ready();
+        q.remove(t(10));
+        q.requeue(42);
+        assert_eq!((q.max_committed(), q.open_holes()), (t(10), 2));
+        assert!(q.holes_exist());
+        // A tid validated below the frontier is born a hole.
+        let mut q = TocommitQueue { max_committed: t(10), ..TocommitQueue::default() };
+        q.push(entry(4));
+        assert_eq!(q.open_holes(), 1);
+        // Every entry lost its claim and restarts at the reset's stamp.
+        let mut q = queued([3, 7]);
+        q.pop_ready();
+        q.requeue(42);
+        assert_eq!((q.ready_len(), q.backlog()), (2, 2));
+        assert!(q.iter().all(|e| e.last_ns == 42 && !e.running));
     }
 }

@@ -38,9 +38,8 @@ pub mod telemetry;
 pub use failover::{Connector, Failover, Link, INQUIRY_ATTEMPTS};
 pub use remote::{NodeServer, RemoteConn, RemoteDriver, RemoteStatus};
 pub use telemetry::{
-    scrape_clock_offset, scrape_gauges, scrape_journal, scrape_prometheus, scrape_report,
-    scrape_status, scrape_with_timeout, TelemetryReq, TelemetryResp, TelemetryServer,
-    SCRAPE_TIMEOUT,
+    scrape_clock_offset, scrape_journal, scrape_report, scrape_with_timeout, TelemetryReq,
+    TelemetryResp, TelemetryServer, SCRAPE_TIMEOUT,
 };
 
 use sirep_common::DbError;

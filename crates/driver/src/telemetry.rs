@@ -5,14 +5,12 @@
 //! its client-facing [`NodeServer`](crate::NodeServer). It answers
 //! [`Wire`]-framed scrape requests with point-in-time snapshots:
 //!
-//! - [`TelemetryReq::Status`] — one [`NodeStatus`] per replica hosted here;
 //! - [`TelemetryReq::Report`] — the process's merged [`ClusterReport`]
 //!   (counters, stage histograms, gauges, transport rollup, auditor
-//!   violations, per-node statuses);
-//! - [`TelemetryReq::Prometheus`] — the report rendered as Prometheus text;
+//!   violations, per-node statuses; a scraper renders Prometheus text from
+//!   it);
 //! - [`TelemetryReq::Journal`] — the raw protocol event journals, for the
 //!   scraped-journal auditor and the merged Perfetto trace;
-//! - [`TelemetryReq::Gauges`] — just the queue-depth gauge rollup;
 //! - [`TelemetryReq::ClockProbe`] — the clock handshake: the node samples
 //!   its own journal clock around a live sequencer time probe and returns
 //!   the signed offset that maps its journal timestamps onto the
@@ -30,8 +28,8 @@
 
 use crate::remote::Listener;
 use sirep_common::wire::{read_frame, write_frame};
-use sirep_common::{Event, GaugeSnapshot, ReplicaId};
-use sirep_core::{Cluster, ClusterReport, NodeStatus, Transport};
+use sirep_common::{Event, ReplicaId};
+use sirep_core::{Cluster, ClusterReport, Transport};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -45,26 +43,19 @@ pub const SCRAPE_TIMEOUT: Duration = Duration::from_secs(5);
 /// One telemetry request frame, scraper → node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TelemetryReq {
-    /// Per-replica status snapshots for every replica this process hosts.
-    Status,
     /// The process-local merged [`ClusterReport`].
     Report,
-    /// The report rendered in Prometheus text exposition format.
-    Prometheus,
     /// The raw protocol event journals (for offline audit / trace merge).
     Journal,
-    /// The queue-depth gauge rollup only.
-    Gauges,
     /// Run the clock handshake against the sequencer and report the offset.
     ClockProbe,
 }
 
+// Tags 0, 2 and 4 are retired (per-replica statuses, Prometheus text and
+// the gauge rollup: each a part of the report).
 sirep_common::wire_codec!(enum TelemetryReq, "telemetry req tag" {
-    0 => Status,
     1 => Report,
-    2 => Prometheus,
     3 => Journal,
-    4 => Gauges,
     5 => ClockProbe,
 });
 
@@ -73,11 +64,8 @@ sirep_common::wire_codec!(enum TelemetryReq, "telemetry req tag" {
 /// byte-equality of the wire form.)
 #[derive(Debug, Clone)]
 pub enum TelemetryResp {
-    Status(Vec<NodeStatus>),
     Report(Box<ClusterReport>),
-    Prometheus(String),
     Journal(Vec<(ReplicaId, Vec<Event>)>),
-    Gauges(GaugeSnapshot),
     /// Signed nanoseconds to *add* to this node's journal timestamps to land
     /// them on the sequencer's timeline.
     Clock {
@@ -88,12 +76,10 @@ pub enum TelemetryResp {
     Err(String),
 }
 
+// Tags 0, 2 and 4 are retired with their requests.
 sirep_common::wire_codec!(enum TelemetryResp, "telemetry resp tag" {
-    0 => Status(statuses),
     1 => Report(report),
-    2 => Prometheus(text),
     3 => Journal(journals),
-    4 => Gauges(gauges),
     5 => Clock { offset_ns },
     6 => Err(msg),
 });
@@ -137,13 +123,8 @@ fn serve_scraper(mut stream: TcpStream, cluster: &Arc<Cluster>) {
 
 fn handle_req(cluster: &Arc<Cluster>, req: TelemetryReq) -> TelemetryResp {
     match req {
-        TelemetryReq::Status => {
-            TelemetryResp::Status(cluster.nodes().iter().map(|n| n.status()).collect())
-        }
         TelemetryReq::Report => TelemetryResp::Report(Box::new(cluster.metrics())),
-        TelemetryReq::Prometheus => TelemetryResp::Prometheus(cluster.metrics().prometheus_text()),
         TelemetryReq::Journal => TelemetryResp::Journal(cluster.journal_events()),
-        TelemetryReq::Gauges => TelemetryResp::Gauges(cluster.metrics().gauges),
         TelemetryReq::ClockProbe => match clock_probe(cluster) {
             Ok(offset_ns) => TelemetryResp::Clock { offset_ns },
             Err(e) => TelemetryResp::Err(format!("clock probe failed: {e}")),
@@ -202,14 +183,6 @@ fn unexpected(what: &str, got: TelemetryResp) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Scrape one [`NodeStatus`] per replica hosted at `addr`.
-pub fn scrape_status(addr: &str) -> io::Result<Vec<NodeStatus>> {
-    match scrape(addr, TelemetryReq::Status)? {
-        TelemetryResp::Status(s) => Ok(s),
-        other => Err(unexpected("status", other)),
-    }
-}
-
 /// Scrape the process-local merged [`ClusterReport`] at `addr`.
 pub fn scrape_report(addr: &str) -> io::Result<ClusterReport> {
     match scrape(addr, TelemetryReq::Report)? {
@@ -218,27 +191,11 @@ pub fn scrape_report(addr: &str) -> io::Result<ClusterReport> {
     }
 }
 
-/// Scrape the Prometheus text exposition at `addr`.
-pub fn scrape_prometheus(addr: &str) -> io::Result<String> {
-    match scrape(addr, TelemetryReq::Prometheus)? {
-        TelemetryResp::Prometheus(t) => Ok(t),
-        other => Err(unexpected("prometheus", other)),
-    }
-}
-
 /// Scrape the raw protocol event journals at `addr`.
 pub fn scrape_journal(addr: &str) -> io::Result<Vec<(ReplicaId, Vec<Event>)>> {
     match scrape(addr, TelemetryReq::Journal)? {
         TelemetryResp::Journal(j) => Ok(j),
         other => Err(unexpected("journal", other)),
-    }
-}
-
-/// Scrape the queue-depth gauge rollup at `addr`.
-pub fn scrape_gauges(addr: &str) -> io::Result<GaugeSnapshot> {
-    match scrape(addr, TelemetryReq::Gauges)? {
-        TelemetryResp::Gauges(g) => Ok(g),
-        other => Err(unexpected("gauges", other)),
     }
 }
 
@@ -257,9 +214,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use sirep_common::wire::{Wire, WireError};
-    use sirep_common::{EventKind, GaugeReading, GlobalTid, Metrics, StageSnapshot};
-    use sirep_common::{TransportSnapshot, XactId};
-    use sirep_core::{AuditKind, AuditViolation, ClusterConfig, Connection};
+    use sirep_common::{EventKind, GaugeReading, GaugeSnapshot, GlobalTid, Metrics};
+    use sirep_common::{StageSnapshot, TransportSnapshot, XactId};
+    use sirep_core::{AuditKind, AuditViolation, ClusterConfig, Connection, NodeStatus};
     use std::io::{Read as _, Write as _};
     use std::net::TcpListener;
     use std::thread;
@@ -320,19 +277,15 @@ mod tests {
 
     #[test]
     fn request_frames_round_trip() {
-        let reqs = [
-            TelemetryReq::Status,
-            TelemetryReq::Report,
-            TelemetryReq::Prometheus,
-            TelemetryReq::Journal,
-            TelemetryReq::Gauges,
-            TelemetryReq::ClockProbe,
-        ];
+        let reqs = [TelemetryReq::Report, TelemetryReq::Journal, TelemetryReq::ClockProbe];
         for req in reqs {
             round_trip(&req);
         }
-        assert_eq!(reqs.map(|req| hex(&req)).concat(), "000102030405");
-        assert_eq!(TelemetryReq::from_wire(&[6]), Err(WireError::Corrupt("telemetry req tag")));
+        assert_eq!(reqs.map(|req| hex(&req)).concat(), "010305");
+        for retired in [0, 2, 4, 6] {
+            let got = TelemetryReq::from_wire(&[retired]);
+            assert_eq!(got, Err(WireError::Corrupt("telemetry req tag")));
+        }
     }
 
     #[test]
@@ -345,19 +298,14 @@ mod tests {
         s.commit().unwrap();
         assert!(cluster.quiesce(Duration::from_secs(5)));
 
-        round_trip_bytes(&TelemetryResp::Status(
-            cluster.nodes().iter().map(|n| n.status()).collect::<Vec<_>>(),
-        ));
         round_trip_bytes(&TelemetryResp::Report(Box::new(cluster.metrics())));
-        round_trip_bytes(&TelemetryResp::Prometheus(cluster.metrics().prometheus_text()));
         round_trip_bytes(&TelemetryResp::Journal(cluster.journal_events()));
-        round_trip_bytes(&TelemetryResp::Gauges(cluster.metrics().gauges));
         round_trip_bytes(&TelemetryResp::Clock { offset_ns: -1_234_567 });
         round_trip_bytes(&TelemetryResp::Err("sequencer unreachable".into()));
-        assert!(matches!(
-            TelemetryResp::from_wire(&[7]),
-            Err(WireError::Corrupt("telemetry resp tag"))
-        ));
+        for retired in [0, 2, 4, 7] {
+            let got = TelemetryResp::from_wire(&[retired]);
+            assert!(matches!(got, Err(WireError::Corrupt("telemetry resp tag"))), "{retired}");
+        }
 
         // Golden bytes, one value per variant. `Metrics` and `StageSnapshot`
         // are pinned by their own tests; here they are what they encode to.
@@ -398,9 +346,6 @@ mod tests {
         ]
         .concat();
         assert_eq!(hex(&status), status_hex);
-        let resp = TelemetryResp::Status(vec![status.clone()]);
-        round_trip_bytes(&resp);
-        assert_eq!(hex(&resp), format!("0001000000{status_hex}"));
         let kinds = [
             AuditKind::CommitOrderDivergence,
             AuditKind::FirstCommitterWins,
@@ -461,9 +406,6 @@ mod tests {
             ]
             .concat()
         );
-        let resp = TelemetryResp::Prometheus("up 1".into());
-        round_trip_bytes(&resp);
-        assert_eq!(hex(&resp), "020400000075702031");
         let commit =
             EventKind::Commit { xact: XactId::new(ReplicaId::new(1), 5), tid: GlobalTid::new(6) };
         let event = Event { seq: 3, at_ns: 4, replica: ReplicaId::new(1), kind: commit };
@@ -483,23 +425,6 @@ mod tests {
                 "0100000000000000",
                 "0500000000000000",
                 "0600000000000000"
-            )
-        );
-        let resp = TelemetryResp::Gauges(fixed_status().gauges);
-        round_trip_bytes(&resp);
-        assert_eq!(
-            hex(&resp),
-            concat!(
-                "04",
-                "06000000000000000700000000000000",
-                "00000000000000000000000000000000",
-                "00000000000000000000000000000000",
-                "00000000000000000000000000000000",
-                "00000000000000000000000000000000",
-                "00000000000000000000000000000000",
-                "00000000000000000000000000000000",
-                "00000000000000000000000000000000",
-                "08000000000000000900000000000000"
             )
         );
         let resp = TelemetryResp::Clock { offset_ns: -2 };
@@ -532,16 +457,13 @@ mod tests {
         let server = TelemetryServer::spawn("127.0.0.1:0", Arc::clone(&cluster)).expect("bind");
         let addr = server.addr().to_string();
 
-        let statuses = scrape_status(&addr).expect("status");
-        assert_eq!(statuses.len(), 3);
-        assert!(statuses.iter().all(|s| s.alive));
-
         let report = scrape_report(&addr).expect("report");
         assert_eq!(report.commits(), cluster.metrics().commits());
         assert!(report.violations.is_empty());
         assert_eq!(report.per_node.len(), 3);
+        assert!(report.per_node.iter().all(|s| s.alive));
 
-        let prom = scrape_prometheus(&addr).expect("prometheus");
+        let prom = report.prometheus_text();
         assert!(prom.contains("sirep_commits_update_total"));
         assert!(prom.contains("sirep_transport_frames_in_total"));
 
@@ -551,14 +473,13 @@ mod tests {
             assert!(journals.iter().any(|(_, events)| !events.is_empty()));
         }
 
-        let _ = scrape_gauges(&addr).expect("gauges");
         assert_eq!(scrape_clock_offset(&addr).expect("clock"), 0, "sim shares one epoch");
 
         // Several requests on one scraper connection also work.
         let mut stream = TcpStream::connect(&addr).unwrap();
-        write_frame(&mut stream, &TelemetryReq::Status).unwrap();
+        write_frame(&mut stream, &TelemetryReq::Report).unwrap();
         let _: TelemetryResp = read_frame(&mut stream).unwrap();
-        write_frame(&mut stream, &TelemetryReq::Gauges).unwrap();
+        write_frame(&mut stream, &TelemetryReq::Journal).unwrap();
         let _: TelemetryResp = read_frame(&mut stream).unwrap();
     }
 
@@ -604,7 +525,7 @@ mod tests {
             drop(conn);
         });
         let start = std::time::Instant::now();
-        let err = scrape_with_timeout(&addr, TelemetryReq::Status, Duration::from_millis(100))
+        let err = scrape_with_timeout(&addr, TelemetryReq::Report, Duration::from_millis(100))
             .expect_err("silent node must time out");
         assert!(
             matches!(err.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut),

@@ -442,17 +442,11 @@ impl<M: Clone + Send + 'static> Group<M> for SimGroup<M> {
     }
 }
 
-/// A clonable multicast-only handle (e.g. for worker threads that send but
-/// never receive).
+/// A multicast-only handle (e.g. for worker threads that send but never
+/// receive).
 pub struct SimHandle<M> {
     id: MemberId,
     group: Arc<GroupInner<M>>,
-}
-
-impl<M> Clone for SimHandle<M> {
-    fn clone(&self) -> Self {
-        SimHandle { id: self.id, group: Arc::clone(&self.group) }
-    }
 }
 
 impl<M> SimHandle<M> {
@@ -484,10 +478,6 @@ impl<M: Clone + Send + 'static> Cast<M> for SimHandle<M> {
 
     fn in_flight(&self) -> GaugeReading {
         self.group.in_flight()
-    }
-
-    fn clone_cast(&self) -> Box<dyn Cast<M>> {
-        Box::new(self.clone())
     }
 }
 

@@ -500,10 +500,6 @@ impl<M: Wire + Clone + Send + 'static> Cast<M> for TcpCast<M> {
         self.shared.pending_sends.read()
     }
 
-    fn clone_cast(&self) -> Box<dyn Cast<M>> {
-        Box::new(TcpCast { shared: Arc::clone(&self.shared), _msg: PhantomData::<fn() -> M> })
-    }
-
     fn transport(&self) -> TransportSnapshot {
         self.shared.transport_snapshot()
     }

@@ -108,10 +108,9 @@ impl fmt::Display for GcsError {
 
 impl std::error::Error for GcsError {}
 
-/// A clonable multicast-only capability: what protocol code that *sends*
-/// (the commit path, progress reports) holds. Split from [`Member`] so the
-/// receive loop owns the endpoint exclusively while any number of worker
-/// threads multicast.
+/// A multicast-only capability: what protocol code that *sends* (the commit
+/// path, progress reports) holds. Split from [`Member`] so the receive loop
+/// owns the endpoint exclusively while other threads multicast.
 pub trait Cast<M>: Send + Sync {
     /// The member this handle multicasts as.
     fn id(&self) -> MemberId;
@@ -133,20 +132,11 @@ pub trait Cast<M>: Send + Sync {
     /// sim backend, this endpoint's queue for networked backends).
     fn in_flight(&self) -> GaugeReading;
 
-    /// Object-safe clone.
-    fn clone_cast(&self) -> Box<dyn Cast<M>>;
-
     /// Wire-level counters for the endpoint this handle multicasts
     /// through. Backends without a wire (the sim tier's lock-protected
     /// queues) report the empty default.
     fn transport(&self) -> TransportSnapshot {
         TransportSnapshot::default()
-    }
-}
-
-impl<M> Clone for Box<dyn Cast<M>> {
-    fn clone(&self) -> Self {
-        self.clone_cast()
     }
 }
 

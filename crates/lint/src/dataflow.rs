@@ -8,9 +8,9 @@
 //!   under a lock (`no-io-under-lock`, `no-blocking-under-lock`,
 //!   `lock-ordering`) use this set — one bad path is a real bad path.
 //! - **must-held** (intersection at joins): a guard is must-held if
-//!   *every* path holds it. Rules that *require* a lock
-//!   (`multicast-under-lock`, `journal-gauge-under-lock`) use this set —
-//!   a single lock-free path is the bug.
+//!   *every* path holds it. A rule that *requires* a lock
+//!   (`journal-gauge-under-lock`) uses this set — a single lock-free path
+//!   is the bug.
 //!
 //! A diverging path (early `return`, `?`, a branch ending in `break`)
 //! contributes nothing to the join, which is what fixes the linear

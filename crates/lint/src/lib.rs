@@ -1,7 +1,7 @@
 //! sirep-lint: workspace invariant checker for SI-Rep.
 //!
 //! Enforces the lock-discipline and determinism invariants the SRCA-Rep
-//! protocol depends on (DESIGN.md §13, §18). Eight named rules, each
+//! protocol depends on (DESIGN.md §13, §18). Seven named rules, each
 //! individually suppressable per-site with a written justification:
 //!
 //! - an inline directive on or directly above the offending line:
@@ -25,8 +25,8 @@ pub mod rules;
 pub mod scopes;
 
 use rules::{
-    CallUnderLockRule, CheckerConfig, JournalGaugeRule, LockClass, LockCoverageRule, LockOrderRule,
-    NoBlockingRule, NoIoRule, NoUnwrapRule, NondetRule, Violation, ALL_RULES, RULE_DIRECTIVE,
+    CheckerConfig, JournalGaugeRule, LockClass, LockCoverageRule, LockOrderRule, NoBlockingRule,
+    NoIoRule, NoUnwrapRule, NondetRule, Violation, ALL_RULES, RULE_DIRECTIVE,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -167,16 +167,6 @@ pub fn load_config_str(src: &str) -> Result<LintConfig, String> {
                     ALL_RULES.join(", ")
                 ));
             }
-        }
-        if let Some(t) = config::get_table(rules_tbl, rules::RULE_MULTICAST) {
-            let requires = config::get_str(t, "requires")
-                .ok_or("lint.toml: multicast-under-lock needs `requires`")?;
-            require_class(&cfg.checker, &requires)?;
-            cfg.checker.multicast = Some(CallUnderLockRule {
-                files: config::get_str_list(t, "files"),
-                calls: config::get_str_list(t, "calls"),
-                requires,
-            });
         }
         // `[[rules.journal-gauge-under-lock]]` repeats per scope: different
         // files require different locks (node events under node-state,
@@ -509,9 +499,9 @@ acquire-fns = ["multicast_total"]
 [lock-order]
 edges = ["node-state < gcs-group"]
 
-[rules.multicast-under-lock]
+[[rules.journal-gauge-under-lock]]
 files = ["node.rs"]
-calls = ["multicast_total"]
+calls = ["journal.record"]
 requires = "node-state"
 "#;
 
@@ -523,16 +513,16 @@ requires = "node-state"
     #[test]
     fn end_to_end_violation_and_suppression() {
         let cfg = load_config_str(MINI_CFG).unwrap();
-        let bad = "impl N { fn f(&self) { self.gcs.multicast_total(m); } }";
+        let bad = "impl N { fn f(&self) { self.journal.record(e); } }";
         assert_eq!(lint_one(&cfg, bad).violations.len(), 1);
 
         let ok = "impl N { fn f(&self) { let st = self.state.lock(); \
-                  self.gcs.multicast_total(m); } }";
+                  self.journal.record(e); } }";
         assert!(lint_one(&cfg, ok).violations.is_empty());
 
         let suppressed = "impl N { fn f(&self) {\n\
-             // sirep-lint: allow(multicast-under-lock): progress gossip, ordering irrelevant\n\
-             self.gcs.multicast_total(m); } }";
+             // sirep-lint: allow(journal-gauge-under-lock): read-only commit, ordered by its session\n\
+             self.journal.record(e); } }";
         let res = lint_one(&cfg, suppressed);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
     }
@@ -541,8 +531,8 @@ requires = "node-state"
     fn suppression_without_reason_is_a_violation() {
         let cfg = load_config_str(MINI_CFG).unwrap();
         let src = "impl N { fn f(&self) {\n\
-             // sirep-lint: allow(multicast-under-lock)\n\
-             self.gcs.multicast_total(m); } }";
+             // sirep-lint: allow(journal-gauge-under-lock)\n\
+             self.journal.record(e); } }";
         let res = lint_one(&cfg, src);
         // Both the original violation (unsuppressed) and the bad directive.
         assert_eq!(res.violations.len(), 2, "{:?}", res.violations);
@@ -552,7 +542,7 @@ requires = "node-state"
     #[test]
     fn toml_suppression_requires_reason() {
         let bad = format!(
-            "{MINI_CFG}\n[[suppress]]\nrule = \"multicast-under-lock\"\nfile = \"node.rs\"\n"
+            "{MINI_CFG}\n[[suppress]]\nrule = \"journal-gauge-under-lock\"\nfile = \"node.rs\"\n"
         );
         assert!(load_config_str(&bad).is_err());
     }

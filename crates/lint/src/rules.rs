@@ -3,9 +3,6 @@
 //! Every rule here is named after a bug this repo actually shipped (see
 //! DESIGN.md §13 and §18 for the full war stories):
 //!
-//! - `multicast-under-lock` — PR 1's lost update: a writeset multicast
-//!   outside the node state lock let the ws_list prune watermark overtake
-//!   an in-flight certification.
 //! - `journal-gauge-under-lock` — PR 3's gauge drift: a gauge increment
 //!   after the send raced the receiver's decrement; journal events written
 //!   outside the lock interleave out of protocol order.
@@ -40,7 +37,6 @@
 use crate::scopes::Func;
 use std::collections::BTreeSet;
 
-pub const RULE_MULTICAST: &str = "multicast-under-lock";
 pub const RULE_JOURNAL_GAUGE: &str = "journal-gauge-under-lock";
 pub const RULE_NONDET: &str = "no-ambient-nondeterminism";
 pub const RULE_NO_UNWRAP: &str = "no-unwrap-on-protocol-paths";
@@ -52,8 +48,7 @@ pub const RULE_LOCK_COVERAGE: &str = "lock-coverage";
 /// missing justification). Not suppressible, by design.
 pub const RULE_DIRECTIVE: &str = "lint-directive";
 
-pub const ALL_RULES: [&str; 8] = [
-    RULE_MULTICAST,
+pub const ALL_RULES: [&str; 7] = [
     RULE_JOURNAL_GAUGE,
     RULE_NONDET,
     RULE_NO_UNWRAP,
@@ -96,13 +91,6 @@ pub struct LockClass {
     /// (fields or type aliases with no guard-producing call of their own,
     /// e.g. a `type Registry = Arc<Mutex<..>>` alias).
     pub fields: Vec<String>,
-}
-
-#[derive(Debug, Clone, Default)]
-pub struct CallUnderLockRule {
-    pub files: Vec<String>,
-    pub calls: Vec<String>,
-    pub requires: String,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -176,7 +164,6 @@ pub struct CheckerConfig {
     pub classes: Vec<LockClass>,
     /// `(outer, inner)`: holding `outer` while acquiring `inner` is legal.
     pub order_edges: Vec<(String, String)>,
-    pub multicast: Option<CallUnderLockRule>,
     /// One entry per scope: different files can require different locks
     /// (node events under node-state, fault events under gcs-group).
     pub journal_gauge: Vec<JournalGaugeRule>,
@@ -269,20 +256,13 @@ pub fn check_func(func: &Func, file: &str, cfg: &CheckerConfig, out: &mut Vec<Vi
     if func.is_test {
         return;
     }
-    let mc = cfg.multicast.as_ref().filter(|r| file_in_scope(file, &r.files));
     let jgs: Vec<&JournalGaugeRule> =
         cfg.journal_gauge.iter().filter(|r| file_in_scope(file, &r.files)).collect();
     let nu = cfg.no_unwrap.as_ref().filter(|r| file_in_scope(file, &r.files));
     let lo = cfg.lock_order.as_ref().filter(|r| file_in_scope(file, &r.files));
     let io = cfg.no_io.as_ref().filter(|r| file_in_scope(file, &r.files));
     let blk = cfg.no_blocking.as_ref().filter(|r| file_in_scope(file, &r.files));
-    if mc.is_none()
-        && jgs.is_empty()
-        && nu.is_none()
-        && lo.is_none()
-        && io.is_none()
-        && blk.is_none()
-    {
+    if jgs.is_empty() && nu.is_none() && lo.is_none() && io.is_none() && blk.is_none() {
         return;
     }
     let closure = cfg.order_closure().unwrap_or_default();
@@ -321,24 +301,6 @@ pub fn check_func(func: &Func, file: &str, cfg: &CheckerConfig, out: &mut Vec<Vi
             }
         }
         crate::dataflow::Event::Call { path, line, held_may, held_must } => {
-            if let Some(r) = mc {
-                if r.calls.iter().any(|p| suffix_matches(&path, p))
-                    && !held_must.contains(&r.requires)
-                {
-                    out.push(Violation {
-                        rule: RULE_MULTICAST.into(),
-                        file: file.into(),
-                        line,
-                        msg: format!(
-                            "`{}` called in `{}` on a path not holding `{}`: cert capture order \
-                             must equal total-order sequence order",
-                            path.join("."),
-                            func.name,
-                            r.requires
-                        ),
-                    });
-                }
-            }
             for r in &jgs {
                 let is_journal = r.calls.iter().any(|p| suffix_matches(&path, p));
                 let is_gauge = path.len() >= 2
@@ -678,8 +640,9 @@ mod tests {
     use crate::scopes::extract_funcs;
 
     /// Mini config mirroring the real lint.toml's shape: a guard-producing
-    /// state lock, an acquire-fn class (the multicast), a condvar-paired
-    /// apply lock, and an allow-under class for frame writes.
+    /// state lock with a journal that must be written under it, an
+    /// acquire-fn class (the multicast), a condvar-paired apply lock, and an
+    /// allow-under class for frame writes.
     fn test_cfg() -> CheckerConfig {
         let class = |name: &str| LockClass { name: name.into(), ..Default::default() };
         CheckerConfig {
@@ -708,11 +671,12 @@ mod tests {
                 ("node-state".into(), "gcs-group".into()),
                 ("node-state".into(), "node-apply".into()),
             ],
-            multicast: Some(CallUnderLockRule {
+            journal_gauge: vec![JournalGaugeRule {
                 files: vec!["node.rs".into()],
-                calls: vec!["multicast_total".into()],
+                calls: vec!["journal.record".into()],
                 requires: "node-state".into(),
-            }),
+                ..Default::default()
+            }],
             lock_order: Some(LockOrderRule { files: vec!["node.rs".into()] }),
             no_io: Some(NoIoRule {
                 files: vec!["node.rs".into()],
@@ -748,21 +712,21 @@ mod tests {
     // ----- ported linear-walker behaviors -----
 
     #[test]
-    fn multicast_under_guard_passes() {
+    fn journal_under_guard_passes() {
         let v = lint(
             "impl N { fn f(&self) { let st = self.state.lock(); \
-             self.gcs.multicast_total(m); } }",
-            RULE_MULTICAST,
+             self.journal.record(m); } }",
+            RULE_JOURNAL_GAUGE,
         );
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
-    fn multicast_after_scope_end_fails() {
+    fn journal_after_scope_end_fails() {
         let v = lint(
             "impl N { fn f(&self) { { let st = self.state.lock(); } \
-             self.gcs.multicast_total(m); } }",
-            RULE_MULTICAST,
+             self.journal.record(m); } }",
+            RULE_JOURNAL_GAUGE,
         );
         assert_eq!(v.len(), 1, "{v:?}");
     }
@@ -771,8 +735,8 @@ mod tests {
     fn drop_releases_the_guard() {
         let v = lint(
             "impl N { fn f(&self) { let st = self.state.lock(); drop(st); \
-             self.gcs.multicast_total(m); } }",
-            RULE_MULTICAST,
+             self.journal.record(m); } }",
+            RULE_JOURNAL_GAUGE,
         );
         assert_eq!(v.len(), 1, "{v:?}");
     }
@@ -781,8 +745,8 @@ mod tests {
     fn momentary_guard_dies_at_statement_end() {
         let v = lint(
             "impl N { fn f(&self) { self.state.lock().insert(k, v); \
-             self.gcs.multicast_total(m); } }",
-            RULE_MULTICAST,
+             self.journal.record(m); } }",
+            RULE_JOURNAL_GAUGE,
         );
         assert_eq!(v.len(), 1, "{v:?}");
     }
@@ -793,8 +757,8 @@ mod tests {
         // guard — the guard dies at the `;`.
         let v = lint(
             "impl N { fn f(&self) { let v = self.state.lock().get(k); \
-             self.gcs.multicast_total(v); } }",
-            RULE_MULTICAST,
+             self.journal.record(v); } }",
+            RULE_JOURNAL_GAUGE,
         );
         assert_eq!(v.len(), 1, "{v:?}");
     }
@@ -834,8 +798,8 @@ mod tests {
     #[test]
     fn param_type_is_ambient_evidence() {
         let v = lint(
-            "fn helper(st: &mut NodeState, gcs: &G) { gcs.multicast_total(m); }",
-            RULE_MULTICAST,
+            "fn helper(st: &mut NodeState, journal: &J) { journal.record(m); }",
+            RULE_JOURNAL_GAUGE,
         );
         assert!(v.is_empty(), "{v:?}");
     }
@@ -843,8 +807,8 @@ mod tests {
     #[test]
     fn held_in_impl_is_ambient_evidence() {
         let v = lint(
-            "impl StateOps { fn f(&mut self) { self.gcs.multicast_total(m); } }",
-            RULE_MULTICAST,
+            "impl StateOps { fn f(&mut self) { self.journal.record(m); } }",
+            RULE_JOURNAL_GAUGE,
         );
         assert!(v.is_empty(), "{v:?}");
     }
@@ -863,7 +827,7 @@ mod tests {
 
     #[test]
     fn test_fns_are_skipped() {
-        let v = lint("#[test] fn t() { self.gcs.multicast_total(m); xs[i]; }", RULE_MULTICAST);
+        let v = lint("#[test] fn t() { self.journal.record(m); xs[i]; }", RULE_JOURNAL_GAUGE);
         assert!(v.is_empty(), "{v:?}");
     }
 
@@ -877,8 +841,8 @@ mod tests {
         let v = lint(
             "impl N { fn f(&self) { let st = self.state.lock(); \
              if bad { drop(st); return; } \
-             self.gcs.multicast_total(m); } }",
-            RULE_MULTICAST,
+             self.journal.record(m); } }",
+            RULE_JOURNAL_GAUGE,
         );
         assert!(v.is_empty(), "{v:?}");
     }
@@ -887,8 +851,8 @@ mod tests {
     fn drop_in_one_arm_does_not_leak_into_siblings() {
         let v = lint(
             "impl N { fn f(&self) { let st = self.state.lock(); \
-             match x { A => { drop(st); } B => { self.gcs.multicast_total(m); } } } }",
-            RULE_MULTICAST,
+             match x { A => { drop(st); } B => { self.journal.record(m); } } } }",
+            RULE_JOURNAL_GAUGE,
         );
         assert!(v.is_empty(), "{v:?}");
     }
@@ -896,24 +860,24 @@ mod tests {
     #[test]
     fn join_after_partial_drop_is_not_must_held() {
         // One arm dropped the guard, so after the match the lock is only
-        // may-held — a multicast there is a real bug on the A path.
+        // may-held — a journal write there is a real bug on the A path.
         let v = lint(
             "impl N { fn f(&self) { let st = self.state.lock(); \
              match x { A => { drop(st); } B => {} } \
-             self.gcs.multicast_total(m); } }",
-            RULE_MULTICAST,
+             self.journal.record(m); } }",
+            RULE_JOURNAL_GAUGE,
         );
         assert_eq!(v.len(), 1, "{v:?}");
     }
 
     #[test]
     fn per_branch_precision_in_if_else() {
-        // Only the else branch multicasts without the lock.
+        // Only the else branch journals without the lock.
         let v = lint(
             "impl N { fn f(&self) { \
-             if a { let st = self.state.lock(); self.gcs.multicast_total(x); } \
-             else { self.gcs.multicast_total(y); } } }",
-            RULE_MULTICAST,
+             if a { let st = self.state.lock(); self.journal.record(x); } \
+             else { self.journal.record(y); } } }",
+            RULE_JOURNAL_GAUGE,
         );
         assert_eq!(v.len(), 1, "{v:?}");
     }
@@ -923,8 +887,8 @@ mod tests {
         let v = lint(
             "impl N { fn f(&self) -> R { let st = self.state.lock(); \
              let v = self.prepare(k)?; \
-             self.gcs.multicast_total(v); Ok(()) } }",
-            RULE_MULTICAST,
+             self.journal.record(v); Ok(()) } }",
+            RULE_JOURNAL_GAUGE,
         );
         assert!(v.is_empty(), "{v:?}");
     }

@@ -95,7 +95,6 @@ fn workspace_lint_toml_loads() {
     let ws_root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let cfg = load_config_file(&ws_root.join("lint.toml")).expect("workspace lint.toml loads");
     assert_eq!(cfg.checker.journal_gauge.len(), 3, "all three journal-gauge scopes configured");
-    assert!(cfg.checker.multicast.is_some());
     assert!(cfg.checker.nondet.is_some());
     assert!(cfg.checker.no_unwrap.is_some());
     assert!(cfg.checker.lock_order.is_some());

@@ -387,9 +387,10 @@ impl SrcaModel {
     /// P1: the snapshot taken at `r` now must be a prefix `{1..snap}` of
     /// the commit order — no pending tid at or below the frontier.
     fn check_snapshot_prefix(&self, s: &State, r: Rep, t: Txn) -> Vec<Violation> {
-        let holes = s.reps[r as usize].core.holes();
-        let snap = holes.max_committed();
-        let hole: Vec<Tid> = holes.pending().filter(|&p| p <= snap).map(GlobalTid::raw).collect();
+        let queue = s.reps[r as usize].core.queue();
+        let snap = queue.max_committed();
+        let hole: Vec<Tid> =
+            queue.iter().map(|e| e.tid).filter(|&p| p <= snap).map(GlobalTid::raw).collect();
         if hole.is_empty() {
             return Vec::new();
         }
@@ -419,14 +420,15 @@ impl SrcaModel {
     /// while a begin waits and no local runs (§4.3.3). Members commit in
     /// ascending order, so each one's frontier is the previous member's.
     fn check_hole_discipline(&self, s: &State, r: Rep, batch: &[Tid]) -> Vec<Violation> {
-        let holes = s.reps[r as usize].core.holes();
-        if holes.waiting_to_start() == 0 || holes.running_locals() > 0 {
+        let core = &s.reps[r as usize].core;
+        let begins = core.sizes();
+        if begins.waiting_to_start == 0 || begins.running_locals > 0 {
             return Vec::new();
         }
-        let mut frontier = holes.max_committed().raw();
+        let mut frontier = core.queue().max_committed().raw();
         let mut out = Vec::new();
         for &tid in batch {
-            if holes.pending().any(|p| frontier < p.raw() && p.raw() < tid) {
+            if core.queue().iter().any(|e| frontier < e.tid.raw() && e.tid.raw() < tid) {
                 let detail =
                     format!("R{r} committed {tid} of {batch:?}, opening a hole for a begin");
                 out.push(Violation::of(Prop::HoleDiscipline, detail));
@@ -442,7 +444,7 @@ impl SrcaModel {
     fn begin(&self, s: &mut State, t: Txn, waited: bool, events: &mut Events) -> Vec<Violation> {
         let r = self.origin(t);
         let viols = self.check_snapshot_prefix(s, r, t);
-        s.txns[t as usize].db_snapshot = s.reps[r as usize].core.holes().max_committed().raw();
+        s.txns[t as usize].db_snapshot = s.reps[r as usize].core.queue().max_committed().raw();
         if self.has(Mutation::NonatomicBeginSnapshot) {
             s.txns[t as usize].phase = Phase::SnapTaken(waited);
         } else {
@@ -815,17 +817,15 @@ impl ProtocolModel for SrcaModel {
         }
         let mut frontiers = BTreeSet::new();
         for (k, rep) in s.reps.iter().enumerate().filter(|&(k, _)| s.alive(k as Rep)) {
-            let holes = rep.core.holes();
-            let pending: Vec<Tid> = holes.pending().map(GlobalTid::raw).collect();
-            let (queued, batches) = (rep.core.sizes().queued, &rep.batches);
-            // Open holes are pending tids.
-            if queued > 0 || !pending.is_empty() || !batches.is_empty() {
-                let detail = format!(
-                    "R{k} is left with {queued} queued, {pending:?} pending, {batches:?} claimed"
-                );
+            let queue = rep.core.queue();
+            let queued: Vec<Tid> = queue.iter().map(|e| e.tid.raw()).collect();
+            let batches = &rep.batches;
+            // Open holes are queued tids.
+            if !queued.is_empty() || !batches.is_empty() {
+                let detail = format!("R{k} is left with {queued:?} queued, {batches:?} claimed");
                 out.push(Violation::of(Prop::Liveness, detail));
             }
-            frontiers.insert((rep.core.last_validated(), holes.max_committed()));
+            frontiers.insert((rep.core.last_validated(), queue.max_committed()));
         }
         if frontiers.len() > 1 {
             let detail =

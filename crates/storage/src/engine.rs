@@ -59,7 +59,8 @@ struct TxnState {
 }
 
 struct Table {
-    schema: TableSchema,
+    /// Shared with every statement that plans against it.
+    schema: Arc<TableSchema>,
     name: Arc<str>,
     rows: RwLock<BTreeMap<Key, VersionChain>>,
     /// Secondary equality indexes (candidate postings; readers recheck).
@@ -133,7 +134,7 @@ impl Database {
         tables.insert(
             name.clone(),
             Arc::new(Table {
-                schema,
+                schema: Arc::new(schema),
                 name,
                 rows: RwLock::new(BTreeMap::new()),
                 indexes: RwLock::new(Vec::new()),
@@ -192,16 +193,8 @@ impl Database {
         postings
     }
 
-    pub fn has_table(&self, name: &str) -> bool {
-        self.inner.tables.read().contains_key(name)
-    }
-
-    pub fn table_schema(&self, name: &str) -> Option<TableSchema> {
-        self.inner.tables.read().get(name).map(|t| t.schema.clone())
-    }
-
-    pub fn table_names(&self) -> Vec<String> {
-        self.inner.tables.read().keys().map(ToString::to_string).collect()
+    pub fn table_schema(&self, name: &str) -> Option<Arc<TableSchema>> {
+        self.inner.tables.read().get(name).map(|t| Arc::clone(&t.schema))
     }
 
     /// The commit timestamp of the most recently committed update
@@ -297,7 +290,7 @@ impl Database {
         let snapshot = self.last_committed();
         let tables = self.inner.tables.read();
         for t in tables.values() {
-            fork.create_table(t.schema.clone()).expect("fresh database");
+            fork.create_table(TableSchema::clone(&t.schema)).expect("fresh database");
         }
         {
             let fork_tables = fork.inner.tables.read();

@@ -6,6 +6,11 @@
 //! a recomputation from scratch over random push / claim / unclaim / remove
 //! sequences. `unclaim` is how the delivery thread gives back a writeset it
 //! claimed but could not apply without waiting.
+//!
+//! The queue is also the replica's record of commit-order holes (§4.3.3):
+//! after every step `holes_exist`, `open_holes` and `creates_new_hole` are
+//! checked against the same recomputation, with the commit frontier the
+//! highest tid removed so far.
 
 use proptest::prelude::*;
 use si_rep::common::{GlobalTid, ReplicaId};
@@ -26,6 +31,8 @@ enum Op {
     Unclaim(usize),
     /// The i-th queued entry (modulo) commits and leaves.
     Remove(usize),
+    /// Would committing this tid now create a new hole?
+    Probe(u64),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -35,6 +42,7 @@ fn op() -> impl Strategy<Value = Op> {
         3 => Just(Op::Claim),
         2 => (0usize..16).prop_map(Op::Unclaim),
         4 => (0usize..16).prop_map(Op::Remove),
+        2 => (0u64..40).prop_map(Op::Probe),
     ]
 }
 
@@ -56,6 +64,11 @@ fn ready(model: &BTreeMap<u64, Queued>) -> BTreeSet<u64> {
         .collect()
 }
 
+/// The open holes from scratch: queued tids below the commit frontier.
+fn holes(model: &BTreeMap<u64, Queued>, frontier: u64) -> usize {
+    model.range(..frontier).count()
+}
+
 /// Claim every ready entry, smallest first.
 fn drain(queue: &mut TocommitQueue) -> Vec<u64> {
     std::iter::from_fn(|| queue.pop_ready().map(|e| e.tid.raw())).collect()
@@ -73,6 +86,8 @@ proptest! {
         // Claimed and still queued (entries born running are not claims).
         let mut claimed: BTreeSet<u64> = BTreeSet::new();
         let mut next_tid = 0u64;
+        // The highest tid committed so far.
+        let mut frontier = 0u64;
         for op in ops {
             match op {
                 Op::Push(keys, running) => {
@@ -85,7 +100,6 @@ proptest! {
                         GlobalTid::new(next_tid),
                         XactId { origin: ReplicaId::new(0), seq: next_tid },
                         Arc::new(ws),
-                        ReplicaId::new(0),
                         running,
                     );
                     let said_ready = queue.push(entry);
@@ -120,8 +134,16 @@ proptest! {
                     claimed.remove(&tid);
                     let entered = ready(&model).difference(&before).count();
                     prop_assert_eq!(queue.remove(GlobalTid::new(tid)), entered);
+                    frontier = frontier.max(tid);
+                }
+                Op::Probe(tid) => {
+                    let new_hole = model.range(frontier + 1..tid.max(frontier + 1)).next().is_some();
+                    prop_assert_eq!(queue.creates_new_hole(GlobalTid::new(tid)), new_hole, "{}", tid);
                 }
             }
+            prop_assert_eq!(queue.max_committed(), GlobalTid::new(frontier));
+            prop_assert_eq!(queue.open_holes(), holes(&model, frontier));
+            prop_assert_eq!(queue.holes_exist(), holes(&model, frontier) > 0);
         }
         // Nothing is left behind unannounced: claiming drains exactly the
         // model's ready set, smallest first.
