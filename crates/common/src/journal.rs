@@ -26,18 +26,11 @@
 //! `sirep_core::export` — or fold the 1-copy-SI checker of
 //! `sirep_core::audit` over it, or build Def. 3's history from it.
 //!
-//! Like the rest of the observability layer, the whole module is gated on
-//! the default-on `trace` feature: with `--no-default-features` the journal
-//! becomes a no-op with the same API (every stamp is 0, every stage
-//! snapshot empty) and every call site compiles away.
-//!
 //! [`snapshot`]: Journal::snapshot
 
 use crate::ids::{GlobalTid, ReplicaId, XactId};
 use crate::trace::{Stage, StageSnapshot};
-#[cfg(feature = "trace")]
 use parking_lot::Mutex;
-#[cfg(feature = "trace")]
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -236,8 +229,7 @@ pub struct Event {
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 8192;
 
 // ======================================================================
-// Wire forms (telemetry journal export). `Event` and its kinds are plain
-// data in both feature configurations, so these impls are unconditional.
+// Wire forms (telemetry journal export).
 // ======================================================================
 
 crate::wire_codec!(enum FaultKind, "fault kind tag" {
@@ -278,12 +270,7 @@ crate::wire_codec!(enum EventKind, "event kind tag" {
 
 crate::wire_codec!(struct Event { seq, at_ns, replica, kind });
 
-// ======================================================================
-// Real implementation (`trace` feature on — the default).
-// ======================================================================
-
 /// Bounded append-only ring of protocol [`Event`]s for one replica.
-#[cfg(feature = "trace")]
 #[derive(Debug)]
 pub struct Journal {
     replica: ReplicaId,
@@ -291,7 +278,6 @@ pub struct Journal {
     inner: Mutex<Ring>,
 }
 
-#[cfg(feature = "trace")]
 #[derive(Debug)]
 struct Ring {
     buf: VecDeque<Event>,
@@ -301,7 +287,6 @@ struct Ring {
     stages: StageSnapshot,
 }
 
-#[cfg(feature = "trace")]
 impl Journal {
     /// A journal with its own epoch (= now) and the default capacity.
     pub fn new(replica: ReplicaId) -> Journal {
@@ -396,88 +381,13 @@ impl Journal {
         self.inner.lock().dropped
     }
 
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.inner.lock().cap
-    }
-
     /// The replica this journal records for.
     pub fn replica(&self) -> ReplicaId {
         self.replica
     }
 }
 
-// ======================================================================
-// No-op implementation (`trace` feature off): same API, zero cost.
-// ======================================================================
-
-/// No-op journal: the `trace` feature is off, recording compiles away.
-#[cfg(not(feature = "trace"))]
-#[derive(Debug)]
-pub struct Journal {
-    replica: ReplicaId,
-}
-
-#[cfg(not(feature = "trace"))]
-impl Journal {
-    #[inline(always)]
-    pub fn new(replica: ReplicaId) -> Journal {
-        Journal { replica }
-    }
-    #[inline(always)]
-    pub fn with_epoch(replica: ReplicaId, _epoch: Instant, _capacity: usize) -> Journal {
-        Journal { replica }
-    }
-    #[inline(always)]
-    pub fn now_ns(&self) -> u64 {
-        0
-    }
-    #[inline(always)]
-    pub fn ns_at(&self, _at: Instant) -> u64 {
-        0
-    }
-    #[inline(always)]
-    pub fn record(&self, _kind: EventKind) -> u64 {
-        0
-    }
-    #[inline(always)]
-    pub fn record_ending(&self, _kind: EventKind, _ends: &[(Stage, u64)]) -> u64 {
-        0
-    }
-    #[inline(always)]
-    pub fn stage(&self, _stage: Stage, _since: u64) -> u64 {
-        0
-    }
-    pub fn stages(&self) -> StageSnapshot {
-        StageSnapshot::default()
-    }
-    #[inline(always)]
-    pub fn snapshot(&self) -> Vec<Event> {
-        Vec::new()
-    }
-    #[inline(always)]
-    pub fn len(&self) -> usize {
-        0
-    }
-    #[inline(always)]
-    pub fn is_empty(&self) -> bool {
-        true
-    }
-    #[inline(always)]
-    pub fn dropped(&self) -> u64 {
-        0
-    }
-    #[inline(always)]
-    pub fn capacity(&self) -> usize {
-        0
-    }
-    #[inline(always)]
-    pub fn replica(&self) -> ReplicaId {
-        self.replica
-    }
-}
-
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -17,10 +17,9 @@
 //! - [`trace`]: the replication pipeline's stages and their per-stage
 //!   latency histograms.
 //! - [`journal`]: bounded ring of typed protocol events per replica, and
-//!   the clock the stage latencies are measured on (compiled out when the
-//!   `trace` cargo feature is disabled).
+//!   the clock the stage latencies are measured on.
 //! - [`gauges`]: current-value telemetry with high-water marks for the
-//!   protocol's queue depths (feature-gated like [`journal`]).
+//!   protocol's queue depths.
 //! - [`wire`]: the dependency-free length-prefixed binary codec everything
 //!   crossing a process boundary encodes through.
 //! - [`json`]: the one JSON well-formedness checker the hand-rolled

@@ -24,8 +24,7 @@
 //!
 //! [`StageSnapshot`] holds one log-bucketed [`Histogram`] per stage
 //! (recorded in **milliseconds**, like every other histogram in the
-//! workspace). With the `trace` feature off the journal records nothing,
-//! so every snapshot is empty.
+//! workspace).
 
 use crate::histogram::Histogram;
 use std::fmt;
@@ -130,7 +129,7 @@ impl StageSnapshot {
         }
     }
 
-    /// True when no stage has any samples (e.g. tracing compiled out).
+    /// True when no stage has any samples.
     pub fn is_empty(&self) -> bool {
         Stage::ALL.iter().all(|&s| self.count(s) == 0)
     }

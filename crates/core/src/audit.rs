@@ -35,11 +35,6 @@
 //! produces false negatives) except the upper half of the read-only
 //! snapshot rule, which needs the true commit frontier and is suppressed
 //! until a reset event supplies it.
-//!
-//! With `--no-default-features` [`Auditor`] compiles to a no-op with the
-//! same API, like the rest of the observability layer; the checker and the
-//! offline fold are plain code in both configurations, and the history
-//! builder refuses to build from journals that recorded nothing.
 
 use crate::model::{Op, ReplicatedExecution, TxSpec};
 use sirep_common::{Event, EventKind, GlobalTid, Journal, ReplicaId, Stage, XactId};
@@ -136,13 +131,9 @@ impl Hasher for Fnv1a {
 
 /// A set of tuple ids as Def. 3's history and the checks see it: their
 /// sorted, deduplicated 64-bit hashes. Empty, and not allocated, for an
-/// empty set and without the `trace` feature, where nothing would record
-/// it. Each hash is FNV-1a over `(table, key)` — never a `TupleId`'s cached
+/// empty set. Each hash is FNV-1a over `(table, key)` — never a `TupleId`'s cached
 /// hash, which is seeded per process.
 fn digest<'a>(ids: impl Iterator<Item = (&'a str, &'a Key)>) -> Arc<[u64]> {
-    if !cfg!(feature = "trace") {
-        return Arc::default();
-    }
     let mut keys: Vec<u64> = ids
         .map(|id| {
             let mut h = Fnv1a(0xCBF2_9CE4_8422_2325);
@@ -532,8 +523,6 @@ pub type History = (BTreeMap<XactId, TxSpec>, ReplicatedExecution<XactId>);
 /// would pass vacuously, so [`history_from_journals`] refuses instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HistoryGap {
-    /// Built without the `trace` feature: nothing is journaled.
-    NoTrace,
     /// The ring dropped events of this replica's stream.
     Dropped(ReplicaId),
     /// This replica rejoined from a state transfer: its stream does not
@@ -559,9 +548,6 @@ pub enum HistoryGap {
 /// processes combine; the network's pseudo-replica is skipped. Scrape after
 /// the deployment has quiesced, from databases that track reads.
 pub fn history_from_journals(journals: &[(ReplicaId, Vec<Event>)]) -> Result<History, HistoryGap> {
-    if !cfg!(feature = "trace") {
-        return Err(HistoryGap::NoTrace);
-    }
     let mut streams = BTreeMap::new();
     for (replica, events) in journals.iter().filter(|(r, _)| *r != NETWORK_REPLICA) {
         if events.iter().enumerate().any(|(i, e)| e.seq != i as u64) {
@@ -634,8 +620,6 @@ pub struct Auditor {
 }
 
 impl Auditor {
-    /// Without the `trace` feature the checks are skipped (and the journal
-    /// records nothing), so every query is clean.
     pub fn new() -> Auditor {
         Auditor::default()
     }
@@ -657,9 +641,7 @@ impl Auditor {
     /// which stamps it.
     pub fn reporter<'a>(&'a self, journal: &'a Journal) -> impl Report + 'a {
         move |kind: EventKind, ends: &[(Stage, u64)]| {
-            if cfg!(feature = "trace") {
-                self.inner.lock().observe(journal.replica(), &kind);
-            }
+            self.inner.lock().observe(journal.replica(), &kind);
             journal.record_ending(kind, ends)
         }
     }
@@ -736,10 +718,6 @@ mod tests {
             w
         };
         let a = key_digest(&ws(&[3, 1, 2, 1]));
-        if !cfg!(feature = "trace") {
-            assert!(a.is_empty());
-            return;
-        }
         assert_eq!(a.len(), 3);
         assert!(a.windows(2).all(|w| w[0] < w[1]), "sorted, no duplicates");
         // Insertion order does not matter: a function of the tuple-id set.

@@ -589,7 +589,7 @@ impl Cluster {
     }
 
     /// Snapshot of every replica's protocol event journal, in replica
-    /// order (empty vectors without the `trace` feature). When a fault
+    /// order. When a fault
     /// plan is installed its network-level events (injections, partitions)
     /// are appended under the pseudo-replica [`NETWORK_REPLICA`].
     pub fn journal_events(&self) -> Vec<(ReplicaId, Vec<Event>)> {

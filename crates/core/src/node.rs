@@ -185,10 +185,9 @@ pub struct NodeStatus {
     /// Snapshot of this replica's protocol event counters.
     pub metrics: Metrics,
     /// Snapshot of this replica's per-stage latency histograms, from its
-    /// journal (empty when the `trace` feature is disabled).
+    /// journal.
     pub stages: StageSnapshot,
-    /// Queue-depth gauges with high-water marks (zeros when the `trace`
-    /// feature is disabled).
+    /// Queue-depth gauges with high-water marks.
     pub gauges: GaugeSnapshot,
     /// Wire-level counters of this replica's GCS endpoint (empty on the
     /// sim transport, which has no wire).
@@ -254,10 +253,9 @@ pub struct ReplicaNode {
     next_xact: AtomicU64,
     pub metrics: Arc<Metrics>,
     /// Protocol event journal for this replica, and the clock its stage
-    /// latencies are measured on (no-op without `trace`).
+    /// latencies are measured on.
     pub journal: Journal,
-    /// Queue-depth gauges, refreshed at mutation sites under the lock
-    /// (no-op without `trace`).
+    /// Queue-depth gauges, refreshed at mutation sites under the lock.
     pub gauges: ProtocolGauges,
     /// Cluster-wide 1-copy-SI auditor. Every protocol transition is
     /// reported to `auditor.reporter(&journal)` — one sink that checks the
@@ -401,8 +399,7 @@ impl ReplicaNode {
 
     /// Recompute the gauges. Called at mutation sites under the lock, so
     /// refreshes stay ordered with the changes they observe; applier claims
-    /// skip it (queue depth changes on push and remove). Without `trace`
-    /// the gauges are no-ops.
+    /// skip it (queue depth changes on push and remove).
     fn refresh_gauges(&self, st: &NodeState) {
         let z = st.core.sizes();
         self.gauges.ws_list_len.set(z.ws_list as u64);

@@ -89,7 +89,7 @@ pub struct RunResult {
     /// System-internal protocol counters at the end of the run.
     pub metrics: Metrics,
     /// Per-stage lifecycle latency histograms at the end of the run (empty
-    /// for systems without tracing, or with the `trace` feature off).
+    /// for systems without a journal).
     pub stages: StageSnapshot,
 }
 

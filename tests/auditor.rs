@@ -65,7 +65,6 @@ fn clean_runs_report_no_violations() {
 /// writers on two replicas and a reader run long enough for the rings to
 /// really wrap, while the third replica crashes and recovers (its journal
 /// restarts with a `ReplicaReset`).
-#[cfg(feature = "trace")]
 #[test]
 fn every_suffix_of_a_clean_runs_journals_audits_clean() {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -484,7 +483,6 @@ fn violation_count_is_capped() {
 
 /// The online wrapper: `Auditor::reporter` is the one call that feeds both
 /// the checker and the journal ring.
-#[cfg(feature = "trace")]
 #[test]
 fn auditor_report_feeds_checker_and_journal() {
     use si_rep::common::Journal;
@@ -500,19 +498,4 @@ fn auditor_report_feeds_checker_and_journal() {
     assert_eq!(j.len(), 2);
     // What went into the ring is what the offline audit then sees.
     assert_eq!(audit_scraped_journals(&[(R0, j.snapshot())]).len(), 1);
-}
-
-/// With tracing compiled out the auditor is a no-op: the same API exists
-/// and every query reports "clean".
-#[cfg(not(feature = "trace"))]
-#[test]
-fn stub_auditor_has_same_api_and_stays_clean() {
-    use si_rep::common::Journal;
-    use si_rep::core::replica::Report;
-    use si_rep::core::Auditor;
-    let a = Auditor::new();
-    a.reporter(&Journal::new(R0)).report(pass(x(0, 1), 0, 1, &[7]), &[]);
-    a.reporter(&Journal::new(R0)).report(pass(x(1, 1), 0, 2, &[7]), &[]);
-    assert!(a.is_clean());
-    assert!(a.violations().is_empty());
 }

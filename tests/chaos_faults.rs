@@ -238,18 +238,14 @@ fn every_crash_point_fires_with_its_section_5_4_outcome() {
         let c = cluster(3);
         let victim = fire(&c, point);
         wait_fired(&c, victim);
-        #[cfg(feature = "trace")]
-        {
-            let id = c.node(victim).id();
-            let fired =
-                c.journal_events().into_iter().find(|(r, _)| *r == id).map_or(0, |(_, evs)| {
-                    let here = |e: &&si_rep::common::Event| {
-                        e.kind == si_rep::common::EventKind::CrashPointFired { point }
-                    };
-                    evs.iter().filter(here).count()
-                });
-            assert_eq!(fired, 1, "{point:?}: not journaled once at replica {victim}");
-        }
+        let id = c.node(victim).id();
+        let fired = c.journal_events().into_iter().find(|(r, _)| *r == id).map_or(0, |(_, evs)| {
+            let here = |e: &&si_rep::common::Event| {
+                e.kind == si_rep::common::EventKind::CrashPointFired { point }
+            };
+            evs.iter().filter(here).count()
+        });
+        assert_eq!(fired, 1, "{point:?}: not journaled once at replica {victim}");
         let holds_the_transfer = |k: usize, when: &str| {
             assert_eq!(sum_at(&c, k), 0, "{point:?}: replica {k} {when}: total not conserved");
             assert_eq!(credited_at(&c, k), 1, "{point:?}: replica {k} {when}: transfer missing");

@@ -66,7 +66,6 @@ fn wait_parked(c: &Cluster, p: PausePoint) {
 /// snapshot (step 4) and its watermark capture (step 7): the journaled
 /// `LocalReadOnly` then claims a snapshot containing G1 while the SELECT
 /// read the pre-G1 value. The pause-point parks T1 exactly in that window.
-#[cfg(feature = "trace")]
 #[test]
 fn replay_p3_nonatomic_opt_begin_snapshot() {
     use si_rep::common::EventKind;

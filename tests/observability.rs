@@ -18,7 +18,6 @@ use si_rep::core::{Cluster, ClusterConfig, Connection};
 use std::sync::Arc;
 use std::time::Duration;
 
-#[cfg(feature = "trace")]
 use si_rep::common::{Stage, StageSnapshot};
 
 const Q: Duration = Duration::from_secs(20);
@@ -112,7 +111,6 @@ fn metrics_accounting_invariant() {
 /// A committed update transaction leaves a sample in every lifecycle stage
 /// it passes through: execute/ws-extract/deliver/validate/commit/total on
 /// the origin, deliver/validate/apply/commit on the remote replica.
-#[cfg(feature = "trace")]
 #[test]
 fn committed_txns_mark_every_stage() {
     let c = cluster(2);
@@ -163,7 +161,6 @@ fn committed_txns_mark_every_stage() {
 /// The protocol event journal captures the full lifecycle of an update
 /// transaction: begin/cert/multicast/deliver/verdict/commit at the origin,
 /// deliver/verdict/apply/commit at the remotes.
-#[cfg(feature = "trace")]
 #[test]
 fn journal_records_the_protocol_lifecycle() {
     let c = cluster(2);
@@ -206,24 +203,19 @@ fn journal_records_the_protocol_lifecycle() {
     }
 }
 
-/// With tracing compiled out, the journal API still exists but records
-/// nothing; with it on, records are kept up to the bounded capacity.
+/// The journal ring keeps the newest `capacity` events and counts the
+/// ones it dropped.
 #[test]
-fn journal_stub_has_same_api() {
+fn journal_ring_keeps_the_newest_capacity_events() {
     use si_rep::common::{EventKind, Journal, ReplicaId, XactId};
     let j = Journal::with_epoch(ReplicaId::new(0), std::time::Instant::now(), 4);
     for seq in 0..6 {
         j.record(EventKind::TxBegin { xact: XactId::new(ReplicaId::new(0), seq), gated: true });
     }
     let events = j.snapshot();
-    if cfg!(feature = "trace") {
-        assert_eq!(events.len(), 4, "ring keeps the newest `capacity` events");
-        assert_eq!(j.dropped(), 2);
-        assert_eq!(events[0].kind.name(), "tx_begin");
-    } else {
-        assert!(events.is_empty());
-        assert_eq!(j.dropped(), 0);
-    }
+    assert_eq!(events.len(), 4, "ring keeps the newest `capacity` events");
+    assert_eq!(j.dropped(), 2);
+    assert_eq!(events[0].kind.name(), "tx_begin");
 }
 
 /// The Perfetto/Chrome-trace export is well-formed JSON (checked with the
@@ -244,9 +236,7 @@ fn perfetto_export_is_valid_json() {
     si_rep::common::json_lint(&doc).unwrap_or_else(|e| panic!("invalid JSON ({e}): {doc}"));
     assert!(doc.contains("\"traceEvents\""));
     assert!(doc.contains("\"replica R0\"") && doc.contains("\"replica R1\""));
-    if cfg!(feature = "trace") {
-        assert!(doc.contains("\"ph\":\"X\""), "expected complete spans in {doc}");
-    }
+    assert!(doc.contains("\"ph\":\"X\""), "expected complete spans in {doc}");
 }
 
 /// The Prometheus rendering follows the text exposition format: every
@@ -303,7 +293,6 @@ fn prometheus_export_is_well_formed() {
 
 /// Queue-depth gauges: high-water marks never sit below a current reading,
 /// and a run that certified writesets leaves a nonzero ws_list high-water.
-#[cfg(feature = "trace")]
 #[test]
 fn gauges_track_queue_depths() {
     let c = cluster(2);
@@ -339,7 +328,6 @@ fn gauges_track_queue_depths() {
 /// stamps — within one histogram bucket per stage; at the remote,
 /// `validate_queue` is the gap between the `total_order_deliver` and
 /// `apply_start` stamps, and `apply` the gap on to `apply_done`.
-#[cfg(feature = "trace")]
 #[test]
 fn stages_are_the_journals_gaps() {
     /// How far a quantile (a bucket's lower edge) can sit below the sample:

@@ -180,21 +180,16 @@ fn donor_crash_mid_state_transfer_retries_with_another_donor() {
     assert!(c.quiesce(Q));
     assert_eq!(sum_at(&c, 1), 6);
     assert!(c.audit_is_clean());
-    // The fired point is on the donor's journal, once (trace builds only).
-    #[cfg(feature = "trace")]
-    {
-        let events = c.journal_events();
-        let fired = events.iter().find(|(id, _)| id.index() == 0).map_or(0, |(_, evs)| {
-            let fired = |e: &&sirep_common::Event| {
-                matches!(
-                    e.kind,
-                    sirep_common::EventKind::CrashPointFired {
-                        point: CrashPoint::MidStateTransfer
-                    }
-                )
-            };
-            evs.iter().filter(fired).count()
-        });
-        assert_eq!(fired, 1, "CrashPointFired must be journaled on the donor exactly once");
-    }
+    // The fired point is on the donor's journal, once.
+    let events = c.journal_events();
+    let fired = events.iter().find(|(id, _)| id.index() == 0).map_or(0, |(_, evs)| {
+        let fired = |e: &&sirep_common::Event| {
+            matches!(
+                e.kind,
+                sirep_common::EventKind::CrashPointFired { point: CrashPoint::MidStateTransfer }
+            )
+        };
+        evs.iter().filter(fired).count()
+    });
+    assert_eq!(fired, 1, "CrashPointFired must be journaled on the donor exactly once");
 }
