@@ -15,7 +15,7 @@
 //! ([`sirep_bench::time_ns`]); `SIREP_QUICK=1` shortens every run.
 
 use sirep_bench::{quick, time_ns};
-use sirep_common::{AbortReason, EventKind, GlobalTid, Journal, ReplicaId, Stage, TxnId};
+use sirep_common::{AbortReason, EventKind, GlobalTid, JournalWriter, ReplicaId, Stage, TxnId};
 use sirep_core::{WsList, XactId};
 use sirep_sql::parse;
 use sirep_storage::{
@@ -168,9 +168,10 @@ fn main() {
     // takes the journal's ring lock and stamps `at_ns`, and an event that
     // ends a stage also buckets the stage's latency in the same hold. An
     // update transaction records six events at its origin (plus three
-    // stage-only holds, `Journal::stage`) and five at each remote replica.
-    // Once the ring is full each record also evicts the oldest event.
-    let journal = Journal::new(ReplicaId::new(0));
+    // stage-only holds, `Journal::stage`) and five at each remote replica
+    // (plus one). Once the ring is full each record also evicts the oldest
+    // event.
+    let mut journal = JournalWriter::new(ReplicaId::new(0));
     let xact = XactId { origin: ReplicaId::new(0), seq: 1 };
     let tid = GlobalTid::new(1);
     let ns = time_ns(reps, iters, || journal.record(black_box(EventKind::Commit { xact, tid })));

@@ -4,10 +4,14 @@
 //! the paper's §4 adjustments — `tocommit` queue depth, `ws_list` length,
 //! open commit-order holes, applier backlog, GCS in-flight messages — go up
 //! *and down*, and what matters for capacity planning is both the current
-//! value and the worst it ever got.  A [`Gauge`] tracks exactly that pair
-//! with two relaxed atomics; [`GaugeReading`] is the plain `Copy` snapshot
-//! that reports embed, and [`GaugeSnapshot`] bundles one reading per
-//! protocol gauge for `NodeStatus`.
+//! value and the worst it ever got.  A [`GaugeReading`] is exactly that
+//! pair, a plain `Copy` value: a replica keeps its protocol gauges as
+//! readings in the state its lock guards and sets them in the hold that
+//! changed what they measure ([`GaugeReading::set`]), and reports embed
+//! them. [`GaugeSnapshot`] bundles one reading per protocol gauge for
+//! `NodeStatus`. A [`Gauge`] is the same pair in two relaxed atomics, for a
+//! count that threads move without a common lock (a TCP endpoint's pending
+//! sends).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -16,6 +20,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct GaugeReading {
     pub current: u64,
     pub high_water: u64,
+}
+
+impl GaugeReading {
+    /// Set the current value (and raise the high-water mark if exceeded).
+    pub fn set(&mut self, v: u64) {
+        self.current = v;
+        self.high_water = self.high_water.max(v);
+    }
 }
 
 /// One reading per protocol gauge, as embedded in `NodeStatus`.
@@ -146,41 +158,6 @@ impl Gauge {
     }
 }
 
-/// The per-replica protocol gauges, updated at mutation sites in the
-/// replication core and snapshotted into `NodeStatus`.
-#[derive(Debug, Default)]
-pub struct ProtocolGauges {
-    pub tocommit_depth: Gauge,
-    pub ws_list_len: Gauge,
-    pub open_holes: Gauge,
-    pub applier_backlog: Gauge,
-    pub ready_len: Gauge,
-    pub cert_index_keys: Gauge,
-}
-
-impl ProtocolGauges {
-    pub fn new() -> ProtocolGauges {
-        ProtocolGauges::default()
-    }
-
-    /// Snapshot all six local gauges plus the externally-tracked GCS
-    /// in-flight reading into one bundle.  The fault gauges are group-wide
-    /// (owned by the GCS fault plan, not the node) and default to zero here;
-    /// the cluster rollup fills them in from the group.
-    pub fn snapshot(&self, gcs_in_flight: GaugeReading) -> GaugeSnapshot {
-        GaugeSnapshot {
-            tocommit_depth: self.tocommit_depth.read(),
-            ws_list_len: self.ws_list_len.read(),
-            open_holes: self.open_holes.read(),
-            applier_backlog: self.applier_backlog.read(),
-            ready_len: self.ready_len.read(),
-            cert_index_keys: self.cert_index_keys.read(),
-            gcs_in_flight,
-            ..GaugeSnapshot::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,12 +184,27 @@ mod tests {
     }
 
     #[test]
+    fn reading_set_keeps_the_high_water_mark() {
+        let mut r = GaugeReading::default();
+        r.set(5);
+        r.set(2);
+        assert_eq!(r, GaugeReading { current: 2, high_water: 5 });
+        r.set(7);
+        assert_eq!(r, GaugeReading { current: 7, high_water: 7 });
+    }
+
+    /// A snapshot with two node gauges set, over an in-flight reading.
+    fn snapshot(gcs_in_flight: GaugeReading) -> GaugeSnapshot {
+        let mut snap = GaugeSnapshot { gcs_in_flight, ..GaugeSnapshot::default() };
+        snap.tocommit_depth.set(3);
+        snap.open_holes.set(1);
+        snap
+    }
+
+    #[test]
     fn snapshot_absorb_sums_currents_and_maxes_high_water() {
-        let gauges = ProtocolGauges::new();
-        gauges.tocommit_depth.set(3);
-        gauges.open_holes.set(1);
-        let mut a = gauges.snapshot(GaugeReading { current: 2, high_water: 9 });
-        let b = gauges.snapshot(GaugeReading { current: 4, high_water: 4 });
+        let mut a = snapshot(GaugeReading { current: 2, high_water: 9 });
+        let b = snapshot(GaugeReading { current: 4, high_water: 4 });
         a.absorb(&b);
         assert_eq!(a.tocommit_depth, GaugeReading { current: 6, high_water: 3 });
         assert_eq!(a.gcs_in_flight, GaugeReading { current: 6, high_water: 9 });
@@ -227,11 +219,8 @@ mod tests {
 
     #[test]
     fn wire_round_trips() {
-        let gauges = ProtocolGauges::new();
-        gauges.tocommit_depth.set(3);
-        gauges.ws_list_len.set(77);
-        gauges.open_holes.set(1);
-        let snap = gauges.snapshot(GaugeReading { current: 2, high_water: 9 });
+        let mut snap = snapshot(GaugeReading { current: 2, high_water: 9 });
+        snap.ws_list_len.set(77);
         let bytes = snap.to_wire();
         let back = GaugeSnapshot::from_wire(&bytes).expect("decode");
         assert_eq!(back, snap);

@@ -9,12 +9,19 @@
 //! offset from a shared epoch so timelines from different replicas align.
 //!
 //! It also answers *"where did this transaction's time go?"*: every stamp
-//! it hands out ([`Journal::record`]'s return value, [`Journal::now_ns`])
-//! is on that one timeline, and a [`Stage`] is the gap between two stamps.
-//! The ring holds one histogram per stage; an event that ends stages
-//! records them in the same lock hold ([`Journal::record_ending`]), and a
-//! stage that ends where no event is recorded is stamped by
-//! [`Journal::stage`]. [`Journal::stages`] is what `NodeStatus` reports.
+//! it hands out ([`JournalWriter::record`]'s return value,
+//! [`Journal::now_ns`]) is on that one timeline, and a [`Stage`] is the gap
+//! between two stamps. The ring holds one histogram per stage; an event that
+//! ends stages records them in the same ring-lock hold
+//! ([`JournalWriter::record_ending`]), and a stage that ends where no event
+//! is recorded is stamped by [`Journal::stage`]. [`Journal::stages`] is what
+//! `NodeStatus` reports.
+//!
+//! A ring has one [`JournalWriter`], the only handle that appends events,
+//! and any number of [`Journal`]s, which read it, stamp and sample stages.
+//! The writer is not `Clone` and appends through `&mut self`, so events
+//! are in the order of whoever owns it: a replica keeps it in the state its
+//! lock guards, the fault plan in the group's.
 //!
 //! The ring is deliberately lossy: once `capacity` events are held, the
 //! oldest is dropped and [`Journal::dropped`] counts it (stage histograms
@@ -270,12 +277,14 @@ crate::wire_codec!(enum EventKind, "event kind tag" {
 
 crate::wire_codec!(struct Event { seq, at_ns, replica, kind });
 
-/// Bounded append-only ring of protocol [`Event`]s for one replica.
-#[derive(Debug)]
+/// The read side of one replica's bounded ring of protocol [`Event`]s: its
+/// clock, its stage samples and copies of what it holds. Clones share the
+/// ring; only its [`JournalWriter`] appends events.
+#[derive(Debug, Clone)]
 pub struct Journal {
     replica: ReplicaId,
     epoch: Instant,
-    inner: Mutex<Ring>,
+    ring: Arc<Mutex<Ring>>,
 }
 
 #[derive(Debug)]
@@ -288,29 +297,6 @@ struct Ring {
 }
 
 impl Journal {
-    /// A journal with its own epoch (= now) and the default capacity.
-    pub fn new(replica: ReplicaId) -> Journal {
-        Journal::with_epoch(replica, Instant::now(), DEFAULT_JOURNAL_CAPACITY)
-    }
-
-    /// A journal stamping events relative to a shared `epoch` — pass the
-    /// same instant to every replica's journal and their snapshots merge
-    /// onto one timeline.
-    pub fn with_epoch(replica: ReplicaId, epoch: Instant, capacity: usize) -> Journal {
-        let cap = capacity.max(1);
-        Journal {
-            replica,
-            epoch,
-            inner: Mutex::new(Ring {
-                buf: VecDeque::with_capacity(cap),
-                cap,
-                next_seq: 0,
-                dropped: 0,
-                stages: StageSnapshot::default(),
-            }),
-        }
-    }
-
     /// Nanoseconds since the epoch, now: a stamp on the events' timeline.
     pub fn now_ns(&self) -> u64 {
         self.ns_at(Instant::now())
@@ -321,20 +307,86 @@ impl Journal {
         at.saturating_duration_since(self.epoch).as_nanos().min(u64::MAX as u128) as u64
     }
 
+    /// Record a `stage` sample from stamp `since` to now, for a stage that
+    /// ends where no event is recorded; returns the new stamp.
+    pub fn stage(&self, stage: Stage, since: u64) -> u64 {
+        let mut ring = self.ring.lock();
+        let now = self.now_ns();
+        ring.stages.record_ns(stage, now.saturating_sub(since));
+        now
+    }
+
+    /// Point-in-time copy of the per-stage latency histograms.
+    pub fn stages(&self) -> StageSnapshot {
+        self.ring.lock().stages.clone()
+    }
+
+    /// Point-in-time copy of the retained events, oldest first.
+    pub fn snapshot(&self) -> Vec<Event> {
+        self.ring.lock().buf.iter().cloned().collect()
+    }
+
+    /// Events currently retained.
+    pub fn len(&self) -> usize {
+        self.ring.lock().buf.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Events evicted because the ring was full.
+    pub fn dropped(&self) -> u64 {
+        self.ring.lock().dropped
+    }
+
+    /// The replica this journal records for.
+    pub fn replica(&self) -> ReplicaId {
+        self.replica
+    }
+}
+
+/// The one handle that appends events to a journal ring. It reads the ring
+/// as a [`Journal`] too (`Deref`).
+#[derive(Debug)]
+pub struct JournalWriter {
+    journal: Journal,
+}
+
+impl JournalWriter {
+    /// A journal with its own epoch (= now) and the default capacity.
+    pub fn new(replica: ReplicaId) -> JournalWriter {
+        JournalWriter::with_epoch(replica, Instant::now(), DEFAULT_JOURNAL_CAPACITY)
+    }
+
+    /// A journal stamping events relative to a shared `epoch` — pass the
+    /// same instant to every replica's journal and their snapshots merge
+    /// onto one timeline.
+    pub fn with_epoch(replica: ReplicaId, epoch: Instant, capacity: usize) -> JournalWriter {
+        let cap = capacity.max(1);
+        let ring = Ring {
+            buf: VecDeque::with_capacity(cap),
+            cap,
+            next_seq: 0,
+            dropped: 0,
+            stages: StageSnapshot::default(),
+        };
+        JournalWriter { journal: Journal { replica, epoch, ring: Arc::new(Mutex::new(ring)) } }
+    }
+
     /// Append an event stamped now; returns the stamp.
-    pub fn record(&self, kind: EventKind) -> u64 {
+    pub fn record(&mut self, kind: EventKind) -> u64 {
         self.record_ending(kind, &[])
     }
 
-    /// Append an event stamped now and, in the same lock hold, record each
-    /// `(stage, since)` as a sample from stamp `since` to this event's.
-    /// Returns the stamp. The clock is read under the ring lock, so `at_ns`
-    /// is non-decreasing in `seq` even when recorders race (the read-only
-    /// path records outside the node lock) — the Perfetto exporter turns a
-    /// decreasing pair into a negative-length span.
-    pub fn record_ending(&self, kind: EventKind, ends: &[(Stage, u64)]) -> u64 {
-        let mut ring = self.inner.lock();
-        let at_ns = self.now_ns();
+    /// Append an event stamped now and, in the same ring-lock hold, record
+    /// each `(stage, since)` as a sample from stamp `since` to this event's.
+    /// Returns the stamp. Events are appended by one owner at a time, so
+    /// `at_ns` is non-decreasing in `seq` — the Perfetto exporter would turn
+    /// a decreasing pair into a negative-length span.
+    pub fn record_ending(&mut self, kind: EventKind, ends: &[(Stage, u64)]) -> u64 {
+        let mut ring = self.journal.ring.lock();
+        let at_ns = self.journal.now_ns();
         for &(stage, since) in ends {
             ring.stages.record_ns(stage, at_ns.saturating_sub(since));
         }
@@ -344,46 +396,16 @@ impl Journal {
             ring.buf.pop_front();
             ring.dropped += 1;
         }
-        ring.buf.push_back(Event { seq, at_ns, replica: self.replica, kind });
+        ring.buf.push_back(Event { seq, at_ns, replica: self.journal.replica, kind });
         at_ns
     }
+}
 
-    /// Record a `stage` sample from stamp `since` to now, for a stage that
-    /// ends where no event is recorded; returns the new stamp.
-    pub fn stage(&self, stage: Stage, since: u64) -> u64 {
-        let mut ring = self.inner.lock();
-        let now = self.now_ns();
-        ring.stages.record_ns(stage, now.saturating_sub(since));
-        now
-    }
+impl std::ops::Deref for JournalWriter {
+    type Target = Journal;
 
-    /// Point-in-time copy of the per-stage latency histograms.
-    pub fn stages(&self) -> StageSnapshot {
-        self.inner.lock().stages.clone()
-    }
-
-    /// Point-in-time copy of the retained events, oldest first.
-    pub fn snapshot(&self) -> Vec<Event> {
-        self.inner.lock().buf.iter().cloned().collect()
-    }
-
-    /// Events currently retained.
-    pub fn len(&self) -> usize {
-        self.inner.lock().buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
-    }
-
-    /// The replica this journal records for.
-    pub fn replica(&self) -> ReplicaId {
-        self.replica
+    fn deref(&self) -> &Journal {
+        &self.journal
     }
 }
 
@@ -397,7 +419,7 @@ mod tests {
 
     #[test]
     fn events_are_sequenced_and_stamped() {
-        let j = Journal::new(r(3));
+        let mut j = JournalWriter::new(r(3));
         let a = XactId::new(r(3), 1);
         j.record(EventKind::TxBegin { xact: a, gated: true });
         j.record(EventKind::CertCapture { xact: a, cert: GlobalTid::ZERO, reads: Arc::default() });
@@ -415,7 +437,7 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_when_full() {
-        let j = Journal::with_epoch(r(0), Instant::now(), 4);
+        let mut j = JournalWriter::with_epoch(r(0), Instant::now(), 4);
         for seq in 0..10 {
             j.record(EventKind::TxBegin { xact: XactId::new(r(0), seq), gated: true });
         }
@@ -427,22 +449,26 @@ mod tests {
         assert_eq!(snap.last().unwrap().seq, 9);
     }
 
-    /// Racing recorders (the read-only path records outside the node lock)
-    /// must not store timestamps that decrease in `seq`: the clock is read
-    /// under the ring lock.
+    /// Threads that take turns on one writer (a node's threads do, through
+    /// its lock) store timestamps that never decrease in `seq`, while
+    /// readers sample stages on the same ring.
     #[test]
-    fn racing_recorders_keep_timestamps_monotone_in_seq() {
+    fn recorders_taking_turns_keep_timestamps_monotone_in_seq() {
         const THREADS: u64 = 4;
         const PER_THREAD: u64 = 20_000;
-        let j = Journal::with_epoch(r(0), Instant::now(), (THREADS * PER_THREAD) as usize);
+        let writer =
+            JournalWriter::with_epoch(r(0), Instant::now(), (THREADS * PER_THREAD) as usize);
+        let j = Journal::clone(&writer);
+        let writer = Mutex::new(writer);
         let start = std::sync::Barrier::new(THREADS as usize);
         std::thread::scope(|s| {
             for t in 0..THREADS {
-                let (j, start) = (&j, &start);
+                let (writer, j, start) = (&writer, &j, &start);
                 s.spawn(move || {
                     start.wait();
                     for i in 0..PER_THREAD {
-                        j.record(EventKind::Multicast { xact: XactId::new(r(t), i) });
+                        writer.lock().record(EventKind::Multicast { xact: XactId::new(r(t), i) });
+                        j.stage(Stage::Execute, 0);
                     }
                 });
             }
@@ -459,7 +485,7 @@ mod tests {
     /// recorded when the later one is stamped.
     #[test]
     fn stages_are_gaps_between_stamps() {
-        let j = Journal::new(r(0));
+        let mut j = JournalWriter::new(r(0));
         let x = XactId::new(r(0), 1);
         let begin = j.record(EventKind::TxBegin { xact: x, gated: true });
         assert_eq!(j.snapshot()[0].at_ns, begin);
@@ -494,8 +520,8 @@ mod tests {
     #[test]
     fn shared_epoch_aligns_replicas() {
         let epoch = Instant::now();
-        let j0 = Journal::with_epoch(r(0), epoch, 16);
-        let j1 = Journal::with_epoch(r(1), epoch, 16);
+        let mut j0 = JournalWriter::with_epoch(r(0), epoch, 16);
+        let mut j1 = JournalWriter::with_epoch(r(1), epoch, 16);
         j0.record(EventKind::ViewChange { members: 2 });
         j1.record(EventKind::ViewChange { members: 2 });
         let a = j0.snapshot()[0].at_ns;

@@ -41,10 +41,12 @@ pub mod wire;
 
 pub use clock::{precise_sleep, TimeScale};
 pub use error::{AbortReason, DbError};
-pub use gauges::{Gauge, GaugeReading, GaugeSnapshot, ProtocolGauges};
+pub use gauges::{Gauge, GaugeReading, GaugeSnapshot};
 pub use histogram::Histogram;
 pub use ids::{ClientId, GlobalTid, MemberId, ReplicaId, SessionId, TxnId, XactId};
-pub use journal::{CrashPoint, Event, EventKind, FaultKind, Journal, DEFAULT_JOURNAL_CAPACITY};
+pub use journal::{
+    CrashPoint, Event, EventKind, FaultKind, Journal, JournalWriter, DEFAULT_JOURNAL_CAPACITY,
+};
 pub use json::json_lint;
 pub use metrics::{Metrics, Rates};
 pub use stats::{ConfidenceInterval, OnlineStats};

@@ -37,7 +37,7 @@
 //! until a reset event supplies it.
 
 use crate::model::{Op, ReplicatedExecution, TxSpec};
-use sirep_common::{Event, EventKind, GlobalTid, Journal, ReplicaId, Stage, XactId};
+use sirep_common::{Event, EventKind, GlobalTid, JournalWriter, ReplicaId, Stage, XactId};
 use sirep_gcs::NETWORK_REPLICA;
 use sirep_storage::{Key, TxnHandle, WriteSet};
 use std::collections::hash_map::Entry;
@@ -637,13 +637,24 @@ impl Auditor {
     /// The one reporting call, a [`Report`] sink — what a replica core's
     /// transitions report to, and the node's shell too: each event is
     /// checked as the next of `journal`'s replica, then appended to the
-    /// journal ring with the stages it ends ([`Journal::record_ending`]),
-    /// which stamps it.
-    pub fn reporter<'a>(&'a self, journal: &'a Journal) -> impl Report + 'a {
-        move |kind: EventKind, ends: &[(Stage, u64)]| {
-            self.inner.lock().observe(journal.replica(), &kind);
-            journal.record_ending(kind, ends)
-        }
+    /// journal ring with the stages it ends
+    /// ([`JournalWriter::record_ending`]), which stamps it.
+    pub fn reporter<'a>(&'a self, journal: &'a mut JournalWriter) -> Reporter<'a> {
+        Reporter { auditor: self, journal }
+    }
+}
+
+/// [`Auditor::reporter`]'s sink: the auditor and one replica's journal
+/// writer.
+pub struct Reporter<'a> {
+    auditor: &'a Auditor,
+    journal: &'a mut JournalWriter,
+}
+
+impl Report for Reporter<'_> {
+    fn report(&mut self, kind: EventKind, ends: &[(Stage, u64)]) -> u64 {
+        self.auditor.inner.lock().observe(self.journal.replica(), &kind);
+        self.journal.record_ending(kind, ends)
     }
 }
 #[cfg(test)]

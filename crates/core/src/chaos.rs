@@ -18,6 +18,8 @@
 //!
 //! [`EventKind::CrashPointFired`]: sirep_common::EventKind::CrashPointFired
 
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use parking_lot::{Condvar, Mutex};
 use sirep_common::{CrashPoint, ReplicaId};
 use std::collections::BTreeMap;

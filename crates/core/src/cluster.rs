@@ -1,5 +1,8 @@
 //! Cluster assembly: N middleware/database replica pairs over one group.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::audit::{history_from_journals, AuditViolation, Auditor, History, HistoryGap};
 use crate::chaos::{CrashPlan, PausePoint};
 use crate::msg::ReplMsg;
@@ -7,7 +10,7 @@ use crate::node::{NodeStatus, ReplicaNode, ReplicationMode};
 use crate::session::Session;
 use parking_lot::{Mutex, RwLock};
 use sirep_common::{
-    CrashPoint, DbError, Event, GaugeSnapshot, Journal, MemberId, Metrics, ReplicaId,
+    CrashPoint, DbError, Event, GaugeSnapshot, JournalWriter, MemberId, Metrics, ReplicaId,
     StageSnapshot, TransportSnapshot, DEFAULT_JOURNAL_CAPACITY,
 };
 use sirep_gcs::{FaultConfig, Group, GroupConfig, Member, SimGroup, TcpGroup, NETWORK_REPLICA};
@@ -267,8 +270,8 @@ pub struct Cluster {
 impl Cluster {
     /// Build and start a cluster, panicking on construction failure — the
     /// right ergonomics for the sim tier, where joins cannot fail.
+    #[expect(clippy::expect_used, reason = "sim joins cannot fail; TCP deployments use try_new")]
     pub fn new(config: ClusterConfig) -> Cluster {
-        // sirep-lint: allow(no-unwrap-on-protocol-paths): construction-time only — the sim transport's joins are infallible, and tests/benches want the panic; fallible TCP deployments use try_new
         Cluster::try_new(config).expect("cluster construction failed")
     }
 
@@ -311,7 +314,7 @@ impl Cluster {
                 member.handle(),
                 config.mode,
                 None,
-                Journal::with_epoch(rid, epoch, DEFAULT_JOURNAL_CAPACITY),
+                JournalWriter::with_epoch(rid, epoch, DEFAULT_JOURNAL_CAPACITY),
                 Arc::clone(&auditor),
                 Arc::clone(&crash_plan),
             );
@@ -350,7 +353,7 @@ impl Cluster {
     }
 
     pub fn node(&self, k: usize) -> Arc<ReplicaNode> {
-        // sirep-lint: allow(no-unwrap-on-protocol-paths): accessor contract — a replica id out of range is harness misuse, panicking here is the documented behavior (like slice indexing)
+        // sirep-lint: allow(no-index-on-protocol-paths): accessor contract — a replica id out of range is harness misuse, panicking here is the documented behavior (like slice indexing)
         Arc::clone(&self.nodes.read()[k])
     }
 
@@ -545,14 +548,14 @@ impl Cluster {
             member.handle(),
             self.config.mode,
             Some(bootstrap),
-            Journal::with_epoch(rid, self.epoch, DEFAULT_JOURNAL_CAPACITY),
+            JournalWriter::with_epoch(rid, self.epoch, DEFAULT_JOURNAL_CAPACITY),
             Arc::clone(&self.auditor),
             Arc::clone(&self.crash_plan),
         );
         let threads = spawn_node_threads(&node, member, self.config.appliers)?;
         self.threads.lock().extend(threads);
-        // sirep-lint: allow(no-unwrap-on-protocol-paths): k was bounds-checked against the nodes vec at entry to recover, and n never changes after startup
-        self.nodes.write()[k] = node;
+        let mut nodes = self.nodes.write();
+        *nodes.get_mut(k).ok_or_else(|| DbError::Internal(format!("no such replica {k}")))? = node;
         Ok(())
     }
 

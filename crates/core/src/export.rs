@@ -20,7 +20,8 @@ use std::fmt::Write as _;
 /// instant event per journal record; track 1 carries transaction spans
 /// (begin → commit, abort or read-only commit at the same replica); track 2
 /// carries writeset
-/// application spans (apply_start → apply_done). Timestamps are
+/// application spans (apply_start → apply_done; `apply_done` is stamped in
+/// the commit's hold, so the span takes in the flush). Timestamps are
 /// microseconds from the journals' shared epoch, so replicas align.
 pub fn perfetto_trace_json(journals: &[(ReplicaId, Vec<Event>)]) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
@@ -276,7 +277,7 @@ pub fn shift_events(events: &mut [Event], offset_ns: i64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sirep_common::{GlobalTid, Journal};
+    use sirep_common::{GlobalTid, JournalWriter};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -287,7 +288,7 @@ mod tests {
     #[test]
     fn perfetto_document_has_spans_and_instants() {
         let epoch = Instant::now();
-        let j = Journal::with_epoch(r(0), epoch, 64);
+        let mut j = JournalWriter::with_epoch(r(0), epoch, 64);
         let x = XactId::new(r(0), 1);
         j.record(EventKind::TxBegin { xact: x, gated: true });
         j.record(EventKind::CertCapture { xact: x, cert: GlobalTid::ZERO, reads: Arc::default() });
@@ -334,7 +335,7 @@ mod tests {
 
     #[test]
     fn unmatched_span_starts_do_not_emit_spans() {
-        let j = Journal::with_epoch(r(0), Instant::now(), 64);
+        let mut j = JournalWriter::with_epoch(r(0), Instant::now(), 64);
         j.record(EventKind::ApplyStart { xact: XactId::new(r(1), 7), tid: GlobalTid::new(3) });
         let doc = perfetto_trace_json(&[(r(0), j.snapshot())]);
         assert!(!doc.contains("\"ph\":\"X\""));

@@ -45,9 +45,12 @@
 //! their verdict, each with its session's `Verdict` sender. One lock, the
 //! paper's `wsmutex` (`state`, `node-state` in lint.toml), guards the core
 //! and the group member's multicast handle, so a multicast cannot be written
-//! outside a hold. Each hold makes one core call and does the database step
-//! that must be atomic with it; the call reports its own events, through the
-//! sink `auditor.reporter(&journal)` made in the same hold:
+//! outside a hold. The same holds for the journal's writer, the auditor and
+//! the protocol gauges: they are fields of `NodeState`, so an event is
+//! appended, and a gauge set, only in the hold whose transition it describes.
+//! Each hold makes one core call and does the database step that must be
+//! atomic with it; the call reports its own events, to the sink
+//! [`NodeState::split`] hands out with the core:
 //!
 //! | hold | core call | also under the lock |
 //! |---|---|---|
@@ -55,10 +58,11 @@
 //! | local validation | `submit` | the multicast, `Multicast` |
 //! | delivery | `deliver`, `progress`, `view_change` or `marker` | a progress advert when idle |
 //! | applier claim, give-back | `claim`, `unclaim` | |
-//! | commit | `commit` | `commit_quiet` |
-//! | end of a local | `local_finished` | |
+//! | commit | `commit` | `commit_quiet`, a remote batch's `ApplyDone`s |
+//! | end of a local | `local_finished` | a read-only commit's `LocalReadOnly` |
 //! | inquiry, recovery | `inquire`, `marker_seen`, `transfer`, `reset` | the donor's database fork |
 //! | crash | `forget_locals` | `CrashPointFired` and the member's `crash_self` (their own hold) |
+//! | driver failover | | `ClientFailover` |
 //!
 //! The gates (`passes`, `holes_exist`, `may_commit`) are core queries asked
 //! in the hold they gate. Database work (reads, writes, writeset
@@ -88,14 +92,17 @@
 //! counted. `mark_crashed` wakes everybody; `WAIT_TICK` is a shutdown poll
 //! and must never be what makes progress.
 
-use crate::audit::{read_digest, Auditor};
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
+use crate::audit::{read_digest, Auditor, Reporter};
 use crate::chaos::{CrashPlan, PausePoint};
 use crate::msg::{ReplMsg, WsMsg, XactId};
 use crate::replica::{Claimed, InDoubt, ReplicaCore, Report};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use sirep_common::{
-    AbortReason, CrashPoint, DbError, EventKind, GaugeSnapshot, GlobalTid, Journal, MemberId,
-    Metrics, ProtocolGauges, ReplicaId, Stage, StageSnapshot, TransportSnapshot,
+    AbortReason, CrashPoint, DbError, EventKind, GaugeSnapshot, GlobalTid, Journal, JournalWriter,
+    MemberId, Metrics, ReplicaId, Stage, StageSnapshot, TransportSnapshot,
 };
 use sirep_gcs::{Cast, Delivery, GcsError, Member, View};
 use sirep_storage::{Database, TxnHandle};
@@ -154,11 +161,17 @@ type Core = ReplicaCore<Verdict>;
 /// never leak.
 pub struct LocalGuard {
     node: Arc<ReplicaNode>,
+    /// A read-only commit's `LocalReadOnly` and the stages it ends,
+    /// reported in the hold that ends the local.
+    read_only: Option<(EventKind, [(Stage, u64); 2])>,
 }
 
 impl Drop for LocalGuard {
     fn drop(&mut self) {
         let mut st = self.node.state.lock();
+        if let Some((done, ends)) = self.read_only.take() {
+            st.report(done, &ends);
+        }
         st.core.local_finished();
         self.node.unlock_and_wake(st, false);
     }
@@ -224,11 +237,47 @@ struct NodeState {
     /// certs on the wire) could then pass this writeset's cert and prune a
     /// conflicting entry before it validates — a lost update.
     gcs: Box<dyn Cast<ReplMsg>>,
+    /// The cluster-wide 1-copy-SI auditor, which checks every event before
+    /// `journal` records it (its own lock is a strict leaf).
+    auditor: Arc<Auditor>,
+    /// The one writer of this replica's journal ring, so events are in the
+    /// order of the transitions they describe.
+    journal: JournalWriter,
+    /// The six protocol gauges ([`NodeState::refresh_gauges`]); the group
+    /// and fault readings stay zero here.
+    gauges: GaugeSnapshot,
     /// Threads parked on `cond` right now ([`ReplicaNode::wait_state`]).
     waiters: usize,
     /// Appliers parked on `apply_cond` right now
     /// ([`ReplicaNode::wait_apply`]).
     idle: usize,
+}
+
+impl NodeState {
+    /// The core, and the sink its transitions report to: the auditor
+    /// checks each event, then the journal records it.
+    fn split(&mut self) -> (&mut Core, Reporter<'_>) {
+        (&mut self.core, self.auditor.reporter(&mut self.journal))
+    }
+
+    /// Report an event of the shell's own.
+    fn report(&mut self, kind: EventKind, ends: &[(Stage, u64)]) {
+        self.split().1.report(kind, ends);
+    }
+
+    /// Recompute the gauges. Called at mutation sites, in the hold that made
+    /// the change; applier claims skip it (queue depth changes on push and
+    /// remove).
+    fn refresh_gauges(&mut self) {
+        let z = self.core.sizes();
+        let g = &mut self.gauges;
+        g.ws_list_len.set(z.ws_list as u64);
+        g.open_holes.set(z.open_holes as u64);
+        g.cert_index_keys.set(z.cert_index_keys as u64);
+        g.tocommit_depth.set(z.queued as u64);
+        g.applier_backlog.set(z.backlog as u64);
+        g.ready_len.set(z.ready as u64);
+    }
 }
 
 /// One middleware/database replica pair.
@@ -252,16 +301,9 @@ pub struct ReplicaNode {
     /// here names the incarnation it was created under.
     next_xact: AtomicU64,
     pub metrics: Arc<Metrics>,
-    /// Protocol event journal for this replica, and the clock its stage
-    /// latencies are measured on.
+    /// Protocol event journal for this replica, read-only (its writer is in
+    /// `NodeState`), and the clock its stage latencies are measured on.
     pub journal: Journal,
-    /// Queue-depth gauges, refreshed at mutation sites under the lock.
-    pub gauges: ProtocolGauges,
-    /// Cluster-wide 1-copy-SI auditor. Every protocol transition is
-    /// reported to `auditor.reporter(&journal)` — one sink that checks the
-    /// event and appends it to the journal ring — under the state lock (the
-    /// auditor's own lock is a strict leaf).
-    auditor: Arc<Auditor>,
     /// Armed crash-points shared across the cluster (chaos harness).
     crash_plan: Arc<CrashPlan>,
 }
@@ -289,7 +331,7 @@ impl ReplicaNode {
         gcs: Box<dyn Cast<ReplMsg>>,
         mode: ReplicationMode,
         bootstrap: Option<Core>,
-        journal: Journal,
+        journal: JournalWriter,
         auditor: Arc<Auditor>,
         crash_plan: Arc<CrashPlan>,
     ) -> Arc<ReplicaNode> {
@@ -298,7 +340,9 @@ impl ReplicaNode {
         let core = bootstrap
             .unwrap_or_else(|| ReplicaCore::new(mode == ReplicationMode::SrcaRep, OUTCOME_CAP));
         let member = gcs.id();
-        let state = NodeState { core, gcs, waiters: 0, idle: 0 };
+        let reader = Journal::clone(&journal);
+        let gauges = GaugeSnapshot::default();
+        let state = NodeState { core, gcs, auditor, journal, gauges, waiters: 0, idle: 0 };
         let node = Arc::new(ReplicaNode {
             id: member.replica(),
             member,
@@ -312,16 +356,15 @@ impl ReplicaNode {
             joined: AtomicBool::new(recovered),
             next_xact: AtomicU64::new(XactId::seq_base(member.incarnation()) + 1),
             metrics: Arc::new(Metrics::new()),
-            journal,
-            gauges: ProtocolGauges::new(),
-            auditor,
+            journal: reader,
             crash_plan,
         });
         if recovered {
             // First event of the new incarnation, before the caller starts
             // any thread that could report for it.
             let mut st = node.state.lock();
-            st.core.reset(&mut node.auditor.reporter(&node.journal));
+            let (core, mut report) = st.split();
+            core.reset(&mut report);
         }
         node
     }
@@ -381,12 +424,19 @@ impl ReplicaNode {
         if !self.crash_plan.fire(point, self.id) {
             return false;
         }
-        let st = self.state.lock();
-        self.auditor.reporter(&self.journal).report(EventKind::CrashPointFired { point }, &[]);
+        let mut st = self.state.lock();
+        st.report(EventKind::CrashPointFired { point }, &[]);
         st.gcs.crash_self();
         drop(st);
         self.mark_crashed();
         true
+    }
+
+    /// A driver connection failed over to this replica after `from` crashed
+    /// (§5.4 automatic failover): the replica that takes over the client
+    /// reports it.
+    pub fn client_failover(&self, from: ReplicaId) {
+        self.state.lock().report(EventKind::ClientFailover { from }, &[]);
     }
 
     /// Block while `point` is armed for this replica — the deterministic
@@ -395,19 +445,6 @@ impl ReplicaNode {
     /// locks held, so a parked thread cannot stall unrelated progress.
     fn pause_point(&self, point: PausePoint) {
         self.crash_plan.pause_at(point, self.id);
-    }
-
-    /// Recompute the gauges. Called at mutation sites under the lock, so
-    /// refreshes stay ordered with the changes they observe; applier claims
-    /// skip it (queue depth changes on push and remove).
-    fn refresh_gauges(&self, st: &NodeState) {
-        let z = st.core.sizes();
-        self.gauges.ws_list_len.set(z.ws_list as u64);
-        self.gauges.open_holes.set(z.open_holes as u64);
-        self.gauges.cert_index_keys.set(z.cert_index_keys as u64);
-        self.gauges.tocommit_depth.set(z.queued as u64);
-        self.gauges.applier_backlog.set(z.backlog as u64);
-        self.gauges.ready_len.set(z.ready as u64);
     }
 
     pub fn id(&self) -> ReplicaId {
@@ -435,8 +472,8 @@ impl ReplicaNode {
     /// A point-in-time snapshot of this replica's protocol state, for
     /// monitoring and load-balancing decisions.
     pub fn status(&self) -> NodeStatus {
-        let st = self.state.lock();
-        self.refresh_gauges(&st);
+        let mut st = self.state.lock();
+        st.refresh_gauges();
         let z = st.core.sizes();
         NodeStatus {
             replica: self.id,
@@ -450,7 +487,7 @@ impl ReplicaNode {
             view: st.core.view().to_vec(),
             metrics: Metrics::clone(&self.metrics),
             stages: self.journal.stages(),
-            gauges: self.gauges.snapshot(st.gcs.in_flight()),
+            gauges: GaugeSnapshot { gcs_in_flight: st.gcs.in_flight(), ..st.gauges },
             transport: st.gcs.transport(),
         }
     }
@@ -545,8 +582,8 @@ impl ReplicaNode {
         // Captured atomically with the begin: the watermark this
         // transaction's snapshot reflects (no holes exist here, so every
         // tid ≤ snapshot is committed locally).
-        let report = &mut self.auditor.reporter(&self.journal);
-        let (snapshot, last_ns) = st.core.begin(xact, waited_from, report);
+        let (core, mut report) = st.split();
+        let (snapshot, last_ns) = core.begin(xact, waited_from, &mut report);
         // Commits throttled for a waiting begin may go on: we may have been
         // the last one waiting, and a local is running.
         self.unlock_and_wake(st, false);
@@ -554,7 +591,7 @@ impl ReplicaNode {
             xact,
             txn,
             snapshot,
-            guard: LocalGuard { node: Arc::clone(self) },
+            guard: LocalGuard { node: Arc::clone(self), read_only: None },
             begin_ns: waited_from.unwrap_or(last_ns),
             last_ns,
         })
@@ -564,7 +601,7 @@ impl ReplicaNode {
     /// local validation against the tocommit queue, multicast in total
     /// order, and block until the transaction's fate is decided.
     pub fn commit_local(self: &Arc<Self>, active: ActiveTxn) -> Result<(), DbError> {
-        let ActiveTxn { xact, txn, snapshot, guard: _guard, begin_ns, last_ns } = active;
+        let ActiveTxn { xact, txn, snapshot, mut guard, begin_ns, last_ns } = active;
         let requested = self.journal.stage(Stage::Execute, last_ns);
         let ws = txn.writeset();
         // Def. 3's readset, journaled at the origin only.
@@ -575,13 +612,12 @@ impl ReplicaNode {
             // locally with no multicast, no certification, no sequencer
             // round-trip. Its commit position is irrelevant for 1-copy-SI;
             // the journaled snapshot lets the auditor check the snapshot
-            // itself was hole-free.
+            // itself was hole-free. The guard reports it as the local ends.
             txn.commit()?;
             let gated = self.mode == ReplicationMode::SrcaRep;
             let done = EventKind::LocalReadOnly { xact, snapshot, gated, reads };
             let ends = [(Stage::Commit, requested), (Stage::Total, begin_ns)];
-            // sirep-lint: allow(journal-gauge-under-lock): read-only commits touch no protocol state — the event is ordered by this session thread alone, and the checker re-checks the begin-time snapshot against its own frontier, which only grows
-            self.auditor.reporter(&self.journal).report(done, &ends);
+            guard.read_only = Some((done, ends));
             Metrics::inc(&self.metrics.commits_readonly);
             return Ok(());
         }
@@ -600,8 +636,8 @@ impl ReplicaNode {
             // core journals an abort at the decision point, under the lock,
             // so it cannot interleave after a later transaction's events;
             // only the database-side rollback runs outside.
-            let report = &mut self.auditor.reporter(&self.journal);
-            let Some(cert) = st.core.submit(xact, &ws, reads, extracted, reply_tx, report) else {
+            let (core, mut report) = st.split();
+            let Some(cert) = core.submit(xact, &ws, reads, extracted, reply_tx, &mut report) else {
                 drop(st);
                 txn.abort(AbortReason::ValidationFailure);
                 Metrics::inc(&self.metrics.aborts_validation);
@@ -622,7 +658,7 @@ impl ReplicaNode {
                 txn.abort(AbortReason::ReplicaCrashed);
                 return Err(DbError::Aborted(AbortReason::ReplicaCrashed));
             }
-            self.auditor.reporter(&self.journal).report(EventKind::Multicast { xact }, &[]);
+            st.report(EventKind::Multicast { xact }, &[]);
         }
         if self.crash_point(CrashPoint::AfterMulticastBeforeLocalCommit) {
             // §5.4 case 3: the writeset is on the wire (survivors will
@@ -713,7 +749,8 @@ impl ReplicaNode {
     fn handle_view(&self, v: View) {
         let joined = v.contains(self.member);
         let mut st = self.state.lock();
-        if !st.core.view_change(v, &mut self.auditor.reporter(&self.journal)) {
+        let (core, mut report) = st.split();
+        if !core.view_change(v, &mut report) {
             return;
         }
         if joined {
@@ -724,8 +761,9 @@ impl ReplicaNode {
 
     fn handle_progress(&self, from: ReplicaId, lastvalidated: GlobalTid) {
         let mut st = self.state.lock();
-        if st.core.progress(from, lastvalidated, &mut self.auditor.reporter(&self.journal)) {
-            self.refresh_gauges(&st);
+        let (core, mut report) = st.split();
+        if core.progress(from, lastvalidated, &mut report) {
+            st.refresh_gauges();
         }
     }
 
@@ -745,9 +783,9 @@ impl ReplicaNode {
         // rule admits its commit; no service time may be charged (it
         // sleeps). Locks: `run_batch`.
         let inline = self.db.cost_model().is_free();
-        let report = &mut self.auditor.reporter(&self.journal);
-        let Some(d) = st.core.deliver(m, passed, sequenced, inline, report) else { return };
-        self.refresh_gauges(&st);
+        let (core, mut report) = st.split();
+        let Some(d) = core.deliver(m, passed, sequenced, inline, &mut report) else { return };
+        st.refresh_gauges();
         if d.tid.is_none() {
             Metrics::inc(&self.metrics.ws_discarded);
             if d.local.is_some() {
@@ -792,8 +830,8 @@ impl ReplicaNode {
                     if !self.is_alive() {
                         return;
                     }
-                    let report = &mut self.auditor.reporter(&self.journal);
-                    let claimed = st.core.claim(APPLIER_BATCH_MAX, report);
+                    let (core, mut report) = st.split();
+                    let claimed = core.claim(APPLIER_BATCH_MAX, &mut report);
                     if !claimed.is_empty() {
                         // What the bound left behind is the next applier's.
                         if st.core.sizes().ready > 0 && st.idle > 0 {
@@ -827,18 +865,17 @@ impl ReplicaNode {
         // their session thread and enter the queue already marked running).
         // A nominally-local entry without a session — transferred during
         // recovery from before our crash — is applied like any remote one.
-        // Each one's `ApplyStart` was reported by its claim.
+        // Each one's `ApplyStart` was reported by its claim; its `ApplyDone`
+        // is reported with its commit.
         let Some(handle) = self.apply_batch(&batch, wait) else {
             // Back to the ready set (harmless if the replica is down).
             let mut st = self.state.lock();
             st.core.unclaim(batch.iter().map(|e| (e.tid, e.last_ns)));
             return self.unlock_and_wake(st, true);
         };
+        // The `apply` stage ends here, before the flush charge.
         for item in &mut batch {
-            let done = EventKind::ApplyDone { xact: item.xact, tid: item.tid };
-            let applied = [(Stage::Apply, item.last_ns)];
-            // sirep-lint: allow(journal-gauge-under-lock): apply runs outside the state lock by design (the paper's adjustment 2 — appliers work in parallel); ApplyDone is ordered per-tid by the queue's running flag, not by the lock, and finalize_batch re-enters the lock for the commit records
-            item.last_ns = self.auditor.reporter(&self.journal).report(done, &applied);
+            item.last_ns = self.journal.stage(Stage::Apply, item.last_ns);
         }
         self.finalize_batch(&batch, None, handle);
     }
@@ -870,11 +907,11 @@ impl ReplicaNode {
                         continue 'retry;
                     }
                     Err(DbError::Aborted(AbortReason::Shutdown)) => return None,
-                    Err(e) => {
-                        // Schema divergence would be a bug: surface loudly.
-                        // sirep-lint: allow(no-unwrap-on-protocol-paths): a remote writeset that fails for a non-transient reason means the replicas' schemas diverged — continuing would silently fork the copies, so crash instead
-                        panic!("writeset application failed irrecoverably: {e}");
-                    }
+                    #[expect(
+                        clippy::panic,
+                        reason = "a non-transient failure means the schemas diverged: crash rather than fork the copies"
+                    )]
+                    Err(e) => panic!("writeset application failed irrecoverably: {e}"),
                 }
             }
             return Some(txn);
@@ -886,7 +923,7 @@ impl ReplicaNode {
     /// (adjustment 2) as a batch of one, with `begin_ns` its begin stamp,
     /// where its `total` stage starts. One log force outside the lock, then
     /// the engine commit and the core's bookkeeping under it, atomic with
-    /// begins.
+    /// begins; a remote batch's `ApplyDone`s are reported in that hold.
     ///
     /// The hole rule gates on the batch's *smallest* tid only. Gating on
     /// every member jointly can deadlock two appliers — batch {t1, t5}
@@ -923,9 +960,15 @@ impl ReplicaNode {
         }
         let res = txn.commit_quiet();
         debug_assert!(res.is_ok(), "validated batch failed to commit: {res:?}");
+        if begin_ns.is_none() {
+            for e in batch {
+                st.report(EventKind::ApplyDone { xact: e.xact, tid: e.tid }, &[]);
+            }
+        }
         let entries = batch.iter().map(|e| (e.tid, e.xact, e.last_ns));
-        let grew = st.core.commit(entries, begin_ns, &mut self.auditor.reporter(&self.journal));
-        self.refresh_gauges(&st);
+        let (core, mut report) = st.split();
+        let grew = core.commit(entries, begin_ns, &mut report);
+        st.refresh_gauges();
         // Successors the commits unblocked wait for an idle applier.
         self.unlock_and_wake(st, grew);
     }
@@ -948,5 +991,85 @@ impl ReplicaNode {
         self.state.lock().core.forget_locals();
         self.cond.notify_all();
         self.apply_cond.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sirep_gcs::{GroupConfig, SimGroup};
+    use sirep_storage::{Key, WriteSet, WsOp};
+
+    /// A remote writeset of transaction `seq` writing `key`, certified at
+    /// `cert`.
+    fn writeset(seq: u64, key: i64, cert: u64) -> WsMsg {
+        let origin = ReplicaId::new(1);
+        let mut ws = WriteSet::new();
+        ws.push(Arc::from("t"), Key::single(key), WsOp::Delete);
+        WsMsg {
+            origin,
+            xact: XactId::new(origin, seq),
+            cert: GlobalTid::new(cert),
+            ws: Arc::new(ws),
+        }
+    }
+
+    /// `(current, high_water)` of the six node gauges, in `GaugeSnapshot`
+    /// order: tocommit depth, ws_list length, open holes, applier backlog,
+    /// ready length, certification index keys.
+    fn readings(st: &NodeState) -> [(u64, u64); 6] {
+        let g = &st.gauges;
+        [
+            g.tocommit_depth,
+            g.ws_list_len,
+            g.open_holes,
+            g.applier_backlog,
+            g.ready_len,
+            g.cert_index_keys,
+        ]
+        .map(|r| (r.current, r.high_water))
+    }
+
+    /// Three deliveries and three commits, with the gauges refreshed after
+    /// each as the node's holds do: every gauge's current value follows the
+    /// queue, and its high-water mark keeps the worst.
+    #[test]
+    fn gauges_follow_a_scripted_queue_and_keep_their_high_water() {
+        let member = SimGroup::<ReplMsg>::new(GroupConfig::instant()).join();
+        let mut st = NodeState {
+            core: ReplicaCore::new(true, 64),
+            gcs: Member::handle(&member),
+            auditor: Arc::new(Auditor::new()),
+            journal: JournalWriter::new(ReplicaId::new(0)),
+            gauges: GaugeSnapshot::default(),
+            waiters: 0,
+            idle: 0,
+        };
+        // t1 and t2 write key 1 (t2 certified after t1, so it passes and
+        // waits behind it); t3 writes key 2.
+        for (seq, key, cert) in [(1, 1, 0), (2, 1, 1), (3, 2, 0)] {
+            let m = writeset(seq, key, cert);
+            let passed = st.core.passes(m.cert, &m.ws);
+            let (core, mut report) = st.split();
+            assert!(core
+                .deliver(&m, passed, 0, false, &mut report)
+                .is_some_and(|d| d.tid.is_some()));
+            st.refresh_gauges();
+        }
+        assert_eq!(readings(&st), [(3, 3), (3, 3), (0, 0), (3, 3), (2, 2), (2, 2)]);
+        let script = [
+            // t3 commits first: t1 and t2 are holes below it.
+            (3, [(2, 3), (3, 3), (2, 2), (2, 3), (1, 2), (2, 2)]),
+            // t1 closes its hole and releases t2.
+            (1, [(1, 3), (3, 3), (1, 2), (1, 3), (1, 2), (2, 2)]),
+            (2, [(0, 3), (3, 3), (0, 2), (0, 3), (0, 2), (2, 2)]),
+        ];
+        for (seq, want) in script {
+            let xact = XactId::new(ReplicaId::new(1), seq);
+            let (core, mut report) = st.split();
+            core.commit([(GlobalTid::new(seq), xact, 0)], None, &mut report);
+            st.refresh_gauges();
+            assert_eq!(readings(&st), want, "after committing t{seq}");
+        }
     }
 }

@@ -8,6 +8,9 @@
 //! through `order`, so nothing decided from it depends on the map's
 //! iteration order.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::msg::{Outcome, XactId};
 use std::collections::{HashMap, VecDeque};
 

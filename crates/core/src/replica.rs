@@ -19,6 +19,10 @@
 //! sirep-model explores every interleaving of a few cores and checks
 //! DESIGN.md §17's P1–P7 on them.
 
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::audit::key_digest;
 use crate::msg::{Outcome, WsMsg, XactId};
 use crate::outcomes::OutcomeLog;

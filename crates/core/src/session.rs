@@ -6,6 +6,9 @@
 //! drives the replication protocol, and abort errors doom the transaction
 //! until the next statement starts a fresh one.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::msg::XactId;
 use crate::node::{ActiveTxn, ReplicaNode};
 use sirep_common::{AbortReason, DbError, Metrics, StageSnapshot};
@@ -263,12 +266,10 @@ impl System for crate::cluster::Cluster {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static NEXT: AtomicUsize = AtomicUsize::new(0);
         let alive = self.alive();
-        if alive.is_empty() {
-            return Err(DbError::Aborted(AbortReason::ReplicaCrashed));
-        }
-        let pick = NEXT.fetch_add(1, Ordering::Relaxed) % alive.len();
-        // sirep-lint: allow(no-unwrap-on-protocol-paths): pick < alive.len() by the modulo, and alive was checked nonempty above
-        Ok(Box::new(Session::new(Arc::clone(&alive[pick]))))
+        let pick = NEXT.fetch_add(1, Ordering::Relaxed).checked_rem(alive.len());
+        let node = pick.and_then(|i| alive.get(i));
+        let node = node.ok_or(DbError::Aborted(AbortReason::ReplicaCrashed))?;
+        Ok(Box::new(Session::new(Arc::clone(node))))
     }
 
     fn metrics(&self) -> Metrics {

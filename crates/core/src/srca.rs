@@ -11,6 +11,9 @@
 //! [`crate::node::ReplicaNode`] implements in
 //! [`crate::node::ReplicationMode`]'s `SrcaOpt` (1+2) and `SrcaRep` (1+2+3).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::msg::XactId;
 use crate::session::Connection;
 use crate::validation::WsList;
@@ -278,7 +281,11 @@ fn apply_remote(sh: &Arc<Shared>, k: usize, ws: &WriteSet) -> Option<TxnHandle> 
             Err(DbError::Aborted(AbortReason::Deadlock))
             | Err(DbError::Aborted(AbortReason::SerializationFailure)) => {}
             Err(DbError::Aborted(AbortReason::Shutdown)) => return None,
-            Err(e) => panic!("writeset application failed irrecoverably: {e}"), // sirep-lint: allow(no-unwrap-on-protocol-paths): non-transient apply failure = schema divergence across copies; crashing beats a silent fork (mirrors node.rs apply_batch)
+            #[expect(
+                clippy::panic,
+                reason = "a non-transient failure means the schemas diverged: crash rather than fork the copies"
+            )]
+            Err(e) => panic!("writeset application failed irrecoverably: {e}"),
         }
     }
 }

@@ -31,6 +31,9 @@
 //! hole, so under the commit rule (`ReplicaCore::may_commit`) holes always
 //! drain.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::msg::XactId;
 use sirep_common::GlobalTid;
 use sirep_storage::{IdMap, WriteSet};
@@ -192,7 +195,7 @@ impl TocommitQueue {
     /// running.
     pub fn pop_ready(&mut self) -> Option<&QEntry> {
         let tid = self.ready.pop_first()?;
-        // sirep-lint: allow(no-unwrap-on-protocol-paths): ready ⊆ entries is the queue's structural invariant (every insert/remove maintains it); a miss is a corrupted queue, not a runtime condition
+        #[expect(clippy::expect_used, reason = "ready ⊆ entries is the queue's invariant")]
         let e = self.entries.get_mut(&tid).expect("ready tid must be queued");
         debug_assert!(!e.running && e.blockers == 0);
         e.running = true;
@@ -236,9 +239,9 @@ impl TocommitQueue {
             let Some(list) = self.waiters.get_mut(id) else { continue };
             if let Some(pos) = list.iter().position(|&t| t == tid) {
                 list.remove(pos);
-                // sirep-lint: allow(no-unwrap-on-protocol-paths): pos came from position() on this very list — in range by construction
-                for &succ in &list[pos..] {
-                    let s = self.entries.get_mut(&succ).expect("waiter must be queued"); // sirep-lint: allow(no-unwrap-on-protocol-paths): waiter lists only hold queued tids (the queue's structural invariant)
+                for &succ in list.iter().skip(pos) {
+                    #[expect(clippy::expect_used, reason = "waiter lists hold only queued tids")]
+                    let s = self.entries.get_mut(&succ).expect("waiter must be queued");
                     s.blockers -= 1;
                     if s.blockers == 0 && !s.running {
                         self.ready.insert(succ);

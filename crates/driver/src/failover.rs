@@ -26,6 +26,9 @@
 //! which callers must not blindly retry. Only the TCP link can lose a reply;
 //! an error *reply* always carries the id.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use sirep_common::{AbortReason, DbError};
 use sirep_core::{InDoubt, Outcome, XactId};
 use sirep_sql::ExecResult;

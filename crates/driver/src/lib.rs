@@ -31,6 +31,9 @@
 //! conn.commit().unwrap();
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 pub mod failover;
 pub mod remote;
 pub mod telemetry;
@@ -155,9 +158,7 @@ impl Connector for Driver {
     fn connect(&self, avoid: Option<&Session>, autocommit: bool) -> Option<Session> {
         let next = self.discover(avoid.map(Session::node))?;
         if let Some(from) = avoid {
-            // The failover is visible in the *new* replica's journal: it is
-            // the one that takes over the client.
-            next.journal.record(sirep_common::EventKind::ClientFailover { from: from.node().id() });
+            next.client_failover(from.node().id());
         }
         Some(Session::with_autocommit(next, autocommit))
     }

@@ -12,6 +12,9 @@
 //!   ([`crate::failover`]) as [`DriverConnection`](crate::DriverConnection),
 //!   over a framed-TCP link and an address list.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::failover::{Backoff, Connector, Failover, Link, INQUIRY_ATTEMPTS};
 use sirep_common::wire::{read_frame, write_frame};
 use sirep_common::DbError;

@@ -26,10 +26,12 @@
 //! seed over the same message stream reproduces a byte-identical schedule
 //! (see `fault_schedule_is_deterministic` in the chaos harness).
 
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sirep_common::journal::FaultKind;
-use sirep_common::{EventKind, Gauge, Journal, ReplicaId};
+use sirep_common::{EventKind, GaugeReading, Journal, JournalWriter, ReplicaId};
 use std::collections::BTreeSet;
 
 /// The journal "replica" that network-level fault events are attributed to:
@@ -145,7 +147,7 @@ const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 /// group lock (so records and journal events are totally ordered too).
 pub(crate) struct FaultState {
     pub cfg: FaultConfig,
-    journal: Journal,
+    journal: JournalWriter,
     /// Global message index: one per broadcast, the x-axis of the schedule.
     msg_index: u64,
     /// Members (raw ids) currently cut off by a partition.
@@ -160,13 +162,13 @@ pub(crate) struct FaultState {
     fingerprint: u64,
     records: u64,
     /// Total faults injected (monotone gauge).
-    pub injected: Gauge,
+    pub injected: GaugeReading,
     /// Currently isolated member count / widest partition ever.
-    pub partitioned: Gauge,
+    pub partitioned: GaugeReading,
 }
 
 impl FaultState {
-    pub fn new(cfg: FaultConfig, journal: Journal) -> FaultState {
+    pub fn new(cfg: FaultConfig, journal: JournalWriter) -> FaultState {
         FaultState {
             cfg,
             journal,
@@ -177,8 +179,8 @@ impl FaultState {
             log: Vec::new(),
             fingerprint: FNV_OFFSET,
             records: 0,
-            injected: Gauge::new(),
-            partitioned: Gauge::new(),
+            injected: GaugeReading::default(),
+            partitioned: GaugeReading::default(),
         }
     }
 
@@ -271,7 +273,7 @@ impl FaultState {
 
     /// Record one injected per-copy fault.
     pub fn note(&mut self, kind: FaultKind, msg: u64, member: u64) {
-        self.injected.add(1);
+        self.injected.set(self.injected.current + 1);
         self.journal.record(EventKind::FaultInjected { fault: kind, msg, member });
         self.push_record(FaultRecord::Fault { msg, member, kind });
     }
@@ -323,14 +325,14 @@ mod tests {
 
     #[test]
     fn decisions_are_pure_functions_of_inputs() {
-        let st = FaultState::new(FaultConfig::chaos(7), Journal::new(NETWORK_REPLICA));
+        let st = FaultState::new(FaultConfig::chaos(7), JournalWriter::new(NETWORK_REPLICA));
         for msg in 0..64 {
             for member in 0..4 {
                 assert_eq!(st.decide(msg, member), st.decide(msg, member));
             }
         }
         // A different seed gives a different schedule somewhere.
-        let other = FaultState::new(FaultConfig::chaos(8), Journal::new(NETWORK_REPLICA));
+        let other = FaultState::new(FaultConfig::chaos(8), JournalWriter::new(NETWORK_REPLICA));
         assert!(
             (0..256).any(|m| st.decide(m, 0) != other.decide(m, 0)),
             "seeds 7 and 8 produced identical 256-message schedules"
@@ -339,7 +341,7 @@ mod tests {
 
     #[test]
     fn quiet_plan_injects_nothing() {
-        let st = FaultState::new(FaultConfig::quiet(1), Journal::new(NETWORK_REPLICA));
+        let st = FaultState::new(FaultConfig::quiet(1), JournalWriter::new(NETWORK_REPLICA));
         for msg in 0..128 {
             assert_eq!(st.decide(msg, 0), FaultDecision::default());
             assert!(st.plan_partition(msg, &[0, 1, 2]).is_none());
@@ -349,7 +351,8 @@ mod tests {
     #[test]
     fn fingerprint_reflects_records_in_order() {
         let run = || {
-            let mut st = FaultState::new(FaultConfig::chaos(3), Journal::new(NETWORK_REPLICA));
+            let mut st =
+                FaultState::new(FaultConfig::chaos(3), JournalWriter::new(NETWORK_REPLICA));
             st.note(FaultKind::Drop, 0, 1);
             st.begin_partition(1, vec![2], false);
             st.end_partition(4);
@@ -358,7 +361,8 @@ mod tests {
         };
         assert_eq!(run(), run());
         let (fp, _) = run();
-        let mut reordered = FaultState::new(FaultConfig::chaos(3), Journal::new(NETWORK_REPLICA));
+        let mut reordered =
+            FaultState::new(FaultConfig::chaos(3), JournalWriter::new(NETWORK_REPLICA));
         reordered.note(FaultKind::ExtraDelay, 2, 0);
         reordered.note(FaultKind::Drop, 0, 1);
         assert_ne!(reordered.fingerprint().0, fp.0);
@@ -368,7 +372,7 @@ mod tests {
     fn planned_partitions_isolate_a_proper_subset() {
         let st = FaultState::new(
             FaultConfig { partition_prob: 1.0, partition_len_msgs: 10, ..FaultConfig::quiet(5) },
-            Journal::new(NETWORK_REPLICA),
+            JournalWriter::new(NETWORK_REPLICA),
         );
         let live = [0u64, 1, 2, 3];
         let picked = st.plan_partition(9, &live).expect("prob 1.0 must partition");

@@ -26,7 +26,8 @@ use crate::traits::{Cast, Delivery, GcsError, Group, Member, View, HELD_SEND_SEQ
 use parking_lot::{Condvar, Mutex};
 use sirep_common::journal::FaultKind;
 use sirep_common::{
-    precise_sleep, Event, GaugeReading, Journal, MemberId, TimeScale, DEFAULT_JOURNAL_CAPACITY,
+    precise_sleep, Event, GaugeReading, JournalWriter, MemberId, TimeScale,
+    DEFAULT_JOURNAL_CAPACITY,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -389,7 +390,7 @@ impl<M: Clone + Send + 'static> Group<M> for SimGroup<M> {
     }
 
     fn install_faults_with_epoch(&self, cfg: FaultConfig, epoch: Instant) {
-        let journal = Journal::with_epoch(NETWORK_REPLICA, epoch, DEFAULT_JOURNAL_CAPACITY);
+        let journal = JournalWriter::with_epoch(NETWORK_REPLICA, epoch, DEFAULT_JOURNAL_CAPACITY);
         self.inner.state.lock().faults = Some(FaultState::new(cfg, journal));
     }
 
@@ -400,7 +401,7 @@ impl<M: Clone + Send + 'static> Group<M> for SimGroup<M> {
     fn partition(&self, members: &[MemberId]) {
         let mut st = self.inner.state.lock();
         st.faults.get_or_insert_with(|| {
-            FaultState::new(FaultConfig::quiet(0), Journal::new(NETWORK_REPLICA))
+            FaultState::new(FaultConfig::quiet(0), JournalWriter::new(NETWORK_REPLICA))
         });
         st.heal(&self.inner.config);
         let mut isolated: Vec<u64> =
@@ -433,7 +434,7 @@ impl<M: Clone + Send + 'static> Group<M> for SimGroup<M> {
 
     fn fault_gauges(&self) -> Option<(GaugeReading, GaugeReading)> {
         let st = self.inner.state.lock();
-        st.faults.as_ref().map(|f| (f.injected.read(), f.partitioned.read()))
+        st.faults.as_ref().map(|f| (f.injected, f.partitioned))
     }
 
     fn fault_journal(&self) -> Vec<Event> {

@@ -40,6 +40,8 @@
 //! delays an append. [`SeqLog::trim`] drops what every cursor has passed;
 //! indices stay absolute, so trimming is invisible to the cursors.
 
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use sirep_common::MemberId;
 use std::collections::{vec_deque, BTreeMap, VecDeque};
 

@@ -6,6 +6,9 @@
 //! member, so one sequencer binary serves any `M: Wire`. Member ids travel
 //! as raw `u64`s; each one is its `(replica, incarnation)` (`MemberId`).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use sirep_common::wire::{Wire, WireError, WireReader};
 
 /// An opaque, bulk-encoded byte payload. `Vec<u8>` through the generic

@@ -26,6 +26,9 @@
 //! rolls the endpoints it created up, dropped ones included, so
 //! `Group::transport()` stays monotonic across member churn.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 pub mod frames;
 pub mod seq;
 

@@ -22,6 +22,9 @@
 //! change. There is no failure *suspicion* — exactly the crash-stop model
 //! the paper assumes.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use super::frames::{DownFrame, UpFrame};
 use crate::seqlog::SeqLog;
 use parking_lot::{Condvar, Mutex};

@@ -4,13 +4,13 @@
 //! execution: a guard dropped inside one `match` arm looked dropped in
 //! every arm, and a guard acquired in an `if` branch leaked into the code
 //! after the join. This module parses a function body's token stream into
-//! a structured node tree (if/else, match, loops, early returns, `?`) and
+//! a structured node tree (if/else, match, loops, early returns) and
 //! lowers it to explicit basic blocks over *guard ops*, so the dataflow
 //! pass in [`crate::dataflow`] can compute path-sensitive guard liveness.
 //!
 //! Still syn-free: the parse is brace/paren structure plus a handful of
 //! keywords, exactly like [`crate::scopes`]. Known approximations (all
-//! conservative, all documented in DESIGN.md §18):
+//! conservative, all documented in DESIGN.md §13.6):
 //!
 //! - Control flow *inside parenthesized regions* (closure arguments,
 //!   `match` used as a call argument) is walked linearly; its events are
@@ -48,12 +48,8 @@ pub enum Op {
     Kill { sites: Vec<usize> },
     /// A dotted/path call `a.b.c(` (lock expressions excluded).
     Call { path: Vec<String>, line: u32 },
-    /// A macro invocation `name!(..)`.
-    Macro { name: String, line: u32 },
     /// An index expression `expr[...]`.
     Index { line: u32 },
-    /// The `?` operator: an edge to the exit block splits off here.
-    Try,
 }
 
 #[derive(Debug, Default)]
@@ -415,8 +411,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Core linear walk, ported from the old token walker: emits guard
-    /// acquisitions, `drop(..)` releases, calls, macros, and index
-    /// expressions until `stop(self)` holds at nest depth 0. Inside
+    /// acquisitions, `drop(..)` releases, calls and index expressions until `stop(self)` holds at nest depth 0. Inside
     /// parens/brackets — and, when linearizing, inner braces (closure
     /// bodies in call arguments) — everything is walked linearly, with
     /// brace scopes still closing the guards they created.
@@ -473,10 +468,6 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                TokKind::Punct('?') => {
-                    ops.push(Op::Try);
-                    self.pos += 1;
-                }
                 TokKind::Punct(';') => {
                     // A `;` inside a nested brace (closure body statement):
                     // momentary guards opened there die now.
@@ -519,20 +510,6 @@ impl<'a> Parser<'a> {
                     }
                 }
                 TokKind::Ident(_) => {
-                    // Macro call?
-                    if self.toks.get(self.pos + 1).is_some_and(|t| t.is_punct('!'))
-                        && self
-                            .toks
-                            .get(self.pos + 2)
-                            .is_some_and(|t| t.is_punct('(') || t.is_punct('[') || t.is_punct('{'))
-                    {
-                        ops.push(Op::Macro {
-                            name: t.ident().unwrap_or_default().to_string(),
-                            line: t.line,
-                        });
-                        self.pos += 1;
-                        continue;
-                    }
                     // Dotted/path call chain ending in `(`.
                     if let Some((path, end)) = call_chain(self.toks, self.pos) {
                         let line = self.toks[end - 1].line;
@@ -691,15 +668,6 @@ impl Lower {
 
     fn emit(&mut self, op: Op) {
         match op {
-            Op::Try => {
-                // `?` splits the block: error path to exit, success path
-                // falls through into a fresh block.
-                let cur = self.cur;
-                self.edge(cur, self.exit);
-                let next = self.new_block();
-                self.edge(cur, next);
-                self.cur = next;
-            }
             Op::Kill { ref sites } if sites.is_empty() => {}
             op => self.blocks[self.cur].ops.push(op),
         }
@@ -784,8 +752,6 @@ impl Lower {
                     self.emit(op);
                 }
                 self.emit(Op::Kill { sites: cond_sites });
-                // `?` in the condition may have split the head.
-                let head = self.cur;
                 let exit = self.new_block();
                 if conditional {
                     self.edge(head, exit);

@@ -3,8 +3,7 @@
 //! The workspace builds offline with no registry access, so there is no
 //! `toml` crate to lean on; this module hand-rolls the small TOML subset
 //! the config actually uses — `[table]`, `[[array-of-tables]]`, dotted
-//! section names, string / array-of-string / bool / integer values, and
-//! `#` comments. Anything outside that subset is a hard error, not a
+//! section names, string and array-of-string values, and `#` comments. Anything outside that subset is a hard error, not a
 //! silent skip: a config typo must fail the build, or the lint it was
 //! meant to configure silently stops checking.
 
@@ -14,8 +13,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Str(String),
-    Bool(bool),
-    Int(i64),
     Array(Vec<Value>),
     Table(BTreeMap<String, Value>),
     /// `[[name]]` array-of-tables.
@@ -237,15 +234,7 @@ fn parse_value(s: &str, line: usize) -> Result<Value, ConfigError> {
         }
         return Ok(Value::Array(items));
     }
-    match s {
-        "true" => return Ok(Value::Bool(true)),
-        "false" => return Ok(Value::Bool(false)),
-        _ => {}
-    }
-    if let Ok(n) = s.parse::<i64>() {
-        return Ok(Value::Int(n));
-    }
-    err(line, format!("unsupported value `{s}` (string/bool/int/array only)"))
+    err(line, format!("unsupported value `{s}` (strings and arrays of them only)"))
 }
 
 /// Split on commas outside quotes.
@@ -292,13 +281,6 @@ pub fn get_str(tbl: &BTreeMap<String, Value>, key: &str) -> Option<String> {
     }
 }
 
-pub fn get_bool(tbl: &BTreeMap<String, Value>, key: &str, default: bool) -> bool {
-    match tbl.get(key) {
-        Some(Value::Bool(b)) => *b,
-        _ => default,
-    }
-}
-
 pub fn get_table_array<'a>(
     tbl: &'a BTreeMap<String, Value>,
     key: &str,
@@ -329,8 +311,6 @@ mod tests {
 # comment
 [workspace]
 roots = ["crates", "src"]
-strict = true
-cap = 42
 
 [[lock-class]]
 name = "node-state"
@@ -345,7 +325,6 @@ edges = ["a < b"]
         let root = parse(src).unwrap();
         let ws = get_table(&root, "workspace").unwrap();
         assert_eq!(get_str_list(ws, "roots"), vec!["crates", "src"]);
-        assert!(get_bool(ws, "strict", false));
         let classes = get_table_array(&root, "lock-class");
         assert_eq!(classes.len(), 2);
         assert_eq!(get_str(classes[0], "name").unwrap(), "node-state");
@@ -357,6 +336,7 @@ edges = ["a < b"]
     #[test]
     fn typos_fail_loudly() {
         assert!(parse("key = unquoted").is_err());
+        assert!(parse("strict = true").is_err(), "no option takes a bool");
         assert!(parse("[unclosed").is_err());
         assert!(parse("a = \"x\"\na = \"y\"").is_err(), "duplicate keys rejected");
         assert!(parse("= \"v\"").is_err());

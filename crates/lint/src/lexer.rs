@@ -1,6 +1,6 @@
 //! A minimal Rust lexer: just enough fidelity for token-level invariant
 //! checking. Comments and string/char literal *contents* never reach the
-//! rules (so an `unwrap()` in a doc example cannot trip the panic rule),
+//! rules (so a `write_all(..)` in a doc example cannot trip a lock rule),
 //! but `// sirep-lint:` suppression directives are parsed out of comments
 //! and surfaced separately with their line numbers.
 //!
@@ -25,8 +25,7 @@ pub enum TokKind {
     /// Lifetime, without the leading quote (`'a` → `a`).
     Lifetime(String),
     /// Any literal: string, raw string, byte string, char, number. Its
-    /// text is dropped, so an `unwrap()` inside a string cannot trip the
-    /// panic rule.
+    /// text is dropped, so a call inside a string cannot trip a rule.
     Literal,
 }
 

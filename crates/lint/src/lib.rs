@@ -1,8 +1,9 @@
 //! sirep-lint: workspace invariant checker for SI-Rep.
 //!
-//! Enforces the lock-discipline and determinism invariants the SRCA-Rep
-//! protocol depends on (DESIGN.md §13, §18). Seven named rules, each
-//! individually suppressable per-site with a written justification:
+//! Enforces the lock-discipline invariants the SRCA-Rep protocol depends
+//! on, and the index ban on protocol paths (DESIGN.md §13). Five named
+//! rules, each individually suppressable per-site with a written
+//! justification:
 //!
 //! - an inline directive on or directly above the offending line:
 //!   `// sirep-lint: allow(<rule>): <why this site is safe>`
@@ -15,7 +16,7 @@
 //! suppressions from warnings to a failing exit.
 //!
 //! Guard-sensitive rules run over a per-function control-flow graph
-//! ([`cfg`]) with fixed-point may/must guard liveness ([`dataflow`]).
+//! ([`cfg`]) with fixed-point may-held guard liveness ([`dataflow`]).
 
 pub mod cfg;
 pub mod config;
@@ -25,8 +26,8 @@ pub mod rules;
 pub mod scopes;
 
 use rules::{
-    CheckerConfig, JournalGaugeRule, LockClass, LockCoverageRule, LockOrderRule, NoBlockingRule,
-    NoIoRule, NoUnwrapRule, NondetRule, Violation, ALL_RULES, RULE_DIRECTIVE,
+    CheckerConfig, LockClass, LockCoverageRule, LockOrderRule, NoBlockingRule, NoIndexRule,
+    NoIoRule, Violation, ALL_RULES, RULE_DIRECTIVE,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -168,42 +169,8 @@ pub fn load_config_str(src: &str) -> Result<LintConfig, String> {
                 ));
             }
         }
-        // `[[rules.journal-gauge-under-lock]]` repeats per scope: different
-        // files require different locks (node events under node-state,
-        // fault events under gcs-group).
-        let jg_scopes: Vec<&BTreeMap<String, config::Value>> =
-            match rules_tbl.get(rules::RULE_JOURNAL_GAUGE) {
-                Some(config::Value::Table(t)) => vec![t],
-                Some(config::Value::TableArray(_)) => {
-                    config::get_table_array(rules_tbl, rules::RULE_JOURNAL_GAUGE)
-                }
-                _ => Vec::new(),
-            };
-        for t in jg_scopes {
-            let requires = config::get_str(t, "requires")
-                .ok_or("lint.toml: journal-gauge-under-lock needs `requires`")?;
-            require_class(&cfg.checker, &requires)?;
-            cfg.checker.journal_gauge.push(JournalGaugeRule {
-                files: config::get_str_list(t, "files"),
-                calls: config::get_str_list(t, "calls"),
-                gauge_owners: config::get_str_list(t, "gauge-owners"),
-                gauge_methods: config::get_str_list(t, "gauge-methods"),
-                requires,
-            });
-        }
-        if let Some(t) = config::get_table(rules_tbl, rules::RULE_NONDET) {
-            cfg.checker.nondet = Some(NondetRule {
-                files: config::get_str_list(t, "files"),
-                banned: config::get_str_list(t, "banned"),
-            });
-        }
-        if let Some(t) = config::get_table(rules_tbl, rules::RULE_NO_UNWRAP) {
-            cfg.checker.no_unwrap = Some(NoUnwrapRule {
-                files: config::get_str_list(t, "files"),
-                methods: config::get_str_list(t, "methods"),
-                macros: config::get_str_list(t, "macros"),
-                ban_indexing: config::get_bool(t, "ban-indexing", false),
-            });
+        if let Some(t) = config::get_table(rules_tbl, rules::RULE_NO_INDEX) {
+            cfg.checker.no_index = Some(NoIndexRule { files: config::get_str_list(t, "files") });
         }
         if let Some(t) = config::get_table(rules_tbl, rules::RULE_LOCK_ORDER) {
             cfg.checker.lock_order =
@@ -267,7 +234,7 @@ fn require_class(checker: &CheckerConfig, name: &str) -> Result<(), String> {
     if checker.classes.iter().any(|c| c.name == name) {
         Ok(())
     } else {
-        cfg_err(format!("lint.toml: `requires = \"{name}\"` names an undeclared lock-class"))
+        cfg_err(format!("lint.toml: `{name}` names an undeclared lock-class"))
     }
 }
 
@@ -294,7 +261,6 @@ pub fn check_file(
     for f in &funcs {
         rules::check_func(f, file, &cfg.checker, &mut raw);
     }
-    rules::check_nondet(&toks, &funcs, file, &cfg.checker, &mut raw);
     rules::check_lock_coverage(&toks, &funcs, file, &cfg.checker, &mut raw);
 
     // Directive hygiene first: malformed, unknown-rule, or reason-less
@@ -499,10 +465,9 @@ acquire-fns = ["multicast_total"]
 [lock-order]
 edges = ["node-state < gcs-group"]
 
-[[rules.journal-gauge-under-lock]]
+[rules.no-io-under-lock]
 files = ["node.rs"]
-calls = ["journal.record"]
-requires = "node-state"
+calls = ["write_all"]
 "#;
 
     fn lint_one(cfg: &LintConfig, src: &str) -> FileResult {
@@ -513,16 +478,16 @@ requires = "node-state"
     #[test]
     fn end_to_end_violation_and_suppression() {
         let cfg = load_config_str(MINI_CFG).unwrap();
-        let bad = "impl N { fn f(&self) { self.journal.record(e); } }";
+        let bad = "impl N { fn f(&self) { let st = self.state.lock(); self.sock.write_all(b); } }";
         assert_eq!(lint_one(&cfg, bad).violations.len(), 1);
 
-        let ok = "impl N { fn f(&self) { let st = self.state.lock(); \
-                  self.journal.record(e); } }";
+        let ok = "impl N { fn f(&self) { { let st = self.state.lock(); } \
+                  self.sock.write_all(b); } }";
         assert!(lint_one(&cfg, ok).violations.is_empty());
 
-        let suppressed = "impl N { fn f(&self) {\n\
-             // sirep-lint: allow(journal-gauge-under-lock): read-only commit, ordered by its session\n\
-             self.journal.record(e); } }";
+        let suppressed = "impl N { fn f(&self) { let st = self.state.lock();\n\
+             // sirep-lint: allow(no-io-under-lock): a test socket nobody else waits on\n\
+             self.sock.write_all(b); } }";
         let res = lint_one(&cfg, suppressed);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
     }
@@ -530,9 +495,9 @@ requires = "node-state"
     #[test]
     fn suppression_without_reason_is_a_violation() {
         let cfg = load_config_str(MINI_CFG).unwrap();
-        let src = "impl N { fn f(&self) {\n\
-             // sirep-lint: allow(journal-gauge-under-lock)\n\
-             self.journal.record(e); } }";
+        let src = "impl N { fn f(&self) { let st = self.state.lock();\n\
+             // sirep-lint: allow(no-io-under-lock)\n\
+             self.sock.write_all(b); } }";
         let res = lint_one(&cfg, src);
         // Both the original violation (unsuppressed) and the bad directive.
         assert_eq!(res.violations.len(), 2, "{:?}", res.violations);
@@ -541,9 +506,8 @@ requires = "node-state"
 
     #[test]
     fn toml_suppression_requires_reason() {
-        let bad = format!(
-            "{MINI_CFG}\n[[suppress]]\nrule = \"journal-gauge-under-lock\"\nfile = \"node.rs\"\n"
-        );
+        let bad =
+            format!("{MINI_CFG}\n[[suppress]]\nrule = \"no-io-under-lock\"\nfile = \"node.rs\"\n");
         assert!(load_config_str(&bad).is_err());
     }
 

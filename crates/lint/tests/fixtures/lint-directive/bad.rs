@@ -2,8 +2,8 @@
 // unknown rule are violations in their own right.
 impl Node {
     fn f(&self) {
-        // sirep-lint: allow(journal-gauge-under-lock)
-        self.journal.record(event);
+        // sirep-lint: allow(no-index-on-protocol-paths)
+        let first = self.items[0];
         // sirep-lint: allow(not-a-real-rule): whatever
         self.other();
     }

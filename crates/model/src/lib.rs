@@ -57,8 +57,10 @@
 //! identical state counts and identical traces. The crate therefore uses
 //! only ordered collections, never reads clocks or RNGs, passes every
 //! journal stamp as 0, and — like `core/src/replica.rs` and
-//! `gcs/src/seqlog.rs` — is covered by `lint.toml`'s
-//! `no-ambient-nondeterminism` rule.
+//! `gcs/src/seqlog.rs` — denies clippy's `clippy.toml` bans on clocks,
+//! RNGs and hash containers.
+
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod explore;
 pub mod scenarios;

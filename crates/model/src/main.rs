@@ -14,6 +14,8 @@
 //! Exit codes: 0 = all scopes explored exhaustively with zero violations;
 //! 1 = violation found or exploration incomplete (fail closed); 2 = usage.
 
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use sirep_model::{
     scope_by_name, seq_scenarios, Counterexample, Explorer, Mutation, Prop, ProtocolModel, Scope,
     SeqModel, SrcaModel, SCOPES,

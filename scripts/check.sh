@@ -90,6 +90,9 @@ QUICK=0
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+# -D warnings also enforces clippy.toml's clock, RNG and hash-container bans
+# in the deterministic modules and the panic bans on protocol paths (both
+# opted into per module, DESIGN.md §13.4).
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

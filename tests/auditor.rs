@@ -485,14 +485,14 @@ fn violation_count_is_capped() {
 /// the checker and the journal ring.
 #[test]
 fn auditor_report_feeds_checker_and_journal() {
-    use si_rep::common::Journal;
+    use si_rep::common::JournalWriter;
     use si_rep::core::replica::Report;
     use si_rep::core::Auditor;
     let a = Auditor::new();
-    let j = Journal::new(R0);
-    a.reporter(&j).report(pass(x(0, 1), 0, 1, &[7]), &[]);
+    let mut j = JournalWriter::new(R0);
+    a.reporter(&mut j).report(pass(x(0, 1), 0, 1, &[7]), &[]);
     assert!(a.is_clean());
-    a.reporter(&j).report(pass(x(1, 1), 0, 2, &[7]), &[]);
+    a.reporter(&mut j).report(pass(x(1, 1), 0, 2, &[7]), &[]);
     assert!(!a.is_clean());
     assert_eq!(kinds(&a.violations()), vec![AuditKind::FirstCommitterWins]);
     assert_eq!(j.len(), 2);

@@ -5,7 +5,7 @@
 //! machine (`driver::failover`; `tests/failover_table.rs` has every cell).
 
 use si_rep::common::wire::{read_frame, write_frame};
-use si_rep::common::{AbortReason, CrashPoint, DbError};
+use si_rep::common::{AbortReason, CrashPoint, DbError, EventKind, ReplicaId};
 use si_rep::core::{Cluster, ClusterConfig, Connection, InDoubt, Outcome, INQUIRE_DEADLINE};
 use si_rep::driver::remote::{ClientReq, ClientResp};
 use si_rep::driver::{
@@ -231,6 +231,27 @@ fn driver_masks_crash_between_transactions() {
         conn.commit().unwrap();
         assert_eq!(conn.failovers(), 1);
     });
+}
+
+/// The in-process driver's failover is reported by the replica that takes
+/// the client over, through its lock like every other event, so it reaches
+/// that replica's journal (and the online auditor).
+#[test]
+fn a_driver_failover_is_journaled_by_the_replica_that_takes_over() {
+    let c = cluster(3);
+    let d = Driver::new(Arc::clone(&c), DriverConfig::builder().policy(Policy::Primary).build());
+    let mut conn = d.connect().unwrap();
+    c.crash(0);
+    conn.execute("INSERT INTO kv VALUES (30, 1)").unwrap();
+    conn.commit().unwrap();
+    assert_eq!(conn.failovers(), 1);
+    let failovers = |k: usize| -> Vec<EventKind> {
+        let events = c.node(k).journal.snapshot().into_iter().map(|e| e.kind);
+        events.filter(|kind| matches!(kind, EventKind::ClientFailover { .. })).collect()
+    };
+    assert_eq!(failovers(1), [EventKind::ClientFailover { from: ReplicaId::new(0) }]);
+    assert_eq!(failovers(2), []);
+    assert!(c.audit_is_clean(), "{:?}", c.audit_violations());
 }
 
 #[test]

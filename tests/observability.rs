@@ -9,9 +9,9 @@
 //!    origin replica and on the remote appliers, so the fig5/fig7
 //!    breakdown tables never show a silently-missing stage;
 //! 3. a stage is the gap between two stamps of the replica's journal, so
-//!    the origin's stages tile its `total`, and at a remote `validate_queue`
-//!    and `apply` are the gaps from its `total_order_deliver` to its
-//!    `apply_start` and on to its `apply_done`.
+//!    the origin's stages tile its `total`; at a remote `validate_queue` is
+//!    the gap from its `total_order_deliver` to its `apply_start`, and
+//!    `apply` and `commit` tile the rest up to its `commit`.
 
 use si_rep::common::Metrics;
 use si_rep::core::{Cluster, ClusterConfig, Connection};
@@ -207,8 +207,8 @@ fn journal_records_the_protocol_lifecycle() {
 /// ones it dropped.
 #[test]
 fn journal_ring_keeps_the_newest_capacity_events() {
-    use si_rep::common::{EventKind, Journal, ReplicaId, XactId};
-    let j = Journal::with_epoch(ReplicaId::new(0), std::time::Instant::now(), 4);
+    use si_rep::common::{EventKind, JournalWriter, ReplicaId, XactId};
+    let mut j = JournalWriter::with_epoch(ReplicaId::new(0), std::time::Instant::now(), 4);
     for seq in 0..6 {
         j.record(EventKind::TxBegin { xact: XactId::new(ReplicaId::new(0), seq), gated: true });
     }
@@ -327,7 +327,10 @@ fn gauges_track_queue_depths() {
 /// stages tile its `total` — they are consecutive gaps between journal
 /// stamps — within one histogram bucket per stage; at the remote,
 /// `validate_queue` is the gap between the `total_order_deliver` and
-/// `apply_start` stamps, and `apply` the gap on to `apply_done`.
+/// `apply_start` stamps, and `apply` and `commit` tile the gap on to
+/// `commit`. `apply` ends before the flush charge, so it lies inside the
+/// `apply_start` → `apply_done` span, whose end is stamped in the commit's
+/// hold.
 #[test]
 fn stages_are_the_journals_gaps() {
     /// How far a quantile (a bucket's lower edge) can sit below the sample:
@@ -369,17 +372,20 @@ fn stages_are_the_journals_gaps() {
     assert!((sum - total).abs() <= slack, "stages sum to {sum} ms, total {total} ms");
 
     let remote = &report.per_node[1].stages;
-    let gaps = [
-        (Stage::ValidateQueue, "total_order_deliver", "apply_start"),
-        (Stage::Apply, "apply_start", "apply_done"),
-    ];
-    for (stage, from, to) in gaps {
+    for stage in [Stage::ValidateQueue, Stage::Apply, Stage::Commit] {
         assert_eq!(remote.count(stage), 1, "{stage}");
-        let gap_ns = at(1, to) - at(1, from);
-        let median = remote.median(stage);
-        assert_eq!(median, reported(stage, gap_ns), "{stage}");
-        let gap = gap_ns as f64 / 1e6;
-        assert!(median <= gap && gap - median <= bucket(median), "{stage}");
     }
+    let ms = |from: &str, to: &str| (at(1, to) - at(1, from)) as f64 / 1e6;
+    let gap_ns = at(1, "apply_start") - at(1, "total_order_deliver");
+    assert_eq!(remote.median(Stage::ValidateQueue), reported(Stage::ValidateQueue, gap_ns));
+    let (apply, commit) = (remote.median(Stage::Apply), remote.median(Stage::Commit));
+    let span = ms("apply_start", "apply_done");
+    assert!(apply <= span, "apply {apply} ms outlasts its span {span} ms");
+    let whole = ms("apply_start", "commit");
+    let slack = bucket(apply) + bucket(commit);
+    assert!(
+        apply + commit <= whole && whole - (apply + commit) <= slack,
+        "apply {apply} ms + commit {commit} ms against {whole} ms"
+    );
     assert_eq!(c.node(1).journal.stages(), report.per_node[1].stages);
 }
